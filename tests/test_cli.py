@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,13 @@ def test_init_mem_round_trip(tmp_path, capsys):
                          "--init-mem", str(init), "--dump-mem", str(dump))
     assert code == EXIT_OK
     assert "0x00000044=42" in dump.read_text()
+
+
+def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
+    kernels = Path(__file__).resolve().parent.parent / "kernels"
+    code, _, _ = run_cli(capsys, "gen", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    made = sorted(p.name for p in tmp_path.iterdir())
+    assert made == sorted(p.name for p in kernels.iterdir())
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (kernels / name).read_bytes(), name
