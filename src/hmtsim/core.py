@@ -19,12 +19,10 @@ from collections import deque
 from heapq import heappop, heappush
 
 from .errors import SimFault
-from .isa import Opcode, s32
+from .isa import CHANNEL_CELL, Opcode, s32
 
 # register cell states
 EMPTY, FULL, PENDING = 0, 1, 2
-
-CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
 
 # thread states
 ACTIVE, WAITING, SUSPENDED, KILLED = "active", "waiting", "suspended", "killed"
@@ -213,18 +211,12 @@ class Core:
 
     # -- read stage --------------------------------------------------------------
 
-    def _source_cells(self, instr) -> tuple:
-        op = instr.opcode
-        if op is Opcode.GETSH and instr.src1 is None:
-            return (CHANNEL_CELL,)
-        return instr.regs_read()
-
     def read_operands(self, inf: InFlight):
         """Return operand values, or None after suspending the thread on the
         first cell that is not FULL (sources first, then a busy destination)."""
         ctx = inf.ctx
         cells = ctx.cells
-        srcs = self._source_cells(inf.instr)
+        srcs = inf.instr.source_cells
         blocked = None
         for idx in srcs:
             if cells[idx].state != FULL:
@@ -408,10 +400,8 @@ class Core:
 
     @property
     def busy(self) -> bool:
-        if self.queue:
-            return True
-        return any(latch is not None for latch in
-                   (self.f, self.d, self.r, self.e, self.m, self.w))
-
-    def live_contexts(self):
-        return list(self.contexts.values())
+        """Queued threads or an occupied latch: what Core.step has to do
+        beyond counting a bubble."""
+        return bool(self.queue) or self.f is not None or self.d is not None \
+            or self.r is not None or self.e is not None \
+            or self.m is not None or self.w is not None

@@ -73,6 +73,8 @@ LONG_LATENCY_PRODUCERS = frozenset(
 NO_DST = frozenset({Opcode.ST, Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT,
                     Opcode.RELEASE, Opcode.PUTSH})
 
+CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -85,6 +87,15 @@ class Instruction:
     entry: str | None = None        # create: thread-body name
     create_range: tuple[int, int, int] | None = None   # create: (start, limit, step)
     switch_hint: bool = False
+    # register-file cells read at the read stage, decoded once: the operand
+    # registers, or the input channel for a plain getsh
+    source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        cells = self.regs_read()
+        if self.opcode is Opcode.GETSH and self.src1 is None:
+            cells = (CHANNEL_CELL,)
+        object.__setattr__(self, "source_cells", cells)
 
     @property
     def mnemonic(self) -> str:

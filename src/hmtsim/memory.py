@@ -26,9 +26,12 @@ class CacheConfig:
     i_miss_latency: int = 10
 
     def __post_init__(self):
-        assert self.line_bytes > 0 and self.line_bytes & (self.line_bytes - 1) == 0
-        assert self.d_lines > 0 and self.i_lines > 0
-        assert self.d_miss_latency > 0 and self.i_miss_latency > 0
+        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
+            raise ValueError(f"line bytes must be a power of two, got {self.line_bytes}")
+        for name in ("d_lines", "i_lines", "d_miss_latency", "i_miss_latency"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -66,7 +69,6 @@ class MemorySystem:
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_fills: dict[int, list[tuple[int, int]]] = {}
         self._i_pending: set[tuple[int, int]] = set()
-        self.fill_log: list[tuple[int, int, int]] = []  # (issue cycle, core, line)
 
     # -- word access ---------------------------------------------------------
 
@@ -113,7 +115,6 @@ class MemorySystem:
             fill = _Fill(core, line)
             self._d_pending[key] = fill
             self.stats.d_misses += 1
-            self.fill_log.append((cycle, core, line))
             done = cycle + self.config.d_miss_latency
             self._d_fills.setdefault(done, []).append(fill)
         fill.waiters.append((addr, on_value))
@@ -224,10 +225,6 @@ class MemorySystem:
     @property
     def busy(self) -> bool:
         return bool(self._d_fills or self._i_fills)
-
-    def unflushed_epochs(self) -> list[int]:
-        return [e for e, per_core in self._write_sets.items()
-                if any(per_core.values())]
 
 
 # -- image formats ----------------------------------------------------------

@@ -27,7 +27,6 @@ class ControlMessage:
     src: int
     dst: int
     payload: tuple
-    injected_at: int = 0
     seq: int = 0
     arrives_at: int = 0
 
@@ -79,8 +78,7 @@ class Noc:
              cycle: int) -> ControlMessage:
         route = self.topology.path(src, dst)
         hops = len(route) - 1
-        msg = ControlMessage(kind, src, dst, payload, injected_at=cycle,
-                             seq=self._seq,
+        msg = ControlMessage(kind, src, dst, payload, seq=self._seq,
                              arrives_at=cycle + max(1, hops * self.topology.hop_latency))
         self._seq += 1
         self.injected += 1

@@ -6,6 +6,17 @@ NoC deliveries, TMU steps (ascending core id), then core pipelines (ascending
 core id). Effects aimed at a component earlier in that order land the next
 cycle, giving a single total order equivalent to a two-phase commit; two runs
 over identical inputs are bit-identical.
+
+A component is stepped only when it has work, as in dataflow scheduling where
+a waiting thread costs nothing until its cell is written: the memory system
+while a fill is outstanding, the NoC while a message is in flight, a TMU while
+its request queue is non-empty, and a core while its schedule queue or any of
+its six latches is non-empty. Skipping the others changes nothing, since
+their step would find nothing to do, except that a core with resident
+threads (all suspended or fetch-blocked) counts one bubble per cycle; the
+loop adds that bubble itself. Only cores affect their own busy state during
+their step, so the system can be quiescent only when no stepped core is left
+busy, and Chip.quiescent() is consulted only then.
 """
 
 from __future__ import annotations
@@ -38,9 +49,19 @@ class ChipConfig:
     trace: bool = False
 
     def __post_init__(self):
-        assert self.p >= 1 and self.watchdog_cycles > 0
-        assert self.topology in ("ring", "line")
-        assert self.coherency in ("eager", "bulk")
+        if self.p < 1:
+            raise ValueError(f"core count must be >= 1, got {self.p}")
+        if self.thread_slots < 1:
+            raise ValueError(f"thread slots must be >= 1, got {self.thread_slots}")
+        if self.watchdog_cycles < 1:
+            raise ValueError(f"watchdog must be >= 1 cycle, got {self.watchdog_cycles}")
+        if self.starvation_check < 1:
+            raise ValueError(f"starvation check interval must be >= 1 cycle, "
+                             f"got {self.starvation_check}")
+        if self.topology not in ("ring", "line"):
+            raise ValueError(f"topology must be ring or line, got {self.topology!r}")
+        if self.coherency not in ("eager", "bulk"):
+            raise ValueError(f"coherency must be eager or bulk, got {self.coherency!r}")
 
 
 class Outcome(enum.Enum):
@@ -200,9 +221,10 @@ class Chip:
         return out
 
 
-def detect_deadlock(chip: Chip) -> tuple[str, str] | None:
-    """Classify a stalled system via the waits-for graph over suspended
-    threads. Returns (classification, diagnostic) or None."""
+def detect_deadlock(chip: Chip) -> str | None:
+    """Diagnose a stalled system via the waits-for graph over suspended
+    threads: the waits-for cycle, else the unsatisfiable waits. None when no
+    thread is suspended."""
     suspended = chip.suspended_threads()
     if not suspended:
         return None
@@ -260,9 +282,9 @@ def detect_deadlock(chip: Chip) -> tuple[str, str] | None:
             cyc = dfs(n, [n])
             if cyc:
                 names = " -> ".join(ids[x] for x in cyc)
-                return ("dataflow", f"waits-for cycle: {names}")
+                return f"waits-for cycle: {names}"
     waiting = ", ".join(ids[id(c)] for c in suspended)
-    return ("dataflow", f"unsatisfiable waits: {waiting}")
+    return f"unsatisfiable waits: {waiting}"
 
 
 def _check_starvation(chip: Chip, cycle: int) -> str | None:
@@ -310,29 +332,36 @@ def run(config: ChipConfig, program: Program,
     outcome = None
     diagnostic = None
     cycle = 0
+    memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
     try:
         while cycle < config.watchdog_cycles:
             chip.cycle = cycle
-            for cb, value in chip.memory.step(cycle):
-                cb(value)
-            for msg in chip.noc.step(cycle):
-                chip.tmus[msg.dst].handle_message(msg, cycle)
-            for tmu in chip.tmus:
-                tmu.step(cycle)
-            for core in chip.cores:
-                core.step(cycle)
+            if memory.busy:
+                for cb, value in memory.step(cycle):
+                    cb(value)
+            if noc.in_flight:
+                for msg in noc.step(cycle):
+                    tmus[msg.dst].handle_message(msg, cycle)
+            for tmu in tmus:
+                if tmu.requests:
+                    tmu.step(cycle)
+            busy = False
+            for core in cores:
+                if core.busy:
+                    core.step(cycle)
+                    busy = busy or core.busy
+                elif core.contexts:
+                    core.metrics.bubbles += 1
             cycle += 1
             if chip.root_completed:
                 outcome = Outcome.COMPLETED
                 break
-            if chip.quiescent():
-                found = detect_deadlock(chip)
-                if found is None:
+            if not busy and chip.quiescent():
+                diagnostic = detect_deadlock(chip)
+                if diagnostic is None:
                     raise SimFault("quiescent system with no suspended "
                                    "threads and unfinished root family")
-                kind, diagnostic = found
-                outcome = (Outcome.DEADLOCK_DATAFLOW if kind == "dataflow"
-                           else Outcome.DEADLOCK_STARVATION)
+                outcome = Outcome.DEADLOCK_DATAFLOW
                 break
             if cycle % config.starvation_check == 0:
                 why = _check_starvation(chip, cycle)
@@ -348,12 +377,13 @@ def run(config: ChipConfig, program: Program,
             # drain stragglers (release acknowledgements and the like), then
             # audit that every allocate request got exactly one response
             drain_limit = cycle + 4 * config.p * config.hop_latency + 8
-            while chip.noc.in_flight and cycle < drain_limit:
+            while noc.in_flight and cycle < drain_limit:
                 chip.cycle = cycle
-                for msg in chip.noc.step(cycle):
-                    chip.tmus[msg.dst].handle_message(msg, cycle)
-                for tmu in chip.tmus:
-                    tmu.step(cycle)
+                for msg in noc.step(cycle):
+                    tmus[msg.dst].handle_message(msg, cycle)
+                for tmu in tmus:
+                    if tmu.requests:
+                        tmu.step(cycle)
                 cycle += 1
             if chip._open_reqs:
                 raise SimFault(f"unpaired allocation requests at end of run: "

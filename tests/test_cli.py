@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import hmtsim
 
 from hmtsim.cli import EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE, RECORD_FIELDS, main
 from hmtsim.kernels import kernel_regular, kernel_starvation
@@ -159,3 +164,27 @@ def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
     assert made == sorted(p.name for p in kernels.iterdir())
     for name in made:
         assert (tmp_path / name).read_bytes() == (kernels / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--cores", "0"), ("--watchdog", "0"), ("--line-bytes", "3"),
+    ("--d-miss-latency", "0"), ("--thread-slots", "0")])
+def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
+    code, out, err = run_cli(capsys, "run", "--program", regular_masm,
+                             flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_invalid_config_exit_64_under_optimize(regular_masm):
+    # the checks are not asserts, so python -O keeps them
+    src = Path(hmtsim.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hmtsim.cli", "run", "--program",
+         regular_masm, "--cores", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == "error: core count must be >= 1, got 0\n"
