@@ -13,7 +13,7 @@ from .kernels import (
     kernel_starvation,
 )
 from .memory import CacheConfig, MemorySystem
-from .noc import ControlMessage, MsgKind, Noc, Topology
+from .noc import ControlMessage, Noc, Topology
 from .oracle import OracleDeadlock, OracleResult, sequential_oracle
 from .sim import ChipConfig, Metrics, Outcome, RunResult, detect_deadlock, format_trace, run
 from .tmu import Allocation, Family, SpanPool, distribute
@@ -23,7 +23,7 @@ __all__ = [
     "assemble", "validate", "KernelSpec", "corpus", "kernel_chain",
     "kernel_heterogeneous", "kernel_loaduse", "kernel_regular",
     "kernel_starvation", "CacheConfig", "MemorySystem", "ControlMessage",
-    "MsgKind", "Noc", "Topology", "OracleDeadlock", "OracleResult",
+    "Noc", "Topology", "OracleDeadlock", "OracleResult",
     "sequential_oracle", "ChipConfig", "Metrics", "Outcome", "RunResult",
     "detect_deadlock", "format_trace", "run", "Allocation", "Family",
     "SpanPool", "distribute",

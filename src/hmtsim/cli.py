@@ -2,9 +2,8 @@
 execute the sequential reference interpreter.
 
 Exit codes are a contract: 0 completed, 2 deadlock (or watchdog expiry), 3
-model fault, 64 usage or input errors. The env var MGSIM2_SEED is reserved
-for future stochastic extensions and currently ignored: the simulator is
-deterministic and uses no randomness.
+model fault, 64 usage or input errors. The simulator is deterministic and
+uses no randomness.
 """
 
 from __future__ import annotations
@@ -41,15 +40,19 @@ EXIT_FAULT = 3
 EXIT_USAGE = 64
 
 
-def _config_from_args(args) -> ChipConfig:
+def _config_from_args(args, p: int, hints: str, coherency: str,
+                      trace: bool) -> ChipConfig:
+    """The machine flags of run and sweep, plus one cell's varying fields."""
+    if hints not in ("on", "off"):
+        raise UsageError(f"--hints takes on or off, got {hints!r}")
     cache = CacheConfig(
         line_bytes=args.line_bytes, d_lines=args.d_lines, i_lines=args.i_lines,
         d_miss_latency=args.d_miss_latency, i_miss_latency=args.i_miss_latency)
     return ChipConfig(
-        p=args.cores, topology=args.topology, thread_slots=args.thread_slots,
-        cache=cache, hints=args.hints == "on", coherency=args.coherency,
+        p=p, topology=args.topology, thread_slots=args.thread_slots,
+        cache=cache, hints=hints == "on", coherency=coherency,
         hop_latency=args.hop_latency, watchdog_cycles=args.watchdog,
-        mem_bytes=args.mem_bytes, trace=args.trace is not None)
+        mem_bytes=args.mem_bytes, trace=trace)
 
 
 def _record(kernel: str, params: str, config: ChipConfig,
@@ -156,7 +159,8 @@ class UsageError(Exception):
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.cores, args.hints, args.coherency,
+                               args.trace is not None)
     init = _load_init_mem(args.init_mem, config.mem_bytes) if args.init_mem else None
     result = run(config, program, init)
     record = _record(program.name, "", config, result)
@@ -169,11 +173,13 @@ def cmd_run(args) -> int:
     return _exit_code(result.outcome)
 
 
-def _sweep_cells(args):
+def _sweep_cells(args) -> list:
+    """(spec, config) per cell, all built and checked before any is run."""
     kernels = args.kernels.split(",")
     cores = [int(c) for c in args.cores.split(",")]
     hints = args.hints.split(",")
     coherency = args.coherency.split(",")
+    cells = []
     for kname in kernels:
         if kname not in GENERATORS:
             raise UsageError(f"unknown kernel '{kname}' "
@@ -183,27 +189,22 @@ def _sweep_cells(args):
             spec = gen(p, satisfiable=True) if kname == "starvation" else gen()
             for h in hints:
                 for c in coherency:
-                    yield spec, p, h, c
+                    cells.append((spec, _config_from_args(
+                        args, p, h, c, args.trace_dir is not None)))
+    return cells
 
 
 def cmd_sweep(args) -> int:
     records = []
     traces = []
-    for spec, p, h, c in _sweep_cells(args):
-        config = ChipConfig(
-            p=p, topology=args.topology, thread_slots=args.thread_slots,
-            cache=CacheConfig(
-                line_bytes=args.line_bytes, d_lines=args.d_lines,
-                i_lines=args.i_lines, d_miss_latency=args.d_miss_latency,
-                i_miss_latency=args.i_miss_latency),
-            hints=h == "on", coherency=c, hop_latency=args.hop_latency,
-            watchdog_cycles=args.watchdog, mem_bytes=args.mem_bytes,
-            trace=args.trace_dir is not None)
+    for spec, config in _sweep_cells(args):
         result = run(config, spec.program)
         params = ";".join(f"{k}={v}" for k, v in spec.params.items())
-        records.append(_record(spec.name, params, config, result))
+        rec = _record(spec.name, params, config, result)
+        records.append(rec)
         if args.trace_dir is not None and result.trace is not None:
-            traces.append((f"{spec.name}_p{p}_hints_{h}_{c}.trace", result.trace))
+            traces.append((f"{spec.name}_p{config.p}_hints_{rec['hints']}_"
+                           f"{config.coherency}.trace", result.trace))
     emit_records(records, args.format, sys.stdout)
     for fname, trace in traces:
         with open(f"{args.trace_dir}/{fname}", "w") as fh:

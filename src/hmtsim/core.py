@@ -260,7 +260,7 @@ class Core:
         ctx = inf.ctx
         op = instr.opcode
         v = inf.vals
-        tmu = self.chip.tmu(self.cid)
+        tmu = self.chip.tmus[self.cid]
         if op is Opcode.ADD:
             self._set_reg(ctx, instr.dst, s32(v[0] + v[1]))
         elif op is Opcode.SUB:
@@ -290,26 +290,26 @@ class Core:
                 self._set_reg(ctx, instr.dst, v[0])
             else:
                 self._mark_pending(ctx, instr.dst, ("tail", v[0]))
-                tmu.enqueue(("getsh_tail", ctx, instr.dst, v[0]))
+                tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
         elif op is Opcode.PUTSH:
             if instr.src2 is None:
-                tmu.enqueue(("putsh", ctx, v[0]))
+                tmu.enqueue(tmu.putsh, ctx, v[0])
             else:
-                tmu.enqueue(("putsh_head", ctx, v[1], v[0]))
+                tmu.enqueue(tmu.putsh_head, v[1], v[0])
         elif op is Opcode.ALLOCATE:
             self._mark_pending(ctx, instr.dst, "allocate")
             hint = v[0] if instr.src1 is not None else None
-            tmu.enqueue(("allocate", ctx, instr.dst, instr.imm, hint))
+            tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
         elif op is Opcode.CREATE:
             self._mark_pending(ctx, instr.dst, "create")
             seed = v[1] if instr.src2 is not None else None
-            tmu.enqueue(("create", ctx, instr.dst, v[0], instr.entry,
-                         instr.create_range, seed))
+            tmu.enqueue(tmu.create, ctx, instr.dst, v[0], instr.entry,
+                        instr.create_range, seed)
         elif op is Opcode.SYNC:
             self._mark_pending(ctx, instr.dst, ("sync", v[0]))
-            tmu.enqueue(("sync", ctx, instr.dst, v[0]))
+            tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
         elif op is Opcode.RELEASE:
-            tmu.enqueue(("release", ctx, v[0]))
+            tmu.enqueue(tmu.release, v[0])
         else:
             raise AssertionError(f"unhandled opcode {op}")
 
@@ -346,8 +346,8 @@ class Core:
             ctx.state = KILLED
             self._remove_from_queue(ctx.slot)
             del self.contexts[ctx.slot]
-            chip.tmu(self.cid).enqueue(("terminated", ctx.slot, ctx.fid,
-                                        ctx.position))
+            tmu = chip.tmus[self.cid]
+            tmu.enqueue(tmu.terminated, ctx.slot, ctx.fid, ctx.position)
 
     # -- one cycle ----------------------------------------------------------------------
 

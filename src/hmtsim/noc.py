@@ -7,23 +7,13 @@ core messaging itself). There is no contention or buffering model.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class MsgKind(enum.Enum):
-    ALLOCATE_REQ = "allocate_req"
-    ALLOCATE_RSP = "allocate_rsp"
-    CREATE = "create"
-    TERMINATED = "terminated"
-    SYNC_DONE = "sync_done"
-    RELEASE = "release"
-    CHANNEL = "channel"     # forward-only shared-channel transfer
+from typing import Callable
 
 
 @dataclass
 class ControlMessage:
-    kind: MsgKind
+    handler: Callable       # receiving Tmu method, called with the payload
     src: int
     dst: int
     payload: tuple
@@ -74,11 +64,11 @@ class Noc:
         self.delivered = 0
         self._hop_counts: dict[tuple[int, int], int] = {}
 
-    def send(self, kind: MsgKind, src: int, dst: int, payload: tuple,
+    def send(self, handler: Callable, src: int, dst: int, payload: tuple,
              cycle: int) -> ControlMessage:
         route = self.topology.path(src, dst)
         hops = len(route) - 1
-        msg = ControlMessage(kind, src, dst, payload, seq=self._seq,
+        msg = ControlMessage(handler, src, dst, payload, seq=self._seq,
                              arrives_at=cycle + max(1, hops * self.topology.hop_latency))
         self._seq += 1
         self.injected += 1

@@ -163,19 +163,11 @@ class Chip:
         self.max_pending = 0
         self.trace = [] if config.trace else None
 
-    def core(self, cid: int) -> Core:
-        return self.cores[cid]
-
-    def tmu(self, cid: int) -> Tmu:
-        return self.tmus[cid]
-
-    def new_family(self, owner, aid, entry, start, limit, step, n, span,
-                   creator) -> Family:
+    def new_family(self, owner, aid, entry, start, step, n, creator) -> Family:
         self._fid += 1
         fid = self._fid
-        fam = Family(fid, owner, aid, entry, start, limit, step, n,
-                     epoch=fid, span=tuple(span), ranges={}, outstanding=n,
-                     creator=creator)
+        fam = Family(fid, owner, aid, entry, start, step, n, epoch=fid,
+                     ranges={}, outstanding=n, creator=creator)
         self.families[fid] = fam
         self.memory.open_epoch(fam.epoch)
         return fam
@@ -304,8 +296,8 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
 
 
 def _bootstrap_root(chip: Chip):
-    fam = chip.new_family(owner=0, aid=None, entry="main", start=0, limit=1,
-                          step=1, n=1, span=(0,), creator=None)
+    fam = chip.new_family(owner=0, aid=None, entry="main", start=0, step=1,
+                          n=1, creator=None)
     fam.ranges[0] = (0, 1)
     chip.root_fid = fam.fid
     tmu0 = chip.tmus[0]

@@ -2,10 +2,14 @@
 even N/P split over adjacent cores, bulk synchronization, and the forward-only
 inter-thread channels.
 
-Each core owns one Tmu. Requests from the local pipeline are queued during a
-core's cycle and handled the following cycle; everything crossing cores rides
-the control NoC, including a core messaging itself, so all inter-TMU effects
-take at least one cycle and land in a deterministic order.
+Each core owns one Tmu, and each protocol step is one Tmu method named after
+it, taking the step's payload as arguments. The local pipeline queues a
+request (allocate, create, sync, release, putsh, ...) as a bound method and
+its arguments during a core's cycle; the Tmu runs the queue in arrival order
+the following cycle. A control message carries its handler, one of the on_*
+methods, which the receiving Tmu calls with the payload. Everything crossing
+cores rides the control NoC, including a core messaging itself, so all
+inter-TMU effects take at least one cycle and land in a deterministic order.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SimFault
-from .noc import MsgKind
 
 
 def distribute(n: int, p: int) -> list[int]:
@@ -22,7 +25,8 @@ def distribute(n: int, p: int) -> list[int]:
     The first n % p cores get ceil(n/p) threads, the rest floor(n/p), so each
     core's share is one contiguous run of logical indices.
     """
-    assert n >= 0 and p >= 1
+    if n < 0 or p < 1:
+        raise SimFault(f"cannot distribute {n} threads over {p} cores")
     base, extra = divmod(n, p)
     return [base + 1 if c < extra else base for c in range(p)]
 
@@ -40,7 +44,6 @@ def index_count(start: int, limit: int, step: int) -> int:
 class Allocation:
     aid: int
     cores: tuple[int, ...]
-    owner: int
 
     @property
     def p(self) -> int:
@@ -54,16 +57,13 @@ class Family:
     aid: int | None
     entry: str
     start: int
-    limit: int
     step: int
     n: int
     epoch: int
-    span: tuple[int, ...]
     ranges: dict[int, tuple[int, int]]      # core -> [position lo, hi)
     outstanding: int
     creator: object = None                  # ThreadContext of the creating thread
-    sync_registered: bool = False
-    sync_target: tuple | None = None        # (core, slot, ctx, reg)
+    sync_target: tuple | None = None        # (core, ctx, reg) once synced
     sync_fired: bool = False
     completed: bool = False
     tail_value: int | None = None
@@ -118,7 +118,9 @@ class SpanPool:
 
     def hold(self, span: tuple[int, ...], aid: int):
         for c in span:
-            assert self._held[c] is None
+            if self._held[c] is not None:
+                raise SimFault(f"core {c} already held by allocation "
+                               f"{self._held[c]}")
             self._held[c] = aid
 
     def release(self, span: tuple[int, ...]):
@@ -145,225 +147,225 @@ class Tmu:
     def __init__(self, cid: int, chip):
         self.cid = cid
         self.chip = chip
-        self.requests: list[tuple] = []
+        self.core = chip.cores[cid]
+        self.requests: list[tuple] = []     # (bound method, args)
         self.local_fams: dict[int, _LocalFam] = {}
 
     # -- called from the pipeline (effective next cycle) ----------------------
 
-    def enqueue(self, req: tuple):
-        self.requests.append(req)
-
-    # -- cycle step ------------------------------------------------------------
+    def enqueue(self, method, *args):
+        self.requests.append((method, args))
 
     def step(self, cycle: int):
         pending, self.requests = self.requests, []
-        for req in pending:
-            self._handle_request(req, cycle)
+        for method, args in pending:
+            method(*args, cycle)
 
-    def _send(self, kind, dst, payload, cycle):
-        self.chip.noc.send(kind, self.cid, dst, payload, cycle)
+    def _send(self, handler, dst, payload, cycle):
+        self.chip.noc.send(handler, self.cid, dst, payload, cycle)
 
-    def _handle_request(self, req: tuple, cycle: int):
+    # -- pipeline requests ---------------------------------------------------------
+
+    def allocate(self, ctx, dst: int, size: int, hint: int | None, cycle: int):
         chip = self.chip
-        op = req[0]
-        if op == "allocate":
-            _, ctx, dst, size, hint = req
-            req_id = chip.next_req_id()
-            anchor = self.cid if hint is None else hint
-            if not 0 <= anchor < chip.config.p:
-                raise SimFault(f"allocate hint {anchor} is not a core id")
-            self._send(MsgKind.ALLOCATE_REQ, anchor,
-                       (req_id, self.cid, ctx, dst, size, hint is None), cycle)
-        elif op == "create":
-            _, ctx, dst, aid, entry, rng, seed = req
-            alloc = chip.allocations.get(aid)
-            if alloc is None:
-                raise SimFault(f"create on unknown or released allocation {aid}")
-            # parent's buffered stores become visible to the new sub-family
-            chip.memory.flush_epoch(chip.families[ctx.fid].epoch)
-            start, limit, step = rng
-            n = index_count(start, limit, step)
-            fam = chip.new_family(self.cid, aid, entry, start, limit, step, n,
-                                  alloc.cores, creator=ctx)
-            counts = distribute(n, alloc.p)
-            lo = 0
-            for core, cnt in zip(alloc.cores, counts):
-                if cnt:
-                    fam.ranges[core] = (lo, lo + cnt)
-                    lo += cnt
-            for core, (plo, phi) in fam.ranges.items():
-                self._send(MsgKind.CREATE, core, (fam.fid, plo, phi), cycle)
-            if seed is not None:
-                if n:
-                    self._send(MsgKind.CHANNEL, fam.core_of_position(0),
-                               (fam.fid, 0, seed), cycle)
-                else:
-                    self._tail_arrive(fam, seed, cycle)
-            if n == 0:
-                self._complete_family(fam, cycle)
-            chip.core(self.cid).writeback(ctx, dst, fam.fid)
-        elif op == "sync":
-            _, ctx, dst, fid = req
-            fam = chip.families.get(fid)
-            if fam is None:
-                raise SimFault(f"sync on unknown family {fid}")
-            if fam.sync_registered:
-                raise SimFault(f"double sync on family {fid}")
-            fam.sync_registered = True
-            fam.sync_target = (self.cid, ctx.slot, ctx, dst)
-            if fam.completed:
-                self._fire_sync(fam, cycle)
-        elif op == "release":
-            _, ctx, aid = req
-            alloc = chip.allocations.get(aid)
-            if alloc is None:
-                raise SimFault(f"release of unknown or already released "
-                               f"allocation {aid}")
-            live = [f.fid for f in chip.families.values()
-                    if f.aid == aid and not f.sync_fired]
-            if live:
-                raise SimFault(f"release of allocation {aid} with live "
-                               f"families {live}")
-            for core in alloc.cores:
-                self._send(MsgKind.RELEASE, core, (aid,), cycle)
-            chip.span_pool.release(alloc.cores)
-            del chip.allocations[aid]
-            chip.note_effect(cycle)
-        elif op == "putsh":
-            _, ctx, value = req
-            fam = chip.families[ctx.fid]
-            self._forward_channel(fam, ctx.position + 1, value, cycle)
-        elif op == "putsh_head":
-            _, ctx, fid, value = req
-            fam = chip.families.get(fid)
-            if fam is None:
-                raise SimFault(f"putsh to unknown family {fid}")
-            self._forward_channel(fam, 0, value, cycle)
-        elif op == "getsh_tail":
-            _, ctx, dst, fid = req
-            fam = chip.families.get(fid)
-            if fam is None:
-                raise SimFault(f"getsh on unknown family {fid}")
-            if fam.tail_value is not None:
-                chip.core(self.cid).writeback(ctx, dst, fam.tail_value)
+        req_id = chip.next_req_id()
+        anchor = self.cid if hint is None else hint
+        if not 0 <= anchor < chip.config.p:
+            raise SimFault(f"allocate hint {anchor} is not a core id")
+        self._send(Tmu.on_allocate_req, anchor,
+                   (req_id, self.cid, ctx, dst, size, hint is None), cycle)
+
+    def create(self, ctx, dst: int, aid: int, entry: str, rng: tuple,
+               seed: int | None, cycle: int):
+        chip = self.chip
+        alloc = chip.allocations.get(aid)
+        if alloc is None:
+            raise SimFault(f"create on unknown or released allocation {aid}")
+        # parent's buffered stores become visible to the new sub-family
+        chip.memory.flush_epoch(chip.families[ctx.fid].epoch)
+        start, limit, step = rng
+        n = index_count(start, limit, step)
+        fam = chip.new_family(self.cid, aid, entry, start, step, n, creator=ctx)
+        counts = distribute(n, alloc.p)
+        lo = 0
+        for core, cnt in zip(alloc.cores, counts):
+            if cnt:
+                fam.ranges[core] = (lo, lo + cnt)
+                lo += cnt
+        for core, (plo, phi) in fam.ranges.items():
+            self._send(Tmu.on_create, core, (fam.fid, plo, phi), cycle)
+        if seed is not None:
+            if n:
+                self._send(Tmu.on_channel, fam.core_of_position(0),
+                           (fam.fid, 0, seed), cycle)
             else:
-                fam.tail_waiters.append((self.cid, ctx, dst))
-        elif op == "terminated":
-            _, slot, fid, pos = req
-            self._local_terminated(slot, fid, pos, cycle)
+                self.on_tail(fam, seed, cycle)
+        if n == 0:
+            self._complete_family(fam, cycle)
+        self.core.writeback(ctx, dst, fam.fid)
+
+    def sync(self, ctx, dst: int, fid: int, cycle: int):
+        fam = self.chip.families.get(fid)
+        if fam is None:
+            raise SimFault(f"sync on unknown family {fid}")
+        if fam.sync_target is not None:
+            raise SimFault(f"double sync on family {fid}")
+        fam.sync_target = (self.cid, ctx, dst)
+        if fam.completed:
+            self._fire_sync(fam, cycle)
+
+    def release(self, aid: int, cycle: int):
+        chip = self.chip
+        alloc = chip.allocations.get(aid)
+        if alloc is None:
+            raise SimFault(f"release of unknown or already released "
+                           f"allocation {aid}")
+        live = [f.fid for f in chip.families.values()
+                if f.aid == aid and not f.sync_fired]
+        if live:
+            raise SimFault(f"release of allocation {aid} with live "
+                           f"families {live}")
+        for core in alloc.cores:
+            self._send(Tmu.on_release, core, (aid,), cycle)
+        chip.span_pool.release(alloc.cores)
+        del chip.allocations[aid]
+        chip.note_effect(cycle)
+
+    def putsh(self, ctx, value: int, cycle: int):
+        self._forward_channel(self.chip.families[ctx.fid], ctx.position + 1,
+                              value, cycle)
+
+    def putsh_head(self, fid: int, value: int, cycle: int):
+        fam = self.chip.families.get(fid)
+        if fam is None:
+            raise SimFault(f"putsh to unknown family {fid}")
+        self._forward_channel(fam, 0, value, cycle)
+
+    def getsh_tail(self, ctx, dst: int, fid: int, cycle: int):
+        fam = self.chip.families.get(fid)
+        if fam is None:
+            raise SimFault(f"getsh on unknown family {fid}")
+        if fam.tail_value is not None:
+            self.core.writeback(ctx, dst, fam.tail_value)
         else:
-            raise AssertionError(f"unknown TMU request {op}")
+            fam.tail_waiters.append((self.cid, ctx, dst))
+
+    def terminated(self, slot: int, fid: int, pos: int, cycle: int):
+        chip = self.chip
+        lf = self.local_fams.get(fid)
+        if lf is None or lf.running.get(pos) != slot:
+            raise SimFault(f"double termination of family {fid} position {pos}")
+        del lf.running[pos]
+        self._send(Tmu.on_terminated, chip.families[fid].owner, (fid, pos),
+                   cycle)
+        chip.note_effect(cycle)
+        if lf.pos_next < lf.pos_hi:
+            self._start_position(fid, lf, slot, cycle)     # reuse the same slot
+        else:
+            self.core.release_slot(slot)
+            self._feed_starved_family(cycle)
 
     def _forward_channel(self, fam: Family, pos: int, value: int, cycle: int):
         if pos >= fam.n:
             # past the last thread: the value becomes the family's tail
             if fam.owner == self.cid:
-                self._tail_arrive(fam, value, cycle)
+                self.on_tail(fam, value, cycle)
             else:
-                self._send(MsgKind.CHANNEL, fam.owner, (fam.fid, "tail", value),
-                           cycle)
+                self._send(Tmu.on_tail, fam.owner, (fam, value), cycle)
             return
         core = fam.core_of_position(pos)
         if core == self.cid:
-            self._deposit(fam.fid, pos, value, cycle)
+            self.on_channel(fam.fid, pos, value, cycle)
         else:
-            self._send(MsgKind.CHANNEL, core, (fam.fid, pos, value), cycle)
+            self._send(Tmu.on_channel, core, (fam.fid, pos, value), cycle)
 
-    def _deposit(self, fid: int, pos: int, value: int, cycle: int):
+    # -- NoC message handlers --------------------------------------------------------
+
+    def handle_message(self, msg, cycle: int):
+        msg.handler(self, *msg.payload, cycle)
+
+    def on_allocate_req(self, req_id: int, owner: int, ctx, dst: int,
+                        size: int, local: bool, cycle: int):
+        chip = self.chip
+        if size < 0:
+            raise SimFault(f"allocate with negative size {size}")
+        if local:
+            span = chip.span_pool.find_local(owner, size)
+        else:
+            span = chip.span_pool.find_remote(self.cid, size)
+        aid = 0
+        if span:
+            aid = chip.next_aid()
+            chip.allocations[aid] = Allocation(aid, span)
+            chip.span_pool.hold(span, aid)
+        self._send(Tmu.on_allocate_rsp, owner, (req_id, aid, ctx, dst), cycle)
+
+    def on_allocate_rsp(self, req_id: int, aid: int, ctx, dst: int,
+                        cycle: int):
+        chip = self.chip
+        chip.pair_response(req_id)
+        if aid == 0:
+            ctx.last_denial = cycle
+        else:
+            chip.note_effect(cycle)
+        self.core.writeback(ctx, dst, aid)
+
+    def on_create(self, fid: int, plo: int, phi: int, cycle: int):
+        lf = _LocalFam(plo, phi)
+        self.local_fams[fid] = lf
+        while lf.pos_next < lf.pos_hi:
+            slot = self.core.take_free_slot()
+            if slot is None:
+                break
+            self._start_position(fid, lf, slot, cycle)
+
+    def on_terminated(self, fid: int, pos: int, cycle: int):
+        fam = self.chip.families.get(fid)
+        if fam is None:
+            raise SimFault(f"termination for unknown family {fid}")
+        if fam.completed:
+            raise SimFault(f"termination after completion of family {fid}")
+        fam.outstanding -= 1
+        if fam.outstanding == 0:
+            self._complete_family(fam, cycle)
+
+    def on_sync_done(self, ctx, reg: int, cycle: int):
+        self.core.writeback(ctx, reg, 1)
+        self.chip.note_effect(cycle)
+
+    def on_release(self, aid: int, cycle: int):
+        families = self.chip.families
+        for fid in [f for f in self.local_fams if families[f].aid == aid]:
+            del self.local_fams[fid]
+
+    def on_channel(self, fid: int, pos: int, value: int, cycle: int):
         lf = self.local_fams.get(fid)
         if lf is None:
             raise SimFault(f"channel value for family {fid} on core "
                            f"{self.cid} before creation")
         slot = lf.running.get(pos)
         if slot is not None:
-            self.chip.core(self.cid).write_channel(slot, value)
+            self.core.write_channel(slot, value)
             self.chip.note_effect(cycle)
         elif pos >= lf.pos_next:
             lf.buffer[pos] = value
         # else: consumer already terminated without reading; value is dead
 
-    def _tail_arrive(self, fam: Family, value: int, cycle: int):
+    def on_tail(self, fam: Family, value: int, cycle: int):
         if fam.tail_value is not None:
             raise SimFault(f"double write to tail of family {fam.fid}")
         fam.tail_value = value
         for core, ctx, dst in fam.tail_waiters:
             if core == self.cid:
-                self.chip.core(core).writeback(ctx, dst, value)
+                self.core.writeback(ctx, dst, value)
             else:
-                self._send(MsgKind.CHANNEL, core, ("reg", ctx, dst, value), cycle)
+                self._send(Tmu.on_tail_value, core, (ctx, dst, value), cycle)
         fam.tail_waiters.clear()
         self.chip.note_effect(cycle)
 
-    # -- NoC message handling ----------------------------------------------------
-
-    def handle_message(self, msg, cycle: int):
-        chip = self.chip
-        kind = msg.kind
-        if kind is MsgKind.ALLOCATE_REQ:
-            req_id, owner, ctx, dst, size, local = msg.payload
-            if size < 0:
-                raise SimFault(f"allocate with negative size {size}")
-            if local:
-                span = chip.span_pool.find_local(owner, size)
-            else:
-                span = chip.span_pool.find_remote(self.cid, size)
-            aid = 0
-            if span:
-                aid = chip.next_aid()
-                chip.allocations[aid] = Allocation(aid, span, owner)
-                chip.span_pool.hold(span, aid)
-            self._send(MsgKind.ALLOCATE_RSP, owner, (req_id, aid, ctx, dst), cycle)
-        elif kind is MsgKind.ALLOCATE_RSP:
-            req_id, aid, ctx, dst = msg.payload
-            chip.pair_response(req_id)
-            if aid == 0:
-                ctx.last_denial = cycle
-            else:
-                chip.note_effect(cycle)
-            chip.core(self.cid).writeback(ctx, dst, aid)
-        elif kind is MsgKind.CREATE:
-            fid, plo, phi = msg.payload
-            lf = _LocalFam(plo, phi)
-            self.local_fams[fid] = lf
-            core = chip.core(self.cid)
-            while lf.pos_next < lf.pos_hi:
-                slot = core.take_free_slot()
-                if slot is None:
-                    break
-                self._start_position(fid, lf, slot, cycle)
-        elif kind is MsgKind.TERMINATED:
-            fid, pos = msg.payload
-            fam = chip.families.get(fid)
-            if fam is None:
-                raise SimFault(f"termination for unknown family {fid}")
-            if fam.completed:
-                raise SimFault(f"termination after completion of family {fid}")
-            fam.outstanding -= 1
-            if fam.outstanding == 0:
-                self._complete_family(fam, cycle)
-        elif kind is MsgKind.SYNC_DONE:
-            fid, ctx, reg = msg.payload
-            chip.core(self.cid).writeback(ctx, reg, 1)
-            chip.note_effect(cycle)
-        elif kind is MsgKind.RELEASE:
-            aid, = msg.payload
-            for fid in [f for f, lf in self.local_fams.items()
-                        if chip.families[f].aid == aid]:
-                del self.local_fams[fid]
-        elif kind is MsgKind.CHANNEL:
-            payload = msg.payload
-            if payload[0] == "reg":
-                _, ctx, dst, value = payload
-                chip.core(self.cid).writeback(ctx, dst, value)
-            else:
-                fid, pos, value = payload
-                fam = chip.families[fid]
-                if pos == "tail":
-                    self._tail_arrive(fam, value, cycle)
-                else:
-                    self._deposit(fid, pos, value, cycle)
-        else:
-            raise AssertionError(f"unroutable message kind {kind}")
+    def on_tail_value(self, ctx, dst: int, value: int, cycle: int):
+        # a remote waiter's getsh of a family tail
+        self.core.writeback(ctx, dst, value)
 
     # -- thread lifecycle ---------------------------------------------------------
 
@@ -374,31 +376,16 @@ class Tmu:
         lf.pos_next += 1
         lf.running[pos] = slot
         chan = lf.buffer.pop(pos, None)
-        chip.core(self.cid).start_context(
+        self.core.start_context(
             slot, fid, pos, fam.start + pos * fam.step,
             chip.program.entries[fam.entry], fam.epoch, chan)
         chip.note_effect(cycle)
 
-    def _local_terminated(self, slot: int, fid: int, pos: int, cycle: int):
-        chip = self.chip
-        lf = self.local_fams.get(fid)
-        if lf is None or lf.running.get(pos) != slot:
-            raise SimFault(f"double termination of family {fid} position {pos}")
-        del lf.running[pos]
-        self._send(MsgKind.TERMINATED, chip.families[fid].owner, (fid, pos), cycle)
-        chip.note_effect(cycle)
-        if lf.pos_next < lf.pos_hi:
-            self._start_position(fid, lf, slot, cycle)     # reuse the same slot
-        else:
-            chip.core(self.cid).release_slot(slot)
-            self._feed_starved_family(cycle)
-
     def _feed_starved_family(self, cycle: int):
         # a freed slot may unblock another family queued behind full slots
-        core = self.chip.core(self.cid)
         for fid, lf in self.local_fams.items():
             while lf.pos_next < lf.pos_hi:
-                slot = core.take_free_slot()
+                slot = self.core.take_free_slot()
                 if slot is None:
                     return
                 self._start_position(fid, lf, slot, cycle)
@@ -411,10 +398,10 @@ class Tmu:
         chip.note_effect(cycle)
         if fam.fid == chip.root_fid:
             chip.root_completed = True
-        if fam.sync_registered and not fam.sync_fired:
+        if fam.sync_target is not None and not fam.sync_fired:
             self._fire_sync(fam, cycle)
 
     def _fire_sync(self, fam: Family, cycle: int):
         fam.sync_fired = True
-        core, slot, ctx, reg = fam.sync_target
-        self._send(MsgKind.SYNC_DONE, core, (fam.fid, ctx, reg), cycle)
+        core, ctx, reg = fam.sync_target
+        self._send(Tmu.on_sync_done, core, (ctx, reg), cycle)

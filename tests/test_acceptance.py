@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line printed each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines. The
-oracle-equivalence matrix (criterion 1) is executed once per session and its
-results are reused by the criteria that quantify over "every corpus run".
+oracle-equivalence matrix (criterion 1) is executed once per session, shared
+with the golden gate (`conftest.py`), and its results are reused by the
+criteria that quantify over "every corpus run".
 """
 
 import random
@@ -32,24 +33,10 @@ def _portable_kernels():
 
 
 @pytest.fixture(scope="module")
-def matrix():
+def matrix(matrix_runs):
     """All matrix cells: (kernel, p, hints, coherency) -> (spec, result)."""
-    cells = {}
-    for spec in _portable_kernels():
-        for p in P_VALUES:
-            for hints in (True, False):
-                for coh in ("eager", "bulk"):
-                    cfg = ChipConfig(p=p, hints=hints, coherency=coh,
-                                     watchdog_cycles=WATCHDOG)
-                    cells[(spec.name, p, hints, coh)] = (spec, run(cfg, spec.program))
-    for p in P_VALUES:
-        spec = kernel_starvation(p, satisfiable=True)
-        for hints in (True, False):
-            for coh in ("eager", "bulk"):
-                cfg = ChipConfig(p=p, hints=hints, coherency=coh,
-                                 watchdog_cycles=WATCHDOG)
-                cells[(spec.name, p, hints, coh)] = (spec, run(cfg, spec.program))
-    return cells
+    return {(c.spec.name, c.config.p, c.config.hints, c.config.coherency):
+            (c.spec, c.result) for c in matrix_runs.values()}
 
 
 def test_criterion_1_oracle_equivalence(matrix):

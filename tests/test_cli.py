@@ -123,6 +123,24 @@ def test_sweep_memory_hash_constant_across_cores(capsys):
     assert len({r["cycles"] for r in rows}) > 1
 
 
+def test_sweep_rejects_hints_other_than_on_off(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain",
+                             "--cores", "1", "--hints", "yes")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_records_carry_machine_flags(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--kernels", "chain",
+                           "--cores", "1,2", "--coherency", "eager",
+                           "--hop-latency", "3", "--d-lines", "8")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert all(r["hop_latency"] == "3" and r["d_lines"] == "8" for r in rows)
+
+
 def test_oracle_command_matches_expected_file(tmp_path, capsys):
     spec = kernel_regular(n=8)
     masm = tmp_path / "r.masm"

@@ -1,6 +1,10 @@
 from hypothesis import given, strategies as st
 
-from hmtsim.noc import MsgKind, Noc, Topology
+from hmtsim.noc import Noc, Topology
+
+
+def handler(tmu, *payload):
+    """Stand-in for the receiving Tmu method a message carries."""
 
 
 def bfs_distance(p, kind, src, dst):
@@ -28,7 +32,7 @@ def bfs_distance(p, kind, src, dst):
 
 def test_self_message_next_cycle():
     noc = Noc(Topology("ring", 4))
-    msg = noc.send(MsgKind.CREATE, 2, 2, (), cycle=10)
+    msg = noc.send(handler, 2, 2, (), cycle=10)
     assert msg.arrives_at == 11
     assert noc.step(10) == []
     assert noc.step(11) == [msg]
@@ -37,7 +41,7 @@ def test_self_message_next_cycle():
 
 def test_ring_three_hops():
     noc = Noc(Topology("ring", 8))
-    msg = noc.send(MsgKind.CREATE, 0, 3, (), cycle=0)
+    msg = noc.send(handler, 0, 3, (), cycle=0)
     assert msg.arrives_at == 6  # 3 hops at latency 2
     traversed = {k: v for k, v in noc.hop_log().items() if v}
     assert traversed == {(0, 1): 1, (1, 2): 1, (2, 3): 1}
@@ -45,7 +49,7 @@ def test_ring_three_hops():
 
 def test_ring_routes_short_way():
     noc = Noc(Topology("ring", 8))
-    msg = noc.send(MsgKind.CREATE, 0, 6, (), cycle=0)
+    msg = noc.send(handler, 0, 6, (), cycle=0)
     assert msg.arrives_at == 4  # 2 hops via core 7
     traversed = {k: v for k, v in noc.hop_log().items() if v}
     assert traversed == {(6, 7): 1, (0, 7): 1}
@@ -65,9 +69,9 @@ def test_hops_match_bfs_oracle(kind, p, src, dst):
 
 def test_same_cycle_delivery_fifo_per_destination():
     noc = Noc(Topology("line", 4))
-    m1 = noc.send(MsgKind.TERMINATED, 1, 0, ("a",), cycle=0)
-    m2 = noc.send(MsgKind.TERMINATED, 1, 0, ("b",), cycle=0)
-    m3 = noc.send(MsgKind.TERMINATED, 3, 2, ("c",), cycle=0)
+    m1 = noc.send(handler, 1, 0, ("a",), cycle=0)
+    m2 = noc.send(handler, 1, 0, ("b",), cycle=0)
+    m3 = noc.send(handler, 3, 2, ("c",), cycle=0)
     out = noc.step(2)
     assert out == [m1, m2, m3]  # dst order, then injection order
 
@@ -75,7 +79,7 @@ def test_same_cycle_delivery_fifo_per_destination():
 def test_saturation_conservation():
     noc = Noc(Topology("ring", 8))
     for i in range(100):
-        noc.send(MsgKind.CREATE, i % 8, (i * 3) % 8, (i,), cycle=i % 5)
+        noc.send(handler, i % 8, (i * 3) % 8, (i,), cycle=i % 5)
     got = 0
     for cycle in range(40):
         assert noc.injected == got + noc.in_flight + (noc.injected - 100)
@@ -88,7 +92,7 @@ def test_hop_log_only_adjacent_pairs():
     noc = Noc(topo)
     for s in range(8):
         for d in range(8):
-            noc.send(MsgKind.CREATE, s, d, (), cycle=0)
+            noc.send(handler, s, d, (), cycle=0)
     log = noc.hop_log()
     assert all(topo.adjacent(a, b) for a, b in log)
     assert set(log) == {(a, b) for a in range(8) for b in range(a + 1, 8)

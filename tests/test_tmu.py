@@ -23,6 +23,12 @@ def test_distribute_sum_and_evenness(n, p):
     assert counts[: n % p] == [n // p + 1] * (n % p)
 
 
+@pytest.mark.parametrize("n,p", [(-1, 4), (8, 0)])
+def test_distribute_invalid_counts_fault(n, p):
+    with pytest.raises(SimFault):
+        distribute(n, p)
+
+
 def count_oracle(start, limit, step):
     n, v = 0, start
     while (v < limit) if step > 0 else (v > limit):
@@ -98,6 +104,13 @@ def test_pool_denies_when_everything_held():
     assert pool.find_local(0, 1) is None
     assert pool.find_remote(1, 1) is None
     assert pool.find_local(0, 0) is None
+
+
+def test_hold_of_held_core_faults():
+    pool = SpanPool(4)
+    pool.hold((1, 2), aid=1)
+    with pytest.raises(SimFault):
+        pool.hold((2, 3), aid=2)
 
 
 def test_randomized_hold_release_matches_set_oracle():
