@@ -68,6 +68,52 @@ def test_dataflow_deadlock_classified():
     assert res.final_memory is None
 
 
+# main waits on the tail of a family whose only thread waits on a channel
+# value main never sends
+TAIL_DEADLOCK = """
+.body main
+  allocate r1, 1
+  create r2, r1, waiter, 0, 1, 1
+  getsh r3, r2
+  add r0, r3, r0
+  sync r4, r2
+  release r1
+  halt
+.body waiter
+  getsh r5
+  putsh r5
+  halt
+"""
+
+# main waits on the sync of a family whose first thread waits on the same
+# unsent channel value
+SYNC_DEADLOCK = """
+.body main
+  allocate r1, 0
+  create r2, r1, waiter, 0, 3, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body waiter
+  getsh r5
+  putsh r5
+  halt
+"""
+
+
+@pytest.mark.parametrize("src, p, cycles", [
+    (TAIL_DEADLOCK, 1, 35), (TAIL_DEADLOCK, 2, 35),
+    (SYNC_DEADLOCK, 1, 33), (SYNC_DEADLOCK, 2, 47),
+], ids=["tail-p1", "tail-p2", "sync-p1", "sync-p2"])
+def test_deadlock_diagnostic_pinned(src, p, cycles):
+    res = run(ChipConfig(p=p, watchdog_cycles=100_000), assemble(src))
+    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
+    assert res.diagnostic == ("waits-for cycle: family 1 index 0 -> "
+                              "family 2 index 0")
+    assert res.metrics.cycles == cycles
+
+
 def test_starvation_deadlock_classified():
     spec = kernel_starvation(2)
     res = run(ChipConfig(p=2, starvation_window=400, starvation_check=32,
