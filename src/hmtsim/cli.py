@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .errors import SimFault
@@ -144,13 +145,18 @@ def _load_init_mem(path: str, size: int):
         raise UsageError(f"cannot load memory image: {exc}")
 
 
+def _write(path: str, data: str | bytes):
+    """Write one output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}")
+
+
 def _dump_mem(path: str, image: bytes):
-    if path.endswith(".bin"):
-        with open(path, "wb") as fh:
-            fh.write(dump_image_binary(image))
-    else:
-        with open(path, "w") as fh:
-            fh.write(dump_image_text(image))
+    _write(path, dump_image_binary(image) if path.endswith(".bin")
+           else dump_image_text(image))
 
 
 class UsageError(Exception):
@@ -163,13 +169,13 @@ def cmd_run(args) -> int:
                                args.trace is not None)
     init = _load_init_mem(args.init_mem, config.mem_bytes) if args.init_mem else None
     result = run(config, program, init)
-    record = _record(program.name, "", config, result)
-    emit_records([record], args.format, sys.stdout)
+    # output files first: one that cannot be written leaves no record
     if args.trace and result.trace is not None:
-        with open(args.trace, "w") as fh:
-            fh.write(format_trace(result.trace))
+        _write(args.trace, format_trace(result.trace))
     if args.dump_mem and result.final_memory is not None:
         _dump_mem(args.dump_mem, result.final_memory)
+    emit_records([_record(program.name, "", config, result)], args.format,
+                 sys.stdout)
     return _exit_code(result.outcome)
 
 
@@ -195,9 +201,12 @@ def _sweep_cells(args) -> list:
 
 
 def cmd_sweep(args) -> int:
+    cells = _sweep_cells(args)
+    if args.trace_dir is not None and not os.path.isdir(args.trace_dir):
+        raise UsageError(f"trace directory {args.trace_dir} does not exist")
     records = []
     traces = []
-    for spec, config in _sweep_cells(args):
+    for spec, config in cells:
         result = run(config, spec.program)
         params = ";".join(f"{k}={v}" for k, v in spec.params.items())
         rec = _record(spec.name, params, config, result)
@@ -207,8 +216,7 @@ def cmd_sweep(args) -> int:
                            f"{config.coherency}.trace", result.trace))
     emit_records(records, args.format, sys.stdout)
     for fname, trace in traces:
-        with open(f"{args.trace_dir}/{fname}", "w") as fh:
-            fh.write(format_trace(trace))
+        _write(f"{args.trace_dir}/{fname}", format_trace(trace))
     return EXIT_OK
 
 
@@ -228,19 +236,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    import os
     os.makedirs(args.out_dir, exist_ok=True)
     specs = corpus(args.starvation_cores)
     for spec in specs:
-        with open(f"{args.out_dir}/{spec.name}.masm", "w") as fh:
-            fh.write(spec.source + "\n")
-        with open(f"{args.out_dir}/{spec.name}.expected", "w") as fh:
-            fh.write(dump_image_text(spec.expected_image()))
+        _write(f"{args.out_dir}/{spec.name}.masm", spec.source + "\n")
+        _write(f"{args.out_dir}/{spec.name}.expected",
+               dump_image_text(spec.expected_image()))
     # the deadlocking probe has no expected image: it never completes
     from .kernels import kernel_starvation
     probe = kernel_starvation(args.starvation_cores)
-    with open(f"{args.out_dir}/{probe.name}.masm", "w") as fh:
-        fh.write(probe.source + "\n")
+    _write(f"{args.out_dir}/{probe.name}.masm", probe.source + "\n")
     print(f"wrote {args.out_dir}/<name>.masm for {len(specs) + 1} kernels "
           f"(.expected for the {len(specs)} that complete)")
     return EXIT_OK

@@ -19,23 +19,22 @@ from collections import deque
 from heapq import heappop, heappush
 
 from .errors import SimFault
-from .isa import CHANNEL_CELL, Opcode, s32
+from .isa import CHANNEL_CELL, CONTROL_TRANSFERS, Opcode, s32
 
 # register cell states
 EMPTY, FULL, PENDING = 0, 1, 2
 
-# thread states
-ACTIVE, WAITING, SUSPENDED, KILLED = "active", "waiting", "suspended", "killed"
-
 
 class RegisterCell:
-    __slots__ = ("state", "value", "waiters", "producer")
+    __slots__ = ("state", "value", "waiters", "waits_on")
 
     def __init__(self, state=FULL, value=0):
         self.state = state
         self.value = value
         self.waiters = []
-        self.producer = None    # why the cell is PENDING/EMPTY, for diagnostics
+        # family a PENDING cell waits on (sync, getsh of a tail), else None;
+        # set whenever the cell turns PENDING, read by deadlock diagnosis only
+        self.waits_on = None
 
     def __repr__(self):
         names = {EMPTY: "EMPTY", FULL: "FULL", PENDING: "PENDING"}
@@ -44,23 +43,22 @@ class RegisterCell:
 
 class ThreadContext:
     __slots__ = ("slot", "fid", "position", "logical_index", "pc", "cells",
-                 "state", "fetch_blocked", "resume", "epoch", "pending_cells",
+                 "suspended", "fetch_blocked", "resume", "pending_cells",
                  "last_denial")
 
-    def __init__(self, slot, fid, position, logical_index, pc, epoch,
+    def __init__(self, slot, fid, position, logical_index, pc,
                  channel_value=None):
         self.slot = slot
         self.fid = fid
         self.position = position
         self.logical_index = logical_index
         self.pc = pc
-        self.epoch = epoch
         self.cells = [RegisterCell() for _ in range(32)]
         chan = RegisterCell(EMPTY)
         if channel_value is not None:
             chan.state, chan.value = FULL, channel_value
         self.cells.append(chan)
-        self.state = ACTIVE
+        self.suspended = False      # parked on a cell at the read stage
         self.fetch_blocked = False
         self.resume = None
         self.pending_cells = 0
@@ -109,9 +107,9 @@ class Core:
     def release_slot(self, slot: int):
         heappush(self._free_slots, slot)
 
-    def start_context(self, slot, fid, position, logical_index, pc, epoch,
+    def start_context(self, slot, fid, position, logical_index, pc,
                       channel_value=None):
-        ctx = ThreadContext(slot, fid, position, logical_index, pc, epoch,
+        ctx = ThreadContext(slot, fid, position, logical_index, pc,
                             channel_value)
         self.contexts[slot] = ctx
         self.queue.append(slot)
@@ -132,7 +130,6 @@ class Core:
             ctx.pending_cells -= 1
         cell.state = FULL
         cell.value = value
-        cell.producer = None
         woken = cell.waiters
         cell.waiters = []
         for inf in woken:
@@ -143,33 +140,30 @@ class Core:
         self.writeback(self.contexts[slot], CHANNEL_CELL, value)
 
     def _set_reg(self, ctx, reg, value):
-        # same-cycle completion of a one-cycle result; overwriting FULL is the
-        # ordinary architectural register write
+        # same-cycle completion of a one-cycle result: the ordinary register
+        # write, into a cell the read stage has already seen FULL
         if reg == 0:
             return
         cell = ctx.cells[reg]
-        if cell.state == PENDING:
-            ctx.pending_cells -= 1
-        cell.state = FULL
+        if cell.state != FULL:
+            raise SimFault(
+                f"one-cycle write to non-full cell r{reg} of thread "
+                f"(family {ctx.fid}, index {ctx.logical_index})")
         cell.value = value
-        if cell.waiters:
-            woken, cell.waiters = cell.waiters, []
-            for inf in woken:
-                self._wake(inf)
 
-    def _mark_pending(self, ctx, reg, why):
+    def _mark_pending(self, ctx, reg, waits_on=None):
         if reg == 0:
             return
         cell = ctx.cells[reg]
         cell.state = PENDING
-        cell.producer = why
+        cell.waits_on = waits_on
         ctx.pending_cells += 1
         if ctx.pending_cells > self.chip.max_pending:
             self.chip.max_pending = ctx.pending_cells
 
     def _wake(self, inf: InFlight):
         ctx = inf.ctx
-        ctx.state = WAITING if ctx.fetch_blocked else ACTIVE
+        ctx.suspended = False
         ctx.resume = inf
         self.queue.append(ctx.slot)
 
@@ -228,7 +222,7 @@ class Core:
             blocked = dst
         if blocked is not None:
             cells[blocked].waiters.append(inf)
-            ctx.state = SUSPENDED
+            ctx.suspended = True
             self._remove_from_queue(ctx.slot)
             self.flush_younger(ctx, inf.pc + 1)
             # a fetch block imposed by a younger, now-flushed control transfer
@@ -270,15 +264,13 @@ class Core:
         elif op is Opcode.ADDI:
             self._set_reg(ctx, instr.dst, s32(v[0] + instr.imm))
         elif op is Opcode.LD:
-            self._mark_pending(ctx, instr.dst, "load")
+            self._mark_pending(ctx, instr.dst)
         elif op is Opcode.ST:
             pass    # the memory stage performs the store
         elif op in (Opcode.BEQ, Opcode.BNE):
             taken = (v[0] == v[1]) if op is Opcode.BEQ else (v[0] != v[1])
             ctx.pc = instr.imm if taken else inf.pc + 1
             ctx.fetch_blocked = False
-            if ctx.state == WAITING:
-                ctx.state = ACTIVE
         elif op is Opcode.JMP:
             pass    # resolved in decode
         elif op is Opcode.HALT:
@@ -289,7 +281,7 @@ class Core:
             if instr.src1 is None:
                 self._set_reg(ctx, instr.dst, v[0])
             else:
-                self._mark_pending(ctx, instr.dst, ("tail", v[0]))
+                self._mark_pending(ctx, instr.dst, v[0])
                 tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
         elif op is Opcode.PUTSH:
             if instr.src2 is None:
@@ -297,16 +289,16 @@ class Core:
             else:
                 tmu.enqueue(tmu.putsh_head, v[1], v[0])
         elif op is Opcode.ALLOCATE:
-            self._mark_pending(ctx, instr.dst, "allocate")
+            self._mark_pending(ctx, instr.dst)
             hint = v[0] if instr.src1 is not None else None
             tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
         elif op is Opcode.CREATE:
-            self._mark_pending(ctx, instr.dst, "create")
+            self._mark_pending(ctx, instr.dst)
             seed = v[1] if instr.src2 is not None else None
             tmu.enqueue(tmu.create, ctx, instr.dst, v[0], instr.entry,
                         instr.create_range, seed)
         elif op is Opcode.SYNC:
-            self._mark_pending(ctx, instr.dst, ("sync", v[0]))
+            self._mark_pending(ctx, instr.dst, v[0])
             tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
         elif op is Opcode.RELEASE:
             tmu.enqueue(tmu.release, v[0])
@@ -324,14 +316,14 @@ class Core:
 
             def deliver(value, ctx=ctx, dst=dst):
                 self.writeback(ctx, dst, value)
-                self.chip.note_effect(self.chip.cycle)
+                self.chip.last_effect = self.chip.cycle
 
             if dst == 0:
                 deliver = lambda value: None
-            self.chip.memory.load(self.cid, addr, ctx.epoch, cycle, deliver)
+            self.chip.memory.load(self.cid, addr, ctx.fid, cycle, deliver)
         elif instr.opcode is Opcode.ST:
             addr = s32(inf.vals[1] + instr.imm)
-            self.chip.memory.store(self.cid, addr, inf.vals[0], ctx.epoch, cycle)
+            self.chip.memory.store(self.cid, addr, inf.vals[0], ctx.fid, cycle)
 
     # -- retirement -------------------------------------------------------------------
 
@@ -343,7 +335,6 @@ class Core:
             chip.trace.append((cycle, self.cid, ctx.slot, ctx.fid,
                                ctx.logical_index, inf.pc, inf.instr.mnemonic))
         if inf.instr.opcode is Opcode.HALT:
-            ctx.state = KILLED
             self._remove_from_queue(ctx.slot)
             del self.contexts[ctx.slot]
             tmu = chip.tmus[self.cid]
@@ -368,8 +359,6 @@ class Core:
             ctx = self.d.ctx
             ctx.pc = self.d.instr.imm
             ctx.fetch_blocked = False
-            if ctx.state == WAITING:
-                ctx.state = ACTIVE
 
         # advance the latches one stage
         self.w, self.m, self.e, self.r, self.d = self.m, self.e, ready, self.d, self.f
@@ -386,9 +375,8 @@ class Core:
         else:
             instr = self.chip.program.instructions[ctx.pc]
             inf = InFlight(ctx, instr, ctx.pc)
-            if instr.opcode in (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT):
+            if instr.opcode in CONTROL_TRANSFERS:
                 ctx.fetch_blocked = True
-                ctx.state = WAITING
             else:
                 ctx.pc += 1
         if inf.instr.switch_hint:

@@ -69,9 +69,8 @@ LONG_LATENCY_PRODUCERS = frozenset(
     {Opcode.LD, Opcode.ALLOCATE, Opcode.CREATE, Opcode.SYNC, Opcode.GETSH}
 )
 
-# Opcodes that never write a destination register.
-NO_DST = frozenset({Opcode.ST, Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT,
-                    Opcode.RELEASE, Opcode.PUTSH})
+# Opcodes that end a basic block; fetch stops behind them until they resolve.
+CONTROL_TRANSFERS = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT})
 
 CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
 
@@ -315,7 +314,7 @@ def _block_boundaries(program: Program) -> set[int]:
     leaders = set(program.entries.values())
     leaders.update(program.labels.values())
     for i, ins in enumerate(program.instructions):
-        if ins.opcode in (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT):
+        if ins.opcode in CONTROL_TRANSFERS:
             leaders.add(i + 1)
             if ins.imm is not None:
                 leaders.add(ins.imm)

@@ -247,6 +247,9 @@ def load_image_text(text: str, size: int) -> bytearray:
             continue
         addr_s, _, val_s = line.partition("=")
         addr, value = int(addr_s, 0), int(val_s, 0)
+        if addr % 4 or not 0 <= addr <= size - 4:
+            raise ValueError(f"image address {addr_s.strip()} is unaligned or "
+                             f"outside the {size}-byte memory")
         mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
     return mem
 
@@ -256,6 +259,9 @@ def dump_image_binary(mem: bytes) -> bytes:
 
 
 def load_image_binary(blob: bytes, size: int) -> bytearray:
+    if len(blob) > size:
+        raise ValueError(f"image of {len(blob)} bytes exceeds the "
+                         f"{size}-byte memory")
     mem = bytearray(size)
     mem[:len(blob)] = blob
     return mem

@@ -14,10 +14,8 @@ from typing import Callable
 @dataclass
 class ControlMessage:
     handler: Callable       # receiving Tmu method, called with the payload
-    src: int
     dst: int
     payload: tuple
-    seq: int = 0
     arrives_at: int = 0
 
 
@@ -58,8 +56,8 @@ class Topology:
 class Noc:
     def __init__(self, topology: Topology):
         self.topology = topology
-        self._in_flight: dict[int, list[ControlMessage]] = {}  # arrival cycle -> msgs
-        self._seq = 0
+        # arrival cycle -> messages due then, each list in injection order
+        self.arrivals: dict[int, list[ControlMessage]] = {}
         self.injected = 0
         self.delivered = 0
         self._hop_counts: dict[tuple[int, int], int] = {}
@@ -68,20 +66,19 @@ class Noc:
              cycle: int) -> ControlMessage:
         route = self.topology.path(src, dst)
         hops = len(route) - 1
-        msg = ControlMessage(handler, src, dst, payload, seq=self._seq,
+        msg = ControlMessage(handler, dst, payload,
                              arrives_at=cycle + max(1, hops * self.topology.hop_latency))
-        self._seq += 1
         self.injected += 1
         for a, b in zip(route, route[1:]):
             link = (a, b) if a < b else (b, a)
             self._hop_counts[link] = self._hop_counts.get(link, 0) + 1
-        self._in_flight.setdefault(msg.arrives_at, []).append(msg)
+        self.arrivals.setdefault(msg.arrives_at, []).append(msg)
         return msg
 
     def step(self, cycle: int) -> list[ControlMessage]:
-        """Messages arriving this cycle, ordered by (dst core, injection seq)."""
-        due = self._in_flight.pop(cycle, [])
-        due.sort(key=lambda m: (m.dst, m.seq))
+        """Messages arriving this cycle, ordered by (dst core, injection order)."""
+        due = self.arrivals.pop(cycle, [])
+        due.sort(key=lambda m: m.dst)     # stable: keeps injection order
         self.delivered += len(due)
         return due
 

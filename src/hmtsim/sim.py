@@ -9,7 +9,7 @@ over identical inputs are bit-identical.
 
 A component is stepped only when it has work, as in dataflow scheduling where
 a waiting thread costs nothing until its cell is written: the memory system
-while a fill is outstanding, the NoC while a message is in flight, a TMU while
+while a fill is outstanding, the NoC on a cycle a message arrives, a TMU while
 its request queue is non-empty, and a core while its schedule queue or any of
 its six latches is non-empty. Skipping the others changes nothing, since
 their step would find nothing to do, except that a core with resident
@@ -25,12 +25,12 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from .core import Core, SUSPENDED, CHANNEL_CELL
+from .core import Core, CHANNEL_CELL
 from .errors import SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import CacheConfig, MemorySystem
 from .noc import Noc, Topology
-from .tmu import Family, SpanPool, Tmu, _LocalFam
+from .tmu import Family, SpanPool, Tmu
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class ChipConfig:
             raise ValueError(f"core count must be >= 1, got {self.p}")
         if self.thread_slots < 1:
             raise ValueError(f"thread slots must be >= 1, got {self.thread_slots}")
+        if self.hop_latency < 0:
+            raise ValueError(f"hop latency must be >= 0, got {self.hop_latency}")
         if self.watchdog_cycles < 1:
             raise ValueError(f"watchdog must be >= 1 cycle, got {self.watchdog_cycles}")
         if self.starvation_check < 1:
@@ -141,11 +143,13 @@ class Chip:
                  init_mem: bytes | None = None):
         self.config = config
         self.program = program
-        self.topology = Topology(config.topology, config.p, config.hop_latency)
-        self.noc = Noc(self.topology)
+        self.noc = Noc(Topology(config.topology, config.p, config.hop_latency))
         self.memory = MemorySystem(config.p, config.cache, config.mem_bytes,
                                    bulk=config.coherency == "bulk")
         if init_mem:
+            if len(init_mem) > config.mem_bytes:
+                raise ValueError(f"memory image of {len(init_mem)} bytes exceeds "
+                                 f"the {config.mem_bytes}-byte memory")
             self.memory.mem[:len(init_mem)] = init_mem
         self.span_pool = SpanPool(config.p)
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
@@ -156,8 +160,7 @@ class Chip:
         self._aid = 0
         self._req = 0
         self._open_reqs: set[int] = set()
-        self.root_fid = None
-        self.root_completed = False
+        self.root: Family | None = None
         self.cycle = 0
         self.last_effect = 0
         self.max_pending = 0
@@ -166,10 +169,10 @@ class Chip:
     def new_family(self, owner, aid, entry, start, step, n, creator) -> Family:
         self._fid += 1
         fid = self._fid
-        fam = Family(fid, owner, aid, entry, start, step, n, epoch=fid,
-                     ranges={}, outstanding=n, creator=creator)
+        fam = Family(fid, owner, aid, entry, start, step, n, ranges={},
+                     outstanding=n, creator=creator)
         self.families[fid] = fam
-        self.memory.open_epoch(fam.epoch)
+        self.memory.open_epoch(fid)
         return fam
 
     def next_aid(self) -> int:
@@ -184,9 +187,6 @@ class Chip:
     def pair_response(self, req_id: int):
         self._open_reqs.discard(req_id)
 
-    def note_effect(self, cycle: int):
-        self.last_effect = cycle
-
     # -- progress analysis ----------------------------------------------------
 
     def quiescent(self) -> bool:
@@ -196,21 +196,16 @@ class Chip:
             return False
         return not any(c.busy for c in self.cores)
 
-    def live_threads_of(self, fid: int):
-        out = []
+    def threads(self):
+        """Every resident thread, by core then slot start order."""
         for core in self.cores:
-            for ctx in core.contexts.values():
-                if ctx.fid == fid:
-                    out.append(ctx)
-        return out
+            yield from core.contexts.values()
+
+    def live_threads_of(self, fid: int):
+        return [ctx for ctx in self.threads() if ctx.fid == fid]
 
     def suspended_threads(self):
-        out = []
-        for core in self.cores:
-            for ctx in core.contexts.values():
-                if ctx.state == SUSPENDED:
-                    out.append(ctx)
-        return out
+        return [ctx for ctx in self.threads() if ctx.suspended]
 
 
 def detect_deadlock(chip: Chip) -> str | None:
@@ -244,23 +239,17 @@ def detect_deadlock(chip: Chip) -> str | None:
                     link(ctx, thread_at(fam, ctx.position - 1))
                 else:
                     link(ctx, fam.creator)
-            elif isinstance(cell.producer, tuple):
-                tag, target_fid = cell.producer
-                target = chip.families.get(target_fid)
-                if target is not None:
-                    for member in chip.live_threads_of(target_fid):
-                        link(ctx, member)
+            elif cell.waits_on is not None:
+                for member in chip.live_threads_of(cell.waits_on):
+                    link(ctx, member)
     # cycle search
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in edges}
-    cycle_node = None
 
     def dfs(n, stack):
-        nonlocal cycle_node
         color[n] = GREY
         for m in edges[n]:
             if color[m] == GREY:
-                cycle_node = m
                 return stack[stack.index(m):]
             if color[m] == WHITE:
                 found = dfs(m, stack + [m])
@@ -282,11 +271,7 @@ def detect_deadlock(chip: Chip) -> str | None:
 def _check_starvation(chip: Chip, cycle: int) -> str | None:
     if cycle - chip.last_effect < chip.config.starvation_window:
         return None
-    runnable = []
-    for core in chip.cores:
-        for ctx in core.contexts.values():
-            if ctx.state != SUSPENDED:
-                runnable.append(ctx)
+    runnable = [ctx for ctx in chip.threads() if not ctx.suspended]
     if not runnable:
         return None
     if all(ctx.last_denial > chip.last_effect for ctx in runnable):
@@ -299,12 +284,8 @@ def _bootstrap_root(chip: Chip):
     fam = chip.new_family(owner=0, aid=None, entry="main", start=0, step=1,
                           n=1, creator=None)
     fam.ranges[0] = (0, 1)
-    chip.root_fid = fam.fid
-    tmu0 = chip.tmus[0]
-    lf = _LocalFam(0, 1)
-    tmu0.local_fams[fam.fid] = lf
-    slot = chip.cores[0].take_free_slot()
-    tmu0._start_position(fam.fid, lf, slot, 0)
+    chip.root = fam
+    chip.tmus[0].on_create(fam.fid, 0, 1, 0)
 
 
 def run(config: ChipConfig, program: Program,
@@ -325,13 +306,14 @@ def run(config: ChipConfig, program: Program,
     diagnostic = None
     cycle = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
+    arrivals, root = noc.arrivals, chip.root
     try:
         while cycle < config.watchdog_cycles:
             chip.cycle = cycle
             if memory.busy:
                 for cb, value in memory.step(cycle):
                     cb(value)
-            if noc.in_flight:
+            if cycle in arrivals:
                 for msg in noc.step(cycle):
                     tmus[msg.dst].handle_message(msg, cycle)
             for tmu in tmus:
@@ -345,7 +327,7 @@ def run(config: ChipConfig, program: Program,
                 elif core.contexts:
                     core.metrics.bubbles += 1
             cycle += 1
-            if chip.root_completed:
+            if root.completed:
                 outcome = Outcome.COMPLETED
                 break
             if not busy and chip.quiescent():
@@ -371,8 +353,9 @@ def run(config: ChipConfig, program: Program,
             drain_limit = cycle + 4 * config.p * config.hop_latency + 8
             while noc.in_flight and cycle < drain_limit:
                 chip.cycle = cycle
-                for msg in noc.step(cycle):
-                    tmus[msg.dst].handle_message(msg, cycle)
+                if cycle in arrivals:
+                    for msg in noc.step(cycle):
+                        tmus[msg.dst].handle_message(msg, cycle)
                 for tmu in tmus:
                     if tmu.requests:
                         tmu.step(cycle)

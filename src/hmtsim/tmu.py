@@ -42,7 +42,6 @@ def index_count(start: int, limit: int, step: int) -> int:
 
 @dataclass
 class Allocation:
-    aid: int
     cores: tuple[int, ...]
 
     @property
@@ -59,12 +58,10 @@ class Family:
     start: int
     step: int
     n: int
-    epoch: int
     ranges: dict[int, tuple[int, int]]      # core -> [position lo, hi)
     outstanding: int
     creator: object = None                  # ThreadContext of the creating thread
     sync_target: tuple | None = None        # (core, ctx, reg) once synced
-    sync_fired: bool = False
     completed: bool = False
     tail_value: int | None = None
     tail_waiters: list = field(default_factory=list)
@@ -182,7 +179,7 @@ class Tmu:
         if alloc is None:
             raise SimFault(f"create on unknown or released allocation {aid}")
         # parent's buffered stores become visible to the new sub-family
-        chip.memory.flush_epoch(chip.families[ctx.fid].epoch)
+        chip.memory.flush_epoch(ctx.fid)
         start, limit, step = rng
         n = index_count(start, limit, step)
         fam = chip.new_family(self.cid, aid, entry, start, step, n, creator=ctx)
@@ -220,8 +217,9 @@ class Tmu:
         if alloc is None:
             raise SimFault(f"release of unknown or already released "
                            f"allocation {aid}")
-        live = [f.fid for f in chip.families.values()
-                if f.aid == aid and not f.sync_fired]
+        # a family is live until its sync has fired
+        live = [f.fid for f in chip.families.values() if f.aid == aid
+                and not (f.completed and f.sync_target is not None)]
         if live:
             raise SimFault(f"release of allocation {aid} with live "
                            f"families {live}")
@@ -229,7 +227,7 @@ class Tmu:
             self._send(Tmu.on_release, core, (aid,), cycle)
         chip.span_pool.release(alloc.cores)
         del chip.allocations[aid]
-        chip.note_effect(cycle)
+        chip.last_effect = cycle
 
     def putsh(self, ctx, value: int, cycle: int):
         self._forward_channel(self.chip.families[ctx.fid], ctx.position + 1,
@@ -258,7 +256,7 @@ class Tmu:
         del lf.running[pos]
         self._send(Tmu.on_terminated, chip.families[fid].owner, (fid, pos),
                    cycle)
-        chip.note_effect(cycle)
+        chip.last_effect = cycle
         if lf.pos_next < lf.pos_hi:
             self._start_position(fid, lf, slot, cycle)     # reuse the same slot
         else:
@@ -296,7 +294,7 @@ class Tmu:
         aid = 0
         if span:
             aid = chip.next_aid()
-            chip.allocations[aid] = Allocation(aid, span)
+            chip.allocations[aid] = Allocation(span)
             chip.span_pool.hold(span, aid)
         self._send(Tmu.on_allocate_rsp, owner, (req_id, aid, ctx, dst), cycle)
 
@@ -307,17 +305,12 @@ class Tmu:
         if aid == 0:
             ctx.last_denial = cycle
         else:
-            chip.note_effect(cycle)
+            chip.last_effect = cycle
         self.core.writeback(ctx, dst, aid)
 
     def on_create(self, fid: int, plo: int, phi: int, cycle: int):
-        lf = _LocalFam(plo, phi)
-        self.local_fams[fid] = lf
-        while lf.pos_next < lf.pos_hi:
-            slot = self.core.take_free_slot()
-            if slot is None:
-                break
-            self._start_position(fid, lf, slot, cycle)
+        self.local_fams[fid] = _LocalFam(plo, phi)
+        self._feed_starved_family(cycle)
 
     def on_terminated(self, fid: int, pos: int, cycle: int):
         fam = self.chip.families.get(fid)
@@ -331,7 +324,7 @@ class Tmu:
 
     def on_sync_done(self, ctx, reg: int, cycle: int):
         self.core.writeback(ctx, reg, 1)
-        self.chip.note_effect(cycle)
+        self.chip.last_effect = cycle
 
     def on_release(self, aid: int, cycle: int):
         families = self.chip.families
@@ -346,7 +339,7 @@ class Tmu:
         slot = lf.running.get(pos)
         if slot is not None:
             self.core.write_channel(slot, value)
-            self.chip.note_effect(cycle)
+            self.chip.last_effect = cycle
         elif pos >= lf.pos_next:
             lf.buffer[pos] = value
         # else: consumer already terminated without reading; value is dead
@@ -361,7 +354,7 @@ class Tmu:
             else:
                 self._send(Tmu.on_tail_value, core, (ctx, dst, value), cycle)
         fam.tail_waiters.clear()
-        self.chip.note_effect(cycle)
+        self.chip.last_effect = cycle
 
     def on_tail_value(self, ctx, dst: int, value: int, cycle: int):
         # a remote waiter's getsh of a family tail
@@ -378,11 +371,12 @@ class Tmu:
         chan = lf.buffer.pop(pos, None)
         self.core.start_context(
             slot, fid, pos, fam.start + pos * fam.step,
-            chip.program.entries[fam.entry], fam.epoch, chan)
-        chip.note_effect(cycle)
+            chip.program.entries[fam.entry], chan)
+        chip.last_effect = cycle
 
     def _feed_starved_family(self, cycle: int):
-        # a freed slot may unblock another family queued behind full slots
+        # fill free slots, oldest family first: a new family, or one queued
+        # behind full slots that a freed slot unblocks
         for fid, lf in self.local_fams.items():
             while lf.pos_next < lf.pos_hi:
                 slot = self.core.take_free_slot()
@@ -393,15 +387,12 @@ class Tmu:
     def _complete_family(self, fam: Family, cycle: int):
         chip = self.chip
         # publish before anyone can observe completion: sync implies visibility
-        chip.memory.flush_epoch(fam.epoch, close=True)
+        chip.memory.flush_epoch(fam.fid, close=True)
         fam.completed = True
-        chip.note_effect(cycle)
-        if fam.fid == chip.root_fid:
-            chip.root_completed = True
-        if fam.sync_target is not None and not fam.sync_fired:
+        chip.last_effect = cycle
+        if fam.sync_target is not None:
             self._fire_sync(fam, cycle)
 
     def _fire_sync(self, fam: Family, cycle: int):
-        fam.sync_fired = True
         core, ctx, reg = fam.sync_target
         self._send(Tmu.on_sync_done, core, (ctx, reg), cycle)

@@ -186,7 +186,8 @@ def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--cores", "0"), ("--watchdog", "0"), ("--line-bytes", "3"),
-    ("--d-miss-latency", "0"), ("--thread-slots", "0")])
+    ("--d-miss-latency", "0"), ("--thread-slots", "0"),
+    ("--hop-latency", "-1")])
 def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
     code, out, err = run_cli(capsys, "run", "--program", regular_masm,
                              flag, value)
@@ -206,3 +207,46 @@ def test_invalid_config_exit_64_under_optimize(regular_masm):
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert proc.stderr == "error: core count must be >= 1, got 0\n"
+
+
+def assert_one_error_line(code, out, err):
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("name, image", [
+    ("high.mem", "0x00100000=5\n"), ("negative.mem", "-4=5\n"),
+    ("unaligned.mem", "0x42=5\n"), ("oversize.bin", bytes((1 << 20) + 4))],
+    ids=["high", "negative", "unaligned", "oversize-bin"])
+def test_init_mem_that_does_not_fit_exit_64(regular_masm, tmp_path, capsys,
+                                            command, name, image):
+    path = tmp_path / name
+    if isinstance(image, bytes):
+        path.write_bytes(image)
+    else:
+        path.write_text(image)
+    assert_one_error_line(*run_cli(capsys, command, "--program", regular_masm,
+                                   "--init-mem", str(path)))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--trace"), ("run", "--dump-mem"), ("oracle", "--dump-mem")])
+def test_unwritable_output_exit_64(regular_masm, tmp_path, capsys, command,
+                                   flag):
+    assert_one_error_line(*run_cli(capsys, command, "--program", regular_masm,
+                                   flag, str(tmp_path / "missing" / "out")))
+
+
+def test_sweep_missing_trace_dir_exit_64_before_running(tmp_path, capsys,
+                                                        monkeypatch):
+    import hmtsim.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("a cell ran before the trace directory was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert_one_error_line(*run_cli(capsys, "sweep", "--kernels", "chain",
+                                   "--cores", "1", "--trace-dir",
+                                   str(tmp_path / "missing")))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from hmtsim.core import ACTIVE, CHANNEL_CELL, FULL, PENDING, SUSPENDED, InFlight
+from hmtsim.core import CHANNEL_CELL, FULL, PENDING, InFlight
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.sim import Chip, ChipConfig, run
@@ -20,7 +20,7 @@ def spawn(chip, n, pc=0):
     for i in range(n):
         slot = core.take_free_slot()
         out.append(core.start_context(slot, fid=1, position=i,
-                                      logical_index=i, pc=pc, epoch=1))
+                                      logical_index=i, pc=pc))
     return out
 
 
@@ -93,10 +93,10 @@ def test_read_operands_suspends_on_pending_source():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    core._mark_pending(ctx, 2, "load")
+    core._mark_pending(ctx, 2)
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
     assert core.read_operands(inf) is None
-    assert ctx.state == SUSPENDED
+    assert ctx.suspended
     assert ctx.cells[2].waiters == [inf]
     assert ctx.pc == 6                     # successor-restart point
     assert ctx.slot not in core.queue
@@ -111,7 +111,7 @@ def test_read_operands_suspends_on_empty_channel():
     assert ctx.cells[CHANNEL_CELL].waiters == [inf]
     # PUTSH delivery wakes it again
     core.write_channel(ctx.slot, 99)
-    assert ctx.state == ACTIVE and ctx.resume is inf
+    assert not ctx.suspended and not ctx.fetch_blocked and ctx.resume is inf
     assert core.read_operands(inf) == (99,)
 
 
@@ -119,7 +119,7 @@ def test_read_operands_suspends_on_busy_destination():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    core._mark_pending(ctx, 1, "load")
+    core._mark_pending(ctx, 1)
     inf = InFlight(ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
     assert core.read_operands(inf) is None
     assert ctx.cells[1].waiters == [inf]
@@ -198,12 +198,23 @@ def test_double_write_full_cell_faults():
         core.writeback(ctx, 3, 1)          # cell starts FULL
 
 
+def test_set_reg_on_pending_cell_faults():
+    # a one-cycle result may only overwrite a FULL cell: the read stage waits
+    # out a PENDING destination, so reaching one is a broken invariant
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    core._mark_pending(ctx, 4)
+    with pytest.raises(SimFault, match="non-full cell r4"):
+        core._set_reg(ctx, 4, 7)
+
+
 def test_pending_cap_is_structural():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     for reg in range(1, 32):
-        core._mark_pending(ctx, reg, "load")
+        core._mark_pending(ctx, reg)
     assert ctx.pending_cells == 31
     assert chip.max_pending == 31
 

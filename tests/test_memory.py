@@ -178,3 +178,20 @@ def test_image_binary_roundtrip():
     blob = bytes(range(16))
     mem = load_image_binary(blob, 64)
     assert dump_image_binary(mem)[:16] == blob
+
+
+@pytest.mark.parametrize("text", ["0x1000=5", "0x0ffd=5", "-4=5", "0x12=5"])
+def test_image_text_rejects_address_outside_or_unaligned(text):
+    with pytest.raises(ValueError, match="unaligned or outside"):
+        load_image_text(text, 4096)
+
+
+def test_image_text_accepts_last_word():
+    mem = load_image_text("0x0ffc=-1", 4096)
+    assert len(mem) == 4096 and mem[-4:] == b"\xff" * 4
+
+
+def test_image_binary_rejects_oversize_blob():
+    assert len(load_image_binary(bytes(64), 64)) == 64
+    with pytest.raises(ValueError, match="65 bytes exceeds"):
+        load_image_binary(bytes(65), 64)

@@ -306,6 +306,12 @@ def test_pending_cells_capped_at_31():
     assert 30 <= res.metrics.max_pending_cells <= 31
 
 
+def test_run_rejects_image_larger_than_memory():
+    with pytest.raises(ValueError, match="68 bytes exceeds the 64-byte memory"):
+        run(ChipConfig(p=1, mem_bytes=64), assemble(".body main\nhalt"),
+            bytes(68))
+
+
 def test_run_rejects_invalid_program():
     bad = assemble(".body main\n  create r1, r2, nosuch, 0, 1, 1\n  halt")
     with pytest.raises(ValueError, match="unknown entry"):
