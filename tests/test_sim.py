@@ -114,6 +114,54 @@ def test_deadlock_diagnostic_pinned(src, p, cycles):
     assert res.metrics.cycles == cycles
 
 
+# thread 1 of w faults on core 1 while core 0 holds only main, suspended on
+# its sync
+CORE1_FAULT = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  beq r5, r0, done
+  ld r6, 2(r0)
+done:
+  halt
+"""
+
+# main waits on the tail of a four-thread family spread over both cores,
+# whose first thread waits on a channel value main never sends
+TAIL_DEADLOCK_P2 = TAIL_DEADLOCK.replace("allocate r1, 1", "allocate r1, 0") \
+    .replace("waiter, 0, 1, 1", "waiter, 0, 4, 1")
+
+
+@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest", [
+    (lambda: assemble(CORE1_FAULT), dict(p=2), Outcome.FAULT, 44, [30, 16],
+     "dfa6560386d7edf23e8f73ba012b83f0b5df82badc70da6a4ee82bbbfba28c8c"),
+    (lambda: assemble(TAIL_DEADLOCK_P2), dict(p=2), Outcome.DEADLOCK_DATAFLOW,
+     46, [30, 17],
+     "a16f06514d3c1d0c89441fb31089ad13a641566ce08007cf78b49485b813482f"),
+    (lambda: kernel_starvation(2).program, dict(p=2),
+     Outcome.DEADLOCK_STARVATION, 2048, [1475, 1469],
+     "1650002eb1927b7d7d0c7868c149e9ea1437c7509df82432472ee1a4b4818bfd"),
+    (lambda: kernel_chain(n=200).program, dict(p=4, watchdog_cycles=900),
+     Outcome.WATCHDOG_TIMEOUT, 900, [235, 502, 725, 727],
+     "eafbfb3ef9f981a6e66ef6af312133e5aac62a8d536cae53b14f1e1391c63517"),
+], ids=["fault-core1", "deadlock-p2", "starvation-p2", "watchdog-p4"])
+def test_non_completed_outcome_pinned(make, cfg, outcome, cycles, bubbles,
+                                      digest):
+    # golden.json pins completed runs only; these pin the per-core bubbles
+    # of runs that end early, where idle cores must be settled exactly
+    res = run(ChipConfig(trace=True, **cfg), make())
+    assert res.outcome is outcome
+    assert res.metrics.cycles == cycles
+    assert [c.bubbles for c in res.metrics.per_core] == bubbles
+    assert res.result_hash() == digest
+
+
 def test_starvation_deadlock_classified():
     spec = kernel_starvation(2)
     res = run(ChipConfig(p=2, starvation_window=400, starvation_check=32,
