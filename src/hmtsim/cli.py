@@ -236,7 +236,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}")
     specs = corpus(args.starvation_cores)
     for spec in specs:
         _write(f"{args.out_dir}/{spec.name}.masm", spec.source + "\n")

@@ -11,18 +11,30 @@ there, parks itself on the cell, and its younger same-thread instructions are
 flushed from the front of the pipe. The thread rejoins the schedule queue
 when the cell is written and the parked instruction is re-injected without an
 I-cache probe.
+
+A core is stepped only while it is awake: while a thread is queued or a latch
+holds an instruction. It joins the chip's awake list (kept in ascending core
+id) when a thread starts or is woken, which are the only ways anything
+outside its own step gives it work, and leaves it when a step ends with
+nothing queued and every latch empty. An idle core that still holds threads
+counts one bubble per cycle: it remembers the cycle it went idle and adds
+those bubbles at once when it wakes or the run ends.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from .errors import SimFault
-from .isa import CHANNEL_CELL, CONTROL_TRANSFERS, Opcode, s32
+from .isa import CHANNEL_CELL, Opcode, s32
 
 # register cell states
 EMPTY, FULL, PENDING = 0, 1, 2
+
+_CID = attrgetter("cid")        # order of the chip's awake list
 
 
 class RegisterCell:
@@ -98,6 +110,8 @@ class Core:
         self._rotate_pending = None
         # latches: fetch, decode, read, execute, memory, writeback
         self.f = self.d = self.r = self.e = self.m = self.w = None
+        self.awake = False          # on the chip's awake list
+        self.idle_since = None      # first unsettled bubble cycle while idle
 
     # -- slot management (driven by the TMU) -----------------------------------
 
@@ -113,6 +127,8 @@ class Core:
                             channel_value)
         self.contexts[slot] = ctx
         self.queue.append(slot)
+        if not self.awake:
+            self._enlist()
         return ctx
 
     # -- dataflow cell writes ----------------------------------------------------
@@ -166,6 +182,21 @@ class Core:
         ctx.suspended = False
         ctx.resume = inf
         self.queue.append(ctx.slot)
+        if not self.awake:
+            self._enlist()
+
+    # -- awake list ------------------------------------------------------------------
+
+    def _enlist(self):
+        self.settle_bubbles(self.chip.cycle)
+        self.awake = True
+        insort(self.chip.awake, self, key=_CID)
+
+    def settle_bubbles(self, end: int):
+        """Count the bubbles of the idle cycles before end."""
+        if self.idle_since is not None:
+            self.metrics.bubbles += end - self.idle_since
+            self.idle_since = None
 
     # -- fetch ---------------------------------------------------------------------
 
@@ -227,7 +258,7 @@ class Core:
             self.flush_younger(ctx, inf.pc + 1)
             # a fetch block imposed by a younger, now-flushed control transfer
             # must not outlive it; a suspended branch keeps its own block
-            if inf.instr.opcode not in (Opcode.BEQ, Opcode.BNE):
+            if not inf.instr.is_branch:
                 ctx.fetch_blocked = False
             return None
         return tuple(cells[i].value for i in srcs)
@@ -247,83 +278,25 @@ class Core:
         self.metrics.flushes += n
         return n
 
-    # -- execute stage -------------------------------------------------------------
-
-    def _execute(self, inf: InFlight, cycle: int):
-        instr = inf.instr
-        ctx = inf.ctx
-        op = instr.opcode
-        v = inf.vals
-        tmu = self.chip.tmus[self.cid]
-        if op is Opcode.ADD:
-            self._set_reg(ctx, instr.dst, s32(v[0] + v[1]))
-        elif op is Opcode.SUB:
-            self._set_reg(ctx, instr.dst, s32(v[0] - v[1]))
-        elif op is Opcode.MUL:
-            self._set_reg(ctx, instr.dst, s32(v[0] * v[1]))
-        elif op is Opcode.ADDI:
-            self._set_reg(ctx, instr.dst, s32(v[0] + instr.imm))
-        elif op is Opcode.LD:
-            self._mark_pending(ctx, instr.dst)
-        elif op is Opcode.ST:
-            pass    # the memory stage performs the store
-        elif op in (Opcode.BEQ, Opcode.BNE):
-            taken = (v[0] == v[1]) if op is Opcode.BEQ else (v[0] != v[1])
-            ctx.pc = instr.imm if taken else inf.pc + 1
-            ctx.fetch_blocked = False
-        elif op is Opcode.JMP:
-            pass    # resolved in decode
-        elif op is Opcode.HALT:
-            pass    # retirement drives termination
-        elif op is Opcode.GETIDX:
-            self._set_reg(ctx, instr.dst, ctx.logical_index)
-        elif op is Opcode.GETSH:
-            if instr.src1 is None:
-                self._set_reg(ctx, instr.dst, v[0])
-            else:
-                self._mark_pending(ctx, instr.dst, v[0])
-                tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
-        elif op is Opcode.PUTSH:
-            if instr.src2 is None:
-                tmu.enqueue(tmu.putsh, ctx, v[0])
-            else:
-                tmu.enqueue(tmu.putsh_head, v[1], v[0])
-        elif op is Opcode.ALLOCATE:
-            self._mark_pending(ctx, instr.dst)
-            hint = v[0] if instr.src1 is not None else None
-            tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
-        elif op is Opcode.CREATE:
-            self._mark_pending(ctx, instr.dst)
-            seed = v[1] if instr.src2 is not None else None
-            tmu.enqueue(tmu.create, ctx, instr.dst, v[0], instr.entry,
-                        instr.create_range, seed)
-        elif op is Opcode.SYNC:
-            self._mark_pending(ctx, instr.dst, v[0])
-            tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
-        elif op is Opcode.RELEASE:
-            tmu.enqueue(tmu.release, v[0])
-        else:
-            raise AssertionError(f"unhandled opcode {op}")
-
     # -- memory stage ---------------------------------------------------------------
 
-    def _memory(self, inf: InFlight, cycle: int):
+    def _load(self, inf: InFlight, cycle: int):
         instr = inf.instr
         ctx = inf.ctx
-        if instr.opcode is Opcode.LD:
-            addr = s32(inf.vals[0] + instr.imm)
-            dst = instr.dst
+        addr = s32(inf.vals[0] + instr.imm)
+        dst = instr.dst
 
-            def deliver(value, ctx=ctx, dst=dst):
-                self.writeback(ctx, dst, value)
-                self.chip.last_effect = self.chip.cycle
+        def deliver(value, ctx=ctx, dst=dst):
+            self.writeback(ctx, dst, value)
+            self.chip.last_effect = self.chip.cycle
 
-            if dst == 0:
-                deliver = lambda value: None
-            self.chip.memory.load(self.cid, addr, ctx.fid, cycle, deliver)
-        elif instr.opcode is Opcode.ST:
-            addr = s32(inf.vals[1] + instr.imm)
-            self.chip.memory.store(self.cid, addr, inf.vals[0], ctx.fid, cycle)
+        if dst == 0:
+            deliver = lambda value: None
+        self.chip.memory.load(self.cid, addr, ctx.fid, cycle, deliver)
+
+    def _store(self, inf: InFlight, cycle: int):
+        addr = s32(inf.vals[1] + inf.instr.imm)
+        self.chip.memory.store(self.cid, addr, inf.vals[0], inf.ctx.fid, cycle)
 
     # -- retirement -------------------------------------------------------------------
 
@@ -334,7 +307,7 @@ class Core:
         if chip.trace is not None:
             chip.trace.append((cycle, self.cid, ctx.slot, ctx.fid,
                                ctx.logical_index, inf.pc, inf.instr.mnemonic))
-        if inf.instr.opcode is Opcode.HALT:
+        if inf.instr.is_halt:
             self._remove_from_queue(ctx.slot)
             del self.contexts[ctx.slot]
             tmu = chip.tmus[self.cid]
@@ -342,40 +315,53 @@ class Core:
 
     # -- one cycle ----------------------------------------------------------------------
 
-    def step(self, cycle: int):
+    def step(self, cycle: int) -> bool:
+        """Advance one cycle; returns whether the core is still awake."""
         if self.w is not None:
             self._retire(self.w, cycle)
-        if self.m is not None:
-            self._memory(self.m, cycle)
+        m = self.m
+        if m is not None:
+            if m.instr.is_load:
+                self._load(m, cycle)
+            elif m.instr.is_store:
+                self._store(m, cycle)
         if self.e is not None:
-            self._execute(self.e, cycle)
+            EXECUTE[self.e.instr.opcode](self, self.e)
         ready = None
         if self.r is not None:
             vals = self.read_operands(self.r)
             if vals is not None:
                 self.r.vals = vals
                 ready = self.r
-        if self.d is not None and self.d.instr.opcode is Opcode.JMP:
-            ctx = self.d.ctx
-            ctx.pc = self.d.instr.imm
+        d = self.d
+        if d is not None and d.instr.is_jump:
+            ctx = d.ctx
+            ctx.pc = d.instr.imm
             ctx.fetch_blocked = False
 
         # advance the latches one stage
-        self.w, self.m, self.e, self.r, self.d = self.m, self.e, ready, self.d, self.f
+        self.w, self.m, self.e, self.r, self.d = m, self.e, ready, d, self.f
         self.f = None
 
         slot = self.fetch_select(cycle)
         if slot is None:
             if self.contexts:
                 self.metrics.bubbles += 1
-            return
+            if self.queue or self.d is not None or self.r is not None \
+                    or self.e is not None or self.m is not None \
+                    or self.w is not None:
+                return True
+            self.awake = False
+            if self.contexts:
+                self.idle_since = cycle + 1
+            return False
         ctx = self.contexts[slot]
         if ctx.resume is not None:
             inf, ctx.resume = ctx.resume, None
         else:
             instr = self.chip.program.instructions[ctx.pc]
             inf = InFlight(ctx, instr, ctx.pc)
-            if instr.opcode in CONTROL_TRANSFERS:
+            if instr.ends_block:
                 ctx.fetch_blocked = True
             else:
                 ctx.pc += 1
@@ -383,13 +369,113 @@ class Core:
             self._rotate_pending = slot
             self.metrics.switch_events += 1
         self.f = inf
+        return True
 
-    # -- introspection -------------------------------------------------------------------
 
-    @property
-    def busy(self) -> bool:
-        """Queued threads or an occupied latch: what Core.step has to do
-        beyond counting a bubble."""
-        return bool(self.queue) or self.f is not None or self.d is not None \
-            or self.r is not None or self.e is not None \
-            or self.m is not None or self.w is not None
+# -- execute stage: one entry per opcode ---------------------------------------------
+
+
+def _add(core, inf):
+    v = inf.vals
+    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] + v[1]))
+
+
+def _sub(core, inf):
+    v = inf.vals
+    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] - v[1]))
+
+
+def _mul(core, inf):
+    v = inf.vals
+    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] * v[1]))
+
+
+def _addi(core, inf):
+    core._set_reg(inf.ctx, inf.instr.dst, s32(inf.vals[0] + inf.instr.imm))
+
+
+def _ld(core, inf):
+    core._mark_pending(inf.ctx, inf.instr.dst)
+
+
+def _nothing(core, inf):
+    # st: the memory stage stores; jmp: resolved in decode; halt: retirement
+    # drives termination
+    pass
+
+
+def _beq(core, inf):
+    v = inf.vals
+    ctx = inf.ctx
+    ctx.pc = inf.instr.imm if v[0] == v[1] else inf.pc + 1
+    ctx.fetch_blocked = False
+
+
+def _bne(core, inf):
+    v = inf.vals
+    ctx = inf.ctx
+    ctx.pc = inf.instr.imm if v[0] != v[1] else inf.pc + 1
+    ctx.fetch_blocked = False
+
+
+def _getidx(core, inf):
+    core._set_reg(inf.ctx, inf.instr.dst, inf.ctx.logical_index)
+
+
+def _getsh(core, inf):
+    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+    if instr.src1 is None:
+        core._set_reg(ctx, instr.dst, v[0])
+    else:
+        core._mark_pending(ctx, instr.dst, v[0])
+        tmu = core.chip.tmus[core.cid]
+        tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
+
+
+def _putsh(core, inf):
+    v = inf.vals
+    tmu = core.chip.tmus[core.cid]
+    if inf.instr.src2 is None:
+        tmu.enqueue(tmu.putsh, inf.ctx, v[0])
+    else:
+        tmu.enqueue(tmu.putsh_head, v[1], v[0])
+
+
+def _allocate(core, inf):
+    instr, ctx = inf.instr, inf.ctx
+    core._mark_pending(ctx, instr.dst)
+    hint = inf.vals[0] if instr.src1 is not None else None
+    tmu = core.chip.tmus[core.cid]
+    tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
+
+
+def _create(core, inf):
+    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+    core._mark_pending(ctx, instr.dst)
+    seed = v[1] if instr.src2 is not None else None
+    tmu = core.chip.tmus[core.cid]
+    tmu.enqueue(tmu.create, ctx, instr.dst, v[0], instr.entry,
+                instr.create_range, seed)
+
+
+def _sync(core, inf):
+    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+    core._mark_pending(ctx, instr.dst, v[0])
+    tmu = core.chip.tmus[core.cid]
+    tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
+
+
+def _release(core, inf):
+    tmu = core.chip.tmus[core.cid]
+    tmu.enqueue(tmu.release, inf.vals[0])
+
+
+_EXECUTE_BY_OPCODE = {
+    Opcode.ADD: _add, Opcode.SUB: _sub, Opcode.MUL: _mul, Opcode.ADDI: _addi,
+    Opcode.LD: _ld, Opcode.ST: _nothing, Opcode.BEQ: _beq, Opcode.BNE: _bne,
+    Opcode.JMP: _nothing, Opcode.HALT: _nothing, Opcode.ALLOCATE: _allocate,
+    Opcode.CREATE: _create, Opcode.SYNC: _sync, Opcode.RELEASE: _release,
+    Opcode.GETIDX: _getidx, Opcode.PUTSH: _putsh, Opcode.GETSH: _getsh,
+}
+# indexed by opcode value; building it fails at import if an opcode has no entry
+EXECUTE = tuple(_EXECUTE_BY_OPCODE[Opcode(i)] for i in range(len(Opcode)))

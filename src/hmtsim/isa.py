@@ -86,15 +86,31 @@ class Instruction:
     entry: str | None = None        # create: thread-body name
     create_range: tuple[int, int, int] | None = None   # create: (start, limit, step)
     switch_hint: bool = False
-    # register-file cells read at the read stage, decoded once: the operand
-    # registers, or the input channel for a plain getsh
+    # Decoded once, so the pipeline tests plain attributes instead of enum
+    # members: the register-file cells read at the read stage (the operand
+    # registers, or the input channel for a plain getsh), and which stages
+    # have work beyond the execute-table entry.
     source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    ends_block: bool = field(init=False, compare=False, repr=False)
+    is_branch: bool = field(init=False, compare=False, repr=False)
+    is_jump: bool = field(init=False, compare=False, repr=False)
+    is_halt: bool = field(init=False, compare=False, repr=False)
+    is_load: bool = field(init=False, compare=False, repr=False)
+    is_store: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        op = self.opcode
         cells = self.regs_read()
-        if self.opcode is Opcode.GETSH and self.src1 is None:
+        if op is Opcode.GETSH and self.src1 is None:
             cells = (CHANNEL_CELL,)
-        object.__setattr__(self, "source_cells", cells)
+        set_ = object.__setattr__     # the dataclass is frozen
+        set_(self, "source_cells", cells)
+        set_(self, "ends_block", op in CONTROL_TRANSFERS)
+        set_(self, "is_branch", op in (Opcode.BEQ, Opcode.BNE))
+        set_(self, "is_jump", op is Opcode.JMP)
+        set_(self, "is_halt", op is Opcode.HALT)
+        set_(self, "is_load", op is Opcode.LD)
+        set_(self, "is_store", op is Opcode.ST)
 
     @property
     def mnemonic(self) -> str:
@@ -314,7 +330,7 @@ def _block_boundaries(program: Program) -> set[int]:
     leaders = set(program.entries.values())
     leaders.update(program.labels.values())
     for i, ins in enumerate(program.instructions):
-        if ins.opcode in CONTROL_TRANSFERS:
+        if ins.ends_block:
             leaders.add(i + 1)
             if ins.imm is not None:
                 leaders.add(ins.imm)

@@ -69,6 +69,9 @@ class MemorySystem:
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_fills: dict[int, list[tuple[int, int]]] = {}
         self._i_pending: set[tuple[int, int]] = set()
+        # per core: (line, resident) of the last I-cache probe, until the
+        # next fill into that core's I-tags
+        self._last_probe: list[tuple[int, bool] | None] = [None] * n_cores
 
     # -- word access ---------------------------------------------------------
 
@@ -187,8 +190,17 @@ class MemorySystem:
 
     def icache_probe(self, core: int, pc: int, cycle: int) -> bool:
         """True if the line holding pc is resident; otherwise start a fill.
-        Either way, fetch-ahead keeps the next few lines on the way in."""
+        Either way, fetch-ahead keeps the next few lines on the way in.
+
+        Probing the line of the core's previous probe again, with no fill
+        into its I-tags since, changes nothing: the line is still most
+        recently used (or still on its way in), and each fetch-ahead line is
+        still resident or pending. That probe returns the remembered answer.
+        """
         line = (pc * 4) // self.config.line_bytes
+        last = self._last_probe[core]
+        if last is not None and last[0] == line:
+            return last[1]
         tags = self._itags[core]
         resident = line in tags
         if resident:
@@ -197,6 +209,7 @@ class MemorySystem:
             self._request_i_fill(core, line, cycle)
         for ahead in range(1, self.PREFETCH_LINES + 1):
             self._request_i_fill(core, line + ahead, cycle)
+        self._last_probe[core] = (line, resident)
         return resident
 
     # -- split-phase completion -------------------------------------------------
@@ -207,6 +220,7 @@ class MemorySystem:
             self._i_pending.discard(key)
             core, line = key
             self._install(self._itags[core], line, self.config.i_lines)
+            self._last_probe[core] = None
         out = []
         for fill in self._d_fills.pop(cycle, ()):
             del self._d_pending[(fill.core, fill.line)]
@@ -250,6 +264,9 @@ def load_image_text(text: str, size: int) -> bytearray:
         if addr % 4 or not 0 <= addr <= size - 4:
             raise ValueError(f"image address {addr_s.strip()} is unaligned or "
                              f"outside the {size}-byte memory")
+        if not -(1 << 31) <= value <= 0xFFFFFFFF:
+            raise ValueError(f"image value {val_s.strip()} at {addr_s.strip()} "
+                             f"does not fit in 32 bits")
         mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
     return mem
 

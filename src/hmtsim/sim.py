@@ -10,13 +10,22 @@ over identical inputs are bit-identical.
 A component is stepped only when it has work, as in dataflow scheduling where
 a waiting thread costs nothing until its cell is written: the memory system
 while a fill is outstanding, the NoC on a cycle a message arrives, a TMU while
-its request queue is non-empty, and a core while its schedule queue or any of
-its six latches is non-empty. Skipping the others changes nothing, since
-their step would find nothing to do, except that a core with resident
-threads (all suspended or fetch-blocked) counts one bubble per cycle; the
-loop adds that bubble itself. Only cores affect their own busy state during
-their step, so the system can be quiescent only when no stepped core is left
-busy, and Chip.quiescent() is consulted only then.
+its request queue is non-empty, and a core while it is on the chip's awake
+list. A core is awake while a thread is queued or a latch is occupied. It
+joins the list (kept in ascending core id) when a thread starts on it or a
+cell write wakes one of its threads, the only ways anything but its own step
+gives it work, and it leaves the list when its step ends with an empty queue
+and empty latches. No core's step wakes another core, so the list read at
+the start of the core phase holds exactly the cores with work that cycle.
+
+An idle core whose threads are all suspended or fetch-blocked counts one
+bubble per cycle. It records the cycle it went idle and settles those
+bubbles in one addition: when it wakes, and on every way out of the main
+loop. A SimFault raised in a core's step ends the run part-way through the
+core phase: the idle cores with a lower id have already passed that cycle
+and count its bubble, those with a higher id have not. The system can only
+be quiescent when the awake list is empty, so Chip.quiescent() is consulted
+only then.
 """
 
 from __future__ import annotations
@@ -153,6 +162,7 @@ class Chip:
             self.memory.mem[:len(init_mem)] = init_mem
         self.span_pool = SpanPool(config.p)
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
+        self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
         self.families: dict[int, Family] = {}
         self.allocations: dict = {}
@@ -190,11 +200,9 @@ class Chip:
     # -- progress analysis ----------------------------------------------------
 
     def quiescent(self) -> bool:
-        if self.noc.in_flight or self.memory.busy:
+        if self.awake or self.noc.in_flight or self.memory.busy:
             return False
-        if any(t.requests for t in self.tmus):
-            return False
-        return not any(c.busy for c in self.cores)
+        return not any(t.requests for t in self.tmus)
 
     def threads(self):
         """Every resident thread, by core then slot start order."""
@@ -305,6 +313,9 @@ def run(config: ChipConfig, program: Program,
     outcome = None
     diagnostic = None
     cycle = 0
+    # a SimFault raised by a core's step: the core phase of that cycle had
+    # already reached every core with a lower id
+    fault_cid = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
     arrivals, root = noc.arrivals, chip.root
     try:
@@ -319,18 +330,22 @@ def run(config: ChipConfig, program: Program,
             for tmu in tmus:
                 if tmu.requests:
                     tmu.step(cycle)
-            busy = False
-            for core in cores:
-                if core.busy:
-                    core.step(cycle)
-                    busy = busy or core.busy
-                elif core.contexts:
-                    core.metrics.bubbles += 1
+            awake = chip.awake
+            if awake:
+                still = []
+                try:
+                    for core in awake:
+                        if core.step(cycle):
+                            still.append(core)
+                except SimFault:
+                    fault_cid = core.cid
+                    raise
+                chip.awake = awake = still
             cycle += 1
             if root.completed:
                 outcome = Outcome.COMPLETED
                 break
-            if not busy and chip.quiescent():
+            if not awake and chip.quiescent():
                 diagnostic = detect_deadlock(chip)
                 if diagnostic is None:
                     raise SimFault("quiescent system with no suspended "
@@ -346,6 +361,8 @@ def run(config: ChipConfig, program: Program,
         else:
             outcome = Outcome.WATCHDOG_TIMEOUT
             diagnostic = f"no completion within {config.watchdog_cycles} cycles"
+        for core in cores:
+            core.settle_bubbles(cycle)
 
         if outcome is Outcome.COMPLETED:
             # drain stragglers (release acknowledgements and the like), then
@@ -366,6 +383,8 @@ def run(config: ChipConfig, program: Program,
     except SimFault as fault:
         outcome = Outcome.FAULT
         diagnostic = str(fault)
+        for core in cores:
+            core.settle_bubbles(cycle + (core.cid < fault_cid))
 
     per_core = [
         PerCoreMetrics(c.metrics.commits, c.metrics.bubbles, c.metrics.flushes,
@@ -390,6 +409,9 @@ def run(config: ChipConfig, program: Program,
         suspended_at_end=len(chip.suspended_threads()),
     )
     final_memory = bytes(chip.memory.mem) if outcome is Outcome.COMPLETED else None
+    # the chip is a reference cycle that the collector frees only in a rare
+    # full collection; let the image go now rather than with it
+    chip.memory.mem = None
     return RunResult(outcome, metrics, final_memory, diagnostic, chip.trace)
 
 

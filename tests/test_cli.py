@@ -218,8 +218,10 @@ def assert_one_error_line(code, out, err):
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("name, image", [
     ("high.mem", "0x00100000=5\n"), ("negative.mem", "-4=5\n"),
-    ("unaligned.mem", "0x42=5\n"), ("oversize.bin", bytes((1 << 20) + 4))],
-    ids=["high", "negative", "unaligned", "oversize-bin"])
+    ("unaligned.mem", "0x42=5\n"), ("oversize.bin", bytes((1 << 20) + 4)),
+    ("wide.mem", "0x40=0x100000005\n"), ("below.mem", "0x40=-0x80000001\n")],
+    ids=["high", "negative", "unaligned", "oversize-bin", "wide-value",
+         "below-int32"])
 def test_init_mem_that_does_not_fit_exit_64(regular_masm, tmp_path, capsys,
                                             command, name, image):
     path = tmp_path / name
@@ -237,6 +239,13 @@ def test_unwritable_output_exit_64(regular_masm, tmp_path, capsys, command,
                                    flag):
     assert_one_error_line(*run_cli(capsys, command, "--program", regular_masm,
                                    flag, str(tmp_path / "missing" / "out")))
+
+
+def test_gen_out_dir_under_regular_file_exit_64(tmp_path, capsys):
+    blocker = tmp_path / "regular.masm"
+    blocker.write_text("")
+    assert_one_error_line(*run_cli(capsys, "gen", "--out-dir",
+                                   str(blocker / "sub")))
 
 
 def test_sweep_missing_trace_dir_exit_64_before_running(tmp_path, capsys,

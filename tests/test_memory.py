@@ -186,6 +186,18 @@ def test_image_text_rejects_address_outside_or_unaligned(text):
         load_image_text(text, 4096)
 
 
+@pytest.mark.parametrize("text", ["0x40=0x100000005", "0x40=0x100000000",
+                                  "0x40=-0x80000001"])
+def test_image_text_rejects_value_wider_than_32_bits(text):
+    with pytest.raises(ValueError, match="does not fit in 32 bits"):
+        load_image_text(text, 4096)
+
+
+def test_image_text_accepts_32_bit_extremes():
+    mem = load_image_text("0x0=0xffffffff\n0x4=-0x80000000", 4096)
+    assert mem[:8] == b"\xff" * 4 + b"\x00\x00\x00\x80"
+
+
 def test_image_text_accepts_last_word():
     mem = load_image_text("0x0ffc=-1", 4096)
     assert len(mem) == 4096 and mem[-4:] == b"\xff" * 4

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from hmtsim.isa import assemble
@@ -539,3 +542,20 @@ def test_contiguous_index_partition_under_multiplexing():
     for lo, hi in ((0, 50), (50, 100)):
         starts = [start_cycle[i] for i in range(lo, hi)]
         assert starts == sorted(starts)
+
+
+def test_runs_do_not_pile_up_memory_images():
+    # each chip is a reference cycle, freed only by a full collection; its
+    # 1 MB memory image must not wait for one
+    program = kernel_regular(n=8).program
+    run(ChipConfig(p=2), program)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            run(ChipConfig(p=2), program)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 3 << 20
