@@ -12,6 +12,11 @@ flushed from the front of the pipe. The thread rejoins the schedule queue
 when the cell is written and the parked instruction is re-injected without an
 I-cache probe.
 
+A thread's register window is flat: two 33-entry lists, `state` and `value`
+(r0..r31, then the channel cell), copied from templates at thread start.
+Waiter lists exist only on demand: `waiters` maps a register to the
+instructions parked on it, from the first park until the writeback wakes them.
+
 A core is stepped only while it is awake: while a thread is queued or a latch
 holds an instruction. It joins the chip's awake list (kept in ascending core
 id) when a thread starts or is woken, which are the only ways anything
@@ -37,26 +42,15 @@ EMPTY, FULL, PENDING = 0, 1, 2
 _CID = attrgetter("cid")        # order of the chip's awake list
 
 
-class RegisterCell:
-    __slots__ = ("state", "value", "waiters", "waits_on")
-
-    def __init__(self, state=FULL, value=0):
-        self.state = state
-        self.value = value
-        self.waiters = []
-        # family a PENDING cell waits on (sync, getsh of a tail), else None;
-        # set whenever the cell turns PENDING, read by deadlock diagnosis only
-        self.waits_on = None
-
-    def __repr__(self):
-        names = {EMPTY: "EMPTY", FULL: "FULL", PENDING: "PENDING"}
-        return f"<cell {names[self.state]} {self.value} w={len(self.waiters)}>"
+# a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
+_STATE = (FULL,) * 32 + (EMPTY,)
+_VALUE = (0,) * 33
 
 
 class ThreadContext:
-    __slots__ = ("slot", "fid", "position", "logical_index", "pc", "cells",
-                 "suspended", "fetch_blocked", "resume", "pending_cells",
-                 "last_denial")
+    __slots__ = ("slot", "fid", "position", "logical_index", "pc", "state",
+                 "value", "waiters", "waits_on", "suspended", "fetch_blocked",
+                 "resume", "pending_cells", "last_denial")
 
     def __init__(self, slot, fid, position, logical_index, pc,
                  channel_value=None):
@@ -65,11 +59,15 @@ class ThreadContext:
         self.position = position
         self.logical_index = logical_index
         self.pc = pc
-        self.cells = [RegisterCell() for _ in range(32)]
-        chan = RegisterCell(EMPTY)
+        self.state = list(_STATE)
+        self.value = list(_VALUE)
         if channel_value is not None:
-            chan.state, chan.value = FULL, channel_value
-        self.cells.append(chan)
+            self.state[CHANNEL_CELL] = FULL
+            self.value[CHANNEL_CELL] = channel_value
+        self.waiters = {}           # register -> parked InFlights, FIFO
+        # register -> family its PENDING cell waits on (sync, getsh of a
+        # tail) or None, set as it turns PENDING; read by deadlock diagnosis
+        self.waits_on = {}
         self.suspended = False      # parked on a cell at the read stage
         self.fetch_blocked = False
         self.resume = None
@@ -137,17 +135,16 @@ class Core:
         """Split-phase completion into a PENDING or EMPTY cell; wakes waiters."""
         if reg == 0:
             return []
-        cell = ctx.cells[reg]
-        if cell.state == FULL:
+        state = ctx.state
+        if state[reg] == FULL:
             raise SimFault(
                 f"double write to full cell r{reg} of thread "
                 f"(family {ctx.fid}, index {ctx.logical_index})")
-        if cell.state == PENDING:
+        if state[reg] == PENDING:
             ctx.pending_cells -= 1
-        cell.state = FULL
-        cell.value = value
-        woken = cell.waiters
-        cell.waiters = []
+        state[reg] = FULL
+        ctx.value[reg] = value
+        woken = ctx.waiters.pop(reg, [])
         for inf in woken:
             self._wake(inf)
         return woken
@@ -160,19 +157,17 @@ class Core:
         # write, into a cell the read stage has already seen FULL
         if reg == 0:
             return
-        cell = ctx.cells[reg]
-        if cell.state != FULL:
+        if ctx.state[reg] != FULL:
             raise SimFault(
                 f"one-cycle write to non-full cell r{reg} of thread "
                 f"(family {ctx.fid}, index {ctx.logical_index})")
-        cell.value = value
+        ctx.value[reg] = value
 
     def _mark_pending(self, ctx, reg, waits_on=None):
         if reg == 0:
             return
-        cell = ctx.cells[reg]
-        cell.state = PENDING
-        cell.waits_on = waits_on
+        ctx.state[reg] = PENDING
+        ctx.waits_on[reg] = waits_on
         ctx.pending_cells += 1
         if ctx.pending_cells > self.chip.max_pending:
             self.chip.max_pending = ctx.pending_cells
@@ -240,19 +235,19 @@ class Core:
         """Return operand values, or None after suspending the thread on the
         first cell that is not FULL (sources first, then a busy destination)."""
         ctx = inf.ctx
-        cells = ctx.cells
+        state = ctx.state
         srcs = inf.instr.source_cells
         blocked = None
         for idx in srcs:
-            if cells[idx].state != FULL:
+            if state[idx] != FULL:
                 blocked = idx
                 break
         dst = inf.instr.dst
         if blocked is None and dst is not None and dst != 0 \
-                and cells[dst].state == PENDING:
+                and state[dst] == PENDING:
             blocked = dst
         if blocked is not None:
-            cells[blocked].waiters.append(inf)
+            ctx.waiters.setdefault(blocked, []).append(inf)
             ctx.suspended = True
             self._remove_from_queue(ctx.slot)
             self.flush_younger(ctx, inf.pc + 1)
@@ -261,7 +256,8 @@ class Core:
             if not inf.instr.is_branch:
                 ctx.fetch_blocked = False
             return None
-        return tuple(cells[i].value for i in srcs)
+        value = ctx.value
+        return tuple([value[i] for i in srcs])
 
     def flush_younger(self, ctx, restart_pc: int) -> int:
         """Drop this thread's younger instructions from fetch/decode and point

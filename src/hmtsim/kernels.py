@@ -73,6 +73,8 @@ initdone:"""
 def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
                    x_offset: int = 3) -> KernelSpec:
     """out[i] = a * x[i] + b over n threads with disjoint output slots."""
+    if 4 * n > OUT_BASE - X_BASE:   # x[] would overlap out[], and race
+        raise ValueError(f"regular: x[] of n={n} reaches out[]")
     main = f"""{_init_array_loop(n, x_scale, x_offset)}
   allocate r1, 0
 {_MAIN_PAD_A}
@@ -189,6 +191,8 @@ def kernel_loaduse(threads: int = 4, iters: int = 8, fillers: int = 13) -> Kerne
     convoy form during warm-up and cost a single flush).
     """
     stride = 16
+    if threads * iters * stride > OUT_BASE - X_BASE:   # as in kernel_regular
+        raise ValueError(f"loaduse: x[] of {threads}x{iters} lines reaches out[]")
     body_fill = "\n".join(f"  addi r{16 + i % 4}, r{16 + i % 4}, 1"
                           for i in range(fillers))
     main = f"""{_init_array_loop(threads * iters * (stride // 4), 3, 5)}

@@ -239,16 +239,14 @@ def detect_deadlock(chip: Chip) -> str | None:
 
     for ctx in suspended:
         fam = chip.families[ctx.fid]
-        for idx, cell in enumerate(ctx.cells):
-            if not cell.waiters:
-                continue
+        for idx in sorted(ctx.waiters):
             if idx == CHANNEL_CELL:
                 if ctx.position > 0:
                     link(ctx, thread_at(fam, ctx.position - 1))
                 else:
                     link(ctx, fam.creator)
-            elif cell.waits_on is not None:
-                for member in chip.live_threads_of(cell.waits_on):
+            elif ctx.waits_on[idx] is not None:
+                for member in chip.live_threads_of(ctx.waits_on[idx]):
                     link(ctx, member)
     # cycle search
     WHITE, GREY, BLACK = 0, 1, 2

@@ -11,8 +11,10 @@ import pytest
 import hmtsim
 
 from hmtsim.cli import EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE, RECORD_FIELDS, main
+from hmtsim.isa import assemble, validate
 from hmtsim.kernels import kernel_regular, kernel_starvation
 from hmtsim.memory import dump_image_text
+from hmtsim.oracle import sequential_oracle
 
 
 @pytest.fixture
@@ -158,6 +160,21 @@ def test_gen_writes_corpus(tmp_path, capsys):
     for kernel in ("regular", "heterogeneous", "chain", "loaduse",
                    "starvation_ok"):
         assert f"{kernel}.masm" in names and f"{kernel}.expected" in names
+
+
+def test_gen_corpus_round_trips_through_oracle(tmp_path, capsys):
+    # every written source assembles, validates, and the oracle's image of
+    # it is the .expected file written beside it
+    code, _, _ = run_cli(capsys, "gen", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    expected = sorted(tmp_path.glob("*.expected"))
+    assert len(expected) == 5
+    for exp in expected:
+        name = exp.name.removesuffix(".expected")
+        program = assemble((tmp_path / f"{name}.masm").read_text(), name=name)
+        assert validate(program) == [], name
+        image = sequential_oracle(program).final_memory
+        assert dump_image_text(image) == exp.read_text(), name
 
 
 def test_init_mem_round_trip(tmp_path, capsys):

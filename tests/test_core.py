@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from hmtsim.core import CHANNEL_CELL, FULL, PENDING, InFlight
+from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING, InFlight
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.sim import Chip, ChipConfig, run
@@ -79,12 +79,32 @@ def test_hinted_rotation_barrel_order():
     assert len(order) == 9
 
 
+def test_fresh_context_register_window():
+    # r0..r31 read FULL 0; the channel cell is EMPTY unless seeded
+    chip = make_chip()
+    core = chip.cores[0]
+    plain, = spawn(chip, 1)
+    seeded = core.start_context(core.take_free_slot(), fid=1, position=1,
+                                logical_index=1, pc=0, channel_value=-7)
+    for ctx in (plain, seeded):
+        assert len(ctx.state) == len(ctx.value) == CHANNEL_CELL + 1
+        assert ctx.state[:32] == [FULL] * 32 and ctx.value[:32] == [0] * 32
+        assert ctx.waiters == {} and ctx.pending_cells == 0
+    assert plain.state[CHANNEL_CELL] == EMPTY
+    assert plain.value[CHANNEL_CELL] == 0
+    assert seeded.state[CHANNEL_CELL] == FULL
+    assert seeded.value[CHANNEL_CELL] == -7
+    # every context owns its window: a write to one leaves the other alone
+    core._mark_pending(plain, 3)
+    assert seeded.state[3] == FULL
+
+
 def test_read_operands_ready_and_values():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    ctx.cells[2].value = 21
-    ctx.cells[3].value = 14
+    ctx.value[2] = 21
+    ctx.value[3] = 14
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
     assert core.read_operands(inf) == (21, 14)
 
@@ -97,7 +117,7 @@ def test_read_operands_suspends_on_pending_source():
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
     assert core.read_operands(inf) is None
     assert ctx.suspended
-    assert ctx.cells[2].waiters == [inf]
+    assert ctx.waiters[2] == [inf]
     assert ctx.pc == 6                     # successor-restart point
     assert ctx.slot not in core.queue
 
@@ -108,7 +128,7 @@ def test_read_operands_suspends_on_empty_channel():
     ctx, = spawn(chip, 1)
     inf = InFlight(ctx, Instruction(Opcode.GETSH, dst=4), 0)
     assert core.read_operands(inf) is None
-    assert ctx.cells[CHANNEL_CELL].waiters == [inf]
+    assert ctx.waiters[CHANNEL_CELL] == [inf]
     # PUTSH delivery wakes it again
     core.write_channel(ctx.slot, 99)
     assert not ctx.suspended and not ctx.fetch_blocked and ctx.resume is inf
@@ -122,7 +142,7 @@ def test_read_operands_suspends_on_busy_destination():
     core._mark_pending(ctx, 1)
     inf = InFlight(ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
     assert core.read_operands(inf) is None
-    assert ctx.cells[1].waiters == [inf]
+    assert ctx.waiters[1] == [inf]
 
 
 def test_flush_younger_exhaustive_occupancy():
@@ -154,15 +174,14 @@ def test_writeback_wakes_in_fifo_order():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    cell = ctx.cells[5]
-    cell.state = PENDING
+    ctx.state[5] = PENDING
     ctx.pending_cells = 1
     infs = [InFlight(ctx, PLAIN_ADD, i) for i in range(4)]
     for inf in infs:
-        cell.waiters.append(inf)
+        ctx.waiters.setdefault(5, []).append(inf)
     woken = core.writeback(ctx, 5, 42)
     assert woken == infs                  # insertion order preserved
-    assert cell.state == FULL and cell.value == 42
+    assert ctx.state[5] == FULL and ctx.value[5] == 42
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=8))
@@ -171,15 +190,28 @@ def test_writeback_wake_order_matches_fifo_oracle(owners):
     core = chip.cores[0]
     ctxs = spawn(chip, 3)
     target = ctxs[0]
-    cell = target.cells[9]
-    cell.state = PENDING
+    target.state[9] = PENDING
     target.pending_cells = 1
     fifo = []
     for i, owner in enumerate(owners):
         inf = InFlight(ctxs[owner], PLAIN_ADD, i)
-        cell.waiters.append(inf)
+        target.waiters.setdefault(9, []).append(inf)
         fifo.append(inf)
     assert core.writeback(target, 9, 1) == fifo
+
+
+def test_woken_register_leaves_no_waiter_entry():
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    core._mark_pending(ctx, 2)
+    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
+    assert core.read_operands(inf) is None
+    assert list(ctx.waiters) == [2]
+    assert core.writeback(ctx, 2, 8) == [inf]
+    assert ctx.waiters == {}
+    assert ctx.resume is inf and core.read_operands(inf) == (8, 0)
+    assert ctx.waiters == {}
 
 
 def test_writeback_to_r0_discarded():
@@ -187,7 +219,7 @@ def test_writeback_to_r0_discarded():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     assert core.writeback(ctx, 0, 123) == []
-    assert ctx.cells[0].state == FULL and ctx.cells[0].value == 0
+    assert ctx.state[0] == FULL and ctx.value[0] == 0
 
 
 def test_double_write_full_cell_faults():

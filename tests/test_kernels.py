@@ -1,3 +1,5 @@
+import pytest
+
 from hmtsim.isa import validate
 from hmtsim.kernels import (
     OUT_BASE,
@@ -43,6 +45,27 @@ def test_regular_expected_matches_sim_image():
     spec = kernel_regular(n=48)
     res = run(ChipConfig(p=4), spec.program)
     assert res.final_memory == spec.expected_image()
+
+
+def test_regular_refuses_input_reaching_output():
+    room = OUT_BASE - X_BASE
+    spec = kernel_regular(n=room // 4)
+    assert spec.params["n"] == 3072
+    assert validate(spec.program) == []
+    with pytest.raises(ValueError, match=r"reaches out\[\]"):
+        kernel_regular(n=room // 4 + 1)
+
+
+def test_loaduse_refuses_input_reaching_output():
+    # 16 bytes per (thread, iteration)
+    room = OUT_BASE - X_BASE
+    spec = kernel_loaduse(threads=room // (16 * 8), iters=8)
+    assert spec.params["threads"] * 8 * 16 == room
+    assert validate(spec.program) == []
+    with pytest.raises(ValueError, match=r"reaches out\[\]"):
+        kernel_loaduse(threads=room // (16 * 8), iters=9)
+    with pytest.raises(ValueError, match=r"reaches out\[\]"):
+        kernel_loaduse(threads=room // (16 * 8) + 1, iters=8)
 
 
 def test_chain_closed_form():
