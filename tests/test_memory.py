@@ -164,6 +164,26 @@ def test_icache_probe_and_single_fill():
     assert ms.icache_probe(0, 3, 10) is True   # 4 instructions per 16B line
 
 
+def test_i_and_d_fills_due_together_complete_i_first_then_d_in_issue_order():
+    ms = make(cores=1, d_miss_latency=10, i_miss_latency=10)
+    delivered = []
+
+    def deliver(addr):
+        # the instruction line due the same cycle is already resident
+        return lambda v: delivered.append((addr, ms.icache_probe(0, 0, 10)))
+
+    ms.load(0, 0x200, 1, 0, deliver(0x200))
+    assert ms.icache_probe(0, 0, 0) is False
+    ms.load(0, 0x300, 1, 0, deliver(0x300))
+    ms.load(0, 0x204, 1, 0, deliver(0x204))    # rides the fill of 0x200
+    for c in range(10):
+        assert ms.step(c) == []
+    for cb, v in ms.step(10):
+        cb(v)
+    assert delivered == [(0x200, True), (0x204, True), (0x300, True)]
+    assert not ms.busy
+
+
 def test_image_text_roundtrip():
     ms = make()
     ms.store(0, 0x10, -5, 1, 0)

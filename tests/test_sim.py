@@ -7,7 +7,8 @@ from hmtsim.isa import assemble
 from hmtsim.kernels import kernel_chain, kernel_regular, kernel_starvation
 from hmtsim.oracle import sequential_oracle
 from hmtsim.memory import CacheConfig
-from hmtsim.sim import ChipConfig, Outcome, format_trace, run
+from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
+from hmtsim.tmu import Tmu
 
 
 def test_empty_program_completes_with_one_commit():
@@ -559,3 +560,48 @@ def test_runs_do_not_pile_up_memory_images():
     finally:
         tracemalloc.stop()
     assert grown < 3 << 20
+
+
+def test_quiescent_false_while_request_queued_or_fill_due():
+    def chip():
+        return Chip(ChipConfig(p=2), assemble(".body main\nhalt"))
+
+    idle = chip()
+    assert idle.quiescent()
+    idle.tmus[1].enqueue(lambda cycle: None)
+    assert not idle.quiescent()
+
+    for start_fill in (lambda m: m.icache_probe(1, 0, 0),
+                       lambda m: m.load(0, 0x100, 1, 0, lambda v: None)):
+        filling = chip()
+        start_fill(filling.memory)
+        assert not filling.quiescent()
+        for c in range(filling.config.cache.d_miss_latency + 1):
+            for cb, value in filling.memory.step(c):
+                cb(value)
+        assert filling.quiescent()
+
+
+def test_tmus_run_the_cycle_after_their_requests_in_core_order(monkeypatch):
+    # every request queued in a core phase runs in the next cycle's TMU phase,
+    # one step per TMU, in ascending core id
+    queued, stepped = [], []
+    enqueue, step = Tmu.enqueue, Tmu.step
+
+    def record_enqueue(tmu, method, *args):
+        queued.append((tmu.chip.cycle, tmu.cid))
+        enqueue(tmu, method, *args)
+
+    def record_step(tmu, cycle):
+        stepped.append((cycle, tmu.cid))
+        step(tmu, cycle)
+
+    monkeypatch.setattr(Tmu, "enqueue", record_enqueue)
+    monkeypatch.setattr(Tmu, "step", record_step)
+    res = run(ChipConfig(p=4), kernel_regular(n=16).program)
+    assert res.outcome is Outcome.COMPLETED
+    assert stepped == sorted({(c + 1, cid) for c, cid in queued})
+    per_cycle = {}
+    for c, cid in set(queued):
+        per_cycle.setdefault(c, []).append(cid)
+    assert any(len(cids) > 1 for cids in per_cycle.values())
