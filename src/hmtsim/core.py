@@ -17,6 +17,14 @@ A thread's register window is flat: two 33-entry lists, `state` and `value`
 Waiter lists exist only on demand: `waiters` maps a register to the
 instructions parked on it, from the first park until the writeback wakes them.
 
+The common path of a cycle runs in `step`'s own frame: it counts the commit,
+reads operands, and calls one execute-table entry (indexed by the decoded
+`Instruction.op`) and `fetch_select`, which answers at once when the queue's
+front thread can fetch. The rest runs only where it is needed: `_retire` for
+a halt or a traced run, `_suspend` when an operand is not ready, the memory
+system for a load or store, and the scan of the other queued threads when the
+front one cannot fetch.
+
 A core is stepped only while it is awake: while a thread is queued or a latch
 holds an instruction. It joins the chip's awake list (kept in ascending core
 id) when a thread starts or is woken, which are the only ways anything
@@ -31,6 +39,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
+from itertools import islice
 from operator import attrgetter
 
 from .errors import SimFault
@@ -101,8 +110,14 @@ class Core:
     def __init__(self, cid: int, chip, thread_slots: int):
         self.cid = cid
         self.chip = chip
+        self.instructions = chip.program.instructions
+        self.traced = chip.config.trace     # retire every commit, not just halts
         self.contexts: dict[int, ThreadContext] = {}
-        self._free_slots = list(range(thread_slots))    # heap, ascending reuse
+        # free slots, smallest first: released ones on a heap, then the
+        # never-used ones from _fresh up to thread_slots
+        self._released: list[int] = []
+        self._fresh = 0
+        self._slots = thread_slots
         self.queue: deque[int] = deque()
         self.metrics = CoreMetrics()
         self._rotate_pending = None
@@ -114,10 +129,15 @@ class Core:
     # -- slot management (driven by the TMU) -----------------------------------
 
     def take_free_slot(self):
-        return heappop(self._free_slots) if self._free_slots else None
+        if self._released:
+            return heappop(self._released)
+        if self._fresh < self._slots:
+            self._fresh += 1
+            return self._fresh - 1
+        return None
 
     def release_slot(self, slot: int):
-        heappush(self._free_slots, slot)
+        heappush(self._released, slot)
 
     def start_context(self, slot, fid, position, logical_index, pc,
                       channel_value=None):
@@ -199,26 +219,33 @@ class Core:
         """Pick the thread to fetch from this cycle, honoring switch hints and
         I-cache residency. Rotates the queue so the chosen thread stays in
         front for subsequent cycles."""
+        queue = self.queue
         if self._rotate_pending is not None:
             slot = self._rotate_pending
             self._rotate_pending = None
             try:
-                self.queue.remove(slot)
+                queue.remove(slot)
             except ValueError:
                 pass
             else:
-                self.queue.append(slot)
-        for k, slot in enumerate(self.queue):
-            ctx = self.contexts[slot]
-            if ctx.resume is not None:
-                self.queue.rotate(-k)
+                queue.append(slot)
+        if not queue:
+            return None
+        contexts = self.contexts
+        probe = self.chip.memory.icache_probe
+        # the usual answer: the thread in front, which stays in front
+        slot = queue[0]
+        ctx = contexts[slot]
+        if ctx.resume is not None or not ctx.fetch_blocked \
+                and probe(self.cid, ctx.pc, cycle):
+            return slot
+        for k, slot in enumerate(islice(queue, 1, None), 1):
+            ctx = contexts[slot]
+            if ctx.resume is not None or not ctx.fetch_blocked \
+                    and probe(self.cid, ctx.pc, cycle):
+                queue.rotate(-k)
                 return slot
-            if ctx.fetch_blocked:
-                continue
-            if self.chip.memory.icache_probe(self.cid, ctx.pc, cycle):
-                self.queue.rotate(-k)
-                return slot
-            # miss: the probe has requested the fill; try the next thread
+            # a miss has requested the fill; try the next thread
         return None
 
     def _remove_from_queue(self, slot):
@@ -229,35 +256,20 @@ class Core:
         if self._rotate_pending == slot:
             self._rotate_pending = None
 
-    # -- read stage --------------------------------------------------------------
+    # -- read stage (its ready path runs in step) ----------------------------------
 
-    def read_operands(self, inf: InFlight):
-        """Return operand values, or None after suspending the thread on the
-        first cell that is not FULL (sources first, then a busy destination)."""
+    def _suspend(self, inf: InFlight, cell: int):
+        """Park inf on a cell that is not ready: its thread leaves the queue and
+        its younger instructions are flushed."""
         ctx = inf.ctx
-        state = ctx.state
-        srcs = inf.instr.source_cells
-        blocked = None
-        for idx in srcs:
-            if state[idx] != FULL:
-                blocked = idx
-                break
-        dst = inf.instr.dst
-        if blocked is None and dst is not None and dst != 0 \
-                and state[dst] == PENDING:
-            blocked = dst
-        if blocked is not None:
-            ctx.waiters.setdefault(blocked, []).append(inf)
-            ctx.suspended = True
-            self._remove_from_queue(ctx.slot)
-            self.flush_younger(ctx, inf.pc + 1)
-            # a fetch block imposed by a younger, now-flushed control transfer
-            # must not outlive it; a suspended branch keeps its own block
-            if not inf.instr.is_branch:
-                ctx.fetch_blocked = False
-            return None
-        value = ctx.value
-        return tuple([value[i] for i in srcs])
+        ctx.waiters.setdefault(cell, []).append(inf)
+        ctx.suspended = True
+        self._remove_from_queue(ctx.slot)
+        self.flush_younger(ctx, inf.pc + 1)
+        # a fetch block imposed by a younger, now-flushed control transfer
+        # must not outlive it; a suspended branch keeps its own block
+        if not inf.instr.is_branch:
+            ctx.fetch_blocked = False
 
     def flush_younger(self, ctx, restart_pc: int) -> int:
         """Drop this thread's younger instructions from fetch/decode and point
@@ -297,7 +309,7 @@ class Core:
     # -- retirement -------------------------------------------------------------------
 
     def _retire(self, inf: InFlight, cycle: int):
-        self.metrics.commits += 1
+        """Trace a commit and terminate a halting thread; step counts it."""
         ctx = inf.ctx
         chip = self.chip
         if chip.trace is not None:
@@ -313,22 +325,42 @@ class Core:
 
     def step(self, cycle: int) -> bool:
         """Advance one cycle; returns whether the core is still awake."""
-        if self.w is not None:
-            self._retire(self.w, cycle)
+        w = self.w
+        if w is not None:
+            self.metrics.commits += 1
+            if w.instr.is_halt or self.traced:
+                self._retire(w, cycle)
         m = self.m
         if m is not None:
-            if m.instr.is_load:
+            instr = m.instr
+            if instr.is_load:
                 self._load(m, cycle)
-            elif m.instr.is_store:
+            elif instr.is_store:
                 self._store(m, cycle)
-        if self.e is not None:
-            EXECUTE[self.e.instr.opcode](self, self.e)
-        ready = None
-        if self.r is not None:
-            vals = self.read_operands(self.r)
-            if vals is not None:
-                self.r.vals = vals
-                ready = self.r
+        e = self.e
+        if e is not None:
+            EXECUTE[e.instr.op](self, e)
+        # read: take the operand values, or suspend on the first cell that is
+        # not FULL (sources first, then a PENDING destination)
+        r = self.r
+        if r is not None:
+            instr = r.instr
+            ctx = r.ctx
+            state, value = ctx.state, ctx.value
+            vals = []
+            for idx in instr.source_cells:
+                if state[idx] != FULL:
+                    self._suspend(r, idx)
+                    r = None
+                    break
+                vals.append(value[idx])
+            else:
+                dst = instr.dst
+                if dst and state[dst] == PENDING:
+                    self._suspend(r, dst)
+                    r = None
+                else:
+                    r.vals = vals
         d = self.d
         if d is not None and d.instr.is_jump:
             ctx = d.ctx
@@ -336,7 +368,7 @@ class Core:
             ctx.fetch_blocked = False
 
         # advance the latches one stage
-        self.w, self.m, self.e, self.r, self.d = m, self.e, ready, d, self.f
+        self.w, self.m, self.e, self.r, self.d = m, e, r, d, self.f
         self.f = None
 
         slot = self.fetch_select(cycle)
@@ -355,7 +387,7 @@ class Core:
         if ctx.resume is not None:
             inf, ctx.resume = ctx.resume, None
         else:
-            instr = self.chip.program.instructions[ctx.pc]
+            instr = self.instructions[ctx.pc]
             inf = InFlight(ctx, instr, ctx.pc)
             if instr.ends_block:
                 ctx.fetch_blocked = True
@@ -473,5 +505,5 @@ _EXECUTE_BY_OPCODE = {
     Opcode.CREATE: _create, Opcode.SYNC: _sync, Opcode.RELEASE: _release,
     Opcode.GETIDX: _getidx, Opcode.PUTSH: _putsh, Opcode.GETSH: _getsh,
 }
-# indexed by opcode value; building it fails at import if an opcode has no entry
+# indexed by Instruction.op; building it fails at import if an opcode has no entry
 EXECUTE = tuple(_EXECUTE_BY_OPCODE[Opcode(i)] for i in range(len(Opcode)))

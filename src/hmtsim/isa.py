@@ -87,9 +87,11 @@ class Instruction:
     create_range: tuple[int, int, int] | None = None   # create: (start, limit, step)
     switch_hint: bool = False
     # Decoded once, so the pipeline tests plain attributes instead of enum
-    # members: the register-file cells read at the read stage (the operand
-    # registers, or the input channel for a plain getsh), and which stages
-    # have work beyond the execute-table entry.
+    # members: the opcode as a plain int (the execute table's index), the
+    # register-file cells read at the read stage (the operand registers, or
+    # the input channel for a plain getsh), and which stages have work beyond
+    # the execute-table entry.
+    op: int = field(init=False, compare=False, repr=False)
     source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
     ends_block: bool = field(init=False, compare=False, repr=False)
     is_branch: bool = field(init=False, compare=False, repr=False)
@@ -104,6 +106,7 @@ class Instruction:
         if op is Opcode.GETSH and self.src1 is None:
             cells = (CHANNEL_CELL,)
         set_ = object.__setattr__     # the dataclass is frozen
+        set_(self, "op", int(op))
         set_(self, "source_cells", cells)
         set_(self, "ends_block", op in CONTROL_TRANSFERS)
         set_(self, "is_branch", op in (Opcode.BEQ, Opcode.BNE))

@@ -65,9 +65,10 @@ class MemorySystem:
         self._n_cores = n_cores
         # epoch -> core -> {addr: value}, populated only under BULK
         self._write_sets: dict[int, dict[int, dict[int, int]]] = {}
-        self._d_fills: dict[int, list[_Fill]] = {}   # completion cycle -> fills
+        # completion cycle -> (I-fill (core, line) keys, D-fills), each list
+        # in issue order
+        self.fills: dict[int, tuple[list, list]] = {}
         self._d_pending: dict[tuple[int, int], _Fill] = {}
-        self._i_fills: dict[int, list[tuple[int, int]]] = {}
         self._i_pending: set[tuple[int, int]] = set()
         # per core: (line, resident) of the last I-cache probe, until the
         # next fill into that core's I-tags
@@ -118,8 +119,7 @@ class MemorySystem:
             fill = _Fill(core, line)
             self._d_pending[key] = fill
             self.stats.d_misses += 1
-            done = cycle + self.config.d_miss_latency
-            self._d_fills.setdefault(done, []).append(fill)
+            self._due(cycle + self.config.d_miss_latency)[1].append(fill)
         fill.waiters.append((addr, on_value))
         return "miss"
 
@@ -185,8 +185,7 @@ class MemorySystem:
             return
         self._i_pending.add(key)
         self.stats.i_misses += 1
-        done = cycle + self.config.i_miss_latency
-        self._i_fills.setdefault(done, []).append(key)
+        self._due(cycle + self.config.i_miss_latency)[0].append(key)
 
     def icache_probe(self, core: int, pc: int, cycle: int) -> bool:
         """True if the line holding pc is resident; otherwise start a fill.
@@ -214,15 +213,23 @@ class MemorySystem:
 
     # -- split-phase completion -------------------------------------------------
 
+    def _due(self, cycle: int) -> tuple[list, list]:
+        due = self.fills.get(cycle)
+        if due is None:
+            due = self.fills[cycle] = ([], [])
+        return due
+
     def step(self, cycle: int) -> list:
-        """Complete fills due this cycle; returns (callback, value) pairs to run."""
-        for key in self._i_fills.pop(cycle, ()):
+        """Complete fills due this cycle, I-fills first; returns the D-fills'
+        (callback, value) pairs to run."""
+        i_fills, d_fills = self.fills.pop(cycle, ((), ()))
+        for key in i_fills:
             self._i_pending.discard(key)
             core, line = key
             self._install(self._itags[core], line, self.config.i_lines)
             self._last_probe[core] = None
         out = []
-        for fill in self._d_fills.pop(cycle, ()):
+        for fill in d_fills:
             del self._d_pending[(fill.core, fill.line)]
             self._install(self._dtags[fill.core], fill.line, self.config.d_lines)
             for addr, cb in fill.waiters:
@@ -238,7 +245,7 @@ class MemorySystem:
 
     @property
     def busy(self) -> bool:
-        return bool(self._d_fills or self._i_fills)
+        return bool(self.fills)
 
 
 # -- image formats ----------------------------------------------------------

@@ -8,7 +8,10 @@ core messaging itself). There is no contention or buffering model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
+
+_DST = attrgetter("dst")
 
 
 @dataclass
@@ -61,24 +64,32 @@ class Noc:
         self.injected = 0
         self.delivered = 0
         self._hop_counts: dict[tuple[int, int], int] = {}
+        # (src, dst) -> (hops, links traversed), filled in as routes are used
+        self._routes: dict[tuple[int, int], tuple[int, tuple]] = {}
+
+    def _route(self, src: int, dst: int) -> tuple[int, tuple]:
+        path = self.topology.path(src, dst)
+        links = tuple((a, b) if a < b else (b, a)
+                      for a, b in zip(path, path[1:]))
+        route = self._routes[(src, dst)] = (len(links), links)
+        return route
 
     def send(self, handler: Callable, src: int, dst: int, payload: tuple,
              cycle: int) -> ControlMessage:
-        route = self.topology.path(src, dst)
-        hops = len(route) - 1
+        hops, links = self._routes.get((src, dst)) or self._route(src, dst)
         msg = ControlMessage(handler, dst, payload,
                              arrives_at=cycle + max(1, hops * self.topology.hop_latency))
         self.injected += 1
-        for a, b in zip(route, route[1:]):
-            link = (a, b) if a < b else (b, a)
-            self._hop_counts[link] = self._hop_counts.get(link, 0) + 1
+        counts = self._hop_counts
+        for link in links:
+            counts[link] = counts.get(link, 0) + 1
         self.arrivals.setdefault(msg.arrives_at, []).append(msg)
         return msg
 
     def step(self, cycle: int) -> list[ControlMessage]:
         """Messages arriving this cycle, ordered by (dst core, injection order)."""
         due = self.arrivals.pop(cycle, [])
-        due.sort(key=lambda m: m.dst)     # stable: keeps injection order
+        due.sort(key=_DST)      # stable: keeps injection order
         self.delivered += len(due)
         return due
 

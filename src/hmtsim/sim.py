@@ -8,15 +8,26 @@ cycle, giving a single total order equivalent to a two-phase commit; two runs
 over identical inputs are bit-identical.
 
 A component is stepped only when it has work, as in dataflow scheduling where
-a waiting thread costs nothing until its cell is written: the memory system
-while a fill is outstanding, the NoC on a cycle a message arrives, a TMU while
-its request queue is non-empty, and a core while it is on the chip's awake
-list. A core is awake while a thread is queued or a latch is occupied. It
-joins the list (kept in ascending core id) when a thread starts on it or a
-cell write wakes one of its threads, the only ways anything but its own step
+a waiting thread costs nothing until its cell is written, and each test for
+work is one lookup per cycle:
+
+- the memory system on a cycle a fill is due: `MemorySystem.fills` is keyed
+  by completion cycle, as `Noc.arrivals` is by arrival cycle;
+- the NoC on a cycle a message arrives;
+- a TMU on the cycle after it was given requests: its first request puts it
+  on the chip's busy TMU list (kept in ascending core id), which the TMU
+  phase takes whole and empties;
+- a core while it is on the chip's awake list.
+
+A core is awake while a thread is queued or a latch is occupied. It joins
+the list (kept in ascending core id) when a thread starts on it or a cell
+write wakes one of its threads, the only ways anything but its own step
 gives it work, and it leaves the list when its step ends with an empty queue
 and empty latches. No core's step wakes another core, so the list read at
-the start of the core phase holds exactly the cores with work that cycle.
+the start of the core phase holds exactly the cores with work that cycle;
+the phase rebuilds it only on a cycle when some core left. Requests are only
+queued in the core phase, so the busy TMU list likewise holds exactly the
+TMUs with work at the start of the next cycle's TMU phase.
 
 An idle core whose threads are all suspended or fetch-blocked counts one
 bubble per cycle. It records the cycle it went idle and settles those
@@ -25,7 +36,7 @@ loop. A SimFault raised in a core's step ends the run part-way through the
 core phase: the idle cores with a lower id have already passed that cycle
 and count its bubble, those with a higher id have not. The system can only
 be quiescent when the awake list is empty, so Chip.quiescent() is consulted
-only then.
+only then; it reads the two lists, the NoC's in-flight count and the fills.
 """
 
 from __future__ import annotations
@@ -164,6 +175,7 @@ class Chip:
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
+        self.busy_tmus: list[Tmu] = []  # TMUs with requests, ascending core id
         self.families: dict[int, Family] = {}
         self.allocations: dict = {}
         self._fid = 0
@@ -200,9 +212,8 @@ class Chip:
     # -- progress analysis ----------------------------------------------------
 
     def quiescent(self) -> bool:
-        if self.awake or self.noc.in_flight or self.memory.busy:
-            return False
-        return not any(t.requests for t in self.tmus)
+        return not (self.awake or self.busy_tmus or self.noc.in_flight
+                    or self.memory.busy)
 
     def threads(self):
         """Every resident thread, by core then slot start order."""
@@ -315,30 +326,32 @@ def run(config: ChipConfig, program: Program,
     # already reached every core with a lower id
     fault_cid = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
-    arrivals, root = noc.arrivals, chip.root
+    fills, arrivals, root = memory.fills, noc.arrivals, chip.root
     try:
         while cycle < config.watchdog_cycles:
             chip.cycle = cycle
-            if memory.busy:
+            if cycle in fills:
                 for cb, value in memory.step(cycle):
                     cb(value)
             if cycle in arrivals:
                 for msg in noc.step(cycle):
                     tmus[msg.dst].handle_message(msg, cycle)
-            for tmu in tmus:
-                if tmu.requests:
+            if chip.busy_tmus:
+                busy, chip.busy_tmus = chip.busy_tmus, []
+                for tmu in busy:
                     tmu.step(cycle)
             awake = chip.awake
             if awake:
-                still = []
+                left = False
                 try:
                     for core in awake:
-                        if core.step(cycle):
-                            still.append(core)
+                        if not core.step(cycle):
+                            left = True
                 except SimFault:
                     fault_cid = core.cid
                     raise
-                chip.awake = awake = still
+                if left:
+                    chip.awake = awake = [c for c in awake if c.awake]
             cycle += 1
             if root.completed:
                 outcome = Outcome.COMPLETED
@@ -371,8 +384,9 @@ def run(config: ChipConfig, program: Program,
                 if cycle in arrivals:
                     for msg in noc.step(cycle):
                         tmus[msg.dst].handle_message(msg, cycle)
-                for tmu in tmus:
-                    if tmu.requests:
+                if chip.busy_tmus:
+                    busy, chip.busy_tmus = chip.busy_tmus, []
+                    for tmu in busy:
                         tmu.step(cycle)
                 cycle += 1
             if chip._open_reqs:

@@ -5,18 +5,24 @@ inter-thread channels.
 Each core owns one Tmu, and each protocol step is one Tmu method named after
 it, taking the step's payload as arguments. The local pipeline queues a
 request (allocate, create, sync, release, putsh, ...) as a bound method and
-its arguments during a core's cycle; the Tmu runs the queue in arrival order
-the following cycle. A control message carries its handler, one of the on_*
-methods, which the receiving Tmu calls with the payload. Everything crossing
-cores rides the control NoC, including a core messaging itself, so all
-inter-TMU effects take at least one cycle and land in a deterministic order.
+its arguments during a core's cycle, and the first request of a cycle puts
+the Tmu on the chip's busy list (kept in ascending core id); the Tmu runs the
+queue in arrival order the following cycle. A control message carries its
+handler, one of the on_* methods, which the receiving Tmu calls with the
+payload. Everything crossing cores rides the control NoC, including a core
+messaging itself, so all inter-TMU effects take at least one cycle and land
+in a deterministic order.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import SimFault
+
+_CID = attrgetter("cid")        # order of the chip's busy TMU list
 
 
 def distribute(n: int, p: int) -> list[int]:
@@ -151,6 +157,8 @@ class Tmu:
     # -- called from the pipeline (effective next cycle) ----------------------
 
     def enqueue(self, method, *args):
+        if not self.requests:
+            insort(self.chip.busy_tmus, self, key=_CID)
         self.requests.append((method, args))
 
     def step(self, cycle: int):

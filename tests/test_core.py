@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,14 @@ def spawn(chip, n, pc=0):
         out.append(core.start_context(slot, fid=1, position=i,
                                       logical_index=i, pc=pc))
     return out
+
+
+def read_stage(core, inf, cycle=0):
+    """Step inf through the read stage: its operand values, or None if it
+    suspended there instead of moving on to execute."""
+    core.r = inf
+    core.step(cycle)
+    return tuple(inf.vals) if core.e is inf else None
 
 
 HINTED_ADD = Instruction(Opcode.ADD, dst=1, src1=1, src2=1, switch_hint=True)
@@ -106,7 +116,7 @@ def test_read_operands_ready_and_values():
     ctx.value[2] = 21
     ctx.value[3] = 14
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
-    assert core.read_operands(inf) == (21, 14)
+    assert read_stage(core, inf) == (21, 14)
 
 
 def test_read_operands_suspends_on_pending_source():
@@ -115,7 +125,7 @@ def test_read_operands_suspends_on_pending_source():
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 2)
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
-    assert core.read_operands(inf) is None
+    assert read_stage(core, inf) is None
     assert ctx.suspended
     assert ctx.waiters[2] == [inf]
     assert ctx.pc == 6                     # successor-restart point
@@ -127,12 +137,12 @@ def test_read_operands_suspends_on_empty_channel():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     inf = InFlight(ctx, Instruction(Opcode.GETSH, dst=4), 0)
-    assert core.read_operands(inf) is None
+    assert read_stage(core, inf) is None
     assert ctx.waiters[CHANNEL_CELL] == [inf]
     # PUTSH delivery wakes it again
     core.write_channel(ctx.slot, 99)
     assert not ctx.suspended and not ctx.fetch_blocked and ctx.resume is inf
-    assert core.read_operands(inf) == (99,)
+    assert read_stage(core, inf) == (99,)
 
 
 def test_read_operands_suspends_on_busy_destination():
@@ -141,7 +151,7 @@ def test_read_operands_suspends_on_busy_destination():
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 1)
     inf = InFlight(ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
-    assert core.read_operands(inf) is None
+    assert read_stage(core, inf) is None
     assert ctx.waiters[1] == [inf]
 
 
@@ -206,11 +216,11 @@ def test_woken_register_leaves_no_waiter_entry():
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 2)
     inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
-    assert core.read_operands(inf) is None
+    assert read_stage(core, inf) is None
     assert list(ctx.waiters) == [2]
     assert core.writeback(ctx, 2, 8) == [inf]
     assert ctx.waiters == {}
-    assert ctx.resume is inf and core.read_operands(inf) == (8, 0)
+    assert ctx.resume is inf and read_stage(core, inf) == (8, 0)
     assert ctx.waiters == {}
 
 
@@ -272,3 +282,29 @@ def test_step_core_load_use_bubble_cold_cache():
         "  add r3, r2, r2\n  st r3, 4(r1)\n  halt"))
     assert res.outcome.value == "completed"
     assert res.metrics.flushes > 0        # the speculation cost
+
+
+def test_free_slots_smallest_first():
+    chip = make_chip(thread_slots=4)
+    core = chip.cores[0]
+    assert [core.take_free_slot() for _ in range(3)] == [0, 1, 2]
+    core.release_slot(2)
+    core.release_slot(0)
+    assert [core.take_free_slot() for _ in range(4)] == [0, 2, 3, None]
+    core.release_slot(1)
+    assert core.take_free_slot() == 1
+    assert core.take_free_slot() is None
+
+
+def test_thread_slots_are_not_built_up_front():
+    # the slot count has no upper bound, so a chip must not spend memory
+    # on the slots its threads never take
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chip = make_chip(p=4, thread_slots=10**6, mem_bytes=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert chip.cores[3].take_free_slot() == 0

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from hmtsim.noc import Noc, Topology
@@ -97,3 +98,22 @@ def test_hop_log_only_adjacent_pairs():
     assert all(topo.adjacent(a, b) for a, b in log)
     assert set(log) == {(a, b) for a in range(8) for b in range(a + 1, 8)
                         if topo.adjacent(a, b)}
+
+
+@pytest.mark.parametrize("kind", ["ring", "line"])
+def test_routes_match_topology_paths_when_reused(kind):
+    topo = Topology(kind, 6, hop_latency=3)
+    noc = Noc(topo)
+    expected = {}
+    for _ in range(2):      # the second round reuses every route
+        for s in range(6):
+            for d in range(6):
+                msg = noc.send(handler, s, d, (), cycle=0)
+                assert msg.arrives_at == max(1, 3 * topo.hops(s, d))
+                path = topo.path(s, d)
+                for a, b in zip(path, path[1:]):
+                    link = (min(a, b), max(a, b))
+                    expected[link] = expected.get(link, 0) + 1
+    log = noc.hop_log()
+    assert log == {link: expected.get(link, 0) for link in log}
+    assert sum(log.values()) == sum(expected.values())
