@@ -245,7 +245,7 @@ class Core:
                     and probe(self.cid, ctx.pc, cycle):
                 queue.rotate(-k)
                 return slot
-            # a miss has requested the fill; try the next thread
+            # miss: the probe has requested the fill; try the next thread
         return None
 
     def _remove_from_queue(self, slot):
