@@ -17,13 +17,17 @@ A thread's register window is flat: two 33-entry lists, `state` and `value`
 Waiter lists exist only on demand: `waiters` maps a register to the
 instructions parked on it, from the first park until the writeback wakes them.
 
-The common path of a cycle runs in `step`'s own frame: it counts the commit,
-reads operands, and calls one execute-table entry (indexed by the decoded
-`Instruction.op`) and `fetch_select`, which answers at once when the queue's
-front thread can fetch. The rest runs only where it is needed: `_retire` for
-a halt or a traced run, `_suspend` when an operand is not ready, the memory
-system for a load or store, and the scan of the other queued threads when the
-front one cannot fetch.
+The common path of a cycle runs in `step`'s own frame, so that most
+instructions cost one Python call, their execute-table entry (indexed by the
+decoded `Instruction.op`). `step` counts the commit, reads operands, writes
+the result an add, sub, mul or addi entry returns (wrapped to 32 bits), and
+fetches from the queue's front thread when it is resumable, or not
+fetch-blocked with its line resident by the I-probe memo
+(`MemorySystem.last_probe`). The rest runs only where it is needed: `_retire`
+for a halt or a traced run, `_suspend` when an operand is not ready,
+`_set_reg` (which faults) when a one-cycle result meets a cell that is not
+FULL, the memory system for a load or store, and `fetch_select` when a switch
+hint rotates the queue or the memo does not show the front thread fetchable.
 
 A core is stepped only while it is awake: while a thread is queued or a latch
 holds an instruction. It joins the chip's awake list (kept in ascending core
@@ -39,7 +43,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
-from itertools import islice
 from operator import attrgetter
 
 from .errors import SimFault
@@ -111,6 +114,9 @@ class Core:
         self.cid = cid
         self.chip = chip
         self.instructions = chip.program.instructions
+        # the I-probe memo, read by fetch (see MemorySystem.icache_probe)
+        self._last_probe = chip.memory.last_probe
+        self._line_bytes = chip.memory.config.line_bytes
         self.traced = chip.config.trace     # retire every commit, not just halts
         self.contexts: dict[int, ThreadContext] = {}
         # free slots, smallest first: released ones on a heap, then the
@@ -173,8 +179,9 @@ class Core:
         self.writeback(self.contexts[slot], CHANNEL_CELL, value)
 
     def _set_reg(self, ctx, reg, value):
-        # same-cycle completion of a one-cycle result: the ordinary register
-        # write, into a cell the read stage has already seen FULL
+        # same-cycle completion of a one-cycle result into a cell the read
+        # stage has already seen FULL: getidx and a plain getsh write here,
+        # and step's own write of an add/sub/mul/addi result faults here
         if reg == 0:
             return
         if ctx.state[reg] != FULL:
@@ -231,21 +238,25 @@ class Core:
                 queue.append(slot)
         if not queue:
             return None
-        contexts = self.contexts
-        probe = self.chip.memory.icache_probe
-        # the usual answer: the thread in front, which stays in front
-        slot = queue[0]
-        ctx = contexts[slot]
-        if ctx.resume is not None or not ctx.fetch_blocked \
-                and probe(self.cid, ctx.pc, cycle):
-            return slot
-        for k, slot in enumerate(islice(queue, 1, None), 1):
+        contexts, last_probe, cid = self.contexts, self._last_probe, self.cid
+        # the first thread that is resumable, or not fetch-blocked with its
+        # I-line resident; the probe is called only where its memo does not
+        # hold the line, and a miss there requests the fill
+        for k in range(len(queue)):
+            slot = queue[k]
             ctx = contexts[slot]
-            if ctx.resume is not None or not ctx.fetch_blocked \
-                    and probe(self.cid, ctx.pc, cycle):
+            if ctx.resume is None:
+                if ctx.fetch_blocked:
+                    continue
+                last = last_probe[cid]
+                if last is not None and last[0] == ctx.pc * 4 // self._line_bytes:
+                    if not last[1]:
+                        continue
+                elif not self.chip.memory.icache_probe(cid, ctx.pc, cycle):
+                    continue
+            if k:
                 queue.rotate(-k)
-                return slot
-            # miss: the probe has requested the fill; try the next thread
+            return slot
         return None
 
     def _remove_from_queue(self, slot):
@@ -339,7 +350,17 @@ class Core:
                 self._store(m, cycle)
         e = self.e
         if e is not None:
-            EXECUTE[e.instr.op](self, e)
+            result = EXECUTE[e.instr.op](self, e)
+            if result is not None:
+                # a one-cycle result, wrapped to 32 bits and written into a
+                # cell the read stage saw FULL (r0 stays 0)
+                dst = e.instr.dst
+                if dst:
+                    ctx = e.ctx
+                    if ctx.state[dst] != FULL:
+                        self._set_reg(ctx, dst, result)     # faults
+                    ctx.value[dst] = result if -0x80000000 <= result \
+                        <= 0x7FFFFFFF else s32(result)
         # read: take the operand values, or suspend on the first cell that is
         # not FULL (sources first, then a PENDING destination)
         r = self.r
@@ -371,11 +392,29 @@ class Core:
         self.w, self.m, self.e, self.r, self.d = m, e, r, d, self.f
         self.f = None
 
-        slot = self.fetch_select(cycle)
+        # fetch: the queue's front thread, if it is resumable or if it is not
+        # fetch-blocked and the probe memo holds its line as resident; else
+        # fetch_select, which also applies a pending rotation (one names a
+        # queued thread, so an empty queue has none)
+        queue = self.queue
+        slot = None
+        if queue:
+            if self._rotate_pending is None:
+                slot = queue[0]
+                ctx = self.contexts[slot]
+                if ctx.resume is None:
+                    last = self._last_probe[self.cid]
+                    if ctx.fetch_blocked or last is None or not last[1] \
+                            or last[0] != ctx.pc * 4 // self._line_bytes:
+                        slot = None
+            if slot is None:
+                slot = self.fetch_select(cycle)
+                if slot is not None:
+                    ctx = self.contexts[slot]
         if slot is None:
             if self.contexts:
                 self.metrics.bubbles += 1
-            if self.queue or self.d is not None or self.r is not None \
+            if queue or self.d is not None or self.r is not None \
                     or self.e is not None or self.m is not None \
                     or self.w is not None:
                 return True
@@ -383,7 +422,6 @@ class Core:
             if self.contexts:
                 self.idle_since = cycle + 1
             return False
-        ctx = self.contexts[slot]
         if ctx.resume is not None:
             inf, ctx.resume = ctx.resume, None
         else:
@@ -401,25 +439,27 @@ class Core:
 
 
 # -- execute stage: one entry per opcode ---------------------------------------------
+# An entry returns the raw result of a one-cycle operation, which step wraps and
+# writes to the destination; every other entry returns None.
 
 
 def _add(core, inf):
     v = inf.vals
-    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] + v[1]))
+    return v[0] + v[1]
 
 
 def _sub(core, inf):
     v = inf.vals
-    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] - v[1]))
+    return v[0] - v[1]
 
 
 def _mul(core, inf):
     v = inf.vals
-    core._set_reg(inf.ctx, inf.instr.dst, s32(v[0] * v[1]))
+    return v[0] * v[1]
 
 
 def _addi(core, inf):
-    core._set_reg(inf.ctx, inf.instr.dst, s32(inf.vals[0] + inf.instr.imm))
+    return inf.vals[0] + inf.instr.imm
 
 
 def _ld(core, inf):

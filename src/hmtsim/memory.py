@@ -70,9 +70,10 @@ class MemorySystem:
         self.fills: dict[int, tuple[list, list]] = {}
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_pending: set[tuple[int, int]] = set()
-        # per core: (line, resident) of the last I-cache probe, until the
-        # next fill into that core's I-tags
-        self._last_probe: list[tuple[int, bool] | None] = [None] * n_cores
+        # per core: (line, resident) of the core's last I-cache probe, None
+        # after a fill into its I-tags; icache_probe's memo, public so that
+        # fetch can read a remembered answer without the call
+        self.last_probe: list[tuple[int, bool] | None] = [None] * n_cores
 
     # -- word access ---------------------------------------------------------
 
@@ -194,10 +195,12 @@ class MemorySystem:
         Probing the line of the core's previous probe again, with no fill
         into its I-tags since, changes nothing: the line is still most
         recently used (or still on its way in), and each fetch-ahead line is
-        still resident or pending. That probe returns the remembered answer.
+        still resident or pending. That probe returns the remembered answer,
+        `last_probe[core]`, which a caller may read itself: when it holds
+        (line, resident) for pc's line, the probe's answer is resident.
         """
         line = (pc * 4) // self.config.line_bytes
-        last = self._last_probe[core]
+        last = self.last_probe[core]
         if last is not None and last[0] == line:
             return last[1]
         tags = self._itags[core]
@@ -208,7 +211,7 @@ class MemorySystem:
             self._request_i_fill(core, line, cycle)
         for ahead in range(1, self.PREFETCH_LINES + 1):
             self._request_i_fill(core, line + ahead, cycle)
-        self._last_probe[core] = (line, resident)
+        self.last_probe[core] = (line, resident)
         return resident
 
     # -- split-phase completion -------------------------------------------------
@@ -227,7 +230,7 @@ class MemorySystem:
             self._i_pending.discard(key)
             core, line = key
             self._install(self._itags[core], line, self.config.i_lines)
-            self._last_probe[core] = None
+            self.last_probe[core] = None
         out = []
         for fill in d_fills:
             del self._d_pending[(fill.core, fill.line)]

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING, InFlight
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
+from hmtsim.memory import MemorySystem
 from hmtsim.sim import Chip, ChipConfig, run
 
 
@@ -249,6 +250,81 @@ def test_set_reg_on_pending_cell_faults():
     core._mark_pending(ctx, 4)
     with pytest.raises(SimFault, match="non-full cell r4"):
         core._set_reg(ctx, 4, 7)
+
+
+def test_step_one_cycle_write_to_pending_cell_faults():
+    # step writes the results of add/sub/mul/addi itself; a PENDING
+    # destination there faults through _set_reg's guard
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    core._mark_pending(ctx, 4)
+    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
+    inf.vals = [3, 4]
+    core.e = inf
+    with pytest.raises(SimFault, match="non-full cell r4"):
+        core.step(0)
+
+
+def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    for dst, vals, want in ((5, [0x7FFFFFFF, 1], -0x80000000),
+                            (6, [-0x80000000, -1], 0x7FFFFFFF),
+                            (7, [2, 3], 5), (0, [2, 3], 0)):
+        inf = InFlight(ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2),
+                       0)
+        inf.vals = vals
+        core.e = inf
+        core.step(0)
+        assert ctx.value[dst] == want
+
+
+def test_step_fetches_front_thread_once_its_pending_line_is_installed(
+        monkeypatch):
+    # the front thread's line misses; step reads the probe memo (not
+    # resident) until the fill installs the line and clears the memo, then
+    # fetches in that same cycle, after one probe on either side
+    probes = []
+    probe = MemorySystem.icache_probe
+
+    def record_probe(memory, core, pc, cycle):
+        probes.append(cycle)
+        return probe(memory, core, pc, cycle)
+
+    monkeypatch.setattr(MemorySystem, "icache_probe", record_probe)
+    chip = make_chip()
+    core, memory = chip.cores[0], chip.memory
+    spawn(chip, 1)
+    due = chip.config.cache.i_miss_latency
+    for cycle in range(due + 1):
+        if cycle in memory.fills:
+            memory.step(cycle)
+        core.step(cycle)
+        assert (core.f is not None) == (cycle == due)
+    assert probes == [0, due]
+    assert memory.last_probe[0] == (0, True)
+
+
+def test_step_fetches_past_blocked_front_thread_as_fetch_select_does():
+    picks, queues = [], []
+    for through_step in (True, False):
+        chip = make_chip()
+        core = chip.cores[0]
+        a, b, c = spawn(chip, 3)
+        chip.memory.icache_probe(0, 0, 0)       # warm the shared line
+        for cycle in range(11):
+            chip.memory.step(cycle)
+        a.fetch_blocked = True
+        if through_step:
+            core.step(11)
+            picks.append(core.f.ctx.slot)
+        else:
+            picks.append(core.fetch_select(11))
+        queues.append(list(core.queue))
+    assert picks == [b.slot, b.slot]
+    assert queues == [[b.slot, c.slot, a.slot]] * 2
 
 
 def test_pending_cap_is_structural():
