@@ -74,6 +74,7 @@ class MemorySystem:
         # after a fill into its I-tags; icache_probe's memo, public so that
         # fetch can read a remembered answer without the call
         self.last_probe: list[tuple[int, bool] | None] = [None] * n_cores
+        self._fetch_ahead = min(self.PREFETCH_LINES, config.i_lines - 1)
 
     # -- word access ---------------------------------------------------------
 
@@ -177,7 +178,10 @@ class MemorySystem:
 
     # Fetch-ahead distance: enough lines in flight that straight-line code
     # streams at one instruction per cycle (line consumption takes
-    # line_bytes/4 cycles against i_miss_latency of fill time).
+    # line_bytes/4 cycles against i_miss_latency of fill time). A probe
+    # requests at most i_lines - 1 of them: the fills of one probe complete
+    # together, and with more lines than the I-cache holds, installing them
+    # would evict the demand line before fetch could use it.
     PREFETCH_LINES = 3
 
     def _request_i_fill(self, core: int, line: int, cycle: int):
@@ -190,7 +194,8 @@ class MemorySystem:
 
     def icache_probe(self, core: int, pc: int, cycle: int) -> bool:
         """True if the line holding pc is resident; otherwise start a fill.
-        Either way, fetch-ahead keeps the next few lines on the way in.
+        Either way, fetch-ahead keeps the next PREFETCH_LINES lines on the
+        way in, or i_lines - 1 of them in a smaller I-cache.
 
         Probing the line of the core's previous probe again, with no fill
         into its I-tags since, changes nothing: the line is still most
@@ -209,7 +214,7 @@ class MemorySystem:
             tags.move_to_end(line)
         else:
             self._request_i_fill(core, line, cycle)
-        for ahead in range(1, self.PREFETCH_LINES + 1):
+        for ahead in range(1, self._fetch_ahead + 1):
             self._request_i_fill(core, line + ahead, cycle)
         self.last_probe[core] = (line, resident)
         return resident

@@ -11,6 +11,7 @@ from hmtsim.kernels import (
     kernel_regular,
     kernel_starvation,
 )
+from hmtsim.memory import CacheConfig
 from hmtsim.oracle import sequential_oracle
 from hmtsim.sim import ChipConfig, Outcome, run
 
@@ -116,6 +117,25 @@ def test_starvation_probe_scales_with_cores():
         res = run(ChipConfig(p=p, starvation_window=400, starvation_check=32,
                              watchdog_cycles=200_000), spec.program)
         assert res.outcome is Outcome.DEADLOCK_STARVATION, p
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+def test_corpus_completes_with_a_tiny_icache(lines):
+    # fetch-ahead is capped at i_lines - 1, so its fills never evict the
+    # demand line they arrive with
+    for spec in corpus():
+        res = run(ChipConfig(p=2, cache=CacheConfig(i_lines=lines,
+                                                    d_lines=lines),
+                             watchdog_cycles=200_000), spec.program)
+        assert res.outcome is Outcome.COMPLETED, (spec.name, lines)
+        assert res.final_memory == spec.expected_image(), (spec.name, lines)
+
+
+def test_one_line_icache_run_pinned():
+    res = run(ChipConfig(p=2, cache=CacheConfig(i_lines=1, d_lines=1)),
+              kernel_regular().program)
+    assert res.outcome is Outcome.COMPLETED
+    assert (res.metrics.cycles, res.metrics.i_misses) == (9604, 1255)
 
 
 def test_every_spec_expected_is_oracle_output():
