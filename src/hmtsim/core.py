@@ -21,13 +21,16 @@ The common path of a cycle runs in `step`'s own frame, so that most
 instructions cost one Python call, their execute-table entry (indexed by the
 decoded `Instruction.op`). `step` counts the commit, reads operands, writes
 the result an add, sub, mul or addi entry returns (wrapped to 32 bits), and
-fetches from the queue's front thread when it is resumable, or not
-fetch-blocked with its line resident by the I-probe memo
-(`MemorySystem.last_probe`). The rest runs only where it is needed: `_retire`
-for a halt or a traced run, `_suspend` when an operand is not ready,
-`_set_reg` (which faults) when a one-cycle result meets a cell that is not
-FULL, the memory system for a load or store, and `fetch_select` when a switch
-hint rotates the queue or the memo does not show the front thread fetchable.
+fetches. Fetch is one walk of the schedule queue, after any pending
+switch-hint rotation: the first thread that is resumable, or not
+fetch-blocked with its I-line resident, is rotated to the front and fetched
+from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
+line already probed since the last I-fill into this core, with a recency
+touch (`MemorySystem.i_touch`) for a resident one, and from
+`MemorySystem.icache_probe` otherwise. The rest runs only where it is
+needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
+not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
+that is not FULL, and the memory system for a load or store.
 
 A core is stepped only while it is awake: while a thread is queued or a latch
 holds an instruction. It joins the chip's awake list (kept in ascending core
@@ -114,8 +117,10 @@ class Core:
         self.cid = cid
         self.chip = chip
         self.instructions = chip.program.instructions
-        # the I-probe memo, read by fetch (see MemorySystem.icache_probe)
-        self._last_probe = chip.memory.last_probe
+        # this core's I-probe memo and I-line recency touch, read by fetch
+        # (see MemorySystem.icache_probe)
+        self._probed = chip.memory.i_probed[cid]
+        self._touch = chip.memory.i_touch[cid]
         self._line_bytes = chip.memory.config.line_bytes
         self.traced = chip.config.trace     # retire every commit, not just halts
         self.contexts: dict[int, ThreadContext] = {}
@@ -220,44 +225,7 @@ class Core:
             self.metrics.bubbles += end - self.idle_since
             self.idle_since = None
 
-    # -- fetch ---------------------------------------------------------------------
-
-    def fetch_select(self, cycle: int):
-        """Pick the thread to fetch from this cycle, honoring switch hints and
-        I-cache residency. Rotates the queue so the chosen thread stays in
-        front for subsequent cycles."""
-        queue = self.queue
-        if self._rotate_pending is not None:
-            slot = self._rotate_pending
-            self._rotate_pending = None
-            try:
-                queue.remove(slot)
-            except ValueError:
-                pass
-            else:
-                queue.append(slot)
-        if not queue:
-            return None
-        contexts, last_probe, cid = self.contexts, self._last_probe, self.cid
-        # the first thread that is resumable, or not fetch-blocked with its
-        # I-line resident; the probe is called only where its memo does not
-        # hold the line, and a miss there requests the fill
-        for k in range(len(queue)):
-            slot = queue[k]
-            ctx = contexts[slot]
-            if ctx.resume is None:
-                if ctx.fetch_blocked:
-                    continue
-                last = last_probe[cid]
-                if last is not None and last[0] == ctx.pc * 4 // self._line_bytes:
-                    if not last[1]:
-                        continue
-                elif not self.chip.memory.icache_probe(cid, ctx.pc, cycle):
-                    continue
-            if k:
-                queue.rotate(-k)
-            return slot
-        return None
+    # -- queue -----------------------------------------------------------------
 
     def _remove_from_queue(self, slot):
         try:
@@ -392,25 +360,41 @@ class Core:
         self.w, self.m, self.e, self.r, self.d = m, e, r, d, self.f
         self.f = None
 
-        # fetch: the queue's front thread, if it is resumable or if it is not
-        # fetch-blocked and the probe memo holds its line as resident; else
-        # fetch_select, which also applies a pending rotation (one names a
-        # queued thread, so an empty queue has none)
+        # fetch: apply a pending switch-hint rotation (it names a queued
+        # thread), then take the first thread in queue order that is
+        # resumable, or not fetch-blocked with its I-line resident, and
+        # rotate it to the front. The probe memo answers for a line probed
+        # since the last I-fill into this core, and a line it does not hold
+        # is probed, which requests its fill on a miss.
         queue = self.queue
-        slot = None
-        if queue:
-            if self._rotate_pending is None:
-                slot = queue[0]
-                ctx = self.contexts[slot]
-                if ctx.resume is None:
-                    last = self._last_probe[self.cid]
-                    if ctx.fetch_blocked or last is None or not last[1] \
-                            or last[0] != ctx.pc * 4 // self._line_bytes:
-                        slot = None
-            if slot is None:
-                slot = self.fetch_select(cycle)
-                if slot is not None:
-                    ctx = self.contexts[slot]
+        slot = self._rotate_pending
+        if slot is not None:
+            self._rotate_pending = None
+            queue.remove(slot)
+            queue.append(slot)
+            slot = None
+        contexts, probed = self.contexts, self._probed
+        k = 0
+        for s in queue:
+            ctx = contexts[s]
+            if ctx.resume is None:
+                if ctx.fetch_blocked:
+                    k += 1
+                    continue
+                line = ctx.pc * 4 // self._line_bytes
+                resident = probed.get(line)
+                if resident is None:
+                    resident = self.chip.memory.icache_probe(self.cid, ctx.pc,
+                                                             cycle)
+                elif resident:
+                    self._touch(line)
+                if not resident:
+                    k += 1
+                    continue
+            if k:
+                queue.rotate(-k)
+            slot = s
+            break
         if slot is None:
             if self.contexts:
                 self.metrics.bubbles += 1

@@ -70,10 +70,18 @@ class MemorySystem:
         self.fills: dict[int, tuple[list, list]] = {}
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_pending: set[tuple[int, int]] = set()
-        # per core: (line, resident) of the core's last I-cache probe, None
-        # after a fill into its I-tags; icache_probe's memo, public so that
-        # fetch can read a remembered answer without the call
-        self.last_probe: list[tuple[int, bool] | None] = [None] * n_cores
+        # icache_probe's memo, public so that fetch reads it without the
+        # call. Per core: line -> resident, for every line probed since the
+        # last I-fill into the core's I-tags, which empties it. An entry
+        # stays true until then, because I-lines are evicted only when a
+        # fill is installed: a resident line stays resident, a pending one
+        # stays pending, and so do the fetch-ahead lines its probe
+        # requested. Probing it again would only mark the line most
+        # recently used, so a hit on a resident line must still do that,
+        # with i_touch[core](line) (the I-tags' move_to_end), for each
+        # install to evict the same victim.
+        self.i_probed: list[dict[int, bool]] = [{} for _ in range(n_cores)]
+        self.i_touch = [tags.move_to_end for tags in self._itags]
         self._fetch_ahead = min(self.PREFETCH_LINES, config.i_lines - 1)
 
     # -- word access ---------------------------------------------------------
@@ -197,26 +205,24 @@ class MemorySystem:
         Either way, fetch-ahead keeps the next PREFETCH_LINES lines on the
         way in, or i_lines - 1 of them in a smaller I-cache.
 
-        Probing the line of the core's previous probe again, with no fill
-        into its I-tags since, changes nothing: the line is still most
-        recently used (or still on its way in), and each fetch-ahead line is
-        still resident or pending. That probe returns the remembered answer,
-        `last_probe[core]`, which a caller may read itself: when it holds
-        (line, resident) for pc's line, the probe's answer is resident.
+        A resident line is marked most recently used. A line already in the
+        memo, `i_probed[core]`, gets its remembered answer and requests
+        nothing: with no fill into the core's I-tags since its probe, it is
+        still resident or still pending, and so is each of its fetch-ahead
+        lines. A caller may read the memo itself, if it marks a resident
+        line used as this does.
         """
         line = (pc * 4) // self.config.line_bytes
-        last = self.last_probe[core]
-        if last is not None and last[0] == line:
-            return last[1]
-        tags = self._itags[core]
-        resident = line in tags
+        probed = self.i_probed[core]
+        resident = probed.get(line)
+        if resident is None:
+            resident = probed[line] = line in self._itags[core]
+            if not resident:
+                self._request_i_fill(core, line, cycle)
+            for ahead in range(1, self._fetch_ahead + 1):
+                self._request_i_fill(core, line + ahead, cycle)
         if resident:
-            tags.move_to_end(line)
-        else:
-            self._request_i_fill(core, line, cycle)
-        for ahead in range(1, self._fetch_ahead + 1):
-            self._request_i_fill(core, line + ahead, cycle)
-        self.last_probe[core] = (line, resident)
+            self.i_touch[core](line)
         return resident
 
     # -- split-phase completion -------------------------------------------------
@@ -235,7 +241,7 @@ class MemorySystem:
             self._i_pending.discard(key)
             core, line = key
             self._install(self._itags[core], line, self.config.i_lines)
-            self.last_probe[core] = None
+            self.i_probed[core].clear()
         out = []
         for fill in d_fills:
             del self._d_pending[(fill.core, fill.line)]

@@ -35,23 +35,35 @@ def read_stage(core, inf, cycle=0):
     return tuple(inf.vals) if core.e is inf else None
 
 
+# non-blocking instructions from pc 0 through pc 1000, so that a thread can
+# fetch wherever a test starts it
+STRAIGHT = ".body main\n" + "  addi r1, r1, 1\n" * 1001 + "  halt"
+
+
+def fetch_stage(core, cycle):
+    """Step core through one cycle: the slot of the thread it fetched, or
+    None if it fetched nothing."""
+    core.step(cycle)
+    return core.f.ctx.slot if core.f is not None else None
+
+
 HINTED_ADD = Instruction(Opcode.ADD, dst=1, src1=1, src2=1, switch_hint=True)
 PLAIN_ADD = Instruction(Opcode.ADD, dst=1, src1=1, src2=1)
 
 
 def test_fetch_select_single_thread_resident():
-    chip = make_chip()
+    chip = make_chip(STRAIGHT)
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     chip.memory.icache_probe(0, 0, 0)
     for c in range(11):
         chip.memory.step(c)
-    assert core.fetch_select(11) == ctx.slot
+    assert fetch_stage(core, 11) == ctx.slot
 
 
 def test_fetch_skips_missing_line_and_requests_fill():
     # thread A sits at a cold line far away; thread B's line is warm
-    chip = make_chip()
+    chip = make_chip(STRAIGHT)
     core = chip.cores[0]
     a, b = spawn(chip, 2)
     a.pc = 1000
@@ -59,14 +71,14 @@ def test_fetch_skips_missing_line_and_requests_fill():
     chip.memory.icache_probe(0, 0, 0)          # warm B's line
     for c in range(11):
         chip.memory.step(c)
-    assert core.fetch_select(11) == b.slot
+    assert fetch_stage(core, 11) == b.slot
     assert (0, a_line) in chip.memory._i_pending   # fill requested for A
     for c in range(11, 25):
         chip.memory.step(c)
     # B holds the front until its own switch event; once it blocks, A runs
-    assert core.fetch_select(25) == b.slot
+    assert fetch_stage(core, 25) == b.slot
     b.fetch_blocked = True
-    assert core.fetch_select(26) == a.slot
+    assert fetch_stage(core, 26) == a.slot
 
 
 def test_hinted_rotation_barrel_order():
@@ -304,27 +316,78 @@ def test_step_fetches_front_thread_once_its_pending_line_is_installed(
         core.step(cycle)
         assert (core.f is not None) == (cycle == due)
     assert probes == [0, due]
-    assert memory.last_probe[0] == (0, True)
+    assert memory.i_probed[0] == {0: True}
 
 
 def test_step_fetches_past_blocked_front_thread_as_fetch_select_does():
-    picks, queues = [], []
-    for through_step in (True, False):
-        chip = make_chip()
-        core = chip.cores[0]
-        a, b, c = spawn(chip, 3)
-        chip.memory.icache_probe(0, 0, 0)       # warm the shared line
-        for cycle in range(11):
-            chip.memory.step(cycle)
-        a.fetch_blocked = True
-        if through_step:
-            core.step(11)
-            picks.append(core.f.ctx.slot)
-        else:
-            picks.append(core.fetch_select(11))
-        queues.append(list(core.queue))
-    assert picks == [b.slot, b.slot]
-    assert queues == [[b.slot, c.slot, a.slot]] * 2
+    chip = make_chip(STRAIGHT)
+    core = chip.cores[0]
+    a, b, c = spawn(chip, 3)
+    chip.memory.icache_probe(0, 0, 0)       # warm the shared line
+    for cycle in range(11):
+        chip.memory.step(cycle)
+    a.fetch_blocked = True
+    assert fetch_stage(core, 11) == b.slot
+    assert list(core.queue) == [b.slot, c.slot, a.slot]
+
+
+# two threads whose jumps to themselves block their fetch until decode
+# resolves them, so fetch alternates between them and their two lines
+TWO_LOOPS = """
+.body main
+a:
+  jmp a
+  halt
+  halt
+  halt
+b:
+  jmp b
+"""
+
+
+def test_fetch_probes_each_line_once_between_fills_into_its_core(
+        monkeypatch):
+    probes = []
+    probe = MemorySystem.icache_probe
+
+    def record_probe(memory, core, pc, cycle):
+        probes.append((cycle, core, pc * 4 // 16))
+        return probe(memory, core, pc, cycle)
+
+    chip = make_chip(TWO_LOOPS, p=2)
+    core, memory = chip.cores[0], chip.memory
+    a, b = spawn(chip, 2)
+    b.pc = 4
+    # warm lines 0 and 1, and the fetch-ahead lines their probes request
+    warm = {0: 0, 11: 4}                    # cycle -> pc
+    for cycle in range(22):
+        if cycle in warm:
+            probe(memory, 0, warm[cycle], cycle)
+        if cycle in memory.fills:
+            memory.step(cycle)
+    monkeypatch.setattr(MemorySystem, "icache_probe", record_probe)
+
+    lines = []
+
+    def run_core(cycles):
+        for cycle in cycles:
+            if cycle in memory.fills:
+                memory.step(cycle)
+            fetch_stage(core, cycle)
+            lines.append(core.f.pc // 4)
+            # a memo hit still marks the fetched line most recently used
+            assert next(reversed(memory._itags[0])) == lines[-1]
+
+    run_core(range(22, 42))
+    assert lines == [0, 1] * 10
+    assert probes == [(22, 0, 0), (23, 0, 1)]
+    probe(memory, 1, 400, 42)               # a fill into core 1
+    run_core(range(42, 57))
+    assert probes == [(22, 0, 0), (23, 0, 1)]
+    probe(memory, 0, 400, 57)               # a fill into core 0, due at 67
+    run_core(range(57, 71))
+    assert probes[2:] == [(67, 0, lines[67 - 22]), (68, 0, lines[68 - 22])]
+    assert lines == [0, 1] * 24 + [0]
 
 
 def test_pending_cap_is_structural():

@@ -132,7 +132,7 @@ def test_corpus_completes_with_a_tiny_icache(lines):
 
 
 @pytest.mark.parametrize("lines, cycles, i_misses", [
-    (1, 9604, 1255), (2, 7029, 1041), (3, 4444, 941)])
+    (1, 9604, 1255), (2, 7029, 1041), (3, 4444, 941)], ids=["1", "2", "3"])
 def test_one_line_icache_run_pinned(lines, cycles, i_misses):
     # with two or three I-lines the LRU victim of each install decides what
     # misses next, so these pin the recency order of the I-tags as well

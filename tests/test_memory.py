@@ -164,6 +164,24 @@ def test_icache_probe_and_single_fill():
     assert ms.icache_probe(0, 3, 10) is True   # 4 instructions per 16B line
 
 
+def test_icache_probe_memo_answers_and_marks_resident_lines_used():
+    ms = make(i_miss_latency=10)
+    ms.icache_probe(0, 0, 0)                   # lines 0..3 on their way in
+    for c in range(11):
+        ms.step(c)
+    misses = ms.stats.i_misses
+    for pc in (0, 4, 0):                       # lines 0, 1, then 0 again
+        assert ms.icache_probe(0, pc, 11) is True
+    assert ms.i_probed[0] == {0: True, 1: True}
+    # the memo's answer for line 0 still made it most recently used, and
+    # requested nothing: line 1's fetch-ahead line 4 was requested once
+    assert next(reversed(ms._itags[0])) == 0
+    assert ms.stats.i_misses == misses + 1
+    for c in range(11, 22):
+        ms.step(c)
+    assert ms.i_probed[0] == {}                # emptied by line 4's fill
+
+
 def test_i_and_d_fills_due_together_complete_i_first_then_d_in_issue_order():
     ms = make(cores=1, d_miss_latency=10, i_miss_latency=10)
     delivered = []
