@@ -360,20 +360,19 @@ class Core:
         self.w, self.m, self.e, self.r, self.d = m, e, r, d, self.f
         self.f = None
 
-        # fetch: apply a pending switch-hint rotation (it names a queued
-        # thread), then take the first thread in queue order that is
-        # resumable, or not fetch-blocked with its I-line resident, and
-        # rotate it to the front. The probe memo answers for a line probed
-        # since the last I-fill into this core, and a line it does not hold
-        # is probed, which requests its fill on a miss.
+        # fetch: after any pending switch-hint rotation (it names a queued
+        # thread), the first thread in queue order that is resumable, or not
+        # fetch-blocked with its I-line resident, is rotated to the front.
+        # The memo answers for a line probed since the last I-fill into this
+        # core; any other line is probed, which requests it on a miss.
         queue = self.queue
-        slot = self._rotate_pending
-        if slot is not None:
+        rotated = self._rotate_pending
+        if rotated is not None:
             self._rotate_pending = None
-            queue.remove(slot)
-            queue.append(slot)
-            slot = None
+            queue.remove(rotated)
+            queue.append(rotated)
         contexts, probed = self.contexts, self._probed
+        slot = None
         k = 0
         for s in queue:
             ctx = contexts[s]
