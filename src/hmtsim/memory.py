@@ -209,8 +209,8 @@ class MemorySystem:
         memo, `i_probed[core]`, gets its remembered answer and requests
         nothing: with no fill into the core's I-tags since its probe, it is
         still resident or still pending, and so is each of its fetch-ahead
-        lines. A caller may read the memo itself, if it marks a resident
-        line used as this does.
+        lines. A caller may read the memo itself, provided it marks a
+        resident line used with `i_touch[core]`, as this does.
         """
         line = (pc * 4) // self.config.line_bytes
         probed = self.i_probed[core]
