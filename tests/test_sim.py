@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from hmtsim.isa import assemble
-from hmtsim.kernels import kernel_chain, kernel_regular, kernel_starvation
+from hmtsim.kernels import (kernel_chain, kernel_heterogeneous, kernel_loaduse,
+                            kernel_regular, kernel_starvation)
 from hmtsim.oracle import sequential_oracle
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
@@ -605,3 +606,176 @@ def test_tmus_run_the_cycle_after_their_requests_in_core_order(monkeypatch):
     for c, cid in set(queued):
         per_cycle.setdefault(c, []).append(cid)
     assert any(len(cids) > 1 for cids in per_cycle.values())
+
+
+# -- runs whose deciding event falls while one core is the only awake core ----
+
+# main spins alone, then faults on an unaligned load
+SPIN_FAULT = """
+.body main
+  addi r1, r0, 200
+loop:
+  addi r1, r1, -1
+  bne r1, r0, loop
+  addi r2, r0, 2
+  ld r3, 0(r2)
+  halt
+"""
+
+# a two-thread family over two cores: thread {faulting} spins alone and then
+# faults, while the other core idles with main suspended on its sync and the
+# other thread waiting on a channel value that never comes
+LONE_FAULT = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  addi r6, r0, {faulting}
+  bne r5, r6, wait
+  addi r7, r0, 100
+spin:
+  addi r7, r7, -1
+  bne r7, r0, spin
+  ld r6, 2(r0)
+  halt
+wait:
+  getsh r8
+  halt
+"""
+
+# main halts without syncing its family, so the root family completes while
+# the family's thread is still spinning on the same core
+ROOT_DONE_EARLY = """
+.body main
+  allocate r1, 1
+  addi r10, r0, 0
+  addi r11, r0, 0
+  create r2, r1, w, 0, 1, 1
+  addi r5, r0, 60
+wait:
+  addi r5, r5, -1
+  bne r5, r0, wait
+  halt
+.body w
+  addi r3, r0, 300
+spin:
+  addi r3, r3, -1
+  bne r3, r0, spin
+  halt
+"""
+
+
+# main spins alone, then waits on a channel value that never comes
+SPIN_DEADLOCK = """
+.body main
+  addi r1, r0, 200
+loop:
+  addi r1, r1, -1
+  bne r1, r0, loop
+  getsh r2
+  halt
+"""
+
+# main asks for more cores than there are and spins alone between denials,
+# so the starvation check fires while it spins
+STARVE_BACKOFF = """
+.body main
+retry:
+  allocate r1, 2
+  beq r1, r0, backoff
+  release r1
+  halt
+backoff:
+  addi r2, r0, 300
+wait:
+  addi r2, r2, -1
+  bne r2, r0, wait
+  jmp retry
+"""
+
+
+def _miss_latency(n):
+    return dict(p=1, cache=CacheConfig(d_miss_latency=n, i_miss_latency=n))
+
+
+# (id, program factory, config fields, outcome, cycles, per-core bubbles,
+# traced result_hash); scripts/stress_grid.py runs these too
+LONE_CORE_RUNS = [
+    ("watchdog-p1", lambda: kernel_heterogeneous().program,
+     dict(p=1, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997, [10],
+     "b4cf058d3a03331536e1c5be32ddf0557acdbe36b0980fe3dd831a83f8412fae"),
+    ("fault-p1", lambda: assemble(SPIN_FAULT), dict(p=1), Outcome.FAULT,
+     1017, [613],
+     "3f9f7246ab8683a3c4db311ebfd9f533fdb40b6628fa2b2b9fed33cf72066b15"),
+    ("fault-p2-core0", lambda: assemble(LONE_FAULT.format(faulting=0)),
+     dict(p=2), Outcome.FAULT, 535, [317, 506],
+     "db8227cfa60845ddaa67d38570a07320de35aa1e75baef66e415d6ffaca06841"),
+    ("fault-p2-core1", lambda: assemble(LONE_FAULT.format(faulting=1)),
+     dict(p=2), Outcome.FAULT, 546, [530, 316],
+     "400878cffc2078ce0f244bb72b38ea125e55fef0c26ad50441139d938d87c9c6"),
+    ("fills-latency-1", lambda: kernel_loaduse(threads=2, iters=4).program,
+     _miss_latency(1), Outcome.COMPLETED, 565, [117],
+     "e5aef24f774ce3f5b7990e28f040a5a3abae19958499bf689eeb1647a4c75299"),
+    ("fills-latency-3", lambda: kernel_loaduse(threads=2, iters=4).program,
+     _miss_latency(3), Outcome.COMPLETED, 590, [139],
+     "a5e1473de32513a3c8329301074e9e5f60267f34741d488258a5031429c3455c"),
+    ("fills-latency-40", lambda: kernel_loaduse(threads=2, iters=4).program,
+     _miss_latency(40), Outcome.COMPLETED, 766, [316],
+     "d914e8596325ff825b16b489db02cfc107ddaa8ac8fbb322724bdd8848d6628b"),
+    ("deadlock-p1", lambda: assemble(SPIN_DEADLOCK),
+     dict(p=1, watchdog_cycles=100_000),
+     Outcome.DEADLOCK_DATAFLOW, 1023, [620],
+     "a9fceda6bf980410d79737f90f34cb92668ba1fb1b3d86f4ced36d45d1030d97"),
+    ("starvation-p1", lambda: assemble(STARVE_BACKOFF),
+     dict(p=1, watchdog_cycles=100_000),
+     Outcome.DEADLOCK_STARVATION, 2048, [1233],
+     "a853479fd9b8adc1bd115b3a3db83abc68d598daa644b4b87e90491ee5123925"),
+    ("root-done-early-p1", lambda: assemble(ROOT_DONE_EARLY), dict(p=1),
+     Outcome.COMPLETED, 330, [77],
+     "8e461492665b7bdd527a098e43f75f77e737da2057bbba99d8354c63ed4db718"),
+]
+
+
+@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
+                         [run[1:] for run in LONE_CORE_RUNS],
+                         ids=[run[0] for run in LONE_CORE_RUNS])
+def test_lone_core_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
+    res = run(ChipConfig(trace=True, **cfg), make())
+    assert res.outcome is outcome
+    assert res.metrics.cycles == cycles
+    assert [c.bubbles for c in res.metrics.per_core] == bubbles
+    assert res.result_hash() == digest
+
+
+# (id, program factory, traced result_hash) of completed p=1 runs, which
+# starvation_check 1, 7 and 128 must all leave unchanged;
+# scripts/stress_grid.py runs these too
+STARVATION_CHECK_RUNS = [
+    ("regular", lambda: kernel_regular(n=32).program,
+     "4f5c15a828eb970f548257725700eb11d8c1b351689ed34f3955d86431534e84"),
+    ("heterogeneous", lambda: kernel_heterogeneous(n=16).program,
+     "d6cb56e9e9672d89f773e96d0fd4d4df531a860f80b064169bd592b157621373"),
+    ("chain", lambda: kernel_chain(n=24).program,
+     "5a94bf7bad6ed1ba9fbd0be9c763b32cb7399caf217450140d7fcf971c509294"),
+    ("loaduse", lambda: kernel_loaduse(threads=2, iters=4).program,
+     "5d412f836d0b9f932b52f3b64de8156daa421f37a79eb7d6d17b81d6551a15bf"),
+    ("starvation_ok", lambda: kernel_starvation(1, satisfiable=True).program,
+     "6c9d2ff19b5a3246e54923a78a3f00a23f3e6aa990b7f1c3e2c5528544e1d066"),
+]
+STARVATION_CHECKS = (1, 7, 128)
+
+
+@pytest.mark.parametrize("make, digest",
+                         [run[1:] for run in STARVATION_CHECK_RUNS],
+                         ids=[run[0] for run in STARVATION_CHECK_RUNS])
+def test_completed_p1_hash_independent_of_starvation_check(make, digest):
+    program = make()
+    for check in STARVATION_CHECKS:
+        res = run(ChipConfig(p=1, starvation_check=check, trace=True), program)
+        assert res.outcome is Outcome.COMPLETED
+        assert res.result_hash() == digest
