@@ -17,6 +17,12 @@ A thread's register window is flat: two 33-entry lists, `state` and `value`
 Waiter lists exist only on demand: `waiters` maps a register to the
 instructions parked on it, from the first park until the writeback wakes them.
 
+An instruction in flight is a plain tuple. From fetch to the read stage it is
+`(ctx, instr, pc)`; the read stage replaces it with `(ctx, instr, pc, vals)`,
+its operand values, which execute, memory and writeback carry. A parked
+waiter and a thread's `resume` hold the 3-tuple, and an execute-table entry
+is called with `(core, ctx, instr, pc, vals)`.
+
 The common path of a cycle runs in `step`'s own frame, so that most
 instructions cost one Python call, their execute-table entry (indexed by the
 decoded `Instruction.op`). `step` counts the commit, reads operands, writes
@@ -35,10 +41,19 @@ that is not FULL, and the memory system for a load or store.
 A core is stepped only while it is awake: while a thread is queued or a latch
 holds an instruction. It joins the chip's awake list (kept in ascending core
 id) when a thread starts or is woken, which are the only ways anything
-outside its own step gives it work, and leaves it when a step ends with
+outside its own step gives it work, and leaves it when a cycle ends with
 nothing queued and every latch empty. An idle core that still holds threads
 counts one bubble per cycle: it remembers the cycle it went idle and adds
 those bubbles at once when it wakes or the run ends.
+
+`step(cycle, stop)` runs cycle after cycle in one call, with the latches,
+the commit and bubble counts and the core's invariants in locals, and
+returns the next cycle to run. It stops at the first of: `stop`; the core
+going idle, off the awake list; a TMU request it queued (`chip.busy_tmus` is
+no longer empty); a next cycle that is a key of `memory.fills` or
+`noc.arrivals`. Before each further cycle it sets `chip.cycle`, which
+load-hit callbacks and `_enlist` read. The chip loop passes `stop = cycle +
+1` unless this core is the only awake one (see `sim.py`).
 """
 
 from __future__ import annotations
@@ -79,7 +94,7 @@ class ThreadContext:
         if channel_value is not None:
             self.state[CHANNEL_CELL] = FULL
             self.value[CHANNEL_CELL] = channel_value
-        self.waiters = {}           # register -> parked InFlights, FIFO
+        self.waiters = {}           # register -> parked instructions, FIFO
         # register -> family its PENDING cell waits on (sync, getsh of a
         # tail) or None, set as it turns PENDING; read by deadlock diagnosis
         self.waits_on = {}
@@ -88,18 +103,6 @@ class ThreadContext:
         self.resume = None
         self.pending_cells = 0
         self.last_denial = -1
-
-
-class InFlight:
-    """One instruction occupying a pipeline latch."""
-
-    __slots__ = ("ctx", "instr", "pc", "vals")
-
-    def __init__(self, ctx, instr, pc):
-        self.ctx = ctx
-        self.instr = instr
-        self.pc = pc
-        self.vals = None
 
 
 class CoreMetrics:
@@ -204,8 +207,8 @@ class Core:
         if ctx.pending_cells > self.chip.max_pending:
             self.chip.max_pending = ctx.pending_cells
 
-    def _wake(self, inf: InFlight):
-        ctx = inf.ctx
+    def _wake(self, inf: tuple):
+        ctx = inf[0]
         ctx.suspended = False
         ctx.resume = inf
         self.queue.append(ctx.slot)
@@ -237,17 +240,17 @@ class Core:
 
     # -- read stage (its ready path runs in step) ----------------------------------
 
-    def _suspend(self, inf: InFlight, cell: int):
-        """Park inf on a cell that is not ready: its thread leaves the queue and
-        its younger instructions are flushed."""
-        ctx = inf.ctx
+    def _suspend(self, inf: tuple, cell: int):
+        """Park inf, a (ctx, instr, pc) tuple, on a cell that is not ready: its
+        thread leaves the queue and its younger instructions are flushed."""
+        ctx, instr, pc = inf
         ctx.waiters.setdefault(cell, []).append(inf)
         ctx.suspended = True
         self._remove_from_queue(ctx.slot)
-        self.flush_younger(ctx, inf.pc + 1)
+        self.flush_younger(ctx, pc + 1)
         # a fetch block imposed by a younger, now-flushed control transfer
         # must not outlive it; a suspended branch keeps its own block
-        if not inf.instr.is_branch:
+        if not instr.is_branch:
             ctx.fetch_blocked = False
 
     def flush_younger(self, ctx, restart_pc: int) -> int:
@@ -255,10 +258,10 @@ class Core:
         its pc at the suspended instruction's successor (the suspended
         instruction itself re-enters at wakeup)."""
         n = 0
-        if self.f is not None and self.f.ctx is ctx:
+        if self.f is not None and self.f[0] is ctx:
             self.f = None
             n += 1
-        if self.d is not None and self.d.ctx is ctx:
+        if self.d is not None and self.d[0] is ctx:
             self.d = None
             n += 1
         ctx.pc = restart_pc
@@ -267,10 +270,9 @@ class Core:
 
     # -- memory stage ---------------------------------------------------------------
 
-    def _load(self, inf: InFlight, cycle: int):
-        instr = inf.instr
-        ctx = inf.ctx
-        addr = s32(inf.vals[0] + instr.imm)
+    def _load(self, inf: tuple, cycle: int):
+        ctx, instr, _, vals = inf
+        addr = s32(vals[0] + instr.imm)
         dst = instr.dst
 
         def deliver(value, ctx=ctx, dst=dst):
@@ -281,144 +283,166 @@ class Core:
             deliver = lambda value: None
         self.chip.memory.load(self.cid, addr, ctx.fid, cycle, deliver)
 
-    def _store(self, inf: InFlight, cycle: int):
-        addr = s32(inf.vals[1] + inf.instr.imm)
-        self.chip.memory.store(self.cid, addr, inf.vals[0], inf.ctx.fid, cycle)
+    def _store(self, inf: tuple, cycle: int):
+        ctx, instr, _, vals = inf
+        addr = s32(vals[1] + instr.imm)
+        self.chip.memory.store(self.cid, addr, vals[0], ctx.fid, cycle)
 
     # -- retirement -------------------------------------------------------------------
 
-    def _retire(self, inf: InFlight, cycle: int):
+    def _retire(self, inf: tuple, cycle: int):
         """Trace a commit and terminate a halting thread; step counts it."""
-        ctx = inf.ctx
+        ctx, instr, pc, _ = inf
         chip = self.chip
         if chip.trace is not None:
             chip.trace.append((cycle, self.cid, ctx.slot, ctx.fid,
-                               ctx.logical_index, inf.pc, inf.instr.mnemonic))
-        if inf.instr.is_halt:
+                               ctx.logical_index, pc, instr.mnemonic))
+        if instr.is_halt:
             self._remove_from_queue(ctx.slot)
             del self.contexts[ctx.slot]
             tmu = chip.tmus[self.cid]
             tmu.enqueue(tmu.terminated, ctx.slot, ctx.fid, ctx.position)
 
-    # -- one cycle ----------------------------------------------------------------------
+    # -- cycles ---------------------------------------------------------------------------
 
-    def step(self, cycle: int) -> bool:
-        """Advance one cycle; returns whether the core is still awake."""
-        w = self.w
-        if w is not None:
-            self.metrics.commits += 1
-            if w.instr.is_halt or self.traced:
-                self._retire(w, cycle)
-        m = self.m
-        if m is not None:
-            instr = m.instr
-            if instr.is_load:
-                self._load(m, cycle)
-            elif instr.is_store:
-                self._store(m, cycle)
-        e = self.e
-        if e is not None:
-            result = EXECUTE[e.instr.op](self, e)
-            if result is not None:
-                # a one-cycle result, wrapped to 32 bits and written into a
-                # cell the read stage saw FULL (r0 stays 0)
-                dst = e.instr.dst
-                if dst:
-                    ctx = e.ctx
-                    if ctx.state[dst] != FULL:
-                        self._set_reg(ctx, dst, result)     # faults
-                    ctx.value[dst] = result if -0x80000000 <= result \
-                        <= 0x7FFFFFFF else s32(result)
-        # read: take the operand values, or suspend on the first cell that is
-        # not FULL (sources first, then a PENDING destination)
-        r = self.r
-        if r is not None:
-            instr = r.instr
-            ctx = r.ctx
-            state, value = ctx.state, ctx.value
-            vals = []
-            for idx in instr.source_cells:
-                if state[idx] != FULL:
-                    self._suspend(r, idx)
-                    r = None
+    def step(self, cycle: int, stop: int) -> int:
+        """Run cycles from cycle until stop, until the core goes idle, or until
+        the next cycle has work outside the core (a request it queued for a
+        TMU, a fill due, a message arriving); returns the next cycle to run."""
+        chip = self.chip
+        memory = chip.memory
+        fills, arrivals = memory.fills, chip.noc.arrivals
+        cid, queue, contexts = self.cid, self.queue, self.contexts
+        probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
+        instructions, traced, metrics = self.instructions, self.traced, \
+            self.metrics
+        busy_tmus = chip.busy_tmus
+        f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
+        commits = bubbles = 0
+        try:
+            while True:
+                if w is not None:
+                    commits += 1
+                    if w[1].is_halt or traced:
+                        self._retire(w, cycle)
+                if m is not None:
+                    instr = m[1]
+                    if instr.is_load:
+                        self._load(m, cycle)
+                    elif instr.is_store:
+                        self._store(m, cycle)
+                if e is not None:
+                    ctx, instr, pc, vals = e
+                    result = EXECUTE[instr.op](self, ctx, instr, pc, vals)
+                    if result is not None:
+                        # a one-cycle result, wrapped to 32 bits and written
+                        # into a cell the read stage saw FULL (r0 stays 0)
+                        dst = instr.dst
+                        if dst:
+                            if ctx.state[dst] != FULL:
+                                self._set_reg(ctx, dst, result)     # faults
+                            ctx.value[dst] = result if -0x80000000 <= \
+                                result <= 0x7FFFFFFF else s32(result)
+                # read: take the operand values, or suspend on the first cell
+                # that is not FULL (sources first, then a PENDING destination)
+                if r is not None:
+                    ctx, instr, pc = r
+                    state, value = ctx.state, ctx.value
+                    vals = []
+                    for cell in instr.source_cells:
+                        if state[cell] != FULL:
+                            break
+                        vals.append(value[cell])
+                    else:
+                        cell = instr.dst
+                        if not cell or state[cell] != PENDING:
+                            cell = None
+                    if cell is None:
+                        r = (ctx, instr, pc, vals)
+                    else:
+                        # the flush reads and clears the fetch and decode
+                        # latches
+                        self.f, self.d = f, d
+                        self._suspend(r, cell)
+                        f, d, r = self.f, self.d, None
+                if d is not None:
+                    instr = d[1]
+                    if instr.is_jump:
+                        ctx = d[0]
+                        ctx.pc = instr.imm
+                        ctx.fetch_blocked = False
+
+                # advance the latches one stage
+                w, m, e, r, d = m, e, r, d, f
+
+                # fetch: after any pending switch-hint rotation (it names a
+                # queued thread), the first thread in queue order that is
+                # resumable, or not fetch-blocked with its I-line resident, is
+                # rotated to the front. The memo answers for a line probed
+                # since the last I-fill into this core; any other line is
+                # probed, which requests it on a miss.
+                rotated = self._rotate_pending
+                if rotated is not None:
+                    self._rotate_pending = None
+                    queue.remove(rotated)
+                    queue.append(rotated)
+                slot = None
+                k = 0
+                for s in queue:
+                    ctx = contexts[s]
+                    if ctx.resume is None:
+                        if ctx.fetch_blocked:
+                            k += 1
+                            continue
+                        line = ctx.pc * 4 // line_bytes
+                        resident = probed.get(line)
+                        if resident is None:
+                            resident = memory.icache_probe(cid, ctx.pc, cycle)
+                        elif resident:
+                            touch(line)
+                        if not resident:
+                            k += 1
+                            continue
+                    if k:
+                        queue.rotate(-k)
+                    slot = s
                     break
-                vals.append(value[idx])
-            else:
-                dst = instr.dst
-                if dst and state[dst] == PENDING:
-                    self._suspend(r, dst)
-                    r = None
+                if slot is None:
+                    f = None
+                    if contexts:
+                        bubbles += 1
+                    if not queue and d is None and r is None and e is None \
+                            and m is None and w is None:
+                        self.awake = False
+                        if contexts:
+                            self.idle_since = cycle + 1
+                        return cycle + 1
                 else:
-                    r.vals = vals
-        d = self.d
-        if d is not None and d.instr.is_jump:
-            ctx = d.ctx
-            ctx.pc = d.instr.imm
-            ctx.fetch_blocked = False
+                    f = ctx.resume
+                    if f is None:
+                        pc = ctx.pc
+                        instr = instructions[pc]
+                        f = (ctx, instr, pc)
+                        if instr.ends_block:
+                            ctx.fetch_blocked = True
+                        else:
+                            ctx.pc = pc + 1
+                    else:
+                        ctx.resume = None
+                        instr = f[1]
+                    if instr.switch_hint:
+                        self._rotate_pending = slot
+                        metrics.switch_events += 1
 
-        # advance the latches one stage
-        self.w, self.m, self.e, self.r, self.d = m, e, r, d, self.f
-        self.f = None
-
-        # fetch: after any pending switch-hint rotation (it names a queued
-        # thread), the first thread in queue order that is resumable, or not
-        # fetch-blocked with its I-line resident, is rotated to the front.
-        # The memo answers for a line probed since the last I-fill into this
-        # core; any other line is probed, which requests it on a miss.
-        queue = self.queue
-        rotated = self._rotate_pending
-        if rotated is not None:
-            self._rotate_pending = None
-            queue.remove(rotated)
-            queue.append(rotated)
-        contexts, probed = self.contexts, self._probed
-        slot = None
-        k = 0
-        for s in queue:
-            ctx = contexts[s]
-            if ctx.resume is None:
-                if ctx.fetch_blocked:
-                    k += 1
-                    continue
-                line = ctx.pc * 4 // self._line_bytes
-                resident = probed.get(line)
-                if resident is None:
-                    resident = self.chip.memory.icache_probe(self.cid, ctx.pc,
-                                                             cycle)
-                elif resident:
-                    self._touch(line)
-                if not resident:
-                    k += 1
-                    continue
-            if k:
-                queue.rotate(-k)
-            slot = s
-            break
-        if slot is None:
-            if self.contexts:
-                self.metrics.bubbles += 1
-            if queue or self.d is not None or self.r is not None \
-                    or self.e is not None or self.m is not None \
-                    or self.w is not None:
-                return True
-            self.awake = False
-            if self.contexts:
-                self.idle_since = cycle + 1
-            return False
-        if ctx.resume is not None:
-            inf, ctx.resume = ctx.resume, None
-        else:
-            instr = self.instructions[ctx.pc]
-            inf = InFlight(ctx, instr, ctx.pc)
-            if instr.ends_block:
-                ctx.fetch_blocked = True
-            else:
-                ctx.pc += 1
-        if inf.instr.switch_hint:
-            self._rotate_pending = slot
-            self.metrics.switch_events += 1
-        self.f = inf
-        return True
+                cycle += 1
+                if cycle == stop or busy_tmus or cycle in fills \
+                        or cycle in arrivals:
+                    return cycle
+                chip.cycle = cycle
+        finally:
+            self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
+            metrics.commits += commits
+            metrics.bubbles += bubbles
 
 
 # -- execute stage: one entry per opcode ---------------------------------------------
@@ -426,55 +450,47 @@ class Core:
 # writes to the destination; every other entry returns None.
 
 
-def _add(core, inf):
-    v = inf.vals
+def _add(core, ctx, instr, pc, v):
     return v[0] + v[1]
 
 
-def _sub(core, inf):
-    v = inf.vals
+def _sub(core, ctx, instr, pc, v):
     return v[0] - v[1]
 
 
-def _mul(core, inf):
-    v = inf.vals
+def _mul(core, ctx, instr, pc, v):
     return v[0] * v[1]
 
 
-def _addi(core, inf):
-    return inf.vals[0] + inf.instr.imm
+def _addi(core, ctx, instr, pc, v):
+    return v[0] + instr.imm
 
 
-def _ld(core, inf):
-    core._mark_pending(inf.ctx, inf.instr.dst)
+def _ld(core, ctx, instr, pc, v):
+    core._mark_pending(ctx, instr.dst)
 
 
-def _nothing(core, inf):
+def _nothing(core, ctx, instr, pc, v):
     # st: the memory stage stores; jmp: resolved in decode; halt: retirement
     # drives termination
     pass
 
 
-def _beq(core, inf):
-    v = inf.vals
-    ctx = inf.ctx
-    ctx.pc = inf.instr.imm if v[0] == v[1] else inf.pc + 1
+def _beq(core, ctx, instr, pc, v):
+    ctx.pc = instr.imm if v[0] == v[1] else pc + 1
     ctx.fetch_blocked = False
 
 
-def _bne(core, inf):
-    v = inf.vals
-    ctx = inf.ctx
-    ctx.pc = inf.instr.imm if v[0] != v[1] else inf.pc + 1
+def _bne(core, ctx, instr, pc, v):
+    ctx.pc = instr.imm if v[0] != v[1] else pc + 1
     ctx.fetch_blocked = False
 
 
-def _getidx(core, inf):
-    core._set_reg(inf.ctx, inf.instr.dst, inf.ctx.logical_index)
+def _getidx(core, ctx, instr, pc, v):
+    core._set_reg(ctx, instr.dst, ctx.logical_index)
 
 
-def _getsh(core, inf):
-    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+def _getsh(core, ctx, instr, pc, v):
     if instr.src1 is None:
         core._set_reg(ctx, instr.dst, v[0])
     else:
@@ -483,25 +499,22 @@ def _getsh(core, inf):
         tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
 
 
-def _putsh(core, inf):
-    v = inf.vals
+def _putsh(core, ctx, instr, pc, v):
     tmu = core.chip.tmus[core.cid]
-    if inf.instr.src2 is None:
-        tmu.enqueue(tmu.putsh, inf.ctx, v[0])
+    if instr.src2 is None:
+        tmu.enqueue(tmu.putsh, ctx, v[0])
     else:
         tmu.enqueue(tmu.putsh_head, v[1], v[0])
 
 
-def _allocate(core, inf):
-    instr, ctx = inf.instr, inf.ctx
+def _allocate(core, ctx, instr, pc, v):
     core._mark_pending(ctx, instr.dst)
-    hint = inf.vals[0] if instr.src1 is not None else None
+    hint = v[0] if instr.src1 is not None else None
     tmu = core.chip.tmus[core.cid]
     tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
 
 
-def _create(core, inf):
-    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+def _create(core, ctx, instr, pc, v):
     core._mark_pending(ctx, instr.dst)
     seed = v[1] if instr.src2 is not None else None
     tmu = core.chip.tmus[core.cid]
@@ -509,16 +522,15 @@ def _create(core, inf):
                 instr.create_range, seed)
 
 
-def _sync(core, inf):
-    instr, ctx, v = inf.instr, inf.ctx, inf.vals
+def _sync(core, ctx, instr, pc, v):
     core._mark_pending(ctx, instr.dst, v[0])
     tmu = core.chip.tmus[core.cid]
     tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
 
 
-def _release(core, inf):
+def _release(core, ctx, instr, pc, v):
     tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.release, inf.vals[0])
+    tmu.enqueue(tmu.release, v[0])
 
 
 _EXECUTE_BY_OPCODE = {

@@ -22,21 +22,38 @@ work is one lookup per cycle:
 A core is awake while a thread is queued or a latch is occupied. It joins
 the list (kept in ascending core id) when a thread starts on it or a cell
 write wakes one of its threads, the only ways anything but its own step
-gives it work, and it leaves the list when its step ends with an empty queue
-and empty latches. No core's step wakes another core, so the list read at
+gives it work, and it leaves the list when one of its cycles ends with an
+empty queue and empty latches. No core's step wakes another core, so the list read at
 the start of the core phase holds exactly the cores with work that cycle;
 the phase rebuilds it only on a cycle when some core left. Requests are only
 queued in the core phase, so the busy TMU list likewise holds exactly the
 TMUs with work at the start of the next cycle's TMU phase.
 
+A core that is the only awake core runs ahead: one `Core.step` call runs its
+cycles up to the next multiple of `starvation_check` (or the watchdog), and
+returns early when the core goes idle, queues a TMU request, or the next
+cycle has a fill due or a message arriving; with two or more cores awake, or
+the root family complete, each step runs one cycle. The next cycle is the
+one the step returns. This is exact, cycle for cycle:
+
+- only the memory, NoC and TMU phases give a core work or complete the root
+  family, and the step returns before any cycle on which one of them has
+  work (a root family completed this cycle ends the run after it);
+- no core's step wakes another core, so the lone core stays alone;
+- quiescence needs an empty awake list, which the lone core leaves only by
+  returning;
+- starvation is tested only on multiples of `starvation_check`, where the
+  step returns, and the watchdog only at its deadline.
+
 An idle core whose threads are all suspended or fetch-blocked counts one
 bubble per cycle. It records the cycle it went idle and settles those
 bubbles in one addition: when it wakes, and on every way out of the main
 loop. A SimFault raised in a core's step ends the run part-way through the
-core phase: the idle cores with a lower id have already passed that cycle
-and count its bubble, those with a higher id have not. The system can only
-be quiescent when the awake list is empty, so Chip.quiescent() is consulted
-only then; it reads the two lists, the NoC's in-flight count and the fills.
+core phase of the cycle in `chip.cycle`: the idle cores with a lower id have
+already passed that cycle and count its bubble, those with a higher id have
+not. The system can only be quiescent when the awake list is empty, so
+Chip.quiescent() is consulted only then; it reads the two lists, the NoC's
+in-flight count and the fills.
 """
 
 from __future__ import annotations
@@ -327,8 +344,9 @@ def run(config: ChipConfig, program: Program,
     fault_cid = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
     fills, arrivals, root = memory.fills, noc.arrivals, chip.root
+    watchdog, check = config.watchdog_cycles, config.starvation_check
     try:
-        while cycle < config.watchdog_cycles:
+        while cycle < watchdog:
             chip.cycle = cycle
             if cycle in fills:
                 for cb, value in memory.step(cycle):
@@ -342,17 +360,26 @@ def run(config: ChipConfig, program: Program,
                     tmu.step(cycle)
             awake = chip.awake
             if awake:
+                # a lone core runs ahead (see the module docstring)
+                if len(awake) > 1 or root.completed:
+                    stop = cycle + 1
+                else:
+                    stop = min(watchdog, cycle - cycle % check + check)
                 left = False
                 try:
                     for core in awake:
-                        if not core.step(cycle):
+                        nxt = core.step(cycle, stop)
+                        if not core.awake:
                             left = True
                 except SimFault:
                     fault_cid = core.cid
+                    cycle = chip.cycle
                     raise
                 if left:
                     chip.awake = awake = [c for c in awake if c.awake]
-            cycle += 1
+                cycle = nxt
+            else:
+                cycle += 1
             if root.completed:
                 outcome = Outcome.COMPLETED
                 break
@@ -363,7 +390,7 @@ def run(config: ChipConfig, program: Program,
                                    "threads and unfinished root family")
                 outcome = Outcome.DEADLOCK_DATAFLOW
                 break
-            if cycle % config.starvation_check == 0:
+            if cycle % check == 0:
                 why = _check_starvation(chip, cycle)
                 if why is not None:
                     outcome = Outcome.DEADLOCK_STARVATION

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING, InFlight
+from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.memory import MemorySystem
@@ -28,11 +28,12 @@ def spawn(chip, n, pc=0):
 
 
 def read_stage(core, inf, cycle=0):
-    """Step inf through the read stage: its operand values, or None if it
-    suspended there instead of moving on to execute."""
+    """Step inf, a (ctx, instr, pc) tuple, through the read stage: its operand
+    values, or None if it suspended there instead of moving on to execute."""
     core.r = inf
-    core.step(cycle)
-    return tuple(inf.vals) if core.e is inf else None
+    core.step(cycle, cycle + 1)
+    e = core.e
+    return tuple(e[3]) if e is not None and e[:3] == inf else None
 
 
 # non-blocking instructions from pc 0 through pc 1000, so that a thread can
@@ -43,8 +44,8 @@ STRAIGHT = ".body main\n" + "  addi r1, r1, 1\n" * 1001 + "  halt"
 def fetch_stage(core, cycle):
     """Step core through one cycle: the slot of the thread it fetched, or
     None if it fetched nothing."""
-    core.step(cycle)
-    return core.f.ctx.slot if core.f is not None else None
+    core.step(cycle, cycle + 1)
+    return core.f[0].slot if core.f is not None else None
 
 
 HINTED_ADD = Instruction(Opcode.ADD, dst=1, src1=1, src2=1, switch_hint=True)
@@ -92,10 +93,10 @@ def test_hinted_rotation_barrel_order():
         # hand each thread its next hinted instruction
         for ctx in ctxs:
             if ctx.resume is None:
-                ctx.resume = InFlight(ctx, HINTED_ADD, 0)
-        core.step(cycle)
+                ctx.resume = (ctx, HINTED_ADD, 0)
+        core.step(cycle, cycle + 1)
         if core.f is not None:
-            order.append(core.f.ctx.slot)
+            order.append(core.f[0].slot)
     # hand-executed round-robin oracle
     slots = [c.slot for c in ctxs]
     assert order == [slots[i % 3] for i in range(len(order))]
@@ -128,7 +129,7 @@ def test_read_operands_ready_and_values():
     ctx, = spawn(chip, 1)
     ctx.value[2] = 21
     ctx.value[3] = 14
-    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
+    inf = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
     assert read_stage(core, inf) == (21, 14)
 
 
@@ -137,7 +138,7 @@ def test_read_operands_suspends_on_pending_source():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 2)
-    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
+    inf = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
     assert read_stage(core, inf) is None
     assert ctx.suspended
     assert ctx.waiters[2] == [inf]
@@ -149,7 +150,7 @@ def test_read_operands_suspends_on_empty_channel():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    inf = InFlight(ctx, Instruction(Opcode.GETSH, dst=4), 0)
+    inf = (ctx, Instruction(Opcode.GETSH, dst=4), 0)
     assert read_stage(core, inf) is None
     assert ctx.waiters[CHANNEL_CELL] == [inf]
     # PUTSH delivery wakes it again
@@ -163,7 +164,7 @@ def test_read_operands_suspends_on_busy_destination():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 1)
-    inf = InFlight(ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
+    inf = (ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
     assert read_stage(core, inf) is None
     assert ctx.waiters[1] == [inf]
 
@@ -178,15 +179,15 @@ def test_flush_younger_exhaustive_occupancy():
         for who in range(3):
             for latch, owner in zip("fdremw", pattern):
                 setattr(core, latch, None if owner is None else
-                        InFlight(ctxs[owner], PLAIN_ADD, 0))
+                        (ctxs[owner], PLAIN_ADD, 0))
             before = core.metrics.flushes
             expect = sum(1 for latch, owner in zip("fd", pattern[:2])
                          if owner == who)
             n = core.flush_younger(ctxs[who], 7)
             assert n == expect
             assert core.metrics.flushes - before == expect
-            assert (core.f is None or core.f.ctx is not ctxs[who])
-            assert (core.d is None or core.d.ctx is not ctxs[who])
+            assert (core.f is None or core.f[0] is not ctxs[who])
+            assert (core.d is None or core.d[0] is not ctxs[who])
             for latch, owner in zip("remw", pattern[2:]):
                 got = getattr(core, latch)
                 assert (got is None) == (owner is None)
@@ -199,7 +200,7 @@ def test_writeback_wakes_in_fifo_order():
     ctx, = spawn(chip, 1)
     ctx.state[5] = PENDING
     ctx.pending_cells = 1
-    infs = [InFlight(ctx, PLAIN_ADD, i) for i in range(4)]
+    infs = [(ctx, PLAIN_ADD, i) for i in range(4)]
     for inf in infs:
         ctx.waiters.setdefault(5, []).append(inf)
     woken = core.writeback(ctx, 5, 42)
@@ -217,7 +218,7 @@ def test_writeback_wake_order_matches_fifo_oracle(owners):
     target.pending_cells = 1
     fifo = []
     for i, owner in enumerate(owners):
-        inf = InFlight(ctxs[owner], PLAIN_ADD, i)
+        inf = (ctxs[owner], PLAIN_ADD, i)
         target.waiters.setdefault(9, []).append(inf)
         fifo.append(inf)
     assert core.writeback(target, 9, 1) == fifo
@@ -228,7 +229,7 @@ def test_woken_register_leaves_no_waiter_entry():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 2)
-    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
+    inf = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
     assert read_stage(core, inf) is None
     assert list(ctx.waiters) == [2]
     assert core.writeback(ctx, 2, 8) == [inf]
@@ -271,11 +272,9 @@ def test_step_one_cycle_write_to_pending_cell_faults():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 4)
-    inf = InFlight(ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
-    inf.vals = [3, 4]
-    core.e = inf
+    core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0, [3, 4])
     with pytest.raises(SimFault, match="non-full cell r4"):
-        core.step(0)
+        core.step(0, 1)
 
 
 def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
@@ -285,11 +284,9 @@ def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
     for dst, vals, want in ((5, [0x7FFFFFFF, 1], -0x80000000),
                             (6, [-0x80000000, -1], 0x7FFFFFFF),
                             (7, [2, 3], 5), (0, [2, 3], 0)):
-        inf = InFlight(ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2),
-                       0)
-        inf.vals = vals
-        core.e = inf
-        core.step(0)
+        core.e = (ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2), 0,
+                  vals)
+        core.step(0, 1)
         assert ctx.value[dst] == want
 
 
@@ -313,7 +310,7 @@ def test_step_fetches_front_thread_once_its_pending_line_is_installed(
     for cycle in range(due + 1):
         if cycle in memory.fills:
             memory.step(cycle)
-        core.step(cycle)
+        core.step(cycle, cycle + 1)
         assert (core.f is not None) == (cycle == due)
     assert probes == [0, due]
     assert memory.i_probed[0] == {0: True}
@@ -374,7 +371,7 @@ def test_fetch_probes_each_line_once_between_fills_into_its_core(
             if cycle in memory.fills:
                 memory.step(cycle)
             fetch_stage(core, cycle)
-            lines.append(core.f.pc // 4)
+            lines.append(core.f[2] // 4)
             # a memo hit still marks the fetched line most recently used
             assert next(reversed(memory._itags[0])) == lines[-1]
 
