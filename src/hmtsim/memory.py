@@ -164,14 +164,13 @@ class MemorySystem:
         if per_core is None:
             raise SimFault(f"flush of unknown epoch {epoch}")
         messages = 0
+        line_bytes = self.config.line_bytes
         for core in sorted(per_core):
             buffered = per_core[core]
-            lines = []
             for addr, value in buffered.items():
                 self._write_word(addr, value)
-                line = self._line(addr)
-                if line not in lines:
-                    lines.append(line)
+            # the dirty lines, in first-store order
+            lines = dict.fromkeys(addr // line_bytes for addr in buffered)
             messages += len(lines)
             for line in lines:
                 # the writer's own cached copy is stale too: drop silently

@@ -150,6 +150,28 @@ def test_flush_invalidates_remote_copies():
     assert ms.load(1, 0x100, 1, 31, collect(got)) == "miss"
 
 
+def test_flush_interleaved_stores_one_message_per_line_and_remote_copy():
+    # core 0 stores to lines A, B and C in interleaved order; cores 1 and 2
+    # hold copies of A and B, and core 0 of C
+    A, B, C, D = 0x100, 0x140, 0x200, 0x300
+    ms = make(bulk=True, cores=3)
+    for core, addr in ((1, A), (1, B), (1, D), (2, A), (0, C)):
+        ms.load(core, addr, 1, 0, lambda v: None)
+    for c in range(25):
+        ms.step(c)
+    ms.open_epoch(4)
+    for i, addr in enumerate((A, B, A + 4, C, B + 8, A + 8, C + 4, B)):
+        ms.store(0, addr, i + 1, 4, 30)
+    # three lines published, three remote copies dropped
+    assert ms.flush_epoch(4) == 6
+    assert ms.stats.propagation_messages == 6
+    assert list(ms._dtags[1]) == [D // 16]     # 16-byte lines
+    assert list(ms._dtags[2]) == []
+    assert list(ms._dtags[0]) == []      # the writer's own stale copy too
+    assert [ms._read_word(a) for a in (A, A + 4, A + 8, B, B + 8, C, C + 4)] \
+        == [1, 3, 6, 8, 5, 4, 7]
+
+
 def test_icache_probe_and_single_fill():
     ms = make(i_miss_latency=10)
     assert ms.icache_probe(0, 0, 0) is False
