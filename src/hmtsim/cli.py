@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -320,8 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process: building it costs about a millisecond, as much as
+# a small simulation, and parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -82,6 +82,33 @@ def test_invalid_program_exit_64(tmp_path, capsys):
     assert "unknown entry" in err
 
 
+def test_main_runs_commands_in_turn_in_one_process(regular_masm, capsys):
+    # main keeps one parser for the process; no command's flags may leak
+    # into the next
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain", "--cores",
+                             "1", "--hints", "on", "--coherency", "eager")
+    assert code == EXIT_OK and err == ""
+    assert [(r["kernel"], r["cores"], r["hints"], r["outcome"])
+            for r in csv.DictReader(io.StringIO(out))] == \
+        [("chain", "1", "on", "completed")]
+    code, out, err = run_cli(capsys, "run", "--program", regular_masm,
+                             "--cores", "2", "--hints", "off", "--format",
+                             "json")
+    assert code == EXIT_OK and err == ""
+    record, = json.loads(out)
+    assert (record["kernel"], record["cores"], record["hints"],
+            record["outcome"]) == ("regular", 2, "off", "completed")
+    code, out, err = run_cli(capsys, "run", "--program", regular_masm,
+                             "--no-such-flag")
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --no-such-flag" in err
+    code, out, err = run_cli(capsys, "run", "--program", regular_masm)
+    assert code == EXIT_OK and err == ""
+    row, = csv.DictReader(io.StringIO(out))
+    assert (row["cores"], row["hints"], row["outcome"]) == \
+        ("1", "on", "completed")
+
+
 def test_run_json_format(regular_masm, capsys):
     code, out, _ = run_cli(capsys, "run", "--program", regular_masm,
                            "--format", "json")
