@@ -12,11 +12,14 @@ results can be checked against its parent with
 
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
-300,000-cycle watchdog (480 runs), followed by the eight non-completed runs
-pinned in tests/test_sim.py: a core-1 fault, a p=2 deadlock, a p=2 starvation
-and a p=4 watchdog run, and the four waits-for deadlock diagnostics. Their
-programs are read from that file, so the script and the tests cannot drift.
-One pass takes 30-40 s on a 2-vCPU x86_64 VM with CPython 3.11.
+300,000-cycle watchdog (480 runs), followed by 33 runs pinned in
+tests/test_sim.py: the eight non-completed runs (a core-1 fault, a p=2
+deadlock, a p=2 starvation and a p=4 watchdog run, and the four waits-for
+deadlock diagnostics), the ten runs whose deciding event falls while one core
+is the only awake core, and five completed p=1 runs at starvation_check 1, 7
+and 128. Their programs and configurations are read from that file, so the
+script and the tests cannot drift. One pass takes 30-40 s on a 2-vCPU x86_64
+VM with CPython 3.11.
 """
 
 import importlib.util
@@ -49,7 +52,7 @@ def grid():
 
 
 def pinned():
-    """(label, config, program) for the non-completed runs of test_sim.py."""
+    """(label, config, program) for the runs pinned in test_sim.py."""
     path = ROOT / "tests" / "test_sim.py"
     loader = importlib.util.spec_from_file_location("pinned_runs", path)
     src = importlib.util.module_from_spec(loader)
@@ -67,6 +70,12 @@ def pinned():
             yield (f"{name}-deadlock-p{p}",
                    ChipConfig(p=p, watchdog_cycles=100_000, trace=True),
                    assemble(text))
+    for name, make, cfg, *_ in src.LONE_CORE_RUNS:
+        yield f"lone-{name}", ChipConfig(trace=True, **cfg), make()
+    for name, make, _ in src.STARVATION_CHECK_RUNS:
+        for check in src.STARVATION_CHECKS:
+            yield (f"{name}-p1-check{check}",
+                   ChipConfig(p=1, starvation_check=check, trace=True), make())
 
 
 def main():
