@@ -303,7 +303,7 @@ class Core:
             tmu = chip.tmus[self.cid]
             tmu.enqueue(tmu.terminated, ctx.slot, ctx.fid, ctx.position)
 
-    # -- cycles ---------------------------------------------------------------------------
+    # -- cycles -------------------------------------------------------------------------
 
     def step(self, cycle: int, stop: int) -> int:
         """Run cycles from cycle until stop, until the core goes idle, or until
