@@ -23,11 +23,11 @@ A core is awake while a thread is queued or a latch is occupied. It joins
 the list (kept in ascending core id) when a thread starts on it or a cell
 write wakes one of its threads, the only ways anything but its own step
 gives it work, and it leaves the list when one of its cycles ends with an
-empty queue and empty latches. No core's step wakes another core, so the list read at
-the start of the core phase holds exactly the cores with work that cycle;
-the phase rebuilds it only on a cycle when some core left. Requests are only
-queued in the core phase, so the busy TMU list likewise holds exactly the
-TMUs with work at the start of the next cycle's TMU phase.
+empty queue and empty latches. No core's step wakes another core, so the
+list read at the start of the core phase holds exactly the cores with work
+that cycle; the phase rebuilds it only on a cycle when some core left.
+Requests are only queued in the core phase, so the busy TMU list likewise
+holds exactly the TMUs with work at the start of the next cycle's TMU phase.
 
 A core that is the only awake core runs ahead: one `Core.step` call runs its
 cycles up to the next multiple of `starvation_check` (or the watchdog), and

@@ -623,8 +623,8 @@ loop:
 """
 
 # a two-thread family over two cores: thread {faulting} spins alone and then
-# faults, while the other core idles with main suspended on its sync and the
-# other thread waiting on a channel value that never comes
+# faults, while main waits on its sync and the other thread on a channel
+# value that never comes, so the other core idles
 LONE_FAULT = """
 .body main
   allocate r1, 2
