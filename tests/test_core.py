@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
-from hmtsim.memory import MemorySystem
+from hmtsim.memory import CacheConfig, MemorySystem
 from hmtsim.sim import Chip, ChipConfig, run
 
 
@@ -385,6 +385,73 @@ def test_fetch_probes_each_line_once_between_fills_into_its_core(
     run_core(range(57, 71))
     assert probes[2:] == [(67, 0, lines[67 - 22]), (68, 0, lines[68 - 22])]
     assert lines == [0, 1] * 24 + [0]
+
+
+# three loops of three addi and a jump, one per 16-byte I-line
+THREE_LINE_LOOPS = """
+.body main
+a:
+  addi r1, r1, 1
+  addi r1, r1, 1
+  addi r1, r1, 1
+  jmp a
+b:
+  addi r2, r2, 1
+  addi r2, r2, 1
+  addi r2, r2, 1
+  jmp b
+c:
+  addi r3, r3, 1
+  addi r3, r3, 1
+  addi r3, r3, 1
+  jmp c
+"""
+
+
+def test_one_step_call_equals_single_cycle_steps():
+    # three threads fetch from three lines through a two-line I-cache, so the
+    # line each I-fill evicts depends on the recency of every fetch; one call
+    # over many cycles must leave what as many one-cycle calls leave
+    def setup():
+        chip = make_chip(THREE_LINE_LOOPS, cache=CacheConfig(
+            i_lines=2, i_miss_latency=100))
+        memory = chip.memory
+        for ctx, pc in zip(spawn(chip, 3), (0, 4, 8)):
+            ctx.pc = pc
+        memory.icache_probe(0, 0, 0)        # lines 0 and 1, due at 100
+        memory.step(100)
+        return chip
+
+    def state(chip):
+        core, memory = chip.cores[0], chip.memory
+        latches = [None if x is None else (x[0].slot, x[2])
+                   for x in (core.f, core.d, core.r, core.e, core.m, core.w)]
+        m = core.metrics
+        return (list(memory._itags[0]), sorted(memory.fills),
+                [ctx.pc for ctx in core.contexts.values()], list(core.queue),
+                latches, (m.commits, m.bubbles, m.flushes, m.switch_events),
+                memory.stats.i_misses)
+
+    def advance(chip, cycle, stop, single):
+        memory = chip.memory
+        while cycle < stop:
+            chip.cycle = cycle
+            if cycle in memory.fills:
+                memory.step(cycle)
+            cycle = chip.cores[0].step(cycle, cycle + 1 if single else stop)
+        return cycle
+
+    whole, single = setup(), setup()
+    # no fill falls due in the first 60 cycles: one call runs them all
+    assert whole.cores[0].step(101, 161) == 161
+    advance(single, 101, 161, True)
+    assert state(whole) == state(single)
+    assert whole.cores[0].metrics.commits > 30
+    # then through fills that evict a line from the full I-cache
+    advance(whole, 161, 600, False)
+    advance(single, 161, 600, True)
+    assert state(whole) == state(single)
+    assert whole.memory.stats.i_misses > 4
 
 
 def test_pending_cap_is_structural():

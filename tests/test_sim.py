@@ -779,3 +779,118 @@ def test_completed_p1_hash_independent_of_starvation_check(make, digest):
         res = run(ChipConfig(p=1, starvation_check=check, trace=True), program)
         assert res.outcome is Outcome.COMPLETED
         assert res.result_hash() == digest
+
+
+# -- instructions that read a cell they also write ------------------------------
+
+# ld and st whose address register is also their destination or data; the
+# addi behind the st overwrites the st's operands while the st is still in
+# flight
+SELF_MEMORY = """
+.body main
+  addi r7, r0, 0x100
+  addi r8, r0, 0x108
+  st r8, 0(r7)
+  ld r7, 0(r7)
+  st r7, 4(r7)
+  addi r3, r0, 0x200
+  st r3, 0(r3)
+  addi r3, r0, 5
+  st r3, 0x204(r0)
+  halt
+"""
+
+# allocate, create and sync into the register they read, over every core; each
+# thread stores its slot address at that address and loads it back into the
+# same register
+SELF_FAMILY = """
+.body main
+  allocate r6, 0, r6
+  add r1, r6, r0
+  create r1, r1, w, 0, 6, 1
+  add r2, r1, r0
+  sync r2, r2
+  st r2, 0x300(r0)
+  halt
+.body w
+  getidx r1
+  addi r2, r0, 4
+  mul r3, r1, r2
+  addi r3, r3, 0x400
+  st r3, 0(r3)
+  ld r3, 0(r3)
+  st r1, 0x40(r3)
+  halt
+"""
+
+# a seeded channel chain whose tail main reads into the register that held
+# the family id
+SELF_TAIL = """
+.body main
+  allocate r1, 0
+  addi r2, r0, 10
+  create r3, r1, w, 0, 4, 1, r2
+  add r4, r3, r0
+  getsh r3, r3
+  sync r5, r4
+  add r0, r5, r0
+  st r3, 0x500(r0)
+  release r1
+  halt
+.body w
+  getsh r1
+  getidx r2
+  add r1, r1, r2
+  putsh r1
+  halt
+"""
+
+# (id, program text, {(p, coherency): traced result_hash});
+# scripts/stress_grid.py runs these too
+SELF_OPERAND_RUNS = [
+    ("memory", SELF_MEMORY, {
+        (1, "eager"):
+            "4029a03166586a2cfb17984503fdbc2f715c796f5b1defb0863e9dda234afae8",
+        (1, "bulk"):
+            "780a333d12d3ae05fb803e06801a494bc3cfcb303255e97f72bec1363d4ee66b",
+        (2, "eager"):
+            "8e2e85016c5d89bd2481469538544402a1848f9428c33bf6d47a91c85f23e1c6",
+        (2, "bulk"):
+            "811718a61b22cfbf158576e8962a5439112e0ed69d2c13d66a14eab351da8f7f",
+    }),
+    ("family", SELF_FAMILY, {
+        (1, "eager"):
+            "0843eb1e0e71c5d865c8cc54444276b4a0b3f9653ea896b008ffc9a1ae2d95f6",
+        (1, "bulk"):
+            "52c37a0d6b9152c1fa46d15fccee6910a2c1a0262ca536d52ba45cc5ad23654d",
+        (2, "eager"):
+            "7a5a5f510c47266093d0732e897c2f8b5c9c02373e02f31cf509d5d4f8353b3f",
+        (2, "bulk"):
+            "4a2accd80432c8d798cdd31309365d6766188789b4f9f1b31aa0f5b963da0123",
+    }),
+    ("tail", SELF_TAIL, {
+        (1, "eager"):
+            "ae66e1fa53515fabb2787ba2a3aec9d70021e5eb33911254614e558d9655934a",
+        (1, "bulk"):
+            "ae66e1fa53515fabb2787ba2a3aec9d70021e5eb33911254614e558d9655934a",
+        (2, "eager"):
+            "062f0097a9efd05a742e3a4f565a1df66a79fc216ebadb5446cb45bcc1fb98df",
+        (2, "bulk"):
+            "062f0097a9efd05a742e3a4f565a1df66a79fc216ebadb5446cb45bcc1fb98df",
+    }),
+]
+SELF_OPERAND_CONFIGS = [(p, coherency) for p in (1, 2)
+                        for coherency in ("eager", "bulk")]
+
+
+@pytest.mark.parametrize("text, digests",
+                         [run[1:] for run in SELF_OPERAND_RUNS],
+                         ids=[run[0] for run in SELF_OPERAND_RUNS])
+def test_self_operand_runs_match_oracle_pinned(text, digests):
+    program = assemble(text)
+    image = sequential_oracle(program).final_memory
+    for p, coherency in SELF_OPERAND_CONFIGS:
+        res = run(ChipConfig(p=p, coherency=coherency, trace=True), program)
+        assert res.outcome is Outcome.COMPLETED
+        assert res.final_memory == image
+        assert res.result_hash() == digests[p, coherency]
