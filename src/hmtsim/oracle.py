@@ -4,8 +4,11 @@ A program's meaning is defined by running it single-threaded: at every family
 creation the logical threads execute to completion in ascending index order,
 depth-first into sub-families at their creation points. Under that schedule a
 channel read always finds its producer already run, so no scheduling, caches
-or timing enter the semantics. The simulator's final memory must match this
-interpreter's bit for bit on every completed run.
+or timing enter the semantics. A run completes only when every family created
+in it has completed, whether or not any thread syncs it: here each family runs
+to its end at its creation point, and the simulator ends a run only once the
+last of its families has completed. The simulator's final memory must match
+this interpreter's bit for bit on every completed run.
 
 Kept deliberately free of any simulator machinery; this is the independent
 half of the dual-route check.

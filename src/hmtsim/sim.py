@@ -29,16 +29,24 @@ that cycle; the phase rebuilds it only on a cycle when some core left.
 Requests are only queued in the core phase, so the busy TMU list likewise
 holds exactly the TMUs with work at the start of the next cycle's TMU phase.
 
+A run completes only when every family created in it has completed: the
+root family, which runs `main`, and every family created since, synced or
+not. That is the sequential oracle's meaning, which runs each family to its
+end at its creation point. The chip counts the families not yet completed,
+and the run ends after the cycle whose TMU phase completes the last of them,
+then drains the NoC.
+
 A core that is the only awake core runs ahead: one `Core.step` call runs its
 cycles up to the next multiple of `starvation_check` (or the watchdog), and
 returns early when the core goes idle, queues a TMU request, or the next
-cycle has a fill due or a message arriving; with two or more cores awake, or
-the root family complete, each step runs one cycle. The next cycle is the
-one the step returns. This is exact, cycle for cycle:
+cycle has a fill due or a message arriving; with two or more cores awake,
+each step runs one cycle. The next cycle is the one the step returns. This
+is exact, cycle for cycle:
 
-- only the memory, NoC and TMU phases give a core work or complete the root
+- only the memory, NoC and TMU phases give a core work or complete a
   family, and the step returns before any cycle on which one of them has
-  work (a root family completed this cycle ends the run after it);
+  work; a core is awake only while one of its threads is live, so no core
+  is awake once every family has completed;
 - no core's step wakes another core, so the lone core stays alone;
 - quiescence needs an empty awake list, which the lone core leaves only by
   returning;
@@ -194,12 +202,12 @@ class Chip:
         self.tmus = [Tmu(c, self) for c in range(config.p)]
         self.busy_tmus: list[Tmu] = []  # TMUs with requests, ascending core id
         self.families: dict[int, Family] = {}
+        self.open_families = 0          # created and not yet completed
         self.allocations: dict = {}
         self._fid = 0
         self._aid = 0
         self._req = 0
         self._open_reqs: set[int] = set()
-        self.root: Family | None = None
         self.cycle = 0
         self.last_effect = 0
         self.max_pending = 0
@@ -211,6 +219,7 @@ class Chip:
         fam = Family(fid, owner, aid, entry, start, step, n, ranges={},
                      outstanding=n, creator=creator)
         self.families[fid] = fam
+        self.open_families += 1
         self.memory.open_epoch(fid)
         return fam
 
@@ -318,7 +327,6 @@ def _bootstrap_root(chip: Chip):
     fam = chip.new_family(owner=0, aid=None, entry="main", start=0, step=1,
                           n=1, creator=None)
     fam.ranges[0] = (0, 1)
-    chip.root = fam
     chip.tmus[0].on_create(fam.fid, 0, 1, 0)
 
 
@@ -343,7 +351,7 @@ def run(config: ChipConfig, program: Program,
     # already reached every core with a lower id
     fault_cid = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
-    fills, arrivals, root = memory.fills, noc.arrivals, chip.root
+    fills, arrivals = memory.fills, noc.arrivals
     watchdog, check = config.watchdog_cycles, config.starvation_check
     try:
         while cycle < watchdog:
@@ -361,7 +369,7 @@ def run(config: ChipConfig, program: Program,
             awake = chip.awake
             if awake:
                 # a lone core runs ahead (see the module docstring)
-                if len(awake) > 1 or root.completed:
+                if len(awake) > 1:
                     stop = cycle + 1
                 else:
                     stop = min(watchdog, cycle - cycle % check + check)
@@ -380,14 +388,14 @@ def run(config: ChipConfig, program: Program,
                 cycle = nxt
             else:
                 cycle += 1
-            if root.completed:
+            if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break
             if not awake and chip.quiescent():
                 diagnostic = detect_deadlock(chip)
                 if diagnostic is None:
                     raise SimFault("quiescent system with no suspended "
-                                   "threads and unfinished root family")
+                                   "threads and unfinished families")
                 outcome = Outcome.DEADLOCK_DATAFLOW
                 break
             if cycle % check == 0:

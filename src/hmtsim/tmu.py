@@ -397,6 +397,7 @@ class Tmu:
         # publish before anyone can observe completion: sync implies visibility
         chip.memory.flush_epoch(fam.fid, close=True)
         fam.completed = True
+        chip.open_families -= 1
         chip.last_effect = cycle
         if fam.sync_target is not None:
             self._fire_sync(fam, cycle)

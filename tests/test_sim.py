@@ -649,7 +649,8 @@ wait:
 """
 
 # main halts without syncing its family, so the root family completes while
-# the family's thread is still spinning on the same core
+# the family's thread is still spinning on the same core; the run ends only
+# when that family has completed too
 ROOT_DONE_EARLY = """
 .body main
   allocate r1, 1
@@ -736,8 +737,8 @@ LONE_CORE_RUNS = [
      Outcome.DEADLOCK_STARVATION, 2048, [1233],
      "a853479fd9b8adc1bd115b3a3db83abc68d598daa644b4b87e90491ee5123925"),
     ("root-done-early-p1", lambda: assemble(ROOT_DONE_EARLY), dict(p=1),
-     Outcome.COMPLETED, 330, [77],
-     "8e461492665b7bdd527a098e43f75f77e737da2057bbba99d8354c63ed4db718"),
+     Outcome.COMPLETED, 1533, [799],
+     "8cd87478eedb835891587caa70020fc37b1c5f858ed627a5d36d7a69aa0d18a0"),
 ]
 
 
@@ -779,6 +780,59 @@ def test_completed_p1_hash_independent_of_starvation_check(make, digest):
         res = run(ChipConfig(p=1, starvation_check=check, trace=True), program)
         assert res.outcome is Outcome.COMPLETED
         assert res.result_hash() == digest
+
+
+# -- a run completes only when every family has completed ---------------------
+
+# main creates a family and halts without syncing it; the family's thread
+# spins, then stores 7 at 0x400 (or, with {tail} set, waits on a channel value
+# that no thread sends)
+UNSYNCED = """
+.body main
+  allocate r1, 1
+  create r2, r1, w, 0, 1, 1
+  halt
+.body w
+  addi r3, r0, 300
+spin:
+  addi r3, r3, -1
+  bne r3, r0, spin
+  {tail}
+  addi r4, r0, 7
+  st r4, 0x400(r0)
+  halt
+"""
+
+
+@pytest.mark.parametrize("p", [1, 2, 8])
+@pytest.mark.parametrize("coherency", ["eager", "bulk"])
+def test_unsynced_family_runs_to_its_end(p, coherency):
+    program = assemble(UNSYNCED.format(tail=""))
+    res = run(ChipConfig(p=p, coherency=coherency), program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.final_memory == sequential_oracle(program).final_memory
+    assert res.final_memory[0x400:0x404] == (7).to_bytes(4, "little")
+
+
+def test_unsynced_family_runs_through_starvation_checks():
+    # the family spins alone past many checks, each one past the window, and
+    # none of them ends the run
+    program = assemble(UNSYNCED.format(tail=""))
+    res = run(ChipConfig(p=1, starvation_window=16, starvation_check=8),
+              program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.metrics.cycles > 64 * 8
+    assert res.final_memory == sequential_oracle(program).final_memory
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_unsynced_family_deadlock_after_main_halts(p):
+    res = run(ChipConfig(p=p, watchdog_cycles=100_000),
+              assemble(UNSYNCED.format(tail="getsh r5")))
+    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
+    assert res.diagnostic == "unsatisfiable waits: family 2 index 0"
+    assert res.metrics.cycles > 1000
+    assert res.final_memory is None
 
 
 # -- instructions that read a cell they also write ------------------------------
