@@ -12,28 +12,55 @@ flushed from the front of the pipe. The thread rejoins the schedule queue
 when the cell is written and the parked instruction is re-injected without an
 I-cache probe.
 
+The read stage checks cells only when one can fail the check. Registers
+r1..r31 start FULL and are not FULL only while PENDING, a thread's
+`pending_cells` counts exactly those cells, and only the channel cell can be
+EMPTY. So an instruction passes the read stage untouched when its thread has
+no pending cell and it does not read the channel (`Instruction.reads_channel`).
+Otherwise the read stage walks its cells: the first source that is not FULL,
+else a PENDING destination, is the cell it suspends on.
+
 A thread's register window is flat: two 33-entry lists, `state` and `value`
 (r0..r31, then the channel cell), copied from templates at thread start.
 Waiter lists exist only on demand: `waiters` maps a register to the
 instructions parked on it, from the first park until the writeback wakes them.
 
-An instruction in flight is a plain tuple. From fetch to the read stage it is
-`(ctx, instr, pc)`; the read stage replaces it with `(ctx, instr, pc, vals)`,
-its operand values, which execute, memory and writeback carry. A parked
-waiter and a thread's `resume` hold the 3-tuple, and an execute-table entry
-is called with `(core, ctx, instr, pc, vals)`.
+An instruction in flight is a plain tuple, `(ctx, instr, pc)`, from fetch to
+retirement; a parked waiter and a thread's `resume` hold the same tuple. No
+stage carries operand values: each consumer reads the cells it needs from
+`ctx.value` when it runs. An execute-table entry is called with `(core, ctx,
+instr, pc)` and reads its sources there; `_load` and `_store` read their
+address and data cells at the memory stage. That reads the values the read
+stage found FULL, because a cell that an instruction read as FULL keeps its
+value until that instruction has used it:
+
+- `writeback` faults on a write to a FULL cell, so no split-phase result
+  lands in it;
+- `_mark_pending` changes a cell's state, never its value, so an
+  instruction that marks its own source PENDING (`ld r7, 0(r7)`) still reads
+  the old value;
+- the thread's older instructions have all executed by its read stage, so
+  none of their one-cycle writes comes later;
+- its younger instructions execute after its memory stage in the same cycle,
+  because the stages run writeback, memory, execute, read, so a one-cycle
+  result they write comes after the last use.
 
 The common path of a cycle runs in `step`'s own frame, so that most
 instructions cost one Python call, their execute-table entry (indexed by the
-decoded `Instruction.op`). `step` counts the commit, reads operands, writes
-the result an add, sub, mul or addi entry returns (wrapped to 32 bits), and
-fetches. Fetch is one walk of the schedule queue, after any pending
-switch-hint rotation: the first thread that is resumable, or not
+decoded `Instruction.op`). `step` counts the commit, runs the read stage,
+writes the result an add, sub, mul or addi entry returns (wrapped to 32
+bits), and fetches. Fetch is one walk of the schedule queue, after any
+pending switch-hint rotation: the first thread that is resumable, or not
 fetch-blocked with its I-line resident, is rotated to the front and fetched
 from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
 line already probed since the last I-fill into this core, with a recency
 touch (`MemorySystem.i_touch`) for a resident one, and from
-`MemorySystem.icache_probe` otherwise. The rest runs only where it is
+`MemorySystem.icache_probe` otherwise. A thread whose pc lies on the line
+that the same `step` call last found resident, and fetched from, skips both:
+that line is still resident and still the most recently used, because no
+fill completes inside a call (it returns before any cycle with a fill due)
+and only fetch's own touches reorder the core's I-tags. The remembered line
+is reset at every call. The rest runs only where it is
 needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
@@ -199,8 +226,14 @@ class Core:
         ctx.value[reg] = value
 
     def _mark_pending(self, ctx, reg, waits_on=None):
+        # the read stage suspends on a PENDING destination, so reaching one
+        # here is a broken invariant, and pending_cells would overcount
         if reg == 0:
             return
+        if ctx.state[reg] == PENDING:
+            raise SimFault(
+                f"pending cell r{reg} of thread (family {ctx.fid}, index "
+                f"{ctx.logical_index}) marked pending again")
         ctx.state[reg] = PENDING
         ctx.waits_on[reg] = waits_on
         ctx.pending_cells += 1
@@ -271,8 +304,8 @@ class Core:
     # -- memory stage ---------------------------------------------------------------
 
     def _load(self, inf: tuple, cycle: int):
-        ctx, instr, _, vals = inf
-        addr = s32(vals[0] + instr.imm)
+        ctx, instr, _ = inf
+        addr = s32(ctx.value[instr.src1] + instr.imm)
         dst = instr.dst
 
         def deliver(value, ctx=ctx, dst=dst):
@@ -284,15 +317,17 @@ class Core:
         self.chip.memory.load(self.cid, addr, ctx.fid, cycle, deliver)
 
     def _store(self, inf: tuple, cycle: int):
-        ctx, instr, _, vals = inf
-        addr = s32(vals[1] + instr.imm)
-        self.chip.memory.store(self.cid, addr, vals[0], ctx.fid, cycle)
+        ctx, instr, _ = inf
+        value = ctx.value
+        addr = s32(value[instr.src2] + instr.imm)
+        self.chip.memory.store(self.cid, addr, value[instr.src1], ctx.fid,
+                               cycle)
 
     # -- retirement -------------------------------------------------------------------
 
     def _retire(self, inf: tuple, cycle: int):
         """Trace a commit and terminate a halting thread; step counts it."""
-        ctx, instr, pc, _ = inf
+        ctx, instr, pc = inf
         chip = self.chip
         if chip.trace is not None:
             chip.trace.append((cycle, self.cid, ctx.slot, ctx.fid,
@@ -319,6 +354,7 @@ class Core:
         busy_tmus = chip.busy_tmus
         f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
         commits = bubbles = 0
+        fetched_line = -1       # the line this call last found resident
         try:
             while True:
                 if w is not None:
@@ -332,8 +368,8 @@ class Core:
                     elif instr.is_store:
                         self._store(m, cycle)
                 if e is not None:
-                    ctx, instr, pc, vals = e
-                    result = EXECUTE[instr.op](self, ctx, instr, pc, vals)
+                    ctx, instr, pc = e
+                    result = EXECUTE[instr.op](self, ctx, instr, pc)
                     if result is not None:
                         # a one-cycle result, wrapped to 32 bits and written
                         # into a cell the read stage saw FULL (r0 stays 0)
@@ -343,28 +379,26 @@ class Core:
                                 self._set_reg(ctx, dst, result)     # faults
                             ctx.value[dst] = result if -0x80000000 <= \
                                 result <= 0x7FFFFFFF else s32(result)
-                # read: take the operand values, or suspend on the first cell
-                # that is not FULL (sources first, then a PENDING destination)
+                # read: with a pending cell in the thread, or a channel
+                # source, suspend on the first cell that is not FULL (sources
+                # first, then a PENDING destination); else pass untouched
                 if r is not None:
-                    ctx, instr, pc = r
-                    state, value = ctx.state, ctx.value
-                    vals = []
-                    for cell in instr.source_cells:
-                        if state[cell] != FULL:
-                            break
-                        vals.append(value[cell])
-                    else:
-                        cell = instr.dst
-                        if not cell or state[cell] != PENDING:
-                            cell = None
-                    if cell is None:
-                        r = (ctx, instr, pc, vals)
-                    else:
-                        # the flush reads and clears the fetch and decode
-                        # latches
-                        self.f, self.d = f, d
-                        self._suspend(r, cell)
-                        f, d, r = self.f, self.d, None
+                    ctx, instr, _ = r
+                    if ctx.pending_cells or instr.reads_channel:
+                        state = ctx.state
+                        for cell in instr.source_cells:
+                            if state[cell] != FULL:
+                                break
+                        else:
+                            cell = instr.dst
+                            if not cell or state[cell] != PENDING:
+                                cell = None
+                        if cell is not None:
+                            # the flush reads and clears the fetch and decode
+                            # latches
+                            self.f, self.d = f, d
+                            self._suspend(r, cell)
+                            f, d, r = self.f, self.d, None
                 if d is not None:
                     instr = d[1]
                     if instr.is_jump:
@@ -378,9 +412,10 @@ class Core:
                 # fetch: after any pending switch-hint rotation (it names a
                 # queued thread), the first thread in queue order that is
                 # resumable, or not fetch-blocked with its I-line resident, is
-                # rotated to the front. The memo answers for a line probed
-                # since the last I-fill into this core; any other line is
-                # probed, which requests it on a miss.
+                # rotated to the front. The line this call last found
+                # resident is still resident and most recently used; the memo
+                # answers for a line probed since the last I-fill into this
+                # core; any other line is probed, which requests it on a miss.
                 rotated = self._rotate_pending
                 if rotated is not None:
                     self._rotate_pending = None
@@ -395,14 +430,17 @@ class Core:
                             k += 1
                             continue
                         line = ctx.pc * 4 // line_bytes
-                        resident = probed.get(line)
-                        if resident is None:
-                            resident = memory.icache_probe(cid, ctx.pc, cycle)
-                        elif resident:
-                            touch(line)
-                        if not resident:
-                            k += 1
-                            continue
+                        if line != fetched_line:
+                            resident = probed.get(line)
+                            if resident is None:
+                                resident = memory.icache_probe(cid, ctx.pc,
+                                                               cycle)
+                            elif resident:
+                                touch(line)
+                            if not resident:
+                                k += 1
+                                continue
+                            fetched_line = line
                     if k:
                         queue.rotate(-k)
                     slot = s
@@ -446,91 +484,102 @@ class Core:
 
 
 # -- execute stage: one entry per opcode ---------------------------------------------
-# An entry returns the raw result of a one-cycle operation, which step wraps and
-# writes to the destination; every other entry returns None.
+# An entry reads its source cells from ctx.value. It returns the raw result of
+# a one-cycle operation, which step wraps and writes to the destination; every
+# other entry returns None.
 
 
-def _add(core, ctx, instr, pc, v):
-    return v[0] + v[1]
+def _add(core, ctx, instr, pc):
+    v = ctx.value
+    return v[instr.src1] + v[instr.src2]
 
 
-def _sub(core, ctx, instr, pc, v):
-    return v[0] - v[1]
+def _sub(core, ctx, instr, pc):
+    v = ctx.value
+    return v[instr.src1] - v[instr.src2]
 
 
-def _mul(core, ctx, instr, pc, v):
-    return v[0] * v[1]
+def _mul(core, ctx, instr, pc):
+    v = ctx.value
+    return v[instr.src1] * v[instr.src2]
 
 
-def _addi(core, ctx, instr, pc, v):
-    return v[0] + instr.imm
+def _addi(core, ctx, instr, pc):
+    return ctx.value[instr.src1] + instr.imm
 
 
-def _ld(core, ctx, instr, pc, v):
+def _ld(core, ctx, instr, pc):
     core._mark_pending(ctx, instr.dst)
 
 
-def _nothing(core, ctx, instr, pc, v):
+def _nothing(core, ctx, instr, pc):
     # st: the memory stage stores; jmp: resolved in decode; halt: retirement
     # drives termination
     pass
 
 
-def _beq(core, ctx, instr, pc, v):
-    ctx.pc = instr.imm if v[0] == v[1] else pc + 1
+def _beq(core, ctx, instr, pc):
+    v = ctx.value
+    ctx.pc = instr.imm if v[instr.src1] == v[instr.src2] else pc + 1
     ctx.fetch_blocked = False
 
 
-def _bne(core, ctx, instr, pc, v):
-    ctx.pc = instr.imm if v[0] != v[1] else pc + 1
+def _bne(core, ctx, instr, pc):
+    v = ctx.value
+    ctx.pc = instr.imm if v[instr.src1] != v[instr.src2] else pc + 1
     ctx.fetch_blocked = False
 
 
-def _getidx(core, ctx, instr, pc, v):
+def _getidx(core, ctx, instr, pc):
     core._set_reg(ctx, instr.dst, ctx.logical_index)
 
 
-def _getsh(core, ctx, instr, pc, v):
+def _getsh(core, ctx, instr, pc):
     if instr.src1 is None:
-        core._set_reg(ctx, instr.dst, v[0])
+        core._set_reg(ctx, instr.dst, ctx.value[CHANNEL_CELL])
     else:
-        core._mark_pending(ctx, instr.dst, v[0])
+        fid = ctx.value[instr.src1]
+        core._mark_pending(ctx, instr.dst, fid)
         tmu = core.chip.tmus[core.cid]
-        tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, v[0])
+        tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, fid)
 
 
-def _putsh(core, ctx, instr, pc, v):
+def _putsh(core, ctx, instr, pc):
+    v = ctx.value
     tmu = core.chip.tmus[core.cid]
     if instr.src2 is None:
-        tmu.enqueue(tmu.putsh, ctx, v[0])
+        tmu.enqueue(tmu.putsh, ctx, v[instr.src1])
     else:
-        tmu.enqueue(tmu.putsh_head, v[1], v[0])
+        tmu.enqueue(tmu.putsh_head, v[instr.src2], v[instr.src1])
 
 
-def _allocate(core, ctx, instr, pc, v):
+def _allocate(core, ctx, instr, pc):
+    hint = ctx.value[instr.src1] if instr.src1 is not None else None
     core._mark_pending(ctx, instr.dst)
-    hint = v[0] if instr.src1 is not None else None
     tmu = core.chip.tmus[core.cid]
     tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
 
 
-def _create(core, ctx, instr, pc, v):
+def _create(core, ctx, instr, pc):
+    v = ctx.value
+    aid = v[instr.src1]
+    seed = v[instr.src2] if instr.src2 is not None else None
     core._mark_pending(ctx, instr.dst)
-    seed = v[1] if instr.src2 is not None else None
     tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.create, ctx, instr.dst, v[0], instr.entry,
+    tmu.enqueue(tmu.create, ctx, instr.dst, aid, instr.entry,
                 instr.create_range, seed)
 
 
-def _sync(core, ctx, instr, pc, v):
-    core._mark_pending(ctx, instr.dst, v[0])
+def _sync(core, ctx, instr, pc):
+    fid = ctx.value[instr.src1]
+    core._mark_pending(ctx, instr.dst, fid)
     tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.sync, ctx, instr.dst, v[0])
+    tmu.enqueue(tmu.sync, ctx, instr.dst, fid)
 
 
-def _release(core, ctx, instr, pc, v):
+def _release(core, ctx, instr, pc):
     tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.release, v[0])
+    tmu.enqueue(tmu.release, ctx.value[instr.src1])
 
 
 _EXECUTE_BY_OPCODE = {

@@ -89,10 +89,11 @@ class Instruction:
     # Decoded once, so the pipeline tests plain attributes instead of enum
     # members: the opcode as a plain int (the execute table's index), the
     # register-file cells read at the read stage (the operand registers, or
-    # the input channel for a plain getsh), and which stages have work beyond
-    # the execute-table entry.
+    # the input channel for a plain getsh), whether one of them is the
+    # channel, and which stages have work beyond the execute-table entry.
     op: int = field(init=False, compare=False, repr=False)
     source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    reads_channel: bool = field(init=False, compare=False, repr=False)
     ends_block: bool = field(init=False, compare=False, repr=False)
     is_branch: bool = field(init=False, compare=False, repr=False)
     is_jump: bool = field(init=False, compare=False, repr=False)
@@ -108,6 +109,7 @@ class Instruction:
         set_ = object.__setattr__     # the dataclass is frozen
         set_(self, "op", int(op))
         set_(self, "source_cells", cells)
+        set_(self, "reads_channel", CHANNEL_CELL in cells)
         set_(self, "ends_block", op in CONTROL_TRANSFERS)
         set_(self, "is_branch", op in (Opcode.BEQ, Opcode.BNE))
         set_(self, "is_jump", op is Opcode.JMP)

@@ -28,12 +28,15 @@ def spawn(chip, n, pc=0):
 
 
 def read_stage(core, inf, cycle=0):
-    """Step inf, a (ctx, instr, pc) tuple, through the read stage: its operand
-    values, or None if it suspended there instead of moving on to execute."""
+    """Step inf, a (ctx, instr, pc) tuple, through the read stage: the values
+    of its source cells once it reaches execute, or None if it suspended
+    there instead."""
     core.r = inf
     core.step(cycle, cycle + 1)
-    e = core.e
-    return tuple(e[3]) if e is not None and e[:3] == inf else None
+    if core.e is not inf:
+        return None
+    ctx, instr, _ = inf
+    return tuple(ctx.value[cell] for cell in instr.source_cells)
 
 
 # non-blocking instructions from pc 0 through pc 1000, so that a thread can
@@ -265,6 +268,19 @@ def test_set_reg_on_pending_cell_faults():
         core._set_reg(ctx, 4, 7)
 
 
+def test_mark_pending_on_pending_cell_faults():
+    # the read stage suspends on a PENDING destination, so marking one again
+    # is a broken invariant: pending_cells, which the read stage trusts to
+    # skip its checks, would count the cell twice
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    core._mark_pending(ctx, 4)
+    with pytest.raises(SimFault, match="pending cell r4"):
+        core._mark_pending(ctx, 4)
+    assert ctx.pending_cells == 1
+
+
 def test_step_one_cycle_write_to_pending_cell_faults():
     # step writes the results of add/sub/mul/addi itself; a PENDING
     # destination there faults through _set_reg's guard
@@ -272,7 +288,8 @@ def test_step_one_cycle_write_to_pending_cell_faults():
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 4)
-    core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0, [3, 4])
+    ctx.value[1], ctx.value[2] = 3, 4
+    core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
     with pytest.raises(SimFault, match="non-full cell r4"):
         core.step(0, 1)
 
@@ -284,8 +301,8 @@ def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
     for dst, vals, want in ((5, [0x7FFFFFFF, 1], -0x80000000),
                             (6, [-0x80000000, -1], 0x7FFFFFFF),
                             (7, [2, 3], 5), (0, [2, 3], 0)):
-        core.e = (ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2), 0,
-                  vals)
+        ctx.value[1], ctx.value[2] = vals
+        core.e = (ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2), 0)
         core.step(0, 1)
         assert ctx.value[dst] == want
 
@@ -452,6 +469,22 @@ def test_one_step_call_equals_single_cycle_steps():
     advance(single, 161, 600, True)
     assert state(whole) == state(single)
     assert whole.memory.stats.i_misses > 4
+
+
+def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():
+    # a step call remembers the line it fetched from last only until it
+    # returns: a fill between two calls can evict that line
+    chip = make_chip(STRAIGHT, cache=CacheConfig(i_lines=1, i_miss_latency=1))
+    core, memory = chip.cores[0], chip.memory
+    spawn(chip, 1)
+    memory.icache_probe(0, 0, 0)
+    memory.step(1)
+    assert fetch_stage(core, 2) == 0            # pc 0, on line 0
+    memory.icache_probe(0, 400, 2)              # line 100, due at 3
+    memory.step(3)                              # evicts line 0
+    assert list(memory._itags[0]) == [100]
+    assert fetch_stage(core, 3) is None         # pc 1 misses
+    assert (0, 0) in memory._i_pending
 
 
 def test_pending_cap_is_structural():

@@ -76,6 +76,10 @@ def test_assemble_create_and_channels():
     assert cr.entry == "work" and cr.create_range == (0, 8, 1) and cr.src2 == 3
     assert p.entries == {"main": 0, "work": 7}
     assert validate(p) == []
+    # only a plain getsh reads the channel cell; a tail getsh reads a register
+    assert [ins.reads_channel for ins in p.instructions] == [
+        False, False, False, False, False, False, False,
+        False, True, False, False]
 
 
 def test_validate_missing_halt():
