@@ -226,10 +226,10 @@ class Core:
         ctx.value[reg] = value
 
     def _mark_pending(self, ctx, reg, waits_on=None):
-        # the read stage suspends on a PENDING destination, so reaching one
-        # here is a broken invariant, and pending_cells would overcount
         if reg == 0:
             return
+        # the read stage suspends on a PENDING destination, so reaching one
+        # here is a broken invariant, and pending_cells would overcount
         if ctx.state[reg] == PENDING:
             raise SimFault(
                 f"pending cell r{reg} of thread (family {ctx.fid}, index "
