@@ -12,14 +12,15 @@ results can be checked against its parent with
 
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
-300,000-cycle watchdog (480 runs), followed by 45 runs pinned in
+300,000-cycle watchdog (480 runs), followed by 52 runs pinned in
 tests/test_sim.py: the eight non-completed runs (a core-1 fault, a p=2
 deadlock, a p=2 starvation and a p=4 watchdog run, and the four waits-for
 deadlock diagnostics), the ten runs whose deciding event falls while one core
-is the only awake core, five completed p=1 runs at starvation_check 1, 7
-and 128, and three programs whose instructions read a cell they also write,
-at p=1 and p=2, eager and bulk. Their programs and configurations are read from that file, so the
-script and the tests cannot drift. One pass takes 30-40 s on a 2-vCPU x86_64
+is the only awake core, the seven whose deciding event falls while two or
+more cores are awake, five completed p=1 runs at starvation_check 1, 7 and
+128, and three programs whose instructions read a cell they also write, at
+p=1 and p=2, eager and bulk. Their programs and configurations are read from
+that file, so the script and the tests cannot drift. One pass takes 30-40 s on a 2-vCPU x86_64
 VM with CPython 3.11.
 """
 
@@ -73,6 +74,8 @@ def pinned():
                    assemble(text))
     for name, make, cfg, *_ in src.LONE_CORE_RUNS:
         yield f"lone-{name}", ChipConfig(trace=True, **cfg), make()
+    for name, make, cfg, *_ in src.MANY_AWAKE_RUNS:
+        yield f"many-{name}", ChipConfig(trace=True, **cfg), make()
     for name, make, _ in src.STARVATION_CHECK_RUNS:
         for check in src.STARVATION_CHECKS:
             yield (f"{name}-p1-check{check}",

@@ -753,6 +753,102 @@ def test_lone_core_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
     assert res.result_hash() == digest
 
 
+# -- runs whose deciding event falls while two or more cores are awake --------
+
+# a three-thread family over three cores: thread 1 spins briefly and then
+# stores to an unaligned address on core 1, while threads 0 and 2 still spin
+# on cores 0 and 2
+SPIN_STORE_FAULT = """
+.body main
+  allocate r1, 3
+  create r2, r1, w, 0, 3, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  addi r6, r0, 1
+  addi r7, r0, 150
+  bne r5, r6, spin
+  addi r7, r0, 40
+spin:
+  addi r7, r7, -1
+  bne r7, r0, spin
+  bne r5, r6, done
+  addi r8, r0, 2
+  st r8, 0(r8)
+done:
+  halt
+"""
+
+# a two-thread family over two cores: each thread spins, then waits on a
+# channel value that never comes; core 1 goes idle three cycles before core 0
+STAGGERED_IDLE = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  addi r7, r0, 40
+  beq r5, r0, spin
+  addi r7, r0, 37
+spin:
+  addi r7, r7, -1
+  bne r7, r0, spin
+  getsh r8
+  halt
+"""
+
+
+def _cold_icache(n):
+    return dict(p=4, cache=CacheConfig(i_miss_latency=n))
+
+
+# (id, program factory, config fields, outcome, cycles, per-core bubbles,
+# traced result_hash); scripts/stress_grid.py runs these too
+MANY_AWAKE_RUNS = [
+    ("watchdog-p4", lambda: kernel_heterogeneous().program,
+     dict(p=4, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997,
+     [10, 10, 10, 10],
+     "9c3a357dd6ad71fadfeab1b2c2422928077d46d7b166aa0623d15e582c0e1abd"),
+    ("store-fault-core1", lambda: assemble(SPIN_STORE_FAULT), dict(p=3),
+     Outcome.FAULT, 252, [147, 139, 139],
+     "bc319f31fdb555763156a085a5da99006faac767b4ca5f210e26d303035960c0"),
+    ("starvation-check7-p4", lambda: kernel_starvation(4).program,
+     dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2044,
+     [1470, 0, 1461, 0],
+     "827be41a1cd731c3207cd76e01713c0c2d86fad1170bf77eea512cb7a3b7f383"),
+    ("cold-icache-latency-1", lambda: kernel_heterogeneous(n=16).program,
+     _cold_icache(1), Outcome.COMPLETED, 1866, [1614, 70, 70, 70],
+     "0534deebea4aad3e6351afa99d9c5d7b6b3b715c2949bff31a422033f519c671"),
+    ("cold-icache-latency-2", lambda: kernel_heterogeneous(n=16).program,
+     _cold_icache(2), Outcome.COMPLETED, 1868, [1616, 71, 71, 71],
+     "227b790f45f68c6373b31f3138dd6c83dbfeda2d581927d84c1cecf358f1e436"),
+    ("cold-icache-latency-3", lambda: kernel_heterogeneous(n=16).program,
+     _cold_icache(3), Outcome.COMPLETED, 1870, [1618, 72, 72, 72],
+     "37e1bdc86a6f281573f182542a47a2baac41c8b9864f192a133a03f1281db9ce"),
+    ("staggered-idle-deadlock-p2", lambda: assemble(STAGGERED_IDLE),
+     dict(p=2), Outcome.DEADLOCK_DATAFLOW, 240, [143, 136],
+     "e490d29a771354f212cdacd2f59098865dc00c3f0bc6bc15261e402c75aa039a"),
+]
+
+
+@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
+                         [run[1:] for run in MANY_AWAKE_RUNS],
+                         ids=[run[0] for run in MANY_AWAKE_RUNS])
+def test_many_awake_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
+    res = run(ChipConfig(trace=True, **cfg), make())
+    assert res.outcome is outcome
+    assert res.metrics.cycles == cycles
+    assert [c.bubbles for c in res.metrics.per_core] == bubbles
+    assert res.result_hash() == digest
+
+
 # (id, program factory, traced result_hash) of completed p=1 runs, which
 # starvation_check 1, 7 and 128 must all leave unchanged;
 # scripts/stress_grid.py runs these too
