@@ -18,7 +18,7 @@ import sys
 
 from .errors import SimFault
 from .isa import AsmError, assemble, validate
-from .kernels import GENERATORS, corpus
+from .kernels import GENERATORS, corpus, kernel_starvation
 from .memory import CacheConfig, dump_image_binary, dump_image_text, load_image_binary, load_image_text
 from .oracle import OracleDeadlock, sequential_oracle
 from .sim import ChipConfig, Outcome, RunResult, format_trace, run
@@ -237,18 +237,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # build every kernel first, so that a bad size writes nothing
+    specs = corpus(args.starvation_cores)
+    # the deadlocking probe has no expected image: it never completes
+    probe = kernel_starvation(args.starvation_cores)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory: {exc}")
-    specs = corpus(args.starvation_cores)
     for spec in specs:
         _write(f"{args.out_dir}/{spec.name}.masm", spec.source + "\n")
         _write(f"{args.out_dir}/{spec.name}.expected",
                dump_image_text(spec.expected_image()))
-    # the deadlocking probe has no expected image: it never completes
-    from .kernels import kernel_starvation
-    probe = kernel_starvation(args.starvation_cores)
     _write(f"{args.out_dir}/{probe.name}.masm", probe.source + "\n")
     print(f"wrote {args.out_dir}/<name>.masm for {len(specs) + 1} kernels "
           f"(.expected for the {len(specs)} that complete)")

@@ -247,6 +247,8 @@ def kernel_starvation(p: int = 2, satisfiable: bool = False) -> KernelSpec:
     releasing it in between, so the same retry loop completes. p = 1
     degenerates to a single root that just stores a marker.
     """
+    if p < 1:
+        raise ValueError(f"starvation: core count must be >= 1, got {p}")
     name = "starvation_ok" if satisfiable else "starvation"
     if p == 1:
         main = f"""  addi r1, r0, {OUT_BASE}

@@ -292,6 +292,15 @@ def test_gen_out_dir_under_regular_file_exit_64(tmp_path, capsys):
                                    str(blocker / "sub")))
 
 
+@pytest.mark.parametrize("cores", ["0", "-3"])
+def test_gen_starvation_cores_below_one_exit_64_writing_nothing(tmp_path,
+                                                                capsys, cores):
+    out_dir = tmp_path / "out"
+    assert_one_error_line(*run_cli(capsys, "gen", "--out-dir", str(out_dir),
+                                   "--starvation-cores", cores))
+    assert not out_dir.exists()
+
+
 def test_sweep_missing_trace_dir_exit_64_before_running(tmp_path, capsys,
                                                         monkeypatch):
     import hmtsim.cli as cli

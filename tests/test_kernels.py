@@ -111,6 +111,13 @@ def test_starvation_single_core_trivially_completes():
     assert word(res.final_memory, OUT_BASE) == 1
 
 
+@pytest.mark.parametrize("p", [0, -3])
+@pytest.mark.parametrize("satisfiable", [False, True])
+def test_starvation_refuses_fewer_than_one_core(p, satisfiable):
+    with pytest.raises(ValueError, match="core count must be >= 1"):
+        kernel_starvation(p, satisfiable=satisfiable)
+
+
 def test_starvation_probe_scales_with_cores():
     for p in (2, 4):
         spec = kernel_starvation(p)
