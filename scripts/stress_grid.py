@@ -12,11 +12,11 @@ results can be checked against its parent with
 
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
-300,000-cycle watchdog (480 runs), followed by 52 runs pinned in
+300,000-cycle watchdog (480 runs), followed by 53 runs pinned in
 tests/test_sim.py: the eight non-completed runs (a core-1 fault, a p=2
 deadlock, a p=2 starvation and a p=4 watchdog run, and the four waits-for
 deadlock diagnostics), the ten runs whose deciding event falls while one core
-is the only awake core, the seven whose deciding event falls while two or
+is the only awake core, the eight whose deciding event falls while two or
 more cores are awake, five completed p=1 runs at starvation_check 1, 7 and
 128, and three programs whose instructions read a cell they also write, at
 p=1 and p=2, eager and bulk. Their programs and configurations are read from

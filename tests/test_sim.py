@@ -805,6 +805,36 @@ spin:
 """
 
 
+# a two-thread family over two of four cores: each thread asks for all four
+# cores, and after each denial spins 250 or 310 times before it asks again,
+# so the starvation check fires while both cores spin
+BACKOFF_STARVATION = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  sync r3, r2
+  add r0, r3, r0
+  release r1
+  halt
+.body w
+  getidx r6
+  addi r7, r0, 250
+  beq r6, r0, retry
+  addi r7, r0, 310
+retry:
+  allocate r4, 4
+  beq r4, r0, backoff
+  release r4
+  halt
+backoff:
+  add r5, r7, r0
+wait:
+  addi r5, r5, -1
+  bne r5, r0, wait
+  jmp retry
+"""
+
+
 def _cold_icache(n):
     return dict(p=4, cache=CacheConfig(i_miss_latency=n))
 
@@ -823,6 +853,10 @@ MANY_AWAKE_RUNS = [
      dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2044,
      [1470, 0, 1461, 0],
      "827be41a1cd731c3207cd76e01713c0c2d86fad1170bf77eea512cb7a3b7f383"),
+    ("backoff-starvation-check7-p4", lambda: assemble(BACKOFF_STARVATION),
+     dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2030,
+     [1216, 1207, 0, 0],
+     "f6669a0381a117c1bb962c932707f33633c7fee1365c0d9c9da66d52942a99ee"),
     ("cold-icache-latency-1", lambda: kernel_heterogeneous(n=16).program,
      _cold_icache(1), Outcome.COMPLETED, 1866, [1614, 70, 70, 70],
      "0534deebea4aad3e6351afa99d9c5d7b6b3b715c2949bff31a422033f519c671"),
