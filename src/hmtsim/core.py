@@ -78,9 +78,20 @@ the commit and bubble counts and the core's invariants in locals, and
 returns the next cycle to run. It stops at the first of: `stop`; the core
 going idle, off the awake list; a TMU request it queued (`chip.busy_tmus` is
 no longer empty); a next cycle that is a key of `memory.fills` or
-`noc.arrivals`. Before each further cycle it sets `chip.cycle`, which
-load-hit callbacks and `_enlist` read. The chip loop passes `stop = cycle +
-1` unless this core is the only awake one (see `sim.py`).
+`noc.arrivals`. It sets `chip.cycle` on entry and before each further
+cycle, because load-hit callbacks and `_enlist` read it and, in a window
+shared by several cores, the core stepped before this one has left it at a
+later cycle.
+
+The chip loop passes a lone awake core the next starvation check (or the
+watchdog) as `stop`, and two or more awake cores one shared window's end
+(see `sim.py`). The window is bounded by each core's horizon: the number of
+coming cycles before its oldest in-flight instruction that acts outside the
+core (`Instruction.acts_outside`: a load or store, a TMU request, a halt)
+can do so. That is 0 when the instruction is in the execute, memory or
+writeback latch, 1 in read, 2 in decode, 3 in fetch, and 4, the
+fetch-to-execute depth, when there is none, since the latches advance one
+stage a cycle and nothing fetched now executes sooner.
 """
 
 from __future__ import annotations
@@ -357,6 +368,7 @@ class Core:
         fetched_line = -1       # the line this call last found resident
         try:
             while True:
+                chip.cycle = cycle
                 if w is not None:
                     commits += 1
                     if w[1].is_halt or traced:
@@ -476,7 +488,6 @@ class Core:
                 if cycle == stop or busy_tmus or cycle in fills \
                         or cycle in arrivals:
                     return cycle
-                chip.cycle = cycle
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
             metrics.commits += commits

@@ -72,6 +72,12 @@ LONG_LATENCY_PRODUCERS = frozenset(
 # Opcodes that end a basic block; fetch stops behind them until they resolve.
 CONTROL_TRANSFERS = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.HALT})
 
+# Opcodes that act outside their core (a memory access, a TMU request, a
+# halt); so does a getsh of a family's tail, but not a plain getsh.
+ACTS_OUTSIDE = frozenset({Opcode.LD, Opcode.ST, Opcode.HALT, Opcode.ALLOCATE,
+                          Opcode.CREATE, Opcode.SYNC, Opcode.RELEASE,
+                          Opcode.PUTSH})
+
 CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
 
 
@@ -89,11 +95,12 @@ class Instruction:
     # Decoded once, so the pipeline tests plain attributes instead of enum
     # members: the opcode as a plain int (the execute table's index), the
     # register-file cells read at the read stage (the operand registers, or
-    # the input channel for a plain getsh), whether one of them is the
-    # channel, and which stages have work beyond the execute-table entry.
+    # the input channel for a plain getsh), whether one is the channel or it
+    # acts outside its core, and which stages have work beyond execute.
     op: int = field(init=False, compare=False, repr=False)
     source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
     reads_channel: bool = field(init=False, compare=False, repr=False)
+    acts_outside: bool = field(init=False, compare=False, repr=False)
     ends_block: bool = field(init=False, compare=False, repr=False)
     is_branch: bool = field(init=False, compare=False, repr=False)
     is_jump: bool = field(init=False, compare=False, repr=False)
@@ -110,6 +117,8 @@ class Instruction:
         set_(self, "op", int(op))
         set_(self, "source_cells", cells)
         set_(self, "reads_channel", CHANNEL_CELL in cells)
+        set_(self, "acts_outside", op in ACTS_OUTSIDE
+             or op is Opcode.GETSH and self.src1 is not None)
         set_(self, "ends_block", op in CONTROL_TRANSFERS)
         set_(self, "is_branch", op in (Opcode.BEQ, Opcode.BNE))
         set_(self, "is_jump", op is Opcode.JMP)

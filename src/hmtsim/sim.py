@@ -39,9 +39,8 @@ then drains the NoC.
 A core that is the only awake core runs ahead: one `Core.step` call runs its
 cycles up to the next multiple of `starvation_check` (or the watchdog), and
 returns early when the core goes idle, queues a TMU request, or the next
-cycle has a fill due or a message arriving; with two or more cores awake,
-each step runs one cycle. The next cycle is the one the step returns. This
-is exact, cycle for cycle:
+cycle has a fill due or a message arriving. The next cycle is the one the
+step returns. This is exact, cycle for cycle:
 
 - only the memory, NoC and TMU phases give a core work or complete a
   family, and the step returns before any cycle on which one of them has
@@ -52,6 +51,41 @@ is exact, cycle for cycle:
   returning;
 - starvation is tested only on multiples of `starvation_check`, where the
   step returns, and the watchdog only at its deadline.
+
+Two or more awake cores share a window: each, in ascending core id, runs
+the cycles from `cycle` up to one stop `cycle + w` in one `Core.step` call,
+and the chip continues at the largest cycle the calls returned. `w` counts
+the coming cycles in which no awake core's instruction can act outside its
+core (`Instruction.acts_outside`: a load or store, a TMU request, or a
+halt). A core's horizon follows from the latch holding its oldest such
+instruction: 0 in execute, memory or writeback, 1 in read, 2 in decode, 3 in
+fetch, else 4, the fetch-to-execute depth, since nothing fetched now
+executes sooner. `w` is the smallest horizon, capped by `i_miss_latency`,
+the next starvation check and the watchdog; with `w <= 1` the cycle runs
+alone. After a window closed by an instruction in execute or memory, the
+cycles it still spends in memory and writeback run alone untested. A
+window's cycles touch only the stepping core's own threads, latches, I-tags
+and I-probe memo, so running the cores one after another is exact, cycle
+for cycle:
+
+- no TMU request, memory access, halt or NoC message happens in it, so no
+  TMU, no cache line and no family changes;
+- no core wakes another: only a cell write from outside the core wakes a
+  thread;
+- every I-fill requested inside it falls due after it, because an I-fill
+  takes `i_miss_latency` cycles; so no fill lands in it, and fills due on
+  one cycle keep their ascending-core order;
+- the instructions that run in it fault only on a broken core invariant
+  (a one-cycle result into a cell that is not FULL), which the read stage
+  rules out;
+- each step stops at a due fill or arrival as before, so the cores that
+  stay awake all stop at the same cycle, and one that goes idle stops no
+  later; quiescence, starvation and the watchdog are tested as for a lone
+  core.
+
+A traced run's commit rows are stable-sorted by cycle at its end, which
+restores the (cycle, core) order that the windows' core-by-core stepping
+leaves out.
 
 An idle core whose threads are all suspended or fetch-blocked counts one
 bubble per cycle. It records the cycle it went idle and settles those
@@ -69,6 +103,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import Core, CHANNEL_CELL
 from .errors import SimFault
@@ -76,7 +111,6 @@ from .isa import Program, annotate_hints, validate
 from .memory import CacheConfig, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
-
 
 @dataclass(frozen=True)
 class ChipConfig:
@@ -323,6 +357,36 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
     return None
 
 
+def _window(awake: list, span: int) -> int:
+    """The window of the awake cores (see the module docstring): the number
+    of coming cycles, at most span, in which none of their in-flight
+    instructions acts outside its core. Where an instruction in execute or
+    memory closes it, the result is minus the further cycles that
+    instruction still spends in the pipeline (-2 from execute, -1 from
+    memory), so that the chip need not test them."""
+    for core in awake:
+        x = core.e
+        if x and x[1].acts_outside:
+            return -2
+        x = core.m
+        if x and x[1].acts_outside:
+            return -1
+        x = core.w
+        if x and x[1].acts_outside:
+            return 0
+        x = core.r
+        if x and x[1].acts_outside:
+            return 1
+        x = core.d
+        if x and x[1].acts_outside:
+            span = min(span, 2)
+        elif span > 3:
+            x = core.f
+            if x and x[1].acts_outside:
+                span = 3
+    return span
+
+
 def _bootstrap_root(chip: Chip):
     fam = chip.new_family(owner=0, aid=None, entry="main", start=0, step=1,
                           n=1, creator=None)
@@ -353,6 +417,8 @@ def run(config: ChipConfig, program: Program,
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
     fills, arrivals = memory.fills, noc.arrivals
     watchdog, check = config.watchdog_cycles, config.starvation_check
+    # windows: at most the fetch-to-execute depth, and shorter than I-fills
+    depth, hold = min(4, config.cache.i_miss_latency), 0
     try:
         while cycle < watchdog:
             chip.cycle = cycle
@@ -368,17 +434,29 @@ def run(config: ChipConfig, program: Program,
                     tmu.step(cycle)
             awake = chip.awake
             if awake:
-                # a lone core runs ahead (see the module docstring)
+                # run ahead alone or in a shared window (see the docstring)
                 if len(awake) > 1:
                     stop = cycle + 1
+                    if cycle >= hold:
+                        span = _window(awake, depth)
+                        hold = cycle + 1 - span
+                        if span > 1:
+                            stop = min(cycle + span, watchdog,
+                                       cycle - cycle % check + check)
                 else:
                     stop = min(watchdog, cycle - cycle % check + check)
+                # the cores that stay awake stop together, after any idle one
+                nxt = cycle
                 left = False
                 try:
                     for core in awake:
-                        nxt = core.step(cycle, stop)
-                        if not core.awake:
+                        end = core.step(cycle, stop)
+                        if core.awake:
+                            nxt = end
+                        else:
                             left = True
+                            if end > nxt:
+                                nxt = end
                 except SimFault:
                     fault_cid = core.cid
                     cycle = chip.cycle
@@ -455,6 +533,9 @@ def run(config: ChipConfig, program: Program,
         max_pending_cells=chip.max_pending,
         suspended_at_end=len(chip.suspended_threads()),
     )
+    if chip.trace is not None:
+        # a window's cores appended their commits one core after another
+        chip.trace.sort(key=itemgetter(0))
     final_memory = bytes(chip.memory.mem) if outcome is Outcome.COMPLETED else None
     # the chip is a reference cycle that the collector frees only in a rare
     # full collection; let the image go now rather than with it

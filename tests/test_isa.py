@@ -82,6 +82,38 @@ def test_assemble_create_and_channels():
         False, True, False, False]
 
 
+# each opcode's assembly forms, and whether each acts outside its core (a
+# memory access, a TMU request or a halt); a new opcode needs an entry here
+ACTS_OUTSIDE = {
+    Opcode.ADD: [("add r1, r2, r3", False)],
+    Opcode.SUB: [("sub r1, r2, r3", False)],
+    Opcode.MUL: [("mul r1, r2, r3", False)],
+    Opcode.ADDI: [("addi r1, r2, 5", False)],
+    Opcode.LD: [("ld r1, 4(r2)", True)],
+    Opcode.ST: [("st r1, 4(r2)", True)],
+    Opcode.BEQ: [("beq r1, r2, main", False)],
+    Opcode.BNE: [("bne r1, r2, main", False)],
+    Opcode.JMP: [("jmp main", False)],
+    Opcode.HALT: [("halt", True)],
+    Opcode.ALLOCATE: [("allocate r1, 2", True), ("allocate r1, 0, r3", True)],
+    Opcode.CREATE: [("create r2, r1, main, 0, 4, 1", True),
+                    ("create r2, r1, main, 0, 4, 1, r3", True)],
+    Opcode.SYNC: [("sync r4, r2", True)],
+    Opcode.RELEASE: [("release r1", True)],
+    Opcode.GETIDX: [("getidx r1", False)],
+    Opcode.PUTSH: [("putsh r1", True), ("putsh r1, r2", True)],
+    Opcode.GETSH: [("getsh r1", False), ("getsh r1, r2", True)],
+}
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name.lower())
+def test_acts_outside_for_every_opcode(op):
+    for line, outside in ACTS_OUTSIDE[op]:
+        ins = asm(line + "\nhalt").instructions[0]
+        assert ins.opcode is op
+        assert ins.acts_outside is outside, line
+
+
 def test_validate_missing_halt():
     p = assemble(".body main\nhalt\n.body f\nadd r1, r1, r1")
     assert validate(p) == ["thread body 'f' does not terminate"]

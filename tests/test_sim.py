@@ -3,9 +3,11 @@ import tracemalloc
 
 import pytest
 
+from hmtsim import sim
+from hmtsim.core import Core
 from hmtsim.isa import assemble
-from hmtsim.kernels import (kernel_chain, kernel_heterogeneous, kernel_loaduse,
-                            kernel_regular, kernel_starvation)
+from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
+                            kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import sequential_oracle
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
@@ -881,6 +883,46 @@ def test_many_awake_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
     assert res.metrics.cycles == cycles
     assert [c.bubbles for c in res.metrics.per_core] == bubbles
     assert res.result_hash() == digest
+
+
+def test_windows_equal_one_cycle_steps(monkeypatch):
+    # the corpus kernels (heterogeneous at n=16, to keep the test short; the
+    # stress grid runs it at full size) at p=2, 3, 4 and 8, eager and bulk,
+    # and heterogeneous at p=4 with I-fills of 1 to 4 cycles
+    cells = []
+    for kernel, gen in GENERATORS.items():
+        args = dict(n=16) if kernel == "heterogeneous" else {}
+        for p in (2, 3, 4, 8):
+            spec = gen(p, satisfiable=True) if kernel == "starvation" \
+                else gen(**args)
+            cells += [(dict(p=p, coherency=coherency), spec.program)
+                      for coherency in ("eager", "bulk")]
+    het = kernel_heterogeneous(n=16).program
+    cells += [(dict(p=4, cache=CacheConfig(i_miss_latency=n)), het)
+              for n in (1, 2, 3, 4)]
+    spans = []
+    step = Core.step
+
+    def record(core, cycle, stop):
+        if len(core.chip.awake) > 1:
+            spans.append(stop - cycle)
+        return step(core, cycle, stop)
+
+    def hashes():
+        out = [run(ChipConfig(trace=trace, **cfg), program).result_hash()
+               for cfg, program in cells for trace in (False, True)]
+        spans.clear()
+        run(ChipConfig(p=4), het)
+        return out
+
+    monkeypatch.setattr(Core, "step", record)
+    windowed = hashes()
+    # windows of more than one cycle ran on heterogeneous at p=4
+    assert max(spans) == 4 and sum(span > 1 for span in spans) > len(spans) / 2
+    # the lever: every window of two or more awake cores closes at once
+    monkeypatch.setattr(sim, "_window", lambda awake, span: 0)
+    assert hashes() == windowed
+    assert set(spans) == {1}
 
 
 # (id, program factory, traced result_hash) of completed p=1 runs, which
