@@ -112,6 +112,7 @@ from .memory import CacheConfig, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
 
+
 @dataclass(frozen=True)
 class ChipConfig:
     p: int = 1
@@ -445,7 +446,7 @@ def run(config: ChipConfig, program: Program,
                                        cycle - cycle % check + check)
                 else:
                     stop = min(watchdog, cycle - cycle % check + check)
-                # the cores that stay awake stop together, after any idle one
+                # the awake cores stop together, no earlier than any that idled
                 nxt = cycle
                 left = False
                 try:
