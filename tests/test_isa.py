@@ -82,36 +82,103 @@ def test_assemble_create_and_channels():
         False, True, False, False]
 
 
-# each opcode's assembly forms, and whether each acts outside its core (a
-# memory access, a TMU request or a halt); a new opcode needs an entry here
-ACTS_OUTSIDE = {
-    Opcode.ADD: [("add r1, r2, r3", False)],
-    Opcode.SUB: [("sub r1, r2, r3", False)],
-    Opcode.MUL: [("mul r1, r2, r3", False)],
-    Opcode.ADDI: [("addi r1, r2, 5", False)],
-    Opcode.LD: [("ld r1, 4(r2)", True)],
-    Opcode.ST: [("st r1, 4(r2)", True)],
-    Opcode.BEQ: [("beq r1, r2, main", False)],
-    Opcode.BNE: [("bne r1, r2, main", False)],
-    Opcode.JMP: [("jmp main", False)],
-    Opcode.HALT: [("halt", True)],
-    Opcode.ALLOCATE: [("allocate r1, 2", True), ("allocate r1, 0, r3", True)],
-    Opcode.CREATE: [("create r2, r1, main, 0, 4, 1", True),
-                    ("create r2, r1, main, 0, 4, 1, r3", True)],
-    Opcode.SYNC: [("sync r4, r2", True)],
-    Opcode.RELEASE: [("release r1", True)],
-    Opcode.GETIDX: [("getidx r1", False)],
-    Opcode.PUTSH: [("putsh r1", True), ("putsh r1, r2", True)],
-    Opcode.GETSH: [("getsh r1", False), ("getsh r1, r2", True)],
+# each opcode's assembly forms: whether each acts outside its core (a memory
+# access, a TMU request or a halt), the fields it fills as (dst, src1, src2,
+# imm, entry, create_range) and the registers it reads; a new opcode needs an
+# entry here. Every form follows ".body main", so the label main is 0.
+FORMS = {
+    Opcode.ADD: [("add r1, r2, r3", False, (1, 2, 3, None, None, None), (2, 3))],
+    Opcode.SUB: [("sub r1, r2, r3", False, (1, 2, 3, None, None, None), (2, 3))],
+    Opcode.MUL: [("mul r1, r2, r3", False, (1, 2, 3, None, None, None), (2, 3))],
+    Opcode.ADDI: [("addi r1, r2, 5", False, (1, 2, None, 5, None, None), (2,))],
+    Opcode.LD: [("ld r1, 4(r2)", True, (1, 2, None, 4, None, None), (2,))],
+    Opcode.ST: [("st r1, 4(r2)", True, (None, 1, 2, 4, None, None), (1, 2))],
+    Opcode.BEQ: [("beq r1, r2, main", False, (None, 1, 2, 0, None, None),
+                  (1, 2))],
+    Opcode.BNE: [("bne r1, r2, main", False, (None, 1, 2, 0, None, None),
+                  (1, 2))],
+    Opcode.JMP: [("jmp main", False, (None, None, None, 0, None, None), ())],
+    Opcode.HALT: [("halt", True, (None, None, None, None, None, None), ())],
+    Opcode.ALLOCATE: [
+        ("allocate r1, 2", True, (1, None, None, 2, None, None), ()),
+        ("allocate r1, 0, r3", True, (1, 3, None, 0, None, None), (3,))],
+    Opcode.CREATE: [
+        ("create r2, r1, main, 0, 4, 1", True,
+         (2, 1, None, None, "main", (0, 4, 1)), (1,)),
+        ("create r2, r1, main, -2, 0x10, 3, r3", True,
+         (2, 1, 3, None, "main", (-2, 16, 3)), (1, 3))],
+    Opcode.SYNC: [("sync r4, r2", True, (4, 2, None, None, None, None), (2,))],
+    Opcode.RELEASE: [("release r1", True, (None, 1, None, None, None, None),
+                      (1,))],
+    Opcode.GETIDX: [("getidx r1", False, (1, None, None, None, None, None),
+                     ())],
+    Opcode.PUTSH: [
+        ("putsh r1", True, (None, 1, None, None, None, None), (1,)),
+        ("putsh r1, r2", True, (None, 1, 2, None, None, None), (1, 2))],
+    Opcode.GETSH: [
+        ("getsh r1", False, (1, None, None, None, None, None), ()),
+        ("getsh r1, r2", True, (1, 2, None, None, None, None), (2,))],
 }
 
 
 @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name.lower())
 def test_acts_outside_for_every_opcode(op):
-    for line, outside in ACTS_OUTSIDE[op]:
+    for line, outside, _, _ in FORMS[op]:
         ins = asm(line + "\nhalt").instructions[0]
         assert ins.opcode is op
         assert ins.acts_outside is outside, line
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name.lower())
+def test_operand_fields_for_every_opcode(op):
+    for line, _, fields, reads in FORMS[op]:
+        ins = asm(line + "\nhalt").instructions[0]
+        assert ins.opcode is op and ins.mnemonic == line.split()[0]
+        assert (ins.dst, ins.src1, ins.src2, ins.imm, ins.entry,
+                ins.create_range) == fields, line
+        assert ins.regs_read() == reads, line
+
+
+# each line follows ".body main", so it is line 2
+@pytest.mark.parametrize("line, message", [
+    ("add r1, r2", "add takes 3 operand(s), got 2"),
+    ("sub r1", "sub takes 3 operand(s), got 1"),
+    ("mul r1, r2, r3, r4", "mul takes 3 operand(s), got 4"),
+    ("addi r1, r0", "addi takes 3 operand(s), got 2"),
+    ("ld r1", "ld takes 2 operand(s), got 1"),
+    ("st r1, 0(r2), r3", "st takes 2 operand(s), got 3"),
+    ("beq r1, r2", "beq takes 3 operand(s), got 2"),
+    ("bne r1, r2, main, main", "bne takes 3 operand(s), got 4"),
+    ("jmp", "jmp takes 1 operand(s), got 0"),
+    ("halt r1", "halt takes 0 operand(s), got 1"),
+    ("allocate r1", "allocate takes 2 or 3 operands"),
+    ("allocate r1, 2, r3, r4", "allocate takes 2 or 3 operands"),
+    ("create r2, r1, main, 0, 4", "create takes 6 or 7 operands"),
+    ("create r2, r1, main, 0, 4, 1, r3, r4", "create takes 6 or 7 operands"),
+    ("sync r4", "sync takes 2 operand(s), got 1"),
+    ("release", "release takes 1 operand(s), got 0"),
+    ("getidx r1, r2", "getidx takes 1 operand(s), got 2"),
+    ("getsh", "getsh takes 1 or 2 operands"),
+    ("getsh r1, r2, r3", "getsh takes 1 or 2 operands"),
+    ("putsh", "putsh takes 1 or 2 operands"),
+    ("putsh r1, r2, r3", "putsh takes 1 or 2 operands"),
+    ("ld r1, 4[r2]", "expected imm(rN) memory operand, got '4[r2]'"),
+    ("st r1, r2", "expected imm(rN) memory operand, got 'r2'"),
+    ("ld r1, 0b1(r2)", "expected imm(rN) memory operand, got '0b1(r2)'"),
+    ("ld r1, 4(r40)", "register index out of 0..31: r40"),
+    ("ld r1, 007(r2)", "expected immediate, got '007'"),
+    ("addi r1, r0, 007", "expected immediate, got '007'"),
+    ("addi r1, r0, five", "expected immediate, got 'five'"),
+    ("add r1, r2, 3", "expected register, got '3'"),
+    ("create r2, r1, 9main, 0, 4, 1", "expected entry name, got '9main'"),
+    ("create r2, r1, main-2, 0, 4, 1", "expected entry name, got 'main-2'"),
+    ("bogus r1", "unknown mnemonic 'bogus'"),
+    ("nop", "unknown mnemonic 'nop'"),
+])
+def test_assemble_error_messages(line, message):
+    with pytest.raises(AsmError) as exc:
+        asm(line + "\nhalt")
+    assert str(exc.value) == f"line 2: {message}"
 
 
 def test_validate_missing_halt():
