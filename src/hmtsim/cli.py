@@ -255,24 +255,35 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# the integer machine flags of run and sweep: (flag, default, help); each
+# default is read from the config field the flag sets
+MACHINE_FLAGS = [
+    ("--thread-slots", ChipConfig.thread_slots, "hardware thread slots per core"),
+    ("--line-bytes", CacheConfig.line_bytes, "cache line size in bytes"),
+    ("--d-lines", CacheConfig.d_lines, "D-cache lines per core"),
+    ("--i-lines", CacheConfig.i_lines, "I-cache lines per core"),
+    ("--d-miss-latency", CacheConfig.d_miss_latency, "D-cache miss cycles"),
+    ("--i-miss-latency", CacheConfig.i_miss_latency, "I-cache miss cycles"),
+    ("--hop-latency", ChipConfig.hop_latency, "cycles per NoC hop"),
+    ("--watchdog", ChipConfig.watchdog_cycles,
+     "cycle limit before WATCHDOG_TIMEOUT"),
+    ("--mem-bytes", ChipConfig.mem_bytes, "memory image size in bytes"),
+]
+
+
 def _add_machine_flags(sp, cores_list=False):
     if cores_list:
         sp.add_argument("--cores", default="1,2,4,8",
-                        help="comma list of core counts")
+                        help="comma list of core counts (default: %(default)s)")
     else:
-        sp.add_argument("--cores", type=int, default=1, help="core count")
-    sp.add_argument("--topology", choices=["ring", "line"], default="ring")
-    sp.add_argument("--thread-slots", type=int, default=64,
-                    help="hardware thread slots per core")
-    sp.add_argument("--line-bytes", type=int, default=16)
-    sp.add_argument("--d-lines", type=int, default=64)
-    sp.add_argument("--i-lines", type=int, default=32)
-    sp.add_argument("--d-miss-latency", type=int, default=20)
-    sp.add_argument("--i-miss-latency", type=int, default=10)
-    sp.add_argument("--hop-latency", type=int, default=2)
-    sp.add_argument("--watchdog", type=int, default=10_000_000,
-                    help="cycle limit before WATCHDOG_TIMEOUT")
-    sp.add_argument("--mem-bytes", type=int, default=1 << 20)
+        sp.add_argument("--cores", type=int, default=ChipConfig.p,
+                        help="core count (default: %(default)s)")
+    sp.add_argument("--topology", choices=["ring", "line"],
+                    default=ChipConfig.topology,
+                    help="NoC topology (default: %(default)s)")
+    for flag, default, text in MACHINE_FLAGS:
+        sp.add_argument(flag, type=int, default=default,
+                        help=f"{text} (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,8 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--program", required=True, help="assembly source file")
     _add_machine_flags(rp)
     rp.add_argument("--hints", choices=["on", "off"], default="on",
-                    help="automatic switch-hint annotation")
-    rp.add_argument("--coherency", choices=["eager", "bulk"], default="eager")
+                    help="automatic switch-hint annotation (default: %(default)s)")
+    rp.add_argument("--coherency", choices=["eager", "bulk"],
+                    default=ChipConfig.coherency,
+                    help="store propagation policy (default: %(default)s)")
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
     rp.add_argument("--trace", help="write one line per commit to this file")
     rp.add_argument("--dump-mem",
@@ -309,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle",
                         help="run the sequential reference interpreter")
     op.add_argument("--program", required=True)
-    op.add_argument("--mem-bytes", type=int, default=1 << 20)
+    op.add_argument("--mem-bytes", type=int, default=ChipConfig.mem_bytes,
+                    help="memory image size in bytes (default: %(default)s)")
     op.add_argument("--dump-mem", help="write image here instead of stdout")
     op.add_argument("--init-mem")
     op.set_defaults(func=cmd_oracle)

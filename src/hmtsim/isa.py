@@ -3,6 +3,7 @@
 Assembly dialect (one instruction per line, ``;`` starts a comment):
 
     .body <name>            opens a thread body; <name> becomes an entry point
+                            and a label, so no other label may share it
     <label>:                labels the next instruction (may share its line)
 
     add  rD, rA, rB         rD = rA + rB            (sub, mul likewise)
@@ -25,8 +26,12 @@ Assembly dialect (one instruction per line, ``;`` starts a comment):
     getsh rD [, rA]                       read input channel (or family rA's tail)
     putsh rS [, rA]                       write output channel (or family rA's head)
 
-Immediates are decimal or 0x-prefixed hex, registers are r0-r31. Register 0
-reads as zero and discards writes. All arithmetic wraps at 32 bits, signed.
+An immediate is an optional ``-``, then ASCII decimal digits or ``0x`` and hex
+digits; a decimal that starts with 0 must be all zeros, as in Python. So
+``0b101``, ``0o17``, ``+5``, ``1_000`` and ``007`` are refused. Registers are
+r0-r31, also in ASCII; names are ASCII identifiers. ``OPERANDS`` below is the
+one table of operand forms. Register 0 reads as zero and discards writes. All
+arithmetic wraps at 32 bits, signed.
 """
 
 from __future__ import annotations
@@ -132,20 +137,7 @@ class Instruction:
 
     def regs_read(self) -> tuple[int, ...]:
         """Register operands this instruction reads at the read stage."""
-        op = self.opcode
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.BEQ, Opcode.BNE,
-                  Opcode.ST):
-            return (self.src1, self.src2)
-        if op in (Opcode.ADDI, Opcode.LD, Opcode.SYNC, Opcode.RELEASE):
-            return (self.src1,)
-        if op in (Opcode.ALLOCATE, Opcode.CREATE, Opcode.PUTSH, Opcode.GETSH):
-            out = []
-            if self.src1 is not None:
-                out.append(self.src1)
-            if self.src2 is not None:
-                out.append(self.src2)
-            return tuple(out)
-        return ()
+        return tuple(r for r in (self.src1, self.src2) if r is not None)
 
 
 @dataclass(frozen=True)
@@ -167,24 +159,58 @@ class AsmError(ValueError):
         self.line = line
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_]\w*):(.*)$")
-_MEM_RE = re.compile(r"^(-?(?:0x[0-9A-Fa-f]+|\d+))\((r\d+)\)$", re.IGNORECASE)
+# Each opcode's operands in assembly order, named by what they fill: dst, src1,
+# src2 a register; imm an immediate; label imm with a label's index; entry a
+# body name; start, limit, step create's range; imm(src1), imm(src2) a memory
+# operand's offset and base. A bracketed last operand may be left out. Every
+# register a form puts in src1 or src2 is one the instruction reads.
+OPERANDS = {
+    Opcode.ADD: "dst src1 src2",
+    Opcode.SUB: "dst src1 src2",
+    Opcode.MUL: "dst src1 src2",
+    Opcode.ADDI: "dst src1 imm",
+    Opcode.LD: "dst imm(src1)",
+    Opcode.ST: "src1 imm(src2)",
+    Opcode.BEQ: "src1 src2 label",
+    Opcode.BNE: "src1 src2 label",
+    Opcode.JMP: "label",
+    Opcode.HALT: "",
+    Opcode.ALLOCATE: "dst imm [src1]",
+    Opcode.CREATE: "dst src1 entry start limit step [src2]",
+    Opcode.SYNC: "dst src1",
+    Opcode.RELEASE: "src1",
+    Opcode.GETIDX: "dst",
+    Opcode.PUTSH: "src1 [src2]",
+    Opcode.GETSH: "dst [src1]",
+}
+
+# mnemonic -> (opcode, operand kinds, whether the last one is optional)
+_FORMS = {op.name.lower(): (op, text.replace("[", "").replace("]", "").split(),
+                            "[" in text) for op, text in OPERANDS.items()}
+
+_IMM_RE = re.compile(r"-?(?:0x[0-9a-f]+|[0-9]+)", re.ASCII | re.IGNORECASE)
+_REG_RE = re.compile(r"r[0-9]+", re.ASCII | re.IGNORECASE)
+_MEM_RE = re.compile(rf"({_IMM_RE.pattern})\(({_REG_RE.pattern})\)",
+                     re.ASCII | re.IGNORECASE)
+_NAME_RE = re.compile(r"[A-Za-z_]\w*", re.ASCII)
+_LABEL_RE = re.compile(rf"({_NAME_RE.pattern}):(.*)", re.ASCII)
 
 
 def _parse_reg(tok: str, line: int) -> int:
-    if not re.fullmatch(r"[rR]\d+", tok):
+    if not _REG_RE.fullmatch(tok):
         raise AsmError(f"expected register, got {tok!r}", line)
-    n = int(tok[1:])
-    if not 0 <= n <= 31:
+    if int(tok[1:]) > 31:
         raise AsmError(f"register index out of 0..31: {tok}", line)
-    return n
+    return int(tok[1:])
 
 
 def _parse_imm(tok: str, line: int) -> int:
     try:
-        return int(tok, 0)
+        if _IMM_RE.fullmatch(tok):
+            return int(tok, 0)      # refuses a decimal with a leading 0
     except ValueError:
-        raise AsmError(f"expected immediate, got {tok!r}", line) from None
+        pass
+    raise AsmError(f"expected immediate, got {tok!r}", line)
 
 
 def assemble(source: str, name: str = "program") -> Program:
@@ -196,7 +222,6 @@ def assemble(source: str, name: str = "program") -> Program:
     instrs: list[Instruction] = []
     labels: dict[str, int] = {}
     entries: dict[str, int] = {}
-    body_starts: list[tuple[str, int]] = []
     # (instr index, label name, source line) fixed up after the first pass
     fixups: list[tuple[int, str, int]] = []
 
@@ -204,125 +229,63 @@ def assemble(source: str, name: str = "program") -> Program:
         text = raw.split(";", 1)[0].strip()
         if not text:
             continue
-        if text.startswith(".body"):
-            parts = text.split()
-            if len(parts) != 2 or not re.fullmatch(r"[A-Za-z_]\w*", parts[1]):
+        parts = text.split()
+        if parts[0] == ".body":
+            if len(parts) != 2 or not _NAME_RE.fullmatch(parts[1]):
                 raise AsmError("malformed .body directive", lineno)
             bname = parts[1]
-            if bname in entries:
-                raise AsmError(f"duplicate body '{bname}'", lineno)
-            entries[bname] = len(instrs)
-            labels[bname] = len(instrs)
-            body_starts.append((bname, len(instrs)))
+            if bname in labels:     # a body name is a label too
+                kind = "body" if bname in entries else "label"
+                raise AsmError(f"duplicate {kind} '{bname}'", lineno)
+            entries[bname] = labels[bname] = len(instrs)
             continue
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.fullmatch(text)
         if m:
-            lname = m.group(1)
+            lname, text = m[1], m[2].strip()
             if lname in labels:
                 raise AsmError(f"duplicate label '{lname}'", lineno)
             labels[lname] = len(instrs)
-            text = m.group(2).strip()
             if not text:
                 continue
-        if not body_starts:
+        if not entries:
             raise AsmError("instruction before any .body directive", lineno)
 
         parts = text.split(None, 1)
         mnem = parts[0].lower()
-        ops = [o.strip() for o in parts[1].split(",")] if len(parts) > 1 else []
-
-        def need(n):
-            if len(ops) != n:
-                raise AsmError(f"{mnem} takes {n} operand(s), got {len(ops)}", lineno)
-
-        if mnem in ("add", "sub", "mul"):
-            need(3)
-            instrs.append(Instruction(Opcode[mnem.upper()],
-                                      dst=_parse_reg(ops[0], lineno),
-                                      src1=_parse_reg(ops[1], lineno),
-                                      src2=_parse_reg(ops[2], lineno)))
-        elif mnem == "addi":
-            need(3)
-            instrs.append(Instruction(Opcode.ADDI,
-                                      dst=_parse_reg(ops[0], lineno),
-                                      src1=_parse_reg(ops[1], lineno),
-                                      imm=_parse_imm(ops[2], lineno)))
-        elif mnem in ("ld", "st"):
-            need(2)
-            mm = _MEM_RE.match(ops[1])
-            if not mm:
-                raise AsmError(f"expected imm(rN) memory operand, got {ops[1]!r}",
-                               lineno)
-            off = _parse_imm(mm.group(1), lineno)
-            base = _parse_reg(mm.group(2), lineno)
-            if mnem == "ld":
-                instrs.append(Instruction(Opcode.LD, dst=_parse_reg(ops[0], lineno),
-                                          src1=base, imm=off))
-            else:
-                instrs.append(Instruction(Opcode.ST, src1=_parse_reg(ops[0], lineno),
-                                          src2=base, imm=off))
-        elif mnem in ("beq", "bne"):
-            need(3)
-            fixups.append((len(instrs), ops[2], lineno))
-            instrs.append(Instruction(Opcode[mnem.upper()],
-                                      src1=_parse_reg(ops[0], lineno),
-                                      src2=_parse_reg(ops[1], lineno)))
-        elif mnem == "jmp":
-            need(1)
-            fixups.append((len(instrs), ops[0], lineno))
-            instrs.append(Instruction(Opcode.JMP))
-        elif mnem == "halt":
-            need(0)
-            instrs.append(Instruction(Opcode.HALT))
-        elif mnem == "allocate":
-            if len(ops) not in (2, 3):
-                raise AsmError("allocate takes 2 or 3 operands", lineno)
-            hint = _parse_reg(ops[2], lineno) if len(ops) == 3 else None
-            instrs.append(Instruction(Opcode.ALLOCATE,
-                                      dst=_parse_reg(ops[0], lineno),
-                                      src1=hint,
-                                      imm=_parse_imm(ops[1], lineno)))
-        elif mnem == "create":
-            if len(ops) not in (6, 7):
-                raise AsmError("create takes 6 or 7 operands", lineno)
-            if not re.fullmatch(r"[A-Za-z_]\w*", ops[2]):
-                raise AsmError(f"expected entry name, got {ops[2]!r}", lineno)
-            seed = _parse_reg(ops[6], lineno) if len(ops) == 7 else None
-            instrs.append(Instruction(
-                Opcode.CREATE,
-                dst=_parse_reg(ops[0], lineno),
-                src1=_parse_reg(ops[1], lineno),
-                src2=seed,
-                entry=ops[2],
-                create_range=(_parse_imm(ops[3], lineno),
-                              _parse_imm(ops[4], lineno),
-                              _parse_imm(ops[5], lineno))))
-        elif mnem == "sync":
-            need(2)
-            instrs.append(Instruction(Opcode.SYNC, dst=_parse_reg(ops[0], lineno),
-                                      src1=_parse_reg(ops[1], lineno)))
-        elif mnem == "release":
-            need(1)
-            instrs.append(Instruction(Opcode.RELEASE,
-                                      src1=_parse_reg(ops[0], lineno)))
-        elif mnem == "getidx":
-            need(1)
-            instrs.append(Instruction(Opcode.GETIDX,
-                                      dst=_parse_reg(ops[0], lineno)))
-        elif mnem == "getsh":
-            if len(ops) not in (1, 2):
-                raise AsmError("getsh takes 1 or 2 operands", lineno)
-            fam = _parse_reg(ops[1], lineno) if len(ops) == 2 else None
-            instrs.append(Instruction(Opcode.GETSH, dst=_parse_reg(ops[0], lineno),
-                                      src1=fam))
-        elif mnem == "putsh":
-            if len(ops) not in (1, 2):
-                raise AsmError("putsh takes 1 or 2 operands", lineno)
-            fam = _parse_reg(ops[1], lineno) if len(ops) == 2 else None
-            instrs.append(Instruction(Opcode.PUTSH, src1=_parse_reg(ops[0], lineno),
-                                      src2=fam))
-        else:
+        if mnem not in _FORMS:
             raise AsmError(f"unknown mnemonic {mnem!r}", lineno)
+        op, kinds, optional = _FORMS[mnem]
+        ops = [o.strip() for o in parts[1].split(",")] if len(parts) > 1 else []
+        n = len(kinds)
+        if optional and len(ops) not in (n - 1, n):
+            raise AsmError(f"{mnem} takes {n - 1} or {n} operands", lineno)
+        if not optional and len(ops) != n:
+            raise AsmError(f"{mnem} takes {n} operand(s), got {len(ops)}", lineno)
+        fields = {}
+        bounds = []
+        for kind, tok in zip(kinds, ops):
+            if kind in ("dst", "src1", "src2"):
+                fields[kind] = _parse_reg(tok, lineno)
+            elif kind == "imm":
+                fields["imm"] = _parse_imm(tok, lineno)
+            elif kind == "label":
+                fixups.append((len(instrs), tok, lineno))
+            elif kind == "entry":
+                if not _NAME_RE.fullmatch(tok):
+                    raise AsmError(f"expected entry name, got {tok!r}", lineno)
+                fields["entry"] = tok
+            elif kind in ("start", "limit", "step"):
+                bounds.append(_parse_imm(tok, lineno))
+            else:               # imm(src1) or imm(src2)
+                mm = _MEM_RE.fullmatch(tok)
+                if not mm:
+                    raise AsmError(f"expected imm(rN) memory operand, got {tok!r}",
+                                   lineno)
+                fields["imm"] = _parse_imm(mm[1], lineno)
+                fields[kind[4:-1]] = _parse_reg(mm[2], lineno)
+        if bounds:
+            fields["create_range"] = tuple(bounds)
+        instrs.append(Instruction(op, **fields))
 
     for idx, lname, lineno in fixups:
         if lname not in labels:
@@ -331,11 +294,9 @@ def assemble(source: str, name: str = "program") -> Program:
             raise AsmError(f"label '{lname}' addresses no instruction", lineno)
         instrs[idx] = replace(instrs[idx], imm=labels[lname])
 
-    spans: dict[str, tuple[int, int]] = {}
-    for i, (bname, start) in enumerate(body_starts):
-        end = body_starts[i + 1][1] if i + 1 < len(body_starts) else len(instrs)
-        spans[bname] = (start, end)
-
+    starts = list(entries.items())
+    ends = [start for _, start in starts[1:]] + [len(instrs)]
+    spans = {bname: (start, end) for (bname, start), end in zip(starts, ends)}
     return Program(tuple(instrs), labels, entries, spans, name)
 
 
@@ -378,10 +339,7 @@ def validate(program: Program) -> list[str]:
         if ins.opcode is Opcode.CREATE and ins.entry not in program.entries:
             diags.append(f"unknown entry '{ins.entry}'")
     for bname, (start, end) in program.body_spans.items():
-        if start == end:
-            diags.append(f"thread body '{bname}' does not terminate")
-            continue
-        last = program.instructions[end - 1]
-        if last.opcode not in (Opcode.HALT, Opcode.JMP):
+        if (start == end or program.instructions[end - 1].opcode
+                not in (Opcode.HALT, Opcode.JMP)):
             diags.append(f"thread body '{bname}' does not terminate")
     return diags

@@ -10,11 +10,14 @@ import pytest
 
 import hmtsim
 
-from hmtsim.cli import EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE, RECORD_FIELDS, main
+from hmtsim.cli import (EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE,
+                        MACHINE_FLAGS, RECORD_FIELDS, _config_from_args,
+                        build_parser, main)
 from hmtsim.isa import assemble, validate
 from hmtsim.kernels import kernel_regular, kernel_starvation
 from hmtsim.memory import dump_image_text
 from hmtsim.oracle import sequential_oracle
+from hmtsim.sim import ChipConfig
 
 
 @pytest.fixture
@@ -80,6 +83,40 @@ def test_invalid_program_exit_64(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--program", str(path))
     assert code == EXIT_USAGE
     assert "unknown entry" in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("line, message", [
+    ("add r1, r2", "add takes 3 operand(s), got 2"),
+    ("ld r1, 4[r2]", "expected imm(rN) memory operand, got '4[r2]'"),
+    ("addi r1, r0, 0b101", "expected immediate, got '0b101'"),
+    ("bogus r1", "unknown mnemonic 'bogus'")])
+def test_malformed_assembly_exit_64(tmp_path, capsys, command, line,
+                                    message):
+    path = tmp_path / "bad.masm"
+    path.write_text(f".body main\n  addi r1, r0, 1\n  {line}\n  halt\n")
+    code, out, err = run_cli(capsys, command, "--program", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "--program", "x"], ["sweep"]],
+                         ids=["run", "sweep"])
+def test_machine_flag_defaults_are_the_config_defaults(capsys, argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    assert _config_from_args(args, 1, "on", "eager", False) == ChipConfig()
+    if argv[0] == "run":
+        assert (args.cores, args.hints, args.coherency) == (1, "on", "eager")
+    assert parser.parse_args(["oracle", "--program", "x"]).mem_bytes == \
+        ChipConfig().mem_bytes
+    # --help shows each default; the options section follows the usage line,
+    # so each flag's entry there is the one kept
+    code, out, _ = run_cli(capsys, argv[0], "--help")
+    assert code == EXIT_OK
+    shown = {seg.split()[0]: seg for seg in " ".join(out.split()).split(" --")}
+    for flag, default, _ in MACHINE_FLAGS:
+        assert shown[flag[2:]].endswith(f"(default: {default})"), flag
 
 
 def test_main_runs_commands_in_turn_in_one_process(regular_masm, capsys):

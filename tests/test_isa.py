@@ -46,6 +46,18 @@ def test_assemble_reports_line_numbers():
         assemble(".body main\nadd r1, r2, r3\nbogus r1\nhalt")
 
 
+def test_body_after_label_of_same_name_is_duplicate():
+    with pytest.raises(AsmError) as exc:
+        assemble(".body main\nfoo: addi r1, r0, 1\njmp foo\n.body foo\nhalt")
+    assert str(exc.value) == "line 4: duplicate label 'foo'"
+    with pytest.raises(AsmError) as exc:
+        assemble(".body main\nhalt\n.body foo\nfoo: halt")
+    assert str(exc.value) == "line 4: duplicate label 'foo'"
+    with pytest.raises(AsmError) as exc:
+        assemble(".body main\nhalt\n.body main\nhalt")
+    assert str(exc.value) == "line 3: duplicate body 'main'"
+
+
 def test_assemble_labels_and_hex():
     p = asm("start:\naddi r1, r0, 0x10\nbne r1, r0, start\nhalt")
     assert p.labels["start"] == 0
@@ -174,6 +186,19 @@ def test_operand_fields_for_every_opcode(op):
     ("create r2, r1, main-2, 0, 4, 1", "expected entry name, got 'main-2'"),
     ("bogus r1", "unknown mnemonic 'bogus'"),
     ("nop", "unknown mnemonic 'nop'"),
+    # one immediate grammar, ASCII only, for standalone and offset immediates
+    ("addi r1, r0, 0b101", "expected immediate, got '0b101'"),
+    ("addi r1, r0, 0o17", "expected immediate, got '0o17'"),
+    ("addi r1, r0, +5", "expected immediate, got '+5'"),
+    ("addi r1, r0, 1_000", "expected immediate, got '1_000'"),
+    ("addi r1, r0, \u0661\u0660", "expected immediate, got '\u0661\u0660'"),
+    ("allocate r1, 0b1", "expected immediate, got '0b1'"),
+    ("create r2, r1, main, 0, 1_0, 1", "expected immediate, got '1_0'"),
+    ("ld r1, 0(r\u0663)", "expected imm(rN) memory operand, got '0(r\u0663)'"),
+    ("ld r1, \u0661(r3)", "expected imm(rN) memory operand, got '\u0661(r3)'"),
+    ("add r\u0661, r2, r3", "expected register, got 'r\u0661'"),
+    ("create r2, r1, ma\u00efn, 0, 4, 1", "expected entry name, got 'ma\u00efn'"),
+    (".bodyx work", "unknown mnemonic '.bodyx'"),
 ])
 def test_assemble_error_messages(line, message):
     with pytest.raises(AsmError) as exc:
