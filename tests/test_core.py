@@ -294,17 +294,56 @@ def test_step_one_cycle_write_to_pending_cell_faults():
         core.step(0, 1)
 
 
+# (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, then
+# one past each end of the signed 32-bit range
+ONE_CYCLE_RESULTS = [
+    (Opcode.ADD, 2, 3, 5),
+    (Opcode.ADD, 0x7FFFFFFF, 1, -0x80000000),
+    (Opcode.ADD, -0x80000000, -1, 0x7FFFFFFF),
+    (Opcode.SUB, 2, 3, -1),
+    (Opcode.SUB, 0x7FFFFFFF, -1, -0x80000000),
+    (Opcode.SUB, -0x80000000, 1, 0x7FFFFFFF),
+    (Opcode.MUL, -6, 7, -42),
+    (Opcode.MUL, 0x10000, 0x8000, -0x80000000),
+    (Opcode.MUL, 0x10000, -0x8001, 0x7FFF0000),
+    (Opcode.ADDI, 2, 3, 5),
+    (Opcode.ADDI, 0x7FFFFFFF, 1, -0x80000000),
+    (Opcode.ADDI, -0x80000000, -1, 0x7FFFFFFF),
+]
+
+
 def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    for dst, vals, want in ((5, [0x7FFFFFFF, 1], -0x80000000),
-                            (6, [-0x80000000, -1], 0x7FFFFFFF),
-                            (7, [2, 3], 5), (0, [2, 3], 0)):
-        ctx.value[1], ctx.value[2] = vals
-        core.e = (ctx, Instruction(Opcode.ADD, dst=dst, src1=1, src2=2), 0)
-        core.step(0, 1)
-        assert ctx.value[dst] == want
+    for op, a, b, want in ONE_CYCLE_RESULTS:
+        operands = dict(src1=1, imm=b) if op is Opcode.ADDI \
+            else dict(src1=1, src2=2)
+        for dst, result in ((5, want), (0, 0)):
+            ctx.value[1], ctx.value[2] = a, b
+            core.e = (ctx, Instruction(op, dst=dst, **operands), 0)
+            core.step(0, 1)
+            assert ctx.value[dst] == result, (op, a, b)
+            assert ctx.value[1:3] == [a, b]
+
+
+@pytest.mark.parametrize("op, a, b, taken", [
+    (Opcode.BEQ, 4, 4, True), (Opcode.BEQ, 4, 5, False),
+    (Opcode.BNE, 4, 5, True), (Opcode.BNE, 4, 4, False)])
+def test_step_resolves_branches_and_unblocks_fetch(op, a, b, taken):
+    # the branch at pc 7 resolves in execute: the thread's pc becomes the
+    # target or the next pc, and fetch may go on; the cold I-cache keeps the
+    # same cycle's fetch from moving the pc on
+    chip = make_chip()
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    ctx.value[1], ctx.value[2] = a, b
+    ctx.pc, ctx.fetch_blocked = 8, True
+    core.e = (ctx, Instruction(op, src1=1, src2=2, imm=40), 7)
+    core.step(0, 1)
+    assert ctx.pc == (40 if taken else 8)
+    assert not ctx.fetch_blocked
+    assert core.f is None
 
 
 def test_step_fetches_front_thread_once_its_pending_line_is_installed(
@@ -469,6 +508,115 @@ def test_one_step_call_equals_single_cycle_steps():
     advance(single, 161, 600, True)
     assert state(whole) == state(single)
     assert whole.memory.stats.i_misses > 4
+
+
+def step_core0(chip, cycle, stop, single):
+    """Run core 0 from cycle to stop as the chip loop runs a lone core: the
+    fills due complete before each call, and a request the core queued for
+    its TMU is recorded and dropped after the call. The calls are one cycle
+    each, or as long as step allows. Returns the cycles the calls returned,
+    the due cycles of every fill seen, and (returned cycle, request) pairs."""
+    memory, tmu = chip.memory, chip.tmus[0]
+    ends, due, requests = [], set(), []
+    while cycle < stop:
+        chip.cycle = cycle
+        for cb, value in memory.step(cycle):
+            cb(value)
+        cycle = chip.cores[0].step(cycle, cycle + 1 if single else stop)
+        ends.append(cycle)
+        due.update(memory.fills)
+        if chip.busy_tmus:
+            requests += [(cycle, method.__name__)
+                         for method, _ in tmu.requests]
+            tmu.requests.clear()
+            chip.busy_tmus.clear()
+    return ends, due, requests
+
+
+def core_state(chip):
+    core, memory = chip.cores[0], chip.memory
+    threads = [(slot, ctx.pc, ctx.state, ctx.value, ctx.fetch_blocked,
+                ctx.suspended, ctx.pending_cells)
+               for slot, ctx in core.contexts.items()]
+    latches = [None if x is None else (x[0].slot, x[2])
+               for x in (core.f, core.d, core.r, core.e, core.m, core.w)]
+    m = core.metrics
+    return (threads, list(core.queue), latches,
+            (m.commits, m.bubbles, m.flushes, m.switch_events),
+            list(memory._itags[0]), list(memory._dtags[0]),
+            sorted(memory.fills), vars(memory.stats))
+
+
+# thread 0 starts at pc 0 (a load whose value it then uses), 4 (a putsh) or 7
+# (a halt); thread 1 spins from pc 8, so the core stays awake throughout
+STOP_POINTS = """
+.body main
+  addi r1, r0, 0x100
+  ld r2, 0(r1)
+  add r3, r2, r2
+  jmp park
+  addi r1, r0, 5
+  putsh r1
+park:
+  jmp park
+  halt
+spin:
+  addi r5, r5, 1
+  jmp spin
+"""
+
+
+def stop_point_chip(pc, **cache):
+    chip = make_chip(STOP_POINTS, cache=CacheConfig(**cache))
+    for ctx, start in zip(spawn(chip, 2), (pc, 8)):
+        ctx.pc = start
+    chip.memory.mem[0x100:0x104] = (21).to_bytes(4, "little")
+    chip.memory.icache_probe(0, 0, 0)       # lines 0-3, due at 10
+    chip.memory.step(10)
+    return chip
+
+
+@pytest.mark.parametrize("latency", [1, 2, 3])
+def test_step_call_returns_at_the_d_fill_its_own_load_created(latency):
+    whole, single = (stop_point_chip(0, d_miss_latency=latency)
+                     for _ in range(2))
+    ends, due, _ = step_core0(whole, 11, 40, False)
+    single_ends, single_due, _ = step_core0(single, 11, 40, True)
+    assert whole.memory.stats.d_misses == 1
+    assert due == single_due and due <= set(ends)
+    assert len(ends) < len(single_ends)
+    assert core_state(whole) == core_state(single)
+    assert whole.cores[0].contexts[0].value[3] == 42    # the loaded word, x2
+
+
+@pytest.mark.parametrize("latency", [1, 2])
+def test_step_call_returns_at_the_i_fill_its_own_probe_created(latency):
+    # one thread streams through cold I-lines; each new line's probe asks
+    # for a line further ahead, due latency cycles on
+    def setup():
+        chip = make_chip(STRAIGHT, cache=CacheConfig(i_miss_latency=latency))
+        spawn(chip, 1)
+        return chip
+
+    whole, single = setup(), setup()
+    ends, due, _ = step_core0(whole, 0, 60, False)
+    single_ends, single_due, _ = step_core0(single, 0, 60, True)
+    assert whole.memory.stats.i_misses > 10
+    assert due == single_due and due <= set(ends)
+    assert len(ends) < len(single_ends)
+    assert core_state(whole) == core_state(single)
+
+
+@pytest.mark.parametrize("pc, queued", [(4, "putsh"), (7, "terminated")])
+def test_step_call_returns_the_cycle_after_it_queued_a_tmu_request(pc,
+                                                                   queued):
+    whole, single = stop_point_chip(pc), stop_point_chip(pc)
+    ends, _, requests = step_core0(whole, 11, 40, False)
+    _, _, single_requests = step_core0(single, 11, 40, True)
+    assert [name for _, name in requests] == [queued]
+    assert requests == single_requests
+    assert requests[0][0] in ends
+    assert core_state(whole) == core_state(single)
 
 
 def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():

@@ -885,6 +885,75 @@ def test_many_awake_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
     assert res.result_hash() == digest
 
 
+# -- runs whose cycles are mostly spent with no core awake ---------------------
+
+# main loads a cold word, uses it, then waits on a channel value that never
+# comes: the load's fill is the only event in a long idle stretch, and the
+# deadlock verdict falls just after it
+LOAD_THEN_DEADLOCK = """
+.body main
+  addi r1, r0, 0x100
+  ld r2, 0(r1)
+  add r3, r2, r2
+  getsh r4
+  halt
+"""
+
+
+def _latency_slots2(n, **cfg):
+    return dict(p=1, thread_slots=2, cache=CacheConfig(d_miss_latency=n),
+                **cfg)
+
+
+# (id, program factory, config fields, outcome, cycles, commits, per-core
+# bubbles, traced result_hash); kernel_regular(n=256) with two thread slots
+# and 10,000-cycle D-fills idles on 642,324 of its 647,660 cycles, and the
+# watchdog deadlines and starvation checks below fall inside those stretches;
+# scripts/stress_grid.py runs these too
+IDLE_STRETCH_RUNS = [
+    ("latency-10000", lambda: kernel_regular(n=256).program,
+     _latency_slots2(10_000), Outcome.COMPLETED, 647_660, 5_140, [642_324],
+     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
+    ("latency-10000-watchdog-5000", lambda: kernel_regular(n=256).program,
+     _latency_slots2(10_000, watchdog_cycles=5_000),
+     Outcome.WATCHDOG_TIMEOUT, 5_000, 1_816, [3_180],
+     "e23ac70503b0f0c15675741e0ee97a721dfd38877ac4282518d82979d815d5a5"),
+    ("latency-10000-watchdog-30001", lambda: kernel_regular(n=256).program,
+     _latency_slots2(10_000, watchdog_cycles=30_001),
+     Outcome.WATCHDOG_TIMEOUT, 30_001, 1_920, [28_071],
+     "170f9faa846695ca24f71c54f5356c18d478f11f8fa300f319312e67a73c80f9"),
+    ("latency-10000-check7", lambda: kernel_regular(n=256).program,
+     _latency_slots2(10_000, starvation_check=7), Outcome.COMPLETED,
+     647_660, 5_140, [642_324],
+     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
+    ("latency-10000-check997", lambda: kernel_regular(n=256).program,
+     _latency_slots2(10_000, starvation_check=997), Outcome.COMPLETED,
+     647_660, 5_140, [642_324],
+     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
+    ("load-then-deadlock-p1", lambda: assemble(LOAD_THEN_DEADLOCK),
+     dict(p=1, cache=CacheConfig(d_miss_latency=5_000)),
+     Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015],
+     "264dd1c47f65ad1ea37c6959c81794715d664e0bff2734ad64cb64fd06e373f0"),
+    ("load-then-deadlock-p2", lambda: assemble(LOAD_THEN_DEADLOCK),
+     dict(p=2, cache=CacheConfig(d_miss_latency=5_000)),
+     Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015, 0],
+     "b10285b326eb7d71f45ac5a38ae0d318f7991ea98219a21266c2bdb693779c21"),
+]
+
+
+@pytest.mark.parametrize("make, cfg, outcome, cycles, commits, bubbles, digest",
+                         [run[1:] for run in IDLE_STRETCH_RUNS],
+                         ids=[run[0] for run in IDLE_STRETCH_RUNS])
+def test_idle_stretch_run_pinned(make, cfg, outcome, cycles, commits, bubbles,
+                                 digest):
+    res = run(ChipConfig(trace=True, **cfg), make())
+    assert res.outcome is outcome
+    assert res.metrics.cycles == cycles
+    assert res.metrics.commits == commits
+    assert [c.bubbles for c in res.metrics.per_core] == bubbles
+    assert res.result_hash() == digest
+
+
 def test_windows_equal_one_cycle_steps(monkeypatch):
     # the corpus kernels (heterogeneous at n=16, to keep the test short; the
     # stress grid runs it at full size) at p=2, 3, 4 and 8, eager and bulk,
