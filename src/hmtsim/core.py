@@ -28,11 +28,12 @@ instructions parked on it, from the first park until the writeback wakes them.
 An instruction in flight is a plain tuple, `(ctx, instr, pc)`, from fetch to
 retirement; a parked waiter and a thread's `resume` hold the same tuple. No
 stage carries operand values: each consumer reads the cells it needs from
-`ctx.value` when it runs. An execute-table entry is called with `(core, ctx,
-instr, pc)` and reads its sources there; `_load` and `_store` read their
-address and data cells at the memory stage. That reads the values the read
-stage found FULL, because a cell that an instruction read as FULL keeps its
-value until that instruction has used it:
+`ctx.value` when it runs. The execute stage reads its sources there, in
+`step`'s own frame or in an execute-table entry called with `(core, ctx,
+instr, pc)`; `_load` and `_store` read their address and data cells at the
+memory stage. That reads the values the read stage found FULL, because a
+cell that an instruction read as FULL keeps its value until that
+instruction has used it:
 
 - `writeback` faults on a write to a FULL cell, so no split-phase result
   lands in it;
@@ -45,12 +46,12 @@ value until that instruction has used it:
   because the stages run writeback, memory, execute, read, so a one-cycle
   result they write comes after the last use.
 
-The common path of a cycle runs in `step`'s own frame, so that most
-instructions cost one Python call, their execute-table entry (indexed by the
-decoded `Instruction.op`). `step` counts the commit, runs the read stage,
-writes the result an add, sub, mul or addi entry returns (wrapped to 32
-bits), and fetches. Fetch is one walk of the schedule queue, after any
-pending switch-hint rotation: the first thread that is resumable, or not
+The common path of a cycle runs in `step`'s own frame. `step` counts the
+commit; executes add, sub, mul and addi (writing the result wrapped to 32
+bits) and beq and bne itself, and any other opcode through its execute-table
+entry (indexed by the decoded `Instruction.op`), its one Python call; runs
+the read stage; and fetches. Fetch is one walk of the schedule queue, after
+any pending switch-hint rotation: the first thread that is resumable, or not
 fetch-blocked with its I-line resident, is rotated to the front and fetched
 from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
 line already probed since the last I-fill into this core, with a recency
@@ -75,13 +76,24 @@ those bubbles at once when it wakes or the run ends.
 
 `step(cycle, stop)` runs cycle after cycle in one call, with the latches,
 the commit and bubble counts and the core's invariants in locals, and
-returns the next cycle to run. It stops at the first of: `stop`; the core
-going idle, off the awake list; a TMU request it queued (`chip.busy_tmus` is
-no longer empty); a next cycle that is a key of `memory.fills` or
-`noc.arrivals`. It sets `chip.cycle` on entry and before each further
-cycle, because load-hit callbacks and `_enlist` read it and, in a window
-shared by several cores, the core stepped before this one has left it at a
-later cycle.
+returns the next cycle to run. A cycle that leaves the core idle, off the
+awake list, returns the next cycle; every other cycle ends with one test,
+`cycle >= stop`. On entry `stop` is lowered to the first cycle with a fill
+due or a message arriving (`MemorySystem.next_due`, `Noc.next_arrival`).
+During the call only the core itself makes work outside it, and it lowers
+`stop` where it does: to `next_due` after a load (a D-fill on a miss) and
+after an I-cache probe (I-fills for a miss and for fetch-ahead), and to the
+next cycle after an execute-table entry or a halt's retirement that queued a
+TMU request (`chip.busy_tmus` is no longer empty). Nothing else requests or
+completes a fill, sends or delivers a message, or queues a request while a
+core steps, and the chip runs the TMU phase before the core phase, so a call
+returns on the first cycle that has a fill due, a message arriving or a
+request queued, or that is `stop`, as if each cycle tested them all. (In a
+cycle run core by core, a core stepped after one that queued a request is
+given `cycle + 1` as its stop.) It sets `chip.cycle` on entry and before each
+further cycle, because load-hit callbacks and `_enlist` read it and, in a
+window shared by several cores, the core stepped before this one has left it
+at a later cycle.
 
 The chip loop passes a lone awake core the next starvation check (or the
 watchdog) as `stop`, and two or more awake cores one shared window's end
@@ -108,6 +120,12 @@ from .isa import CHANNEL_CELL, Opcode, s32
 EMPTY, FULL, PENDING = 0, 1, 2
 
 _CID = attrgetter("cid")        # order of the chip's awake list
+
+# the opcodes step runs in its own frame, as Instruction.op's plain ints; the
+# one-cycle results are the opcodes below _LD
+_ADD, _SUB, _MUL, _ADDI, _LD, _BEQ, _BNE = map(int, (
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.LD, Opcode.BEQ,
+    Opcode.BNE))
 
 
 # a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
@@ -357,7 +375,12 @@ class Core:
         TMU, a fill due, a message arriving); returns the next cycle to run."""
         chip = self.chip
         memory = chip.memory
-        fills, arrivals = memory.fills, chip.noc.arrivals
+        # the first cycle with work outside the core, lowered below as the
+        # core makes such work itself
+        if memory.next_due < stop:
+            stop = memory.next_due
+        if chip.noc.next_arrival < stop:
+            stop = chip.noc.next_arrival
         cid, queue, contexts = self.cid, self.queue, self.contexts
         probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
         instructions, traced, metrics = self.instructions, self.traced, \
@@ -373,24 +396,52 @@ class Core:
                     commits += 1
                     if w[1].is_halt or traced:
                         self._retire(w, cycle)
+                        if busy_tmus:           # a halt's termination
+                            stop = cycle + 1
                 if m is not None:
                     instr = m[1]
                     if instr.is_load:
                         self._load(m, cycle)
+                        if memory.next_due < stop:      # a D-fill it made
+                            stop = memory.next_due
                     elif instr.is_store:
                         self._store(m, cycle)
                 if e is not None:
                     ctx, instr, pc = e
-                    result = EXECUTE[instr.op](self, ctx, instr, pc)
-                    if result is not None:
-                        # a one-cycle result, wrapped to 32 bits and written
-                        # into a cell the read stage saw FULL (r0 stays 0)
+                    op = instr.op
+                    if op < _LD:
+                        # add, sub, mul, addi: a one-cycle result, wrapped to
+                        # 32 bits and written into a cell the read stage saw
+                        # FULL (r0 stays 0)
+                        value = ctx.value
+                        if op == _ADDI:
+                            result = value[instr.src1] + instr.imm
+                        elif op == _ADD:
+                            result = value[instr.src1] + value[instr.src2]
+                        elif op == _SUB:
+                            result = value[instr.src1] - value[instr.src2]
+                        else:
+                            result = value[instr.src1] * value[instr.src2]
                         dst = instr.dst
                         if dst:
                             if ctx.state[dst] != FULL:
                                 self._set_reg(ctx, dst, result)     # faults
-                            ctx.value[dst] = result if -0x80000000 <= \
+                            value[dst] = result if -0x80000000 <= \
                                 result <= 0x7FFFFFFF else s32(result)
+                    elif op == _BNE:
+                        value = ctx.value
+                        ctx.pc = instr.imm if value[instr.src1] != \
+                            value[instr.src2] else pc + 1
+                        ctx.fetch_blocked = False
+                    elif op == _BEQ:
+                        value = ctx.value
+                        ctx.pc = instr.imm if value[instr.src1] == \
+                            value[instr.src2] else pc + 1
+                        ctx.fetch_blocked = False
+                    else:
+                        EXECUTE[op](self, ctx, instr, pc)
+                        if busy_tmus:           # a TMU request it queued
+                            stop = cycle + 1
                 # read: with a pending cell in the thread, or a channel
                 # source, suspend on the first cell that is not FULL (sources
                 # first, then a PENDING destination); else pass untouched
@@ -447,6 +498,8 @@ class Core:
                             if resident is None:
                                 resident = memory.icache_probe(cid, ctx.pc,
                                                                cycle)
+                                if memory.next_due < stop:  # an I-fill
+                                    stop = memory.next_due
                             elif resident:
                                 touch(line)
                             if not resident:
@@ -485,8 +538,7 @@ class Core:
                         metrics.switch_events += 1
 
                 cycle += 1
-                if cycle == stop or busy_tmus or cycle in fills \
-                        or cycle in arrivals:
+                if cycle >= stop:
                     return cycle
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
@@ -494,30 +546,9 @@ class Core:
             metrics.bubbles += bubbles
 
 
-# -- execute stage: one entry per opcode ---------------------------------------------
-# An entry reads its source cells from ctx.value. It returns the raw result of
-# a one-cycle operation, which step wraps and writes to the destination; every
-# other entry returns None.
-
-
-def _add(core, ctx, instr, pc):
-    v = ctx.value
-    return v[instr.src1] + v[instr.src2]
-
-
-def _sub(core, ctx, instr, pc):
-    v = ctx.value
-    return v[instr.src1] - v[instr.src2]
-
-
-def _mul(core, ctx, instr, pc):
-    v = ctx.value
-    return v[instr.src1] * v[instr.src2]
-
-
-def _addi(core, ctx, instr, pc):
-    return ctx.value[instr.src1] + instr.imm
-
+# -- execute stage: one entry per opcode that step does not run itself --------
+# add, sub, mul, addi, beq and bne run in step's frame. An entry reads its
+# source cells from ctx.value and writes any result itself.
 
 def _ld(core, ctx, instr, pc):
     core._mark_pending(ctx, instr.dst)
@@ -527,18 +558,6 @@ def _nothing(core, ctx, instr, pc):
     # st: the memory stage stores; jmp: resolved in decode; halt: retirement
     # drives termination
     pass
-
-
-def _beq(core, ctx, instr, pc):
-    v = ctx.value
-    ctx.pc = instr.imm if v[instr.src1] == v[instr.src2] else pc + 1
-    ctx.fetch_blocked = False
-
-
-def _bne(core, ctx, instr, pc):
-    v = ctx.value
-    ctx.pc = instr.imm if v[instr.src1] != v[instr.src2] else pc + 1
-    ctx.fetch_blocked = False
 
 
 def _getidx(core, ctx, instr, pc):
@@ -594,11 +613,12 @@ def _release(core, ctx, instr, pc):
 
 
 _EXECUTE_BY_OPCODE = {
-    Opcode.ADD: _add, Opcode.SUB: _sub, Opcode.MUL: _mul, Opcode.ADDI: _addi,
-    Opcode.LD: _ld, Opcode.ST: _nothing, Opcode.BEQ: _beq, Opcode.BNE: _bne,
-    Opcode.JMP: _nothing, Opcode.HALT: _nothing, Opcode.ALLOCATE: _allocate,
-    Opcode.CREATE: _create, Opcode.SYNC: _sync, Opcode.RELEASE: _release,
-    Opcode.GETIDX: _getidx, Opcode.PUTSH: _putsh, Opcode.GETSH: _getsh,
+    Opcode.LD: _ld, Opcode.ST: _nothing, Opcode.JMP: _nothing,
+    Opcode.HALT: _nothing, Opcode.ALLOCATE: _allocate, Opcode.CREATE: _create,
+    Opcode.SYNC: _sync, Opcode.RELEASE: _release, Opcode.GETIDX: _getidx,
+    Opcode.PUTSH: _putsh, Opcode.GETSH: _getsh,
 }
-# indexed by Instruction.op; building it fails at import if an opcode has no entry
-EXECUTE = tuple(_EXECUTE_BY_OPCODE[Opcode(i)] for i in range(len(Opcode)))
+# indexed by Instruction.op, None where step runs the opcode itself; building
+# it fails at import if any other opcode has no entry
+EXECUTE = tuple(None if op in (_ADD, _SUB, _MUL, _ADDI, _BEQ, _BNE)
+                else _EXECUTE_BY_OPCODE[op] for op in Opcode)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import inf
 
 from .errors import SimFault
 
@@ -66,8 +67,11 @@ class MemorySystem:
         # epoch -> core -> {addr: value}, populated only under BULK
         self._write_sets: dict[int, dict[int, dict[int, int]]] = {}
         # completion cycle -> (I-fill (core, line) keys, D-fills), each list
-        # in issue order
+        # in issue order; next_due is its smallest key (inf when empty),
+        # lowered as a key is made and recomputed as one is popped, so that
+        # the chip and a core test for a due fill with one comparison
         self.fills: dict[int, tuple[list, list]] = {}
+        self.next_due = inf
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_pending: set[tuple[int, int]] = set()
         # icache_probe's memo, public so that fetch reads it without the
@@ -230,12 +234,15 @@ class MemorySystem:
         due = self.fills.get(cycle)
         if due is None:
             due = self.fills[cycle] = ([], [])
+            if cycle < self.next_due:
+                self.next_due = cycle
         return due
 
     def step(self, cycle: int) -> list:
         """Complete fills due this cycle, I-fills first; returns the D-fills'
         (callback, value) pairs to run."""
         i_fills, d_fills = self.fills.pop(cycle, ((), ()))
+        self.next_due = min(self.fills, default=inf)
         for key in i_fills:
             self._i_pending.discard(key)
             core, line = key

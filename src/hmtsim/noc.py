@@ -8,6 +8,7 @@ core messaging itself). There is no contention or buffering model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import attrgetter
 from typing import Callable
 
@@ -59,8 +60,12 @@ class Topology:
 class Noc:
     def __init__(self, topology: Topology):
         self.topology = topology
-        # arrival cycle -> messages due then, each list in injection order
+        # arrival cycle -> messages due then, each list in injection order;
+        # next_arrival is its smallest key (inf when empty), lowered by send
+        # and recomputed by step, so that the chip and a core test for an
+        # arrival with one comparison
         self.arrivals: dict[int, list[ControlMessage]] = {}
+        self.next_arrival = inf
         self.injected = 0
         self.delivered = 0
         self._hop_counts: dict[tuple[int, int], int] = {}
@@ -77,18 +82,21 @@ class Noc:
     def send(self, handler: Callable, src: int, dst: int, payload: tuple,
              cycle: int) -> ControlMessage:
         hops, links = self._routes.get((src, dst)) or self._route(src, dst)
-        msg = ControlMessage(handler, dst, payload,
-                             arrives_at=cycle + max(1, hops * self.topology.hop_latency))
+        at = cycle + max(1, hops * self.topology.hop_latency)
+        msg = ControlMessage(handler, dst, payload, arrives_at=at)
         self.injected += 1
         counts = self._hop_counts
         for link in links:
             counts[link] = counts.get(link, 0) + 1
-        self.arrivals.setdefault(msg.arrives_at, []).append(msg)
+        self.arrivals.setdefault(at, []).append(msg)
+        if at < self.next_arrival:
+            self.next_arrival = at
         return msg
 
     def step(self, cycle: int) -> list[ControlMessage]:
         """Messages arriving this cycle, ordered by (dst core, injection order)."""
         due = self.arrivals.pop(cycle, [])
+        self.next_arrival = min(self.arrivals, default=inf)
         due.sort(key=_DST)      # stable: keeps injection order
         self.delivered += len(due)
         return due

@@ -9,11 +9,13 @@ over identical inputs are bit-identical.
 
 A component is stepped only when it has work, as in dataflow scheduling where
 a waiting thread costs nothing until its cell is written, and each test for
-work is one lookup per cycle:
+work is one comparison or one truth test per cycle:
 
-- the memory system on a cycle a fill is due: `MemorySystem.fills` is keyed
-  by completion cycle, as `Noc.arrivals` is by arrival cycle;
-- the NoC on a cycle a message arrives;
+- the memory system on the cycle `MemorySystem.next_due`, the first
+  completion cycle of its fills, which it keeps as fills are requested and
+  completed;
+- the NoC on the cycle `Noc.next_arrival`, kept likewise as messages are
+  sent and delivered;
 - a TMU on the cycle after it was given requests: its first request puts it
   on the chip's busy TMU list (kept in ascending core id), which the TMU
   phase takes whole and empties;
@@ -36,11 +38,25 @@ end at its creation point. The chip counts the families not yet completed,
 and the run ends after the cycle whose TMU phase completes the last of them,
 then drains the NoC.
 
+When no core is awake in a cycle's core phase, no TMU is busy either (only a
+core queues requests), and nothing happens until the next fill or arrival,
+since only those give a TMU or a core work. The chip jumps to the earliest
+of `next_due`, `next_arrival`, the next multiple of `starvation_check` and
+the watchdog; with no fill or message pending the system is quiescent and
+the chip steps one cycle, so that the verdict keeps its cycle. The jump is
+exact: no phase would run on the cycles it skips, so no family completes on
+them; the system is not quiescent on them, because a fill or a message is
+pending; starvation is tested only on the multiples of `starvation_check`
+and the watchdog only at its deadline, where the jump stops; and idle cores
+settle the skipped bubbles in one addition.
+
 A core that is the only awake core runs ahead: one `Core.step` call runs its
 cycles up to the next multiple of `starvation_check` (or the watchdog), and
 returns early when the core goes idle, queues a TMU request, or the next
-cycle has a fill due or a message arriving. The next cycle is the one the
-step returns. This is exact, cycle for cycle:
+cycle has a fill due or a message arriving (see `core.py`: the step folds
+`next_due` and `next_arrival` into its stop and lowers it as it makes such
+work, so each of its cycles ends with one comparison). The next cycle is the
+one the step returns. This is exact, cycle for cycle:
 
 - only the memory, NoC and TMU phases give a core work or complete a
   family, and the step returns before any cycle on which one of them has
@@ -103,6 +119,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from math import inf
 from operator import itemgetter
 
 from .core import Core, CHANNEL_CELL
@@ -416,17 +433,16 @@ def run(config: ChipConfig, program: Program,
     # already reached every core with a lower id
     fault_cid = 0
     memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
-    fills, arrivals = memory.fills, noc.arrivals
     watchdog, check = config.watchdog_cycles, config.starvation_check
     # windows: at most the fetch-to-execute depth, and shorter than I-fills
     depth, hold = min(4, config.cache.i_miss_latency), 0
     try:
         while cycle < watchdog:
             chip.cycle = cycle
-            if cycle in fills:
+            if cycle == memory.next_due:
                 for cb, value in memory.step(cycle):
                     cb(value)
-            if cycle in arrivals:
+            if cycle == noc.next_arrival:
                 for msg in noc.step(cycle):
                     tmus[msg.dst].handle_message(msg, cycle)
             if chip.busy_tmus:
@@ -466,7 +482,13 @@ def run(config: ChipConfig, program: Program,
                     chip.awake = awake = [c for c in awake if c.awake]
                 cycle = nxt
             else:
-                cycle += 1
+                # no core awake: jump to the next fill or arrival, stopping
+                # at starvation checks and the watchdog (see the docstring)
+                nxt = min(memory.next_due, noc.next_arrival)
+                if nxt == inf:
+                    cycle += 1
+                else:
+                    cycle = min(nxt, cycle - cycle % check + check, watchdog)
             if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break
@@ -495,7 +517,7 @@ def run(config: ChipConfig, program: Program,
             drain_limit = cycle + 4 * config.p * config.hop_latency + 8
             while noc.in_flight and cycle < drain_limit:
                 chip.cycle = cycle
-                if cycle in arrivals:
+                if cycle == noc.next_arrival:
                     for msg in noc.step(cycle):
                         tmus[msg.dst].handle_message(msg, cycle)
                 if chip.busy_tmus:

@@ -548,7 +548,9 @@ def core_state(chip):
 
 
 # thread 0 starts at pc 0 (a load whose value it then uses), 4 (a putsh) or 7
-# (a halt); thread 1 spins from pc 8, so the core stays awake throughout
+# (a halt); thread 1 spins from pc 8 on opcodes that step runs itself, so
+# that the core stays awake throughout and only thread 0 calls execute-table
+# entries
 STOP_POINTS = """
 .body main
   addi r1, r0, 0x100
@@ -562,7 +564,7 @@ park:
   halt
 spin:
   addi r5, r5, 1
-  jmp spin
+  bne r5, r0, spin
 """
 
 

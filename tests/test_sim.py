@@ -885,7 +885,7 @@ def test_many_awake_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
     assert res.result_hash() == digest
 
 
-# -- runs whose cycles are mostly spent with no core awake ---------------------
+# -- runs whose cycles are mostly spent with no core awake --------------------
 
 # main loads a cold word, uses it, then waits on a channel value that never
 # comes: the load's fill is the only event in a long idle stretch, and the
@@ -941,8 +941,8 @@ IDLE_STRETCH_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("make, cfg, outcome, cycles, commits, bubbles, digest",
-                         [run[1:] for run in IDLE_STRETCH_RUNS],
+@pytest.mark.parametrize(("make, cfg, outcome, cycles, commits, bubbles, "
+                          "digest"), [run[1:] for run in IDLE_STRETCH_RUNS],
                          ids=[run[0] for run in IDLE_STRETCH_RUNS])
 def test_idle_stretch_run_pinned(make, cfg, outcome, cycles, commits, bubbles,
                                  digest):
