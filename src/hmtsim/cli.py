@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 from .errors import SimFault
@@ -180,10 +181,19 @@ def cmd_run(args) -> int:
     return _exit_code(result.outcome)
 
 
+# a core count in sweep's --cores list: ASCII decimal, as the assembler reads
+# it, so that the config check, not the parse, refuses 0 and negative counts
+_CORE_COUNT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
 def _sweep_cells(args) -> list:
     """(spec, config) per cell, all built and checked before any is run."""
     kernels = args.kernels.split(",")
-    cores = [int(c) for c in args.cores.split(",")]
+    counts = args.cores.split(",")
+    if not all(_CORE_COUNT.fullmatch(c) for c in counts):
+        raise UsageError(f"--cores takes a comma list of decimal core counts, "
+                         f"got {args.cores!r}")
+    cores = [int(c) for c in counts]
     hints = args.hints.split(",")
     coherency = args.coherency.split(",")
     cells = []

@@ -197,6 +197,24 @@ def test_sweep_rejects_hints_other_than_on_off(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("cores", ["1,x", "1,,2", "+4", "1_0", "\u0663",
+                                   "4,"])
+def test_sweep_malformed_cores_exit_64(capsys, cores):
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain",
+                             "--cores", cores)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: --cores takes a comma list of decimal core "
+                   f"counts, got {cores!r}\n")
+
+
+@pytest.mark.parametrize("cores, count", [("0", 0), ("2,-1", -1)])
+def test_sweep_cores_below_one_keep_the_config_message(capsys, cores, count):
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain",
+                             "--cores", cores)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: core count must be >= 1, got {count}\n"
+
+
 def test_sweep_records_carry_machine_flags(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--kernels", "chain",
                            "--cores", "1,2", "--coherency", "eager",
