@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from math import inf
+from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 
 from .errors import SimFault
 
@@ -67,11 +67,11 @@ class MemorySystem:
         # epoch -> core -> {addr: value}, populated only under BULK
         self._write_sets: dict[int, dict[int, dict[int, int]]] = {}
         # completion cycle -> (I-fill (core, line) keys, D-fills), each list
-        # in issue order; next_due is its smallest key (inf when empty),
+        # in issue order; next_due is its smallest key (NEVER when empty),
         # lowered as a key is made and recomputed as one is popped, so that
         # the chip and a core test for a due fill with one comparison
         self.fills: dict[int, tuple[list, list]] = {}
-        self.next_due = inf
+        self.next_due = NEVER
         self._d_pending: dict[tuple[int, int], _Fill] = {}
         self._i_pending: set[tuple[int, int]] = set()
         # icache_probe's memo, public so that fetch reads it without the
@@ -242,7 +242,7 @@ class MemorySystem:
         """Complete fills due this cycle, I-fills first; returns the D-fills'
         (callback, value) pairs to run."""
         i_fills, d_fills = self.fills.pop(cycle, ((), ()))
-        self.next_due = min(self.fills, default=inf)
+        self.next_due = min(self.fills) if self.fills else NEVER
         for key in i_fills:
             self._i_pending.discard(key)
             core, line = key

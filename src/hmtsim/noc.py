@@ -8,7 +8,7 @@ core messaging itself). There is no contention or buffering model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 from operator import attrgetter
 from typing import Callable
 
@@ -61,11 +61,11 @@ class Noc:
     def __init__(self, topology: Topology):
         self.topology = topology
         # arrival cycle -> messages due then, each list in injection order;
-        # next_arrival is its smallest key (inf when empty), lowered by send
+        # next_arrival is its smallest key (NEVER when empty), lowered by send
         # and recomputed by step, so that the chip and a core test for an
         # arrival with one comparison
         self.arrivals: dict[int, list[ControlMessage]] = {}
-        self.next_arrival = inf
+        self.next_arrival = NEVER
         self.injected = 0
         self.delivered = 0
         self._hop_counts: dict[tuple[int, int], int] = {}
@@ -96,7 +96,7 @@ class Noc:
     def step(self, cycle: int) -> list[ControlMessage]:
         """Messages arriving this cycle, ordered by (dst core, injection order)."""
         due = self.arrivals.pop(cycle, [])
-        self.next_arrival = min(self.arrivals, default=inf)
+        self.next_arrival = min(self.arrivals) if self.arrivals else NEVER
         due.sort(key=_DST)      # stable: keeps injection order
         self.delivered += len(due)
         return due

@@ -42,8 +42,9 @@ When no core is awake in a cycle's core phase, no TMU is busy either (only a
 core queues requests), and nothing happens until the next fill or arrival,
 since only those give a TMU or a core work. The chip jumps to the earliest
 of `next_due`, `next_arrival`, the next multiple of `starvation_check` and
-the watchdog; with no fill or message pending the system is quiescent and
-the chip steps one cycle, so that the verdict keeps its cycle. The jump is
+the watchdog; with no fill or message pending (both values are `NEVER`, a
+cycle no run reaches) the system is quiescent and the chip steps one cycle,
+so that the verdict keeps its cycle. The jump is
 exact: no phase would run on the cycles it skips, so no family completes on
 them; the system is not quiescent on them, because a fill or a message is
 pending; starvation is tested only on the multiples of `starvation_check`
@@ -119,13 +120,12 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from math import inf
 from operator import itemgetter
 
 from .core import Core, CHANNEL_CELL
 from .errors import SimFault
 from .isa import Program, annotate_hints, validate
-from .memory import CacheConfig, MemorySystem
+from .memory import NEVER, CacheConfig, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
 
@@ -485,7 +485,7 @@ def run(config: ChipConfig, program: Program,
                 # no core awake: jump to the next fill or arrival, stopping
                 # at starvation checks and the watchdog (see the docstring)
                 nxt = min(memory.next_due, noc.next_arrival)
-                if nxt == inf:
+                if nxt == NEVER:
                     cycle += 1
                 else:
                     cycle = min(nxt, cycle - cycle % check + check, watchdog)
