@@ -8,8 +8,8 @@ core messaging itself). There is no contention or buffering model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 from operator import attrgetter
+from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 from typing import Callable
 
 _DST = attrgetter("dst")
