@@ -550,6 +550,7 @@ class Core:
 # add, sub, mul, addi, beq and bne run in step's frame. An entry reads its
 # source cells from ctx.value and writes any result itself.
 
+
 def _ld(core, ctx, instr, pc):
     core._mark_pending(ctx, instr.dst)
 

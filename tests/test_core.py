@@ -464,52 +464,6 @@ c:
 """
 
 
-def test_one_step_call_equals_single_cycle_steps():
-    # three threads fetch from three lines through a two-line I-cache, so the
-    # line each I-fill evicts depends on the recency of every fetch; one call
-    # over many cycles must leave what as many one-cycle calls leave
-    def setup():
-        chip = make_chip(THREE_LINE_LOOPS, cache=CacheConfig(
-            i_lines=2, i_miss_latency=100))
-        memory = chip.memory
-        for ctx, pc in zip(spawn(chip, 3), (0, 4, 8)):
-            ctx.pc = pc
-        memory.icache_probe(0, 0, 0)        # lines 0 and 1, due at 100
-        memory.step(100)
-        return chip
-
-    def state(chip):
-        core, memory = chip.cores[0], chip.memory
-        latches = [None if x is None else (x[0].slot, x[2])
-                   for x in (core.f, core.d, core.r, core.e, core.m, core.w)]
-        m = core.metrics
-        return (list(memory._itags[0]), sorted(memory.fills),
-                [ctx.pc for ctx in core.contexts.values()], list(core.queue),
-                latches, (m.commits, m.bubbles, m.flushes, m.switch_events),
-                memory.stats.i_misses)
-
-    def advance(chip, cycle, stop, single):
-        memory = chip.memory
-        while cycle < stop:
-            chip.cycle = cycle
-            if cycle in memory.fills:
-                memory.step(cycle)
-            cycle = chip.cores[0].step(cycle, cycle + 1 if single else stop)
-        return cycle
-
-    whole, single = setup(), setup()
-    # no fill falls due in the first 60 cycles: one call runs them all
-    assert whole.cores[0].step(101, 161) == 161
-    advance(single, 101, 161, True)
-    assert state(whole) == state(single)
-    assert whole.cores[0].metrics.commits > 30
-    # then through fills that evict a line from the full I-cache
-    advance(whole, 161, 600, False)
-    advance(single, 161, 600, True)
-    assert state(whole) == state(single)
-    assert whole.memory.stats.i_misses > 4
-
-
 def step_core0(chip, cycle, stop, single):
     """Run core 0 from cycle to stop as the chip loop runs a lone core: the
     fills due complete before each call, and a request the core queued for
@@ -545,6 +499,33 @@ def core_state(chip):
             (m.commits, m.bubbles, m.flushes, m.switch_events),
             list(memory._itags[0]), list(memory._dtags[0]),
             sorted(memory.fills), vars(memory.stats))
+
+
+def test_one_step_call_equals_single_cycle_steps():
+    # three threads fetch from three lines through a two-line I-cache, so the
+    # line each I-fill evicts depends on the recency of every fetch; one call
+    # over many cycles must leave what as many one-cycle calls leave
+    def setup():
+        chip = make_chip(THREE_LINE_LOOPS, cache=CacheConfig(
+            i_lines=2, i_miss_latency=100))
+        memory = chip.memory
+        for ctx, pc in zip(spawn(chip, 3), (0, 4, 8)):
+            ctx.pc = pc
+        memory.icache_probe(0, 0, 0)        # lines 0 and 1, due at 100
+        memory.step(100)
+        return chip
+
+    whole, single = setup(), setup()
+    # no fill falls due in the first 60 cycles: one call runs them all
+    assert whole.cores[0].step(101, 161) == 161
+    step_core0(single, 101, 161, True)
+    assert core_state(whole) == core_state(single)
+    assert whole.cores[0].metrics.commits > 30
+    # then through fills that evict a line from the full I-cache
+    step_core0(whole, 161, 600, False)
+    step_core0(single, 161, 600, True)
+    assert core_state(whole) == core_state(single)
+    assert whole.memory.stats.i_misses > 4
 
 
 # thread 0 starts at pc 0 (a load whose value it then uses), 4 (a putsh) or 7
