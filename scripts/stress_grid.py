@@ -12,17 +12,18 @@ results can be checked against its parent with
 
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
-300,000-cycle watchdog (480 runs), followed by 60 runs pinned in
+300,000-cycle watchdog (480 runs), followed by 62 runs pinned in
 tests/test_sim.py: the eight non-completed runs (a core-1 fault, a p=2
 deadlock, a p=2 starvation and a p=4 watchdog run, and the four waits-for
 deadlock diagnostics), the ten runs whose deciding event falls while one core
 is the only awake core, the eight whose deciding event falls while two or
 more cores are awake, five completed p=1 runs at starvation_check 1, 7 and
 128, three programs whose instructions read a cell they also write, at
-p=1 and p=2, eager and bulk, and seven runs that spend most of their cycles
-with no core awake. Their programs and configurations are read from
-that file, so the script and the tests cannot drift. One pass takes 30-40 s on a 2-vCPU x86_64
-VM with CPython 3.11.
+p=1 and p=2, eager and bulk, seven runs that spend most of their cycles
+with no core awake, and two runs whose memory, NoC or TMU phase wakes a core
+or faults while one core is awake. Their programs and configurations are
+read from that file, so the script and the tests cannot drift. One pass
+takes 30-40 s on a 2-vCPU x86_64 VM with CPython 3.11.
 """
 
 import importlib.util
@@ -88,6 +89,8 @@ def pinned():
                    assemble(text))
     for name, make, cfg, *_ in src.IDLE_STRETCH_RUNS:
         yield f"idle-{name}", ChipConfig(trace=True, **cfg), make()
+    for name, make, cfg, *_ in src.LONE_PHASE_RUNS:
+        yield f"phase-{name}", ChipConfig(trace=True, **cfg), make()
 
 
 def main():

@@ -954,6 +954,103 @@ def test_idle_stretch_run_pinned(make, cfg, outcome, cycles, commits, bubbles,
     assert res.result_hash() == digest
 
 
+# -- runs whose memory, NoC or TMU phase acts while one core is awake ---------
+
+# main spins on core 0 while the family's creation reaches core 1, then waits
+# on the family's tail; thread 0 spins on core 0 and sends its channel value
+# to thread 1 on core 1, which spins alone, sends the tail to main on core 0
+# and spins on
+CROSS_WAKE = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  addi r9, r0, 60
+spin:
+  addi r9, r9, -1
+  bne r9, r0, spin
+  getsh r8, r2
+  add r0, r8, r0
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  bne r5, r0, second
+  addi r7, r0, 100
+first:
+  addi r7, r7, -1
+  bne r7, r0, first
+  addi r6, r0, 7
+  putsh r6
+  halt
+second:
+  getsh r6
+  addi r7, r0, 100
+loop:
+  addi r7, r7, -1
+  bne r7, r0, loop
+  add r6, r6, r6
+  putsh r6
+  addi r7, r0, 20
+after:
+  addi r7, r7, -1
+  bne r7, r0, after
+  halt
+"""
+
+# thread 1 spins alone on core 1 and releases an allocation that does not
+# exist, while main waits on core 0 for the family's sync
+UNKNOWN_RELEASE = """
+.body main
+  allocate r1, 2
+  create r2, r1, w, 0, 2, 1
+  sync r4, r2
+  add r0, r4, r0
+  release r1
+  halt
+.body w
+  getidx r5
+  beq r5, r0, done
+  addi r7, r0, 50
+spin:
+  addi r7, r7, -1
+  bne r7, r0, spin
+  addi r6, r0, 99
+  release r6
+done:
+  halt
+"""
+
+# (id, program factory, config fields, outcome, diagnostic, cycles, per-core
+# bubbles, traced result_hash): the creation, the channel value and the tail
+# of cross-wake each wake the other core, and unknown-release faults in its
+# TMU phase while core 1 is the only awake core; scripts/stress_grid.py runs
+# these too
+LONE_PHASE_RUNS = [
+    ("cross-wake-p2", lambda: assemble(CROSS_WAKE), dict(p=2),
+     Outcome.COMPLETED, None, 1164, [817, 874],
+     "e8329fc560542d60b85dfc54d7cf732372fcf6910617115187118caa425500a7"),
+    ("unknown-release-core1", lambda: assemble(UNKNOWN_RELEASE), dict(p=2),
+     Outcome.FAULT, "release of unknown or already released allocation 99",
+     296, [281, 166],
+     "0c11f3659feab5741ce365917b8b64a7cd3eb5c9698423ed8e2f3ab83ae2622f"),
+]
+
+
+@pytest.mark.parametrize(("make, cfg, outcome, diagnostic, cycles, bubbles, "
+                          "digest"), [run[1:] for run in LONE_PHASE_RUNS],
+                         ids=[run[0] for run in LONE_PHASE_RUNS])
+def test_lone_phase_run_pinned(make, cfg, outcome, diagnostic, cycles,
+                               bubbles, digest):
+    res = run(ChipConfig(trace=True, **cfg), make())
+    assert res.outcome is outcome
+    assert res.diagnostic == diagnostic
+    assert res.metrics.cycles == cycles
+    assert [c.bubbles for c in res.metrics.per_core] == bubbles
+    assert res.result_hash() == digest
+
+
 def test_windows_equal_one_cycle_steps(monkeypatch):
     # the corpus kernels (heterogeneous at n=16, to keep the test short; the
     # stress grid runs it at full size) at p=2, 3, 4 and 8, eager and bulk,
