@@ -58,10 +58,10 @@ line already probed since the last I-fill into this core, with a recency
 touch (`MemorySystem.i_touch`) for a resident one, and from
 `MemorySystem.icache_probe` otherwise. A thread whose pc lies on the line
 that the same `step` call last found resident, and fetched from, skips both:
-that line is still resident and still the most recently used, because no
-fill completes inside a call (it returns before any cycle with a fill due)
-and only fetch's own touches reorder the core's I-tags. The remembered line
-is reset at every call. The rest runs only where it is
+that line is still resident and still the most recently used, because only
+fetch's own touches reorder the core's I-tags and only a fill evicts a
+line, and the remembered line is reset at every call and after every phase
+that the call runs (see below). The rest runs only where it is
 needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
@@ -74,30 +74,41 @@ nothing queued and every latch empty. An idle core that still holds threads
 counts one bubble per cycle: it remembers the cycle it went idle and adds
 those bubbles at once when it wakes or the run ends.
 
-`step(cycle, stop)` runs cycle after cycle in one call, with the latches,
+`step(cycle, limit)` runs cycle after cycle in one call, with the latches,
 the commit and bubble counts and the core's invariants in locals, and
 returns the next cycle to run. A cycle that leaves the core idle, off the
 awake list, returns the next cycle; every other cycle ends with one test,
-`cycle >= stop`. On entry `stop` is lowered to the first cycle with a fill
-due or a message arriving (`MemorySystem.next_due`, `Noc.next_arrival`).
-During the call only the core itself makes work outside it, and it lowers
-`stop` where it does: to `next_due` after a load (a D-fill on a miss) and
-after an I-cache probe (I-fills for a miss and for fetch-ahead), and to the
-next cycle after an execute-table entry or a halt's retirement that queued a
-TMU request (`chip.busy_tmus` is no longer empty). Nothing else requests or
-completes a fill, sends or delivers a message, or queues a request while a
-core steps, and the chip runs the TMU phase before the core phase, so a call
-returns on the first cycle that has a fill due, a message arriving or a
-request queued, or that is `stop`, as if each cycle tested them all. (In a
-cycle run core by core, a core stepped after one that queued a request is
-given `cycle + 1` as its stop.) It sets `chip.cycle` on entry and before each
-further cycle, because load-hit callbacks and `_enlist` read it and, in a
-window shared by several cores, the core stepped before this one has left it
-at a later cycle.
+`cycle >= stop`. `stop` starts at `limit`, lowered on entry to the first
+cycle with a fill due or a message arriving (`MemorySystem.next_due`,
+`Noc.next_arrival`). During the call only the core itself makes work
+outside it, and it lowers `stop` where it does: to `next_due` after a load
+(a D-fill on a miss) and after an I-cache probe (I-fills for a miss and for
+fetch-ahead), and to the next cycle after an execute-table entry or a halt's
+retirement that queued a TMU request (`chip.busy_tmus` is no longer empty).
+Nothing else requests or completes a fill, sends or delivers a message, or
+queues a request while a core steps, and the chip runs the TMU phase before
+the core phase, so `stop` is the first cycle that has a fill due, a message
+arriving or a request queued, or that is `limit`, as if each cycle tested
+them all.
+
+At `limit` the call returns. At an earlier `stop`, a core that shares the
+chip with another awake core returns too (in a cycle run core by core, a
+core stepped after one that queued a request is given `cycle + 1` as its
+limit). The only awake core instead runs that cycle's memory, NoC and TMU
+phases itself (`Chip.phases`, as the chip loop would before its core phase);
+it returns, with them done, if they woke another core, and otherwise
+carries on, with `stop` folded again from `limit`, `next_due` and
+`next_arrival` and the remembered I-line forgotten. So a lone core stops
+hard only at a starvation check, the watchdog, going idle, or waking
+another core. The call sets `chip.cycle` on entry and before each further
+cycle, because load-hit callbacks and `_enlist` read it and, in a window
+shared by several cores, the core stepped before this one has left it at a
+later cycle.
 
 The chip loop passes a lone awake core the next starvation check (or the
-watchdog) as `stop`, and two or more awake cores one shared window's end
-(see `sim.py`). The window is bounded by each core's horizon: the number of
+watchdog) as `limit`, and two or more awake cores one shared window's end
+(see `sim.py`, which also argues that running the phases in the step is
+exact). The window is bounded by each core's horizon: the number of
 coming cycles before its oldest in-flight instruction that acts outside the
 core (`Instruction.acts_outside`: a load or store, a TMU request, a halt)
 can do so. That is 0 when the instruction is in the execute, memory or
@@ -369,18 +380,22 @@ class Core:
 
     # -- cycles -------------------------------------------------------------------------
 
-    def step(self, cycle: int, stop: int) -> int:
-        """Run cycles from cycle until stop, until the core goes idle, or until
-        the next cycle has work outside the core (a request it queued for a
-        TMU, a fill due, a message arriving); returns the next cycle to run."""
+    def step(self, cycle: int, limit: int) -> int:
+        """Run cycles from cycle until limit or until the core goes idle;
+        returns the next cycle to run. A cycle with work outside the core (a
+        request it queued for a TMU, a fill due, a message arriving) ends a
+        call that shares the chip with another awake core; the only awake
+        core runs that cycle's memory, NoC and TMU phases itself, and
+        returns, with them done, only if they woke another core."""
         chip = self.chip
-        memory = chip.memory
+        memory, noc = chip.memory, chip.noc
         # the first cycle with work outside the core, lowered below as the
         # core makes such work itself
+        stop = limit
         if memory.next_due < stop:
             stop = memory.next_due
-        if chip.noc.next_arrival < stop:
-            stop = chip.noc.next_arrival
+        if noc.next_arrival < stop:
+            stop = noc.next_arrival
         cid, queue, contexts = self.cid, self.queue, self.contexts
         probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
         instructions, traced, metrics = self.instructions, self.traced, \
@@ -539,7 +554,23 @@ class Core:
 
                 cycle += 1
                 if cycle >= stop:
-                    return cycle
+                    if cycle >= limit or len(chip.awake) > 1:
+                        return cycle
+                    # the only awake core: run the cycle's phases here
+                    try:
+                        chip.phases(cycle)
+                    except SimFault:
+                        chip.fault_before_cores = True
+                        raise
+                    if len(chip.awake) > 1:     # a phase woke another core
+                        return cycle
+                    stop = limit
+                    if memory.next_due < stop:
+                        stop = memory.next_due
+                    if noc.next_arrival < stop:
+                        stop = noc.next_arrival
+                    busy_tmus = chip.busy_tmus
+                    fetched_line = -1   # a fill may have evicted it
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
             metrics.commits += commits

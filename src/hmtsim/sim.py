@@ -36,38 +36,58 @@ root family, which runs `main`, and every family created since, synced or
 not. That is the sequential oracle's meaning, which runs each family to its
 end at its creation point. The chip counts the families not yet completed,
 and the run ends after the cycle whose TMU phase completes the last of them,
-then drains the NoC.
+then drains the NoC, running the phases until no message is in flight. A
+fill that completes there changes no result: every thread has halted, so
+its cell has no instruction parked on it.
 
 When no core is awake in a cycle's core phase, no TMU is busy either (only a
 core queues requests), and nothing happens until the next fill or arrival,
 since only those give a TMU or a core work. The chip jumps to the earliest
-of `next_due`, `next_arrival`, the next multiple of `starvation_check` and
-the watchdog; with no fill or message pending (both values are `NEVER`, a
-cycle no run reaches) the system is quiescent and the chip steps one cycle,
-so that the verdict keeps its cycle. The jump is
-exact: no phase would run on the cycles it skips, so no family completes on
-them; the system is not quiescent on them, because a fill or a message is
-pending; starvation is tested only on the multiples of `starvation_check`
-and the watchdog only at its deadline, where the jump stops; and idle cores
-settle the skipped bubbles in one addition.
+of `next_due`, `next_arrival` and the watchdog; with no fill or message
+pending (both values are `NEVER`, a cycle no run reaches) the system is
+quiescent and the chip steps one cycle, so that the verdict keeps its cycle.
+The jump is exact: no phase would run on the cycles it skips, so no family
+completes on them; the system is not quiescent on them, because a fill or a
+message is pending; the watchdog is tested only at its deadline, where the
+jump stops; a starvation check on them would find no runnable thread,
+because a thread that is not suspended is queued and a queued thread keeps
+its core awake, so with no core awake every live thread is suspended; and
+idle cores settle the skipped bubbles in one addition.
 
 A core that is the only awake core runs ahead: one `Core.step` call runs its
 cycles up to the next multiple of `starvation_check` (or the watchdog), and
-returns early when the core goes idle, queues a TMU request, or the next
-cycle has a fill due or a message arriving (see `core.py`: the step folds
-`next_due` and `next_arrival` into its stop and lowers it as it makes such
-work, so each of its cycles ends with one comparison). The next cycle is the
-one the step returns. This is exact, cycle for cycle:
+returns earlier only when the core goes idle or a phase wakes another core.
+On a cycle with a fill due, a message arriving or a request it queued for
+its TMU (see `core.py`: the step folds `next_due` and `next_arrival` into
+its stop and lowers it as it makes such work, so each of its cycles ends
+with one comparison), the step runs that cycle's memory, NoC and TMU phases
+itself, through `Chip.phases`, the method the chip loop runs at the start of
+each of its cycles. If they woke another core, the step returns that cycle
+with its phases done, and the chip loop's own call finds nothing left to do
+on it: the phases request no fill, the messages they send arrive on a later
+cycle, and only cores queue requests. The next cycle is the one the step
+returns. This is exact, cycle for cycle:
 
-- only the memory, NoC and TMU phases give a core work or complete a
-  family, and the step returns before any cycle on which one of them has
-  work; a core is awake only while one of its threads is live, so no core
-  is awake once every family has completed;
-- no core's step wakes another core, so the lone core stays alone;
+- with one awake core, a cycle's core phase is that core alone, and the
+  step runs the cycle's phases before it, as the chip loop would;
+- the phases write the cells and queues of threads, start threads, or wake
+  a core; the lone core reads its threads' cells and queue afresh each
+  cycle, and a wake of another core ends the call; the core's latches are
+  its own, and after the phases it folds `next_due` and `next_arrival` into
+  its stop again and forgets the I-line it last fetched from, which a fill
+  may have evicted;
+- a core is awake only while one of its threads is live, so no family
+  completes on a cycle whose phases a step runs: no core is awake once
+  every family has completed;
+- no core's own step wakes another core, so the lone core stays alone
+  until a phase wakes one, and the chip loop reads the awake list again
+  rather than walking it, so that the woken core starts at the cycle the
+  call returned;
 - quiescence needs an empty awake list, which the lone core leaves only by
   returning;
-- starvation is tested only on multiples of `starvation_check`, where the
-  step returns, and the watchdog only at its deadline.
+- starvation is tested only on multiples of `starvation_check` and the
+  watchdog only at its deadline, where the step returns without running
+  the phases.
 
 Two or more awake cores share a window: each, in ascending core id, runs
 the cycles from `cycle` up to one stop `cycle + w` in one `Core.step` call,
@@ -95,10 +115,9 @@ for cycle:
 - the instructions that run in it fault only on a broken core invariant
   (a one-cycle result into a cell that is not FULL), which the read stage
   rules out;
-- each step stops at a due fill or arrival as before, so the cores that
-  stay awake all stop at the same cycle, and one that goes idle stops no
-  later; quiescence, starvation and the watchdog are tested as for a lone
-  core.
+- each step returns at a due fill or arrival, so the cores that stay awake
+  all stop at the same cycle, and one that goes idle stops no later;
+  quiescence, starvation and the watchdog are tested as for a lone core.
 
 A traced run's commit rows are stable-sorted by cycle at its end, which
 restores the (cycle, core) order that the windows' core-by-core stepping
@@ -107,12 +126,14 @@ leaves out.
 An idle core whose threads are all suspended or fetch-blocked counts one
 bubble per cycle. It records the cycle it went idle and settles those
 bubbles in one addition: when it wakes, and on every way out of the main
-loop. A SimFault raised in a core's step ends the run part-way through the
-core phase of the cycle in `chip.cycle`: the idle cores with a lower id have
-already passed that cycle and count its bubble, those with a higher id have
-not. The system can only be quiescent when the awake list is empty, so
-Chip.quiescent() is consulted only then; it reads the two lists, the NoC's
-in-flight count and the fills.
+loop. A SimFault raised in a core's own cycle ends the run part-way through
+the core phase of the cycle in `chip.cycle`: the idle cores with a lower id
+have already passed that cycle and count its bubble, those with a higher id
+have not. One raised in the phases, whether the chip loop or a lone core's
+step runs them (the step then sets `chip.fault_before_cores`), comes before
+the core phase, and no idle core counts that cycle. The system can only be
+quiescent when the awake list is empty, so Chip.quiescent() is consulted
+only then; it reads the two lists, the NoC's in-flight count and the fills.
 """
 
 from __future__ import annotations
@@ -261,6 +282,8 @@ class Chip:
         self._req = 0
         self._open_reqs: set[int] = set()
         self.cycle = 0
+        # set when a SimFault is raised in phases that a lone core's step ran
+        self.fault_before_cores = False
         self.last_effect = 0
         self.max_pending = 0
         self.trace = [] if config.trace else None
@@ -286,6 +309,24 @@ class Chip:
 
     def pair_response(self, req_id: int):
         self._open_reqs.discard(req_id)
+
+    def phases(self, cycle: int):
+        """The memory, NoC and TMU phases of a cycle, each run only when it
+        has work; run again on that cycle, they find none."""
+        self.cycle = cycle
+        memory = self.memory
+        if cycle == memory.next_due:
+            for cb, value in memory.step(cycle):
+                cb(value)
+        noc = self.noc
+        if cycle == noc.next_arrival:
+            tmus = self.tmus
+            for msg in noc.step(cycle):
+                tmus[msg.dst].handle_message(msg, cycle)
+        if self.busy_tmus:
+            busy, self.busy_tmus = self.busy_tmus, []
+            for tmu in busy:
+                tmu.step(cycle)
 
     # -- progress analysis ----------------------------------------------------
 
@@ -432,63 +473,60 @@ def run(config: ChipConfig, program: Program,
     # a SimFault raised by a core's step: the core phase of that cycle had
     # already reached every core with a lower id
     fault_cid = 0
-    memory, noc, tmus, cores = chip.memory, chip.noc, chip.tmus, chip.cores
+    memory, noc, cores = chip.memory, chip.noc, chip.cores
     watchdog, check = config.watchdog_cycles, config.starvation_check
     # windows: at most the fetch-to-execute depth, and shorter than I-fills
     depth, hold = min(4, config.cache.i_miss_latency), 0
     try:
         while cycle < watchdog:
-            chip.cycle = cycle
-            if cycle == memory.next_due:
-                for cb, value in memory.step(cycle):
-                    cb(value)
-            if cycle == noc.next_arrival:
-                for msg in noc.step(cycle):
-                    tmus[msg.dst].handle_message(msg, cycle)
-            if chip.busy_tmus:
-                busy, chip.busy_tmus = chip.busy_tmus, []
-                for tmu in busy:
-                    tmu.step(cycle)
+            chip.phases(cycle)
             awake = chip.awake
-            if awake:
-                # run ahead alone or in a shared window (see the docstring)
-                if len(awake) > 1:
-                    stop = cycle + 1
-                    if cycle >= hold:
-                        span = _window(awake, depth)
-                        hold = cycle + 1 - span
-                        if span > 1:
-                            stop = min(cycle + span, watchdog,
-                                       cycle - cycle % check + check)
-                else:
-                    stop = min(watchdog, cycle - cycle % check + check)
-                # the awake cores stop together, no earlier than any that idled
-                nxt = cycle
-                left = False
+            if not awake:
+                # no core awake: jump to the next fill or arrival, stopping
+                # at the watchdog (see the docstring)
+                nxt = min(memory.next_due, noc.next_arrival)
+                cycle = cycle + 1 if nxt == NEVER else min(nxt, watchdog)
+            else:
                 try:
-                    for core in awake:
-                        end = core.step(cycle, stop)
-                        if core.awake:
-                            nxt = end
-                        else:
-                            left = True
-                            if end > nxt:
+                    if len(awake) == 1:
+                        # run ahead alone (see the docstring); a phase the
+                        # step runs may wake another core, so the list is
+                        # read again, not walked
+                        core = awake[0]
+                        cycle = core.step(cycle, min(
+                            watchdog, cycle - cycle % check + check))
+                        if not core.awake:
+                            chip.awake = awake = []
+                    else:
+                        # a shared window (see the docstring); the awake
+                        # cores stop together, no earlier than any that idled
+                        stop = cycle + 1
+                        if cycle >= hold:
+                            span = _window(awake, depth)
+                            hold = cycle + 1 - span
+                            if span > 1:
+                                stop = min(cycle + span, watchdog,
+                                           cycle - cycle % check + check)
+                        nxt = cycle
+                        left = False
+                        for core in awake:
+                            end = core.step(cycle, stop)
+                            if core.awake:
                                 nxt = end
+                            else:
+                                left = True
+                                if end > nxt:
+                                    nxt = end
+                        if left:
+                            chip.awake = awake = [c for c in awake if c.awake]
+                        cycle = nxt
                 except SimFault:
-                    fault_cid = core.cid
+                    # a fault in a core's own cycle, not in the phases its
+                    # step ran, comes after the idle cores with a lower id
+                    if not chip.fault_before_cores:
+                        fault_cid = core.cid
                     cycle = chip.cycle
                     raise
-                if left:
-                    chip.awake = awake = [c for c in awake if c.awake]
-                cycle = nxt
-            else:
-                # no core awake: jump to the next fill or arrival, stopping
-                # at starvation checks and the watchdog (see the docstring)
-                nxt = min(memory.next_due, noc.next_arrival)
-                if nxt == NEVER:
-                    cycle += 1
-                else:
-                    cycle = min(nxt, cycle - cycle % check + check, watchdog)
             if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break
@@ -516,14 +554,7 @@ def run(config: ChipConfig, program: Program,
             # audit that every allocate request got exactly one response
             drain_limit = cycle + 4 * config.p * config.hop_latency + 8
             while noc.in_flight and cycle < drain_limit:
-                chip.cycle = cycle
-                if cycle == noc.next_arrival:
-                    for msg in noc.step(cycle):
-                        tmus[msg.dst].handle_message(msg, cycle)
-                if chip.busy_tmus:
-                    busy, chip.busy_tmus = chip.busy_tmus, []
-                    for tmu in busy:
-                        tmu.step(cycle)
+                chip.phases(cycle)
                 cycle += 1
             if chip._open_reqs:
                 raise SimFault(f"unpaired allocation requests at end of run: "

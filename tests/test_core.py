@@ -465,21 +465,25 @@ c:
 
 
 def step_core0(chip, cycle, stop, single):
-    """Run core 0 from cycle to stop as the chip loop runs a lone core: the
-    fills due complete before each call, and a request the core queued for
-    its TMU is recorded and dropped after the call. The calls are one cycle
-    each, or as long as step allows. Returns the cycles the calls returned,
-    the due cycles of every fill seen, and (returned cycle, request) pairs."""
-    memory, tmu = chip.memory, chip.tmus[0]
+    """Run the chip from cycle to stop as the chip loop runs it with core 0
+    the only core that steps: each cycle's memory, NoC and TMU phases, then,
+    while core 0 is awake, a call of its step, one cycle long or as long as
+    step allows. Where the chip has no family (spawn's bare threads), a
+    request that core 0 queued for its TMU is recorded and dropped after the
+    call; otherwise the TMU phase runs it. Returns the cycles the calls
+    returned, the due cycles of every fill seen after a call, and (returned
+    cycle, request) pairs."""
+    memory, tmu, core = chip.memory, chip.tmus[0], chip.cores[0]
     ends, due, requests = [], set(), []
     while cycle < stop:
-        chip.cycle = cycle
-        for cb, value in memory.step(cycle):
-            cb(value)
-        cycle = chip.cores[0].step(cycle, cycle + 1 if single else stop)
+        chip.phases(cycle)
+        if not core.awake:
+            cycle += 1
+            continue
+        cycle = core.step(cycle, cycle + 1 if single else stop)
         ends.append(cycle)
         due.update(memory.fills)
-        if chip.busy_tmus:
+        if chip.busy_tmus and not chip.families:
             requests += [(cycle, method.__name__)
                          for method, _ in tmu.requests]
             tmu.requests.clear()
@@ -488,17 +492,25 @@ def step_core0(chip, cycle, stop, single):
 
 
 def core_state(chip):
-    core, memory = chip.cores[0], chip.memory
+    """Core 0's threads, queue, latches and counters, its caches, and the
+    families, TMU, NoC and memory state of the chip."""
+    core, memory, noc = chip.cores[0], chip.memory, chip.noc
     threads = [(slot, ctx.pc, ctx.state, ctx.value, ctx.fetch_blocked,
                 ctx.suspended, ctx.pending_cells)
                for slot, ctx in core.contexts.items()]
     latches = [None if x is None else (x[0].slot, x[2])
                for x in (core.f, core.d, core.r, core.e, core.m, core.w)]
     m = core.metrics
-    return (threads, list(core.queue), latches,
+    families = [(f.fid, f.outstanding, f.completed, f.tail_value)
+                for f in chip.families.values()]
+    local = [(fid, lf.pos_next, lf.running, lf.buffer)
+             for fid, lf in chip.tmus[0].local_fams.items()]
+    return (threads, list(core.queue), latches, core.awake,
             (m.commits, m.bubbles, m.flushes, m.switch_events),
             list(memory._itags[0]), list(memory._dtags[0]),
-            sorted(memory.fills), vars(memory.stats))
+            sorted(memory.fills), vars(memory.stats), bytes(memory.mem),
+            families, local, chip.open_families, chip.last_effect,
+            noc.injected, noc.delivered, sorted(noc.arrivals))
 
 
 def test_one_step_call_equals_single_cycle_steps():
@@ -544,15 +556,22 @@ park:
   jmp park
   halt
 spin:
-  addi r5, r5, 1
+  addi r5, r5, -1
   bne r5, r0, spin
 """
 
 
+def share_the_chip(chip):
+    """Wake core 1 with a thread of its own, so that core 0 steps in a window
+    shared with another awake core; core 1 is never stepped."""
+    chip.cores[1].start_context(0, fid=1, position=9, logical_index=9, pc=8)
+
+
 def stop_point_chip(pc, **cache):
-    chip = make_chip(STOP_POINTS, cache=CacheConfig(**cache))
+    chip = make_chip(STOP_POINTS, p=2, cache=CacheConfig(**cache))
     for ctx, start in zip(spawn(chip, 2), (pc, 8)):
         ctx.pc = start
+    share_the_chip(chip)
     chip.memory.mem[0x100:0x104] = (21).to_bytes(4, "little")
     chip.memory.icache_probe(0, 0, 0)       # lines 0-3, due at 10
     chip.memory.step(10)
@@ -561,6 +580,8 @@ def stop_point_chip(pc, **cache):
 
 @pytest.mark.parametrize("latency", [1, 2, 3])
 def test_step_call_returns_at_the_d_fill_its_own_load_created(latency):
+    # in a window shared with another awake core, as in the three tests
+    # below; the only awake core runs on through such a cycle instead
     whole, single = (stop_point_chip(0, d_miss_latency=latency)
                      for _ in range(2))
     ends, due, _ = step_core0(whole, 11, 40, False)
@@ -577,8 +598,10 @@ def test_step_call_returns_at_the_i_fill_its_own_probe_created(latency):
     # one thread streams through cold I-lines; each new line's probe asks
     # for a line further ahead, due latency cycles on
     def setup():
-        chip = make_chip(STRAIGHT, cache=CacheConfig(i_miss_latency=latency))
+        chip = make_chip(STRAIGHT, p=2,
+                         cache=CacheConfig(i_miss_latency=latency))
         spawn(chip, 1)
+        share_the_chip(chip)
         return chip
 
     whole, single = setup(), setup()
@@ -600,6 +623,85 @@ def test_step_call_returns_the_cycle_after_it_queued_a_tmu_request(pc,
     assert requests == single_requests
     assert requests[0][0] in ends
     assert core_state(whole) == core_state(single)
+
+
+# a family of three threads on one core: thread 0 loads a cold word and sends
+# it on, thread 1 doubles it and sends it on, thread 2 spins meanwhile and
+# then stores it; the code spans eight I-lines
+LONE_FAMILY = """
+.body main
+  halt
+.body w
+  getidx r5
+  addi r6, r0, 2
+  beq r5, r6, last
+  bne r5, r0, middle
+  addi r1, r0, 0x100
+  ld r2, 0(r1)
+  putsh r2
+  halt
+middle:
+  getsh r3
+  add r3, r3, r3
+  putsh r3
+  halt
+last:
+  addi r7, r0, 60
+spin:
+  addi r7, r7, -1
+  bne r7, r0, spin
+  getsh r3
+  st r3, 0x104(r0)
+  halt
+"""
+
+
+def test_lone_step_call_runs_the_phases_at_its_stops():
+    # the only awake core runs the phases of a cycle with a fill due, a
+    # message arriving or a request it queued, and carries on: one call
+    # runs the family to its end, as one-cycle steps of the whole chip do
+    def setup():
+        chip = make_chip(LONE_FAMILY)
+        fam = chip.new_family(owner=0, aid=None, entry="w", start=0, step=1,
+                              n=3, creator=None)
+        fam.ranges[0] = (0, 3)
+        chip.tmus[0].on_create(fam.fid, 0, 3, 0)
+        chip.memory.mem[0x100:0x104] = (21).to_bytes(4, "little")
+        return chip
+
+    whole, single = setup(), setup()
+    ends, _, _ = step_core0(whole, 0, 600, False)
+    single_ends, _, _ = step_core0(single, 0, 600, True)
+    assert core_state(whole) == core_state(single)
+    # one call, through a D-fill, I-fills, the terminations' arrivals and
+    # the putsh and halt requests, until the core went idle
+    assert len(ends) == 1 and len(single_ends) == ends[0] > 250
+    stats = whole.memory.stats
+    assert (stats.d_misses, stats.i_misses > 3) == (1, True)
+    assert whole.noc.delivered == 3 and not whole.open_families
+    assert whole.memory.mem[0x104:0x108] == (42).to_bytes(4, "little")
+
+
+def test_lone_step_call_probes_again_after_a_phase_fills_a_line():
+    # a fill completing in a phase the step runs can evict the line the call
+    # last fetched from, so the call must probe that line again
+    def setup():
+        chip = make_chip(STRAIGHT, cache=CacheConfig(i_lines=1,
+                                                     i_miss_latency=1))
+        spawn(chip, 1)
+        chip.memory.icache_probe(0, 0, 0)
+        chip.memory.step(1)
+        chip.memory.icache_probe(0, 400, 2)         # line 100, due at 3
+        return chip
+
+    whole, single = setup(), setup()
+    ends, _, _ = step_core0(whole, 2, 12, False)
+    step_core0(single, 2, 12, True)
+    assert ends == [12]
+    assert core_state(whole) == core_state(single)
+    # pc 1 missed at cycle 3, once line 100 had evicted line 0, and pc 4
+    # on line 1
+    assert whole.memory.stats.i_misses == 4
 
 
 def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():

@@ -5,6 +5,7 @@ import pytest
 
 from hmtsim import sim
 from hmtsim.core import Core
+from hmtsim.errors import SimFault
 from hmtsim.isa import assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
@@ -1049,6 +1050,70 @@ def test_lone_phase_run_pinned(make, cfg, outcome, diagnostic, cycles,
     assert res.metrics.cycles == cycles
     assert [c.bubbles for c in res.metrics.per_core] == bubbles
     assert res.result_hash() == digest
+
+
+def test_lone_step_that_wakes_a_core_hands_the_chip_its_cycle(monkeypatch):
+    # a phase run in a lone core's step that wakes another core ends the
+    # call; the chip then steps both cores from the cycle it returned, never
+    # the woken core from the cycle the lone call began
+    calls = []
+    step = Core.step
+
+    def record(core, cycle, stop):
+        alone = len(core.chip.awake) == 1
+        end = step(core, cycle, stop)
+        calls.append((core.cid, cycle, end,
+                      alone and len(core.chip.awake) > 1))
+        return end
+
+    monkeypatch.setattr(Core, "step", record)
+    res = run(ChipConfig(p=2), assemble(CROSS_WAKE))
+    assert res.outcome is Outcome.COMPLETED
+    woke = [i for i, call in enumerate(calls) if call[3]]
+    # the creation and the channel value wake core 1, the tail core 0
+    assert [calls[i][0] for i in woke] == [0, 0, 1]
+    for i in woke:
+        assert [call[:2] for call in calls[i + 1:i + 3]] == \
+            [(0, calls[i][2]), (1, calls[i][2])]
+
+
+def test_phase_fault_in_a_lone_step_comes_before_the_core_phase(monkeypatch):
+    # unknown-release faults in the TMU phase that core 1's step runs alone;
+    # as for a fault in the chip loop's phases, idle core 0 has not passed
+    # that cycle and counts no bubble for it
+    faults = []
+    step = Core.step
+
+    def record(core, cycle, stop):
+        try:
+            return step(core, cycle, stop)
+        except SimFault:
+            faults.append((core.cid, core.chip.cycle))
+            raise
+
+    monkeypatch.setattr(Core, "step", record)
+    res = run(ChipConfig(p=2), assemble(UNKNOWN_RELEASE))
+    assert res.outcome is Outcome.FAULT
+    assert faults == [(1, res.metrics.cycles)]
+    assert [c.bubbles for c in res.metrics.per_core] == [281, 166]
+
+
+def test_idle_jump_does_not_stop_at_starvation_checks(monkeypatch):
+    # with no core awake every live thread is suspended, so a starvation
+    # check there finds no runnable thread; the 10,000-latency run, idle on
+    # 642,324 of its cycles, made 5,059 checks while the jump stopped at them
+    calls = []
+    check = sim._check_starvation
+
+    def record(chip, cycle):
+        calls.append(cycle)
+        return check(chip, cycle)
+
+    monkeypatch.setattr(sim, "_check_starvation", record)
+    make, cfg, outcome, cycles, *_ = IDLE_STRETCH_RUNS[0][1:]
+    res = run(ChipConfig(**cfg), make())
+    assert (res.outcome, res.metrics.cycles) == (outcome, cycles)
+    assert len(calls) == 61
 
 
 def test_windows_equal_one_cycle_steps(monkeypatch):
