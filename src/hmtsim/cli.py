@@ -181,16 +181,27 @@ def cmd_run(args) -> int:
     return _exit_code(result.outcome)
 
 
-# a core count in sweep's --cores list: ASCII decimal, as the assembler reads
-# it, so that the config check, not the parse, refuses 0 and negative counts
-_CORE_COUNT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+# an integer flag's value, and each count in sweep's --cores list: ASCII
+# decimal, as the assembler reads it, so that the config check, not the
+# parse, refuses 0 and negative values
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def _decimal(flag: str):
+    """argparse type of an integer flag. Its UsageError passes through
+    argparse, which would print its own usage text for a ValueError."""
+    def parse(text: str) -> int:
+        if not _DECIMAL.fullmatch(text):
+            raise UsageError(f"{flag} takes a decimal integer, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _sweep_cells(args) -> list:
     """(spec, config) per cell, all built and checked before any is run."""
     kernels = args.kernels.split(",")
     counts = args.cores.split(",")
-    if not all(_CORE_COUNT.fullmatch(c) for c in counts):
+    if not all(_DECIMAL.fullmatch(c) for c in counts):
         raise UsageError(f"--cores takes a comma list of decimal core counts, "
                          f"got {args.cores!r}")
     cores = [int(c) for c in counts]
@@ -286,13 +297,14 @@ def _add_machine_flags(sp, cores_list=False):
         sp.add_argument("--cores", default="1,2,4,8",
                         help="comma list of core counts (default: %(default)s)")
     else:
-        sp.add_argument("--cores", type=int, default=ChipConfig.p,
+        sp.add_argument("--cores", type=_decimal("--cores"),
+                        default=ChipConfig.p,
                         help="core count (default: %(default)s)")
     sp.add_argument("--topology", choices=["ring", "line"],
                     default=ChipConfig.topology,
                     help="NoC topology (default: %(default)s)")
     for flag, default, text in MACHINE_FLAGS:
-        sp.add_argument(flag, type=int, default=default,
+        sp.add_argument(flag, type=_decimal(flag), default=default,
                         help=f"{text} (default: %(default)s)")
 
 
@@ -332,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle",
                         help="run the sequential reference interpreter")
     op.add_argument("--program", required=True)
-    op.add_argument("--mem-bytes", type=int, default=ChipConfig.mem_bytes,
+    op.add_argument("--mem-bytes", type=_decimal("--mem-bytes"),
+                    default=ChipConfig.mem_bytes,
                     help="memory image size in bytes (default: %(default)s)")
     op.add_argument("--dump-mem", help="write image here instead of stdout")
     op.add_argument("--init-mem")
@@ -340,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gen", help="write the kernel corpus to a directory")
     gp.add_argument("--out-dir", default="kernels")
-    gp.add_argument("--starvation-cores", type=int, default=2)
+    gp.add_argument("--starvation-cores", type=_decimal("--starvation-cores"),
+                    default=2, help="core count the starvation kernels are "
+                    "built for (default: %(default)s)")
     gp.set_defaults(func=cmd_gen)
     return ap
 
@@ -354,11 +369,10 @@ def main(argv=None) -> int:
     ap = _parser()
     try:
         args = ap.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; the contract says 64
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -117,6 +117,17 @@ def test_machine_flag_defaults_are_the_config_defaults(capsys, argv):
     shown = {seg.split()[0]: seg for seg in " ".join(out.split()).split(" --")}
     for flag, default, _ in MACHINE_FLAGS:
         assert shown[flag[2:]].endswith(f"(default: {default})"), flag
+    assert shown["cores"].endswith(f"(default: {args.cores})")
+
+
+@pytest.mark.parametrize("command, flag, default", [
+    ("oracle", "--mem-bytes", ChipConfig.mem_bytes),
+    ("gen", "--starvation-cores", 2)])
+def test_integer_flag_help_shows_its_default(capsys, command, flag, default):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    shown = {seg.split()[0]: seg for seg in " ".join(out.split()).split(" --")}
+    assert shown[flag[2:]].endswith(f"(default: {default})")
 
 
 def test_main_runs_commands_in_turn_in_one_process(regular_masm, capsys):
@@ -284,7 +295,8 @@ def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--cores", "0"), ("--watchdog", "0"), ("--line-bytes", "3"),
+    ("--cores", "0"), ("--cores", "-2"), ("--watchdog", "0"),
+    ("--watchdog", "-1"), ("--line-bytes", "3"),
     ("--d-miss-latency", "0"), ("--thread-slots", "0"),
     ("--hop-latency", "-1")])
 def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
@@ -293,6 +305,32 @@ def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# every integer flag, with arguments that reach it; --program x names no file,
+# which would be the first error after a successful parse
+INTEGER_FLAGS = [("run", "--cores")] + [
+    (command, flag) for command in ("run", "sweep")
+    for flag, _, _ in MACHINE_FLAGS] + [
+    ("oracle", "--mem-bytes"), ("gen", "--starvation-cores")]
+
+
+@pytest.mark.parametrize("value", ["+2", "1_000", "\u0662", " 3", "0x10",
+                                   "x", ""])
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS,
+                         ids=[" ".join(cf) for cf in INTEGER_FLAGS])
+def test_malformed_integer_flag_exit_64(tmp_path, capsys, command, flag,
+                                        value):
+    # ASCII decimal only, as the assembler and sweep's --cores read it:
+    # argparse's int() would take a sign, underscores, spaces and
+    # non-ASCII digits
+    out_dir = tmp_path / "out"
+    argv = {"run": ["--program", "x"], "sweep": ["--kernels", "chain"],
+            "oracle": ["--program", "x"], "gen": ["--out-dir", str(out_dir)]}
+    code, out, err = run_cli(capsys, command, *argv[command], flag, value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {flag} takes a decimal integer, got {value!r}\n"
+    assert not out_dir.exists()
 
 
 def test_invalid_config_exit_64_under_optimize(regular_masm):
