@@ -569,7 +569,7 @@ class Core:
                         stop = memory.next_due
                     if noc.next_arrival < stop:
                         stop = noc.next_arrival
-                    busy_tmus = chip.busy_tmus
+                    busy_tmus = chip.busy_tmus      # a new, empty list
                     fetched_line = -1   # a fill may have evicted it
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w

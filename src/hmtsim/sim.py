@@ -470,8 +470,8 @@ def run(config: ChipConfig, program: Program,
     outcome = None
     diagnostic = None
     cycle = 0
-    # a SimFault raised by a core's step: the core phase of that cycle had
-    # already reached every core with a lower id
+    # a SimFault raised in a core's own cycle: the core phase of that cycle
+    # had already reached every core with a lower id
     fault_cid = 0
     memory, noc, cores = chip.memory, chip.noc, chip.cores
     watchdog, check = config.watchdog_cycles, config.starvation_check
