@@ -380,6 +380,21 @@ class Core:
 
     # -- cycles -------------------------------------------------------------------------
 
+    def _phases_alone(self, cycle: int) -> bool:
+        """Run the cycle's memory, NoC and TMU phases if this core is the
+        only awake core; true if it still is, so that its step carries on.
+        Kept out of step's frame, where this rare branch cost spin-p1
+        1.4-2.5% of its commits per second (2-vCPU x86_64, CPython 3.11)."""
+        chip = self.chip
+        if len(chip.awake) > 1:
+            return False
+        try:
+            chip.phases(cycle)
+        except SimFault:
+            chip.fault_before_cores = True
+            raise
+        return len(chip.awake) == 1
+
     def step(self, cycle: int, limit: int) -> int:
         """Run cycles from cycle until limit or until the core goes idle;
         returns the next cycle to run. A cycle with work outside the core (a
@@ -554,15 +569,7 @@ class Core:
 
                 cycle += 1
                 if cycle >= stop:
-                    if cycle >= limit or len(chip.awake) > 1:
-                        return cycle
-                    # the only awake core: run the cycle's phases here
-                    try:
-                        chip.phases(cycle)
-                    except SimFault:
-                        chip.fault_before_cores = True
-                        raise
-                    if len(chip.awake) > 1:     # a phase woke another core
+                    if cycle >= limit or not self._phases_alone(cycle):
                         return cycle
                     stop = limit
                     if memory.next_due < stop:
