@@ -95,15 +95,15 @@ At `limit` the call returns. At an earlier `stop`, a core that shares the
 chip with another awake core returns too (in a cycle run core by core, a
 core stepped after one that queued a request is given `cycle + 1` as its
 limit). The only awake core instead runs that cycle's memory, NoC and TMU
-phases itself (`Chip.phases`, as the chip loop would before its core phase);
-it returns, with them done, if they woke another core, and otherwise
-carries on, with `stop` folded again from `limit`, `next_due` and
-`next_arrival` and the remembered I-line forgotten. So a lone core stops
-hard only at a starvation check, the watchdog, going idle, or waking
-another core. The call sets `chip.cycle` on entry and before each further
-cycle, because load-hit callbacks and `_enlist` read it and, in a window
-shared by several cores, the core stepped before this one has left it at a
-later cycle.
+phases itself (`_phases_alone` calls `Chip.phases`, as the chip loop would
+before its core phase); it returns, with them done, if they woke another
+core, and otherwise carries on, with `stop` folded again from `limit`,
+`next_due` and `next_arrival` and the remembered I-line forgotten. So a
+lone core stops hard only at a starvation check, the watchdog, going idle,
+or waking another core. The call sets `chip.cycle` on entry and before
+each further cycle, because load-hit callbacks and `_enlist` read it and,
+in a window shared by several cores, the core stepped before this one has
+left it at a later cycle.
 
 The chip loop passes a lone awake core the next starvation check (or the
 watchdog) as `limit`, and two or more awake cores one shared window's end
