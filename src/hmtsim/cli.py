@@ -165,6 +165,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one `error:` line, not a
+    usage block; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     config = _config_from_args(args, args.cores, args.hints, args.coherency,
@@ -189,7 +197,8 @@ _DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
 
 def _decimal(flag: str):
     """argparse type of an integer flag. Its UsageError passes through
-    argparse, which would print its own usage text for a ValueError."""
+    argparse, whose message for a ValueError would not say what the flag
+    takes."""
     def parse(text: str) -> int:
         if not _DECIMAL.fullmatch(text):
             raise UsageError(f"{flag} takes a decimal integer, got {text!r}")
@@ -309,7 +318,7 @@ def _add_machine_flags(sp, cores_list=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hmtsim",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -371,7 +380,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags; the contract says 64
+        # --help; usage errors come from _Parser.error as UsageError
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,6 +77,34 @@ def test_bad_flags_exit_64(capsys):
     assert code == EXIT_USAGE
 
 
+# (argv, the flag or command the message names): a bad choice, an unknown
+# flag and a missing value for each command, a missing required flag, and an
+# unknown command
+USAGE_ERRORS = [
+    (["run", "--program", "x", "--hints", "maybe"], "--hints"),
+    (["run", "--program", "x", "--bogus", "1"], "--bogus"),
+    (["run", "--program", "x", "--cores"], "--cores"),
+    (["sweep", "--format", "xml"], "--format"),
+    (["sweep", "--bogus", "1"], "--bogus"),
+    (["sweep", "--cores"], "--cores"),
+    (["oracle", "--program", "x", "--bogus", "1"], "--bogus"),
+    (["oracle", "--program"], "--program"),
+    (["oracle"], "--program"),
+    (["gen", "--bogus", "1"], "--bogus"),
+    (["gen", "--out-dir"], "--out-dir"),
+    (["bogus"], "bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_is_one_line_exit_64(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_invalid_program_exit_64(tmp_path, capsys):
     path = tmp_path / "bad.masm"
     path.write_text(".body main\n  create r1, r2, ghost, 0, 1, 1\n  halt\n")
