@@ -10,6 +10,15 @@ results can be checked against its parent with
     diff <(python3 /path/to/parent/scripts/stress_grid.py) \\
          <(python3 scripts/stress_grid.py)
 
+and against the lockstep chip loop, which steps every awake core one cycle
+per call and never jumps the idle clock, by patching the loop's one stop
+decision, `hmtsim.sim._stop`, to return the next cycle:
+
+    diff <(python3 scripts/stress_grid.py) <(python3 -c 'if True:
+        import runpy, sys; sys.path.insert(0, "src"); from hmtsim import sim
+        sim._stop = lambda chip, cycle: cycle + 1
+        runpy.run_path("scripts/stress_grid.py", run_name="__main__")')
+
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
 300,000-cycle watchdog (480 runs), followed by 62 runs pinned in
@@ -21,9 +30,9 @@ more cores are awake, five completed p=1 runs at starvation_check 1, 7 and
 128, three programs whose instructions read a cell they also write, at
 p=1 and p=2, eager and bulk, seven runs that spend most of their cycles
 with no core awake, and two runs whose memory, NoC or TMU phase wakes a core
-or faults while one core is awake. Their programs and configurations are
-read from that file, so the script and the tests cannot drift. One pass
-takes 30-40 s on a 2-vCPU x86_64 VM with CPython 3.11.
+or faults while one core is awake. They are read from that file's
+`pinned_runs()`, so the script and the tests cannot drift. One pass takes
+30-40 s on a 2-vCPU x86_64 VM with CPython 3.11 (about 45 s in lockstep).
 """
 
 import importlib.util
@@ -35,8 +44,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hmtsim.isa import assemble
-from hmtsim.kernels import corpus, kernel_chain, kernel_starvation
+from hmtsim.kernels import corpus
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import ChipConfig, run
 
@@ -61,36 +69,8 @@ def pinned():
     loader = importlib.util.spec_from_file_location("pinned_runs", path)
     src = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(src)
-    yield ("fault-core1", ChipConfig(p=2, trace=True),
-           assemble(src.CORE1_FAULT))
-    yield ("deadlock-p2", ChipConfig(p=2, trace=True),
-           assemble(src.TAIL_DEADLOCK_P2))
-    yield ("starvation-p2", ChipConfig(p=2, trace=True),
-           kernel_starvation(2).program)
-    yield ("watchdog-p4", ChipConfig(p=4, watchdog_cycles=900, trace=True),
-           kernel_chain(n=200).program)
-    for name, text in (("tail", src.TAIL_DEADLOCK), ("sync", src.SYNC_DEADLOCK)):
-        for p in (1, 2):
-            yield (f"{name}-deadlock-p{p}",
-                   ChipConfig(p=p, watchdog_cycles=100_000, trace=True),
-                   assemble(text))
-    for name, make, cfg, *_ in src.LONE_CORE_RUNS:
-        yield f"lone-{name}", ChipConfig(trace=True, **cfg), make()
-    for name, make, cfg, *_ in src.MANY_AWAKE_RUNS:
-        yield f"many-{name}", ChipConfig(trace=True, **cfg), make()
-    for name, make, _ in src.STARVATION_CHECK_RUNS:
-        for check in src.STARVATION_CHECKS:
-            yield (f"{name}-p1-check{check}",
-                   ChipConfig(p=1, starvation_check=check, trace=True), make())
-    for name, text, _ in src.SELF_OPERAND_RUNS:
-        for p, coherency in src.SELF_OPERAND_CONFIGS:
-            yield (f"self-{name}-p{p}-{coherency}",
-                   ChipConfig(p=p, coherency=coherency, trace=True),
-                   assemble(text))
-    for name, make, cfg, *_ in src.IDLE_STRETCH_RUNS:
-        yield f"idle-{name}", ChipConfig(trace=True, **cfg), make()
-    for name, make, cfg, *_ in src.LONE_PHASE_RUNS:
-        yield f"phase-{name}", ChipConfig(trace=True, **cfg), make()
+    for label, cfg, program, _ in src.pinned_runs():
+        yield label, cfg, program
 
 
 def main():

@@ -66,55 +66,27 @@ needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
 
-A core is stepped only while it is awake: while a thread is queued or a latch
-holds an instruction. It joins the chip's awake list (kept in ascending core
-id) when a thread starts or is woken, which are the only ways anything
-outside its own step gives it work, and leaves it when a cycle ends with
-nothing queued and every latch empty. An idle core that still holds threads
-counts one bubble per cycle: it remembers the cycle it went idle and adds
-those bubbles at once when it wakes or the run ends.
+A core is stepped only while it is on the chip's awake list (see `sim.py`).
+An idle core that still holds threads counts one bubble per cycle: it
+remembers the cycle it went idle and adds those bubbles at once when it
+wakes or the run ends.
 
 `step(cycle, limit)` runs cycle after cycle in one call, with the latches,
 the commit and bubble counts and the core's invariants in locals, and
-returns the next cycle to run. A cycle that leaves the core idle, off the
-awake list, returns the next cycle; every other cycle ends with one test,
-`cycle >= stop`. `stop` starts at `limit`, lowered on entry to the first
-cycle with a fill due or a message arriving (`MemorySystem.next_due`,
-`Noc.next_arrival`). During the call only the core itself makes work
-outside it, and it lowers `stop` where it does: to `next_due` after a load
-(a D-fill on a miss) and after an I-cache probe (I-fills for a miss and for
-fetch-ahead), and to the next cycle after an execute-table entry or a halt's
-retirement that queued a TMU request (`chip.busy_tmus` is no longer empty).
-Nothing else requests or completes a fill, sends or delivers a message, or
-queues a request while a core steps, and the chip runs the TMU phase before
-the core phase, so `stop` is the first cycle that has a fill due, a message
-arriving or a request queued, or that is `limit`, as if each cycle tested
-them all.
-
-At `limit` the call returns. At an earlier `stop`, a core that shares the
-chip with another awake core returns too (in a cycle run core by core, a
-core stepped after one that queued a request is given `cycle + 1` as its
-limit). The only awake core instead runs that cycle's memory, NoC and TMU
-phases itself (`_phases_alone` calls `Chip.phases`, as the chip loop would
-before its core phase); it returns, with them done, if they woke another
-core, and otherwise carries on, with `stop` folded again from `limit`,
-`next_due` and `next_arrival` and the remembered I-line forgotten. So a
-lone core stops hard only at a starvation check, the watchdog, going idle,
-or waking another core. The call sets `chip.cycle` on entry and before
-each further cycle, because load-hit callbacks and `_enlist` read it and,
-in a window shared by several cores, the core stepped before this one has
-left it at a later cycle.
-
-The chip loop passes a lone awake core the next starvation check (or the
-watchdog) as `limit`, and two or more awake cores one shared window's end
-(see `sim.py`, which also argues that running the phases in the step is
-exact). The window is bounded by each core's horizon: the number of
-coming cycles before its oldest in-flight instruction that acts outside the
-core (`Instruction.acts_outside`: a load or store, a TMU request, a halt)
-can do so. That is 0 when the instruction is in the execute, memory or
-writeback latch, 1 in read, 2 in decode, 3 in fetch, and 4, the
-fetch-to-execute depth, when there is none, since the latches advance one
-stage a cycle and nothing fetched now executes sooner.
+returns the next cycle to run. Each cycle ends with one test, `cycle >=
+stop`, where `stop` is the first cycle with work outside the core: it starts
+at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
+the step lowers it where the core makes such work itself (a load or an
+I-cache probe that requests a fill, an execute-table entry or a halt's
+retirement that queues a TMU request), since nothing else does while a core
+steps (`test_step_call_returns_*`). At a stop below `limit`, a core that
+shares the chip with another awake core returns; the only awake core runs
+that cycle's phases itself (`_phases_alone`), and carries on unless they
+woke another core, with `stop` folded again and the remembered I-line
+forgotten, since a fill may have evicted it (`test_lone_step_call_*`). The
+call sets `chip.cycle` before each cycle, because load-hit callbacks and
+`_enlist` read it and, in a shared window, the core stepped before this one
+has left it at a later cycle.
 """
 
 from __future__ import annotations
@@ -293,7 +265,10 @@ class Core:
     def _enlist(self):
         self.settle_bubbles(self.chip.cycle)
         self.awake = True
-        insort(self.chip.awake, self, key=_CID)
+        # a new list: the chip loop may be walking the old one
+        awake = self.chip.awake[:]
+        insort(awake, self, key=_CID)
+        self.chip.awake = awake
 
     def settle_bubbles(self, end: int):
         """Count the bubbles of the idle cycles before end."""
@@ -396,12 +371,9 @@ class Core:
         return len(chip.awake) == 1
 
     def step(self, cycle: int, limit: int) -> int:
-        """Run cycles from cycle until limit or until the core goes idle;
-        returns the next cycle to run. A cycle with work outside the core (a
-        request it queued for a TMU, a fill due, a message arriving) ends a
-        call that shares the chip with another awake core; the only awake
-        core runs that cycle's memory, NoC and TMU phases itself, and
-        returns, with them done, only if they woke another core."""
+        """Run cycles from cycle until limit, until the core goes idle, or
+        until a stop the module docstring describes; returns the next cycle
+        to run."""
         chip = self.chip
         memory, noc = chip.memory, chip.noc
         # the first cycle with work outside the core, lowered below as the

@@ -8,132 +8,68 @@ cycle, giving a single total order equivalent to a two-phase commit; two runs
 over identical inputs are bit-identical.
 
 A component is stepped only when it has work, as in dataflow scheduling where
-a waiting thread costs nothing until its cell is written, and each test for
-work is one comparison or one truth test per cycle:
+a waiting thread costs nothing until its cell is written:
 
 - the memory system on the cycle `MemorySystem.next_due`, the first
-  completion cycle of its fills, which it keeps as fills are requested and
-  completed;
-- the NoC on the cycle `Noc.next_arrival`, kept likewise as messages are
-  sent and delivered;
+  completion cycle of its fills;
+- the NoC on the cycle `Noc.next_arrival`, its first arrival;
 - a TMU on the cycle after it was given requests: its first request puts it
-  on the chip's busy TMU list (kept in ascending core id), which the TMU
-  phase takes whole and empties;
-- a core while it is on the chip's awake list.
+  on the chip's busy TMU list (ascending core id), which the TMU phase takes
+  whole and empties;
+- a core while it is on the chip's awake list (ascending core id): while a
+  thread is queued or a latch is occupied. It joins when a thread starts on
+  it or a cell write wakes one of its threads, by installing a new list, and
+  leaves when one of its cycles ends with an empty queue and empty latches.
+  Only cores queue requests, and no core's own step wakes another core.
 
-A core is awake while a thread is queued or a latch is occupied. It joins
-the list (kept in ascending core id) when a thread starts on it or a cell
-write wakes one of its threads, the only ways anything but its own step
-gives it work, and it leaves the list when one of its cycles ends with an
-empty queue and empty latches. No core's step wakes another core, so the
-list read at the start of the core phase holds exactly the cores with work
-that cycle; the phase rebuilds it only on a cycle when some core left.
-Requests are only queued in the core phase, so the busy TMU list likewise
-holds exactly the TMUs with work at the start of the next cycle's TMU phase.
+A run completes only when every family created in it has completed, synced
+or not, as in the sequential oracle, which runs each family to its end at
+its creation point. The run ends after the cycle whose TMU phase completes
+the last family, then drains the NoC, running the phases until no message is
+in flight; a fill that completes there changes no result, because every
+thread has halted.
 
-A run completes only when every family created in it has completed: the
-root family, which runs `main`, and every family created since, synced or
-not. That is the sequential oracle's meaning, which runs each family to its
-end at its creation point. The chip counts the families not yet completed,
-and the run ends after the cycle whose TMU phase completes the last of them,
-then drains the NoC, running the phases until no message is in flight. A
-fill that completes there changes no result: every thread has halted, so
-its cell has no instruction parked on it.
+`_stop(chip, cycle)` is the one decision of how far the chip runs before it
+looks again; `sim.run` runs the phases of `cycle`, then either jumps the idle
+clock to the stop or steps every awake core, in ascending core id, with
+`Core.step(cycle, stop)`. With `_stop` returning `cycle + 1` the loop is
+plain lockstep, and `test_fast_chip_loop_equals_lockstep` checks that every
+traced `result_hash` is the same either way. The stop is:
 
-When no core is awake in a cycle's core phase, no TMU is busy either (only a
-core queues requests), and nothing happens until the next fill or arrival,
-since only those give a TMU or a core work. The chip jumps to the earliest
-of `next_due`, `next_arrival` and the watchdog; with no fill or message
-pending (both values are `NEVER`, a cycle no run reaches) the system is
-quiescent and the chip steps one cycle, so that the verdict keeps its cycle.
-The jump is exact: no phase would run on the cycles it skips, so no family
-completes on them; the system is not quiescent on them, because a fill or a
-message is pending; the watchdog is tested only at its deadline, where the
-jump stops; a starvation check on them would find no runnable thread,
-because a thread that is not suspended is queued and a queued thread keeps
-its core awake, so with no core awake every live thread is suspended; and
-idle cores settle the skipped bubbles in one addition.
-
-A core that is the only awake core runs ahead: one `Core.step` call runs its
-cycles up to the next multiple of `starvation_check` (or the watchdog), and
-returns earlier only when the core goes idle or a phase wakes another core.
-On a cycle with a fill due, a message arriving or a request it queued for
-its TMU (see `core.py`: the step folds `next_due` and `next_arrival` into
-its stop and lowers it as it makes such work, so each of its cycles ends
-with one comparison), the step runs that cycle's memory, NoC and TMU phases
-itself, through `Chip.phases`, the method the chip loop runs at the start of
-each of its cycles. If they woke another core, the step returns that cycle
-with its phases done, and the chip loop's own call finds nothing left to do
-on it: the phases request no fill, the messages they send arrive on a later
-cycle, and only cores queue requests. The next cycle is the one the step
-returns. This is exact, cycle for cycle:
-
-- with one awake core, a cycle's core phase is that core alone, and the
-  step runs the cycle's phases before it, as the chip loop would;
-- the phases write the cells and queues of threads, start threads, or wake
-  a core; the lone core reads its threads' cells and queue afresh each
-  cycle, and a wake of another core ends the call; the core's latches are
-  its own, and after the phases it folds `next_due` and `next_arrival` into
-  its stop again and forgets the I-line it last fetched from, which a fill
-  may have evicted;
-- a core is awake only while one of its threads is live, so no family
-  completes on a cycle whose phases a step runs: no core is awake once
-  every family has completed;
-- no core's own step wakes another core, so the lone core stays alone
-  until a phase wakes one, and the chip loop reads the awake list again
-  rather than walking it, so that the woken core starts at the cycle the
-  call returned;
-- quiescence needs an empty awake list, which the lone core leaves only by
-  returning;
-- starvation is tested only on multiples of `starvation_check` and the
-  watchdog only at its deadline, where the step returns without running
-  the phases.
-
-Two or more awake cores share a window: each, in ascending core id, runs
-the cycles from `cycle` up to one stop `cycle + w` in one `Core.step` call,
-and the chip continues at the largest cycle the calls returned. `w` counts
-the coming cycles in which no awake core's instruction can act outside its
-core (`Instruction.acts_outside`: a load or store, a TMU request, or a
-halt). A core's horizon follows from the latch holding its oldest such
-instruction: 0 in execute, memory or writeback, 1 in read, 2 in decode, 3 in
-fetch, else 4, the fetch-to-execute depth, since nothing fetched now
-executes sooner. `w` is the smallest horizon, capped by `i_miss_latency`,
-the next starvation check and the watchdog; with `w <= 1` the cycle runs
-alone. After a window closed by an instruction in execute or memory, the
-cycles it still spends in memory and writeback run alone untested. A
-window's cycles touch only the stepping core's own threads, latches, I-tags
-and I-probe memo, so running the cores one after another is exact, cycle
-for cycle:
-
-- no TMU request, memory access, halt or NoC message happens in it, so no
-  TMU, no cache line and no family changes;
-- no core wakes another: only a cell write from outside the core wakes a
-  thread;
-- every I-fill requested inside it falls due after it, because an I-fill
-  takes `i_miss_latency` cycles; so no fill lands in it, and fills due on
-  one cycle keep their ascending-core order;
-- the instructions that run in it fault only on a broken core invariant
-  (a one-cycle result into a cell that is not FULL), which the read stage
-  rules out;
-- each step returns at a due fill or arrival, so the cores that stay awake
-  all stop at the same cycle, and one that goes idle stops no later;
-  quiescence, starvation and the watchdog are tested as for a lone core.
-
-A traced run's commit rows are stable-sorted by cycle at its end, which
-restores the (cycle, core) order that the windows' core-by-core stepping
-leaves out.
+- no core awake: the next fill or arrival, capped by the watchdog (`cycle +
+  1` when neither is pending, so that a quiescent verdict keeps its cycle).
+  Nothing runs on the cycles skipped, and with no core awake every live
+  thread is suspended (a queued thread keeps its core awake), so no
+  starvation check could fire there; idle cores settle the skipped bubbles
+  in one addition (`test_idle_stretch_run_pinned`,
+  `test_idle_jump_does_not_stop_at_starvation_checks`).
+- one awake core: the next multiple of `starvation_check`, capped by the
+  watchdog. The core's step runs the memory, NoC and TMU phases itself at a
+  fill due, an arrival or its own request (`Chip.phases`, see `core.py`),
+  which is exact because a cycle's core phase is then that core alone; if
+  they wake another core the step returns that cycle with its phases done,
+  and running them again finds nothing (`test_lone_core_run_pinned`,
+  `test_lone_phase_run_pinned`, `test_lone_step_*`).
+- two or more awake cores: a shared window, the smallest horizon of the
+  awake cores, at most the fetch-to-execute depth (4), shorter than an
+  I-fill and capped as for one core. A core's horizon is the number of
+  coming cycles before its oldest in-flight instruction that acts outside
+  the core (`Instruction.acts_outside`: a load or store, a TMU request, a
+  halt) can do so: 1 or less from read onwards, 2 in decode, 3 in fetch.
+  A window's cycles touch only each core's own threads, latches and I-tags,
+  so stepping the cores one after another is exact; every core's step stops
+  at the same due fill or arrival (`test_many_awake_run_pinned`). Its
+  commit rows, appended core by core, are stable-sorted by cycle at the end
+  of a traced run.
 
 An idle core whose threads are all suspended or fetch-blocked counts one
-bubble per cycle. It records the cycle it went idle and settles those
-bubbles in one addition: when it wakes, and on every way out of the main
-loop. A SimFault raised in a core's own cycle ends the run part-way through
-the core phase of the cycle in `chip.cycle`: the idle cores with a lower id
-have already passed that cycle and count its bubble, those with a higher id
-have not. One raised in the phases, whether the chip loop or a lone core's
-step runs them (the step then sets `chip.fault_before_cores`), comes before
-the core phase, and no idle core counts that cycle. The system can only be
-quiescent when the awake list is empty, so Chip.quiescent() is consulted
-only then; it reads the two lists, the NoC's in-flight count and the fills.
+bubble per cycle, settled in one addition when it wakes and on every way out
+of the main loop. A SimFault raised in a core's own cycle comes after the
+idle cores with a lower id, which count that cycle's bubble; one raised in
+the phases, whether the loop or a lone core's step ran them (the step then
+sets `chip.fault_before_cores`), comes before the core phase, and no idle
+core counts that cycle. The system can only be quiescent with the awake list
+empty, so `Chip.quiescent()` is consulted only then.
 """
 
 from __future__ import annotations
@@ -416,26 +352,28 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
     return None
 
 
-def _window(awake: list, span: int) -> int:
-    """The window of the awake cores (see the module docstring): the number
-    of coming cycles, at most span, in which none of their in-flight
-    instructions acts outside its core. Where an instruction in execute or
-    memory closes it, the result is minus the further cycles that
-    instruction still spends in the pipeline (-2 from execute, -1 from
-    memory), so that the chip need not test them."""
+def _stop(chip: Chip, cycle: int) -> int:
+    """The one stop rule: the cycle the chip runs to from cycle before it
+    looks again (see the module docstring). Returning cycle + 1 makes the
+    loop lockstep."""
+    config = chip.config
+    watchdog = config.watchdog_cycles
+    awake = chip.awake
+    if not awake:
+        nxt = min(chip.memory.next_due, chip.noc.next_arrival)
+        return cycle + 1 if nxt == NEVER else min(nxt, watchdog)
+    check = config.starvation_check
+    limit = min(watchdog, cycle - cycle % check + check)
+    if len(awake) == 1:
+        return limit
+    # the smallest horizon of the awake cores, at most the fetch-to-execute
+    # depth and shorter than an I-fill
+    span = min(4, config.cache.i_miss_latency)
     for core in awake:
-        x = core.e
-        if x and x[1].acts_outside:
-            return -2
-        x = core.m
-        if x and x[1].acts_outside:
-            return -1
-        x = core.w
-        if x and x[1].acts_outside:
-            return 0
-        x = core.r
-        if x and x[1].acts_outside:
-            return 1
+        e, m, w, r = core.e, core.m, core.w, core.r
+        if e and e[1].acts_outside or m and m[1].acts_outside \
+                or w and w[1].acts_outside or r and r[1].acts_outside:
+            return cycle + 1
         x = core.d
         if x and x[1].acts_outside:
             span = min(span, 2)
@@ -443,7 +381,7 @@ def _window(awake: list, span: int) -> int:
             x = core.f
             if x and x[1].acts_outside:
                 span = 3
-    return span
+    return min(cycle + span, limit)
 
 
 def _bootstrap_root(chip: Chip):
@@ -473,53 +411,30 @@ def run(config: ChipConfig, program: Program,
     # a SimFault raised in a core's own cycle: the core phase of that cycle
     # had already reached every core with a lower id
     fault_cid = 0
-    memory, noc, cores = chip.memory, chip.noc, chip.cores
+    noc, cores = chip.noc, chip.cores
     watchdog, check = config.watchdog_cycles, config.starvation_check
-    # windows: at most the fetch-to-execute depth, and shorter than I-fills
-    depth, hold = min(4, config.cache.i_miss_latency), 0
     try:
         while cycle < watchdog:
             chip.phases(cycle)
+            stop = _stop(chip, cycle)
             awake = chip.awake
             if not awake:
-                # no core awake: jump to the next fill or arrival, stopping
-                # at the watchdog (see the docstring)
-                nxt = min(memory.next_due, noc.next_arrival)
-                cycle = cycle + 1 if nxt == NEVER else min(nxt, watchdog)
+                cycle = stop
             else:
+                # the awake cores stop together, no earlier than any that
+                # idled; a lone core's phases may wake a core, which
+                # installs a new awake list rather than growing this one
+                nxt = cycle
+                left = False
                 try:
-                    if len(awake) == 1:
-                        # run ahead alone (see the docstring); a phase the
-                        # step runs may wake another core, so the list is
-                        # read again, not walked
-                        core = awake[0]
-                        cycle = core.step(cycle, min(
-                            watchdog, cycle - cycle % check + check))
-                        if not core.awake:
-                            chip.awake = awake = []
-                    else:
-                        # a shared window (see the docstring); the awake
-                        # cores stop together, no earlier than any that idled
-                        stop = cycle + 1
-                        if cycle >= hold:
-                            span = _window(awake, depth)
-                            hold = cycle + 1 - span
-                            if span > 1:
-                                stop = min(cycle + span, watchdog,
-                                           cycle - cycle % check + check)
-                        nxt = cycle
-                        left = False
-                        for core in awake:
-                            end = core.step(cycle, stop)
-                            if core.awake:
+                    for core in awake:
+                        end = core.step(cycle, stop)
+                        if core.awake:
+                            nxt = end
+                        else:
+                            left = True
+                            if end > nxt:
                                 nxt = end
-                            else:
-                                left = True
-                                if end > nxt:
-                                    nxt = end
-                        if left:
-                            chip.awake = awake = [c for c in awake if c.awake]
-                        cycle = nxt
                 except SimFault:
                     # a fault in a core's own cycle, not in the phases its
                     # step ran, comes after the idle cores with a lower id
@@ -527,6 +442,9 @@ def run(config: ChipConfig, program: Program,
                         fault_cid = core.cid
                     cycle = chip.cycle
                     raise
+                if left:
+                    chip.awake = awake = [c for c in chip.awake if c.awake]
+                cycle = nxt
             if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break

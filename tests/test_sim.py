@@ -146,19 +146,28 @@ TAIL_DEADLOCK_P2 = TAIL_DEADLOCK.replace("allocate r1, 1", "allocate r1, 0") \
     .replace("waiter, 0, 1, 1", "waiter, 0, 4, 1")
 
 
-@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest", [
-    (lambda: assemble(CORE1_FAULT), dict(p=2), Outcome.FAULT, 44, [30, 16],
+# (id, program factory, config fields, outcome, cycles, per-core bubbles,
+# traced result_hash)
+NON_COMPLETED_RUNS = [
+    ("fault-core1", lambda: assemble(CORE1_FAULT), dict(p=2), Outcome.FAULT,
+     44, [30, 16],
      "dfa6560386d7edf23e8f73ba012b83f0b5df82badc70da6a4ee82bbbfba28c8c"),
-    (lambda: assemble(TAIL_DEADLOCK_P2), dict(p=2), Outcome.DEADLOCK_DATAFLOW,
-     46, [30, 17],
+    ("deadlock-p2", lambda: assemble(TAIL_DEADLOCK_P2), dict(p=2),
+     Outcome.DEADLOCK_DATAFLOW, 46, [30, 17],
      "a16f06514d3c1d0c89441fb31089ad13a641566ce08007cf78b49485b813482f"),
-    (lambda: kernel_starvation(2).program, dict(p=2),
+    ("starvation-p2", lambda: kernel_starvation(2).program, dict(p=2),
      Outcome.DEADLOCK_STARVATION, 2048, [1475, 1469],
      "1650002eb1927b7d7d0c7868c149e9ea1437c7509df82432472ee1a4b4818bfd"),
-    (lambda: kernel_chain(n=200).program, dict(p=4, watchdog_cycles=900),
-     Outcome.WATCHDOG_TIMEOUT, 900, [235, 502, 725, 727],
+    ("watchdog-p4", lambda: kernel_chain(n=200).program,
+     dict(p=4, watchdog_cycles=900), Outcome.WATCHDOG_TIMEOUT, 900,
+     [235, 502, 725, 727],
      "eafbfb3ef9f981a6e66ef6af312133e5aac62a8d536cae53b14f1e1391c63517"),
-], ids=["fault-core1", "deadlock-p2", "starvation-p2", "watchdog-p4"])
+]
+
+
+@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
+                         [run[1:] for run in NON_COMPLETED_RUNS],
+                         ids=[run[0] for run in NON_COMPLETED_RUNS])
 def test_non_completed_outcome_pinned(make, cfg, outcome, cycles, bubbles,
                                       digest):
     # golden.json pins completed runs only; these pin the per-core bubbles
@@ -1116,46 +1125,6 @@ def test_idle_jump_does_not_stop_at_starvation_checks(monkeypatch):
     assert len(calls) == 61
 
 
-def test_windows_equal_one_cycle_steps(monkeypatch):
-    # the corpus kernels (heterogeneous at n=16, to keep the test short; the
-    # stress grid runs it at full size) at p=2, 3, 4 and 8, eager and bulk,
-    # and heterogeneous at p=4 with I-fills of 1 to 4 cycles
-    cells = []
-    for kernel, gen in GENERATORS.items():
-        args = dict(n=16) if kernel == "heterogeneous" else {}
-        for p in (2, 3, 4, 8):
-            spec = gen(p, satisfiable=True) if kernel == "starvation" \
-                else gen(**args)
-            cells += [(dict(p=p, coherency=coherency), spec.program)
-                      for coherency in ("eager", "bulk")]
-    het = kernel_heterogeneous(n=16).program
-    cells += [(dict(p=4, cache=CacheConfig(i_miss_latency=n)), het)
-              for n in (1, 2, 3, 4)]
-    spans = []
-    step = Core.step
-
-    def record(core, cycle, stop):
-        if len(core.chip.awake) > 1:
-            spans.append(stop - cycle)
-        return step(core, cycle, stop)
-
-    def hashes():
-        out = [run(ChipConfig(trace=trace, **cfg), program).result_hash()
-               for cfg, program in cells for trace in (False, True)]
-        spans.clear()
-        run(ChipConfig(p=4), het)
-        return out
-
-    monkeypatch.setattr(Core, "step", record)
-    windowed = hashes()
-    # windows of more than one cycle ran on heterogeneous at p=4
-    assert max(spans) == 4 and sum(span > 1 for span in spans) > len(spans) / 2
-    # the lever: every window of two or more awake cores closes at once
-    monkeypatch.setattr(sim, "_window", lambda awake, span: 0)
-    assert hashes() == windowed
-    assert set(spans) == {1}
-
-
 # (id, program factory, traced result_hash) of completed p=1 runs, which
 # starvation_check 1, 7 and 128 must all leave unchanged;
 # scripts/stress_grid.py runs these too
@@ -1351,3 +1320,173 @@ def test_self_operand_runs_match_oracle_pinned(text, digests):
         assert res.outcome is Outcome.COMPLETED
         assert res.final_memory == image
         assert res.result_hash() == digests[p, coherency]
+
+
+# -- the fast chip loop against lockstep ----------------------------------------
+
+def lockstep(chip, cycle):
+    # sim._stop's stand-in for the lockstep loop: every core phase runs one
+    # cycle, so each awake core steps one cycle per call and the clock never
+    # jumps
+    return cycle + 1
+
+
+def pinned_runs():
+    """(label, config, program, traced result_hash or None where none is
+    pinned) for every run pinned above, in a fixed order; the lockstep test
+    runs them, and scripts/stress_grid.py prints them after its grid."""
+    for name, make, cfg, *_, digest in NON_COMPLETED_RUNS:
+        yield name, ChipConfig(trace=True, **cfg), make(), digest
+    for name, text in (("tail", TAIL_DEADLOCK), ("sync", SYNC_DEADLOCK)):
+        for p in (1, 2):
+            yield (f"{name}-deadlock-p{p}",
+                   ChipConfig(p=p, watchdog_cycles=100_000, trace=True),
+                   assemble(text), None)
+    for prefix, runs in (("lone", LONE_CORE_RUNS), ("many", MANY_AWAKE_RUNS)):
+        for name, make, cfg, *_, digest in runs:
+            yield f"{prefix}-{name}", ChipConfig(trace=True, **cfg), make(), \
+                digest
+    for name, make, digest in STARVATION_CHECK_RUNS:
+        for check in STARVATION_CHECKS:
+            yield (f"{name}-p1-check{check}",
+                   ChipConfig(p=1, starvation_check=check, trace=True), make(),
+                   digest)
+    for name, text, digests in SELF_OPERAND_RUNS:
+        for p, coherency in SELF_OPERAND_CONFIGS:
+            yield (f"self-{name}-p{p}-{coherency}",
+                   ChipConfig(p=p, coherency=coherency, trace=True),
+                   assemble(text), digests[p, coherency])
+    for prefix, runs in (("idle", IDLE_STRETCH_RUNS),
+                         ("phase", LONE_PHASE_RUNS)):
+        for name, make, cfg, *_, digest in runs:
+            yield f"{prefix}-{name}", ChipConfig(trace=True, **cfg), make(), \
+                digest
+
+
+def lockstep_cells():
+    """Traced (config, program) cells: the corpus kernels (heterogeneous at
+    n=16, to keep the test short; the stress grid runs it at full size) at
+    p = 1, 2, 3, 4 and 8, eager and bulk; heterogeneous at p=4 with I-fills
+    of 1 to 4 cycles; and a few cells with one or three thread slots, one- or
+    two-line caches, hop latencies 0 and 5, and hints off."""
+    def program(kernel, p):
+        gen = GENERATORS[kernel]
+        if kernel == "starvation":
+            return gen(p, satisfiable=True).program
+        return (gen(n=16) if kernel == "heterogeneous" else gen()).program
+
+    cells = [(ChipConfig(p=p, coherency=coherency, trace=True),
+              program(kernel, p))
+             for kernel in GENERATORS for p in (1, 2, 3, 4, 8)
+             for coherency in ("eager", "bulk")]
+    cells += [(ChipConfig(p=4, cache=CacheConfig(i_miss_latency=n),
+                          trace=True), program("heterogeneous", 4))
+              for n in (1, 2, 3, 4)]
+    for kernel, p, slots, lines, hop, hints in [
+            ("chain", 3, 1, 1, 5, True), ("regular", 3, 3, 2, 0, False),
+            ("loaduse", 8, 1, 2, 5, True), ("starvation", 8, 3, 1, 0, True)]:
+        cells.append((ChipConfig(p=p, thread_slots=slots,
+                                 cache=CacheConfig(i_lines=lines,
+                                                   d_lines=lines),
+                                 hop_latency=hop, hints=hints, trace=True),
+                      program(kernel, p)))
+    return cells
+
+
+def test_fast_chip_loop_equals_lockstep(monkeypatch):
+    # the chip loop's three fast paths (a lone core's run-ahead, windows
+    # shared by two or more awake cores, the idle clock jump) against
+    # lockstep, on every traced cell above and every pinned run: a run whose
+    # digest is pinned is compared with that digest, any other with its fast
+    # run
+    cells, pinned = lockstep_cells(), list(pinned_runs())
+    lone, windows, jumps = [], [], []
+    step, stop = Core.step, sim._stop
+
+    def record_step(core, cycle, limit):
+        shared = len(core.chip.awake) > 1
+        end = step(core, cycle, limit)
+        if shared:
+            windows.append(limit - cycle)
+        else:
+            lone.append(end - cycle)
+        return end
+
+    def record_stop(chip, cycle):
+        end = stop(chip, cycle)
+        if not chip.awake:
+            jumps.append(end - cycle)
+        return end
+
+    monkeypatch.setattr(Core, "step", record_step)
+    monkeypatch.setattr(sim, "_stop", record_stop)
+    fast = [run(cfg, program).result_hash() for cfg, program in cells]
+    unpinned = {label: run(cfg, program).result_hash()
+                for label, cfg, program, digest in pinned if digest is None}
+    # each fast path ran, and ran far, so that one that silently fell back
+    # to lockstep fails here: windows of 2, 3 and 4 cycles, lone calls that
+    # reach the starvation check and average over 50 cycles, and idle jumps
+    # over a whole I-fill
+    assert set(windows) >= {2, 3, 4} and max(windows) == 4
+    assert sum(span > 1 for span in windows) > len(windows) / 4
+    assert max(lone) == ChipConfig().starvation_check
+    assert sum(lone) > 50 * len(lone)
+    assert max(jumps) >= CacheConfig().i_miss_latency
+    monkeypatch.setattr(Core, "step", step)
+    monkeypatch.setattr(sim, "_stop", lockstep)
+    assert [run(cfg, program).result_hash() for cfg, program in cells] == fast
+    for label, cfg, program, digest in pinned:
+        assert run(cfg, program).result_hash() == \
+            (digest or unpinned[label]), label
+
+
+# main creates a seeded channel chain of {n} threads (none: an empty family,
+# whose seed is its tail), syncs it, and only then reads its tail: the read
+# names the family by its id times the sync's result (1), so that it cannot
+# issue before the family has completed
+TAIL_AFTER_SYNC = """
+.body main
+  allocate r1, 0
+  addi r3, r0, 100
+  create r2, r1, w, 0, {n}, 1, r3
+  sync r4, r2
+  mul r9, r2, r4
+  getsh r5, r9
+  st r5, 0x100(r0)
+  release r1
+  halt
+.body w
+  getsh r6
+  getidx r7
+  add r6, r6, r7
+  putsh r6
+  halt
+"""
+
+
+@pytest.mark.parametrize("n, tail", [(6, 115), (0, 100)],
+                         ids=["chain", "empty"])
+def test_tail_read_after_sync(monkeypatch, n, tail):
+    # Tmu.getsh_tail finds the completed family's tail already set
+    program = assemble(TAIL_AFTER_SYNC.format(n=n))
+    image = sequential_oracle(program).final_memory
+    assert image[0x100:0x104] == tail.to_bytes(4, "little")
+    found = []
+    getsh_tail = Tmu.getsh_tail
+
+    def record(tmu, ctx, dst, fid, cycle):
+        found.append(tmu.chip.families[fid].tail_value)
+        getsh_tail(tmu, ctx, dst, fid, cycle)
+
+    monkeypatch.setattr(Tmu, "getsh_tail", record)
+    configs = [ChipConfig(p=p, coherency=coherency, trace=True)
+               for p in (1, 2, 3) for coherency in ("eager", "bulk")]
+    digests = []
+    for cfg in configs:
+        res = run(cfg, program)
+        assert res.outcome is Outcome.COMPLETED
+        assert res.final_memory == image
+        digests.append(res.result_hash())
+    assert found == [tail] * len(configs)
+    monkeypatch.setattr(sim, "_stop", lockstep)
+    assert [run(cfg, program).result_hash() for cfg in configs] == digests
