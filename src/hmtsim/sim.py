@@ -356,32 +356,41 @@ def _stop(chip: Chip, cycle: int) -> int:
     """The one stop rule: the cycle the chip runs to from cycle before it
     looks again (see the module docstring). Returning cycle + 1 makes the
     loop lockstep."""
-    config = chip.config
-    watchdog = config.watchdog_cycles
     awake = chip.awake
-    if not awake:
-        nxt = min(chip.memory.next_due, chip.noc.next_arrival)
-        return cycle + 1 if nxt == NEVER else min(nxt, watchdog)
-    check = config.starvation_check
-    limit = min(watchdog, cycle - cycle % check + check)
-    if len(awake) == 1:
-        return limit
-    # the smallest horizon of the awake cores, at most the fetch-to-execute
-    # depth and shorter than an I-fill
-    span = min(4, config.cache.i_miss_latency)
-    for core in awake:
-        e, m, w, r = core.e, core.m, core.w, core.r
-        if e and e[1].acts_outside or m and m[1].acts_outside \
-                or w and w[1].acts_outside or r and r[1].acts_outside:
-            return cycle + 1
-        x = core.d
-        if x and x[1].acts_outside:
-            span = min(span, 2)
-        elif span > 3:
-            x = core.f
+    span = NEVER    # a lone core has no window
+    if len(awake) > 1:
+        # the smallest horizon of the awake cores, at most the
+        # fetch-to-execute depth, and shorter than an I-fill
+        span = 4
+        for core in awake:
+            x = core.e
             if x and x[1].acts_outside:
-                span = 3
-    return min(cycle + span, limit)
+                return cycle + 1
+            x = core.m
+            if x and x[1].acts_outside:
+                return cycle + 1
+            x = core.w
+            if x and x[1].acts_outside:
+                return cycle + 1
+            x = core.r
+            if x and x[1].acts_outside:
+                return cycle + 1
+            x = core.d
+            if x and x[1].acts_outside:
+                span = 2
+            elif span > 3:
+                x = core.f
+                if x and x[1].acts_outside:
+                    span = 3
+        span = min(span, chip.config.cache.i_miss_latency)
+    elif not awake:
+        nxt = min(chip.memory.next_due, chip.noc.next_arrival)
+        return cycle + 1 if nxt == NEVER else \
+            min(nxt, chip.config.watchdog_cycles)
+    config = chip.config
+    check = config.starvation_check
+    return min(cycle + span, config.watchdog_cycles,
+               cycle - cycle % check + check)
 
 
 def _bootstrap_root(chip: Chip):
@@ -417,34 +426,33 @@ def run(config: ChipConfig, program: Program,
         while cycle < watchdog:
             chip.phases(cycle)
             stop = _stop(chip, cycle)
+            # every awake core steps to the stop in ascending core id, and
+            # those that stay awake stop together, no earlier than any that
+            # idled; with none awake the clock jumps to the stop. A lone
+            # core's phases may wake a core, which installs a new awake list
+            # rather than growing the one walked here
             awake = chip.awake
-            if not awake:
-                cycle = stop
-            else:
-                # the awake cores stop together, no earlier than any that
-                # idled; a lone core's phases may wake a core, which
-                # installs a new awake list rather than growing this one
-                nxt = cycle
-                left = False
-                try:
-                    for core in awake:
-                        end = core.step(cycle, stop)
-                        if core.awake:
+            nxt = cycle if awake else stop
+            left = False
+            try:
+                for core in awake:
+                    end = core.step(cycle, stop)
+                    if core.awake:
+                        nxt = end
+                    else:
+                        left = True
+                        if end > nxt:
                             nxt = end
-                        else:
-                            left = True
-                            if end > nxt:
-                                nxt = end
-                except SimFault:
-                    # a fault in a core's own cycle, not in the phases its
-                    # step ran, comes after the idle cores with a lower id
-                    if not chip.fault_before_cores:
-                        fault_cid = core.cid
-                    cycle = chip.cycle
-                    raise
-                if left:
-                    chip.awake = awake = [c for c in chip.awake if c.awake]
-                cycle = nxt
+            except SimFault:
+                # a fault in a core's own cycle, not in the phases its step
+                # ran, comes after the idle cores with a lower id
+                if not chip.fault_before_cores:
+                    fault_cid = core.cid
+                cycle = chip.cycle
+                raise
+            if left:
+                chip.awake = awake = [c for c in chip.awake if c.awake]
+            cycle = nxt
             if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break
