@@ -13,18 +13,17 @@ from .kernels import (
     kernel_starvation,
 )
 from .memory import CacheConfig, MemorySystem
-from .noc import ControlMessage, Noc, Topology
+from .noc import Noc, Topology
 from .oracle import OracleDeadlock, OracleResult, sequential_oracle
 from .sim import ChipConfig, Metrics, Outcome, RunResult, detect_deadlock, format_trace, run
-from .tmu import Allocation, Family, SpanPool, distribute
+from .tmu import Family, SpanPool, distribute
 
 __all__ = [
     "AsmError", "Instruction", "Opcode", "Program", "annotate_hints",
     "assemble", "validate", "KernelSpec", "corpus", "kernel_chain",
     "kernel_heterogeneous", "kernel_loaduse", "kernel_regular",
-    "kernel_starvation", "CacheConfig", "MemorySystem", "ControlMessage",
-    "Noc", "Topology", "OracleDeadlock", "OracleResult",
-    "sequential_oracle", "ChipConfig", "Metrics", "Outcome", "RunResult",
-    "detect_deadlock", "format_trace", "run", "Allocation", "Family",
-    "SpanPool", "distribute",
+    "kernel_starvation", "CacheConfig", "MemorySystem", "Noc", "Topology",
+    "OracleDeadlock", "OracleResult", "sequential_oracle", "ChipConfig",
+    "Metrics", "Outcome", "RunResult", "detect_deadlock", "format_trace",
+    "run", "Family", "SpanPool", "distribute",
 ]

@@ -22,7 +22,7 @@ from .isa import AsmError, assemble, validate
 from .kernels import GENERATORS, corpus, kernel_starvation
 from .memory import CacheConfig, dump_image_binary, dump_image_text, load_image_binary, load_image_text
 from .oracle import OracleDeadlock, sequential_oracle
-from .sim import ChipConfig, Outcome, RunResult, format_trace, run
+from .sim import MEM_BYTES_MAX, ChipConfig, Outcome, RunResult, format_trace, run
 
 SCHEMA_VERSION = 1
 
@@ -252,6 +252,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the bound ChipConfig sets for run and sweep, checked before the oracle
+    # allocates its image
+    if not 4 <= args.mem_bytes <= MEM_BYTES_MAX:
+        raise UsageError(f"--mem-bytes must be 4 to {MEM_BYTES_MAX}, "
+                         f"got {args.mem_bytes}")
     program = _load_program(args.program)
     init = _load_init_mem(args.init_mem, args.mem_bytes) if args.init_mem else None
     try:

@@ -222,9 +222,6 @@ class Core:
             self._wake(inf)
         return woken
 
-    def write_channel(self, slot: int, value: int):
-        self.writeback(self.contexts[slot], CHANNEL_CELL, value)
-
     def _set_reg(self, ctx, reg, value):
         # same-cycle completion of a one-cycle result into a cell the read
         # stage has already seen FULL: getidx and a plain getsh write here,

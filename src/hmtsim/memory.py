@@ -111,7 +111,8 @@ class MemorySystem:
         self._write_sets[epoch] = {}
 
     def load(self, core: int, addr: int, epoch: int, cycle: int, on_value):
-        """Returns 'hit' (on_value already called) or 'miss' (called later)."""
+        """Call on_value with the word at addr: now on a hit, or from the
+        step that completes the line's fill on a miss."""
         self._check(addr)
         self.stats.loads += 1
         if self.bulk:
@@ -120,13 +121,13 @@ class MemorySystem:
                 buffered = per_core.get(core)
                 if buffered is not None and addr in buffered:
                     on_value(buffered[addr])
-                    return "hit"
+                    return
         line = self._line(addr)
         tags = self._dtags[core]
         if line in tags:
             tags.move_to_end(line)
             on_value(self._read_word(addr))
-            return "hit"
+            return
         key = (core, line)
         fill = self._d_pending.get(key)
         if fill is None:
@@ -135,7 +136,6 @@ class MemorySystem:
             self.stats.d_misses += 1
             self._due(cycle + self.config.d_miss_latency)[1].append(fill)
         fill.waiters.append((addr, on_value))
-        return "miss"
 
     def store(self, core: int, addr: int, value: int, epoch: int, cycle: int):
         self._check(addr)
@@ -208,24 +208,22 @@ class MemorySystem:
         Either way, fetch-ahead keeps the next PREFETCH_LINES lines on the
         way in, or i_lines - 1 of them in a smaller I-cache.
 
-        A resident line is marked most recently used. A line already in the
-        memo, `i_probed[core]`, gets its remembered answer and requests
-        nothing: with no fill into the core's I-tags since its probe, it is
-        still resident or still pending, and so is each of its fetch-ahead
-        lines. A caller may read the memo itself, provided it marks a
-        resident line used with `i_touch[core]`, as this does.
+        A resident line is marked most recently used, and the answer is
+        remembered in `i_probed[core]`. A caller reads that memo first and
+        probes only a line it does not hold: with no fill into the core's
+        I-tags since the line's probe, the line is still resident or still
+        pending, and so is each of its fetch-ahead lines, so probing it
+        again would request nothing. Such a caller marks a resident line
+        used with `i_touch[core]`, as this does.
         """
         line = (pc * 4) // self.config.line_bytes
-        probed = self.i_probed[core]
-        resident = probed.get(line)
-        if resident is None:
-            resident = probed[line] = line in self._itags[core]
-            if not resident:
-                self._request_i_fill(core, line, cycle)
-            for ahead in range(1, self._fetch_ahead + 1):
-                self._request_i_fill(core, line + ahead, cycle)
+        resident = self.i_probed[core][line] = line in self._itags[core]
         if resident:
             self.i_touch[core](line)
+        else:
+            self._request_i_fill(core, line, cycle)
+        for ahead in range(1, self._fetch_ahead + 1):
+            self._request_i_fill(core, line + ahead, cycle)
         return resident
 
     # -- split-phase completion -------------------------------------------------

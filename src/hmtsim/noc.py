@@ -3,24 +3,20 @@
 Physically separate from the memory network. Messages travel along adjacent
 cores only; delivery takes hops * hop_latency cycles (min 1 cycle for a
 core messaging itself). There is no contention or buffering model.
+
+A message is a `(dst, handler, payload)` tuple: the receiving core, the Tmu
+method it calls and that method's arguments. Traffic is counted per
+`(src, dst)` route, and `hop_log()` expands the routes into links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 from typing import Callable
 
-_DST = attrgetter("dst")
-
-
-@dataclass
-class ControlMessage:
-    handler: Callable       # receiving Tmu method, called with the payload
-    dst: int
-    payload: tuple
-    arrives_at: int = 0
+_DST = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -60,57 +56,52 @@ class Topology:
 class Noc:
     def __init__(self, topology: Topology):
         self.topology = topology
-        # arrival cycle -> messages due then, each list in injection order;
-        # next_arrival is its smallest key (NEVER when empty), lowered by send
-        # and recomputed by step, so that the chip and a core test for an
-        # arrival with one comparison
-        self.arrivals: dict[int, list[ControlMessage]] = {}
+        # arrival cycle -> (dst, handler, payload) messages due then, each
+        # list in injection order; next_arrival is its smallest key (NEVER
+        # when empty), lowered by send and recomputed by step, so that the
+        # chip and a core test for an arrival with one comparison
+        self.arrivals: dict[int, list[tuple]] = {}
         self.next_arrival = NEVER
         self.injected = 0
-        self.delivered = 0
-        self._hop_counts: dict[tuple[int, int], int] = {}
-        # (src, dst) -> (hops, links traversed), filled in as routes are used
-        self._routes: dict[tuple[int, int], tuple[int, tuple]] = {}
-
-    def _route(self, src: int, dst: int) -> tuple[int, tuple]:
-        path = self.topology.path(src, dst)
-        links = tuple((a, b) if a < b else (b, a)
-                      for a, b in zip(path, path[1:]))
-        route = self._routes[(src, dst)] = (len(links), links)
-        return route
+        # (src, dst) -> messages sent along that route
+        self._sent: dict[tuple[int, int], int] = {}
+        # (src, dst) -> delivery latency, filled in as routes are used
+        self._latency: dict[tuple[int, int], int] = {}
 
     def send(self, handler: Callable, src: int, dst: int, payload: tuple,
-             cycle: int) -> ControlMessage:
-        hops, links = self._routes.get((src, dst)) or self._route(src, dst)
-        at = cycle + max(1, hops * self.topology.hop_latency)
-        msg = ControlMessage(handler, dst, payload, arrives_at=at)
+             cycle: int):
+        route = (src, dst)
+        latency = self._latency.get(route)
+        if latency is None:
+            topo = self.topology
+            latency = self._latency[route] = max(
+                1, topo.hops(src, dst) * topo.hop_latency)
+        at = cycle + latency
         self.injected += 1
-        counts = self._hop_counts
-        for link in links:
-            counts[link] = counts.get(link, 0) + 1
-        self.arrivals.setdefault(at, []).append(msg)
+        sent = self._sent
+        sent[route] = sent.get(route, 0) + 1
+        self.arrivals.setdefault(at, []).append((dst, handler, payload))
         if at < self.next_arrival:
             self.next_arrival = at
-        return msg
 
-    def step(self, cycle: int) -> list[ControlMessage]:
+    def step(self, cycle: int) -> list[tuple]:
         """Messages arriving this cycle, ordered by (dst core, injection order)."""
         due = self.arrivals.pop(cycle, [])
         self.next_arrival = min(self.arrivals) if self.arrivals else NEVER
         due.sort(key=_DST)      # stable: keeps injection order
-        self.delivered += len(due)
         return due
 
     @property
-    def in_flight(self) -> int:
-        return self.injected - self.delivered
+    def in_flight(self) -> bool:
+        return bool(self.arrivals)
 
     def hop_log(self) -> dict[tuple[int, int], int]:
         """Traversal count for every adjacent (low core, high core) link."""
         topo = self.topology
-        out = {}
-        for a in range(topo.p):
-            for b in range(a + 1, topo.p):
-                if topo.adjacent(a, b):
-                    out[(a, b)] = self._hop_counts.get((a, b), 0)
+        out = {(a, b): 0 for a in range(topo.p) for b in range(a + 1, topo.p)
+               if topo.adjacent(a, b)}
+        for (src, dst), n in self._sent.items():
+            path = topo.path(src, dst)
+            for a, b in zip(path, path[1:]):
+                out[(a, b) if a < b else (b, a)] += n
         return out

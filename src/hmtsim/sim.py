@@ -86,6 +86,9 @@ from .memory import NEVER, CacheConfig, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
 
+# memory bytes past 2**31 are out of reach of every s32 address
+MEM_BYTES_MAX = 1 << 31
+
 
 @dataclass(frozen=True)
 class ChipConfig:
@@ -111,6 +114,9 @@ class ChipConfig:
             raise ValueError(f"hop latency must be >= 0, got {self.hop_latency}")
         if self.watchdog_cycles < 1:
             raise ValueError(f"watchdog must be >= 1 cycle, got {self.watchdog_cycles}")
+        if not 4 <= self.mem_bytes <= MEM_BYTES_MAX:
+            raise ValueError(f"memory bytes must be 4 to {MEM_BYTES_MAX}, "
+                             f"got {self.mem_bytes}")
         if self.starvation_check < 1:
             raise ValueError(f"starvation check interval must be >= 1 cycle, "
                              f"got {self.starvation_check}")
@@ -212,7 +218,7 @@ class Chip:
         self.busy_tmus: list[Tmu] = []  # TMUs with requests, ascending core id
         self.families: dict[int, Family] = {}
         self.open_families = 0          # created and not yet completed
-        self.allocations: dict = {}
+        self.allocations: dict[int, tuple[int, ...]] = {}   # aid -> span
         self._fid = 0
         self._aid = 0
         self._req = 0
@@ -224,10 +230,11 @@ class Chip:
         self.max_pending = 0
         self.trace = [] if config.trace else None
 
-    def new_family(self, owner, aid, entry, start, step, n, creator) -> Family:
+    def new_family(self, owner, aid, entry, start, step, n, head,
+                   creator) -> Family:
         self._fid += 1
         fid = self._fid
-        fam = Family(fid, owner, aid, entry, start, step, n, ranges={},
+        fam = Family(fid, owner, aid, entry, start, step, n, head,
                      outstanding=n, creator=creator)
         self.families[fid] = fam
         self.open_families += 1
@@ -258,7 +265,7 @@ class Chip:
         if cycle == noc.next_arrival:
             tmus = self.tmus
             for msg in noc.step(cycle):
-                tmus[msg.dst].handle_message(msg, cycle)
+                tmus[msg[0]].handle_message(msg, cycle)
         if self.busy_tmus:
             busy, self.busy_tmus = self.busy_tmus, []
             for tmu in busy:
@@ -395,8 +402,7 @@ def _stop(chip: Chip, cycle: int) -> int:
 
 def _bootstrap_root(chip: Chip):
     fam = chip.new_family(owner=0, aid=None, entry="main", start=0, step=1,
-                          n=1, creator=None)
-    fam.ranges[0] = (0, 1)
+                          n=1, head=0, creator=None)
     chip.tmus[0].on_create(fam.fid, 0, 1, 0)
 
 

@@ -12,6 +12,11 @@ handler, one of the on_* methods, which the receiving Tmu calls with the
 payload. Everything crossing cores rides the control NoC, including a core
 messaging itself, so all inter-TMU effects take at least one cycle and land
 in a deterministic order.
+
+An allocation is its span: the ids of the adjacent cores it holds, ascending
+and never wrapping around a ring. A family's positions run in ascending
+order over the span's leading cores, so a channel value for position pos > 0
+goes from the core running pos - 1 to itself or to the next core id.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import SimFault
+from .isa import CHANNEL_CELL
 
 _CID = attrgetter("cid")        # order of the chip's busy TMU list
 
@@ -47,15 +53,6 @@ def index_count(start: int, limit: int, step: int) -> int:
 
 
 @dataclass
-class Allocation:
-    cores: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.cores)
-
-
-@dataclass
 class Family:
     fid: int
     owner: int
@@ -64,19 +61,13 @@ class Family:
     start: int
     step: int
     n: int
-    ranges: dict[int, tuple[int, int]]      # core -> [position lo, hi)
+    head: int                               # the core of position 0
     outstanding: int
     creator: object = None                  # ThreadContext of the creating thread
     sync_target: tuple | None = None        # (core, ctx, reg) once synced
     completed: bool = False
     tail_value: int | None = None
     tail_waiters: list = field(default_factory=list)
-
-    def core_of_position(self, pos: int) -> int:
-        for core, (lo, hi) in self.ranges.items():
-            if lo <= pos < hi:
-                return core
-        raise SimFault(f"position {pos} outside family {self.fid}")
 
 
 class SpanPool:
@@ -85,12 +76,6 @@ class SpanPool:
     def __init__(self, p: int):
         self.p = p
         self._held = [None] * p     # aid or None
-
-    def _free_run(self, s: int) -> int:
-        e = s
-        while e < self.p and self._held[e] is None:
-            e += 1
-        return e
 
     def find_local(self, owner: int, size: int) -> tuple[int, ...] | None:
         """Free span containing the owner; smallest start wins. size 0 takes
@@ -101,11 +86,11 @@ class SpanPool:
             s = owner
             while s > 0 and self._held[s - 1] is None:
                 s -= 1
-            return tuple(range(s, self._free_run(s)))
+            return self.find_remote(s, 0)
         for s in range(max(0, owner - size + 1), owner + 1):
-            if s + size <= self.p and all(self._held[c] is None
-                                          for c in range(s, s + size)):
-                return tuple(range(s, s + size))
+            span = self.find_remote(s, size)
+            if span:
+                return span
         return None
 
     def find_remote(self, anchor: int, size: int) -> tuple[int, ...] | None:
@@ -113,7 +98,10 @@ class SpanPool:
         if self._held[anchor] is not None:
             return None
         if size == 0:
-            return tuple(range(anchor, self._free_run(anchor)))
+            end = anchor
+            while end < self.p and self._held[end] is None:
+                end += 1
+            return tuple(range(anchor, end))
         if anchor + size <= self.p and all(self._held[c] is None
                                            for c in range(anchor, anchor + size)):
             return tuple(range(anchor, anchor + size))
@@ -183,26 +171,23 @@ class Tmu:
     def create(self, ctx, dst: int, aid: int, entry: str, rng: tuple,
                seed: int | None, cycle: int):
         chip = self.chip
-        alloc = chip.allocations.get(aid)
-        if alloc is None:
+        span = chip.allocations.get(aid)
+        if span is None:
             raise SimFault(f"create on unknown or released allocation {aid}")
         # parent's buffered stores become visible to the new sub-family
         chip.memory.flush_epoch(ctx.fid)
         start, limit, step = rng
         n = index_count(start, limit, step)
-        fam = chip.new_family(self.cid, aid, entry, start, step, n, creator=ctx)
-        counts = distribute(n, alloc.p)
+        fam = chip.new_family(self.cid, aid, entry, start, step, n, span[0],
+                              creator=ctx)
         lo = 0
-        for core, cnt in zip(alloc.cores, counts):
+        for core, cnt in zip(span, distribute(n, len(span))):
             if cnt:
-                fam.ranges[core] = (lo, lo + cnt)
+                self._send(Tmu.on_create, core, (fam.fid, lo, lo + cnt), cycle)
                 lo += cnt
-        for core, (plo, phi) in fam.ranges.items():
-            self._send(Tmu.on_create, core, (fam.fid, plo, phi), cycle)
         if seed is not None:
             if n:
-                self._send(Tmu.on_channel, fam.core_of_position(0),
-                           (fam.fid, 0, seed), cycle)
+                self._send(Tmu.on_channel, fam.head, (fam.fid, 0, seed), cycle)
             else:
                 self.on_tail(fam, seed, cycle)
         if n == 0:
@@ -221,8 +206,8 @@ class Tmu:
 
     def release(self, aid: int, cycle: int):
         chip = self.chip
-        alloc = chip.allocations.get(aid)
-        if alloc is None:
+        span = chip.allocations.get(aid)
+        if span is None:
             raise SimFault(f"release of unknown or already released "
                            f"allocation {aid}")
         # a family is live until its sync has fired
@@ -231,9 +216,9 @@ class Tmu:
         if live:
             raise SimFault(f"release of allocation {aid} with live "
                            f"families {live}")
-        for core in alloc.cores:
+        for core in span:
             self._send(Tmu.on_release, core, (aid,), cycle)
-        chip.span_pool.release(alloc.cores)
+        chip.span_pool.release(span)
         del chip.allocations[aid]
         chip.last_effect = cycle
 
@@ -279,7 +264,12 @@ class Tmu:
             else:
                 self._send(Tmu.on_tail, fam.owner, (fam, value), cycle)
             return
-        core = fam.core_of_position(pos)
+        if pos == 0:
+            core = fam.head
+        elif pos < self.local_fams[fam.fid].pos_hi:
+            core = self.cid         # the sender runs position pos - 1
+        else:
+            core = self.cid + 1
         if core == self.cid:
             self.on_channel(fam.fid, pos, value, cycle)
         else:
@@ -287,8 +277,9 @@ class Tmu:
 
     # -- NoC message handlers --------------------------------------------------------
 
-    def handle_message(self, msg, cycle: int):
-        msg.handler(self, *msg.payload, cycle)
+    def handle_message(self, msg: tuple, cycle: int):
+        _, handler, payload = msg
+        handler(self, *payload, cycle)
 
     def on_allocate_req(self, req_id: int, owner: int, ctx, dst: int,
                         size: int, local: bool, cycle: int):
@@ -302,7 +293,7 @@ class Tmu:
         aid = 0
         if span:
             aid = chip.next_aid()
-            chip.allocations[aid] = Allocation(span)
+            chip.allocations[aid] = span
             chip.span_pool.hold(span, aid)
         self._send(Tmu.on_allocate_rsp, owner, (req_id, aid, ctx, dst), cycle)
 
@@ -346,7 +337,8 @@ class Tmu:
                            f"{self.cid} before creation")
         slot = lf.running.get(pos)
         if slot is not None:
-            self.core.write_channel(slot, value)
+            core = self.core
+            core.writeback(core.contexts[slot], CHANNEL_CELL, value)
             self.chip.last_effect = cycle
         elif pos >= lf.pos_next:
             lf.buffer[pos] = value

@@ -326,13 +326,26 @@ def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
     ("--cores", "0"), ("--cores", "-2"), ("--watchdog", "0"),
     ("--watchdog", "-1"), ("--line-bytes", "3"),
     ("--d-miss-latency", "0"), ("--thread-slots", "0"),
-    ("--hop-latency", "-1")])
+    ("--hop-latency", "-1"), ("--mem-bytes", "3"), ("--mem-bytes", "0"),
+    ("--mem-bytes", "-4"), ("--mem-bytes", "2147483649"),
+    ("--mem-bytes", "99999999999999")])
 def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
     code, out, err = run_cli(capsys, "run", "--program", regular_masm,
                              flag, value)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["3", "0", "-4", "2147483649",
+                                   "99999999999999"])
+def test_invalid_machine_config_oracle_mem_bytes_exit_64(capsys, value):
+    # refused before the program is read or any image allocated: x names no
+    # file, which would otherwise be the first error
+    code, out, err = run_cli(capsys, "oracle", "--program", "x",
+                             "--mem-bytes", value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --mem-bytes must be 4 to 2147483648, got {value}\n"
 
 
 # every integer flag, with arguments that reach it; --program x names no file,

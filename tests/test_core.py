@@ -157,7 +157,7 @@ def test_read_operands_suspends_on_empty_channel():
     assert read_stage(core, inf) is None
     assert ctx.waiters[CHANNEL_CELL] == [inf]
     # PUTSH delivery wakes it again
-    core.write_channel(ctx.slot, 99)
+    core.writeback(ctx, CHANNEL_CELL, 99)
     assert not ctx.suspended and not ctx.fetch_blocked and ctx.resume is inf
     assert read_stage(core, inf) == (99,)
 
@@ -510,7 +510,8 @@ def core_state(chip):
             list(memory._itags[0]), list(memory._dtags[0]),
             sorted(memory.fills), vars(memory.stats), bytes(memory.mem),
             families, local, chip.open_families, chip.last_effect,
-            noc.injected, noc.delivered, sorted(noc.arrivals))
+            noc.injected, noc.hop_log(),
+            [(at, len(noc.arrivals[at])) for at in sorted(noc.arrivals)])
 
 
 def test_one_step_call_equals_single_cycle_steps():
@@ -663,8 +664,7 @@ def test_lone_step_call_runs_the_phases_at_its_stops():
     def setup():
         chip = make_chip(LONE_FAMILY)
         fam = chip.new_family(owner=0, aid=None, entry="w", start=0, step=1,
-                              n=3, creator=None)
-        fam.ranges[0] = (0, 3)
+                              n=3, head=0, creator=None)
         chip.tmus[0].on_create(fam.fid, 0, 3, 0)
         chip.memory.mem[0x100:0x104] = (21).to_bytes(4, "little")
         return chip
@@ -678,7 +678,8 @@ def test_lone_step_call_runs_the_phases_at_its_stops():
     assert len(ends) == 1 and len(single_ends) == ends[0] > 250
     stats = whole.memory.stats
     assert (stats.d_misses, stats.i_misses > 3) == (1, True)
-    assert whole.noc.delivered == 3 and not whole.open_families
+    assert whole.noc.injected == 3 and not whole.noc.in_flight
+    assert not whole.open_families
     assert whole.memory.mem[0x104:0x108] == (42).to_bytes(4, "little")
 
 

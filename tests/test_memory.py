@@ -21,10 +21,19 @@ def collect(sink):
     return cb
 
 
+def load(ms, core, addr, epoch, cycle, sink):
+    """Load addr into sink: True on a hit, whose value arrives at once, False
+    on a miss, whose value waits for a fill."""
+    before = len(sink)
+    ms.load(core, addr, epoch, cycle, collect(sink))
+    return len(sink) > before
+
+
 def test_load_miss_then_hit():
     ms = make()
     got = []
-    assert ms.load(0, 0x100, 1, cycle=0, on_value=collect(got)) == "miss"
+    assert not load(ms, 0, 0x100, 1, 0, got)
+    assert got == [] and list(ms.fills) == [20]
     for c in range(1, 20):
         assert ms.step(c) == []
     done = ms.step(20)
@@ -32,7 +41,8 @@ def test_load_miss_then_hit():
     cb, value = done[0]
     cb(value)
     assert got == [0]
-    assert ms.load(0, 0x100, 1, cycle=21, on_value=collect(got)) == "hit"
+    assert load(ms, 0, 0x100, 1, 21, got)
+    assert got == [0, 0] and not ms.fills
     assert ms.stats.d_misses == 1 and ms.stats.loads == 2
 
 
@@ -62,9 +72,10 @@ def test_outstanding_misses_complete_in_issue_order():
 def test_shared_line_single_fill():
     ms = make(cores=1)
     got = []
-    assert ms.load(0, 0x100, 1, 0, collect(got)) == "miss"
-    assert ms.load(0, 0x104, 1, 1, collect(got)) == "miss"  # same 16B line
+    assert not load(ms, 0, 0x100, 1, 0, got)
+    assert not load(ms, 0, 0x104, 1, 1, got)    # same 16B line
     assert ms.stats.d_misses == 1
+    assert list(ms.fills) == [20] and len(ms.fills[20][1]) == 1
     for c in range(25):
         for cb, v in ms.step(c):
             cb(v)
@@ -84,8 +95,9 @@ def test_eager_store_counts_and_invalidation():
     # one propagation plus one invalidation for core 1's stale copy
     assert ms.stats.propagation_messages - before == 2
     got = []
-    assert ms.load(1, 0x100, 1, 31, collect(got)) == "miss"  # invalidated
-    assert ms.load(0, 0x100, 1, 31, collect(got)) == "hit"
+    assert not load(ms, 1, 0x100, 1, 31, got)   # invalidated
+    assert list(ms.fills) == [51]
+    assert load(ms, 0, 0x100, 1, 31, got)
     assert got == [42]
 
 
@@ -96,8 +108,8 @@ def test_bulk_store_buffers_without_messages():
         ms.store(0, i * 4, i, 7, 0)
     assert ms.stats.propagation_messages == 0
     got = []
-    assert ms.load(0, 40, 7, 1, collect(got)) == "hit"
-    assert got == [10]
+    assert load(ms, 0, 40, 7, 1, got)
+    assert got == [10] and not ms.fills
     # other cores and other epochs do not see the buffered store
     ms.open_epoch(8)
     other = []
@@ -147,7 +159,8 @@ def test_flush_invalidates_remote_copies():
     ms.store(0, 0x100, 5, 2, 30)
     assert ms.flush_epoch(2) == 2   # one line published, one remote invalidate
     got = []
-    assert ms.load(1, 0x100, 1, 31, collect(got)) == "miss"
+    assert not load(ms, 1, 0x100, 1, 31, got)
+    assert list(ms.fills) == [51] and ms.stats.d_misses == 2
 
 
 def test_flush_interleaved_stores_one_message_per_line_and_remote_copy():

@@ -33,25 +33,27 @@ def bfs_distance(p, kind, src, dst):
 
 def test_self_message_next_cycle():
     noc = Noc(Topology("ring", 4))
-    msg = noc.send(handler, 2, 2, (), cycle=10)
-    assert msg.arrives_at == 11
+    noc.send(handler, 2, 2, (), cycle=10)
+    msg = (2, handler, ())
+    assert noc.arrivals == {11: [msg]} and noc.next_arrival == 11
     assert noc.step(10) == []
     assert noc.step(11) == [msg]
+    assert not noc.arrivals and not noc.in_flight
     assert all(v == 0 for v in noc.hop_log().values())   # zero hops
 
 
 def test_ring_three_hops():
     noc = Noc(Topology("ring", 8))
-    msg = noc.send(handler, 0, 3, (), cycle=0)
-    assert msg.arrives_at == 6  # 3 hops at latency 2
+    noc.send(handler, 0, 3, (), cycle=0)
+    assert noc.arrivals == {6: [(3, handler, ())]}  # 3 hops at latency 2
     traversed = {k: v for k, v in noc.hop_log().items() if v}
     assert traversed == {(0, 1): 1, (1, 2): 1, (2, 3): 1}
 
 
 def test_ring_routes_short_way():
     noc = Noc(Topology("ring", 8))
-    msg = noc.send(handler, 0, 6, (), cycle=0)
-    assert msg.arrives_at == 4  # 2 hops via core 7
+    noc.send(handler, 0, 6, (), cycle=0)
+    assert noc.arrivals == {4: [(6, handler, ())]}  # 2 hops via core 7
     traversed = {k: v for k, v in noc.hop_log().items() if v}
     assert traversed == {(6, 7): 1, (0, 7): 1}
 
@@ -70,11 +72,13 @@ def test_hops_match_bfs_oracle(kind, p, src, dst):
 
 def test_same_cycle_delivery_fifo_per_destination():
     noc = Noc(Topology("line", 4))
-    m1 = noc.send(handler, 1, 0, ("a",), cycle=0)
-    m2 = noc.send(handler, 1, 0, ("b",), cycle=0)
-    m3 = noc.send(handler, 3, 2, ("c",), cycle=0)
+    noc.send(handler, 3, 2, ("c",), cycle=0)
+    noc.send(handler, 1, 0, ("a",), cycle=0)
+    noc.send(handler, 1, 0, ("b",), cycle=0)
     out = noc.step(2)
-    assert out == [m1, m2, m3]  # dst order, then injection order
+    # dst order, then injection order
+    assert out == [(0, handler, ("a",)), (0, handler, ("b",)),
+                   (2, handler, ("c",))]
 
 
 def test_saturation_conservation():
@@ -83,9 +87,11 @@ def test_saturation_conservation():
         noc.send(handler, i % 8, (i * 3) % 8, (i,), cycle=i % 5)
     got = 0
     for cycle in range(40):
-        assert noc.injected == got + noc.in_flight + (noc.injected - 100)
+        waiting = sum(map(len, noc.arrivals.values()))
+        assert noc.injected == 100 == got + waiting
+        assert noc.in_flight == (waiting > 0)
         got += len(noc.step(cycle))
-    assert got == 100 and noc.in_flight == 0
+    assert got == 100 and not noc.in_flight and not noc.arrivals
 
 
 def test_hop_log_only_adjacent_pairs():
@@ -108,8 +114,9 @@ def test_routes_match_topology_paths_when_reused(kind):
     for _ in range(2):      # the second round reuses every route
         for s in range(6):
             for d in range(6):
-                msg = noc.send(handler, s, d, (), cycle=0)
-                assert msg.arrives_at == max(1, 3 * topo.hops(s, d))
+                noc.send(handler, s, d, (s,), cycle=0)
+                at = max(1, 3 * topo.hops(s, d))
+                assert noc.arrivals[at][-1] == (d, handler, (s,))
                 path = topo.path(s, d)
                 for a, b in zip(path, path[1:]):
                     link = (min(a, b), max(a, b))

@@ -6,7 +6,7 @@ import pytest
 from hmtsim import sim
 from hmtsim.core import Core
 from hmtsim.errors import SimFault
-from hmtsim.isa import assemble
+from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import sequential_oracle
@@ -1320,6 +1320,69 @@ def test_self_operand_runs_match_oracle_pinned(text, digests):
         assert res.outcome is Outcome.COMPLETED
         assert res.final_memory == image
         assert res.result_hash() == digests[p, coherency]
+
+
+# -- sim._stop's window for two or more awake cores -----------------------------
+
+ACTING = Instruction(Opcode.LD, dst=1, src1=2)      # acts outside the core
+QUIET = Instruction(Opcode.ADD, dst=1, src1=1, src2=1)
+
+
+def window_chip(*acting, empty=False, **cfg):
+    """A p=2 chip with both cores on the awake list and every latch holding a
+    quiet instruction (or empty), except each (core, latch) in acting, which
+    holds one that acts outside the core."""
+    chip = Chip(ChipConfig(p=2, **cfg), assemble(".body main\nhalt"))
+    chip.awake = list(chip.cores)
+    for core in chip.cores:
+        for latch in "fdremw":
+            setattr(core, latch, None if empty else (None, QUIET, 0))
+    for cid, latch in acting:
+        setattr(chip.cores[cid], latch, (None, ACTING, 0))
+    return chip
+
+
+@pytest.mark.parametrize("cid", [0, 1])
+@pytest.mark.parametrize("latch, span", [
+    ("w", 1), ("m", 1), ("e", 1), ("r", 1), ("d", 2), ("f", 3)])
+def test_stop_window_ends_at_the_acting_instruction(cid, latch, span):
+    # from read onwards an acting instruction can act the next cycle, in
+    # decode two cycles on, in fetch three
+    assert sim._stop(window_chip((cid, latch)), 1000) == 1000 + span
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_stop_window_without_acting_instruction_is_the_pipe_depth(empty):
+    assert sim._stop(window_chip(empty=empty), 1000) == 1004
+
+
+@pytest.mark.parametrize("acting, span", [
+    (((0, "d"), (1, "f")), 2), (((0, "f"), (1, "d")), 2),
+    (((0, "f"), (1, "r")), 1), (((0, "f"), (1, "f")), 3),
+    (((0, "d"), (0, "f")), 2)])
+def test_stop_window_takes_the_smallest_horizon(acting, span):
+    assert sim._stop(window_chip(*acting), 1000) == 1000 + span
+
+
+@pytest.mark.parametrize("latency", [1, 2, 3, 4, 5])
+def test_stop_window_shorter_than_an_i_fill(latency):
+    for acting, span in (((), 4), (((1, "f"),), 3), (((0, "d"),), 2),
+                         (((0, "r"),), 1)):
+        chip = window_chip(*acting, cache=CacheConfig(i_miss_latency=latency))
+        assert sim._stop(chip, 1000) == 1000 + min(span, latency)
+
+
+def test_stop_window_capped_by_starvation_check_and_watchdog():
+    # the cap is the next multiple of starvation_check, then the watchdog
+    assert sim._stop(window_chip(), 126) == 128
+    assert sim._stop(window_chip(), 128) == 132
+    assert sim._stop(window_chip(starvation_check=7), 12) == 14
+    assert sim._stop(window_chip((1, "f"), starvation_check=7), 13) == 14
+    assert sim._stop(window_chip(watchdog_cycles=1002), 1000) == 1002
+    assert sim._stop(window_chip((0, "f"), watchdog_cycles=1002), 1000) \
+        == 1002
+    assert sim._stop(window_chip((0, "r"), watchdog_cycles=1002), 1000) \
+        == 1001
 
 
 # -- the fast chip loop against lockstep ----------------------------------------

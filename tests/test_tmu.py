@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hmtsim.errors import SimFault
-from hmtsim.tmu import SpanPool, distribute, index_count
+from hmtsim.isa import assemble
+from hmtsim.sim import Chip, ChipConfig, _bootstrap_root
+from hmtsim.tmu import SpanPool, Tmu, distribute, index_count
 
 
 def test_distribute_examples():
@@ -137,3 +139,55 @@ def test_randomized_hold_release_matches_set_oracle():
                     [c in held for c in range(8)], owner, size)
                 assert not legal
         assert pool.held_cores() == {c for s in oracle.values() for c in s}
+
+
+def core_of_position(ranges, pos):
+    """Reference: scan a family's per-core [lo, hi) position ranges for the
+    core that runs pos."""
+    for core, (lo, hi) in ranges.items():
+        if lo <= pos < hi:
+            return core
+    raise AssertionError(f"position {pos} outside every range")
+
+
+@given(st.integers(1, 8), st.data())
+def test_channel_goes_to_the_core_whose_range_holds_the_position(p, data):
+    # a family created over any span: position 0 goes to its head, and a
+    # value for pos > 0 goes from the core running pos - 1 to itself or to
+    # the next core id; either way to the core whose on_create range holds
+    # pos
+    start = data.draw(st.integers(0, p - 1), label="span start")
+    size = data.draw(st.integers(1, p - start), label="span size")
+    n = data.draw(st.integers(1, 40), label="n")
+    pos = data.draw(st.integers(0, n - 1), label="pos")
+    chip = Chip(ChipConfig(p=p, mem_bytes=64),
+                assemble(".body main\nhalt\n.body w\nhalt"))
+    _bootstrap_root(chip)
+    creator = chip.cores[0].contexts[0]
+    chip.cores[0]._mark_pending(creator, 5)
+    span = tuple(range(start, start + size))
+    chip.allocations[1] = span
+    chip.span_pool.hold(span, 1)
+    chip.tmus[0].create(creator, 5, 1, "w", (0, n, 1), None, 0)
+    fam = chip.families[2]
+    ranges = {dst: payload[1:] for msgs in chip.noc.arrivals.values()
+              for dst, handler, payload in msgs
+              if handler is Tmu.on_create and payload[0] == fam.fid}
+    assert sorted(ranges) == list(span[:len(ranges)])
+    assert fam.head == core_of_position(ranges, 0) == start
+
+    sender = fam.head if pos == 0 else core_of_position(ranges, pos - 1)
+    tmu = chip.tmus[sender]
+    tmu.local_fams.clear()
+    tmu.on_create(fam.fid, *ranges[sender], 1)
+    local = []
+    tmu.on_channel = lambda fid, q, value, cycle: local.append(q)
+    chip.noc.arrivals.clear()
+    tmu._forward_channel(fam, pos, 7, 2)
+    sent = [(dst, payload) for msgs in chip.noc.arrivals.values()
+            for dst, handler, payload in msgs if handler is Tmu.on_channel]
+    expected = core_of_position(ranges, pos)
+    if expected == sender:
+        assert local == [pos] and not sent
+    else:
+        assert not local and sent == [(expected, (fam.fid, pos, 7))]
