@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .errors import SimFault
+from .errors import ConfigError, SimFault
 from .isa import AsmError, assemble, validate
 from .kernels import GENERATORS, corpus, kernel_starvation
 from .memory import CacheConfig, dump_image_binary, dump_image_text, load_image_binary, load_image_text
@@ -43,19 +43,30 @@ EXIT_FAULT = 3
 EXIT_USAGE = 64
 
 
+# the config fields whose flag is not the field's name
+_FLAG_OF_FIELD = {"p": "--cores", "watchdog_cycles": "--watchdog"}
+
+
 def _config_from_args(args, p: int, hints: str, coherency: str,
                       trace: bool) -> ChipConfig:
-    """The machine flags of run and sweep, plus one cell's varying fields."""
+    """The machine flags of run and sweep, plus one cell's varying fields. A
+    value the config refuses is a usage error that names its flag."""
     if hints not in ("on", "off"):
         raise UsageError(f"--hints takes on or off, got {hints!r}")
-    cache = CacheConfig(
-        line_bytes=args.line_bytes, d_lines=args.d_lines, i_lines=args.i_lines,
-        d_miss_latency=args.d_miss_latency, i_miss_latency=args.i_miss_latency)
-    return ChipConfig(
-        p=p, topology=args.topology, thread_slots=args.thread_slots,
-        cache=cache, hints=hints == "on", coherency=coherency,
-        hop_latency=args.hop_latency, watchdog_cycles=args.watchdog,
-        mem_bytes=args.mem_bytes, trace=trace)
+    try:
+        cache = CacheConfig(
+            line_bytes=args.line_bytes, d_lines=args.d_lines,
+            i_lines=args.i_lines, d_miss_latency=args.d_miss_latency,
+            i_miss_latency=args.i_miss_latency)
+        return ChipConfig(
+            p=p, topology=args.topology, thread_slots=args.thread_slots,
+            cache=cache, hints=hints == "on", coherency=coherency,
+            hop_latency=args.hop_latency, watchdog_cycles=args.watchdog,
+            mem_bytes=args.mem_bytes, trace=trace)
+    except ConfigError as exc:
+        flag = _FLAG_OF_FIELD.get(exc.field,
+                                  "--" + exc.field.replace("_", "-"))
+        raise UsageError(f"{flag} {exc.rule}, got {exc.value!r}") from None
 
 
 def _record(kernel: str, params: str, config: ChipConfig,

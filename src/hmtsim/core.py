@@ -48,10 +48,11 @@ instruction has used it:
 
 The common path of a cycle runs in `step`'s own frame. `step` counts the
 commit; executes add, sub, mul and addi (writing the result wrapped to 32
-bits) and beq and bne itself, and any other opcode through its execute-table
-entry (indexed by the decoded `Instruction.op`), its one Python call; runs
-the read stage; and fetches. Fetch is one walk of the schedule queue, after
-any pending switch-hint rotation: the first thread that is resumable, or not
+bits) and beq and bne itself, skips st, jmp and halt, which have no execute
+work, and runs any other opcode through its execute-table entry (indexed by
+the decoded `Instruction.op`), its one Python call; runs the read stage; and
+fetches. Fetch is one walk of the schedule queue, after any pending
+switch-hint rotation: the first thread that is resumable, or not
 fetch-blocked with its I-line resident, is rotated to the front and fetched
 from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
 line already probed since the last I-fill into this core, with a recency
@@ -78,15 +79,17 @@ stop`, where `stop` is the first cycle with work outside the core: it starts
 at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
 the step lowers it where the core makes such work itself (a load or an
 I-cache probe that requests a fill, an execute-table entry or a halt's
-retirement that queues a TMU request), since nothing else does while a core
-steps (`test_step_call_returns_*`). At a stop below `limit`, a core that
-shares the chip with another awake core returns; the only awake core runs
-that cycle's phases itself (`_phases_alone`), and carries on unless they
-woke another core, with `stop` folded again and the remembered I-line
-forgotten, since a fill may have evicted it (`test_lone_step_call_*`). The
-call sets `chip.cycle` before each cycle, because load-hit callbacks and
-`_enlist` read it and, in a shared window, the core stepped before this one
-has left it at a later cycle.
+retirement that appends a TMU request to the chip's request list,
+`chip.requests`), since nothing else does while a core steps
+(`test_step_call_returns_*`). At a stop below `limit`, a core that shares
+the chip with another awake core returns; the only awake core runs that
+cycle's phases itself (`_phases_alone`), and carries on unless they woke
+another core, with `stop` folded again, the request list read again (the
+TMU phase installs a new one) and the remembered I-line forgotten, since a
+fill may have evicted it (`test_lone_step_call_*`). The call sets
+`chip.cycle` before each cycle, because load-hit callbacks and `_enlist`
+read it and, in a shared window, the core stepped before this one has left
+it at a later cycle.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ from operator import attrgetter
 
 from .errors import SimFault
 from .isa import CHANNEL_CELL, Opcode, s32
+from .tmu import Tmu
 
 # register cell states
 EMPTY, FULL, PENDING = 0, 1, 2
@@ -347,8 +351,8 @@ class Core:
         if instr.is_halt:
             self._remove_from_queue(ctx.slot)
             del self.contexts[ctx.slot]
-            tmu = chip.tmus[self.cid]
-            tmu.enqueue(tmu.terminated, ctx.slot, ctx.fid, ctx.position)
+            chip.requests.append((self.cid, Tmu.terminated,
+                                  (ctx.slot, ctx.fid, ctx.position)))
 
     # -- cycles -------------------------------------------------------------------------
 
@@ -384,7 +388,7 @@ class Core:
         probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
         instructions, traced, metrics = self.instructions, self.traced, \
             self.metrics
-        busy_tmus = chip.busy_tmus
+        requests = chip.requests
         f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
         commits = bubbles = 0
         fetched_line = -1       # the line this call last found resident
@@ -395,7 +399,7 @@ class Core:
                     commits += 1
                     if w[1].is_halt or traced:
                         self._retire(w, cycle)
-                        if busy_tmus:           # a halt's termination
+                        if requests:            # a halt's termination
                             stop = cycle + 1
                 if m is not None:
                     instr = m[1]
@@ -438,9 +442,11 @@ class Core:
                             value[instr.src2] else pc + 1
                         ctx.fetch_blocked = False
                     else:
-                        EXECUTE[op](self, ctx, instr, pc)
-                        if busy_tmus:           # a TMU request it queued
-                            stop = cycle + 1
+                        entry = EXECUTE[op]     # None for st, jmp, halt
+                        if entry is not None:
+                            entry(self, ctx, instr, pc)
+                            if requests:        # a TMU request it queued
+                                stop = cycle + 1
                 # read: with a pending cell in the thread, or a channel
                 # source, suspend on the first cell that is not FULL (sources
                 # first, then a PENDING destination); else pass untouched
@@ -545,7 +551,7 @@ class Core:
                         stop = memory.next_due
                     if noc.next_arrival < stop:
                         stop = noc.next_arrival
-                    busy_tmus = chip.busy_tmus      # a new, empty list
+                    requests = chip.requests        # a new, empty list
                     fetched_line = -1   # a fill may have evicted it
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
@@ -562,12 +568,6 @@ def _ld(core, ctx, instr, pc):
     core._mark_pending(ctx, instr.dst)
 
 
-def _nothing(core, ctx, instr, pc):
-    # st: the memory stage stores; jmp: resolved in decode; halt: retirement
-    # drives termination
-    pass
-
-
 def _getidx(core, ctx, instr, pc):
     core._set_reg(ctx, instr.dst, ctx.logical_index)
 
@@ -578,24 +578,24 @@ def _getsh(core, ctx, instr, pc):
     else:
         fid = ctx.value[instr.src1]
         core._mark_pending(ctx, instr.dst, fid)
-        tmu = core.chip.tmus[core.cid]
-        tmu.enqueue(tmu.getsh_tail, ctx, instr.dst, fid)
+        core.chip.requests.append((core.cid, Tmu.getsh_tail,
+                                   (ctx, instr.dst, fid)))
 
 
 def _putsh(core, ctx, instr, pc):
     v = ctx.value
-    tmu = core.chip.tmus[core.cid]
     if instr.src2 is None:
-        tmu.enqueue(tmu.putsh, ctx, v[instr.src1])
+        core.chip.requests.append((core.cid, Tmu.putsh, (ctx, v[instr.src1])))
     else:
-        tmu.enqueue(tmu.putsh_head, v[instr.src2], v[instr.src1])
+        core.chip.requests.append((core.cid, Tmu.putsh_head,
+                                   (v[instr.src2], v[instr.src1])))
 
 
 def _allocate(core, ctx, instr, pc):
     hint = ctx.value[instr.src1] if instr.src1 is not None else None
     core._mark_pending(ctx, instr.dst)
-    tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.allocate, ctx, instr.dst, instr.imm, hint)
+    core.chip.requests.append((core.cid, Tmu.allocate,
+                               (ctx, instr.dst, instr.imm, hint)))
 
 
 def _create(core, ctx, instr, pc):
@@ -603,30 +603,31 @@ def _create(core, ctx, instr, pc):
     aid = v[instr.src1]
     seed = v[instr.src2] if instr.src2 is not None else None
     core._mark_pending(ctx, instr.dst)
-    tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.create, ctx, instr.dst, aid, instr.entry,
-                instr.create_range, seed)
+    core.chip.requests.append((core.cid, Tmu.create, (
+        ctx, instr.dst, aid, instr.entry, instr.create_range, seed)))
 
 
 def _sync(core, ctx, instr, pc):
     fid = ctx.value[instr.src1]
     core._mark_pending(ctx, instr.dst, fid)
-    tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.sync, ctx, instr.dst, fid)
+    core.chip.requests.append((core.cid, Tmu.sync, (ctx, instr.dst, fid)))
 
 
 def _release(core, ctx, instr, pc):
-    tmu = core.chip.tmus[core.cid]
-    tmu.enqueue(tmu.release, ctx.value[instr.src1])
+    core.chip.requests.append((core.cid, Tmu.release,
+                               (ctx.value[instr.src1],)))
 
 
+# st, jmp and halt have no execute work (the memory stage stores, decode
+# resolves a jump, retirement drives termination), so step calls nothing
 _EXECUTE_BY_OPCODE = {
-    Opcode.LD: _ld, Opcode.ST: _nothing, Opcode.JMP: _nothing,
-    Opcode.HALT: _nothing, Opcode.ALLOCATE: _allocate, Opcode.CREATE: _create,
-    Opcode.SYNC: _sync, Opcode.RELEASE: _release, Opcode.GETIDX: _getidx,
-    Opcode.PUTSH: _putsh, Opcode.GETSH: _getsh,
+    Opcode.LD: _ld, Opcode.ST: None, Opcode.JMP: None, Opcode.HALT: None,
+    Opcode.ALLOCATE: _allocate, Opcode.CREATE: _create, Opcode.SYNC: _sync,
+    Opcode.RELEASE: _release, Opcode.GETIDX: _getidx, Opcode.PUTSH: _putsh,
+    Opcode.GETSH: _getsh,
 }
-# indexed by Instruction.op, None where step runs the opcode itself; building
-# it fails at import if any other opcode has no entry
+# indexed by Instruction.op, None where step runs the opcode itself or it has
+# no execute work; building it fails at import if any other opcode has no
+# entry
 EXECUTE = tuple(None if op in (_ADD, _SUB, _MUL, _ADDI, _BEQ, _BNE)
                 else _EXECUTE_BY_OPCODE[op] for op in Opcode)

@@ -15,7 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 
-from .errors import SimFault
+from .errors import ConfigError, SimFault
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,11 @@ class CacheConfig:
 
     def __post_init__(self):
         if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
-            raise ValueError(f"line bytes must be a power of two, got {self.line_bytes}")
+            raise ConfigError("line_bytes", "must be a power of two",
+                              self.line_bytes)
         for name in ("d_lines", "i_lines", "d_miss_latency", "i_miss_latency"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name.replace('_', ' ')} must be >= 1, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(name, "must be >= 1", getattr(self, name))
 
 
 @dataclass

@@ -2,10 +2,10 @@
 and the memory system.
 
 Each cycle runs the components in one fixed order: memory fill completions,
-NoC deliveries, TMU steps (ascending core id), then core pipelines (ascending
-core id). Effects aimed at a component earlier in that order land the next
-cycle, giving a single total order equivalent to a two-phase commit; two runs
-over identical inputs are bit-identical.
+NoC deliveries, TMU requests (ascending core id), then core pipelines
+(ascending core id). Effects aimed at a component earlier in that order land
+the next cycle, giving a single total order equivalent to a two-phase
+commit; two runs over identical inputs are bit-identical.
 
 A component is stepped only when it has work, as in dataflow scheduling where
 a waiting thread costs nothing until its cell is written:
@@ -13,9 +13,11 @@ a waiting thread costs nothing until its cell is written:
 - the memory system on the cycle `MemorySystem.next_due`, the first
   completion cycle of its fills;
 - the NoC on the cycle `Noc.next_arrival`, its first arrival;
-- a TMU on the cycle after it was given requests: its first request puts it
-  on the chip's busy TMU list (ascending core id), which the TMU phase takes
-  whole and empties;
+- the TMUs on the cycle after a core queued requests: a core appends each
+  request to the chip's request list as `(core id, Tmu method, args)`, and
+  the TMU phase takes the list whole, sorts it by core id (stable, so each
+  core's requests keep their issue order) and calls each method on that
+  core's Tmu;
 - a core while it is on the chip's awake list (ascending core id): while a
   thread is queued or a latch is occupied. It joins when a thread starts on
   it or a cell write wakes one of its threads, by installing a new list, and
@@ -80,11 +82,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .core import Core, CHANNEL_CELL
-from .errors import SimFault
+from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import NEVER, CacheConfig, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
+
+_CID = itemgetter(0)            # a request's core id
 
 # memory bytes past 2**31 are out of reach of every s32 address
 MEM_BYTES_MAX = 1 << 31
@@ -107,23 +111,26 @@ class ChipConfig:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError(f"core count must be >= 1, got {self.p}")
+            raise ConfigError("p", "must be >= 1", self.p, "core count")
         if self.thread_slots < 1:
-            raise ValueError(f"thread slots must be >= 1, got {self.thread_slots}")
+            raise ConfigError("thread_slots", "must be >= 1", self.thread_slots)
         if self.hop_latency < 0:
-            raise ValueError(f"hop latency must be >= 0, got {self.hop_latency}")
+            raise ConfigError("hop_latency", "must be >= 0", self.hop_latency)
         if self.watchdog_cycles < 1:
-            raise ValueError(f"watchdog must be >= 1 cycle, got {self.watchdog_cycles}")
+            raise ConfigError("watchdog_cycles", "must be >= 1 cycle",
+                              self.watchdog_cycles, "watchdog")
         if not 4 <= self.mem_bytes <= MEM_BYTES_MAX:
-            raise ValueError(f"memory bytes must be 4 to {MEM_BYTES_MAX}, "
-                             f"got {self.mem_bytes}")
+            raise ConfigError("mem_bytes", f"must be 4 to {MEM_BYTES_MAX}",
+                              self.mem_bytes, "memory bytes")
         if self.starvation_check < 1:
-            raise ValueError(f"starvation check interval must be >= 1 cycle, "
-                             f"got {self.starvation_check}")
+            raise ConfigError("starvation_check", "must be >= 1 cycle",
+                              self.starvation_check,
+                              "starvation check interval")
         if self.topology not in ("ring", "line"):
-            raise ValueError(f"topology must be ring or line, got {self.topology!r}")
+            raise ConfigError("topology", "must be ring or line", self.topology)
         if self.coherency not in ("eager", "bulk"):
-            raise ValueError(f"coherency must be eager or bulk, got {self.coherency!r}")
+            raise ConfigError("coherency", "must be eager or bulk",
+                              self.coherency)
 
 
 class Outcome(enum.Enum):
@@ -215,7 +222,8 @@ class Chip:
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
-        self.busy_tmus: list[Tmu] = []  # TMUs with requests, ascending core id
+        # (core id, Tmu method, args) requests queued by the core phase
+        self.requests: list[tuple] = []
         self.families: dict[int, Family] = {}
         self.open_families = 0          # created and not yet completed
         self.allocations: dict[int, tuple[int, ...]] = {}   # aid -> span
@@ -255,7 +263,9 @@ class Chip:
 
     def phases(self, cycle: int):
         """The memory, NoC and TMU phases of a cycle, each run only when it
-        has work; run again on that cycle, they find none."""
+        has work; run again on that cycle, they find none. A delivered
+        message and a queued request are each one direct call of its Tmu
+        method on the receiving or requesting core's Tmu."""
         self.cycle = cycle
         memory = self.memory
         if cycle == memory.next_due:
@@ -264,17 +274,22 @@ class Chip:
         noc = self.noc
         if cycle == noc.next_arrival:
             tmus = self.tmus
-            for msg in noc.step(cycle):
-                tmus[msg[0]].handle_message(msg, cycle)
-        if self.busy_tmus:
-            busy, self.busy_tmus = self.busy_tmus, []
-            for tmu in busy:
-                tmu.step(cycle)
+            for dst, handler, payload in noc.step(cycle):
+                handler(tmus[dst], *payload, cycle)
+        requests = self.requests
+        if requests:
+            # a new list: a lone core's step re-reads it after the phases
+            self.requests = []
+            if len(requests) > 1:
+                requests.sort(key=_CID)     # stable: keeps issue order
+            tmus = self.tmus
+            for cid, method, args in requests:
+                method(tmus[cid], *args, cycle)
 
     # -- progress analysis ----------------------------------------------------
 
     def quiescent(self) -> bool:
-        return not (self.awake or self.busy_tmus or self.noc.in_flight
+        return not (self.awake or self.requests or self.noc.in_flight
                     or self.memory.busy)
 
     def threads(self):

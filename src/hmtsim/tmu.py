@@ -3,33 +3,27 @@ even N/P split over adjacent cores, bulk synchronization, and the forward-only
 inter-thread channels.
 
 Each core owns one Tmu, and each protocol step is one Tmu method named after
-it, taking the step's payload as arguments. The local pipeline queues a
-request (allocate, create, sync, release, putsh, ...) as a bound method and
-its arguments during a core's cycle, and the first request of a cycle puts
-the Tmu on the chip's busy list (kept in ascending core id); the Tmu runs the
-queue in arrival order the following cycle. A control message carries its
-handler, one of the on_* methods, which the receiving Tmu calls with the
-payload. Everything crossing cores rides the control NoC, including a core
-messaging itself, so all inter-TMU effects take at least one cycle and land
-in a deterministic order.
+it, taking the step's payload as arguments. During a core's cycle the local
+pipeline queues a request (allocate, create, sync, release, putsh, ...) on
+the chip as `(core id, Tmu method, args)`; the next cycle's TMU phase calls
+each `method(tmu, *args, cycle)` in ascending core id, and each core's in
+the order it issued them. A control message carries its handler, one of the
+on_* methods, which the delivering NoC phase calls on the receiving Tmu with
+the payload. Everything crossing cores rides the control NoC
+(`chip.noc.send`), including a core messaging itself, so all inter-TMU
+effects take at least one cycle and land in a deterministic order.
 
 An allocation is its span: the ids of the adjacent cores it holds, ascending
 and never wrapping around a ring. A family's positions run in ascending
 order over the span's leading cores, so a channel value for position pos > 0
 goes from the core running pos - 1 to itself or to the next core id.
 """
-
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .errors import SimFault
 from .isa import CHANNEL_CELL
-
-_CID = attrgetter("cid")        # order of the chip's busy TMU list
-
 
 def distribute(n: int, p: int) -> list[int]:
     """Even split of n logical threads over p cores.
@@ -139,25 +133,9 @@ class Tmu:
         self.cid = cid
         self.chip = chip
         self.core = chip.cores[cid]
-        self.requests: list[tuple] = []     # (bound method, args)
         self.local_fams: dict[int, _LocalFam] = {}
 
-    # -- called from the pipeline (effective next cycle) ----------------------
-
-    def enqueue(self, method, *args):
-        if not self.requests:
-            insort(self.chip.busy_tmus, self, key=_CID)
-        self.requests.append((method, args))
-
-    def step(self, cycle: int):
-        pending, self.requests = self.requests, []
-        for method, args in pending:
-            method(*args, cycle)
-
-    def _send(self, handler, dst, payload, cycle):
-        self.chip.noc.send(handler, self.cid, dst, payload, cycle)
-
-    # -- pipeline requests ---------------------------------------------------------
+    # -- pipeline requests (run the cycle after the core queued them) -----------
 
     def allocate(self, ctx, dst: int, size: int, hint: int | None, cycle: int):
         chip = self.chip
@@ -165,8 +143,8 @@ class Tmu:
         anchor = self.cid if hint is None else hint
         if not 0 <= anchor < chip.config.p:
             raise SimFault(f"allocate hint {anchor} is not a core id")
-        self._send(Tmu.on_allocate_req, anchor,
-                   (req_id, self.cid, ctx, dst, size, hint is None), cycle)
+        chip.noc.send(Tmu.on_allocate_req, self.cid, anchor,
+                      (req_id, self.cid, ctx, dst, size, hint is None), cycle)
 
     def create(self, ctx, dst: int, aid: int, entry: str, rng: tuple,
                seed: int | None, cycle: int):
@@ -180,14 +158,14 @@ class Tmu:
         n = index_count(start, limit, step)
         fam = chip.new_family(self.cid, aid, entry, start, step, n, span[0],
                               creator=ctx)
-        lo = 0
+        send, cid, lo = chip.noc.send, self.cid, 0
         for core, cnt in zip(span, distribute(n, len(span))):
             if cnt:
-                self._send(Tmu.on_create, core, (fam.fid, lo, lo + cnt), cycle)
+                send(Tmu.on_create, cid, core, (fam.fid, lo, lo + cnt), cycle)
                 lo += cnt
         if seed is not None:
             if n:
-                self._send(Tmu.on_channel, fam.head, (fam.fid, 0, seed), cycle)
+                send(Tmu.on_channel, cid, fam.head, (fam.fid, 0, seed), cycle)
             else:
                 self.on_tail(fam, seed, cycle)
         if n == 0:
@@ -217,7 +195,7 @@ class Tmu:
             raise SimFault(f"release of allocation {aid} with live "
                            f"families {live}")
         for core in span:
-            self._send(Tmu.on_release, core, (aid,), cycle)
+            chip.noc.send(Tmu.on_release, self.cid, core, (aid,), cycle)
         chip.span_pool.release(span)
         del chip.allocations[aid]
         chip.last_effect = cycle
@@ -247,8 +225,8 @@ class Tmu:
         if lf is None or lf.running.get(pos) != slot:
             raise SimFault(f"double termination of family {fid} position {pos}")
         del lf.running[pos]
-        self._send(Tmu.on_terminated, chip.families[fid].owner, (fid, pos),
-                   cycle)
+        chip.noc.send(Tmu.on_terminated, self.cid, chip.families[fid].owner,
+                      (fid, pos), cycle)
         chip.last_effect = cycle
         if lf.pos_next < lf.pos_hi:
             self._start_position(fid, lf, slot, cycle)     # reuse the same slot
@@ -262,7 +240,8 @@ class Tmu:
             if fam.owner == self.cid:
                 self.on_tail(fam, value, cycle)
             else:
-                self._send(Tmu.on_tail, fam.owner, (fam, value), cycle)
+                self.chip.noc.send(Tmu.on_tail, self.cid, fam.owner,
+                                   (fam, value), cycle)
             return
         if pos == 0:
             core = fam.head
@@ -273,13 +252,10 @@ class Tmu:
         if core == self.cid:
             self.on_channel(fam.fid, pos, value, cycle)
         else:
-            self._send(Tmu.on_channel, core, (fam.fid, pos, value), cycle)
+            self.chip.noc.send(Tmu.on_channel, self.cid, core,
+                               (fam.fid, pos, value), cycle)
 
     # -- NoC message handlers --------------------------------------------------------
-
-    def handle_message(self, msg: tuple, cycle: int):
-        _, handler, payload = msg
-        handler(self, *payload, cycle)
 
     def on_allocate_req(self, req_id: int, owner: int, ctx, dst: int,
                         size: int, local: bool, cycle: int):
@@ -295,7 +271,8 @@ class Tmu:
             aid = chip.next_aid()
             chip.allocations[aid] = span
             chip.span_pool.hold(span, aid)
-        self._send(Tmu.on_allocate_rsp, owner, (req_id, aid, ctx, dst), cycle)
+        chip.noc.send(Tmu.on_allocate_rsp, self.cid, owner,
+                      (req_id, aid, ctx, dst), cycle)
 
     def on_allocate_rsp(self, req_id: int, aid: int, ctx, dst: int,
                         cycle: int):
@@ -352,7 +329,8 @@ class Tmu:
             if core == self.cid:
                 self.core.writeback(ctx, dst, value)
             else:
-                self._send(Tmu.on_tail_value, core, (ctx, dst, value), cycle)
+                self.chip.noc.send(Tmu.on_tail_value, self.cid, core,
+                                   (ctx, dst, value), cycle)
         fam.tail_waiters.clear()
         self.chip.last_effect = cycle
 
@@ -396,4 +374,5 @@ class Tmu:
 
     def _fire_sync(self, fam: Family, cycle: int):
         core, ctx, reg = fam.sync_target
-        self._send(Tmu.on_sync_done, core, (ctx, reg), cycle)
+        self.chip.noc.send(Tmu.on_sync_done, self.cid, core, (ctx, reg),
+                           cycle)

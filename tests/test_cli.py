@@ -247,11 +247,11 @@ def test_sweep_malformed_cores_exit_64(capsys, cores):
 
 
 @pytest.mark.parametrize("cores, count", [("0", 0), ("2,-1", -1)])
-def test_sweep_cores_below_one_keep_the_config_message(capsys, cores, count):
+def test_sweep_cores_below_one_name_the_flag(capsys, cores, count):
     code, out, err = run_cli(capsys, "sweep", "--kernels", "chain",
                              "--cores", cores)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: core count must be >= 1, got {count}\n"
+    assert err == f"error: --cores must be >= 1, got {count}\n"
 
 
 def test_sweep_records_carry_machine_flags(capsys):
@@ -322,19 +322,30 @@ def test_gen_reproduces_checked_in_kernels(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (kernels / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("flag,value", [
+INVALID_MACHINE_CONFIGS = [
     ("--cores", "0"), ("--cores", "-2"), ("--watchdog", "0"),
     ("--watchdog", "-1"), ("--line-bytes", "3"),
     ("--d-miss-latency", "0"), ("--thread-slots", "0"),
     ("--hop-latency", "-1"), ("--mem-bytes", "3"), ("--mem-bytes", "0"),
     ("--mem-bytes", "-4"), ("--mem-bytes", "2147483649"),
-    ("--mem-bytes", "99999999999999")])
-def test_invalid_machine_config_exit_64(regular_masm, capsys, flag, value):
-    code, out, err = run_cli(capsys, "run", "--program", regular_masm,
-                             flag, value)
+    ("--mem-bytes", "99999999999999"), ("--d-lines", "0"),
+    ("--i-lines", "0"), ("--i-miss-latency", "0")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(command, flag, value, id=f"{flag}-{value}"
+                 if command == "run" else f"sweep-{flag}-{value}")
+    for command in ("run", "sweep") for flag, value in INVALID_MACHINE_CONFIGS])
+def test_invalid_machine_config_exit_64(regular_masm, capsys, command, flag,
+                                        value):
+    # one error line that names the flag, as a malformed value's does
+    source = {"run": ["--program", regular_masm],
+              "sweep": ["--kernels", "chain"]}[command]
+    code, out, err = run_cli(capsys, command, *source, flag, value)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {flag} must be ") and \
+        err.endswith(f", got {value}\n") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("value", ["3", "0", "-4", "2147483649",
@@ -384,7 +395,7 @@ def test_invalid_config_exit_64_under_optimize(regular_masm):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
-    assert proc.stderr == "error: core count must be >= 1, got 0\n"
+    assert proc.stderr == "error: --cores must be >= 1, got 0\n"
 
 
 def assert_one_error_line(code, out, err):

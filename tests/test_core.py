@@ -473,7 +473,7 @@ def step_core0(chip, cycle, stop, single):
     call; otherwise the TMU phase runs it. Returns the cycles the calls
     returned, the due cycles of every fill seen after a call, and (returned
     cycle, request) pairs."""
-    memory, tmu, core = chip.memory, chip.tmus[0], chip.cores[0]
+    memory, core = chip.memory, chip.cores[0]
     ends, due, requests = [], set(), []
     while cycle < stop:
         chip.phases(cycle)
@@ -483,11 +483,10 @@ def step_core0(chip, cycle, stop, single):
         cycle = core.step(cycle, cycle + 1 if single else stop)
         ends.append(cycle)
         due.update(memory.fills)
-        if chip.busy_tmus and not chip.families:
+        if chip.requests and not chip.families:
             requests += [(cycle, method.__name__)
-                         for method, _ in tmu.requests]
-            tmu.requests.clear()
-            chip.busy_tmus.clear()
+                         for _, method, _ in chip.requests]
+            chip.requests.clear()
     return ends, due, requests
 
 

@@ -581,7 +581,7 @@ def test_quiescent_false_while_request_queued_or_fill_due():
 
     idle = chip()
     assert idle.quiescent()
-    idle.tmus[1].enqueue(lambda cycle: None)
+    idle.requests.append((1, lambda tmu, cycle: None, ()))
     assert not idle.quiescent()
 
     for start_fill in (lambda m: m.icache_probe(1, 0, 0),
@@ -596,27 +596,52 @@ def test_quiescent_false_while_request_queued_or_fill_due():
 
 
 def test_tmus_run_the_cycle_after_their_requests_in_core_order(monkeypatch):
-    # every request queued in a core phase runs in the next cycle's TMU phase,
-    # one step per TMU, in ascending core id
-    queued, stepped = [], []
-    enqueue, step = Tmu.enqueue, Tmu.step
+    # every request queued in a core phase runs in the next cycle's TMU
+    # phase, in ascending core id and each core's in issue order
+    queued, ran = [], []
 
-    def record_enqueue(tmu, method, *args):
-        queued.append((tmu.chip.cycle, tmu.cid))
-        enqueue(tmu, method, *args)
+    class Requests(list):
+        # the chip's request list, recording each request as it is queued
+        def __init__(self, chip):
+            super().__init__()
+            self.chip = chip
 
-    def record_step(tmu, cycle):
-        stepped.append((cycle, tmu.cid))
-        step(tmu, cycle)
+        def append(self, request):
+            cid, method, _ = request
+            queued.append((self.chip.cycle, cid, method.__name__))
+            super().append(request)
 
-    monkeypatch.setattr(Tmu, "enqueue", record_enqueue)
-    monkeypatch.setattr(Tmu, "step", record_step)
+    phases = Chip.phases
+
+    def record_phases(chip, cycle):
+        # the TMU phase installs a new, plain list when it runs requests
+        if type(chip.requests) is list:
+            assert not chip.requests
+            chip.requests = Requests(chip)
+        phases(chip, cycle)
+        if type(chip.requests) is list:
+            chip.requests = Requests(chip)
+
+    def recorder(name, method):
+        def record(tmu, *args):
+            ran.append((args[-1], tmu.cid, name))
+            return method(tmu, *args)
+        record.__name__ = name
+        return record
+
+    for name in ("allocate", "create", "sync", "release", "putsh",
+                 "putsh_head", "getsh_tail", "terminated"):
+        monkeypatch.setattr(Tmu, name, recorder(name, getattr(Tmu, name)))
+    monkeypatch.setattr(Chip, "phases", record_phases)
     res = run(ChipConfig(p=4), kernel_regular(n=16).program)
     assert res.outcome is Outcome.COMPLETED
-    assert stepped == sorted({(c + 1, cid) for c, cid in queued})
+    assert len(ran) > 16
+    # sorted is stable: one core's requests of one cycle keep issue order
+    assert ran == [(c + 1, cid, name) for c, cid, name
+                   in sorted(queued, key=lambda q: q[:2])]
     per_cycle = {}
-    for c, cid in set(queued):
-        per_cycle.setdefault(c, []).append(cid)
+    for c, cid, _ in queued:
+        per_cycle.setdefault(c, set()).add(cid)
     assert any(len(cids) > 1 for cids in per_cycle.values())
 
 
