@@ -158,14 +158,16 @@ class Tmu:
         n = index_count(start, limit, step)
         fam = chip.new_family(self.cid, aid, entry, start, step, n, span[0],
                               creator=ctx)
-        send, cid, lo = chip.noc.send, self.cid, 0
+        lo = 0
         for core, cnt in zip(span, distribute(n, len(span))):
             if cnt:
-                send(Tmu.on_create, cid, core, (fam.fid, lo, lo + cnt), cycle)
+                chip.noc.send(Tmu.on_create, self.cid, core,
+                              (fam.fid, lo, lo + cnt), cycle)
                 lo += cnt
         if seed is not None:
             if n:
-                send(Tmu.on_channel, cid, fam.head, (fam.fid, 0, seed), cycle)
+                chip.noc.send(Tmu.on_channel, self.cid, fam.head,
+                              (fam.fid, 0, seed), cycle)
             else:
                 self.on_tail(fam, seed, cycle)
         if n == 0:
