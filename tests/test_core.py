@@ -294,18 +294,23 @@ def test_step_one_cycle_write_to_pending_cell_faults():
         core.step(0, 1)
 
 
-# (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, then
-# one past each end of the signed 32-bit range
+# (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, each
+# end of the signed 32-bit range reached without wrapping, then one past each
+# end; the products also wrap from far outside the range
 ONE_CYCLE_RESULTS = [
     (Opcode.ADD, 2, 3, 5),
+    (Opcode.ADD, 0x7FFFFFFE, 1, 0x7FFFFFFF),
     (Opcode.ADD, 0x7FFFFFFF, 1, -0x80000000),
     (Opcode.ADD, -0x80000000, -1, 0x7FFFFFFF),
     (Opcode.SUB, 2, 3, -1),
+    (Opcode.SUB, -0x7FFFFFFF, 1, -0x80000000),
     (Opcode.SUB, 0x7FFFFFFF, -1, -0x80000000),
     (Opcode.SUB, -0x80000000, 1, 0x7FFFFFFF),
     (Opcode.MUL, -6, 7, -42),
     (Opcode.MUL, 0x10000, 0x8000, -0x80000000),
     (Opcode.MUL, 0x10000, -0x8001, 0x7FFF0000),
+    (Opcode.MUL, 0x7FFFFFFF, 0x7FFFFFFF, 1),
+    (Opcode.MUL, -0x80000000, -1, -0x80000000),
     (Opcode.ADDI, 2, 3, 5),
     (Opcode.ADDI, 0x7FFFFFFF, 1, -0x80000000),
     (Opcode.ADDI, -0x80000000, -1, 0x7FFFFFFF),

@@ -1,4 +1,7 @@
 import gc
+import inspect
+import linecache
+import sys
 import tracemalloc
 
 import pytest
@@ -9,7 +12,7 @@ from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
-from hmtsim.oracle import sequential_oracle
+from hmtsim.oracle import OracleDeadlock, sequential_oracle
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
@@ -1599,3 +1602,127 @@ def test_tail_read_after_sync(monkeypatch, n, tail):
     assert found == [tail] * len(configs)
     monkeypatch.setattr(sim, "_stop", lockstep)
     assert [run(cfg, program).result_hash() for cfg in configs] == digests
+
+
+# -- TMU paths that only a buffered channel value or a remote tail read runs -
+
+# kernel_chain(n=8) with two thread slots per core: a channel value for a
+# position that has no slot yet waits in its family's buffer until one frees
+# (Tmu.on_channel); (p, cycles, traced result_hash)
+BUFFERED_CHANNEL_RUNS = [
+    (1, 171,
+     "a6543629bf4c9cc1dfcdaa102f146ee2cfe15891cb8a088ac46843659a22a697"),
+    (2, 148,
+     "9b69993de7e05a67dcbc06a2c51fcf659c611c3723fa96b8bed8c588506897b5"),
+]
+
+# main creates a seeded chain of four spinners on core 0, then a one-thread
+# reader family on core 1 seeded with the chain's id; the reader waits for
+# the chain's tail from core 1, so core 0's TMU sends it over the NoC
+# (Tmu.on_tail_value). The tail is the seed 0 plus the indices 0..3.
+REMOTE_TAIL = """
+.body main
+  allocate r1, 1
+  create r2, r1, spin, 0, 4, 1, r0
+  addi r6, r0, 1
+  allocate r5, 1, r6
+  create r4, r5, reader, 0, 1, 1, r2
+  sync r7, r2
+  sync r8, r4
+  add r0, r7, r8
+  release r1
+  release r5
+  halt
+.body spin
+  addi r3, r0, 500
+loop:
+  addi r3, r3, -1
+  bne r3, r0, loop
+  getsh r1
+  getidx r2
+  add r1, r1, r2
+  putsh r1
+  halt
+.body reader
+  getsh r1
+  getsh r2, r1
+  st r2, 0x400(r0)
+  halt
+"""
+
+# (p, cycles, traced result_hash)
+REMOTE_TAIL_RUNS = [
+    (2, 4097,
+     "ac5d653fbc935af1ede51432fa977c98a37e2f37bea17f3c951ae71cb5f6ca2b"),
+    (3, 4097,
+     "13e574af86aa51423e66c87ac6dc46a6197c8ac12f8239142717bc15df8586a7"),
+]
+
+
+def tmu_path_runs():
+    """(config, program, cycles, traced result_hash) for the runs above."""
+    chain = kernel_chain(n=8).program
+    for p, cycles, digest in BUFFERED_CHANNEL_RUNS:
+        yield ChipConfig(p=p, thread_slots=2, trace=True), chain, cycles, \
+            digest
+    remote = assemble(REMOTE_TAIL)
+    for p, cycles, digest in REMOTE_TAIL_RUNS:
+        yield ChipConfig(p=p, trace=True), remote, cycles, digest
+
+
+@pytest.mark.parametrize("p, cycles, digest", BUFFERED_CHANNEL_RUNS)
+def test_buffered_channel_run_pinned(monkeypatch, p, cycles, digest):
+    program = kernel_chain(n=8).program
+    cfg = ChipConfig(p=p, thread_slots=2, trace=True)
+    res = run(cfg, program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.metrics.cycles == cycles
+    assert res.final_memory == sequential_oracle(program).final_memory
+    assert res.result_hash() == digest
+    monkeypatch.setattr(sim, "_stop", lockstep)
+    assert run(cfg, program).result_hash() == digest
+
+
+@pytest.mark.parametrize("p, cycles, digest", REMOTE_TAIL_RUNS)
+def test_remote_tail_run_pinned(monkeypatch, p, cycles, digest):
+    # lockstep is the only second route: the oracle keeps a family map per
+    # creating thread, so the reader cannot find the tail main's family left
+    program = assemble(REMOTE_TAIL)
+    with pytest.raises(OracleDeadlock, match="tail of family 2"):
+        sequential_oracle(program)
+    cfg = ChipConfig(p=p, trace=True)
+    res = run(cfg, program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.metrics.cycles == cycles
+    assert res.final_memory[0x400:0x404] == (6).to_bytes(4, "little")
+    assert res.result_hash() == digest
+    monkeypatch.setattr(sim, "_stop", lockstep)
+    assert run(cfg, program).result_hash() == digest
+
+
+def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
+    # a line tracer on tmu.py: the runs above buffer a channel value for an
+    # unplaced position, send a tail to a remote waiter and deliver it there
+    reached = set()
+    tmu_file = inspect.getsourcefile(Tmu)
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_name, linecache.getline(
+                tmu_file, frame.f_lineno).strip()))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == tmu_file else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for cfg, program, _, _ in tmu_path_runs():
+            run(cfg, program)
+    finally:
+        sys.settrace(previous)
+    assert ("on_channel", "lf.buffer[pos] = value") in reached
+    assert ("on_tail", "self.chip.noc.send(Tmu.on_tail_value, self.cid, "
+            "core,") in reached
+    assert ("on_tail_value", "self.core.writeback(ctx, dst, value)") in reached
