@@ -51,18 +51,25 @@ commit; executes add, sub, mul and addi (writing the result wrapped to 32
 bits) and beq and bne itself, skips st, jmp and halt, which have no execute
 work, and runs any other opcode through its execute-table entry (indexed by
 the decoded `Instruction.op`), its one Python call; runs the read stage; and
-fetches. Fetch is one walk of the schedule queue, after any pending
-switch-hint rotation: the first thread that is resumable, or not
-fetch-blocked with its I-line resident, is rotated to the front and fetched
-from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
-line already probed since the last I-fill into this core, with a recency
-touch (`MemorySystem.i_touch`) for a resident one, and from
-`MemorySystem.icache_probe` otherwise. A thread whose pc lies on the line
-that the same `step` call last found resident, and fetched from, skips both:
-that line is still resident and still the most recently used, because only
-fetch's own touches reorder the core's I-tags and only a fill evicts a
-line, and the remembered line is reset at every call and after every phase
-that the call runs (see below). The rest runs only where it is
+fetches. The memory stage runs only at a cycle mark, `m_at`: execute sets it
+to the next cycle for a ld or st, and a call derives it from the `m` latch
+when it starts. One mark is enough because an instruction reaches memory the
+cycle after execute and the stage reads the mark before execute sets it
+again; writeback (halts, traced commits) and decode (jumps) test each
+instruction instead, because a mark set two or more cycles ahead would be
+overwritten by the next instruction's before it was read. Fetch is one walk
+of the schedule queue, which holds the queued threads' contexts, after any
+pending switch-hint rotation (`_rotate_pending`, a context): the first
+thread that is resumable, or not fetch-blocked with its I-line resident, is
+rotated to the front and fetched from. Residency comes from the I-probe memo
+(`MemorySystem.i_probed`) for a line already probed since the last I-fill
+into this core, with a recency touch (`MemorySystem.i_touch`) for a resident
+one, and from `MemorySystem.icache_probe` otherwise. A thread whose pc lies
+on the line that the same `step` call last found resident, and fetched from,
+skips both: that line is still resident and still the most recently used,
+because only fetch's own touches reorder the core's I-tags and only a fill
+evicts a line, and the remembered line is reset at every call and after
+every phase that the call runs (see below). The rest runs only where it is
 needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
@@ -86,10 +93,17 @@ the chip with another awake core returns; the only awake core runs that
 cycle's phases itself (`_phases_alone`), and carries on unless they woke
 another core, with `stop` folded again, the request list read again (the
 TMU phase installs a new one) and the remembered I-line forgotten, since a
-fill may have evicted it (`test_lone_step_call_*`). The call sets
-`chip.cycle` before each cycle, because load-hit callbacks and `_enlist`
-read it and, in a shared window, the core stepped before this one has left
-it at a later cycle.
+fill may have evicted it (`test_lone_step_call_*`).
+
+`chip.cycle` is current only where something reads it. The call writes it
+before a load (a hit's callback records `chip.last_effect` from it), before
+an execute-table entry and `_retire` (each may queue a TMU request, in the
+cycle the chip's clock then shows), and in an `except SimFault` that
+re-raises, since `sim.run` reads a fault's cycle there; `Chip.phases` sets it
+for the phases a lone core runs. Between those writes it may lag the call's
+cycle, or, in a shared window, lead it where the core stepped before this
+one left it; `_enlist`, its other reader, runs only for a core that is not
+awake, so never inside that core's own call.
 """
 
 from __future__ import annotations
@@ -110,9 +124,9 @@ _CID = attrgetter("cid")        # order of the chip's awake list
 
 # the opcodes step runs in its own frame, as Instruction.op's plain ints; the
 # one-cycle results are the opcodes below _LD
-_ADD, _SUB, _MUL, _ADDI, _LD, _BEQ, _BNE = map(int, (
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.LD, Opcode.BEQ,
-    Opcode.BNE))
+_ADD, _SUB, _MUL, _ADDI, _LD, _ST, _BEQ, _BNE = map(int, (
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.LD, Opcode.ST,
+    Opcode.BEQ, Opcode.BNE))
 
 
 # a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
@@ -175,7 +189,7 @@ class Core:
         self._released: list[int] = []
         self._fresh = 0
         self._slots = thread_slots
-        self.queue: deque[int] = deque()
+        self.queue: deque[ThreadContext] = deque()
         self.metrics = CoreMetrics()
         self._rotate_pending = None
         # latches: fetch, decode, read, execute, memory, writeback
@@ -201,7 +215,7 @@ class Core:
         ctx = ThreadContext(slot, fid, position, logical_index, pc,
                             channel_value)
         self.contexts[slot] = ctx
-        self.queue.append(slot)
+        self.queue.append(ctx)
         if not self.awake:
             self._enlist()
         return ctx
@@ -257,7 +271,7 @@ class Core:
         ctx = inf[0]
         ctx.suspended = False
         ctx.resume = inf
-        self.queue.append(ctx.slot)
+        self.queue.append(ctx)
         if not self.awake:
             self._enlist()
 
@@ -279,12 +293,12 @@ class Core:
 
     # -- queue -----------------------------------------------------------------
 
-    def _remove_from_queue(self, slot):
+    def _remove_from_queue(self, ctx):
         try:
-            self.queue.remove(slot)
+            self.queue.remove(ctx)
         except ValueError:
             pass
-        if self._rotate_pending == slot:
+        if self._rotate_pending is ctx:
             self._rotate_pending = None
 
     # -- read stage (its ready path runs in step) ----------------------------------
@@ -295,7 +309,7 @@ class Core:
         ctx, instr, pc = inf
         ctx.waiters.setdefault(cell, []).append(inf)
         ctx.suspended = True
-        self._remove_from_queue(ctx.slot)
+        self._remove_from_queue(ctx)
         self.flush_younger(ctx, pc + 1)
         # a fetch block imposed by a younger, now-flushed control transfer
         # must not outlive it; a suspended branch keeps its own block
@@ -349,7 +363,7 @@ class Core:
             chip.trace.append((cycle, self.cid, ctx.slot, ctx.fid,
                                ctx.logical_index, pc, instr.mnemonic))
         if instr.is_halt:
-            self._remove_from_queue(ctx.slot)
+            self._remove_from_queue(ctx)
             del self.contexts[ctx.slot]
             chip.requests.append((self.cid, Tmu.terminated,
                                   (ctx.slot, ctx.fid, ctx.position)))
@@ -390,24 +404,28 @@ class Core:
             self.metrics
         requests = chip.requests
         f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
+        # the cycle at which m holds a load or store: set by execute, so the
+        # memory stage need not test what every instruction is
+        m_at = cycle if m is not None and (m[1].is_load or m[1].is_store) \
+            else -1
         commits = bubbles = 0
         fetched_line = -1       # the line this call last found resident
         try:
             while True:
-                chip.cycle = cycle
                 if w is not None:
                     commits += 1
                     if w[1].is_halt or traced:
+                        chip.cycle = cycle
                         self._retire(w, cycle)
                         if requests:            # a halt's termination
                             stop = cycle + 1
-                if m is not None:
-                    instr = m[1]
-                    if instr.is_load:
+                if cycle == m_at:
+                    if m[1].is_load:
+                        chip.cycle = cycle      # read by a load hit's callback
                         self._load(m, cycle)
                         if memory.next_due < stop:      # a D-fill it made
                             stop = memory.next_due
-                    elif instr.is_store:
+                    else:
                         self._store(m, cycle)
                 if e is not None:
                     ctx, instr, pc = e
@@ -429,8 +447,9 @@ class Core:
                         if dst:
                             if ctx.state[dst] != FULL:
                                 self._set_reg(ctx, dst, result)     # faults
-                            value[dst] = result if -0x80000000 <= \
-                                result <= 0x7FFFFFFF else s32(result)
+                            # nonzero exactly outside -2**31 .. 2**31 - 1
+                            value[dst] = s32(result) if \
+                                (result + 0x80000000) >> 32 else result
                     elif op == _BNE:
                         value = ctx.value
                         ctx.pc = instr.imm if value[instr.src1] != \
@@ -442,8 +461,11 @@ class Core:
                             value[instr.src2] else pc + 1
                         ctx.fetch_blocked = False
                     else:
+                        if op <= _ST:           # ld, st: memory stage next
+                            m_at = cycle + 1
                         entry = EXECUTE[op]     # None for st, jmp, halt
                         if entry is not None:
+                            chip.cycle = cycle
                             entry(self, ctx, instr, pc)
                             if requests:        # a TMU request it queued
                                 stop = cycle + 1
@@ -478,7 +500,7 @@ class Core:
                 w, m, e, r, d = m, e, r, d, f
 
                 # fetch: after any pending switch-hint rotation (it names a
-                # queued thread), the first thread in queue order that is
+                # queued context), the first thread in queue order that is
                 # resumable, or not fetch-blocked with its I-line resident, is
                 # rotated to the front. The line this call last found
                 # resident is still resident and most recently used; the memo
@@ -489,20 +511,19 @@ class Core:
                     self._rotate_pending = None
                     queue.remove(rotated)
                     queue.append(rotated)
-                slot = None
                 k = 0
-                for s in queue:
-                    ctx = contexts[s]
-                    if ctx.resume is None:
+                for ctx in queue:
+                    f = ctx.resume
+                    if f is None:
                         if ctx.fetch_blocked:
                             k += 1
                             continue
-                        line = ctx.pc * 4 // line_bytes
+                        pc = ctx.pc
+                        line = pc * 4 // line_bytes
                         if line != fetched_line:
                             resident = probed.get(line)
                             if resident is None:
-                                resident = memory.icache_probe(cid, ctx.pc,
-                                                               cycle)
+                                resident = memory.icache_probe(cid, pc, cycle)
                                 if memory.next_due < stop:  # an I-fill
                                     stop = memory.next_due
                             elif resident:
@@ -511,24 +532,6 @@ class Core:
                                 k += 1
                                 continue
                             fetched_line = line
-                    if k:
-                        queue.rotate(-k)
-                    slot = s
-                    break
-                if slot is None:
-                    f = None
-                    if contexts:
-                        bubbles += 1
-                    if not queue and d is None and r is None and e is None \
-                            and m is None and w is None:
-                        self.awake = False
-                        if contexts:
-                            self.idle_since = cycle + 1
-                        return cycle + 1
-                else:
-                    f = ctx.resume
-                    if f is None:
-                        pc = ctx.pc
                         instr = instructions[pc]
                         f = (ctx, instr, pc)
                         if instr.ends_block:
@@ -538,9 +541,22 @@ class Core:
                     else:
                         ctx.resume = None
                         instr = f[1]
+                    if k:
+                        queue.rotate(-k)
                     if instr.switch_hint:
-                        self._rotate_pending = slot
+                        self._rotate_pending = ctx
                         metrics.switch_events += 1
+                    break
+                else:
+                    f = None
+                    if contexts:
+                        bubbles += 1
+                    if not queue and d is None and r is None and e is None \
+                            and m is None and w is None:
+                        self.awake = False
+                        if contexts:
+                            self.idle_since = cycle + 1
+                        return cycle + 1
 
                 cycle += 1
                 if cycle >= stop:
@@ -553,6 +569,9 @@ class Core:
                         stop = noc.next_arrival
                     requests = chip.requests        # a new, empty list
                     fetched_line = -1   # a fill may have evicted it
+        except SimFault:
+            chip.cycle = cycle      # sim.run reads the fault's cycle here
+            raise
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
             metrics.commits += commits

@@ -146,7 +146,7 @@ def test_read_operands_suspends_on_pending_source():
     assert ctx.suspended
     assert ctx.waiters[2] == [inf]
     assert ctx.pc == 6                     # successor-restart point
-    assert ctx.slot not in core.queue
+    assert ctx.slot not in [t.slot for t in core.queue]
 
 
 def test_read_operands_suspends_on_empty_channel():
@@ -386,7 +386,7 @@ def test_step_fetches_past_blocked_front_thread_as_fetch_select_does():
         chip.memory.step(cycle)
     a.fetch_blocked = True
     assert fetch_stage(core, 11) == b.slot
-    assert list(core.queue) == [b.slot, c.slot, a.slot]
+    assert [t.slot for t in core.queue] == [b.slot, c.slot, a.slot]
 
 
 # two threads whose jumps to themselves block their fetch until decode
@@ -509,7 +509,7 @@ def core_state(chip):
                 for f in chip.families.values()]
     local = [(fid, lf.pos_next, lf.running, lf.buffer)
              for fid, lf in chip.tmus[0].local_fams.items()]
-    return (threads, list(core.queue), latches, core.awake,
+    return (threads, [t.slot for t in core.queue], latches, core.awake,
             (m.commits, m.bubbles, m.flushes, m.switch_events),
             list(memory._itags[0]), list(memory._dtags[0]),
             sorted(memory.fills), vars(memory.stats), bytes(memory.mem),
