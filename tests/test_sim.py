@@ -1660,14 +1660,13 @@ REMOTE_TAIL_RUNS = [
 
 
 def tmu_path_runs():
-    """(config, program, cycles, traced result_hash) for the runs above."""
+    """(config, program) for the runs above."""
     chain = kernel_chain(n=8).program
-    for p, cycles, digest in BUFFERED_CHANNEL_RUNS:
-        yield ChipConfig(p=p, thread_slots=2, trace=True), chain, cycles, \
-            digest
+    for p, _, _ in BUFFERED_CHANNEL_RUNS:
+        yield ChipConfig(p=p, thread_slots=2, trace=True), chain
     remote = assemble(REMOTE_TAIL)
-    for p, cycles, digest in REMOTE_TAIL_RUNS:
-        yield ChipConfig(p=p, trace=True), remote, cycles, digest
+    for p, _, _ in REMOTE_TAIL_RUNS:
+        yield ChipConfig(p=p, trace=True), remote
 
 
 @pytest.mark.parametrize("p, cycles, digest", BUFFERED_CHANNEL_RUNS)
@@ -1718,7 +1717,7 @@ def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
-        for cfg, program, _, _ in tmu_path_runs():
+        for cfg, program in tmu_path_runs():
             run(cfg, program)
     finally:
         sys.settrace(previous)
