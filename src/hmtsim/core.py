@@ -22,11 +22,12 @@ else a PENDING destination, is the cell it suspends on.
 
 A thread's register window is flat: two 33-entry lists, `state` and `value`
 (r0..r31, then the channel cell), copied from templates at thread start.
-Waiter lists exist only on demand: `waiters` maps a register to the
-instructions parked on it, from the first park until the writeback wakes them.
+A thread parks at most one instruction, because `_suspend` flushes its
+younger ones: `parked` holds `(cell, inf)` from the park until the writeback
+of that cell wakes it, and is None while the thread is not suspended.
 
 An instruction in flight is a plain tuple, `(ctx, instr, pc)`, from fetch to
-retirement; a parked waiter and a thread's `resume` hold the same tuple. No
+retirement; a thread's `parked` and `resume` hold the same tuple. No
 stage carries operand values: each consumer reads the cells it needs from
 `ctx.value` when it runs. The execute stage reads its sources there, in
 `step`'s own frame or in an execute-table entry called with `(core, ctx,
@@ -74,7 +75,8 @@ needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
 
-A core is stepped only while it is on the chip's awake list (see `sim.py`).
+A core is stepped only while it is on the chip's awake list (see `sim.py`):
+it joins the list in `_enlist` and leaves it itself when its step ends idle.
 An idle core that still holds threads counts one bubble per cycle: it
 remembers the cycle it went idle and adds those bubbles at once when it
 wakes or the run ends.
@@ -110,6 +112,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -136,8 +139,8 @@ _VALUE = (0,) * 33
 
 class ThreadContext:
     __slots__ = ("slot", "fid", "position", "logical_index", "pc", "state",
-                 "value", "waiters", "waits_on", "suspended", "fetch_blocked",
-                 "resume", "pending_cells", "last_denial")
+                 "value", "parked", "waits_on", "fetch_blocked", "resume",
+                 "pending_cells", "last_denial")
 
     def __init__(self, slot, fid, position, logical_index, pc,
                  channel_value=None):
@@ -151,25 +154,25 @@ class ThreadContext:
         if channel_value is not None:
             self.state[CHANNEL_CELL] = FULL
             self.value[CHANNEL_CELL] = channel_value
-        self.waiters = {}           # register -> parked instructions, FIFO
+        self.parked = None          # (cell, inf) while suspended at read
         # register -> family its PENDING cell waits on (sync, getsh of a
         # tail) or None, set as it turns PENDING; read by deadlock diagnosis
         self.waits_on = {}
-        self.suspended = False      # parked on a cell at the read stage
         self.fetch_blocked = False
         self.resume = None
         self.pending_cells = 0
         self.last_denial = -1
 
 
-class CoreMetrics:
-    __slots__ = ("commits", "bubbles", "flushes", "switch_events")
-
-    def __init__(self):
-        self.commits = 0
-        self.bubbles = 0
-        self.flushes = 0
-        self.switch_events = 0
+@dataclass(slots=True)
+class PerCoreMetrics:
+    """A core's counters as it runs; `sim.run` sets utilization at the end
+    and reports the record itself."""
+    commits: int = 0
+    bubbles: int = 0
+    flushes: int = 0
+    switch_events: int = 0
+    utilization: float = 0.0
 
 
 class Core:
@@ -190,7 +193,7 @@ class Core:
         self._fresh = 0
         self._slots = thread_slots
         self.queue: deque[ThreadContext] = deque()
-        self.metrics = CoreMetrics()
+        self.metrics = PerCoreMetrics()
         self._rotate_pending = None
         # latches: fetch, decode, read, execute, memory, writeback
         self.f = self.d = self.r = self.e = self.m = self.w = None
@@ -222,10 +225,11 @@ class Core:
 
     # -- dataflow cell writes ----------------------------------------------------
 
-    def writeback(self, ctx: ThreadContext, reg: int, value: int) -> list:
-        """Split-phase completion into a PENDING or EMPTY cell; wakes waiters."""
+    def writeback(self, ctx: ThreadContext, reg: int, value: int):
+        """Split-phase completion into a PENDING or EMPTY cell; wakes the
+        instruction parked on it."""
         if reg == 0:
-            return []
+            return
         state = ctx.state
         if state[reg] == FULL:
             raise SimFault(
@@ -235,10 +239,13 @@ class Core:
             ctx.pending_cells -= 1
         state[reg] = FULL
         ctx.value[reg] = value
-        woken = ctx.waiters.pop(reg, [])
-        for inf in woken:
-            self._wake(inf)
-        return woken
+        parked = ctx.parked
+        if parked is not None and parked[0] == reg:
+            ctx.parked = None
+            ctx.resume = parked[1]
+            self.queue.append(ctx)
+            if not self.awake:
+                self._enlist()
 
     def _set_reg(self, ctx, reg, value):
         # same-cycle completion of a one-cycle result into a cell the read
@@ -266,14 +273,6 @@ class Core:
         ctx.pending_cells += 1
         if ctx.pending_cells > self.chip.max_pending:
             self.chip.max_pending = ctx.pending_cells
-
-    def _wake(self, inf: tuple):
-        ctx = inf[0]
-        ctx.suspended = False
-        ctx.resume = inf
-        self.queue.append(ctx)
-        if not self.awake:
-            self._enlist()
 
     # -- awake list ------------------------------------------------------------------
 
@@ -307,8 +306,11 @@ class Core:
         """Park inf, a (ctx, instr, pc) tuple, on a cell that is not ready: its
         thread leaves the queue and its younger instructions are flushed."""
         ctx, instr, pc = inf
-        ctx.waiters.setdefault(cell, []).append(inf)
-        ctx.suspended = True
+        if ctx.parked is not None:
+            raise SimFault(
+                f"second instruction parked by thread (family {ctx.fid}, "
+                f"index {ctx.logical_index})")
+        ctx.parked = (cell, inf)
         self._remove_from_queue(ctx)
         self.flush_younger(ctx, pc + 1)
         # a fetch block imposed by a younger, now-flushed control transfer
@@ -553,7 +555,9 @@ class Core:
                         bubbles += 1
                     if not queue and d is None and r is None and e is None \
                             and m is None and w is None:
+                        # leave the awake list: a new one, as in _enlist
                         self.awake = False
+                        chip.awake = [c for c in chip.awake if c is not self]
                         if contexts:
                             self.idle_since = cycle + 1
                         return cycle + 1

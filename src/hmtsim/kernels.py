@@ -53,6 +53,23 @@ _MAIN_PAD_B = "\n".join(f"  addi r{18 + i}, r0, 0" for i in range(3))
 _MAIN_PAD_C = "\n".join(f"  addi r{21 + i}, r0, 0" for i in range(3))
 
 
+def _create_sync_main(worker: str, body: str, n: int, size: int = 0,
+                      setup: str = "") -> str:
+    """A program whose main runs setup, then allocates size cores, creates n
+    threads of body (indices 0..n-1) on them, syncs the family and releases
+    the allocation; worker holds the thread bodies."""
+    head = f"{setup}\n" if setup else ""
+    return _main_wrapper(f"""{head}  allocate r1, {size}
+{_MAIN_PAD_A}
+  create r2, r1, {body}, 0, {n}, 1
+{_MAIN_PAD_B}
+  sync r3, r2
+{_MAIN_PAD_C}
+  add r0, r3, r0
+  release r1
+  halt""", worker)
+
+
 def _init_array_loop(n: int, scale: int, offset: int, base: int = X_BASE) -> str:
     """Emit code for: for i in range(n): mem[base + 4*i] = scale*i + offset."""
     return f"""  addi r25, r0, 0
@@ -75,16 +92,6 @@ def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
     """out[i] = a * x[i] + b over n threads with disjoint output slots."""
     if 4 * n > OUT_BASE - X_BASE:   # x[] would overlap out[], and race
         raise ValueError(f"regular: x[] of n={n} reaches out[]")
-    main = f"""{_init_array_loop(n, x_scale, x_offset)}
-  allocate r1, 0
-{_MAIN_PAD_A}
-  create r2, r1, regwork, 0, {n}, 1
-{_MAIN_PAD_B}
-  sync r3, r2
-{_MAIN_PAD_C}
-  add r0, r3, r0
-  release r1
-  halt"""
     worker = f""".body regwork
   getidx r1
   addi r4, r0, 4
@@ -100,7 +107,9 @@ def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
   st r9, 0(r10)
   halt"""
     return KernelSpec(
-        "regular", _main_wrapper(main, worker),
+        "regular", _create_sync_main(
+            worker, "regwork", n,
+            setup=_init_array_loop(n, x_scale, x_offset)),
         {"n": n, "a": a, "b": b, "x_scale": x_scale, "x_offset": x_offset},
         claims=["oracle-equivalence", "binary-compatibility", "bulk-traffic"])
 
@@ -111,15 +120,6 @@ def kernel_heterogeneous(n: int = 64, scale: int = 16) -> KernelSpec:
     Work is busy arithmetic, not memory traffic, so the imbalance of the
     contiguous even split is visible in per-core busy counters alone.
     """
-    main = f"""  allocate r1, 0
-{_MAIN_PAD_A}
-  create r2, r1, hetwork, 0, {n}, 1
-{_MAIN_PAD_B}
-  sync r3, r2
-{_MAIN_PAD_C}
-  add r0, r3, r0
-  release r1
-  halt"""
     worker = f""".body hetwork
   getidx r1
   addi r2, r0, {scale}
@@ -136,7 +136,7 @@ spun:
   st r1, 0(r6)
   halt"""
     return KernelSpec(
-        "heterogeneous", _main_wrapper(main, worker),
+        "heterogeneous", _create_sync_main(worker, "hetwork", n),
         {"n": n, "scale": scale},
         claims=["oracle-equivalence", "binary-compatibility", "imbalance"])
 
@@ -195,16 +195,6 @@ def kernel_loaduse(threads: int = 4, iters: int = 8, fillers: int = 13) -> Kerne
         raise ValueError(f"loaduse: x[] of {threads}x{iters} lines reaches out[]")
     body_fill = "\n".join(f"  addi r{16 + i % 4}, r{16 + i % 4}, 1"
                           for i in range(fillers))
-    main = f"""{_init_array_loop(threads * iters * (stride // 4), 3, 5)}
-  allocate r1, 0
-{_MAIN_PAD_A}
-  create r2, r1, luwork, 0, {threads}, 1
-{_MAIN_PAD_B}
-  sync r3, r2
-{_MAIN_PAD_C}
-  add r0, r3, r0
-  release r1
-  halt"""
     worker = f""".body luwork
   getidx r1
   addi r3, r0, {iters}
@@ -233,7 +223,9 @@ luloop:
   st r10, 0(r13)
   halt"""
     return KernelSpec(
-        "loaduse", _main_wrapper(main, worker),
+        "loaduse", _create_sync_main(
+            worker, "luwork", threads,
+            setup=_init_array_loop(threads * iters * (stride // 4), 3, 5)),
         {"threads": threads, "iters": iters, "fillers": fillers},
         claims=["oracle-equivalence", "switch-hints"])
 
@@ -260,15 +252,6 @@ def kernel_starvation(p: int = 2, satisfiable: bool = False) -> KernelSpec:
                           claims=["starvation"])
     half = (p + 1) // 2
     if satisfiable:
-        main = f"""  allocate r1, 1
-{_MAIN_PAD_A}
-  create r2, r1, grabber, 0, 2, 1
-{_MAIN_PAD_B}
-  sync r3, r2
-{_MAIN_PAD_C}
-  add r0, r3, r0
-  release r1
-  halt"""
         grabber = f""".body grabber
   getidx r1
   addi r5, r0, 1
@@ -283,7 +266,7 @@ retry:
   addi r10, r1, 1
   st r10, 0(r9)
   halt"""
-        return KernelSpec(name, _main_wrapper(main, grabber),
+        return KernelSpec(name, _create_sync_main(grabber, "grabber", 2, 1),
                           {"p": p, "satisfiable": satisfiable},
                           claims=["starvation", "oracle-equivalence"])
     main = f"""  allocate r1, {half}

@@ -7,8 +7,9 @@ channel read always finds its producer already run, so no scheduling, caches
 or timing enter the semantics. A run completes only when every family created
 in it has completed, whether or not any thread syncs it: here each family runs
 to its end at its creation point, and the simulator ends a run only once the
-last of its families has completed. The simulator's final memory must match
-this interpreter's bit for bit on every completed run.
+last of its families has completed. A thread may sync, or read the tail of,
+any family that has run, whichever thread created it. The simulator's final
+memory must match this interpreter's bit for bit on every completed run.
 
 Kept deliberately free of any simulator machinery; this is the independent
 half of the dual-route check.
@@ -40,6 +41,9 @@ class _State:
     mem: bytearray
     max_steps: int = 50_000_000
     traces: dict = field(default_factory=dict)
+    # every family that has run to its end, by id: any thread that holds
+    # the id may sync the family or read its tail, whichever thread created it
+    families: dict = field(default_factory=dict)
     loads: int = 0
     stores: int = 0
     next_fid: int = 1
@@ -88,6 +92,7 @@ def _run_family(state: _State, entry: str, start: int, limit: int, step: int,
         fam.tail = seed      # an empty family forwards its head to its tail
     elif n > 0 and chan_written:
         fam.tail = chan
+    state.families[fam.fid] = fam
     return fam
 
 
@@ -99,7 +104,7 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
     trace = state.traces.setdefault((fam.fid, index), [])
     out_value = chan_in
     out_written = False
-    families: dict[int, _FamilyCtx] = {}
+    families = state.families
 
     while True:
         state.steps += 1
@@ -150,7 +155,6 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
             seed = regs[ins.src2] if ins.src2 is not None else None
             start, limit, stp = ins.create_range
             child = _run_family(state, ins.entry, start, limit, stp, seed)
-            families[child.fid] = child
             if ins.dst:
                 regs[ins.dst] = child.fid
         elif op is Opcode.SYNC:

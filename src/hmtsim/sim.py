@@ -20,8 +20,9 @@ a waiting thread costs nothing until its cell is written:
   core's Tmu;
 - a core while it is on the chip's awake list (ascending core id): while a
   thread is queued or a latch is occupied. It joins when a thread starts on
-  it or a cell write wakes one of its threads, by installing a new list, and
-  leaves when one of its cycles ends with an empty queue and empty latches.
+  it or a cell write wakes one of its threads, and leaves itself when one of
+  its cycles ends with an empty queue and empty latches, each time by
+  installing a new list, so that the loop walks the list it started with.
   Only cores queue requests, and no core's own step wakes another core.
 
 A run completes only when every family created in it has completed, synced
@@ -51,7 +52,10 @@ traced `result_hash` is the same either way. The stop is:
   which is exact because a cycle's core phase is then that core alone; if
   they wake another core the step returns that cycle with its phases done,
   and running them again finds nothing (`test_lone_core_run_pinned`,
-  `test_lone_phase_run_pinned`, `test_lone_step_*`).
+  `test_lone_phase_run_pinned`, `test_lone_step_*`). The same lone-core rule
+  holds in a shared window once the window's other cores have gone idle and
+  left the list: the core left alone runs a stop's phases itself, which is
+  exact for the same reason.
 - two or more awake cores: a shared window, the smallest horizon of the
   awake cores, at most the fetch-to-execute depth (4), shorter than an
   I-fill and capped as for one core. A core's horizon is the number of
@@ -59,8 +63,9 @@ traced `result_hash` is the same either way. The stop is:
   the core (`Instruction.acts_outside`: a load or store, a TMU request, a
   halt) can do so: 1 or less from read onwards, 2 in decode, 3 in fetch.
   A window's cycles touch only each core's own threads, latches and I-tags,
-  so stepping the cores one after another is exact; every core's step stops
-  at the same due fill or arrival (`test_many_awake_run_pinned`). Its
+  so stepping the cores one after another is exact; every core that stays
+  awake stops at the same due fill or arrival (`test_many_awake_run_pinned`),
+  and the loop goes on at the largest cycle the steps returned. Its
   commit rows, appended core by core, are stable-sorted by cycle at the end
   of a traced run.
 
@@ -81,7 +86,7 @@ import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import Core, CHANNEL_CELL
+from .core import CHANNEL_CELL, Core, PerCoreMetrics
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import NEVER, CacheConfig, MemorySystem
@@ -139,15 +144,6 @@ class Outcome(enum.Enum):
     DEADLOCK_DATAFLOW = "deadlock_dataflow"
     WATCHDOG_TIMEOUT = "watchdog_timeout"
     FAULT = "fault"
-
-
-@dataclass
-class PerCoreMetrics:
-    commits: int
-    bubbles: int
-    flushes: int
-    switch_events: int
-    utilization: float
 
 
 @dataclass
@@ -226,9 +222,7 @@ class Chip:
         self.requests: list[tuple] = []
         self.families: dict[int, Family] = {}
         self.open_families = 0          # created and not yet completed
-        self.allocations: dict[int, tuple[int, ...]] = {}   # aid -> span
         self._fid = 0
-        self._aid = 0
         self._req = 0
         self._open_reqs: set[int] = set()
         self.cycle = 0
@@ -248,10 +242,6 @@ class Chip:
         self.open_families += 1
         self.memory.open_epoch(fid)
         return fam
-
-    def next_aid(self) -> int:
-        self._aid += 1
-        return self._aid
 
     def next_req_id(self) -> int:
         self._req += 1
@@ -297,75 +287,70 @@ class Chip:
         for core in self.cores:
             yield from core.contexts.values()
 
-    def live_threads_of(self, fid: int):
-        return [ctx for ctx in self.threads() if ctx.fid == fid]
-
     def suspended_threads(self):
-        return [ctx for ctx in self.threads() if ctx.suspended]
+        return [ctx for ctx in self.threads() if ctx.parked is not None]
+
+
+def _name(ctx) -> str:
+    return f"family {ctx.fid} index {ctx.logical_index}"
 
 
 def detect_deadlock(chip: Chip) -> str | None:
     """Diagnose a stalled system via the waits-for graph over suspended
     threads: the waits-for cycle, else the unsatisfiable waits. None when no
-    thread is suspended."""
-    suspended = chip.suspended_threads()
+    thread is suspended.
+
+    A thread parked on its channel waits for the thread at the position
+    before it, or for the family's creator at position 0; one parked on a
+    sync or a tail read waits for every resident thread of that family. The
+    graph is keyed by the contexts, and the search follows only the edges
+    between suspended threads: depth first from each of them in turn, in
+    resident order, with an explicit path."""
+    suspended, at, members = [], {}, {}
+    for ctx in chip.threads():
+        if ctx.parked is not None:
+            suspended.append(ctx)
+        at.setdefault((ctx.fid, ctx.position), ctx)
+        members.setdefault(ctx.fid, []).append(ctx)
     if not suspended:
         return None
-    ids = {id(ctx): f"family {ctx.fid} index {ctx.logical_index}"
-           for ctx in suspended}
-    edges: dict[int, list[int]] = {id(ctx): [] for ctx in suspended}
-
-    def link(a, b_ctx):
-        if b_ctx is not None and id(b_ctx) in edges:
-            edges[id(a)].append(id(b_ctx))
-
-    def thread_at(fam, pos):
-        for ctx in chip.live_threads_of(fam.fid):
-            if ctx.position == pos:
-                return ctx
-        return None
-
+    edges = {}
     for ctx in suspended:
-        fam = chip.families[ctx.fid]
-        for idx in sorted(ctx.waiters):
-            if idx == CHANNEL_CELL:
-                if ctx.position > 0:
-                    link(ctx, thread_at(fam, ctx.position - 1))
-                else:
-                    link(ctx, fam.creator)
-            elif ctx.waits_on[idx] is not None:
-                for member in chip.live_threads_of(ctx.waits_on[idx]):
-                    link(ctx, member)
-    # cycle search
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in edges}
-
-    def dfs(n, stack):
-        color[n] = GREY
-        for m in edges[n]:
-            if color[m] == GREY:
-                return stack[stack.index(m):]
-            if color[m] == WHITE:
-                found = dfs(m, stack + [m])
-                if found:
-                    return found
-        color[n] = BLACK
-        return None
-
-    for n in edges:
-        if color[n] == WHITE:
-            cyc = dfs(n, [n])
-            if cyc:
-                names = " -> ".join(ids[x] for x in cyc)
-                return f"waits-for cycle: {names}"
-    waiting = ", ".join(ids[id(c)] for c in suspended)
+        cell = ctx.parked[0]
+        if cell != CHANNEL_CELL:
+            edges[ctx] = members.get(ctx.waits_on[cell], ())
+        elif ctx.position > 0:
+            edges[ctx] = (at.get((ctx.fid, ctx.position - 1)),)
+        else:
+            edges[ctx] = (chip.families[ctx.fid].creator,)
+    # the path, in order, maps each of its threads to its depth; walks holds
+    # the edges each of them has yet to follow
+    done, path = set(), {}
+    for root in suspended:
+        if root in done:
+            continue
+        path[root] = 0
+        walks = [iter(edges[root])]
+        while walks:
+            for m in walks[-1]:
+                if m in path:
+                    names = " -> ".join(map(_name, list(path)[path[m]:]))
+                    return f"waits-for cycle: {names}"
+                if m in edges and m not in done:
+                    path[m] = len(path)
+                    walks.append(iter(edges[m]))
+                    break
+            else:
+                walks.pop()
+                done.add(path.popitem()[0])
+    waiting = ", ".join(map(_name, suspended))
     return f"unsatisfiable waits: {waiting}"
 
 
 def _check_starvation(chip: Chip, cycle: int) -> str | None:
     if cycle - chip.last_effect < chip.config.starvation_window:
         return None
-    runnable = [ctx for ctx in chip.threads() if not ctx.suspended]
+    runnable = [ctx for ctx in chip.threads() if ctx.parked is None]
     if not runnable:
         return None
     if all(ctx.last_denial > chip.last_effect for ctx in runnable):
@@ -448,22 +433,17 @@ def run(config: ChipConfig, program: Program,
             chip.phases(cycle)
             stop = _stop(chip, cycle)
             # every awake core steps to the stop in ascending core id, and
-            # those that stay awake stop together, no earlier than any that
-            # idled; with none awake the clock jumps to the stop. A lone
-            # core's phases may wake a core, which installs a new awake list
-            # rather than growing the one walked here
+            # the loop goes on at the largest cycle the steps returned; with
+            # none awake the clock jumps to the stop. A core that goes idle,
+            # and one that a lone core's phases wake, install a new awake
+            # list rather than change the one walked here
             awake = chip.awake
             nxt = cycle if awake else stop
-            left = False
             try:
                 for core in awake:
                     end = core.step(cycle, stop)
-                    if core.awake:
+                    if end > nxt:
                         nxt = end
-                    else:
-                        left = True
-                        if end > nxt:
-                            nxt = end
             except SimFault:
                 # a fault in a core's own cycle, not in the phases its step
                 # ran, comes after the idle cores with a lower id
@@ -471,13 +451,11 @@ def run(config: ChipConfig, program: Program,
                     fault_cid = core.cid
                 cycle = chip.cycle
                 raise
-            if left:
-                chip.awake = awake = [c for c in chip.awake if c.awake]
             cycle = nxt
             if not chip.open_families:
                 outcome = Outcome.COMPLETED
                 break
-            if not awake and chip.quiescent():
+            if not chip.awake and chip.quiescent():
                 diagnostic = detect_deadlock(chip)
                 if diagnostic is None:
                     raise SimFault("quiescent system with no suspended "
@@ -512,12 +490,9 @@ def run(config: ChipConfig, program: Program,
         for core in cores:
             core.settle_bubbles(cycle + (core.cid < fault_cid))
 
-    per_core = [
-        PerCoreMetrics(c.metrics.commits, c.metrics.bubbles, c.metrics.flushes,
-                       c.metrics.switch_events,
-                       c.metrics.commits / cycle if cycle else 0.0)
-        for c in chip.cores
-    ]
+    per_core = [c.metrics for c in chip.cores]
+    for m in per_core:
+        m.utilization = m.commits / cycle if cycle else 0.0
     hop_log = chip.noc.hop_log()
     stats = chip.memory.stats
     metrics = Metrics(

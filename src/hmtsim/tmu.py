@@ -14,9 +14,11 @@ the payload. Everything crossing cores rides the control NoC
 effects take at least one cycle and land in a deterministic order.
 
 An allocation is its span: the ids of the adjacent cores it holds, ascending
-and never wrapping around a ring. A family's positions run in ascending
-order over the span's leading cores, so a channel value for position pos > 0
-goes from the core running pos - 1 to itself or to the next core id.
+and never wrapping around a ring. The chip's `SpanPool` issues allocation ids,
+from 1 up, and keeps each held allocation's span. A family's positions run in
+ascending order over the span's leading cores, so a channel value for
+position pos > 0 goes from the core running pos - 1 to itself or to the next
+core id.
 """
 from __future__ import annotations
 
@@ -70,6 +72,8 @@ class SpanPool:
     def __init__(self, p: int):
         self.p = p
         self._held = [None] * p     # aid or None
+        self.spans: dict[int, tuple[int, ...]] = {}     # held: aid -> span
+        self._aid = 0
 
     def find_local(self, owner: int, size: int) -> tuple[int, ...] | None:
         """Free span containing the owner; smallest start wins. size 0 takes
@@ -101,19 +105,21 @@ class SpanPool:
             return tuple(range(anchor, anchor + size))
         return None
 
-    def hold(self, span: tuple[int, ...], aid: int):
+    def hold(self, span: tuple[int, ...]) -> int:
+        """Hold a free span under a new allocation id, and return the id."""
         for c in span:
             if self._held[c] is not None:
                 raise SimFault(f"core {c} already held by allocation "
                                f"{self._held[c]}")
-            self._held[c] = aid
-
-    def release(self, span: tuple[int, ...]):
+        self._aid += 1
         for c in span:
-            self._held[c] = None
+            self._held[c] = self._aid
+        self.spans[self._aid] = span
+        return self._aid
 
-    def held_cores(self) -> set[int]:
-        return {c for c, aid in enumerate(self._held) if aid is not None}
+    def release(self, aid: int):
+        for c in self.spans.pop(aid):
+            self._held[c] = None
 
 
 class _LocalFam:
@@ -149,7 +155,7 @@ class Tmu:
     def create(self, ctx, dst: int, aid: int, entry: str, rng: tuple,
                seed: int | None, cycle: int):
         chip = self.chip
-        span = chip.allocations.get(aid)
+        span = chip.span_pool.spans.get(aid)
         if span is None:
             raise SimFault(f"create on unknown or released allocation {aid}")
         # parent's buffered stores become visible to the new sub-family
@@ -186,7 +192,7 @@ class Tmu:
 
     def release(self, aid: int, cycle: int):
         chip = self.chip
-        span = chip.allocations.get(aid)
+        span = chip.span_pool.spans.get(aid)
         if span is None:
             raise SimFault(f"release of unknown or already released "
                            f"allocation {aid}")
@@ -198,8 +204,7 @@ class Tmu:
                            f"families {live}")
         for core in span:
             chip.noc.send(Tmu.on_release, self.cid, core, (aid,), cycle)
-        chip.span_pool.release(span)
-        del chip.allocations[aid]
+        chip.span_pool.release(aid)
         chip.last_effect = cycle
 
     def putsh(self, ctx, value: int, cycle: int):
@@ -268,11 +273,7 @@ class Tmu:
             span = chip.span_pool.find_local(owner, size)
         else:
             span = chip.span_pool.find_remote(self.cid, size)
-        aid = 0
-        if span:
-            aid = chip.next_aid()
-            chip.allocations[aid] = span
-            chip.span_pool.hold(span, aid)
+        aid = chip.span_pool.hold(span) if span else 0
         chip.noc.send(Tmu.on_allocate_rsp, self.cid, owner,
                       (req_id, aid, ctx, dst), cycle)
 

@@ -19,6 +19,8 @@ from hmtsim.memory import dump_image_text
 from hmtsim.oracle import sequential_oracle
 from hmtsim.sim import ChipConfig
 
+from test_sim import DEEP_NEST
+
 
 @pytest.fixture
 def regular_masm(tmp_path):
@@ -54,6 +56,19 @@ def test_run_starvation_exit_two(tmp_path, capsys):
     assert code == EXIT_DEADLOCK
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["outcome"] == "deadlock_starvation"
+
+
+def test_run_deep_nest_deadlock_exit_two(tmp_path, capsys):
+    # a deadlock below 1,200 nested families is diagnosed in the record
+    path = tmp_path / "deep.masm"
+    path.write_text(DEEP_NEST.format(depth=1200))
+    code, out, _ = run_cli(capsys, "run", "--program", str(path),
+                           "--thread-slots", "2000")
+    assert code == EXIT_DEADLOCK
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["outcome"] == "deadlock_dataflow"
+    assert row["diagnostic"] == ("waits-for cycle: family 1202 index 0 -> "
+                                 "family 1203 index 0")
 
 
 def test_run_fault_exit_three(tmp_path, capsys):

@@ -3,9 +3,8 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
 
-from hmtsim.core import CHANNEL_CELL, EMPTY, FULL, PENDING
+from hmtsim.core import CHANNEL_CELL, EMPTY, FULL
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.memory import CacheConfig, MemorySystem
@@ -116,7 +115,7 @@ def test_fresh_context_register_window():
     for ctx in (plain, seeded):
         assert len(ctx.state) == len(ctx.value) == CHANNEL_CELL + 1
         assert ctx.state[:32] == [FULL] * 32 and ctx.value[:32] == [0] * 32
-        assert ctx.waiters == {} and ctx.pending_cells == 0
+        assert ctx.parked is None and ctx.pending_cells == 0
     assert plain.state[CHANNEL_CELL] == EMPTY
     assert plain.value[CHANNEL_CELL] == 0
     assert seeded.state[CHANNEL_CELL] == FULL
@@ -143,8 +142,7 @@ def test_read_operands_suspends_on_pending_source():
     core._mark_pending(ctx, 2)
     inf = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 5)
     assert read_stage(core, inf) is None
-    assert ctx.suspended
-    assert ctx.waiters[2] == [inf]
+    assert ctx.parked == (2, inf)
     assert ctx.pc == 6                     # successor-restart point
     assert ctx.slot not in [t.slot for t in core.queue]
 
@@ -155,10 +153,10 @@ def test_read_operands_suspends_on_empty_channel():
     ctx, = spawn(chip, 1)
     inf = (ctx, Instruction(Opcode.GETSH, dst=4), 0)
     assert read_stage(core, inf) is None
-    assert ctx.waiters[CHANNEL_CELL] == [inf]
+    assert ctx.parked == (CHANNEL_CELL, inf)
     # PUTSH delivery wakes it again
     core.writeback(ctx, CHANNEL_CELL, 99)
-    assert not ctx.suspended and not ctx.fetch_blocked and ctx.resume is inf
+    assert ctx.parked is None and not ctx.fetch_blocked and ctx.resume is inf
     assert read_stage(core, inf) == (99,)
 
 
@@ -169,7 +167,7 @@ def test_read_operands_suspends_on_busy_destination():
     core._mark_pending(ctx, 1)
     inf = (ctx, Instruction(Opcode.LD, dst=1, src1=2, imm=0), 3)
     assert read_stage(core, inf) is None
-    assert ctx.waiters[1] == [inf]
+    assert ctx.parked == (1, inf)
 
 
 def test_flush_younger_exhaustive_occupancy():
@@ -197,34 +195,20 @@ def test_flush_younger_exhaustive_occupancy():
             assert ctxs[who].pc == 7
 
 
-def test_writeback_wakes_in_fifo_order():
+def test_second_park_of_a_parked_thread_faults():
+    # a thread parks at most one instruction: _suspend flushes its younger
+    # ones, so a second park is a broken invariant, also under python -O
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    ctx.state[5] = PENDING
-    ctx.pending_cells = 1
-    infs = [(ctx, PLAIN_ADD, i) for i in range(4)]
-    for inf in infs:
-        ctx.waiters.setdefault(5, []).append(inf)
-    woken = core.writeback(ctx, 5, 42)
-    assert woken == infs                  # insertion order preserved
-    assert ctx.state[5] == FULL and ctx.value[5] == 42
-
-
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=8))
-def test_writeback_wake_order_matches_fifo_oracle(owners):
-    chip = make_chip()
-    core = chip.cores[0]
-    ctxs = spawn(chip, 3)
-    target = ctxs[0]
-    target.state[9] = PENDING
-    target.pending_cells = 1
-    fifo = []
-    for i, owner in enumerate(owners):
-        inf = (ctxs[owner], PLAIN_ADD, i)
-        target.waiters.setdefault(9, []).append(inf)
-        fifo.append(inf)
-    assert core.writeback(target, 9, 1) == fifo
+    core._mark_pending(ctx, 2)
+    core._mark_pending(ctx, 4)
+    first = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
+    core._suspend(first, 2)
+    with pytest.raises(SimFault, match="second instruction parked"):
+        core._suspend((ctx, Instruction(Opcode.ADD, dst=1, src1=4, src2=3),
+                       1), 4)
+    assert ctx.parked == (2, first)
 
 
 def test_woken_register_leaves_no_waiter_entry():
@@ -234,18 +218,18 @@ def test_woken_register_leaves_no_waiter_entry():
     core._mark_pending(ctx, 2)
     inf = (ctx, Instruction(Opcode.ADD, dst=1, src1=2, src2=3), 0)
     assert read_stage(core, inf) is None
-    assert list(ctx.waiters) == [2]
-    assert core.writeback(ctx, 2, 8) == [inf]
-    assert ctx.waiters == {}
+    assert ctx.parked == (2, inf)
+    core.writeback(ctx, 2, 8)
+    assert ctx.parked is None
     assert ctx.resume is inf and read_stage(core, inf) == (8, 0)
-    assert ctx.waiters == {}
+    assert ctx.parked is None
 
 
 def test_writeback_to_r0_discarded():
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
-    assert core.writeback(ctx, 0, 123) == []
+    core.writeback(ctx, 0, 123)
     assert ctx.state[0] == FULL and ctx.value[0] == 0
 
 
@@ -500,7 +484,8 @@ def core_state(chip):
     families, TMU, NoC and memory state of the chip."""
     core, memory, noc = chip.cores[0], chip.memory, chip.noc
     threads = [(slot, ctx.pc, ctx.state, ctx.value, ctx.fetch_blocked,
-                ctx.suspended, ctx.pending_cells)
+                ctx.parked and (ctx.parked[0], ctx.parked[1][2]),
+                ctx.pending_cells)
                for slot, ctx in core.contexts.items()]
     latches = [None if x is None else (x[0].slot, x[2])
                for x in (core.f, core.d, core.r, core.e, core.m, core.w)]

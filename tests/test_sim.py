@@ -12,7 +12,7 @@ from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
-from hmtsim.oracle import OracleDeadlock, sequential_oracle
+from hmtsim.oracle import sequential_oracle
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
@@ -123,6 +123,51 @@ def test_deadlock_diagnostic_pinned(src, p, cycles):
     assert res.diagnostic == ("waits-for cycle: family 1 index 0 -> "
                               "family 2 index 0")
     assert res.metrics.cycles == cycles
+
+
+# main seeds a depth into a one-thread rec family on allocation 1; each level
+# creates the next on that allocation and syncs it, and the last level
+# creates an unseeded leaf that reads its channel, so that the last level and
+# the leaf wait on each other below a chain of depth + 1 syncs
+DEEP_NEST = """
+.body main
+  addi r2, r0, {depth}
+  allocate r1, 1
+  create r3, r1, rec, 0, 1, 1, r2
+  sync r4, r3
+  add r0, r4, r0
+  release r1
+  halt
+.body rec
+  getsh r2
+  addi r1, r0, 1
+  beq r2, r0, last
+  addi r2, r2, -1
+  create r3, r1, rec, 0, 1, 1, r2
+  sync r4, r3
+  add r0, r4, r0
+  halt
+last:
+  create r3, r1, leaf, 0, 1, 1
+  sync r4, r3
+  add r0, r4, r0
+  halt
+.body leaf
+  getsh r5
+  halt
+"""
+
+
+@pytest.mark.parametrize("depth, cycles", [(20, 308), (1200, 15_648)])
+def test_deep_nest_deadlock_diagnosed(depth, cycles):
+    # the waits-for search follows the chain of syncs as deep as the families
+    # nest, past the interpreter's recursion limit, to the cycle at its end
+    res = run(ChipConfig(p=1, thread_slots=2000),
+              assemble(DEEP_NEST.format(depth=depth)))
+    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
+    assert res.metrics.cycles == cycles
+    assert res.diagnostic == (f"waits-for cycle: family {depth + 2} index 0 "
+                              f"-> family {depth + 3} index 0")
 
 
 # thread 1 of w faults on core 1 while core 0 holds only main, suspended on
@@ -1684,16 +1729,15 @@ def test_buffered_channel_run_pinned(monkeypatch, p, cycles, digest):
 
 @pytest.mark.parametrize("p, cycles, digest", REMOTE_TAIL_RUNS)
 def test_remote_tail_run_pinned(monkeypatch, p, cycles, digest):
-    # lockstep is the only second route: the oracle keeps a family map per
-    # creating thread, so the reader cannot find the tail main's family left
+    # the oracle's family map is shared by its threads, so the reader finds
+    # the tail of the family main created
     program = assemble(REMOTE_TAIL)
-    with pytest.raises(OracleDeadlock, match="tail of family 2"):
-        sequential_oracle(program)
     cfg = ChipConfig(p=p, trace=True)
     res = run(cfg, program)
     assert res.outcome is Outcome.COMPLETED
     assert res.metrics.cycles == cycles
     assert res.final_memory[0x400:0x404] == (6).to_bytes(4, "little")
+    assert res.final_memory == sequential_oracle(program).final_memory
     assert res.result_hash() == digest
     monkeypatch.setattr(sim, "_stop", lockstep)
     assert run(cfg, program).result_hash() == digest

@@ -71,7 +71,7 @@ def test_find_local_matches_exhaustive_search(held, owner, size):
     pool = SpanPool(p)
     for c, h in enumerate(held):
         if h:
-            pool.hold((c,), aid=c + 1)
+            pool.hold((c,))
     got = pool.find_local(owner, size)
     legal = exhaustive_local_spans(held, owner, size)
     if not legal:
@@ -94,7 +94,7 @@ def test_find_local_all_free_prefers_lowest_start():
 def test_find_remote_starts_exactly_at_anchor():
     pool = SpanPool(8)
     assert pool.find_remote(3, 2) == (3, 4)
-    pool.hold((4,), aid=1)
+    pool.hold((4,))
     assert pool.find_remote(3, 2) is None
     assert pool.find_remote(3, 1) == (3,)
     assert pool.find_remote(3, 0) == (3,)
@@ -102,7 +102,7 @@ def test_find_remote_starts_exactly_at_anchor():
 
 def test_pool_denies_when_everything_held():
     pool = SpanPool(2)
-    pool.hold((0, 1), aid=1)
+    pool.hold((0, 1))
     assert pool.find_local(0, 1) is None
     assert pool.find_remote(1, 1) is None
     assert pool.find_local(0, 0) is None
@@ -110,9 +110,9 @@ def test_pool_denies_when_everything_held():
 
 def test_hold_of_held_core_faults():
     pool = SpanPool(4)
-    pool.hold((1, 2), aid=1)
+    pool.hold((1, 2))
     with pytest.raises(SimFault):
-        pool.hold((2, 3), aid=2)
+        pool.hold((2, 3))
 
 
 def test_randomized_hold_release_matches_set_oracle():
@@ -123,7 +123,8 @@ def test_randomized_hold_release_matches_set_oracle():
     for _ in range(500):
         if oracle and rng.random() < 0.45:
             aid = rng.choice(sorted(oracle))
-            pool.release(oracle.pop(aid))
+            pool.release(aid)
+            del oracle[aid]
         else:
             owner = rng.randrange(8)
             size = rng.randrange(0, 4)
@@ -131,14 +132,14 @@ def test_randomized_hold_release_matches_set_oracle():
             held = {c for s in oracle.values() for c in s}
             if span is not None:
                 assert not held & set(span)
-                pool.hold(span, next_aid)
+                assert pool.hold(span) == next_aid
                 oracle[next_aid] = span
                 next_aid += 1
             else:
                 legal = exhaustive_local_spans(
                     [c in held for c in range(8)], owner, size)
                 assert not legal
-        assert pool.held_cores() == {c for s in oracle.values() for c in s}
+        assert pool.spans == oracle
 
 
 def core_of_position(ranges, pos):
@@ -166,8 +167,7 @@ def test_channel_goes_to_the_core_whose_range_holds_the_position(p, data):
     creator = chip.cores[0].contexts[0]
     chip.cores[0]._mark_pending(creator, 5)
     span = tuple(range(start, start + size))
-    chip.allocations[1] = span
-    chip.span_pool.hold(span, 1)
+    assert chip.span_pool.hold(span) == 1
     chip.tmus[0].create(creator, 5, 1, "w", (0, n, 1), None, 0)
     fam = chip.families[2]
     ranges = {dst: payload[1:] for msgs in chip.noc.arrivals.values()
