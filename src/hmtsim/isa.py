@@ -336,8 +336,11 @@ def validate(program: Program) -> list[str]:
     """Static well-formedness diagnostics; empty means runnable."""
     diags = []
     for ins in program.instructions:
-        if ins.opcode is Opcode.CREATE and ins.entry not in program.entries:
-            diags.append(f"unknown entry '{ins.entry}'")
+        if ins.opcode is Opcode.CREATE:
+            if ins.entry not in program.entries:
+                diags.append(f"unknown entry '{ins.entry}'")
+            if ins.create_range[2] == 0:
+                diags.append(f"create of '{ins.entry}' has a zero index step")
     for bname, (start, end) in program.body_spans.items():
         if (start == end or program.instructions[end - 1].opcode
                 not in (Opcode.HALT, Opcode.JMP)):

@@ -14,6 +14,7 @@ kernels/<name>.masm and regenerated or diffed by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .isa import Program, assemble
 from .oracle import sequential_oracle
@@ -31,8 +32,9 @@ class KernelSpec:
     # filled by expected_image(); oracle output, bit-for-bit
     expected: bytes | None = None
 
-    @property
+    @cached_property
     def program(self) -> Program:
+        """The source assembled once, on first use."""
         return assemble(self.source, name=self.name)
 
     def expected_image(self, mem_bytes: int = 1 << 20) -> bytes:

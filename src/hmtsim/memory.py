@@ -268,13 +268,23 @@ class MemorySystem:
 
 # -- image formats ----------------------------------------------------------
 
+_PAGE = 4096
+_ZERO_PAGE = bytes(_PAGE)
+
+
 def dump_image_text(mem: bytes) -> str:
-    """Sparse `addr=value` rendering of the nonzero words, one per line."""
+    """Sparse `addr=value` rendering of the nonzero words, one per line; a
+    trailing partial word is not rendered. Pages that are all zero are
+    skipped with one comparison each."""
+    end = len(mem) & ~3
     lines = []
-    for addr in range(0, len(mem) - 3, 4):
-        word = int.from_bytes(mem[addr:addr + 4], "little", signed=True)
-        if word:
-            lines.append(f"0x{addr:08x}={word}")
+    for page in range(0, end, _PAGE):
+        if mem[page:page + _PAGE] == _ZERO_PAGE:
+            continue
+        for addr in range(page, min(page + _PAGE, end), 4):
+            word = int.from_bytes(mem[addr:addr + 4], "little", signed=True)
+            if word:
+                lines.append(f"0x{addr:08x}={word}")
     return "\n".join(lines) + "\n"
 
 

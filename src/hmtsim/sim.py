@@ -181,7 +181,7 @@ class Metrics:
 class RunResult:
     outcome: Outcome
     metrics: Metrics
-    final_memory: bytes | None = None
+    final_memory: bytearray | None = None   # the run's own image
     diagnostic: str | None = None
     trace: list[tuple] | None = None
 
@@ -512,9 +512,10 @@ def run(config: ChipConfig, program: Program,
     if chip.trace is not None:
         # a window's cores appended their commits one core after another
         chip.trace.sort(key=itemgetter(0))
-    final_memory = bytes(chip.memory.mem) if outcome is Outcome.COMPLETED else None
-    # the chip is a reference cycle that the collector frees only in a rare
-    # full collection; let the image go now rather than with it
+    # the result takes the chip's own image, not a copy, and the chip lets
+    # go of it now: the chip is a reference cycle that the collector frees
+    # only in a rare full collection
+    final_memory = chip.memory.mem if outcome is Outcome.COMPLETED else None
     chip.memory.mem = None
     return RunResult(outcome, metrics, final_memory, diagnostic, chip.trace)
 

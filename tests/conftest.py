@@ -55,7 +55,8 @@ def matrix_runs():
         digest = result.result_hash()
         result.trace = None
         if result.final_memory is not None:
-            result.final_memory = images.setdefault(result.final_memory,
+            # an image is an unhashable bytearray: share equal ones by hash
+            result.final_memory = images.setdefault(result.memory_hash(),
                                                     result.final_memory)
         runs[key] = Cell(spec, config, digest, result)
     return runs

@@ -129,6 +129,17 @@ def test_invalid_program_exit_64(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
+def test_zero_index_step_exit_64(tmp_path, capsys, command):
+    # refused before any simulation: it is not a fault of the model
+    path = tmp_path / "zero.masm"
+    path.write_text(".body main\n  allocate r1, 0\n  create r2, r1, w, 0, 3, 0\n"
+                    "  halt\n.body w\n  halt\n")
+    code, out, err = run_cli(capsys, command, "--program", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}: create of 'w' has a zero index step\n"
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("line, message", [
     ("add r1, r2", "add takes 3 operand(s), got 2"),
     ("ld r1, 4[r2]", "expected imm(rN) memory operand, got '4[r2]'"),
@@ -241,6 +252,24 @@ def test_sweep_memory_hash_constant_across_cores(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len({r["memory_hash"] for r in rows}) == 1
     assert len({r["cycles"] for r in rows}) > 1
+
+
+def test_sweep_assembles_each_kernel_once(capsys, monkeypatch):
+    # two kernels (one per core count) run under 2 hint settings x 2
+    # coherency policies: 8 runs, 2 assemblies
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(hmtsim.kernels, "assemble", counting)
+    code, out, _ = run_cli(capsys, "sweep", "--kernels", "starvation",
+                           "--cores", "1,2", "--hints", "on,off",
+                           "--coherency", "eager,bulk")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 1 + 8
+    assert len(calls) == 2
 
 
 def test_sweep_rejects_hints_other_than_on_off(capsys):

@@ -216,6 +216,12 @@ def test_validate_unknown_entry():
     assert validate(p) == ["unknown entry 'g'"]
 
 
+def test_validate_zero_index_step():
+    p = assemble(".body main\nallocate r1, 0\ncreate r2, r1, w, 0, 3, 0\nhalt\n"
+                 ".body w\nhalt")
+    assert validate(p) == ["create of 'w' has a zero index step"]
+
+
 def test_hint_load_use():
     p = annotate_hints(asm("ld r1, 0(r4)\nadd r2, r1, r1\nhalt"))
     assert p.instructions[1].switch_hint is True

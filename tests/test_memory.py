@@ -1,4 +1,7 @@
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmtsim.errors import SimFault
 from hmtsim.memory import (
@@ -245,6 +248,45 @@ def test_image_text_roundtrip():
     assert "0x00000010=-5" in text and "0x00000020=123" in text
     back = load_image_text(text, 4096)
     assert bytes(back) == bytes(ms.mem)
+
+
+def reference_dump_text(mem) -> str:
+    """dump_image_text's rendering, one word at a time."""
+    lines = [f"0x{4 * i:08x}={word}" for i, (word,) in
+             enumerate(struct.iter_unpack("<i", mem[:len(mem) & ~3])) if word]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def images(draw):
+    """Short images of any length, page-sized ones (all zero or all 0xff) and
+    sparse 1 MiB ones, with some whole words and bytes written and a trailing
+    partial word of any bytes."""
+    size = draw(st.one_of(st.integers(0, 70),
+                          st.sampled_from([4093, 4096, 8194, 1 << 20])))
+    fill = draw(st.sampled_from([0x00, 0xFF])) if size < 1 << 20 else 0x00
+    mem = bytearray([fill]) * size
+    words = st.integers(-(1 << 31), (1 << 31) - 1)
+    for i, word in draw(st.dictionaries(st.integers(0, size // 4), words,
+                                        max_size=8)).items():
+        if 4 * i + 4 <= size:
+            mem[4 * i:4 * i + 4] = word.to_bytes(4, "little", signed=True)
+    for pos, byte in draw(st.dictionaries(st.integers(0, size), st.integers(0, 255),
+                                          max_size=8)).items():
+        if pos < size:
+            mem[pos] = byte
+    tail = size % 4
+    mem[size - tail:] = draw(st.binary(min_size=tail, max_size=tail))
+    return mem
+
+
+@settings(max_examples=50, deadline=None)
+@given(images())
+def test_image_text_equals_word_by_word_rendering(mem):
+    text = dump_image_text(mem)
+    assert text == reference_dump_text(mem)
+    if len(mem) % 4 == 0:
+        assert load_image_text(text, len(mem)) == mem
 
 
 def test_image_binary_roundtrip():

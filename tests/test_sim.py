@@ -623,6 +623,22 @@ def test_runs_do_not_pile_up_memory_images():
     assert grown < 3 << 20
 
 
+def test_run_holds_one_memory_image():
+    # the result takes the chip's 1 MB image; a copy would double the peak
+    program = kernel_regular(n=8).program
+    run(ChipConfig(p=2), program)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(ChipConfig(p=2), program)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.final_memory) == 1 << 20
+    assert peak < 1.5 * (1 << 20)
+
+
 def test_quiescent_false_while_request_queued_or_fill_due():
     def chip():
         return Chip(ChipConfig(p=2), assemble(".body main\nhalt"))
