@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
+import inspect
 import io
+import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -43,30 +47,82 @@ EXIT_FAULT = 3
 EXIT_USAGE = 64
 
 
-# the config fields whose flag is not the field's name
-_FLAG_OF_FIELD = {"p": "--cores", "watchdog_cycles": "--watchdog"}
+# an integer flag's value, and each integer element of a sweep list: ASCII
+# decimal, as the assembler reads it, so that the config check, not the
+# parse, refuses 0 and negative values
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
 
 
-def _config_from_args(args, p: int, hints: str, coherency: str,
-                      trace: bool) -> ChipConfig:
-    """The machine flags of run and sweep, plus one cell's varying fields. A
-    value the config refuses is a usage error that names its flag."""
-    if hints not in ("on", "off"):
-        raise UsageError(f"--hints takes on or off, got {hints!r}")
+def _decimal(flag: str, text: str) -> int:
+    """Element parser of an integer flag. Its UsageError passes through
+    argparse, whose message for a ValueError would not say what the flag
+    takes."""
+    if not _DECIMAL.fullmatch(text):
+        raise UsageError(f"{flag} takes a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _choice(*names: str):
+    def parse(flag: str, text: str) -> str:
+        if text not in names:
+            raise UsageError(f"{flag} takes {' or '.join(names)}, "
+                             f"got {text!r}")
+        return text
+    return parse
+
+
+# every machine flag of run and sweep, declared once: (flag, config field,
+# element parser, default, help); a default is read from the field the flag
+# sets. Under sweep each flag takes a comma list, and the cells cross the
+# flags in this order, inside --kernels.
+MACHINE_FLAGS = [
+    ("--cores", "p", _decimal, ChipConfig.p, "core count"),
+    ("--hints", "hints", _choice("on", "off"), "on",
+     "automatic switch-hint annotation: on or off"),
+    ("--coherency", "coherency", _choice("eager", "bulk"),
+     ChipConfig.coherency, "store propagation policy: eager or bulk"),
+    ("--topology", "topology", _choice("ring", "line"), ChipConfig.topology,
+     "NoC topology: ring or line"),
+    ("--thread-slots", "thread_slots", _decimal, ChipConfig.thread_slots,
+     "hardware thread slots per core"),
+    ("--line-bytes", "line_bytes", _decimal, CacheConfig.line_bytes,
+     "cache line size in bytes"),
+    ("--d-lines", "d_lines", _decimal, CacheConfig.d_lines,
+     "D-cache lines per core"),
+    ("--i-lines", "i_lines", _decimal, CacheConfig.i_lines,
+     "I-cache lines per core"),
+    ("--d-miss-latency", "d_miss_latency", _decimal,
+     CacheConfig.d_miss_latency, "D-cache miss cycles"),
+    ("--i-miss-latency", "i_miss_latency", _decimal,
+     CacheConfig.i_miss_latency, "I-cache miss cycles"),
+    ("--hop-latency", "hop_latency", _decimal, ChipConfig.hop_latency,
+     "cycles per NoC hop"),
+    ("--watchdog", "watchdog_cycles", _decimal, ChipConfig.watchdog_cycles,
+     "cycle limit before WATCHDOG_TIMEOUT"),
+    ("--mem-bytes", "mem_bytes", _decimal, ChipConfig.mem_bytes,
+     "memory image size in bytes"),
+]
+_DESTS = [flag[2:].replace("-", "_") for flag, *_ in MACHINE_FLAGS]
+_FIELDS = [field for _, field, *_ in MACHINE_FLAGS]
+_FLAG_OF_FIELD = dict(zip(_FIELDS, (flag for flag, *_ in MACHINE_FLAGS)))
+_CACHE_FIELDS = [f.name for f in dataclasses.fields(CacheConfig)]
+_CHIP_FIELDS = [f for f in _FIELDS if f not in _CACHE_FIELDS]
+# a cell's values in CacheConfig's field order, and in _CHIP_FIELDS order
+_CACHE_VALUES = operator.itemgetter(*map(_FIELDS.index, _CACHE_FIELDS))
+_CHIP_VALUES = operator.itemgetter(*map(_FIELDS.index, _CHIP_FIELDS))
+
+
+def _config(values, trace: bool) -> ChipConfig:
+    """One cell's config, from one value per MACHINE_FLAGS entry in its
+    order. A value the config refuses is a usage error that names its flag."""
+    fields = dict(zip(_CHIP_FIELDS, _CHIP_VALUES(values)))
+    fields["hints"] = fields["hints"] == "on"
     try:
-        cache = CacheConfig(
-            line_bytes=args.line_bytes, d_lines=args.d_lines,
-            i_lines=args.i_lines, d_miss_latency=args.d_miss_latency,
-            i_miss_latency=args.i_miss_latency)
-        return ChipConfig(
-            p=p, topology=args.topology, thread_slots=args.thread_slots,
-            cache=cache, hints=hints == "on", coherency=coherency,
-            hop_latency=args.hop_latency, watchdog_cycles=args.watchdog,
-            mem_bytes=args.mem_bytes, trace=trace)
+        return ChipConfig(cache=CacheConfig(*_CACHE_VALUES(values)),
+                          trace=trace, **fields)
     except ConfigError as exc:
-        flag = _FLAG_OF_FIELD.get(exc.field,
-                                  "--" + exc.field.replace("_", "-"))
-        raise UsageError(f"{flag} {exc.rule}, got {exc.value!r}") from None
+        raise UsageError(f"{_FLAG_OF_FIELD[exc.field]} {exc.rule}, "
+                         f"got {exc.value!r}") from None
 
 
 def _record(kernel: str, params: str, config: ChipConfig,
@@ -186,59 +242,72 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_run(args) -> int:
     program = _load_program(args.program)
-    config = _config_from_args(args, args.cores, args.hints, args.coherency,
-                               args.trace is not None)
-    init = _load_init_mem(args.init_mem, config.mem_bytes) if args.init_mem else None
+    config = _config([getattr(args, dest) for dest in _DESTS],
+                     args.trace is not None)
+    init = (None if args.init_mem is None
+            else _load_init_mem(args.init_mem, config.mem_bytes))
     result = run(config, program, init)
     # output files first: one that cannot be written leaves no record
-    if args.trace and result.trace is not None:
+    if args.trace is not None:
         _write(args.trace, format_trace(result.trace))
-    if args.dump_mem and result.final_memory is not None:
+    if args.dump_mem is not None and result.final_memory is not None:
         _dump_mem(args.dump_mem, result.final_memory)
     emit_records([_record(program.name, "", config, result)], args.format,
                  sys.stdout)
     return _exit_code(result.outcome)
 
 
-# an integer flag's value, and each count in sweep's --cores list: ASCII
-# decimal, as the assembler reads it, so that the config check, not the
-# parse, refuses 0 and negative values
-_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
-
-
-def _decimal(flag: str):
-    """argparse type of an integer flag. Its UsageError passes through
-    argparse, whose message for a ValueError would not say what the flag
-    takes."""
-    def parse(text: str) -> int:
-        if not _DECIMAL.fullmatch(text):
-            raise UsageError(f"{flag} takes a decimal integer, got {text!r}")
-        return int(text)
-    return parse
+def _kernel(text: str) -> tuple[str, dict]:
+    """One --kernels element, name[:key=value...], its parameters bound
+    against the generator's signature."""
+    name, *pairs = text.split(":")
+    if name not in GENERATORS:
+        raise UsageError(f"unknown kernel '{name}' "
+                         f"(choose from {', '.join(sorted(GENERATORS))})")
+    params = {}
+    if not pairs:
+        return name, params
+    if name == "starvation":
+        raise UsageError(f"--kernels starvation takes its core count from "
+                         f"--cores and no parameters, got {text!r}")
+    known = inspect.signature(GENERATORS[name]).parameters
+    for pair in pairs:
+        key, _, value = pair.partition("=")
+        if key not in known:
+            raise UsageError(f"--kernels {name} has no parameter {key!r} "
+                             f"(it has {', '.join(known)})")
+        params[key] = _decimal(f"--kernels {name}:{key}", value)
+    return name, params
 
 
 def _sweep_cells(args) -> list:
-    """(spec, config) per cell, all built and checked before any is run."""
-    kernels = args.kernels.split(",")
-    counts = args.cores.split(",")
-    if not all(_DECIMAL.fullmatch(c) for c in counts):
-        raise UsageError(f"--cores takes a comma list of decimal core counts, "
-                         f"got {args.cores!r}")
-    cores = [int(c) for c in counts]
-    hints = args.hints.split(",")
-    coherency = args.coherency.split(",")
-    cells = []
-    for kname in kernels:
-        if kname not in GENERATORS:
-            raise UsageError(f"unknown kernel '{kname}' "
-                             f"(choose from {', '.join(sorted(GENERATORS))})")
-        for p in cores:
-            gen = GENERATORS[kname]
-            spec = gen(p, satisfiable=True) if kname == "starvation" else gen()
-            for h in hints:
-                for c in coherency:
-                    cells.append((spec, _config_from_args(
-                        args, p, h, c, args.trace_dir is not None)))
+    """(spec, config, trace file name or None) per cell, all built and
+    checked before any is run."""
+    axes = [getattr(args, dest) for dest in _DESTS]
+    trace = args.trace_dir is not None
+    # a trace file is named by its kernel element, cores, hints and
+    # coherency, then by each other flag with more than one value
+    named = [(i, MACHINE_FLAGS[i][0][2:]) for i in range(3, len(axes))
+             if len(axes[i]) > 1]
+    cells, fnames = [], set()
+    for name, params in args.kernels:
+        gen = GENERATORS[name]
+        for p in axes[0]:
+            spec = (gen(p, satisfiable=True) if name == "starvation"
+                    else gen(**params))
+            for values in itertools.product((p,), *axes[1:]):
+                fname = None
+                if trace:
+                    fname = "_".join(
+                        [spec.name, *(f"{k}{v}" for k, v in params.items()),
+                         f"p{p}", "hints", values[1], values[2],
+                         *(f"{flag}{values[i]}" for i, flag in named)]
+                    ) + ".trace"
+                    if fname in fnames:
+                        raise UsageError(
+                            f"--trace-dir: two cells would write {fname}")
+                    fnames.add(fname)
+                cells.append((spec, _config(values, trace), fname))
     return cells
 
 
@@ -248,14 +317,12 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"trace directory {args.trace_dir} does not exist")
     records = []
     traces = []
-    for spec, config in cells:
+    for spec, config, fname in cells:
         result = run(config, spec.program)
         params = ";".join(f"{k}={v}" for k, v in spec.params.items())
-        rec = _record(spec.name, params, config, result)
-        records.append(rec)
-        if args.trace_dir is not None and result.trace is not None:
-            traces.append((f"{spec.name}_p{config.p}_hints_{rec['hints']}_"
-                           f"{config.coherency}.trace", result.trace))
+        records.append(_record(spec.name, params, config, result))
+        if fname is not None:
+            traces.append((fname, result.trace))
     emit_records(records, args.format, sys.stdout)
     for fname, trace in traces:
         _write(f"{args.trace_dir}/{fname}", format_trace(trace))
@@ -269,13 +336,14 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--mem-bytes must be 4 to {MEM_BYTES_MAX}, "
                          f"got {args.mem_bytes}")
     program = _load_program(args.program)
-    init = _load_init_mem(args.init_mem, args.mem_bytes) if args.init_mem else None
+    init = (None if args.init_mem is None
+            else _load_init_mem(args.init_mem, args.mem_bytes))
     try:
         result = sequential_oracle(program, args.mem_bytes, init)
     except OracleDeadlock as exc:
         print(f"oracle deadlock: {exc}", file=sys.stderr)
         return EXIT_DEADLOCK
-    if args.dump_mem:
+    if args.dump_mem is not None:
         _dump_mem(args.dump_mem, result.final_memory)
     else:
         sys.stdout.write(dump_image_text(result.final_memory))
@@ -301,36 +369,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# the integer machine flags of run and sweep: (flag, default, help); each
-# default is read from the config field the flag sets
-MACHINE_FLAGS = [
-    ("--thread-slots", ChipConfig.thread_slots, "hardware thread slots per core"),
-    ("--line-bytes", CacheConfig.line_bytes, "cache line size in bytes"),
-    ("--d-lines", CacheConfig.d_lines, "D-cache lines per core"),
-    ("--i-lines", CacheConfig.i_lines, "I-cache lines per core"),
-    ("--d-miss-latency", CacheConfig.d_miss_latency, "D-cache miss cycles"),
-    ("--i-miss-latency", CacheConfig.i_miss_latency, "I-cache miss cycles"),
-    ("--hop-latency", ChipConfig.hop_latency, "cycles per NoC hop"),
-    ("--watchdog", ChipConfig.watchdog_cycles,
-     "cycle limit before WATCHDOG_TIMEOUT"),
-    ("--mem-bytes", ChipConfig.mem_bytes, "memory image size in bytes"),
-]
+# sweep's defaults where they are not run's: the outer axes of the default
+# sweep
+_SWEEP_DEFAULTS = {"--kernels": "regular,heterogeneous,chain,loaduse",
+                   "--cores": "1,2,4,8", "--hints": "on,off",
+                   "--coherency": "eager,bulk"}
 
 
-def _add_machine_flags(sp, cores_list=False):
-    if cores_list:
-        sp.add_argument("--cores", default="1,2,4,8",
-                        help="comma list of core counts (default: %(default)s)")
-    else:
-        sp.add_argument("--cores", type=_decimal("--cores"),
-                        default=ChipConfig.p,
-                        help="core count (default: %(default)s)")
-    sp.add_argument("--topology", choices=["ring", "line"],
-                    default=ChipConfig.topology,
-                    help="NoC topology (default: %(default)s)")
-    for flag, default, text in MACHINE_FLAGS:
-        sp.add_argument(flag, type=_decimal(flag), default=default,
-                        help=f"{text} (default: %(default)s)")
+def _listed(parse):
+    """argparse type of a sweep flag: a comma list, each element parsed."""
+    return lambda text: list(map(parse, text.split(",")))
+
+
+def _add_machine_flags(sp, listed: bool):
+    for flag, _, element, default, text in MACHINE_FLAGS:
+        parse = functools.partial(element, flag)
+        if listed:
+            parse = _listed(parse)
+            default = parse(_SWEEP_DEFAULTS.get(flag, str(default)))
+        shown = ",".join(map(str, default)) if listed else default
+        sp.add_argument(flag, type=parse, default=default,
+                        help=f"{text} (default: {shown})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,12 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("run", help="simulate one program on one configuration")
     rp.add_argument("--program", required=True, help="assembly source file")
-    _add_machine_flags(rp)
-    rp.add_argument("--hints", choices=["on", "off"], default="on",
-                    help="automatic switch-hint annotation (default: %(default)s)")
-    rp.add_argument("--coherency", choices=["eager", "bulk"],
-                    default=ChipConfig.coherency,
-                    help="store propagation policy (default: %(default)s)")
+    _add_machine_flags(rp, listed=False)
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
     rp.add_argument("--trace", help="write one line per commit to this file")
     rp.add_argument("--dump-mem",
@@ -355,13 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--init-mem", help="preload memory from an image file")
     rp.set_defaults(func=cmd_run)
 
-    sp = sub.add_parser("sweep", help="cross-product of kernels and configs")
-    sp.add_argument("--kernels", default="regular,heterogeneous,chain,loaduse",
-                    help="comma list of generated kernels")
-    _add_machine_flags(sp, cores_list=True)
-    sp.add_argument("--hints", default="on,off", help="comma list: on,off")
-    sp.add_argument("--coherency", default="eager,bulk",
-                    help="comma list: eager,bulk")
+    sp = sub.add_parser(
+        "sweep", help="cross-product of kernels and configs",
+        description="Every flag but --format and --trace-dir takes a comma "
+        "list. The cells cross the kernels, then the flags in the order "
+        "listed here, the last varying fastest.")
+    kernels = _listed(_kernel)
+    sp.add_argument("--kernels", type=kernels,
+                    default=kernels(_SWEEP_DEFAULTS["--kernels"]),
+                    help="generated kernels, each name[:param=value...] "
+                    f"(default: {_SWEEP_DEFAULTS['--kernels']})")
+    _add_machine_flags(sp, listed=True)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--trace-dir", help="directory for per-cell trace files")
     sp.set_defaults(func=cmd_sweep)
@@ -369,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle",
                         help="run the sequential reference interpreter")
     op.add_argument("--program", required=True)
-    op.add_argument("--mem-bytes", type=_decimal("--mem-bytes"),
+    op.add_argument("--mem-bytes",
+                    type=functools.partial(_decimal, "--mem-bytes"),
                     default=ChipConfig.mem_bytes,
                     help="memory image size in bytes (default: %(default)s)")
     op.add_argument("--dump-mem", help="write image here instead of stdout")
@@ -378,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gen", help="write the kernel corpus to a directory")
     gp.add_argument("--out-dir", default="kernels")
-    gp.add_argument("--starvation-cores", type=_decimal("--starvation-cores"),
+    gp.add_argument("--starvation-cores",
+                    type=functools.partial(_decimal, "--starvation-cores"),
                     default=2, help="core count the starvation kernels are "
                     "built for (default: %(default)s)")
     gp.set_defaults(func=cmd_gen)

@@ -217,7 +217,8 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
     a_traces = sorted((tmp_path / "a").iterdir())
     b_traces = sorted((tmp_path / "b").iterdir())
     assert [t.name for t in a_traces] == [t.name for t in b_traces]
-    assert a_traces, "sweep produced no trace files"
+    # one trace file per record: no two cells share a file name
+    assert len(a_traces) == len(outs[0].splitlines()) - 1 == 16
     for ta, tb in zip(a_traces, b_traces):
         assert ta.read_bytes() == tb.read_bytes()
     print(f"PASS [9] determinism: sweep twice byte-identical "

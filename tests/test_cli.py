@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import hmtsim
+import hmtsim.cli as cli
 
 from hmtsim.cli import (EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE,
-                        MACHINE_FLAGS, RECORD_FIELDS, _config_from_args,
+                        MACHINE_FLAGS, RECORD_FIELDS, _DESTS, _config,
                         build_parser, main)
 from hmtsim.isa import assemble, validate
-from hmtsim.kernels import kernel_regular, kernel_starvation
+from hmtsim.kernels import kernel_loaduse, kernel_regular, kernel_starvation
 from hmtsim.memory import dump_image_text
 from hmtsim.oracle import sequential_oracle
 from hmtsim.sim import ChipConfig
@@ -159,7 +160,11 @@ def test_malformed_assembly_exit_64(tmp_path, capsys, command, line,
 def test_machine_flag_defaults_are_the_config_defaults(capsys, argv):
     parser = build_parser()
     args = parser.parse_args(argv)
-    assert _config_from_args(args, 1, "on", "eager", False) == ChipConfig()
+    values = [getattr(args, dest) for dest in _DESTS]
+    if argv[0] == "sweep":
+        # each default list starts with the config default
+        values = [listed[0] for listed in values]
+    assert _config(values, False) == ChipConfig()
     if argv[0] == "run":
         assert (args.cores, args.hints, args.coherency) == (1, "on", "eager")
     assert parser.parse_args(["oracle", "--program", "x"]).mem_bytes == \
@@ -169,9 +174,12 @@ def test_machine_flag_defaults_are_the_config_defaults(capsys, argv):
     code, out, _ = run_cli(capsys, argv[0], "--help")
     assert code == EXIT_OK
     shown = {seg.split()[0]: seg for seg in " ".join(out.split()).split(" --")}
-    for flag, default, _ in MACHINE_FLAGS:
+    sweep_lists = {"--cores": "1,2,4,8", "--hints": "on,off",
+                   "--coherency": "eager,bulk"}
+    for flag, _, _, default, _ in MACHINE_FLAGS:
+        if argv[0] == "sweep":
+            default = sweep_lists.get(flag, default)
         assert shown[flag[2:]].endswith(f"(default: {default})"), flag
-    assert shown["cores"].endswith(f"(default: {args.cores})")
 
 
 @pytest.mark.parametrize("command, flag, default", [
@@ -280,14 +288,18 @@ def test_sweep_rejects_hints_other_than_on_off(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("cores", ["1,x", "1,,2", "+4", "1_0", "\u0663",
-                                   "4,"])
+# each --cores list and its first element that is not an ASCII decimal
+MALFORMED_CORES = {"1,x": "x", "1,,2": "", "+4": "+4", "1_0": "1_0",
+                   "\u0663": "\u0663", "4,": ""}
+
+
+@pytest.mark.parametrize("cores", list(MALFORMED_CORES))
 def test_sweep_malformed_cores_exit_64(capsys, cores):
     code, out, err = run_cli(capsys, "sweep", "--kernels", "chain",
                              "--cores", cores)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"error: --cores takes a comma list of decimal core "
-                   f"counts, got {cores!r}\n")
+    assert err == (f"error: --cores takes a decimal integer, "
+                   f"got {MALFORMED_CORES[cores]!r}\n")
 
 
 @pytest.mark.parametrize("cores, count", [("0", 0), ("2,-1", -1)])
@@ -306,6 +318,151 @@ def test_sweep_records_carry_machine_flags(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 4
     assert all(r["hop_latency"] == "3" and r["d_lines"] == "8" for r in rows)
+
+
+def records(out: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def test_sweep_latency_by_slots_table_is_one_command(capsys):
+    # the regular kernel at p=1: utilization by D-miss latency (rows) and
+    # thread slots (columns), as the ROADMAP's latency-tolerance table
+    # gives it
+    table = {5: [0.644, 0.856, 0.856, 0.856, 0.856, 0.856],
+             20: [0.575, 0.797, 0.843, 0.843, 0.845, 0.844],
+             80: [0.402, 0.512, 0.783, 0.830, 0.831, 0.831],
+             320: [0.183, 0.202, 0.361, 0.600, 0.802, 0.830],
+             1000: [0.072, 0.075, 0.143, 0.264, 0.452, 0.668]}
+    code, out, err = run_cli(
+        capsys, "sweep", "--kernels", "regular", "--cores", "1", "--hints",
+        "on", "--coherency", "eager", "--thread-slots", "2,4,8,16,32,64",
+        "--d-miss-latency", "5,20,80,320,1000")
+    assert (code, err) == (EXIT_OK, "")
+    rows = records(out)
+    assert len(rows) == 30
+    # --thread-slots comes before --d-miss-latency in the flag table, so
+    # latency varies fastest
+    assert [(r["thread_slots"], r["d_miss_latency"]) for r in rows[:6]] == \
+        [("2", "5"), ("2", "20"), ("2", "80"), ("2", "320"), ("2", "1000"),
+         ("4", "5")]
+    got = {}
+    for r in rows:
+        got.setdefault(int(r["d_miss_latency"]), []).append(
+            round(float(r["utilization"]), 3))
+    assert got == table
+    # the even N/P split's imbalance, makespan over ideal: cycles x cores /
+    # commits on the heterogeneous kernel
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "heterogeneous",
+                             "--cores", "2,4,8", "--hints", "on",
+                             "--coherency", "eager")
+    assert (code, err) == (EXIT_OK, "")
+    assert {int(r["cores"]): round(int(r["cycles"]) * int(r["cores"])
+                                   / int(r["commits"]), 3)
+            for r in records(out)} == {2: 1.506, 4: 1.761, 8: 1.894}
+
+
+def test_multi_axis_sweep_equals_its_cells_run_one_by_one(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--kernels", "loaduse:threads=2:fillers=3",
+        "--cores", "2", "--hints", "on", "--coherency", "bulk",
+        "--thread-slots", "2,8", "--hop-latency", "0,5")
+    assert (code, err) == (EXIT_OK, "")
+    rows = records(out)
+    assert [(r["thread_slots"], r["hop_latency"]) for r in rows] == \
+        [("2", "0"), ("2", "5"), ("8", "0"), ("8", "5")]
+    assert {r["params"] for r in rows} == {"threads=2;iters=8;fillers=3"}
+    masm = tmp_path / "lu.masm"
+    masm.write_text(kernel_loaduse(threads=2, fillers=3).source)
+    for row in rows:
+        code, out, err = run_cli(
+            capsys, "run", "--program", str(masm), "--cores", "2",
+            "--hints", "on", "--coherency", "bulk", "--thread-slots",
+            row["thread_slots"], "--hop-latency", row["hop_latency"])
+        assert (code, err) == (EXIT_OK, "")
+        single, = records(out)
+        assert (single["kernel"], single["params"]) == ("lu", "")
+        assert {**single, "kernel": row["kernel"],
+                "params": row["params"]} == row
+
+
+# the machine flags other than the outer axes --cores, --hints and
+# --coherency, each with a sweep list whose second element is bad
+NEWLY_LISTED = [
+    (flag, f"{default},{'star' if flag == '--topology' else 'x'}")
+    for flag, _, _, default, _ in MACHINE_FLAGS
+    if flag not in ("--cores", "--hints", "--coherency")]
+
+
+@pytest.mark.parametrize("flag, value", NEWLY_LISTED,
+                         ids=[flag for flag, _ in NEWLY_LISTED])
+def test_sweep_list_flag_refuses_a_bad_element(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain", flag,
+                             value)
+    assert (code, out) == (EXIT_USAGE, "")
+    takes = "ring or line" if flag == "--topology" else "a decimal integer"
+    bad = value.split(",")[1]
+    assert err == f"error: {flag} takes {takes}, got {bad!r}\n"
+
+
+def no_run(*args):
+    raise AssertionError("a cell ran before the sweep was checked")
+
+
+@pytest.mark.parametrize("element, message", [
+    ("regular:m=1", "--kernels regular has no parameter 'm' "
+     "(it has n, a, b, x_scale, x_offset)"),
+    ("regular:n=x", "--kernels regular:n takes a decimal integer, got 'x'"),
+    ("starvation:p=2", "--kernels starvation takes its core count from "
+     "--cores and no parameters, got 'starvation:p=2'"),
+    ("regular:n=4000", "regular: x[] of n=4000 reaches out[]")],
+    ids=["unknown-parameter", "not-decimal", "starvation-p", "generator"])
+def test_sweep_bad_kernel_element_exit_64_before_running(
+        capsys, monkeypatch, element, message):
+    monkeypatch.setattr(cli, "run", no_run)
+    code, out, err = run_cli(capsys, "sweep", "--kernels",
+                             f"chain,{element}", "--cores", "1", "--hints",
+                             "on", "--coherency", "eager")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_sweep_trace_names_carry_parameters_and_listed_flags(tmp_path,
+                                                             capsys):
+    # the four outer axes name every file
+    plain, listed = tmp_path / "plain", tmp_path / "listed"
+    plain.mkdir()
+    listed.mkdir()
+    code, _, _ = run_cli(capsys, "sweep", "--kernels", "chain", "--cores",
+                         "1,2", "--hints", "on,off", "--coherency", "eager",
+                         "--hop-latency", "3", "--trace-dir", str(plain))
+    assert code == EXIT_OK
+    assert sorted(p.name for p in plain.iterdir()) == [
+        "chain_p1_hints_off_eager.trace", "chain_p1_hints_on_eager.trace",
+        "chain_p2_hints_off_eager.trace", "chain_p2_hints_on_eager.trace"]
+    # an element's parameters and each other flag with more than one value
+    # are added
+    code, out, _ = run_cli(capsys, "sweep", "--kernels", "chain,chain:n=10",
+                           "--cores", "1", "--hints", "on", "--coherency",
+                           "eager", "--thread-slots", "2,4", "--trace-dir",
+                           str(listed))
+    assert code == EXIT_OK and len(records(out)) == 4
+    assert sorted(p.name for p in listed.iterdir()) == [
+        "chain_n10_p1_hints_on_eager_thread-slots2.trace",
+        "chain_n10_p1_hints_on_eager_thread-slots4.trace",
+        "chain_p1_hints_on_eager_thread-slots2.trace",
+        "chain_p1_hints_on_eager_thread-slots4.trace"]
+
+
+def test_sweep_two_cells_one_trace_file_exit_64_before_running(tmp_path,
+                                                               capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(cli, "run", no_run)
+    code, out, err = run_cli(capsys, "sweep", "--kernels", "chain,chain",
+                             "--cores", "1", "--hints", "on", "--coherency",
+                             "eager", "--trace-dir", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: --trace-dir: two cells would write "
+                   "chain_p1_hints_on_eager.trace\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_oracle_command_matches_expected_file(tmp_path, capsys):
@@ -405,10 +562,10 @@ def test_invalid_machine_config_oracle_mem_bytes_exit_64(capsys, value):
 
 # every integer flag, with arguments that reach it; --program x names no file,
 # which would be the first error after a successful parse
-INTEGER_FLAGS = [("run", "--cores")] + [
+INTEGER_FLAGS = [
     (command, flag) for command in ("run", "sweep")
-    for flag, _, _ in MACHINE_FLAGS] + [
-    ("oracle", "--mem-bytes"), ("gen", "--starvation-cores")]
+    for flag, _, _, default, _ in MACHINE_FLAGS if isinstance(default, int)
+] + [("oracle", "--mem-bytes"), ("gen", "--starvation-cores")]
 
 
 @pytest.mark.parametrize("value", ["+2", "1_000", "\u0662", " 3", "0x10",
@@ -452,26 +609,39 @@ def assert_one_error_line(code, out, err):
 @pytest.mark.parametrize("name, image", [
     ("high.mem", "0x00100000=5\n"), ("negative.mem", "-4=5\n"),
     ("unaligned.mem", "0x42=5\n"), ("oversize.bin", bytes((1 << 20) + 4)),
-    ("wide.mem", "0x40=0x100000005\n"), ("below.mem", "0x40=-0x80000001\n")],
+    ("wide.mem", "0x40=0x100000005\n"), ("below.mem", "0x40=-0x80000001\n"),
+    ("", None)],
     ids=["high", "negative", "unaligned", "oversize-bin", "wide-value",
-         "below-int32"])
+         "below-int32", "empty-path"])
 def test_init_mem_that_does_not_fit_exit_64(regular_masm, tmp_path, capsys,
                                             command, name, image):
-    path = tmp_path / name
+    # an empty path is passed as it is: it names no file
+    path = tmp_path / name if name else ""
     if isinstance(image, bytes):
         path.write_bytes(image)
-    else:
+    elif image is not None:
         path.write_text(image)
     assert_one_error_line(*run_cli(capsys, command, "--program", regular_masm,
                                    "--init-mem", str(path)))
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("run", "--trace"), ("run", "--dump-mem"), ("oracle", "--dump-mem")])
+# (command, flag, path): a file in a missing directory, and the empty path,
+# which names no file at all
+UNWRITABLE_OUTPUTS = [
+    (command, flag, path) for path in ("missing/out", "")
+    for command, flag in [("run", "--trace"), ("run", "--dump-mem"),
+                          ("oracle", "--dump-mem")]]
+
+
+@pytest.mark.parametrize(
+    "command, flag, path", UNWRITABLE_OUTPUTS,
+    ids=[f"{command}-{flag}" + ("" if path else "-empty-path")
+         for command, flag, path in UNWRITABLE_OUTPUTS])
 def test_unwritable_output_exit_64(regular_masm, tmp_path, capsys, command,
-                                   flag):
+                                   flag, path):
+    target = str(tmp_path / path) if path else ""
     assert_one_error_line(*run_cli(capsys, command, "--program", regular_masm,
-                                   flag, str(tmp_path / "missing" / "out")))
+                                   flag, target))
 
 
 def test_gen_out_dir_under_regular_file_exit_64(tmp_path, capsys):
@@ -492,11 +662,6 @@ def test_gen_starvation_cores_below_one_exit_64_writing_nothing(tmp_path,
 
 def test_sweep_missing_trace_dir_exit_64_before_running(tmp_path, capsys,
                                                         monkeypatch):
-    import hmtsim.cli as cli
-
-    def no_run(*args):
-        raise AssertionError("a cell ran before the trace directory was checked")
-
     monkeypatch.setattr(cli, "run", no_run)
     assert_one_error_line(*run_cli(capsys, "sweep", "--kernels", "chain",
                                    "--cores", "1", "--trace-dir",
