@@ -250,8 +250,12 @@ def cmd_run(args) -> int:
     # output files first: one that cannot be written leaves no record
     if args.trace is not None:
         _write(args.trace, format_trace(result.trace))
-    if args.dump_mem is not None and result.final_memory is not None:
-        _dump_mem(args.dump_mem, result.final_memory)
+    if args.dump_mem is not None:
+        if result.final_memory is None:     # only a completed run has one
+            print(f"no memory image written to {args.dump_mem}: the run "
+                  f"ended in {result.outcome.value}", file=sys.stderr)
+        else:
+            _dump_mem(args.dump_mem, result.final_memory)
     emit_records([_record(program.name, "", config, result)], args.format,
                  sys.stdout)
     return _exit_code(result.outcome)

@@ -75,6 +75,41 @@ needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
 not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
 that is not FULL, and the memory system for a load or store.
 
+A quiet stretch is a second inner loop of `step`, for cycles in which only
+execute has work. An instruction is quiet (`Instruction.quiet`) when it is
+add, sub, mul, addi, beq or bne with no switch hint. The stretch runs while
+every instruction in flight is quiet and every one in fetch, decode or read
+belongs to a thread with no pending cell. Under that invariant each check
+that the generic loop makes outside execute and fetch is a no-op:
+
+- writeback has nothing to retire: no halt is in flight, and a traced run,
+  which retires every commit, never starts a stretch;
+- the memory stage has no load or store, so the mark `m_at` lies behind;
+- every read passes untouched: its thread has no pending cell, so every
+  register is FULL, and no quiet instruction reads the channel;
+- decode has no jump to resolve;
+- no switch-hint rotation is pending, because the instruction fetched the
+  cycle before has no hint.
+
+So a stretch cycle counts the commit, runs the ALU operation or branch,
+advances the latches and fetches; its execute and fetch code is the generic
+loop's, kept textually parallel. Nothing breaks the invariant while the
+stretch runs: only a non-quiet instruction's execute marks a cell PENDING,
+and the phases run between cycles only write cells (which lowers a pending
+count), start threads and queue woken ones, never touching the latches. The
+stretch ends at the fetch of an instruction that is not quiet, or of a quiet
+one whose thread has a pending cell; that fetch does a hinted instruction's
+rotation bookkeeping, and the generic loop runs from the next cycle.
+
+A stretch starts only at a call's start or after a stop, and `Core.quiet`
+keeps it from one call to the next. The check there scans f, d, r and e. The
+m and w latches hold what executed in the two cycles before, so a mark
+covers them: when an instruction that is neither an ALU operation nor a
+branch executes, the generic loop sets the first cycle a check may run
+(`Core._check_at` between calls) three cycles ahead, when that instruction
+has left w. A failed check sets the same mark, so a core checks at most
+every third cycle.
+
 A core is stepped only while it is on the chip's awake list (see `sim.py`):
 it joins the list in `_enlist` and leaves it itself when its step ends idle.
 An idle core that still holds threads counts one bubble per cycle: it
@@ -83,8 +118,9 @@ wakes or the run ends.
 
 `step(cycle, limit)` runs cycle after cycle in one call, with the latches,
 the commit and bubble counts and the core's invariants in locals, and
-returns the next cycle to run. Each cycle ends with one test, `cycle >=
-stop`, where `stop` is the first cycle with work outside the core: it starts
+returns the next cycle to run. A generic cycle starts with one test, `cycle
+< stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
+first cycle with work outside the core (a call starts below it): it starts
 at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
 the step lowers it where the core makes such work itself (a load or an
 I-cache probe that requests a fill, an execute-table entry or a halt's
@@ -198,6 +234,10 @@ class Core:
         # latches: fetch, decode, read, execute, memory, writeback
         self.f = self.d = self.r = self.e = self.m = self.w = None
         self.awake = False          # on the chip's awake list
+        # in a quiet stretch (see the module docstring), and the first cycle
+        # at which step may check for one
+        self.quiet = False
+        self._check_at = 0
         self.idle_since = None      # first unsettled bubble cycle while idle
 
     # -- slot management (driven by the TMU) -----------------------------------
@@ -412,172 +452,298 @@ class Core:
             else -1
         commits = bubbles = 0
         fetched_line = -1       # the line this call last found resident
+        # in a quiet stretch, and the first cycle a check may start one
+        quiet, check_at = self.quiet, self._check_at
         try:
             while True:
-                if w is not None:
-                    commits += 1
-                    if w[1].is_halt or traced:
-                        chip.cycle = cycle
-                        self._retire(w, cycle)
-                        if requests:            # a halt's termination
-                            stop = cycle + 1
-                if cycle == m_at:
-                    if m[1].is_load:
-                        chip.cycle = cycle      # read by a load hit's callback
-                        self._load(m, cycle)
-                        if memory.next_due < stop:      # a D-fill it made
-                            stop = memory.next_due
+                # at the call's start and after a stop: a quiet stretch
+                # starts if every instruction in flight is quiet and none
+                # before execute has a thread with a pending cell
+                if not quiet and cycle >= check_at and not traced:
+                    if (f is None or f[1].quiet and not f[0].pending_cells) \
+                            and (d is None or d[1].quiet
+                                 and not d[0].pending_cells) \
+                            and (r is None or r[1].quiet
+                                 and not r[0].pending_cells) \
+                            and (e is None or e[1].quiet):
+                        quiet = True
                     else:
-                        self._store(m, cycle)
-                if e is not None:
-                    ctx, instr, pc = e
-                    op = instr.op
-                    if op < _LD:
-                        # add, sub, mul, addi: a one-cycle result, wrapped to
-                        # 32 bits and written into a cell the read stage saw
-                        # FULL (r0 stays 0)
-                        value = ctx.value
-                        if op == _ADDI:
-                            result = value[instr.src1] + instr.imm
-                        elif op == _ADD:
-                            result = value[instr.src1] + value[instr.src2]
-                        elif op == _SUB:
-                            result = value[instr.src1] - value[instr.src2]
+                        check_at = cycle + 3
+                if quiet:
+                    # the quiet stretch: writeback only counts, the memory,
+                    # read and decode stages have nothing to do, and no
+                    # rotation is pending. The execute and fetch code is the
+                    # generic loop's below, kept textually parallel
+                    while True:
+                        if w is not None:
+                            commits += 1
+                        if e is not None:
+                            ctx, instr, pc = e
+                            op = instr.op
+                            if op < _LD:
+                                value = ctx.value
+                                if op == _ADDI:
+                                    result = value[instr.src1] + instr.imm
+                                elif op == _ADD:
+                                    result = value[instr.src1] + \
+                                        value[instr.src2]
+                                elif op == _SUB:
+                                    result = value[instr.src1] - \
+                                        value[instr.src2]
+                                else:
+                                    result = value[instr.src1] * \
+                                        value[instr.src2]
+                                dst = instr.dst
+                                if dst:
+                                    if ctx.state[dst] != FULL:
+                                        self._set_reg(ctx, dst, result)
+                                    value[dst] = s32(result) if \
+                                        (result + 0x80000000) >> 32 else result
+                            elif op == _BNE:
+                                value = ctx.value
+                                ctx.pc = instr.imm if value[instr.src1] != \
+                                    value[instr.src2] else pc + 1
+                                ctx.fetch_blocked = False
+                            else:
+                                value = ctx.value
+                                ctx.pc = instr.imm if value[instr.src1] == \
+                                    value[instr.src2] else pc + 1
+                                ctx.fetch_blocked = False
+
+                        w, m, e, r, d = m, e, r, d, f
+
+                        # fetch; the stretch ends behind an instruction that
+                        # is not quiet or whose thread has a pending cell
+                        k = 0
+                        for ctx in queue:
+                            f = ctx.resume
+                            if f is None:
+                                if ctx.fetch_blocked:
+                                    k += 1
+                                    continue
+                                pc = ctx.pc
+                                line = pc * 4 // line_bytes
+                                if line != fetched_line:
+                                    resident = probed.get(line)
+                                    if resident is None:
+                                        resident = memory.icache_probe(
+                                            cid, pc, cycle)
+                                        if memory.next_due < stop:
+                                            stop = memory.next_due
+                                    elif resident:
+                                        touch(line)
+                                    if not resident:
+                                        k += 1
+                                        continue
+                                    fetched_line = line
+                                instr = instructions[pc]
+                                f = (ctx, instr, pc)
+                                if instr.ends_block:
+                                    ctx.fetch_blocked = True
+                                else:
+                                    ctx.pc = pc + 1
+                            else:
+                                ctx.resume = None
+                                instr = f[1]
+                            if k:
+                                queue.rotate(-k)
+                            if not instr.quiet or ctx.pending_cells:
+                                quiet = False
+                                if instr.switch_hint:
+                                    self._rotate_pending = ctx
+                                    metrics.switch_events += 1
+                            break
                         else:
-                            result = value[instr.src1] * value[instr.src2]
-                        dst = instr.dst
-                        if dst:
-                            if ctx.state[dst] != FULL:
-                                self._set_reg(ctx, dst, result)     # faults
-                            # nonzero exactly outside -2**31 .. 2**31 - 1
-                            value[dst] = s32(result) if \
-                                (result + 0x80000000) >> 32 else result
-                    elif op == _BNE:
-                        value = ctx.value
-                        ctx.pc = instr.imm if value[instr.src1] != \
-                            value[instr.src2] else pc + 1
-                        ctx.fetch_blocked = False
-                    elif op == _BEQ:
-                        value = ctx.value
-                        ctx.pc = instr.imm if value[instr.src1] == \
-                            value[instr.src2] else pc + 1
-                        ctx.fetch_blocked = False
-                    else:
-                        if op <= _ST:           # ld, st: memory stage next
-                            m_at = cycle + 1
-                        entry = EXECUTE[op]     # None for st, jmp, halt
-                        if entry is not None:
+                            f = None
+                            if contexts:
+                                bubbles += 1
+                            if not queue and d is None and r is None \
+                                    and e is None and m is None and w is None:
+                                self.awake = False
+                                chip.awake = [c for c in chip.awake
+                                              if c is not self]
+                                if contexts:
+                                    self.idle_since = cycle + 1
+                                return cycle + 1
+
+                        cycle += 1
+                        if cycle >= stop or not quiet:
+                            break
+
+                # the generic loop, until the next stop
+                while cycle < stop:
+                    if w is not None:
+                        commits += 1
+                        if w[1].is_halt or traced:
                             chip.cycle = cycle
-                            entry(self, ctx, instr, pc)
-                            if requests:        # a TMU request it queued
+                            self._retire(w, cycle)
+                            if requests:            # a halt's termination
                                 stop = cycle + 1
-                # read: with a pending cell in the thread, or a channel
-                # source, suspend on the first cell that is not FULL (sources
-                # first, then a PENDING destination); else pass untouched
-                if r is not None:
-                    ctx, instr, _ = r
-                    if ctx.pending_cells or instr.reads_channel:
-                        state = ctx.state
-                        for cell in instr.source_cells:
-                            if state[cell] != FULL:
-                                break
+                    if cycle == m_at:
+                        if m[1].is_load:
+                            chip.cycle = cycle      # read by a load hit's callback
+                            self._load(m, cycle)
+                            if memory.next_due < stop:      # a D-fill it made
+                                stop = memory.next_due
                         else:
-                            cell = instr.dst
-                            if not cell or state[cell] != PENDING:
-                                cell = None
-                        if cell is not None:
-                            # the flush reads and clears the fetch and decode
-                            # latches
-                            self.f, self.d = f, d
-                            self._suspend(r, cell)
-                            f, d, r = self.f, self.d, None
-                if d is not None:
-                    instr = d[1]
-                    if instr.is_jump:
-                        ctx = d[0]
-                        ctx.pc = instr.imm
-                        ctx.fetch_blocked = False
+                            self._store(m, cycle)
+                    if e is not None:
+                        ctx, instr, pc = e
+                        op = instr.op
+                        if op < _LD:
+                            # add, sub, mul, addi: a one-cycle result, wrapped
+                            # to 32 bits and written into a cell the read
+                            # stage saw FULL (r0 stays 0)
+                            value = ctx.value
+                            if op == _ADDI:
+                                result = value[instr.src1] + instr.imm
+                            elif op == _ADD:
+                                result = value[instr.src1] + value[instr.src2]
+                            elif op == _SUB:
+                                result = value[instr.src1] - value[instr.src2]
+                            else:
+                                result = value[instr.src1] * value[instr.src2]
+                            dst = instr.dst
+                            if dst:
+                                if ctx.state[dst] != FULL:
+                                    self._set_reg(ctx, dst, result)     # faults
+                                # nonzero exactly outside -2**31 .. 2**31 - 1
+                                value[dst] = s32(result) if \
+                                    (result + 0x80000000) >> 32 else result
+                        elif op == _BNE:
+                            value = ctx.value
+                            ctx.pc = instr.imm if value[instr.src1] != \
+                                value[instr.src2] else pc + 1
+                            ctx.fetch_blocked = False
+                        elif op == _BEQ:
+                            value = ctx.value
+                            ctx.pc = instr.imm if value[instr.src1] == \
+                                value[instr.src2] else pc + 1
+                            ctx.fetch_blocked = False
+                        else:
+                            # no quiet stretch while it is in m or w
+                            check_at = cycle + 3
+                            if op <= _ST:           # ld, st: memory stage next
+                                m_at = cycle + 1
+                            entry = EXECUTE[op]     # None for st, jmp, halt
+                            if entry is not None:
+                                chip.cycle = cycle
+                                entry(self, ctx, instr, pc)
+                                if requests:        # a TMU request it queued
+                                    stop = cycle + 1
+                    # read: with a pending cell in the thread, or a channel
+                    # source, suspend on the first cell that is not FULL
+                    # (sources first, then a PENDING destination); else pass
+                    # untouched
+                    if r is not None:
+                        ctx, instr, _ = r
+                        if ctx.pending_cells or instr.reads_channel:
+                            state = ctx.state
+                            for cell in instr.source_cells:
+                                if state[cell] != FULL:
+                                    break
+                            else:
+                                cell = instr.dst
+                                if not cell or state[cell] != PENDING:
+                                    cell = None
+                            if cell is not None:
+                                # the flush reads and clears the fetch and
+                                # decode latches
+                                self.f, self.d = f, d
+                                self._suspend(r, cell)
+                                f, d, r = self.f, self.d, None
+                    if d is not None:
+                        instr = d[1]
+                        if instr.is_jump:
+                            ctx = d[0]
+                            ctx.pc = instr.imm
+                            ctx.fetch_blocked = False
 
-                # advance the latches one stage
-                w, m, e, r, d = m, e, r, d, f
+                    # advance the latches one stage
+                    w, m, e, r, d = m, e, r, d, f
 
-                # fetch: after any pending switch-hint rotation (it names a
-                # queued context), the first thread in queue order that is
-                # resumable, or not fetch-blocked with its I-line resident, is
-                # rotated to the front. The line this call last found
-                # resident is still resident and most recently used; the memo
-                # answers for a line probed since the last I-fill into this
-                # core; any other line is probed, which requests it on a miss.
-                rotated = self._rotate_pending
-                if rotated is not None:
-                    self._rotate_pending = None
-                    queue.remove(rotated)
-                    queue.append(rotated)
-                k = 0
-                for ctx in queue:
-                    f = ctx.resume
-                    if f is None:
-                        if ctx.fetch_blocked:
-                            k += 1
-                            continue
-                        pc = ctx.pc
-                        line = pc * 4 // line_bytes
-                        if line != fetched_line:
-                            resident = probed.get(line)
-                            if resident is None:
-                                resident = memory.icache_probe(cid, pc, cycle)
-                                if memory.next_due < stop:  # an I-fill
-                                    stop = memory.next_due
-                            elif resident:
-                                touch(line)
-                            if not resident:
+                    # fetch: after any pending switch-hint rotation (it names
+                    # a queued context), the first thread in queue order that
+                    # is resumable, or not fetch-blocked with its I-line
+                    # resident, is rotated to the front. The line this call
+                    # last found resident is still resident and most
+                    # recently used; the memo answers for a line probed since
+                    # the last I-fill into this core; any other line is
+                    # probed, which requests it on a miss.
+                    rotated = self._rotate_pending
+                    if rotated is not None:
+                        self._rotate_pending = None
+                        queue.remove(rotated)
+                        queue.append(rotated)
+                    k = 0
+                    for ctx in queue:
+                        f = ctx.resume
+                        if f is None:
+                            if ctx.fetch_blocked:
                                 k += 1
                                 continue
-                            fetched_line = line
-                        instr = instructions[pc]
-                        f = (ctx, instr, pc)
-                        if instr.ends_block:
-                            ctx.fetch_blocked = True
+                            pc = ctx.pc
+                            line = pc * 4 // line_bytes
+                            if line != fetched_line:
+                                resident = probed.get(line)
+                                if resident is None:
+                                    resident = memory.icache_probe(
+                                        cid, pc, cycle)
+                                    if memory.next_due < stop:  # an I-fill
+                                        stop = memory.next_due
+                                elif resident:
+                                    touch(line)
+                                if not resident:
+                                    k += 1
+                                    continue
+                                fetched_line = line
+                            instr = instructions[pc]
+                            f = (ctx, instr, pc)
+                            if instr.ends_block:
+                                ctx.fetch_blocked = True
+                            else:
+                                ctx.pc = pc + 1
                         else:
-                            ctx.pc = pc + 1
+                            ctx.resume = None
+                            instr = f[1]
+                        if k:
+                            queue.rotate(-k)
+                        if instr.switch_hint:
+                            self._rotate_pending = ctx
+                            metrics.switch_events += 1
+                        break
                     else:
-                        ctx.resume = None
-                        instr = f[1]
-                    if k:
-                        queue.rotate(-k)
-                    if instr.switch_hint:
-                        self._rotate_pending = ctx
-                        metrics.switch_events += 1
-                    break
-                else:
-                    f = None
-                    if contexts:
-                        bubbles += 1
-                    if not queue and d is None and r is None and e is None \
-                            and m is None and w is None:
-                        # leave the awake list: a new one, as in _enlist
-                        self.awake = False
-                        chip.awake = [c for c in chip.awake if c is not self]
+                        f = None
                         if contexts:
-                            self.idle_since = cycle + 1
-                        return cycle + 1
+                            bubbles += 1
+                        if not queue and d is None and r is None \
+                                and e is None and m is None and w is None:
+                            # leave the awake list: a new one, as in _enlist
+                            self.awake = False
+                            chip.awake = [c for c in chip.awake
+                                          if c is not self]
+                            if contexts:
+                                self.idle_since = cycle + 1
+                            return cycle + 1
 
-                cycle += 1
-                if cycle >= stop:
-                    if cycle >= limit or not self._phases_alone(cycle):
-                        return cycle
-                    stop = limit
-                    if memory.next_due < stop:
-                        stop = memory.next_due
-                    if noc.next_arrival < stop:
-                        stop = noc.next_arrival
-                    requests = chip.requests        # a new, empty list
-                    fetched_line = -1   # a fill may have evicted it
+                    cycle += 1
+
+                # a stop
+                if cycle >= limit or not self._phases_alone(cycle):
+                    return cycle
+                stop = limit
+                if memory.next_due < stop:
+                    stop = memory.next_due
+                if noc.next_arrival < stop:
+                    stop = noc.next_arrival
+                requests = chip.requests        # a new, empty list
+                fetched_line = -1   # a fill may have evicted it
         except SimFault:
             chip.cycle = cycle      # sim.run reads the fault's cycle here
             raise
         finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
+            self.quiet, self._check_at = quiet, check_at
             metrics.commits += commits
             metrics.bubbles += bubbles
 

@@ -83,6 +83,11 @@ ACTS_OUTSIDE = frozenset({Opcode.LD, Opcode.ST, Opcode.HALT, Opcode.ALLOCATE,
                           Opcode.CREATE, Opcode.SYNC, Opcode.RELEASE,
                           Opcode.PUTSH})
 
+# Opcodes that only execute: a one-cycle result or a branch. Without a
+# switch hint such an instruction is quiet (Instruction.quiet).
+QUIET = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI,
+                   Opcode.BEQ, Opcode.BNE})
+
 CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
 
 
@@ -101,11 +106,14 @@ class Instruction:
     # members: the opcode as a plain int (the execute table's index), the
     # register-file cells read at the read stage (the operand registers, or
     # the input channel for a plain getsh), whether one is the channel or it
-    # acts outside its core, and which stages have work beyond execute.
+    # acts outside its core, whether it is quiet (a one-cycle ALU operation
+    # or a branch with no switch hint: no stage but execute has work for it,
+    # see core.py), and which stages have work beyond execute.
     op: int = field(init=False, compare=False, repr=False)
     source_cells: tuple[int, ...] = field(init=False, compare=False, repr=False)
     reads_channel: bool = field(init=False, compare=False, repr=False)
     acts_outside: bool = field(init=False, compare=False, repr=False)
+    quiet: bool = field(init=False, compare=False, repr=False)
     ends_block: bool = field(init=False, compare=False, repr=False)
     is_branch: bool = field(init=False, compare=False, repr=False)
     is_jump: bool = field(init=False, compare=False, repr=False)
@@ -124,6 +132,7 @@ class Instruction:
         set_(self, "reads_channel", CHANNEL_CELL in cells)
         set_(self, "acts_outside", op in ACTS_OUTSIDE
              or op is Opcode.GETSH and self.src1 is not None)
+        set_(self, "quiet", op in QUIET and not self.switch_hint)
         set_(self, "ends_block", op in CONTROL_TRANSFERS)
         set_(self, "is_branch", op in (Opcode.BEQ, Opcode.BNE))
         set_(self, "is_jump", op is Opcode.JMP)

@@ -43,6 +43,15 @@ class KernelSpec:
         return self.expected
 
 
+def _at_least(kernel: str, **sizes: tuple[int, int]):
+    """Refuse a size below the smallest that builds a program which runs to
+    completion: each keyword maps to (value, least)."""
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{kernel}: {name} must be >= {least}, "
+                             f"got {value}")
+
+
 def _main_wrapper(body_of_main: str, workers: str) -> str:
     return f".body main\n{body_of_main}\n{workers}"
 
@@ -92,6 +101,7 @@ initdone:"""
 def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
                    x_offset: int = 3) -> KernelSpec:
     """out[i] = a * x[i] + b over n threads with disjoint output slots."""
+    _at_least("regular", n=(n, 0))
     if 4 * n > OUT_BASE - X_BASE:   # x[] would overlap out[], and race
         raise ValueError(f"regular: x[] of n={n} reaches out[]")
     worker = f""".body regwork
@@ -113,7 +123,8 @@ def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
             worker, "regwork", n,
             setup=_init_array_loop(n, x_scale, x_offset)),
         {"n": n, "a": a, "b": b, "x_scale": x_scale, "x_offset": x_offset},
-        claims=["oracle-equivalence", "binary-compatibility", "bulk-traffic"])
+        claims=["oracle-equivalence", "binary-compatibility", "bulk-traffic",
+                "latency-tolerance"])
 
 
 def kernel_heterogeneous(n: int = 64, scale: int = 16) -> KernelSpec:
@@ -122,6 +133,7 @@ def kernel_heterogeneous(n: int = 64, scale: int = 16) -> KernelSpec:
     Work is busy arithmetic, not memory traffic, so the imbalance of the
     contiguous even split is visible in per-core busy counters alone.
     """
+    _at_least("heterogeneous", n=(n, 0), scale=(scale, 0))
     worker = f""".body hetwork
   getidx r1
   addi r2, r0, {scale}
@@ -149,6 +161,7 @@ def kernel_chain(n: int = 100) -> KernelSpec:
     Thread i stores its running prefix to its own output slot, and main
     stores the family tail (the total) just past the last slot.
     """
+    _at_least("chain", n=(n, 0))
     main = f"""  allocate r1, 0
 {_MAIN_PAD_A}
   addi r9, r0, 0
@@ -192,6 +205,8 @@ def kernel_loaduse(threads: int = 4, iters: int = 8, fillers: int = 13) -> Kerne
     4-instruction I-cache lines; shifting it by one can let a one-off
     convoy form during warm-up and cost a single flush).
     """
+    _at_least("loaduse", threads=(threads, 0), iters=(iters, 1),
+              fillers=(fillers, 0))
     stride = 16
     if threads * iters * stride > OUT_BASE - X_BASE:   # as in kernel_regular
         raise ValueError(f"loaduse: x[] of {threads}x{iters} lines reaches out[]")

@@ -62,6 +62,8 @@ traced `result_hash` is the same either way. The stop is:
   coming cycles before its oldest in-flight instruction that acts outside
   the core (`Instruction.acts_outside`: a load or store, a TMU request, a
   halt) can do so: 1 or less from read onwards, 2 in decode, 3 in fetch.
+  A core in a quiet stretch (`Core.quiet`, see `core.py`) has no such
+  instruction in flight, so its latches are not walked.
   A window's cycles touch only each core's own threads, latches and I-tags,
   so stepping the cores one after another is exact; every core that stays
   awake stops at the same due fill or arrival (`test_many_awake_run_pinned`),
@@ -362,7 +364,8 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
 def _stop(chip: Chip, cycle: int) -> int:
     """The one stop rule: the cycle the chip runs to from cycle before it
     looks again (see the module docstring). Returning cycle + 1 makes the
-    loop lockstep."""
+    loop lockstep. A quiet core is skipped: every instruction it has in
+    flight is quiet, and no quiet instruction acts outside its core."""
     awake = chip.awake
     span = NEVER    # a lone core has no window
     if len(awake) > 1:
@@ -370,6 +373,8 @@ def _stop(chip: Chip, cycle: int) -> int:
         # fetch-to-execute depth, and shorter than an I-fill
         span = 4
         for core in awake:
+            if core.quiet:
+                continue
             x = core.e
             if x and x[1].acts_outside:
                 return cycle + 1

@@ -19,6 +19,7 @@ from hmtsim.kernels import (
     kernel_regular,
     kernel_starvation,
 )
+from hmtsim.memory import CacheConfig
 from hmtsim.noc import Topology
 from hmtsim.sim import ChipConfig, Outcome, run
 from hmtsim.tmu import distribute
@@ -223,3 +224,27 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
         assert ta.read_bytes() == tb.read_bytes()
     print(f"PASS [9] determinism: sweep twice byte-identical "
           f"({len(a_traces)} trace files compared)")
+
+
+def test_criterion_10_latency_tolerance():
+    # with enough thread slots, dataflow scheduling hides a long D-miss
+    # latency: kernel_regular(n=256) on one core keeps its utilization
+    # with 64 slots and loses it with 2
+    latency = 320
+    spec = kernel_regular(n=256)
+
+    def utilization(slots, d_miss_latency):
+        config = ChipConfig(p=1, thread_slots=slots, watchdog_cycles=WATCHDOG,
+                            cache=CacheConfig(d_miss_latency=d_miss_latency))
+        result = run(config, spec.program)
+        assert result.outcome is Outcome.COMPLETED
+        assert result.final_memory == spec.expected_image()
+        return result.metrics.utilization
+
+    few, many = utilization(2, latency), utilization(64, latency)
+    short = utilization(64, 5)
+    assert many >= 4 * few
+    assert many >= 0.95 * short
+    print(f"PASS [10] latency tolerance: at d_miss_latency {latency}, "
+          f"utilization {many:.3f} with 64 slots >= 4 x {few:.3f} with 2, "
+          f"and {1 - many / short:.1%} below {short:.3f} at latency 5")

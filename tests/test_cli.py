@@ -59,6 +59,23 @@ def test_run_starvation_exit_two(tmp_path, capsys):
     assert row["outcome"] == "deadlock_starvation"
 
 
+def test_run_dump_mem_of_an_unfinished_run_says_no_image(tmp_path, capsys):
+    # only a completed run has a final image: the exit code stays, no file
+    # is written, and one stderr line says so
+    program = Path(__file__).resolve().parent.parent / "kernels" / \
+        "starvation.masm"
+    mem = tmp_path / "m.mem"
+    code, out, err = run_cli(capsys, "run", "--program", str(program),
+                             "--cores", "2", "--watchdog", "100000",
+                             "--dump-mem", str(mem))
+    assert code == EXIT_DEADLOCK
+    assert next(csv.DictReader(io.StringIO(out)))["outcome"] == \
+        "deadlock_starvation"
+    assert err == (f"no memory image written to {mem}: the run ended in "
+                   f"deadlock_starvation\n")
+    assert not mem.exists()
+
+
 def test_run_deep_nest_deadlock_exit_two(tmp_path, capsys):
     # a deadlock below 1,200 nested families is diagnosed in the record
     path = tmp_path / "deep.masm"
@@ -414,8 +431,10 @@ def no_run(*args):
     ("regular:n=x", "--kernels regular:n takes a decimal integer, got 'x'"),
     ("starvation:p=2", "--kernels starvation takes its core count from "
      "--cores and no parameters, got 'starvation:p=2'"),
-    ("regular:n=4000", "regular: x[] of n=4000 reaches out[]")],
-    ids=["unknown-parameter", "not-decimal", "starvation-p", "generator"])
+    ("regular:n=4000", "regular: x[] of n=4000 reaches out[]"),
+    ("regular:n=-1", "regular: n must be >= 0, got -1")],
+    ids=["unknown-parameter", "not-decimal", "starvation-p", "generator",
+         "generator-least"])
 def test_sweep_bad_kernel_element_exit_64_before_running(
         capsys, monkeypatch, element, message):
     monkeypatch.setattr(cli, "run", no_run)

@@ -31,6 +31,7 @@ def read_stage(core, inf, cycle=0):
     of its source cells once it reaches execute, or None if it suspended
     there instead."""
     core.r = inf
+    core.quiet = False      # a planted latch may break a quiet stretch
     core.step(cycle, cycle + 1)
     if core.e is not inf:
         return None
@@ -265,17 +266,61 @@ def test_mark_pending_on_pending_cell_faults():
     assert ctx.pending_cells == 1
 
 
+def allow_stretch(core, stretch):
+    """Let step start a quiet stretch at cycle 0, or keep it in the generic
+    loop: step runs an ALU operation or a branch in execute with either
+    loop's copy of the execute code, so a test that plants one runs both."""
+    core._check_at = 0 if stretch else 1
+
+
 def test_step_one_cycle_write_to_pending_cell_faults():
     # step writes the results of add/sub/mul/addi itself; a PENDING
     # destination there faults through _set_reg's guard
+    for stretch in (True, False):
+        chip = make_chip()
+        core = chip.cores[0]
+        ctx, = spawn(chip, 1)
+        core._mark_pending(ctx, 4)
+        ctx.value[1], ctx.value[2] = 3, 4
+        core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
+        allow_stretch(core, stretch)
+        with pytest.raises(SimFault, match="non-full cell r4"):
+            core.step(0, 1)
+        assert core.quiet is stretch
+
+
+@pytest.mark.parametrize("latch", ["f", "d", "r"])
+def test_quiet_stretch_waits_for_a_thread_with_a_pending_cell(latch):
+    # a plain add that reads its thread's PENDING r4, planted in fetch,
+    # decode or read, keeps step out of a quiet stretch, so it suspends at
+    # read
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     core._mark_pending(ctx, 4)
-    ctx.value[1], ctx.value[2] = 3, 4
-    core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
-    with pytest.raises(SimFault, match="non-full cell r4"):
-        core.step(0, 1)
+    inf = (ctx, Instruction(Opcode.ADD, dst=2, src1=4, src2=4), 0)
+    setattr(core, latch, inf)
+    core.step(0, 3 - "fdr".index(latch))
+    assert not core.quiet
+    assert ctx.parked == (4, inf)
+
+
+def test_quiet_stretch_ends_at_a_thread_with_a_pending_cell():
+    # a stretch fetches thread a's plain add, then thread b's plain add,
+    # which reads b's PENDING r4: the stretch ends there, so b's add
+    # suspends at read
+    chip = make_chip()
+    core = chip.cores[0]
+    a, b = spawn(chip, 2)
+    core._mark_pending(b, 4)
+    a.resume = (a, PLAIN_ADD, 0)
+    b.resume = b_add = (b, Instruction(Opcode.ADD, dst=2, src1=4, src2=4), 0)
+    core.step(0, 1)
+    assert core.quiet and core.f[0] is a
+    core.step(1, 2)
+    assert not core.quiet and core.f is b_add
+    core.step(2, 5)
+    assert b.parked == (4, b_add)
 
 
 # (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, each
@@ -302,9 +347,15 @@ ONE_CYCLE_RESULTS = [
 
 
 def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
+    for stretch in (True, False):
+        wraps_one_cycle_results(stretch)
+
+
+def wraps_one_cycle_results(stretch):
     chip = make_chip()
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
+    allow_stretch(core, stretch)
     for op, a, b, want in ONE_CYCLE_RESULTS:
         operands = dict(src1=1, imm=b) if op is Opcode.ADDI \
             else dict(src1=1, src2=2)
@@ -312,6 +363,7 @@ def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
             ctx.value[1], ctx.value[2] = a, b
             core.e = (ctx, Instruction(op, dst=dst, **operands), 0)
             core.step(0, 1)
+            assert core.quiet is stretch
             assert ctx.value[dst] == result, (op, a, b)
             assert ctx.value[1:3] == [a, b]
 
@@ -320,6 +372,11 @@ def test_step_wraps_one_cycle_results_and_keeps_r0_zero():
     (Opcode.BEQ, 4, 4, True), (Opcode.BEQ, 4, 5, False),
     (Opcode.BNE, 4, 5, True), (Opcode.BNE, 4, 4, False)])
 def test_step_resolves_branches_and_unblocks_fetch(op, a, b, taken):
+    for stretch in (True, False):
+        resolves_branch(op, a, b, taken, stretch)
+
+
+def resolves_branch(op, a, b, taken, stretch):
     # the branch at pc 7 resolves in execute: the thread's pc becomes the
     # target or the next pc, and fetch may go on; the cold I-cache keeps the
     # same cycle's fetch from moving the pc on
@@ -329,7 +386,9 @@ def test_step_resolves_branches_and_unblocks_fetch(op, a, b, taken):
     ctx.value[1], ctx.value[2] = a, b
     ctx.pc, ctx.fetch_blocked = 8, True
     core.e = (ctx, Instruction(op, src1=1, src2=2, imm=40), 7)
+    allow_stretch(core, stretch)
     core.step(0, 1)
+    assert core.quiet is stretch
     assert ctx.pc == (40 if taken else 8)
     assert not ctx.fetch_blocked
     assert core.f is None

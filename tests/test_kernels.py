@@ -69,6 +69,27 @@ def test_loaduse_refuses_input_reaching_output():
         kernel_loaduse(threads=room // (16 * 8) + 1, iters=8)
 
 
+# each size parameter at the least value that builds a program which runs to
+# completion
+LEAST_SIZES = [(kernel_regular, "n", 0), (kernel_heterogeneous, "n", 0),
+               (kernel_heterogeneous, "scale", 0), (kernel_chain, "n", 0),
+               (kernel_loaduse, "threads", 0), (kernel_loaduse, "iters", 1),
+               (kernel_loaduse, "fillers", 0)]
+
+
+@pytest.mark.parametrize("make, name, least", LEAST_SIZES,
+                         ids=[f"{make.__name__}-{name}"
+                              for make, name, _ in LEAST_SIZES])
+def test_generator_refuses_a_size_below_its_least(make, name, least):
+    spec = make(**{name: least})
+    res = run(ChipConfig(p=2), spec.program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.final_memory == spec.expected_image()
+    with pytest.raises(ValueError, match=f"^{spec.name}: {name} must be "
+                                         f">= {least}, got {least - 1}$"):
+        make(**{name: least - 1})
+
+
 def test_chain_closed_form():
     spec = kernel_chain(n=4)
     img = spec.expected_image()
@@ -166,6 +187,7 @@ def test_every_claim_is_checked_by_an_acceptance_test():
         "bulk-traffic": "test_criterion_4",
         "imbalance": "test_criterion_5",
         "starvation": "test_criterion_8",
+        "latency-tolerance": "test_criterion_10",
     }
     for spec in corpus():
         for claim in spec.claims:

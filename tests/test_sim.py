@@ -3,6 +3,7 @@ import inspect
 import linecache
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -1611,6 +1612,30 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
     for label, cfg, program, digest in pinned:
         assert run(cfg, program).result_hash() == \
             (digest or unpinned[label]), label
+
+
+def test_untraced_runs_equal_traced_runs(matrix_runs, monkeypatch):
+    # a traced run retires every commit, so it never takes a quiet stretch
+    # (core.py): every matrix cell and every pinned run, run untraced, must
+    # give its traced result with the trace dropped
+    step, quiet_calls = Core.step, []
+
+    def record_step(core, cycle, limit):
+        end = step(core, cycle, limit)
+        quiet_calls.append(core.quiet)
+        return end
+
+    monkeypatch.setattr(Core, "step", record_step)
+    for key, cell in matrix_runs.items():
+        untraced = run(replace(cell.config, trace=False), cell.spec.program)
+        assert untraced.result_hash() == cell.result.result_hash(), key
+    # the untraced runs did take quiet stretches
+    assert sum(quiet_calls) > len(quiet_calls) / 10
+    for label, cfg, program, _ in pinned_runs():
+        traced = run(cfg, program)
+        traced.trace = None
+        untraced = run(replace(cfg, trace=False), program)
+        assert untraced.result_hash() == traced.result_hash(), label
 
 
 # main creates a seeded channel chain of {n} threads (none: an empty family,
