@@ -47,40 +47,43 @@ instruction has used it:
   because the stages run writeback, memory, execute, read, so a one-cycle
   result they write comes after the last use.
 
-The common path of a cycle runs in `step`'s own frame. `step` counts the
-commit; executes add, sub, mul and addi (writing the result wrapped to 32
-bits) and beq and bne itself, skips st, jmp and halt, which have no execute
-work, and runs any other opcode through its execute-table entry (indexed by
-the decoded `Instruction.op`), its one Python call; runs the read stage; and
-fetches. The memory stage runs only at a cycle mark, `m_at`: execute sets it
-to the next cycle for a ld or st, and a call derives it from the `m` latch
-when it starts. One mark is enough because an instruction reaches memory the
-cycle after execute and the stage reads the mark before execute sets it
-again; writeback (halts, traced commits) and decode (jumps) test each
-instruction instead, because a mark set two or more cycles ahead would be
-overwritten by the next instruction's before it was read. Fetch is one walk
-of the schedule queue, which holds the queued threads' contexts, after any
-pending switch-hint rotation (`_rotate_pending`, a context): the first
-thread that is resumable, or not fetch-blocked with its I-line resident, is
-rotated to the front and fetched from. Residency comes from the I-probe memo
-(`MemorySystem.i_probed`) for a line already probed since the last I-fill
-into this core, with a recency touch (`MemorySystem.i_touch`) for a resident
-one, and from `MemorySystem.icache_probe` otherwise. A thread whose pc lies
-on the line that the same `step` call last found resident, and fetched from,
-skips both: that line is still resident and still the most recently used,
-because only fetch's own touches reorder the core's I-tags and only a fill
-evicts a line, and the remembered line is reset at every call and after
-every phase that the call runs (see below). The rest runs only where it is
-needed: `_retire` for a halt or a traced run, `_suspend` when an operand is
-not ready, `_set_reg` (which faults) when a one-cycle result meets a cell
-that is not FULL, and the memory system for a load or store.
+The common path of a cycle runs in the step's own frame. The step counts
+the commit; executes add, sub, mul and addi (writing the result wrapped to
+32 bits) and beq and bne itself, skips st, jmp and halt, which have no
+execute work, and runs any other opcode through its execute-table entry
+(indexed by the decoded `Instruction.op`), its one Python call; runs the
+read stage; and fetches. The memory stage runs only at a cycle mark, `m_at`:
+execute sets it to the next cycle for a ld or st, and the resident step (see
+below) derives it from the `m` latch when it starts. One mark is enough
+because an instruction reaches memory the cycle after execute and the stage
+reads the mark before execute sets it again; writeback (halts, traced
+commits) and decode (jumps) test each instruction instead, because a mark
+set two or more cycles ahead would be overwritten by the next instruction's
+before it was read. Fetch is one walk of the schedule queue, which holds the
+queued threads' contexts, after any pending switch-hint rotation
+(`_rotate_pending`, a context): the first thread that is resumable, or not
+fetch-blocked with its I-line resident, is rotated to the front and fetched
+from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
+line already probed since the last I-fill into this core, with a recency
+touch (`MemorySystem.i_touch`) for a resident one, and from
+`MemorySystem.icache_probe` otherwise. A thread whose pc lies on the line
+that the same `step` call last found resident, and fetched from, skips both:
+that line is still resident and still the most recently used, because only
+fetch's own touches reorder the core's I-tags and only a fill evicts a line,
+and the remembered line is reset at every call and after every phase that
+the call runs (see below). The rest runs only where it is needed: `_retire`
+for a halt or a traced run, `_suspend` when an operand is not ready,
+`_set_reg` (which faults) when a one-cycle result meets a cell that is not
+FULL, and the memory system for a load or store.
 
-A quiet stretch is a second inner loop of `step`, for cycles in which only
-execute has work. An instruction is quiet (`Instruction.quiet`) when it is
-add, sub, mul, addi, beq or bne with no switch hint. The stretch runs while
-every instruction in flight is quiet and every one in fetch, decode or read
-belongs to a thread with no pending cell. Under that invariant each check
-that the generic loop makes outside execute and fetch is a no-op:
+A quiet stretch is a second inner loop of the step, for cycles in which only
+execute and fetch have work. An instruction is quiet (`Instruction.quiet`)
+when it is add, sub, mul, addi, beq or bne with no switch hint. The stretch
+runs while every instruction in flight is quiet and no queued thread has a
+pending cell or a resume. The latches' threads are queued threads (a thread
+that suspends or halts has nothing younger in flight), so under that
+invariant each check that the generic loop makes outside execute and fetch
+is a no-op:
 
 - writeback has nothing to retire: no halt is in flight, and a traced run,
   which retires every commit, never starts a stretch;
@@ -89,26 +92,35 @@ that the generic loop makes outside execute and fetch is a no-op:
   register is FULL, and no quiet instruction reads the channel;
 - decode has no jump to resolve;
 - no switch-hint rotation is pending, because the instruction fetched the
-  cycle before has no hint.
+  cycle before has no hint;
+- fetch finds no resume, so it takes each thread's next instruction from
+  its pc.
 
 So a stretch cycle counts the commit, runs the ALU operation or branch,
-advances the latches and fetches; its execute and fetch code is the generic
-loop's, kept textually parallel. Nothing breaks the invariant while the
-stretch runs: only a non-quiet instruction's execute marks a cell PENDING,
-and the phases run between cycles only write cells (which lowers a pending
-count), start threads and queue woken ones, never touching the latches. The
-stretch ends at the fetch of an instruction that is not quiet, or of a quiet
-one whose thread has a pending cell; that fetch does a hinted instruction's
-rotation bookkeeping, and the generic loop runs from the next cycle.
+advances the latches and fetches. Its execute code is the generic loop's,
+kept textually parallel, `_set_reg`'s FULL guard included; its fetch is the
+generic fetch without the resume branch and the rotation. Nothing inside the
+stretch breaks the invariant: only a non-quiet instruction's execute marks a
+cell PENDING, and a fresh thread (`start_context`) has neither a pending
+cell nor a resume. A thread that holds either joins the queue only when
+`writeback` wakes it, and that clears `Core.quiet`: the step reads `quiet`
+again at every call's start and after the phases that a lone core runs at a
+stop, the only places where a writeback reaches a core between its cycles,
+so the stretch ends before the woken thread's next fetch. Otherwise it ends
+at the fetch of an instruction that is not quiet; that fetch does a hinted
+instruction's rotation bookkeeping, and the generic loop runs from the next
+cycle.
 
-A stretch starts only at a call's start or after a stop, and `Core.quiet`
-keeps it from one call to the next. The check there scans f, d, r and e. The
-m and w latches hold what executed in the two cycles before, so a mark
-covers them: when an instruction that is neither an ALU operation nor a
-branch executes, the generic loop sets the first cycle a check may run
-(`Core._check_at` between calls) three cycles ahead, when that instruction
-has left w. A failed check sets the same mark, so a core checks at most
-every third cycle.
+A stretch starts only at a call's start or after a stop. The check there
+scans f, d, r and e, then the queue. The m and w latches hold what executed
+in the two cycles before, so a mark covers them: when an instruction that is
+neither an ALU operation nor a branch executes, the generic loop sets the
+first cycle a check may run (`check_at`) three cycles ahead, when that
+instruction has left w. A failed check sets the same mark, so a core checks
+at most every third cycle. A core never checks in a traced run, or on a
+program that cannot hold a stretch (`holds_stretches`: one with neither a
+loop of quiet instructions nor a run of them longer than the pipeline);
+its `Core._check_at` starts at NEVER.
 
 A core is stepped only while it is on the chip's awake list (see `sim.py`):
 it joins the list in `_enlist` and leaves it itself when its step ends idle.
@@ -116,10 +128,17 @@ An idle core that still holds threads counts one bubble per cycle: it
 remembers the cycle it went idle and adds those bubbles at once when it
 wakes or the run ends.
 
-`step(cycle, limit)` runs cycle after cycle in one call, with the latches,
-the commit and bubble counts and the core's invariants in locals, and
-returns the next cycle to run. A generic cycle starts with one test, `cycle
-< stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
+`step(cycle, limit)` resumes the core's resident step, a generator
+(`_steps`) that keeps the latches, the per-core constants and the marks
+`m_at` and `check_at` as locals from one call to the next, runs cycle after
+cycle, and returns the next cycle to run from its one yield point. There it
+publishes what other code reads: the six latch attributes (read by
+`sim._stop` and the tests) and the call's commit and bubble counts, added to
+`Core.metrics`; `Core.quiet` is kept current as a stretch starts and ends.
+It starts when first called, and again after `restart`, reading the latches,
+`quiet` and `_check_at` from the core; a `SimFault` publishes the same,
+restarts it and re-raises. A generic cycle starts with one test, `cycle <
+stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
 first cycle with work outside the core (a call starts below it): it starts
 at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
 the step lowers it where the core makes such work itself (a load or an
@@ -133,7 +152,7 @@ another core, with `stop` folded again, the request list read again (the
 TMU phase installs a new one) and the remembered I-line forgotten, since a
 fill may have evicted it (`test_lone_step_call_*`).
 
-`chip.cycle` is current only where something reads it. The call writes it
+`chip.cycle` is current only where something reads it. The step writes it
 before a load (a hit's callback records `chip.last_effect` from it), before
 an execute-table entry and `_retire` (each may queue a TMU request, in the
 cycle the chip's clock then shows), and in an `except SimFault` that
@@ -154,6 +173,7 @@ from operator import attrgetter
 
 from .errors import SimFault
 from .isa import CHANNEL_CELL, Opcode, s32
+from .memory import NEVER
 from .tmu import Tmu
 
 # register cell states
@@ -166,6 +186,35 @@ _CID = attrgetter("cid")        # order of the chip's awake list
 _ADD, _SUB, _MUL, _ADDI, _LD, _ST, _BEQ, _BNE = map(int, (
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.LD, Opcode.ST,
     Opcode.BEQ, Opcode.BNE))
+
+
+# the pipeline's stages, each a latch: fetch, decode, read, execute, memory,
+# writeback
+_DEPTH = 6
+
+
+def holds_stretches(instructions) -> bool:
+    """Whether a quiet stretch can last on this program: whether it has a
+    loop of quiet instructions (a quiet branch back to a target from which
+    every instruction up to the branch is quiet), or a run of more quiet
+    instructions than the pipeline has stages that no branch ends. Without
+    either, a stretch starts only while bubbles stand in for quiet
+    instructions, and ends within a few cycles at the next instruction that
+    is not quiet, so a core that runs the program never checks for one."""
+    run = 0
+    for pc, instr in enumerate(instructions):
+        if not instr.quiet:
+            run = 0
+        elif instr.is_branch:
+            if instr.imm <= pc and all(
+                    x.quiet for x in instructions[instr.imm:pc]):
+                return True
+            run = 0
+        else:
+            run += 1
+            if run > _DEPTH:
+                return True
+    return False
 
 
 # a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
@@ -235,10 +284,13 @@ class Core:
         self.f = self.d = self.r = self.e = self.m = self.w = None
         self.awake = False          # on the chip's awake list
         # in a quiet stretch (see the module docstring), and the first cycle
-        # at which step may check for one
+        # at which step may check for one: NEVER for a core that never
+        # checks, in a traced run or on a program that cannot hold a stretch
         self.quiet = False
-        self._check_at = 0
+        self._check_at = 0 if not self.traced and chip.holds_stretches \
+            else NEVER
         self.idle_since = None      # first unsettled bubble cycle while idle
+        self._send = self._start    # resumes the resident step
 
     # -- slot management (driven by the TMU) -----------------------------------
 
@@ -284,6 +336,7 @@ class Core:
             ctx.parked = None
             ctx.resume = parked[1]
             self.queue.append(ctx)
+            self.quiet = False      # a stretch fetches no resume
             if not self.awake:
                 self._enlist()
 
@@ -430,94 +483,122 @@ class Core:
     def step(self, cycle: int, limit: int) -> int:
         """Run cycles from cycle until limit, until the core goes idle, or
         until a stop the module docstring describes; returns the next cycle
-        to run."""
+        to run. Resumes the core's resident step (`_steps`)."""
+        return self._send((cycle, limit))
+
+    def restart(self):
+        """Drop the resident step: the next `step` call starts a new one,
+        which reads the latches, `quiet` and `_check_at` from the core."""
+        self._send = self._start
+
+    def _start(self, args):
+        steps = self._steps(*args)
+        self._send = steps.send
+        return next(steps)
+
+    def _steps(self, cycle: int, limit: int):
+        """The resident step: one generator per core, resumed by each `step`
+        call with (cycle, limit), yielding the next cycle to run."""
         chip = self.chip
         memory, noc = chip.memory, chip.noc
-        # the first cycle with work outside the core, lowered below as the
-        # core makes such work itself
-        stop = limit
-        if memory.next_due < stop:
-            stop = memory.next_due
-        if noc.next_arrival < stop:
-            stop = noc.next_arrival
         cid, queue, contexts = self.cid, self.queue, self.contexts
         probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
         instructions, traced, metrics = self.instructions, self.traced, \
             self.metrics
-        requests = chip.requests
         f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
         # the cycle at which m holds a load or store: set by execute, so the
         # memory stage need not test what every instruction is
         m_at = cycle if m is not None and (m[1].is_load or m[1].is_store) \
             else -1
-        commits = bubbles = 0
-        fetched_line = -1       # the line this call last found resident
-        # in a quiet stretch, and the first cycle a check may start one
-        quiet, check_at = self.quiet, self._check_at
+        # the first cycle a check for a quiet stretch may start one; a core
+        # that never checks starts at NEVER
+        check_at = self._check_at
+        checks = check_at < NEVER
         try:
             while True:
-                # at the call's start and after a stop: a quiet stretch
-                # starts if every instruction in flight is quiet and none
-                # before execute has a thread with a pending cell
-                if not quiet and cycle >= check_at and not traced:
-                    if (f is None or f[1].quiet and not f[0].pending_cells) \
-                            and (d is None or d[1].quiet
-                                 and not d[0].pending_cells) \
-                            and (r is None or r[1].quiet
-                                 and not r[0].pending_cells) \
-                            and (e is None or e[1].quiet):
-                        quiet = True
-                    else:
-                        check_at = cycle + 3
-                if quiet:
-                    # the quiet stretch: writeback only counts, the memory,
-                    # read and decode stages have nothing to do, and no
-                    # rotation is pending. The execute and fetch code is the
-                    # generic loop's below, kept textually parallel
-                    while True:
-                        if w is not None:
-                            commits += 1
-                        if e is not None:
-                            ctx, instr, pc = e
-                            op = instr.op
-                            if op < _LD:
-                                value = ctx.value
-                                if op == _ADDI:
-                                    result = value[instr.src1] + instr.imm
-                                elif op == _ADD:
-                                    result = value[instr.src1] + \
-                                        value[instr.src2]
-                                elif op == _SUB:
-                                    result = value[instr.src1] - \
-                                        value[instr.src2]
+                commits = bubbles = 0
+                while True:
+                    # at the call's start and after a stop's phases: the
+                    # first cycle with work outside the core, lowered below
+                    # as the core makes such work itself
+                    stop = limit
+                    if memory.next_due < stop:
+                        stop = memory.next_due
+                    if noc.next_arrival < stop:
+                        stop = noc.next_arrival
+                    requests = chip.requests    # the phases install new ones
+                    # the line this call last found resident, forgotten
+                    # because a fill may have evicted it
+                    fetched_line = -1
+                    quiet = self.quiet      # a wake in the phases clears it
+                    # a quiet stretch starts if every instruction in flight
+                    # is quiet and no queued thread has a pending cell or a
+                    # resume
+                    if not quiet and checks:
+                        if cycle >= check_at:
+                            if (f is None or f[1].quiet) \
+                                    and (d is None or d[1].quiet) \
+                                    and (r is None or r[1].quiet) \
+                                    and (e is None or e[1].quiet):
+                                for ctx in queue:
+                                    if ctx.pending_cells \
+                                            or ctx.resume is not None:
+                                        check_at = cycle + 3
+                                        break
                                 else:
-                                    result = value[instr.src1] * \
-                                        value[instr.src2]
-                                dst = instr.dst
-                                if dst:
-                                    if ctx.state[dst] != FULL:
-                                        self._set_reg(ctx, dst, result)
-                                    value[dst] = s32(result) if \
-                                        (result + 0x80000000) >> 32 else result
-                            elif op == _BNE:
-                                value = ctx.value
-                                ctx.pc = instr.imm if value[instr.src1] != \
-                                    value[instr.src2] else pc + 1
-                                ctx.fetch_blocked = False
+                                    quiet = self.quiet = True
                             else:
-                                value = ctx.value
-                                ctx.pc = instr.imm if value[instr.src1] == \
-                                    value[instr.src2] else pc + 1
-                                ctx.fetch_blocked = False
+                                check_at = cycle + 3
+                    if quiet:
+                        # the quiet stretch: writeback only counts, the
+                        # memory, read and decode stages have nothing to do,
+                        # no rotation is pending and no queued thread has a
+                        # resume. The execute code is the generic loop's
+                        # below, kept textually parallel
+                        while True:
+                            if w is not None:
+                                commits += 1
+                            if e is not None:
+                                ctx, instr, pc = e
+                                op = instr.op
+                                if op < _LD:
+                                    value = ctx.value
+                                    if op == _ADDI:
+                                        result = value[instr.src1] + instr.imm
+                                    elif op == _ADD:
+                                        result = value[instr.src1] + \
+                                            value[instr.src2]
+                                    elif op == _SUB:
+                                        result = value[instr.src1] - \
+                                            value[instr.src2]
+                                    else:
+                                        result = value[instr.src1] * \
+                                            value[instr.src2]
+                                    dst = instr.dst
+                                    if dst:
+                                        if ctx.state[dst] != FULL:
+                                            self._set_reg(ctx, dst, result)
+                                        value[dst] = s32(result) if \
+                                            (result + 0x80000000) >> 32 \
+                                            else result
+                                elif op == _BNE:
+                                    value = ctx.value
+                                    ctx.pc = instr.imm if value[instr.src1] \
+                                        != value[instr.src2] else pc + 1
+                                    ctx.fetch_blocked = False
+                                else:
+                                    value = ctx.value
+                                    ctx.pc = instr.imm if value[instr.src1] \
+                                        == value[instr.src2] else pc + 1
+                                    ctx.fetch_blocked = False
 
-                        w, m, e, r, d = m, e, r, d, f
+                            w, m, e, r, d = m, e, r, d, f
 
-                        # fetch; the stretch ends behind an instruction that
-                        # is not quiet or whose thread has a pending cell
-                        k = 0
-                        for ctx in queue:
-                            f = ctx.resume
-                            if f is None:
+                            # fetch, as the generic loop's with no resume;
+                            # the stretch ends behind an instruction that is
+                            # not quiet
+                            k = 0
+                            for ctx in queue:
                                 if ctx.fetch_blocked:
                                     k += 1
                                     continue
@@ -542,16 +623,178 @@ class Core:
                                     ctx.fetch_blocked = True
                                 else:
                                     ctx.pc = pc + 1
+                                if k:
+                                    queue.rotate(-k)
+                                if not instr.quiet:
+                                    quiet = self.quiet = False
+                                    if instr.switch_hint:
+                                        self._rotate_pending = ctx
+                                        metrics.switch_events += 1
+                                break
+                            else:
+                                f = None
+                                if contexts:
+                                    bubbles += 1
+                                if not queue and d is None and r is None \
+                                        and e is None and m is None \
+                                        and w is None:
+                                    self._leave_awake(cycle)
+                                    cycle += 1
+                                    stop = limit = cycle    # yield it
+                                    break
+
+                            cycle += 1
+                            if cycle >= stop or not quiet:
+                                break
+
+                    # the generic loop, until the next stop
+                    while cycle < stop:
+                        if w is not None:
+                            commits += 1
+                            if w[1].is_halt or traced:
+                                chip.cycle = cycle
+                                self._retire(w, cycle)
+                                if requests:            # a halt's termination
+                                    stop = cycle + 1
+                        if cycle == m_at:
+                            if m[1].is_load:
+                                # read by a load hit's callback
+                                chip.cycle = cycle
+                                self._load(m, cycle)
+                                if memory.next_due < stop:  # a D-fill it made
+                                    stop = memory.next_due
+                            else:
+                                self._store(m, cycle)
+                        if e is not None:
+                            ctx, instr, pc = e
+                            op = instr.op
+                            if op < _LD:
+                                # add, sub, mul, addi: a one-cycle result,
+                                # wrapped to 32 bits and written into a cell
+                                # the read stage saw FULL (r0 stays 0)
+                                value = ctx.value
+                                if op == _ADDI:
+                                    result = value[instr.src1] + instr.imm
+                                elif op == _ADD:
+                                    result = value[instr.src1] + \
+                                        value[instr.src2]
+                                elif op == _SUB:
+                                    result = value[instr.src1] - \
+                                        value[instr.src2]
+                                else:
+                                    result = value[instr.src1] * \
+                                        value[instr.src2]
+                                dst = instr.dst
+                                if dst:
+                                    if ctx.state[dst] != FULL:
+                                        # faults
+                                        self._set_reg(ctx, dst, result)
+                                    # nonzero exactly outside -2**31 .. 2**31-1
+                                    value[dst] = s32(result) if \
+                                        (result + 0x80000000) >> 32 \
+                                        else result
+                            elif op == _BNE:
+                                value = ctx.value
+                                ctx.pc = instr.imm if value[instr.src1] \
+                                    != value[instr.src2] else pc + 1
+                                ctx.fetch_blocked = False
+                            elif op == _BEQ:
+                                value = ctx.value
+                                ctx.pc = instr.imm if value[instr.src1] \
+                                    == value[instr.src2] else pc + 1
+                                ctx.fetch_blocked = False
+                            else:
+                                # no quiet stretch while it is in m or w
+                                check_at = cycle + 3
+                                if op <= _ST:       # ld, st: memory stage next
+                                    m_at = cycle + 1
+                                entry = EXECUTE[op]     # None: st, jmp, halt
+                                if entry is not None:
+                                    chip.cycle = cycle
+                                    entry(self, ctx, instr, pc)
+                                    if requests:    # a TMU request it queued
+                                        stop = cycle + 1
+                        # read: with a pending cell in the thread, or a
+                        # channel source, suspend on the first cell that is
+                        # not FULL (sources first, then a PENDING
+                        # destination); else pass untouched
+                        if r is not None:
+                            ctx, instr, _ = r
+                            if ctx.pending_cells or instr.reads_channel:
+                                state = ctx.state
+                                for cell in instr.source_cells:
+                                    if state[cell] != FULL:
+                                        break
+                                else:
+                                    cell = instr.dst
+                                    if not cell or state[cell] != PENDING:
+                                        cell = None
+                                if cell is not None:
+                                    # the flush reads and clears the fetch
+                                    # and decode latches
+                                    self.f, self.d = f, d
+                                    self._suspend(r, cell)
+                                    f, d, r = self.f, self.d, None
+                        if d is not None:
+                            instr = d[1]
+                            if instr.is_jump:
+                                ctx = d[0]
+                                ctx.pc = instr.imm
+                                ctx.fetch_blocked = False
+
+                        # advance the latches one stage
+                        w, m, e, r, d = m, e, r, d, f
+
+                        # fetch: after any pending switch-hint rotation (it
+                        # names a queued context), the first thread in queue
+                        # order that is resumable, or not fetch-blocked with
+                        # its I-line resident, is rotated to the front. The
+                        # line this call last found resident is still
+                        # resident and most recently used; the memo answers
+                        # for a line probed since the last I-fill into this
+                        # core; any other line is probed, which requests it
+                        # on a miss.
+                        rotated = self._rotate_pending
+                        if rotated is not None:
+                            self._rotate_pending = None
+                            queue.remove(rotated)
+                            queue.append(rotated)
+                        k = 0
+                        for ctx in queue:
+                            f = ctx.resume
+                            if f is None:
+                                if ctx.fetch_blocked:
+                                    k += 1
+                                    continue
+                                pc = ctx.pc
+                                line = pc * 4 // line_bytes
+                                if line != fetched_line:
+                                    resident = probed.get(line)
+                                    if resident is None:
+                                        resident = memory.icache_probe(
+                                            cid, pc, cycle)
+                                        if memory.next_due < stop:  # I-fill
+                                            stop = memory.next_due
+                                    elif resident:
+                                        touch(line)
+                                    if not resident:
+                                        k += 1
+                                        continue
+                                    fetched_line = line
+                                instr = instructions[pc]
+                                f = (ctx, instr, pc)
+                                if instr.ends_block:
+                                    ctx.fetch_blocked = True
+                                else:
+                                    ctx.pc = pc + 1
                             else:
                                 ctx.resume = None
                                 instr = f[1]
                             if k:
                                 queue.rotate(-k)
-                            if not instr.quiet or ctx.pending_cells:
-                                quiet = False
-                                if instr.switch_hint:
-                                    self._rotate_pending = ctx
-                                    metrics.switch_events += 1
+                            if instr.switch_hint:
+                                self._rotate_pending = ctx
+                                metrics.switch_events += 1
                             break
                         else:
                             f = None
@@ -559,193 +802,40 @@ class Core:
                                 bubbles += 1
                             if not queue and d is None and r is None \
                                     and e is None and m is None and w is None:
-                                self.awake = False
-                                chip.awake = [c for c in chip.awake
-                                              if c is not self]
-                                if contexts:
-                                    self.idle_since = cycle + 1
-                                return cycle + 1
+                                self._leave_awake(cycle)
+                                cycle += 1
+                                stop = limit = cycle        # yield it
+                                break
 
                         cycle += 1
-                        if cycle >= stop or not quiet:
-                            break
 
-                # the generic loop, until the next stop
-                while cycle < stop:
-                    if w is not None:
-                        commits += 1
-                        if w[1].is_halt or traced:
-                            chip.cycle = cycle
-                            self._retire(w, cycle)
-                            if requests:            # a halt's termination
-                                stop = cycle + 1
-                    if cycle == m_at:
-                        if m[1].is_load:
-                            chip.cycle = cycle      # read by a load hit's callback
-                            self._load(m, cycle)
-                            if memory.next_due < stop:      # a D-fill it made
-                                stop = memory.next_due
-                        else:
-                            self._store(m, cycle)
-                    if e is not None:
-                        ctx, instr, pc = e
-                        op = instr.op
-                        if op < _LD:
-                            # add, sub, mul, addi: a one-cycle result, wrapped
-                            # to 32 bits and written into a cell the read
-                            # stage saw FULL (r0 stays 0)
-                            value = ctx.value
-                            if op == _ADDI:
-                                result = value[instr.src1] + instr.imm
-                            elif op == _ADD:
-                                result = value[instr.src1] + value[instr.src2]
-                            elif op == _SUB:
-                                result = value[instr.src1] - value[instr.src2]
-                            else:
-                                result = value[instr.src1] * value[instr.src2]
-                            dst = instr.dst
-                            if dst:
-                                if ctx.state[dst] != FULL:
-                                    self._set_reg(ctx, dst, result)     # faults
-                                # nonzero exactly outside -2**31 .. 2**31 - 1
-                                value[dst] = s32(result) if \
-                                    (result + 0x80000000) >> 32 else result
-                        elif op == _BNE:
-                            value = ctx.value
-                            ctx.pc = instr.imm if value[instr.src1] != \
-                                value[instr.src2] else pc + 1
-                            ctx.fetch_blocked = False
-                        elif op == _BEQ:
-                            value = ctx.value
-                            ctx.pc = instr.imm if value[instr.src1] == \
-                                value[instr.src2] else pc + 1
-                            ctx.fetch_blocked = False
-                        else:
-                            # no quiet stretch while it is in m or w
-                            check_at = cycle + 3
-                            if op <= _ST:           # ld, st: memory stage next
-                                m_at = cycle + 1
-                            entry = EXECUTE[op]     # None for st, jmp, halt
-                            if entry is not None:
-                                chip.cycle = cycle
-                                entry(self, ctx, instr, pc)
-                                if requests:        # a TMU request it queued
-                                    stop = cycle + 1
-                    # read: with a pending cell in the thread, or a channel
-                    # source, suspend on the first cell that is not FULL
-                    # (sources first, then a PENDING destination); else pass
-                    # untouched
-                    if r is not None:
-                        ctx, instr, _ = r
-                        if ctx.pending_cells or instr.reads_channel:
-                            state = ctx.state
-                            for cell in instr.source_cells:
-                                if state[cell] != FULL:
-                                    break
-                            else:
-                                cell = instr.dst
-                                if not cell or state[cell] != PENDING:
-                                    cell = None
-                            if cell is not None:
-                                # the flush reads and clears the fetch and
-                                # decode latches
-                                self.f, self.d = f, d
-                                self._suspend(r, cell)
-                                f, d, r = self.f, self.d, None
-                    if d is not None:
-                        instr = d[1]
-                        if instr.is_jump:
-                            ctx = d[0]
-                            ctx.pc = instr.imm
-                            ctx.fetch_blocked = False
-
-                    # advance the latches one stage
-                    w, m, e, r, d = m, e, r, d, f
-
-                    # fetch: after any pending switch-hint rotation (it names
-                    # a queued context), the first thread in queue order that
-                    # is resumable, or not fetch-blocked with its I-line
-                    # resident, is rotated to the front. The line this call
-                    # last found resident is still resident and most
-                    # recently used; the memo answers for a line probed since
-                    # the last I-fill into this core; any other line is
-                    # probed, which requests it on a miss.
-                    rotated = self._rotate_pending
-                    if rotated is not None:
-                        self._rotate_pending = None
-                        queue.remove(rotated)
-                        queue.append(rotated)
-                    k = 0
-                    for ctx in queue:
-                        f = ctx.resume
-                        if f is None:
-                            if ctx.fetch_blocked:
-                                k += 1
-                                continue
-                            pc = ctx.pc
-                            line = pc * 4 // line_bytes
-                            if line != fetched_line:
-                                resident = probed.get(line)
-                                if resident is None:
-                                    resident = memory.icache_probe(
-                                        cid, pc, cycle)
-                                    if memory.next_due < stop:  # an I-fill
-                                        stop = memory.next_due
-                                elif resident:
-                                    touch(line)
-                                if not resident:
-                                    k += 1
-                                    continue
-                                fetched_line = line
-                            instr = instructions[pc]
-                            f = (ctx, instr, pc)
-                            if instr.ends_block:
-                                ctx.fetch_blocked = True
-                            else:
-                                ctx.pc = pc + 1
-                        else:
-                            ctx.resume = None
-                            instr = f[1]
-                        if k:
-                            queue.rotate(-k)
-                        if instr.switch_hint:
-                            self._rotate_pending = ctx
-                            metrics.switch_events += 1
+                    # a stop
+                    if cycle >= limit or not self._phases_alone(cycle):
                         break
-                    else:
-                        f = None
-                        if contexts:
-                            bubbles += 1
-                        if not queue and d is None and r is None \
-                                and e is None and m is None and w is None:
-                            # leave the awake list: a new one, as in _enlist
-                            self.awake = False
-                            chip.awake = [c for c in chip.awake
-                                          if c is not self]
-                            if contexts:
-                                self.idle_since = cycle + 1
-                            return cycle + 1
 
-                    cycle += 1
-
-                # a stop
-                if cycle >= limit or not self._phases_alone(cycle):
-                    return cycle
-                stop = limit
-                if memory.next_due < stop:
-                    stop = memory.next_due
-                if noc.next_arrival < stop:
-                    stop = noc.next_arrival
-                requests = chip.requests        # a new, empty list
-                fetched_line = -1   # a fill may have evicted it
+                # the one yield point: publish what others read, then wait
+                # for the next call
+                self.f, self.d, self.r, self.e, self.m, self.w = \
+                    f, d, r, e, m, w
+                metrics.commits += commits
+                metrics.bubbles += bubbles
+                cycle, limit = yield cycle
         except SimFault:
-            chip.cycle = cycle      # sim.run reads the fault's cycle here
-            raise
-        finally:
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
-            self.quiet, self._check_at = quiet, check_at
             metrics.commits += commits
             metrics.bubbles += bubbles
+            chip.cycle = cycle      # sim.run reads the fault's cycle here
+            self.restart()
+            raise
+
+    def _leave_awake(self, cycle: int):
+        """Leave the chip's awake list at the end of an idle cycle: a new
+        list, as in _enlist."""
+        self.awake = False
+        chip = self.chip
+        chip.awake = [c for c in chip.awake if c is not self]
+        if self.contexts:
+            self.idle_since = cycle + 1
 
 
 # -- execute stage: one entry per opcode that step does not run itself --------

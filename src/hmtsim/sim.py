@@ -35,9 +35,10 @@ thread has halted.
 `_stop(chip, cycle)` is the one decision of how far the chip runs before it
 looks again; `sim.run` runs the phases of `cycle`, then either jumps the idle
 clock to the stop or steps every awake core, in ascending core id, with
-`Core.step(cycle, stop)`. With `_stop` returning `cycle + 1` the loop is
-plain lockstep, and `test_fast_chip_loop_equals_lockstep` checks that every
-traced `result_hash` is the same either way. The stop is:
+`Core.step(cycle, stop)`, which resumes the core's resident step where its
+last call left it (see `core.py`). With `_stop` returning `cycle + 1` the
+loop is plain lockstep, and `test_fast_chip_loop_equals_lockstep` checks
+that every traced `result_hash` is the same either way. The stop is:
 
 - no core awake: the next fill or arrival, capped by the watchdog (`cycle +
   1` when neither is pending, so that a quiescent verdict keeps its cycle).
@@ -65,11 +66,12 @@ traced `result_hash` is the same either way. The stop is:
   A core in a quiet stretch (`Core.quiet`, see `core.py`) has no such
   instruction in flight, so its latches are not walked.
   A window's cycles touch only each core's own threads, latches and I-tags,
-  so stepping the cores one after another is exact; every core that stays
-  awake stops at the same due fill or arrival (`test_many_awake_run_pinned`),
-  and the loop goes on at the largest cycle the steps returned. Its
-  commit rows, appended core by core, are stable-sorted by cycle at the end
-  of a traced run.
+  so stepping the cores one after another is exact: the window resumes each
+  core's resident step once, and that call runs the whole window. Every core
+  that stays awake stops at the same due fill or arrival
+  (`test_many_awake_run_pinned`), and the loop goes on at the largest cycle
+  the steps returned. Its commit rows, appended core by core, are
+  stable-sorted by cycle at the end of a traced run.
 
 An idle core whose threads are all suspended or fetch-blocked counts one
 bubble per cycle, settled in one addition when it wakes and on every way out
@@ -88,7 +90,7 @@ import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import CHANNEL_CELL, Core, PerCoreMetrics
+from .core import CHANNEL_CELL, Core, PerCoreMetrics, holds_stretches
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import NEVER, CacheConfig, MemorySystem
@@ -217,6 +219,8 @@ class Chip:
                                  f"the {config.mem_bytes}-byte memory")
             self.memory.mem[:len(init_mem)] = init_mem
         self.span_pool = SpanPool(config.p)
+        # whether a core may check for a quiet stretch (see core.py)
+        self.holds_stretches = holds_stretches(program.instructions)
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]

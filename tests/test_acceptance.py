@@ -107,9 +107,20 @@ def test_criterion_5_distribution_and_imbalance(matrix):
     assert all(commits[-1] > c for c in commits[:-1])
     ideal = het.metrics.commits / 4
     assert het.metrics.cycles > ideal
+    # the even split of index-proportional work: makespan over ideal,
+    # cycles x P / commits, is at least the closed form (2P-1)/P and within
+    # 1.5% of it
+    ratios = {}
+    for p in (2, 4, 8):
+        metrics = matrix[("heterogeneous", p, True, "eager")][1].metrics
+        ratio = metrics.cycles * p / metrics.commits
+        closed = (2 * p - 1) / p
+        assert closed <= ratio <= closed * 1.015, (p, ratio, closed)
+        ratios[p] = f"{ratio:.3f} vs {closed:.3f}"
     print(f"PASS [5] N/P distribution: 10k random pairs even; heterogeneous "
           f"per-core commits {commits} peak on the last core; makespan "
-          f"{het.metrics.cycles} > ideal {ideal:.0f}")
+          f"{het.metrics.cycles} > ideal {ideal:.0f}; makespan/ideal by P "
+          f"against (2P-1)/P: {ratios}")
 
 
 def _bfs_links(p, topology, src, dst):

@@ -26,11 +26,20 @@ def spawn(chip, n, pc=0):
     return out
 
 
+def plant(core, **latches):
+    """Set latches of core and restart its step, which holds the latches in
+    its own frame between calls and reads them from the core when it
+    starts."""
+    for latch, inf in latches.items():
+        setattr(core, latch, inf)
+    core.restart()
+
+
 def read_stage(core, inf, cycle=0):
     """Step inf, a (ctx, instr, pc) tuple, through the read stage: the values
     of its source cells once it reaches execute, or None if it suspended
     there instead."""
-    core.r = inf
+    plant(core, r=inf)
     core.quiet = False      # a planted latch may break a quiet stretch
     core.step(cycle, cycle + 1)
     if core.e is not inf:
@@ -275,11 +284,14 @@ def allow_stretch(core, stretch):
 
 def test_step_one_cycle_write_to_pending_cell_faults():
     # step writes the results of add/sub/mul/addi itself; a PENDING
-    # destination there faults through _set_reg's guard
+    # destination there faults through _set_reg's guard. The thread has left
+    # the queue, as a thread that a younger instruction suspended has: a
+    # queued thread with a pending cell keeps step out of a quiet stretch
     for stretch in (True, False):
         chip = make_chip()
         core = chip.cores[0]
         ctx, = spawn(chip, 1)
+        core._remove_from_queue(ctx)
         core._mark_pending(ctx, 4)
         ctx.value[1], ctx.value[2] = 3, 4
         core.e = (ctx, Instruction(Opcode.ADD, dst=4, src1=1, src2=2), 0)
@@ -300,27 +312,104 @@ def test_quiet_stretch_waits_for_a_thread_with_a_pending_cell(latch):
     core._mark_pending(ctx, 4)
     inf = (ctx, Instruction(Opcode.ADD, dst=2, src1=4, src2=4), 0)
     setattr(core, latch, inf)
+    allow_stretch(core, True)
     core.step(0, 3 - "fdr".index(latch))
     assert not core.quiet
     assert ctx.parked == (4, inf)
 
 
+# a loop of three addi and a taken beq, on one I-line
+QUIET_LOOP = """
+.body main
+top:
+  addi r1, r1, 1
+  addi r1, r1, 1
+  addi r1, r1, 1
+  beq r0, r0, top
+"""
+
+
 def test_quiet_stretch_ends_at_a_thread_with_a_pending_cell():
-    # a stretch fetches thread a's plain add, then thread b's plain add,
-    # which reads b's PENDING r4: the stretch ends there, so b's add
-    # suspends at read
-    chip = make_chip()
+    # a stretch fetches thread a's beq, which blocks a's fetch; then
+    # writeback wakes thread b, parked on r5 with its plain add, which also
+    # reads b's PENDING r4: the wake ends the stretch, fetch takes b's add,
+    # and b's add suspends at read on r4
+    chip = make_chip(QUIET_LOOP)
+    core = chip.cores[0]
+    a, b = spawn(chip, 2, pc=3)
+    b_add = (b, Instruction(Opcode.ADD, dst=2, src1=4, src2=5), 0)
+    core._mark_pending(b, 4)
+    core._mark_pending(b, 5)
+    core._suspend(b_add, 5)
+    chip.memory.icache_probe(0, 0, 0)       # warm the line of pc 0..3
+    for c in range(11):
+        chip.memory.step(c)
+    core.step(11, 12)
+    assert core.quiet and core.f[0] is a
+    core.writeback(b, 5, 0)
+    core.step(12, 13)
+    assert not core.quiet and core.f is b_add
+    core.step(13, 16)
+    assert b.parked == (4, b_add)
+
+
+@pytest.mark.parametrize("wait", ["pending", "resume"])
+def test_no_quiet_stretch_while_a_queued_thread_waits(wait):
+    # thread b, queued behind a, holds a pending cell or a resume: no stretch
+    # starts, though every latch is empty or quiet; once b holds neither,
+    # the next check starts one
+    chip = make_chip(STRAIGHT)
     core = chip.cores[0]
     a, b = spawn(chip, 2)
-    core._mark_pending(b, 4)
-    a.resume = (a, PLAIN_ADD, 0)
-    b.resume = b_add = (b, Instruction(Opcode.ADD, dst=2, src1=4, src2=4), 0)
-    core.step(0, 1)
-    assert core.quiet and core.f[0] is a
-    core.step(1, 2)
-    assert not core.quiet and core.f is b_add
-    core.step(2, 5)
-    assert b.parked == (4, b_add)
+    b.fetch_blocked = True
+    if wait == "pending":
+        core._mark_pending(b, 4)
+    else:
+        b.resume = (b, PLAIN_ADD, 0)
+    chip.memory.icache_probe(0, 0, 0)
+    for c in range(11):
+        chip.memory.step(c)
+    for cycle in range(11, 20):
+        core.step(cycle, cycle + 1)
+        assert not core.quiet
+    if wait == "pending":
+        core.writeback(b, 4, 0)
+    else:
+        b.resume = None
+    core.step(20, 30)
+    assert core.quiet and core.metrics.commits > 0
+
+
+# thread b loads a word and doubles it, then spins in a quiet loop, where
+# thread a starts; all four instructions share one I-line
+LOAD_AND_SPIN = """
+.body main
+  ld r7, 256(r0)
+  add r8, r7, r7
+spin:
+  addi r2, r2, 1
+  bne r2, r0, spin
+"""
+
+
+def test_wake_in_a_lone_cores_phases_ends_its_stretch():
+    # b's add parks on its load's long miss while a spins, so the core goes
+    # quiet. One step call then reaches the fill and runs the memory phase
+    # itself; its writeback queues b on the quiet core, which ends the
+    # stretch, so b's parked add runs in that same call. A stretch, which
+    # fetches no resume, would skip the add and leave r8 at 0
+    chip = make_chip(LOAD_AND_SPIN, cache=CacheConfig(d_miss_latency=200))
+    chip.memory.mem[256:260] = (21).to_bytes(4, "little")
+    core = chip.cores[0]
+    b, a = spawn(chip, 2)
+    a.pc = chip.program.labels["spin"]
+    step_core0(chip, 0, 40, False)
+    assert b.parked is not None and b.pending_cells == 1
+    core.step(40, 41)
+    assert core.quiet and 200 < chip.memory.next_due < 400
+    ends, _, _ = step_core0(chip, 41, 400, False)
+    assert ends == [400]
+    assert b.parked is None and b.resume is None and b.value[8] == 42
 
 
 # (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, each
@@ -361,7 +450,7 @@ def wraps_one_cycle_results(stretch):
             else dict(src1=1, src2=2)
         for dst, result in ((5, want), (0, 0)):
             ctx.value[1], ctx.value[2] = a, b
-            core.e = (ctx, Instruction(op, dst=dst, **operands), 0)
+            plant(core, e=(ctx, Instruction(op, dst=dst, **operands), 0))
             core.step(0, 1)
             assert core.quiet is stretch
             assert ctx.value[dst] == result, (op, a, b)

@@ -13,7 +13,7 @@ from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
-from hmtsim.oracle import sequential_oracle
+from hmtsim.oracle import OracleDeadlock, sequential_oracle
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
@@ -1745,6 +1745,42 @@ REMOTE_TAIL_RUNS = [
 ]
 
 
+# main creates an unseeded family of six threads on its own core, then feeds
+# the family's head with putsh r3, r2 (Tmu.putsh_head); each thread adds its
+# index to the channel value and passes it on. main syncs the family, reads
+# its tail (named by its id times the sync's result, 1, as in
+# TAIL_AFTER_SYNC) and stores it: 100 plus the indices 0..5
+HEAD_FED = """
+.body main
+  allocate r1, 0
+  create r2, r1, w, 0, 6, 1
+  addi r3, r0, 100
+  putsh r3, r2
+  sync r4, r2
+  mul r9, r2, r4
+  getsh r5, r9
+  addi r6, r0, 0x4000
+  st r5, 0(r6)
+  halt
+.body w
+  getsh r1
+  getidx r2
+  add r1, r1, r2
+  putsh r1
+  halt
+"""
+
+# (p, cycles, traced result_hash)
+HEAD_FED_RUNS = [
+    (1, 105,
+     "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3"),
+    (2, 99,
+     "e843e89ebe79d8545b143e2b6ffd2d4d215ce5e401fb0b13f44ca6dc862d3300"),
+    (4, 100,
+     "50bcf65529d8f7d741685447b11b11ac0b9be4084164e7b315d415415c4db7f5"),
+]
+
+
 def tmu_path_runs():
     """(config, program) for the runs above."""
     chain = kernel_chain(n=8).program
@@ -1753,6 +1789,9 @@ def tmu_path_runs():
     remote = assemble(REMOTE_TAIL)
     for p, _, _ in REMOTE_TAIL_RUNS:
         yield ChipConfig(p=p, trace=True), remote
+    head_fed = assemble(HEAD_FED)
+    for p, _, _ in HEAD_FED_RUNS:
+        yield ChipConfig(p=p, trace=True), head_fed
 
 
 @pytest.mark.parametrize("p, cycles, digest", BUFFERED_CHANNEL_RUNS)
@@ -1784,9 +1823,27 @@ def test_remote_tail_run_pinned(monkeypatch, p, cycles, digest):
     assert run(cfg, program).result_hash() == digest
 
 
+@pytest.mark.parametrize("p, cycles, digest", HEAD_FED_RUNS)
+def test_head_fed_run_pinned(monkeypatch, p, cycles, digest):
+    # the oracle runs a family at its creation point, before main's putsh
+    # to its head, so lockstep is this run's only second route
+    program = assemble(HEAD_FED)
+    cfg = ChipConfig(p=p, trace=True)
+    res = run(cfg, program)
+    assert res.outcome is Outcome.COMPLETED
+    assert res.metrics.cycles == cycles
+    assert res.final_memory[0x4000:0x4004] == (115).to_bytes(4, "little")
+    assert res.result_hash() == digest
+    with pytest.raises(OracleDeadlock, match="reads its input channel"):
+        sequential_oracle(program)
+    monkeypatch.setattr(sim, "_stop", lockstep)
+    assert run(cfg, program).result_hash() == digest
+
+
 def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
     # a line tracer on tmu.py: the runs above buffer a channel value for an
-    # unplaced position, send a tail to a remote waiter and deliver it there
+    # unplaced position, send a tail to a remote waiter and deliver it there,
+    # and feed a family's head
     reached = set()
     tmu_file = inspect.getsourcefile(Tmu)
 
@@ -1810,3 +1867,5 @@ def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
     assert ("on_tail", "self.chip.noc.send(Tmu.on_tail_value, self.cid, "
             "core,") in reached
     assert ("on_tail_value", "self.core.writeback(ctx, dst, value)") in reached
+    assert ("putsh_head", "self._forward_channel(fam, 0, value, cycle)") \
+        in reached
