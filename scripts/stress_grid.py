@@ -21,18 +21,30 @@ decision, `hmtsim.sim._stop`, to return the next cycle:
 
 The grid is the five corpus kernels x p in {1, 3, 8} x thread slots 1/3 x
 i_lines = d_lines 1/2 x hop latency 0/5 x eager/bulk x hints on/off, with a
-300,000-cycle watchdog (480 runs), followed by 62 runs pinned in
-tests/test_sim.py: the eight non-completed runs (a core-1 fault, a p=2
-deadlock, a p=2 starvation and a p=4 watchdog run, and the four waits-for
-deadlock diagnostics), the ten runs whose deciding event falls while one core
-is the only awake core, the eight whose deciding event falls while two or
-more cores are awake, five completed p=1 runs at starvation_check 1, 7 and
-128, three programs whose instructions read a cell they also write, at
-p=1 and p=2, eager and bulk, seven runs that spend most of their cycles
-with no core awake, and two runs whose memory, NoC or TMU phase wakes a core
-or faults while one core is awake. They are read from that file's
-`pinned_runs()`, so the script and the tests cannot drift. One pass takes
-30-40 s on a 2-vCPU x86_64 VM with CPython 3.11 (about 45 s in lockstep).
+300,000-cycle watchdog (480 runs), followed by the 92 runs pinned in
+tests/test_sim.py, read from its `pinned_runs()` so that the script and the
+tests cannot drift. In their order:
+
+- 4 non-completed runs (a core-1 fault, a p=2 deadlock, a p=2 starvation
+  and a p=4 watchdog run) and 4 waits-for deadlocks of a tail read and a
+  sync;
+- 10 runs whose deciding event falls while one core is the only awake core,
+  and 8 whose deciding event falls while two or more cores are awake;
+- 5 completed p=1 runs at starvation_check 1, 7 and 128 (15);
+- 3 programs whose instructions read a cell they also write, at p=1 and
+  p=2, eager and bulk (12);
+- 7 runs that spend most of their cycles with no core awake, and 2 whose
+  memory, NoC or TMU phase wakes a core or faults while one core is awake;
+- 2 buffered-channel, 2 remote-tail and 3 head-fed runs;
+- the waits-for deadlock at the end of a 20- and a 1,200-deep nest;
+- 9 runs of a family that main does not sync: to its end at p = 1, 2, 8,
+  eager and bulk, and at starvation_check 8, or into a deadlock at p = 1, 2;
+- 12 tail reads after a sync, of a channel chain and of an empty family, at
+  p = 1, 2, 3, eager and bulk.
+
+New pinned runs are appended, so earlier lines keep their place. One pass
+takes 20-40 s on a 2-vCPU x86_64 VM with CPython 3.11 (about 22 s on a
+2-vCPU Intel Xeon VM, a little longer in lockstep).
 """
 
 import importlib.util
@@ -69,8 +81,8 @@ def pinned():
     loader = importlib.util.spec_from_file_location("pinned_runs", path)
     src = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(src)
-    for label, cfg, program, _ in src.pinned_runs():
-        yield label, cfg, program
+    for pin in src.pinned_runs():
+        yield pin.label, pin.config(), pin.make()
 
 
 def main():

@@ -280,6 +280,9 @@ def _kernel(text: str) -> tuple[str, dict]:
         if key not in known:
             raise UsageError(f"--kernels {name} has no parameter {key!r} "
                              f"(it has {', '.join(known)})")
+        if key in params:
+            raise UsageError(f"--kernels {name} gives parameter {key!r} "
+                             f"more than once")
         params[key] = _decimal(f"--kernels {name}:{key}", value)
     return name, params
 

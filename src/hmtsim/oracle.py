@@ -206,6 +206,9 @@ def sequential_oracle(program: Program, mem_bytes: int = 1 << 20,
         raise ValueError("program has no 'main' thread body")
     mem = bytearray(mem_bytes)
     if init_mem:
+        if len(init_mem) > mem_bytes:
+            raise ValueError(f"memory image of {len(init_mem)} bytes exceeds "
+                             f"the {mem_bytes}-byte memory")
         mem[:len(init_mem)] = init_mem
     state = _State(program, mem, max_steps=max_steps)
     _run_family(state, "main", 0, 1, 1, seed=None)

@@ -40,20 +40,24 @@ last call left it (see `core.py`). With `_stop` returning `cycle + 1` the
 loop is plain lockstep, and `test_fast_chip_loop_equals_lockstep` checks
 that every traced `result_hash` is the same either way. The stop is:
 
-- no core awake: the next fill or arrival, capped by the watchdog (`cycle +
-  1` when neither is pending, so that a quiescent verdict keeps its cycle).
+- no core awake: the next fill or arrival, capped by the watchdog. It is
+  `cycle + 1` when neither is pending, so that a quiescent verdict keeps
+  its cycle, and when the phases of `cycle` completed the run's last
+  family: the run's last completion stops the jump, so a fill still
+  pending there, which changes no result, adds no cycles (the `unsynced-*`
+  pinned runs).
   Nothing runs on the cycles skipped, and with no core awake every live
   thread is suspended (a queued thread keeps its core awake), so no
   starvation check could fire there; idle cores settle the skipped bubbles
-  in one addition (`test_idle_stretch_run_pinned`,
+  in one addition (the `idle-*` pinned runs in `tests/test_sim.py`,
   `test_idle_jump_does_not_stop_at_starvation_checks`).
 - one awake core: the next multiple of `starvation_check`, capped by the
   watchdog. The core's step runs the memory, NoC and TMU phases itself at a
   fill due, an arrival or its own request (`Chip.phases`, see `core.py`),
   which is exact because a cycle's core phase is then that core alone; if
   they wake another core the step returns that cycle with its phases done,
-  and running them again finds nothing (`test_lone_core_run_pinned`,
-  `test_lone_phase_run_pinned`, `test_lone_step_*`). The same lone-core rule
+  and running them again finds nothing (the `lone-*` and `phase-*` pinned
+  runs, `test_lone_step_*`). The same lone-core rule
   holds in a shared window once the window's other cores have gone idle and
   left the list: the core left alone runs a stop's phases itself, which is
   exact for the same reason.
@@ -69,7 +73,7 @@ that every traced `result_hash` is the same either way. The stop is:
   so stepping the cores one after another is exact: the window resumes each
   core's resident step once, and that call runs the whole window. Every core
   that stays awake stops at the same due fill or arrival
-  (`test_many_awake_run_pinned`), and the loop goes on at the largest cycle
+  (the `many-*` pinned runs), and the loop goes on at the largest cycle
   the steps returned. Its commit rows, appended core by core, are
   stable-sorted by cycle at the end of a traced run.
 
@@ -400,8 +404,10 @@ def _stop(chip: Chip, cycle: int) -> int:
                     span = 3
         span = min(span, chip.config.cache.i_miss_latency)
     elif not awake:
+        # the phases of cycle may have completed the run's last family,
+        # with a fill still pending that changes no result
         nxt = min(chip.memory.next_due, chip.noc.next_arrival)
-        return cycle + 1 if nxt == NEVER else \
+        return cycle + 1 if nxt == NEVER or not chip.open_families else \
             min(nxt, chip.config.watchdog_cycles)
     config = chip.config
     check = config.starvation_check

@@ -432,9 +432,11 @@ def no_run(*args):
     ("starvation:p=2", "--kernels starvation takes its core count from "
      "--cores and no parameters, got 'starvation:p=2'"),
     ("regular:n=4000", "regular: x[] of n=4000 reaches out[]"),
-    ("regular:n=-1", "regular: n must be >= 0, got -1")],
+    ("regular:n=-1", "regular: n must be >= 0, got -1"),
+    ("regular:n=1:n=2", "--kernels regular gives parameter 'n' more than "
+     "once")],
     ids=["unknown-parameter", "not-decimal", "starvation-p", "generator",
-         "generator-least"])
+         "generator-least", "repeated-parameter"])
 def test_sweep_bad_kernel_element_exit_64_before_running(
         capsys, monkeypatch, element, message):
     monkeypatch.setattr(cli, "run", no_run)

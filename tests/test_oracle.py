@@ -168,3 +168,15 @@ def test_memory_op_counts_match_simulator_single_thread():
     assert res.metrics.loads == oracle.loads
     assert res.metrics.stores == oracle.stores
     assert res.final_memory == oracle.final_memory
+
+
+def test_rejects_image_larger_than_memory_as_run_does():
+    # the oracle's image keeps its size, as the simulator's memory does
+    program = assemble(".body main\nhalt")
+    message = "32 bytes exceeds the 16-byte memory"
+    with pytest.raises(ValueError, match=message):
+        sequential_oracle(program, mem_bytes=16, init_mem=bytes(32))
+    with pytest.raises(ValueError, match=message):
+        run(ChipConfig(p=1, mem_bytes=16), program, bytes(32))
+    assert len(sequential_oracle(program, mem_bytes=16,
+                                 init_mem=bytes(16)).final_memory) == 16

@@ -4,13 +4,15 @@ import linecache
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import pytest
 
 from hmtsim import sim
 from hmtsim.core import Core
 from hmtsim.errors import SimFault
-from hmtsim.isa import Instruction, Opcode, assemble
+from hmtsim.isa import Instruction, Opcode, Program, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import OracleDeadlock, sequential_oracle
@@ -59,27 +61,6 @@ def test_chain_cycles_vary_with_cores_but_memory_does_not():
     assert len(set(cycles.values())) > 1
 
 
-def test_dataflow_deadlock_classified():
-    src = """
-    .body main
-      allocate r1, 1
-      create r2, r1, waiter, 0, 1, 1
-      getsh r3, r2
-      add r0, r3, r0
-      sync r4, r2
-      release r1
-      halt
-    .body waiter
-      getsh r5
-      putsh r5
-      halt
-    """
-    res = run(ChipConfig(p=1, watchdog_cycles=100_000), assemble(src))
-    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
-    assert "waits-for cycle" in res.diagnostic
-    assert res.final_memory is None
-
-
 # main waits on the tail of a family whose only thread waits on a channel
 # value main never sends
 TAIL_DEADLOCK = """
@@ -112,19 +93,6 @@ SYNC_DEADLOCK = """
   putsh r5
   halt
 """
-
-
-@pytest.mark.parametrize("src, p, cycles", [
-    (TAIL_DEADLOCK, 1, 35), (TAIL_DEADLOCK, 2, 35),
-    (SYNC_DEADLOCK, 1, 33), (SYNC_DEADLOCK, 2, 47),
-], ids=["tail-p1", "tail-p2", "sync-p1", "sync-p2"])
-def test_deadlock_diagnostic_pinned(src, p, cycles):
-    res = run(ChipConfig(p=p, watchdog_cycles=100_000), assemble(src))
-    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
-    assert res.diagnostic == ("waits-for cycle: family 1 index 0 -> "
-                              "family 2 index 0")
-    assert res.metrics.cycles == cycles
-
 
 # main seeds a depth into a one-thread rec family on allocation 1; each level
 # creates the next on that allocation and syncs it, and the last level
@@ -159,18 +127,6 @@ last:
 """
 
 
-@pytest.mark.parametrize("depth, cycles", [(20, 308), (1200, 15_648)])
-def test_deep_nest_deadlock_diagnosed(depth, cycles):
-    # the waits-for search follows the chain of syncs as deep as the families
-    # nest, past the interpreter's recursion limit, to the cycle at its end
-    res = run(ChipConfig(p=1, thread_slots=2000),
-              assemble(DEEP_NEST.format(depth=depth)))
-    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
-    assert res.metrics.cycles == cycles
-    assert res.diagnostic == (f"waits-for cycle: family {depth + 2} index 0 "
-                              f"-> family {depth + 3} index 0")
-
-
 # thread 1 of w faults on core 1 while core 0 holds only main, suspended on
 # its sync
 CORE1_FAULT = """
@@ -193,40 +149,6 @@ done:
 # whose first thread waits on a channel value main never sends
 TAIL_DEADLOCK_P2 = TAIL_DEADLOCK.replace("allocate r1, 1", "allocate r1, 0") \
     .replace("waiter, 0, 1, 1", "waiter, 0, 4, 1")
-
-
-# (id, program factory, config fields, outcome, cycles, per-core bubbles,
-# traced result_hash)
-NON_COMPLETED_RUNS = [
-    ("fault-core1", lambda: assemble(CORE1_FAULT), dict(p=2), Outcome.FAULT,
-     44, [30, 16],
-     "dfa6560386d7edf23e8f73ba012b83f0b5df82badc70da6a4ee82bbbfba28c8c"),
-    ("deadlock-p2", lambda: assemble(TAIL_DEADLOCK_P2), dict(p=2),
-     Outcome.DEADLOCK_DATAFLOW, 46, [30, 17],
-     "a16f06514d3c1d0c89441fb31089ad13a641566ce08007cf78b49485b813482f"),
-    ("starvation-p2", lambda: kernel_starvation(2).program, dict(p=2),
-     Outcome.DEADLOCK_STARVATION, 2048, [1475, 1469],
-     "1650002eb1927b7d7d0c7868c149e9ea1437c7509df82432472ee1a4b4818bfd"),
-    ("watchdog-p4", lambda: kernel_chain(n=200).program,
-     dict(p=4, watchdog_cycles=900), Outcome.WATCHDOG_TIMEOUT, 900,
-     [235, 502, 725, 727],
-     "eafbfb3ef9f981a6e66ef6af312133e5aac62a8d536cae53b14f1e1391c63517"),
-]
-
-
-@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
-                         [run[1:] for run in NON_COMPLETED_RUNS],
-                         ids=[run[0] for run in NON_COMPLETED_RUNS])
-def test_non_completed_outcome_pinned(make, cfg, outcome, cycles, bubbles,
-                                      digest):
-    # golden.json pins completed runs only; these pin the per-core bubbles
-    # of runs that end early, where idle cores must be settled exactly
-    res = run(ChipConfig(trace=True, **cfg), make())
-    assert res.outcome is outcome
-    assert res.metrics.cycles == cycles
-    assert [c.bubbles for c in res.metrics.per_core] == bubbles
-    assert res.result_hash() == digest
-
 
 def test_starvation_deadlock_classified():
     spec = kernel_starvation(2)
@@ -826,56 +748,6 @@ wait:
 def _miss_latency(n):
     return dict(p=1, cache=CacheConfig(d_miss_latency=n, i_miss_latency=n))
 
-
-# (id, program factory, config fields, outcome, cycles, per-core bubbles,
-# traced result_hash); scripts/stress_grid.py runs these too
-LONE_CORE_RUNS = [
-    ("watchdog-p1", lambda: kernel_heterogeneous().program,
-     dict(p=1, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997, [10],
-     "b4cf058d3a03331536e1c5be32ddf0557acdbe36b0980fe3dd831a83f8412fae"),
-    ("fault-p1", lambda: assemble(SPIN_FAULT), dict(p=1), Outcome.FAULT,
-     1017, [613],
-     "3f9f7246ab8683a3c4db311ebfd9f533fdb40b6628fa2b2b9fed33cf72066b15"),
-    ("fault-p2-core0", lambda: assemble(LONE_FAULT.format(faulting=0)),
-     dict(p=2), Outcome.FAULT, 535, [317, 506],
-     "db8227cfa60845ddaa67d38570a07320de35aa1e75baef66e415d6ffaca06841"),
-    ("fault-p2-core1", lambda: assemble(LONE_FAULT.format(faulting=1)),
-     dict(p=2), Outcome.FAULT, 546, [530, 316],
-     "400878cffc2078ce0f244bb72b38ea125e55fef0c26ad50441139d938d87c9c6"),
-    ("fills-latency-1", lambda: kernel_loaduse(threads=2, iters=4).program,
-     _miss_latency(1), Outcome.COMPLETED, 565, [117],
-     "e5aef24f774ce3f5b7990e28f040a5a3abae19958499bf689eeb1647a4c75299"),
-    ("fills-latency-3", lambda: kernel_loaduse(threads=2, iters=4).program,
-     _miss_latency(3), Outcome.COMPLETED, 590, [139],
-     "a5e1473de32513a3c8329301074e9e5f60267f34741d488258a5031429c3455c"),
-    ("fills-latency-40", lambda: kernel_loaduse(threads=2, iters=4).program,
-     _miss_latency(40), Outcome.COMPLETED, 766, [316],
-     "d914e8596325ff825b16b489db02cfc107ddaa8ac8fbb322724bdd8848d6628b"),
-    ("deadlock-p1", lambda: assemble(SPIN_DEADLOCK),
-     dict(p=1, watchdog_cycles=100_000),
-     Outcome.DEADLOCK_DATAFLOW, 1023, [620],
-     "a9fceda6bf980410d79737f90f34cb92668ba1fb1b3d86f4ced36d45d1030d97"),
-    ("starvation-p1", lambda: assemble(STARVE_BACKOFF),
-     dict(p=1, watchdog_cycles=100_000),
-     Outcome.DEADLOCK_STARVATION, 2048, [1233],
-     "a853479fd9b8adc1bd115b3a3db83abc68d598daa644b4b87e90491ee5123925"),
-    ("root-done-early-p1", lambda: assemble(ROOT_DONE_EARLY), dict(p=1),
-     Outcome.COMPLETED, 1533, [799],
-     "8cd87478eedb835891587caa70020fc37b1c5f858ed627a5d36d7a69aa0d18a0"),
-]
-
-
-@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
-                         [run[1:] for run in LONE_CORE_RUNS],
-                         ids=[run[0] for run in LONE_CORE_RUNS])
-def test_lone_core_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
-    res = run(ChipConfig(trace=True, **cfg), make())
-    assert res.outcome is outcome
-    assert res.metrics.cycles == cycles
-    assert [c.bubbles for c in res.metrics.per_core] == bubbles
-    assert res.result_hash() == digest
-
-
 # -- runs whose deciding event falls while two or more cores are awake --------
 
 # a three-thread family over three cores: thread 1 spins briefly and then
@@ -961,51 +833,6 @@ wait:
 def _cold_icache(n):
     return dict(p=4, cache=CacheConfig(i_miss_latency=n))
 
-
-# (id, program factory, config fields, outcome, cycles, per-core bubbles,
-# traced result_hash); scripts/stress_grid.py runs these too
-MANY_AWAKE_RUNS = [
-    ("watchdog-p4", lambda: kernel_heterogeneous().program,
-     dict(p=4, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997,
-     [10, 10, 10, 10],
-     "9c3a357dd6ad71fadfeab1b2c2422928077d46d7b166aa0623d15e582c0e1abd"),
-    ("store-fault-core1", lambda: assemble(SPIN_STORE_FAULT), dict(p=3),
-     Outcome.FAULT, 252, [147, 139, 139],
-     "bc319f31fdb555763156a085a5da99006faac767b4ca5f210e26d303035960c0"),
-    ("starvation-check7-p4", lambda: kernel_starvation(4).program,
-     dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2044,
-     [1470, 0, 1461, 0],
-     "827be41a1cd731c3207cd76e01713c0c2d86fad1170bf77eea512cb7a3b7f383"),
-    ("backoff-starvation-check7-p4", lambda: assemble(BACKOFF_STARVATION),
-     dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2030,
-     [1216, 1207, 0, 0],
-     "f6669a0381a117c1bb962c932707f33633c7fee1365c0d9c9da66d52942a99ee"),
-    ("cold-icache-latency-1", lambda: kernel_heterogeneous(n=16).program,
-     _cold_icache(1), Outcome.COMPLETED, 1866, [1614, 70, 70, 70],
-     "0534deebea4aad3e6351afa99d9c5d7b6b3b715c2949bff31a422033f519c671"),
-    ("cold-icache-latency-2", lambda: kernel_heterogeneous(n=16).program,
-     _cold_icache(2), Outcome.COMPLETED, 1868, [1616, 71, 71, 71],
-     "227b790f45f68c6373b31f3138dd6c83dbfeda2d581927d84c1cecf358f1e436"),
-    ("cold-icache-latency-3", lambda: kernel_heterogeneous(n=16).program,
-     _cold_icache(3), Outcome.COMPLETED, 1870, [1618, 72, 72, 72],
-     "37e1bdc86a6f281573f182542a47a2baac41c8b9864f192a133a03f1281db9ce"),
-    ("staggered-idle-deadlock-p2", lambda: assemble(STAGGERED_IDLE),
-     dict(p=2), Outcome.DEADLOCK_DATAFLOW, 240, [143, 136],
-     "e490d29a771354f212cdacd2f59098865dc00c3f0bc6bc15261e402c75aa039a"),
-]
-
-
-@pytest.mark.parametrize("make, cfg, outcome, cycles, bubbles, digest",
-                         [run[1:] for run in MANY_AWAKE_RUNS],
-                         ids=[run[0] for run in MANY_AWAKE_RUNS])
-def test_many_awake_run_pinned(make, cfg, outcome, cycles, bubbles, digest):
-    res = run(ChipConfig(trace=True, **cfg), make())
-    assert res.outcome is outcome
-    assert res.metrics.cycles == cycles
-    assert [c.bubbles for c in res.metrics.per_core] == bubbles
-    assert res.result_hash() == digest
-
-
 # -- runs whose cycles are mostly spent with no core awake --------------------
 
 # main loads a cold word, uses it, then waits on a channel value that never
@@ -1024,56 +851,6 @@ LOAD_THEN_DEADLOCK = """
 def _latency_slots2(n, **cfg):
     return dict(p=1, thread_slots=2, cache=CacheConfig(d_miss_latency=n),
                 **cfg)
-
-
-# (id, program factory, config fields, outcome, cycles, commits, per-core
-# bubbles, traced result_hash); kernel_regular(n=256) with two thread slots
-# and 10,000-cycle D-fills idles on 642,324 of its 647,660 cycles, and the
-# watchdog deadlines and starvation checks below fall inside those stretches;
-# scripts/stress_grid.py runs these too
-IDLE_STRETCH_RUNS = [
-    ("latency-10000", lambda: kernel_regular(n=256).program,
-     _latency_slots2(10_000), Outcome.COMPLETED, 647_660, 5_140, [642_324],
-     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
-    ("latency-10000-watchdog-5000", lambda: kernel_regular(n=256).program,
-     _latency_slots2(10_000, watchdog_cycles=5_000),
-     Outcome.WATCHDOG_TIMEOUT, 5_000, 1_816, [3_180],
-     "e23ac70503b0f0c15675741e0ee97a721dfd38877ac4282518d82979d815d5a5"),
-    ("latency-10000-watchdog-30001", lambda: kernel_regular(n=256).program,
-     _latency_slots2(10_000, watchdog_cycles=30_001),
-     Outcome.WATCHDOG_TIMEOUT, 30_001, 1_920, [28_071],
-     "170f9faa846695ca24f71c54f5356c18d478f11f8fa300f319312e67a73c80f9"),
-    ("latency-10000-check7", lambda: kernel_regular(n=256).program,
-     _latency_slots2(10_000, starvation_check=7), Outcome.COMPLETED,
-     647_660, 5_140, [642_324],
-     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
-    ("latency-10000-check997", lambda: kernel_regular(n=256).program,
-     _latency_slots2(10_000, starvation_check=997), Outcome.COMPLETED,
-     647_660, 5_140, [642_324],
-     "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
-    ("load-then-deadlock-p1", lambda: assemble(LOAD_THEN_DEADLOCK),
-     dict(p=1, cache=CacheConfig(d_miss_latency=5_000)),
-     Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015],
-     "264dd1c47f65ad1ea37c6959c81794715d664e0bff2734ad64cb64fd06e373f0"),
-    ("load-then-deadlock-p2", lambda: assemble(LOAD_THEN_DEADLOCK),
-     dict(p=2, cache=CacheConfig(d_miss_latency=5_000)),
-     Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015, 0],
-     "b10285b326eb7d71f45ac5a38ae0d318f7991ea98219a21266c2bdb693779c21"),
-]
-
-
-@pytest.mark.parametrize(("make, cfg, outcome, cycles, commits, bubbles, "
-                          "digest"), [run[1:] for run in IDLE_STRETCH_RUNS],
-                         ids=[run[0] for run in IDLE_STRETCH_RUNS])
-def test_idle_stretch_run_pinned(make, cfg, outcome, cycles, commits, bubbles,
-                                 digest):
-    res = run(ChipConfig(trace=True, **cfg), make())
-    assert res.outcome is outcome
-    assert res.metrics.cycles == cycles
-    assert res.metrics.commits == commits
-    assert [c.bubbles for c in res.metrics.per_core] == bubbles
-    assert res.result_hash() == digest
-
 
 # -- runs whose memory, NoC or TMU phase acts while one core is awake ---------
 
@@ -1143,35 +920,6 @@ done:
   halt
 """
 
-# (id, program factory, config fields, outcome, diagnostic, cycles, per-core
-# bubbles, traced result_hash): the creation, the channel value and the tail
-# of cross-wake each wake the other core, and unknown-release faults in its
-# TMU phase while core 1 is the only awake core; scripts/stress_grid.py runs
-# these too
-LONE_PHASE_RUNS = [
-    ("cross-wake-p2", lambda: assemble(CROSS_WAKE), dict(p=2),
-     Outcome.COMPLETED, None, 1164, [817, 874],
-     "e8329fc560542d60b85dfc54d7cf732372fcf6910617115187118caa425500a7"),
-    ("unknown-release-core1", lambda: assemble(UNKNOWN_RELEASE), dict(p=2),
-     Outcome.FAULT, "release of unknown or already released allocation 99",
-     296, [281, 166],
-     "0c11f3659feab5741ce365917b8b64a7cd3eb5c9698423ed8e2f3ab83ae2622f"),
-]
-
-
-@pytest.mark.parametrize(("make, cfg, outcome, diagnostic, cycles, bubbles, "
-                          "digest"), [run[1:] for run in LONE_PHASE_RUNS],
-                         ids=[run[0] for run in LONE_PHASE_RUNS])
-def test_lone_phase_run_pinned(make, cfg, outcome, diagnostic, cycles,
-                               bubbles, digest):
-    res = run(ChipConfig(trace=True, **cfg), make())
-    assert res.outcome is outcome
-    assert res.diagnostic == diagnostic
-    assert res.metrics.cycles == cycles
-    assert [c.bubbles for c in res.metrics.per_core] == bubbles
-    assert res.result_hash() == digest
-
-
 def test_lone_step_that_wakes_a_core_hands_the_chip_its_cycle(monkeypatch):
     # a phase run in a lone core's step that wakes another core ends the
     # call; the chip then steps both cores from the cycle it returned, never
@@ -1217,7 +965,6 @@ def test_phase_fault_in_a_lone_step_comes_before_the_core_phase(monkeypatch):
     assert faults == [(1, res.metrics.cycles)]
     assert [c.bubbles for c in res.metrics.per_core] == [281, 166]
 
-
 def test_idle_jump_does_not_stop_at_starvation_checks(monkeypatch):
     # with no core awake every live thread is suspended, so a starvation
     # check there finds no runnable thread; the 10,000-latency run, idle on
@@ -1230,39 +977,10 @@ def test_idle_jump_does_not_stop_at_starvation_checks(monkeypatch):
         return check(chip, cycle)
 
     monkeypatch.setattr(sim, "_check_starvation", record)
-    make, cfg, outcome, cycles, *_ = IDLE_STRETCH_RUNS[0][1:]
-    res = run(ChipConfig(**cfg), make())
-    assert (res.outcome, res.metrics.cycles) == (outcome, cycles)
+    pin = pinned_with("idle-latency-10000")[0]
+    res = run(pin.config(trace=False), pin.make())
+    assert (res.outcome, res.metrics.cycles) == (pin.outcome, pin.cycles)
     assert len(calls) == 61
-
-
-# (id, program factory, traced result_hash) of completed p=1 runs, which
-# starvation_check 1, 7 and 128 must all leave unchanged;
-# scripts/stress_grid.py runs these too
-STARVATION_CHECK_RUNS = [
-    ("regular", lambda: kernel_regular(n=32).program,
-     "4f5c15a828eb970f548257725700eb11d8c1b351689ed34f3955d86431534e84"),
-    ("heterogeneous", lambda: kernel_heterogeneous(n=16).program,
-     "d6cb56e9e9672d89f773e96d0fd4d4df531a860f80b064169bd592b157621373"),
-    ("chain", lambda: kernel_chain(n=24).program,
-     "5a94bf7bad6ed1ba9fbd0be9c763b32cb7399caf217450140d7fcf971c509294"),
-    ("loaduse", lambda: kernel_loaduse(threads=2, iters=4).program,
-     "5d412f836d0b9f932b52f3b64de8156daa421f37a79eb7d6d17b81d6551a15bf"),
-    ("starvation_ok", lambda: kernel_starvation(1, satisfiable=True).program,
-     "6c9d2ff19b5a3246e54923a78a3f00a23f3e6aa990b7f1c3e2c5528544e1d066"),
-]
-STARVATION_CHECKS = (1, 7, 128)
-
-
-@pytest.mark.parametrize("make, digest",
-                         [run[1:] for run in STARVATION_CHECK_RUNS],
-                         ids=[run[0] for run in STARVATION_CHECK_RUNS])
-def test_completed_p1_hash_independent_of_starvation_check(make, digest):
-    program = make()
-    for check in STARVATION_CHECKS:
-        res = run(ChipConfig(p=1, starvation_check=check, trace=True), program)
-        assert res.outcome is Outcome.COMPLETED
-        assert res.result_hash() == digest
 
 
 # -- a run completes only when every family has completed ---------------------
@@ -1285,37 +1003,6 @@ spin:
   st r4, 0x400(r0)
   halt
 """
-
-
-@pytest.mark.parametrize("p", [1, 2, 8])
-@pytest.mark.parametrize("coherency", ["eager", "bulk"])
-def test_unsynced_family_runs_to_its_end(p, coherency):
-    program = assemble(UNSYNCED.format(tail=""))
-    res = run(ChipConfig(p=p, coherency=coherency), program)
-    assert res.outcome is Outcome.COMPLETED
-    assert res.final_memory == sequential_oracle(program).final_memory
-    assert res.final_memory[0x400:0x404] == (7).to_bytes(4, "little")
-
-
-def test_unsynced_family_runs_through_starvation_checks():
-    # the family spins alone past many checks, each one past the window, and
-    # none of them ends the run
-    program = assemble(UNSYNCED.format(tail=""))
-    res = run(ChipConfig(p=1, starvation_window=16, starvation_check=8),
-              program)
-    assert res.outcome is Outcome.COMPLETED
-    assert res.metrics.cycles > 64 * 8
-    assert res.final_memory == sequential_oracle(program).final_memory
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_unsynced_family_deadlock_after_main_halts(p):
-    res = run(ChipConfig(p=p, watchdog_cycles=100_000),
-              assemble(UNSYNCED.format(tail="getsh r5")))
-    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
-    assert res.diagnostic == "unsatisfiable waits: family 2 index 0"
-    assert res.metrics.cycles > 1000
-    assert res.final_memory is None
 
 
 # -- instructions that read a cell they also write ------------------------------
@@ -1382,55 +1069,565 @@ SELF_TAIL = """
   halt
 """
 
-# (id, program text, {(p, coherency): traced result_hash});
-# scripts/stress_grid.py runs these too
-SELF_OPERAND_RUNS = [
-    ("memory", SELF_MEMORY, {
-        (1, "eager"):
-            "4029a03166586a2cfb17984503fdbc2f715c796f5b1defb0863e9dda234afae8",
-        (1, "bulk"):
-            "780a333d12d3ae05fb803e06801a494bc3cfcb303255e97f72bec1363d4ee66b",
-        (2, "eager"):
-            "8e2e85016c5d89bd2481469538544402a1848f9428c33bf6d47a91c85f23e1c6",
-        (2, "bulk"):
-            "811718a61b22cfbf158576e8962a5439112e0ed69d2c13d66a14eab351da8f7f",
-    }),
-    ("family", SELF_FAMILY, {
-        (1, "eager"):
-            "0843eb1e0e71c5d865c8cc54444276b4a0b3f9653ea896b008ffc9a1ae2d95f6",
-        (1, "bulk"):
-            "52c37a0d6b9152c1fa46d15fccee6910a2c1a0262ca536d52ba45cc5ad23654d",
-        (2, "eager"):
-            "7a5a5f510c47266093d0732e897c2f8b5c9c02373e02f31cf509d5d4f8353b3f",
-        (2, "bulk"):
-            "4a2accd80432c8d798cdd31309365d6766188789b4f9f1b31aa0f5b963da0123",
-    }),
-    ("tail", SELF_TAIL, {
-        (1, "eager"):
-            "ae66e1fa53515fabb2787ba2a3aec9d70021e5eb33911254614e558d9655934a",
-        (1, "bulk"):
-            "ae66e1fa53515fabb2787ba2a3aec9d70021e5eb33911254614e558d9655934a",
-        (2, "eager"):
-            "062f0097a9efd05a742e3a4f565a1df66a79fc216ebadb5446cb45bcc1fb98df",
-        (2, "bulk"):
-            "062f0097a9efd05a742e3a4f565a1df66a79fc216ebadb5446cb45bcc1fb98df",
-    }),
+
+
+# main creates a seeded channel chain of {n} threads (none: an empty family,
+# whose seed is its tail), syncs it, and only then reads its tail: the read
+# names the family by its id times the sync's result (1), so that it cannot
+# issue before the family has completed
+TAIL_AFTER_SYNC = """
+.body main
+  allocate r1, 0
+  addi r3, r0, 100
+  create r2, r1, w, 0, {n}, 1, r3
+  sync r4, r2
+  mul r9, r2, r4
+  getsh r5, r9
+  st r5, 0x100(r0)
+  release r1
+  halt
+.body w
+  getsh r6
+  getidx r7
+  add r6, r6, r7
+  putsh r6
+  halt
+"""
+
+
+# main creates a seeded chain of four spinners on core 0, then a one-thread
+# reader family on core 1 seeded with the chain's id; the reader waits for
+# the chain's tail from core 1, so core 0's TMU sends it over the NoC
+# (Tmu.on_tail_value). The tail is the seed 0 plus the indices 0..3.
+REMOTE_TAIL = """
+.body main
+  allocate r1, 1
+  create r2, r1, spin, 0, 4, 1, r0
+  addi r6, r0, 1
+  allocate r5, 1, r6
+  create r4, r5, reader, 0, 1, 1, r2
+  sync r7, r2
+  sync r8, r4
+  add r0, r7, r8
+  release r1
+  release r5
+  halt
+.body spin
+  addi r3, r0, 500
+loop:
+  addi r3, r3, -1
+  bne r3, r0, loop
+  getsh r1
+  getidx r2
+  add r1, r1, r2
+  putsh r1
+  halt
+.body reader
+  getsh r1
+  getsh r2, r1
+  st r2, 0x400(r0)
+  halt
+"""
+
+
+# main creates an unseeded family of six threads on its own core, then feeds
+# the family's head with putsh r3, r2 (Tmu.putsh_head); each thread adds its
+# index to the channel value and passes it on. main syncs the family, reads
+# its tail (named by its id times the sync's result, 1, as in
+# TAIL_AFTER_SYNC) and stores it: 100 plus the indices 0..5
+HEAD_FED = """
+.body main
+  allocate r1, 0
+  create r2, r1, w, 0, 6, 1
+  addi r3, r0, 100
+  putsh r3, r2
+  sync r4, r2
+  mul r9, r2, r4
+  getsh r5, r9
+  addi r6, r0, 0x4000
+  st r5, 0(r6)
+  halt
+.body w
+  getsh r1
+  getidx r2
+  add r1, r1, r2
+  putsh r1
+  halt
+"""
+
+
+# -- the pinned runs ----------------------------------------------------------
+
+class Pinned(NamedTuple):
+    """One pinned run: a label, a program factory, the config fields of its
+    traced run, and what that run gives: outcome, cycles, commits, per-core
+    bubbles, diagnostic and result_hash. The outcome decides its second
+    route: a completed run's memory equals the sequential oracle's image,
+    unless oracle_deadlock matches the OracleDeadlock that the oracle raises
+    instead, and a run that does not complete has no image. Every run also
+    equals its lockstep run and, trace dropped, its untraced run."""
+    label: str
+    make: Callable[[], Program]
+    cfg: dict
+    outcome: Outcome
+    cycles: int
+    commits: int
+    bubbles: list[int]
+    diagnostic: str | None
+    digest: str
+    oracle_deadlock: str | None = None
+
+    def config(self, **fields) -> ChipConfig:
+        return ChipConfig(**{"trace": True, **self.cfg, **fields})
+
+
+UNALIGNED = "memory fault: unaligned access at 0x2"
+WAITS_FOR = "waits-for cycle: family 1 index 0 -> family 2 index 0"
+DENIED = "runnable thread(s) spinning on denied allocations since cycle"
+UNSATISFIABLE = "unsatisfiable waits: family {} index 0"
+CHECKS = (1, 7, 128)
+COHERENCIES = ("eager", "bulk")
+
+PINNED_RUNS = [
+    # runs that end early, where idle cores must be settled exactly, and the
+    # waits-for deadlocks of a tail read and of a sync
+    Pinned("fault-core1", partial(assemble, CORE1_FAULT), dict(p=2),
+           Outcome.FAULT, 44, 8, [30, 16], UNALIGNED,
+           "dfa6560386d7edf23e8f73ba012b83f0b5df82badc70da6a4ee82bbbfba28c8c"),
+    Pinned("deadlock-p2", partial(assemble, TAIL_DEADLOCK_P2), dict(p=2),
+           Outcome.DEADLOCK_DATAFLOW, 46, 3, [30, 17], WAITS_FOR,
+           "a16f06514d3c1d0c89441fb31089ad13a641566ce08007cf78b49485b813482f"),
+    Pinned("starvation-p2", lambda: kernel_starvation(2).program, dict(p=2),
+           Outcome.DEADLOCK_STARVATION, 2048, 749, [1475, 1469],
+           f"1 {DENIED} 31",
+           "1650002eb1927b7d7d0c7868c149e9ea1437c7509df82432472ee1a4b4818bfd"),
+    Pinned("watchdog-p4", lambda: kernel_chain(n=200).program,
+           dict(p=4, watchdog_cycles=900), Outcome.WATCHDOG_TIMEOUT, 900, 734,
+           [235, 502, 725, 727], "no completion within 900 cycles",
+           "eafbfb3ef9f981a6e66ef6af312133e5aac62a8d536cae53b14f1e1391c63517"),
+    Pinned("tail-deadlock-p1", partial(assemble, TAIL_DEADLOCK),
+           dict(p=1, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW, 35,
+           3, [21], WAITS_FOR,
+           "0c0ef92e9fc7d050994d384d6ede604dd3d617dc78da1e3c868020603b6974c2"),
+    Pinned("tail-deadlock-p2", partial(assemble, TAIL_DEADLOCK),
+           dict(p=2, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW, 35,
+           3, [21, 0], WAITS_FOR,
+           "89519869f43cc9fced5bdc359fcc3bf3f9f34a064195ccbdfb3fd5cff5d99622"),
+    Pinned("sync-deadlock-p1", partial(assemble, SYNC_DEADLOCK),
+           dict(p=1, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW, 33,
+           3, [15], WAITS_FOR,
+           "d53e9dac65235f8f503c39e9fb64286d7998ededf155954e937b5ffcd098bb5e"),
+    Pinned("sync-deadlock-p2", partial(assemble, SYNC_DEADLOCK),
+           dict(p=2, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW, 47,
+           3, [31, 20], WAITS_FOR,
+           "a3bf32668bef180f2986c398800e15d0090aa8a423acbe6fabd3bec1738d7da7"),
+    # runs whose deciding event falls while one core is the only awake core
+    Pinned("lone-watchdog-p1", lambda: kernel_heterogeneous().program,
+           dict(p=1, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997, 980,
+           [10], "no completion within 997 cycles",
+           "b4cf058d3a03331536e1c5be32ddf0557acdbe36b0980fe3dd831a83f8412fae"),
+    Pinned("lone-fault-p1", partial(assemble, SPIN_FAULT), dict(p=1),
+           Outcome.FAULT, 1017, 402, [613], UNALIGNED,
+           "3f9f7246ab8683a3c4db311ebfd9f533fdb40b6628fa2b2b9fed33cf72066b15"),
+    Pinned("lone-fault-p2-core0",
+           partial(assemble, LONE_FAULT.format(faulting=0)), dict(p=2),
+           Outcome.FAULT, 535, 210, [317, 506], UNALIGNED,
+           "db8227cfa60845ddaa67d38570a07320de35aa1e75baef66e415d6ffaca06841"),
+    Pinned("lone-fault-p2-core1",
+           partial(assemble, LONE_FAULT.format(faulting=1)), dict(p=2),
+           Outcome.FAULT, 546, 210, [530, 316], UNALIGNED,
+           "400878cffc2078ce0f244bb72b38ea125e55fef0c26ad50441139d938d87c9c6"),
+    Pinned("lone-fills-latency-1",
+           lambda: kernel_loaduse(threads=2, iters=4).program,
+           _miss_latency(1), Outcome.COMPLETED, 565, 432, [117], None,
+           "e5aef24f774ce3f5b7990e28f040a5a3abae19958499bf689eeb1647a4c75299"),
+    Pinned("lone-fills-latency-3",
+           lambda: kernel_loaduse(threads=2, iters=4).program,
+           _miss_latency(3), Outcome.COMPLETED, 590, 432, [139], None,
+           "a5e1473de32513a3c8329301074e9e5f60267f34741d488258a5031429c3455c"),
+    Pinned("lone-fills-latency-40",
+           lambda: kernel_loaduse(threads=2, iters=4).program,
+           _miss_latency(40), Outcome.COMPLETED, 766, 432, [316], None,
+           "d914e8596325ff825b16b489db02cfc107ddaa8ac8fbb322724bdd8848d6628b"),
+    Pinned("lone-deadlock-p1", partial(assemble, SPIN_DEADLOCK),
+           dict(p=1, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW,
+           1023, 401, [620], UNSATISFIABLE.format(1),
+           "a9fceda6bf980410d79737f90f34cb92668ba1fb1b3d86f4ced36d45d1030d97"),
+    Pinned("lone-starvation-p1", partial(assemble, STARVE_BACKOFF),
+           dict(p=1, watchdog_cycles=100_000), Outcome.DEADLOCK_STARVATION,
+           2048, 810, [1233], f"1 {DENIED} 0",
+           "a853479fd9b8adc1bd115b3a3db83abc68d598daa644b4b87e90491ee5123925"),
+    Pinned("lone-root-done-early-p1", partial(assemble, ROOT_DONE_EARLY),
+           dict(p=1), Outcome.COMPLETED, 1533, 728, [799], None,
+           "8cd87478eedb835891587caa70020fc37b1c5f858ed627a5d36d7a69aa0d18a0"),
+    # runs whose deciding event falls while two or more cores are awake
+    Pinned("many-watchdog-p4", lambda: kernel_heterogeneous().program,
+           dict(p=4, watchdog_cycles=997), Outcome.WATCHDOG_TIMEOUT, 997,
+           3855, [10, 10, 10, 10], "no completion within 997 cycles",
+           "9c3a357dd6ad71fadfeab1b2c2422928077d46d7b166aa0623d15e582c0e1abd"),
+    Pinned("many-store-fault-core1", partial(assemble, SPIN_STORE_FAULT),
+           dict(p=3), Outcome.FAULT, 252, 268, [147, 139, 139], UNALIGNED,
+           "bc319f31fdb555763156a085a5da99006faac767b4ca5f210e26d303035960c0"),
+    Pinned("many-starvation-check7-p4", lambda: kernel_starvation(4).program,
+           dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2044,
+           746, [1470, 0, 1461, 0], f"1 {DENIED} 38",
+           "827be41a1cd731c3207cd76e01713c0c2d86fad1170bf77eea512cb7a3b7f383"),
+    Pinned("many-backoff-starvation-check7-p4",
+           partial(assemble, BACKOFF_STARVATION),
+           dict(p=4, starvation_check=7), Outcome.DEADLOCK_STARVATION, 2030,
+           1596, [1216, 1207, 0, 0], f"2 {DENIED} 24",
+           "f6669a0381a117c1bb962c932707f33633c7fee1365c0d9c9da66d52942a99ee"),
+    Pinned("many-cold-icache-latency-1",
+           lambda: kernel_heterogeneous(n=16).program, _cold_icache(1),
+           Outcome.COMPLETED, 1866, 4016, [1614, 70, 70, 70], None,
+           "0534deebea4aad3e6351afa99d9c5d7b6b3b715c2949bff31a422033f519c671"),
+    Pinned("many-cold-icache-latency-2",
+           lambda: kernel_heterogeneous(n=16).program, _cold_icache(2),
+           Outcome.COMPLETED, 1868, 4016, [1616, 71, 71, 71], None,
+           "227b790f45f68c6373b31f3138dd6c83dbfeda2d581927d84c1cecf358f1e436"),
+    Pinned("many-cold-icache-latency-3",
+           lambda: kernel_heterogeneous(n=16).program, _cold_icache(3),
+           Outcome.COMPLETED, 1870, 4016, [1618, 72, 72, 72], None,
+           "37e1bdc86a6f281573f182542a47a2baac41c8b9864f192a133a03f1281db9ce"),
+    Pinned("many-staggered-idle-deadlock-p2",
+           partial(assemble, STAGGERED_IDLE), dict(p=2),
+           Outcome.DEADLOCK_DATAFLOW, 240, 164, [143, 136], WAITS_FOR,
+           "e490d29a771354f212cdacd2f59098865dc00c3f0bc6bc15261e402c75aa039a"),
+    # completed p=1 runs, which starvation_check 1, 7 and 128 all leave
+    # unchanged
+    *[Pinned(f"regular-p1-check{check}", lambda: kernel_regular(n=32).program,
+             dict(p=1, starvation_check=check), Outcome.COMPLETED, 810, 660,
+             [122], None,
+             "4f5c15a828eb970f548257725700eb11d8c1b351689ed34f3955d86431534e84")
+      for check in CHECKS],
+    *[Pinned(f"heterogeneous-p1-check{check}",
+             lambda: kernel_heterogeneous(n=16).program,
+             dict(p=1, starvation_check=check), Outcome.COMPLETED, 4107, 4016,
+             [87], None,
+             "d6cb56e9e9672d89f773e96d0fd4d4df531a860f80b064169bd592b157621373")
+      for check in CHECKS],
+    *[Pinned(f"chain-p1-check{check}", lambda: kernel_chain(n=24).program,
+             dict(p=1, starvation_check=check), Outcome.COMPLETED, 358, 260,
+             [23], None,
+             "5a94bf7bad6ed1ba9fbd0be9c763b32cb7399caf217450140d7fcf971c509294")
+      for check in CHECKS],
+    *[Pinned(f"loaduse-p1-check{check}",
+             lambda: kernel_loaduse(threads=2, iters=4).program,
+             dict(p=1, starvation_check=check), Outcome.COMPLETED, 607, 432,
+             [156], None,
+             "5d412f836d0b9f932b52f3b64de8156daa421f37a79eb7d6d17b81d6551a15bf")
+      for check in CHECKS],
+    *[Pinned(f"starvation_ok-p1-check{check}",
+             lambda: kernel_starvation(1, satisfiable=True).program,
+             dict(p=1, starvation_check=check), Outcome.COMPLETED, 22, 4, [15],
+             None,
+             "6c9d2ff19b5a3246e54923a78a3f00a23f3e6aa990b7f1c3e2c5528544e1d066")
+      for check in CHECKS],
+    # programs whose instructions read a cell they also write
+    Pinned("self-memory-p1-eager", partial(assemble, SELF_MEMORY),
+           dict(p=1, coherency="eager"), Outcome.COMPLETED, 52, 10, [36], None,
+           "4029a03166586a2cfb17984503fdbc2f715c796f5b1defb0863e9dda234afae8"),
+    Pinned("self-memory-p1-bulk", partial(assemble, SELF_MEMORY),
+           dict(p=1, coherency="bulk"), Outcome.COMPLETED, 32, 10, [16], None,
+           "780a333d12d3ae05fb803e06801a494bc3cfcb303255e97f72bec1363d4ee66b"),
+    Pinned("self-memory-p2-eager", partial(assemble, SELF_MEMORY),
+           dict(p=2, coherency="eager"), Outcome.COMPLETED, 52, 10, [36, 0],
+           None,
+           "8e2e85016c5d89bd2481469538544402a1848f9428c33bf6d47a91c85f23e1c6"),
+    Pinned("self-memory-p2-bulk", partial(assemble, SELF_MEMORY),
+           dict(p=2, coherency="bulk"), Outcome.COMPLETED, 32, 10, [16, 0],
+           None,
+           "811718a61b22cfbf158576e8962a5439112e0ed69d2c13d66a14eab351da8f7f"),
+    Pinned("self-family-p1-eager", partial(assemble, SELF_FAMILY),
+           dict(p=1, coherency="eager"), Outcome.COMPLETED, 104, 55, [33],
+           None,
+           "0843eb1e0e71c5d865c8cc54444276b4a0b3f9653ea896b008ffc9a1ae2d95f6"),
+    Pinned("self-family-p1-bulk", partial(assemble, SELF_FAMILY),
+           dict(p=1, coherency="bulk"), Outcome.COMPLETED, 98, 55, [27], None,
+           "52c37a0d6b9152c1fa46d15fccee6910a2c1a0262ca536d52ba45cc5ad23654d"),
+    Pinned("self-family-p2-eager", partial(assemble, SELF_FAMILY),
+           dict(p=2, coherency="eager"), Outcome.COMPLETED, 95, 55, [50, 28],
+           None,
+           "7a5a5f510c47266093d0732e897c2f8b5c9c02373e02f31cf509d5d4f8353b3f"),
+    Pinned("self-family-p2-bulk", partial(assemble, SELF_FAMILY),
+           dict(p=2, coherency="bulk"), Outcome.COMPLETED, 81, 55, [37, 15],
+           None,
+           "4a2accd80432c8d798cdd31309365d6766188789b4f9f1b31aa0f5b963da0123"),
+    *[Pinned(f"self-tail-p1-{coherency}", partial(assemble, SELF_TAIL),
+             dict(p=1, coherency=coherency), Outcome.COMPLETED, 82, 30, [32],
+             None,
+             "ae66e1fa53515fabb2787ba2a3aec9d70021e5eb33911254614e558d9655934a")
+      for coherency in COHERENCIES],
+    *[Pinned(f"self-tail-p2-{coherency}", partial(assemble, SELF_TAIL),
+             dict(p=2, coherency=coherency), Outcome.COMPLETED, 79, 30,
+             [45, 23], None,
+             "062f0097a9efd05a742e3a4f565a1df66a79fc216ebadb5446cb45bcc1fb98df")
+      for coherency in COHERENCIES],
+    # runs that spend most of their cycles with no core awake:
+    # kernel_regular(n=256) with two thread slots and 10,000-cycle D-fills
+    # idles on 642,324 of its 647,660 cycles, and the watchdog deadlines and
+    # starvation checks below fall inside those stretches
+    Pinned("idle-latency-10000", lambda: kernel_regular(n=256).program,
+           _latency_slots2(10_000), Outcome.COMPLETED, 647_660, 5_140,
+           [642_324], None,
+           "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408"),
+    Pinned("idle-latency-10000-watchdog-5000",
+           lambda: kernel_regular(n=256).program,
+           _latency_slots2(10_000, watchdog_cycles=5_000),
+           Outcome.WATCHDOG_TIMEOUT, 5_000, 1_816, [3_180],
+           "no completion within 5000 cycles",
+           "e23ac70503b0f0c15675741e0ee97a721dfd38877ac4282518d82979d815d5a5"),
+    Pinned("idle-latency-10000-watchdog-30001",
+           lambda: kernel_regular(n=256).program,
+           _latency_slots2(10_000, watchdog_cycles=30_001),
+           Outcome.WATCHDOG_TIMEOUT, 30_001, 1_920, [28_071],
+           "no completion within 30001 cycles",
+           "170f9faa846695ca24f71c54f5356c18d478f11f8fa300f319312e67a73c80f9"),
+    *[Pinned(f"idle-latency-10000-check{check}",
+             lambda: kernel_regular(n=256).program,
+             _latency_slots2(10_000, starvation_check=check),
+             Outcome.COMPLETED, 647_660, 5_140, [642_324], None,
+             "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408")
+      for check in (7, 997)],
+    Pinned("idle-load-then-deadlock-p1", partial(assemble, LOAD_THEN_DEADLOCK),
+           dict(p=1, cache=CacheConfig(d_miss_latency=5_000)),
+           Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015],
+           UNSATISFIABLE.format(1),
+           "264dd1c47f65ad1ea37c6959c81794715d664e0bff2734ad64cb64fd06e373f0"),
+    Pinned("idle-load-then-deadlock-p2", partial(assemble, LOAD_THEN_DEADLOCK),
+           dict(p=2, cache=CacheConfig(d_miss_latency=5_000)),
+           Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015, 0],
+           UNSATISFIABLE.format(1),
+           "b10285b326eb7d71f45ac5a38ae0d318f7991ea98219a21266c2bdb693779c21"),
+    # the creation, the channel value and the tail of cross-wake each wake
+    # the other core, and unknown-release faults in its TMU phase while core
+    # 1 is the only awake core
+    Pinned("phase-cross-wake-p2", partial(assemble, CROSS_WAKE), dict(p=2),
+           Outcome.COMPLETED, 1164, 583, [817, 874], None,
+           "e8329fc560542d60b85dfc54d7cf732372fcf6910617115187118caa425500a7"),
+    Pinned("phase-unknown-release-core1", partial(assemble, UNKNOWN_RELEASE),
+           dict(p=2), Outcome.FAULT, 296, 109, [281, 166],
+           "release of unknown or already released allocation 99",
+           "0c11f3659feab5741ce365917b8b64a7cd3eb5c9698423ed8e2f3ab83ae2622f"),
+    # kernel_chain(n=8) with two thread slots per core: a channel value for a
+    # position that has no slot yet waits in its family's buffer until one
+    # frees (Tmu.on_channel)
+    Pinned("buffered-channel-p1", lambda: kernel_chain(n=8).program,
+           dict(p=1, thread_slots=2), Outcome.COMPLETED, 171, 100, [65], None,
+           "a6543629bf4c9cc1dfcdaa102f146ee2cfe15891cb8a088ac46843659a22a697"),
+    Pinned("buffered-channel-p2", lambda: kernel_chain(n=8).program,
+           dict(p=2, thread_slots=2), Outcome.COMPLETED, 148, 100, [82, 62],
+           None,
+           "9b69993de7e05a67dcbc06a2c51fcf659c611c3723fa96b8bed8c588506897b5"),
+    # the oracle's family map is shared by its threads, so its reader finds
+    # the tail of the family main created
+    Pinned("remote-tail-p2", partial(assemble, REMOTE_TAIL), dict(p=2),
+           Outcome.COMPLETED, 4097, 4039, [40, 4031], None,
+           "ac5d653fbc935af1ede51432fa977c98a37e2f37bea17f3c951ae71cb5f6ca2b"),
+    Pinned("remote-tail-p3", partial(assemble, REMOTE_TAIL), dict(p=3),
+           Outcome.COMPLETED, 4097, 4039, [40, 4031, 0], None,
+           "13e574af86aa51423e66c87ac6dc46a6197c8ac12f8239142717bc15df8586a7"),
+    # the oracle runs a family at its creation point, before main's putsh to
+    # its head, so lockstep is these runs' only second route
+    Pinned("head-fed-p1", partial(assemble, HEAD_FED), dict(p=1),
+           Outcome.COMPLETED, 105, 40, [41], None,
+           "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3",
+           oracle_deadlock="reads its input channel"),
+    Pinned("head-fed-p2", partial(assemble, HEAD_FED), dict(p=2),
+           Outcome.COMPLETED, 99, 40, [59, 34], None,
+           "e843e89ebe79d8545b143e2b6ffd2d4d215ce5e401fb0b13f44ca6dc862d3300",
+           oracle_deadlock="reads its input channel"),
+    Pinned("head-fed-p4", partial(assemble, HEAD_FED), dict(p=4),
+           Outcome.COMPLETED, 100, 40, [68, 23, 39, 51], None,
+           "50bcf65529d8f7d741685447b11b11ac0b9be4084164e7b315d415415c4db7f5",
+           oracle_deadlock="reads its input channel"),
+    # the waits-for search follows the chain of syncs as deep as the
+    # families nest, past the interpreter's recursion limit, to the cycle at
+    # its end
+    Pinned("deep-nest-20", partial(assemble, DEEP_NEST.format(depth=20)),
+           dict(p=1, thread_slots=2000), Outcome.DEADLOCK_DATAFLOW, 308, 129,
+           [63], "waits-for cycle: family 22 index 0 -> family 23 index 0",
+           "477eff734665a34a89144a10b04ac05a28226d9f2c7574964a9eed7186955629"),
+    Pinned("deep-nest-1200", partial(assemble, DEEP_NEST.format(depth=1200)),
+           dict(p=1, thread_slots=2000), Outcome.DEADLOCK_DATAFLOW, 15_648,
+           7_209, [2_423],
+           "waits-for cycle: family 1202 index 0 -> family 1203 index 0",
+           "76722d871580ae18756f4ac49c4aded1e8d0248b103f974196d955eb4150e8d4"),
+    # a family that main does not sync runs to its end, through starvation
+    # checks each one past the window, or deadlocks after main halts
+    *[Pinned(f"unsynced-p1-{coherency}",
+             partial(assemble, UNSYNCED.format(tail="")),
+             dict(p=1, coherency=coherency), Outcome.COMPLETED, 1535, 607,
+             [923], None,
+             "f18499ce9d086c338baa96997d7d8d04e7a28634490b9e26ef34817ec1a30a92")
+      for coherency in COHERENCIES],
+    *[Pinned(f"unsynced-p2-{coherency}",
+             partial(assemble, UNSYNCED.format(tail="")),
+             dict(p=2, coherency=coherency), Outcome.COMPLETED, 1535, 607,
+             [923, 0], None,
+             "f316f070687cec64bef34d2621251da763245791a6d79c237f8ecfca1d0f8d2f")
+      for coherency in COHERENCIES],
+    *[Pinned(f"unsynced-p8-{coherency}",
+             partial(assemble, UNSYNCED.format(tail="")),
+             dict(p=8, coherency=coherency), Outcome.COMPLETED, 1535, 607,
+             [923, 0, 0, 0, 0, 0, 0, 0], None,
+             "6088986a8805d3c287dad97eacb5e4174a8e40f62cfa48559b49ba15587c80ff")
+      for coherency in COHERENCIES],
+    Pinned("unsynced-p1-check8", partial(assemble, UNSYNCED.format(tail="")),
+           dict(p=1, starvation_window=16, starvation_check=8),
+           Outcome.COMPLETED, 1535, 607, [923], None,
+           "f18499ce9d086c338baa96997d7d8d04e7a28634490b9e26ef34817ec1a30a92"),
+    Pinned("unsynced-tail-deadlock-p1",
+           partial(assemble, UNSYNCED.format(tail="getsh r5")),
+           dict(p=1, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW,
+           1537, 604, [928], UNSATISFIABLE.format(2),
+           "0986c53e6124a30c8619f3c3c1842b6d92b691c5673da11c9171dc635f5a7ffb"),
+    Pinned("unsynced-tail-deadlock-p2",
+           partial(assemble, UNSYNCED.format(tail="getsh r5")),
+           dict(p=2, watchdog_cycles=100_000), Outcome.DEADLOCK_DATAFLOW,
+           1537, 604, [928, 0], UNSATISFIABLE.format(2),
+           "b0792c7150c66b070dc4ca47893ade399bbf3eec981eabd44e7bd9664f637cc1"),
+    # a tail read after the sync finds the completed family's tail already
+    # set, for a channel chain and for an empty family
+    *[Pinned(f"tail-after-sync-chain-p1-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=6)),
+             dict(p=1, coherency=coherency), Outcome.COMPLETED, 109, 39,
+             [42], None,
+             "6ef61d4ba953986e305be74cbb6b50851cb84ea044c6f505dd4e80e4bf955358")
+      for coherency in COHERENCIES],
+    *[Pinned(f"tail-after-sync-chain-p2-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=6)),
+             dict(p=2, coherency=coherency), Outcome.COMPLETED, 103, 39,
+             [60, 34], None,
+             "44e3e876499e62e99e355d70fbde3e707529e3c7714e3d085d832d35562f85d9")
+      for coherency in COHERENCIES],
+    *[Pinned(f"tail-after-sync-chain-p3-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=6)),
+             dict(p=3, coherency=coherency), Outcome.COMPLETED, 102, 39,
+             [67, 23, 41], None,
+             "8a25c427c5a515697b3cdb9e3d7f06207b0da20015f365a4399e5e1837d123ff")
+      for coherency in COHERENCIES],
+    *[Pinned(f"tail-after-sync-empty-p1-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=0)),
+             dict(p=1, coherency=coherency), Outcome.COMPLETED, 45, 9,
+             [21], None,
+             "45a395adb07bd24b6618341ae9a32aad763b306a5063fa337b8117c602eab3cb")
+      for coherency in COHERENCIES],
+    *[Pinned(f"tail-after-sync-empty-p2-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=0)),
+             dict(p=2, coherency=coherency), Outcome.COMPLETED, 45, 9,
+             [21, 0], None,
+             "ef6208d2924173c55186c9d6f22a158510d0dfbe610772510be257124249a226")
+      for coherency in COHERENCIES],
+    *[Pinned(f"tail-after-sync-empty-p3-{coherency}",
+             partial(assemble, TAIL_AFTER_SYNC.format(n=0)),
+             dict(p=3, coherency=coherency), Outcome.COMPLETED, 45, 9,
+             [21, 0, 0], None,
+             "c7bc6b35d1806295232ca2b70597704b6bcc5504858f56975f32ae944d0861f3")
+      for coherency in COHERENCIES],
 ]
-SELF_OPERAND_CONFIGS = [(p, coherency) for p in (1, 2)
-                        for coherency in ("eager", "bulk")]
 
 
-@pytest.mark.parametrize("text, digests",
-                         [run[1:] for run in SELF_OPERAND_RUNS],
-                         ids=[run[0] for run in SELF_OPERAND_RUNS])
-def test_self_operand_runs_match_oracle_pinned(text, digests):
-    program = assemble(text)
-    image = sequential_oracle(program).final_memory
-    for p, coherency in SELF_OPERAND_CONFIGS:
-        res = run(ChipConfig(p=p, coherency=coherency, trace=True), program)
-        assert res.outcome is Outcome.COMPLETED
-        assert res.final_memory == image
-        assert res.result_hash() == digests[p, coherency]
+def pinned_runs() -> list[Pinned]:
+    """Every pinned run, in a fixed order: test_pinned_run checks each, the
+    lockstep and untraced tests below run them all, and
+    scripts/stress_grid.py prints them after its grid. New runs go at the
+    end, so that the grid's earlier lines keep their place."""
+    return PINNED_RUNS
+
+
+def pinned_with(prefix: str) -> list[Pinned]:
+    return [pin for pin in PINNED_RUNS if pin.label.startswith(prefix)]
+
+
+@pytest.mark.parametrize("pin", PINNED_RUNS,
+                         ids=[pin.label for pin in PINNED_RUNS])
+def test_pinned_run(pin):
+    program = pin.make()
+    res = run(pin.config(), program)
+    assert res.outcome is pin.outcome
+    assert res.diagnostic == pin.diagnostic
+    assert res.metrics.cycles == pin.cycles
+    assert res.metrics.commits == pin.commits
+    assert [c.bubbles for c in res.metrics.per_core] == pin.bubbles
+    assert res.result_hash() == pin.digest
+    if pin.outcome is not Outcome.COMPLETED:
+        assert res.final_memory is None
+    elif pin.oracle_deadlock:
+        with pytest.raises(OracleDeadlock, match=pin.oracle_deadlock):
+            sequential_oracle(program)
+    else:
+        assert res.final_memory == sequential_oracle(program).final_memory
+
+
+STORED_WORDS = [("unsynced", 0x400, 7), ("remote-tail", 0x400, 6),
+                ("head-fed", 0x4000, 115), ("tail-after-sync-chain", 0x100, 115),
+                ("tail-after-sync-empty", 0x100, 100)]
+
+
+@pytest.mark.parametrize("prefix, addr, value", STORED_WORDS,
+                         ids=[prefix for prefix, *_ in STORED_WORDS])
+def test_pinned_runs_store_their_word(prefix, addr, value):
+    # the unsynced family's store, the remote reader's tail (the seed 0 plus
+    # the indices 0..3), the head-fed family's tail (100 plus the indices
+    # 0..5) and the tails read after a sync, in every completed run
+    pins = [pin for pin in pinned_with(prefix)
+            if pin.outcome is Outcome.COMPLETED]
+    assert pins
+    for pin in pins:
+        image = run(pin.config(trace=False), pin.make()).final_memory
+        assert image[addr:addr + 4] == value.to_bytes(4, "little"), pin.label
+
+
+@pytest.mark.parametrize("name, tail", [("chain", 115), ("empty", 100)],
+                         ids=["chain", "empty"])
+def test_tail_read_after_sync(monkeypatch, name, tail):
+    # Tmu.getsh_tail finds the completed family's tail already set
+    found = []
+    getsh_tail = Tmu.getsh_tail
+
+    def record(tmu, ctx, dst, fid, cycle):
+        found.append(tmu.chip.families[fid].tail_value)
+        getsh_tail(tmu, ctx, dst, fid, cycle)
+
+    monkeypatch.setattr(Tmu, "getsh_tail", record)
+    pins = pinned_with(f"tail-after-sync-{name}-")
+    for pin in pins:
+        assert run(pin.config(), pin.make()).outcome is Outcome.COMPLETED
+    assert pins and found == [tail] * len(pins)
+
+
+def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
+    # a line tracer on tmu.py: the buffered-channel, remote-tail and
+    # head-fed runs buffer a channel value for an unplaced position, send a
+    # tail to a remote waiter and deliver it there, and feed a family's head
+    reached = set()
+    tmu_file = inspect.getsourcefile(Tmu)
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_name, linecache.getline(
+                tmu_file, frame.f_lineno).strip()))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == tmu_file else None
+
+    pins = [pin for prefix in ("buffered-channel-", "remote-tail-", "head-fed-")
+            for pin in pinned_with(prefix)]
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for pin in pins:
+            run(pin.config(), pin.make())
+    finally:
+        sys.settrace(previous)
+    assert ("on_channel", "lf.buffer[pos] = value") in reached
+    assert ("on_tail", "self.chip.noc.send(Tmu.on_tail_value, self.cid, "
+            "core,") in reached
+    assert ("on_tail_value", "self.core.writeback(ctx, dst, value)") in reached
+    assert ("putsh_head", "self._forward_channel(fam, 0, value, cycle)") \
+        in reached
 
 
 # -- sim._stop's window for two or more awake cores -----------------------------
@@ -1505,38 +1702,6 @@ def lockstep(chip, cycle):
     return cycle + 1
 
 
-def pinned_runs():
-    """(label, config, program, traced result_hash or None where none is
-    pinned) for every run pinned above, in a fixed order; the lockstep test
-    runs them, and scripts/stress_grid.py prints them after its grid."""
-    for name, make, cfg, *_, digest in NON_COMPLETED_RUNS:
-        yield name, ChipConfig(trace=True, **cfg), make(), digest
-    for name, text in (("tail", TAIL_DEADLOCK), ("sync", SYNC_DEADLOCK)):
-        for p in (1, 2):
-            yield (f"{name}-deadlock-p{p}",
-                   ChipConfig(p=p, watchdog_cycles=100_000, trace=True),
-                   assemble(text), None)
-    for prefix, runs in (("lone", LONE_CORE_RUNS), ("many", MANY_AWAKE_RUNS)):
-        for name, make, cfg, *_, digest in runs:
-            yield f"{prefix}-{name}", ChipConfig(trace=True, **cfg), make(), \
-                digest
-    for name, make, digest in STARVATION_CHECK_RUNS:
-        for check in STARVATION_CHECKS:
-            yield (f"{name}-p1-check{check}",
-                   ChipConfig(p=1, starvation_check=check, trace=True), make(),
-                   digest)
-    for name, text, digests in SELF_OPERAND_RUNS:
-        for p, coherency in SELF_OPERAND_CONFIGS:
-            yield (f"self-{name}-p{p}-{coherency}",
-                   ChipConfig(p=p, coherency=coherency, trace=True),
-                   assemble(text), digests[p, coherency])
-    for prefix, runs in (("idle", IDLE_STRETCH_RUNS),
-                         ("phase", LONE_PHASE_RUNS)):
-        for name, make, cfg, *_, digest in runs:
-            yield f"{prefix}-{name}", ChipConfig(trace=True, **cfg), make(), \
-                digest
-
-
 def lockstep_cells():
     """Traced (config, program) cells: the corpus kernels (heterogeneous at
     n=16, to keep the test short; the stress grid runs it at full size) at
@@ -1570,10 +1735,9 @@ def lockstep_cells():
 def test_fast_chip_loop_equals_lockstep(monkeypatch):
     # the chip loop's three fast paths (a lone core's run-ahead, windows
     # shared by two or more awake cores, the idle clock jump) against
-    # lockstep, on every traced cell above and every pinned run: a run whose
-    # digest is pinned is compared with that digest, any other with its fast
-    # run
-    cells, pinned = lockstep_cells(), list(pinned_runs())
+    # lockstep, on every traced cell above and every pinned run, which is
+    # compared with its pinned digest
+    cells = lockstep_cells()
     lone, windows, jumps = [], [], []
     step, stop = Core.step, sim._stop
 
@@ -1595,8 +1759,6 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
     monkeypatch.setattr(Core, "step", record_step)
     monkeypatch.setattr(sim, "_stop", record_stop)
     fast = [run(cfg, program).result_hash() for cfg, program in cells]
-    unpinned = {label: run(cfg, program).result_hash()
-                for label, cfg, program, digest in pinned if digest is None}
     # each fast path ran, and ran far, so that one that silently fell back
     # to lockstep fails here: windows of 2, 3 and 4 cycles, lone calls that
     # reach the starvation check and average over 50 cycles, and idle jumps
@@ -1609,9 +1771,9 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
     monkeypatch.setattr(Core, "step", step)
     monkeypatch.setattr(sim, "_stop", lockstep)
     assert [run(cfg, program).result_hash() for cfg, program in cells] == fast
-    for label, cfg, program, digest in pinned:
-        assert run(cfg, program).result_hash() == \
-            (digest or unpinned[label]), label
+    for pin in PINNED_RUNS:
+        assert run(pin.config(), pin.make()).result_hash() == pin.digest, \
+            pin.label
 
 
 def test_untraced_runs_equal_traced_runs(matrix_runs, monkeypatch):
@@ -1631,241 +1793,9 @@ def test_untraced_runs_equal_traced_runs(matrix_runs, monkeypatch):
         assert untraced.result_hash() == cell.result.result_hash(), key
     # the untraced runs did take quiet stretches
     assert sum(quiet_calls) > len(quiet_calls) / 10
-    for label, cfg, program, _ in pinned_runs():
-        traced = run(cfg, program)
+    for pin in PINNED_RUNS:
+        program = pin.make()
+        traced = run(pin.config(), program)
         traced.trace = None
-        untraced = run(replace(cfg, trace=False), program)
-        assert untraced.result_hash() == traced.result_hash(), label
-
-
-# main creates a seeded channel chain of {n} threads (none: an empty family,
-# whose seed is its tail), syncs it, and only then reads its tail: the read
-# names the family by its id times the sync's result (1), so that it cannot
-# issue before the family has completed
-TAIL_AFTER_SYNC = """
-.body main
-  allocate r1, 0
-  addi r3, r0, 100
-  create r2, r1, w, 0, {n}, 1, r3
-  sync r4, r2
-  mul r9, r2, r4
-  getsh r5, r9
-  st r5, 0x100(r0)
-  release r1
-  halt
-.body w
-  getsh r6
-  getidx r7
-  add r6, r6, r7
-  putsh r6
-  halt
-"""
-
-
-@pytest.mark.parametrize("n, tail", [(6, 115), (0, 100)],
-                         ids=["chain", "empty"])
-def test_tail_read_after_sync(monkeypatch, n, tail):
-    # Tmu.getsh_tail finds the completed family's tail already set
-    program = assemble(TAIL_AFTER_SYNC.format(n=n))
-    image = sequential_oracle(program).final_memory
-    assert image[0x100:0x104] == tail.to_bytes(4, "little")
-    found = []
-    getsh_tail = Tmu.getsh_tail
-
-    def record(tmu, ctx, dst, fid, cycle):
-        found.append(tmu.chip.families[fid].tail_value)
-        getsh_tail(tmu, ctx, dst, fid, cycle)
-
-    monkeypatch.setattr(Tmu, "getsh_tail", record)
-    configs = [ChipConfig(p=p, coherency=coherency, trace=True)
-               for p in (1, 2, 3) for coherency in ("eager", "bulk")]
-    digests = []
-    for cfg in configs:
-        res = run(cfg, program)
-        assert res.outcome is Outcome.COMPLETED
-        assert res.final_memory == image
-        digests.append(res.result_hash())
-    assert found == [tail] * len(configs)
-    monkeypatch.setattr(sim, "_stop", lockstep)
-    assert [run(cfg, program).result_hash() for cfg in configs] == digests
-
-
-# -- TMU paths that only a buffered channel value or a remote tail read runs -
-
-# kernel_chain(n=8) with two thread slots per core: a channel value for a
-# position that has no slot yet waits in its family's buffer until one frees
-# (Tmu.on_channel); (p, cycles, traced result_hash)
-BUFFERED_CHANNEL_RUNS = [
-    (1, 171,
-     "a6543629bf4c9cc1dfcdaa102f146ee2cfe15891cb8a088ac46843659a22a697"),
-    (2, 148,
-     "9b69993de7e05a67dcbc06a2c51fcf659c611c3723fa96b8bed8c588506897b5"),
-]
-
-# main creates a seeded chain of four spinners on core 0, then a one-thread
-# reader family on core 1 seeded with the chain's id; the reader waits for
-# the chain's tail from core 1, so core 0's TMU sends it over the NoC
-# (Tmu.on_tail_value). The tail is the seed 0 plus the indices 0..3.
-REMOTE_TAIL = """
-.body main
-  allocate r1, 1
-  create r2, r1, spin, 0, 4, 1, r0
-  addi r6, r0, 1
-  allocate r5, 1, r6
-  create r4, r5, reader, 0, 1, 1, r2
-  sync r7, r2
-  sync r8, r4
-  add r0, r7, r8
-  release r1
-  release r5
-  halt
-.body spin
-  addi r3, r0, 500
-loop:
-  addi r3, r3, -1
-  bne r3, r0, loop
-  getsh r1
-  getidx r2
-  add r1, r1, r2
-  putsh r1
-  halt
-.body reader
-  getsh r1
-  getsh r2, r1
-  st r2, 0x400(r0)
-  halt
-"""
-
-# (p, cycles, traced result_hash)
-REMOTE_TAIL_RUNS = [
-    (2, 4097,
-     "ac5d653fbc935af1ede51432fa977c98a37e2f37bea17f3c951ae71cb5f6ca2b"),
-    (3, 4097,
-     "13e574af86aa51423e66c87ac6dc46a6197c8ac12f8239142717bc15df8586a7"),
-]
-
-
-# main creates an unseeded family of six threads on its own core, then feeds
-# the family's head with putsh r3, r2 (Tmu.putsh_head); each thread adds its
-# index to the channel value and passes it on. main syncs the family, reads
-# its tail (named by its id times the sync's result, 1, as in
-# TAIL_AFTER_SYNC) and stores it: 100 plus the indices 0..5
-HEAD_FED = """
-.body main
-  allocate r1, 0
-  create r2, r1, w, 0, 6, 1
-  addi r3, r0, 100
-  putsh r3, r2
-  sync r4, r2
-  mul r9, r2, r4
-  getsh r5, r9
-  addi r6, r0, 0x4000
-  st r5, 0(r6)
-  halt
-.body w
-  getsh r1
-  getidx r2
-  add r1, r1, r2
-  putsh r1
-  halt
-"""
-
-# (p, cycles, traced result_hash)
-HEAD_FED_RUNS = [
-    (1, 105,
-     "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3"),
-    (2, 99,
-     "e843e89ebe79d8545b143e2b6ffd2d4d215ce5e401fb0b13f44ca6dc862d3300"),
-    (4, 100,
-     "50bcf65529d8f7d741685447b11b11ac0b9be4084164e7b315d415415c4db7f5"),
-]
-
-
-def tmu_path_runs():
-    """(config, program) for the runs above."""
-    chain = kernel_chain(n=8).program
-    for p, _, _ in BUFFERED_CHANNEL_RUNS:
-        yield ChipConfig(p=p, thread_slots=2, trace=True), chain
-    remote = assemble(REMOTE_TAIL)
-    for p, _, _ in REMOTE_TAIL_RUNS:
-        yield ChipConfig(p=p, trace=True), remote
-    head_fed = assemble(HEAD_FED)
-    for p, _, _ in HEAD_FED_RUNS:
-        yield ChipConfig(p=p, trace=True), head_fed
-
-
-@pytest.mark.parametrize("p, cycles, digest", BUFFERED_CHANNEL_RUNS)
-def test_buffered_channel_run_pinned(monkeypatch, p, cycles, digest):
-    program = kernel_chain(n=8).program
-    cfg = ChipConfig(p=p, thread_slots=2, trace=True)
-    res = run(cfg, program)
-    assert res.outcome is Outcome.COMPLETED
-    assert res.metrics.cycles == cycles
-    assert res.final_memory == sequential_oracle(program).final_memory
-    assert res.result_hash() == digest
-    monkeypatch.setattr(sim, "_stop", lockstep)
-    assert run(cfg, program).result_hash() == digest
-
-
-@pytest.mark.parametrize("p, cycles, digest", REMOTE_TAIL_RUNS)
-def test_remote_tail_run_pinned(monkeypatch, p, cycles, digest):
-    # the oracle's family map is shared by its threads, so the reader finds
-    # the tail of the family main created
-    program = assemble(REMOTE_TAIL)
-    cfg = ChipConfig(p=p, trace=True)
-    res = run(cfg, program)
-    assert res.outcome is Outcome.COMPLETED
-    assert res.metrics.cycles == cycles
-    assert res.final_memory[0x400:0x404] == (6).to_bytes(4, "little")
-    assert res.final_memory == sequential_oracle(program).final_memory
-    assert res.result_hash() == digest
-    monkeypatch.setattr(sim, "_stop", lockstep)
-    assert run(cfg, program).result_hash() == digest
-
-
-@pytest.mark.parametrize("p, cycles, digest", HEAD_FED_RUNS)
-def test_head_fed_run_pinned(monkeypatch, p, cycles, digest):
-    # the oracle runs a family at its creation point, before main's putsh
-    # to its head, so lockstep is this run's only second route
-    program = assemble(HEAD_FED)
-    cfg = ChipConfig(p=p, trace=True)
-    res = run(cfg, program)
-    assert res.outcome is Outcome.COMPLETED
-    assert res.metrics.cycles == cycles
-    assert res.final_memory[0x4000:0x4004] == (115).to_bytes(4, "little")
-    assert res.result_hash() == digest
-    with pytest.raises(OracleDeadlock, match="reads its input channel"):
-        sequential_oracle(program)
-    monkeypatch.setattr(sim, "_stop", lockstep)
-    assert run(cfg, program).result_hash() == digest
-
-
-def test_tmu_path_runs_reach_buffer_and_remote_tail_lines():
-    # a line tracer on tmu.py: the runs above buffer a channel value for an
-    # unplaced position, send a tail to a remote waiter and deliver it there,
-    # and feed a family's head
-    reached = set()
-    tmu_file = inspect.getsourcefile(Tmu)
-
-    def trace_lines(frame, event, arg):
-        if event == "line":
-            reached.add((frame.f_code.co_name, linecache.getline(
-                tmu_file, frame.f_lineno).strip()))
-        return trace_lines
-
-    def trace_calls(frame, event, arg):
-        return trace_lines if frame.f_code.co_filename == tmu_file else None
-
-    previous = sys.gettrace()
-    sys.settrace(trace_calls)
-    try:
-        for cfg, program in tmu_path_runs():
-            run(cfg, program)
-    finally:
-        sys.settrace(previous)
-    assert ("on_channel", "lf.buffer[pos] = value") in reached
-    assert ("on_tail", "self.chip.noc.send(Tmu.on_tail_value, self.cid, "
-            "core,") in reached
-    assert ("on_tail_value", "self.core.writeback(ctx, dst, value)") in reached
-    assert ("putsh_head", "self._forward_channel(fam, 0, value, cycle)") \
-        in reached
+        untraced = run(pin.config(trace=False), program)
+        assert untraced.result_hash() == traced.result_hash(), pin.label
