@@ -150,6 +150,15 @@ done:
 TAIL_DEADLOCK_P2 = TAIL_DEADLOCK.replace("allocate r1, 1", "allocate r1, 0") \
     .replace("waiter, 0, 1, 1", "waiter, 0, 4, 1")
 
+
+def test_dataflow_deadlock_classified():
+    res = run(ChipConfig(p=1, watchdog_cycles=100_000),
+              assemble(TAIL_DEADLOCK))
+    assert res.outcome is Outcome.DEADLOCK_DATAFLOW
+    assert "waits-for cycle" in res.diagnostic
+    assert res.final_memory is None
+
+
 def test_starvation_deadlock_classified():
     spec = kernel_starvation(2)
     res = run(ChipConfig(p=2, starvation_window=400, starvation_check=32,
