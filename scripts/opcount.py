@@ -4,10 +4,24 @@
 Counts every bytecode that CPython executes in all frames under one
 `sim.run` call (untraced, hints on), divided by the run's commits. Unlike a
 wall-clock figure, the count does not move with host load, so it shows what a
-change to the simulator's hot paths costs per simulated instruction. Prints
-one line per run: the corpus matrix of `perfbench` (five corpus kernels at
-their default sizes x p in {1, 4, 8} x eager/bulk, 30 cells) with a total,
-then the spin-p1 and chain-p8 kernels at the given sizes:
+change to the simulator's hot paths costs per simulated instruction.
+
+It counts Python bytecodes only. Work done in C does not show: a builtin
+such as `min(map(...))` is a few bytecodes however many items it walks, and
+resuming a generator costs more than the bytecodes it runs. So cheap
+bytecodes can replace costly work and leave the count flat or higher while
+wall time falls, and the reverse. Both were seen on `sim._stop`'s walk of a
+quiet core's queued threads: a `min(map(...))` walk counts fewer bytecodes
+than a plain loop but took about 1.0 us per 8-thread queue against 0.33 us
+(timeit, 2-vCPU x86_64, CPython 3.11), and the plain loop took
+`kernel_heterogeneous()` at p=4 from 171.0 to 171.9 bytecodes per commit
+while it halved the `Core.step` resumes and ran faster. For changes to the
+chip loop and `_stop` the count is a guide, not the gate; the gate is wall
+time in a `BENCH_*.json`.
+
+Prints one line per run: the corpus matrix of `perfbench` (five corpus
+kernels at their default sizes x p in {1, 4, 8} x eager/bulk, 30 cells) with
+a total, then the spin-p1 and chain-p8 kernels at the given sizes:
 
     python3 scripts/opcount.py
     python3 scripts/opcount.py --kernels chain --cores 1 --coherency eager \\

@@ -67,14 +67,16 @@ from. Residency comes from the I-probe memo (`MemorySystem.i_probed`) for a
 line already probed since the last I-fill into this core, with a recency
 touch (`MemorySystem.i_touch`) for a resident one, and from
 `MemorySystem.icache_probe` otherwise. A thread whose pc lies on the line
-that the same `step` call last found resident, and fetched from, skips both:
-that line is still resident and still the most recently used, because only
-fetch's own touches reorder the core's I-tags and only a fill evicts a line,
-and the remembered line is reset at every call and after every phase that
-the call runs (see below). The rest runs only where it is needed: `_retire`
-for a halt or a traced run, `_suspend` when an operand is not ready,
-`_set_reg` (which faults) when a one-cycle result meets a cell that is not
-FULL, and the memory system for a load or store.
+that fetch last found resident, and fetched from, skips both: that line is
+still resident and still the most recently used, because only fetch's own
+touches reorder the core's I-tags and only an I-fill into the core evicts a
+line or reorders them. Such a fill empties the memo, so the step keeps the
+remembered line across calls and stops and forgets it only when it finds
+the memo empty, at a call's start and after every phase that the call runs
+(see below). The rest runs only where it is needed: `_retire` for a halt or
+a traced run, `_suspend` when an operand is not ready, `_set_reg` (which
+faults) when a one-cycle result meets a cell that is not FULL, and the
+memory system for a load or store.
 
 A quiet stretch is a second inner loop of the step, for cycles in which only
 execute and fetch have work. An instruction is quiet (`Instruction.quiet`)
@@ -129,9 +131,10 @@ remembers the cycle it went idle and adds those bubbles at once when it
 wakes or the run ends.
 
 `step(cycle, limit)` resumes the core's resident step, a generator
-(`_steps`) that keeps the latches, the per-core constants and the marks
-`m_at` and `check_at` as locals from one call to the next, runs cycle after
-cycle, and returns the next cycle to run from its one yield point. There it
+(`_steps`) that keeps the latches, the per-core constants, the marks `m_at`
+and `check_at` and the remembered I-line as locals from one call to the
+next, runs cycle after cycle, and returns the next cycle to run from its
+one yield point. There it
 publishes what other code reads: the six latch attributes (read by
 `sim._stop` and the tests) and the call's commit and bubble counts, added to
 `Core.metrics`; `Core.quiet` is kept current as a stretch starts and ends.
@@ -149,8 +152,8 @@ retirement that appends a TMU request to the chip's request list,
 the chip with another awake core returns; the only awake core runs that
 cycle's phases itself (`_phases_alone`), and carries on unless they woke
 another core, with `stop` folded again, the request list read again (the
-TMU phase installs a new one) and the remembered I-line forgotten, since a
-fill may have evicted it (`test_lone_step_call_*`).
+TMU phase installs a new one) and the remembered I-line forgotten if a fill
+into the core emptied its memo (`test_lone_step_call_*`).
 
 `chip.cycle` is current only where something reads it. The step writes it
 before a load (a hit's callback records `chip.last_effect` from it), before
@@ -215,6 +218,35 @@ def holds_stretches(instructions) -> bool:
             if run > _DEPTH:
                 return True
     return False
+
+
+def reach(instructions) -> list[int]:
+    """For each pc, the fewest instructions that any path from it fetches
+    before one that acts outside the core (`Instruction.acts_outside`), or
+    NEVER where no path reaches one. A pc's successors are its fall-through
+    and a branch's target, or a jmp's target alone; a halt acts outside.
+    `sim._stop` reads it as a quiet core's horizon (see `sim.py`)."""
+    n = len(instructions)
+    out = [NEVER] * n
+    before = [[] for _ in range(n)]     # pc -> the pcs it succeeds
+    found = []                          # breadth first, against the edges
+    for pc, instr in enumerate(instructions):
+        if instr.acts_outside:
+            out[pc] = 0
+            found.append(pc)
+        elif instr.is_jump:
+            before[instr.imm].append(pc)
+        else:
+            if instr.is_branch:
+                before[instr.imm].append(pc)
+            if pc + 1 < n:
+                before[pc + 1].append(pc)
+    for pc in found:
+        for prev in before[pc]:
+            if out[prev] == NEVER:
+                out[prev] = out[pc] + 1
+                found.append(prev)
+    return out
 
 
 # a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
@@ -514,6 +546,8 @@ class Core:
         # that never checks starts at NEVER
         check_at = self._check_at
         checks = check_at < NEVER
+        # the line that fetch last found resident and fetched from
+        fetched_line = -1
         try:
             while True:
                 commits = bubbles = 0
@@ -527,9 +561,10 @@ class Core:
                     if noc.next_arrival < stop:
                         stop = noc.next_arrival
                     requests = chip.requests    # the phases install new ones
-                    # the line this call last found resident, forgotten
-                    # because a fill may have evicted it
-                    fetched_line = -1
+                    # the remembered line is forgotten once an I-fill into
+                    # the core, which empties the memo, may have evicted it
+                    if not probed:
+                        fetched_line = -1
                     quiet = self.quiet      # a wake in the phases clears it
                     # a quiet stretch starts if every instruction in flight
                     # is quiet and no queued thread has a pending cell or a
@@ -749,8 +784,8 @@ class Core:
                         # names a queued context), the first thread in queue
                         # order that is resumable, or not fetch-blocked with
                         # its I-line resident, is rotated to the front. The
-                        # line this call last found resident is still
-                        # resident and most recently used; the memo answers
+                        # line fetch last found resident is still resident
+                        # and most recently used; the memo answers
                         # for a line probed since the last I-fill into this
                         # core; any other line is probed, which requests it
                         # on a miss.

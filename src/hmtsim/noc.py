@@ -96,10 +96,16 @@ class Noc:
         return bool(self.arrivals)
 
     def hop_log(self) -> dict[tuple[int, int], int]:
-        """Traversal count for every adjacent (low core, high core) link."""
+        """Traversal count for every adjacent (low core, high core) link, in
+        ascending order of the pair: `Metrics.hop_log` is part of the
+        `result_hash`. The links are listed directly, not found among all
+        pairs: (a, a + 1), and a ring of more than two cores also closes
+        with (0, p - 1), right after (0, 1)."""
         topo = self.topology
-        out = {(a, b): 0 for a in range(topo.p) for b in range(a + 1, topo.p)
-               if topo.adjacent(a, b)}
+        p = topo.p
+        out = dict.fromkeys(((a, a + 1) for a in range(p - 1)), 0)
+        if topo.kind == "ring" and p > 2:
+            out = {(0, 1): 0, (0, p - 1): 0, **out}
         for (src, dst), n in self._sent.items():
             path = topo.path(src, dst)
             for a, b in zip(path, path[1:]):

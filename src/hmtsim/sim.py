@@ -62,13 +62,28 @@ that every traced `result_hash` is the same either way. The stop is:
   left the list: the core left alone runs a stop's phases itself, which is
   exact for the same reason.
 - two or more awake cores: a shared window, the smallest horizon of the
-  awake cores, at most the fetch-to-execute depth (4), shorter than an
-  I-fill and capped as for one core. A core's horizon is the number of
-  coming cycles before its oldest in-flight instruction that acts outside
-  the core (`Instruction.acts_outside`: a load or store, a TMU request, a
-  halt) can do so: 1 or less from read onwards, 2 in decode, 3 in fetch.
-  A core in a quiet stretch (`Core.quiet`, see `core.py`) has no such
-  instruction in flight, so its latches are not walked.
+  awake cores, shorter than an I-fill and capped as for one core. A core's
+  horizon is the number of coming cycles before an instruction that acts
+  outside the core (`Instruction.acts_outside`: a load or store, a TMU
+  request, a halt) can do so.
+  - A core that is not quiet: from its oldest such instruction in flight,
+    1 or less from read onwards, 2 in decode, 3 in fetch; with none in
+    flight, the fetch-to-execute depth (4), since an instruction fetched in
+    the window's first cycle executes four cycles on.
+  - A core in a quiet stretch (`Core.quiet`, see `core.py`): the least
+    `max(4, 3 + reach[ctx.pc])` over its queued threads, where `Chip.reach`
+    (`core.reach`, built once per run) gives for each pc the fewest
+    instructions that any path from it fetches before an acting one. Its
+    latches are not walked: every instruction in flight is quiet, and no
+    queued thread holds a resume or a pending cell, so each queued
+    thread's pc is its next fetch, and the core fetches at most one
+    instruction a cycle. An acting instruction is then fetched no sooner
+    than reach cycles on, and executes four cycles after. The 3 covers a
+    thread whose branch is still in flight: it waits at the branch's pc,
+    whose reach counts the branch itself, and a branch that resolves in
+    the window's first cycle lets it fetch its target that cycle
+    (`test_stop_window_of_a_quiet_core_whose_branch_is_in_flight`). A
+    quiet core with no queued thread has no horizon.
   A window's cycles touch only each core's own threads, latches and I-tags,
   so stepping the cores one after another is exact: the window resumes each
   core's resident step once, and that call runs the whole window. Every core
@@ -94,7 +109,7 @@ import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import CHANNEL_CELL, Core, PerCoreMetrics, holds_stretches
+from .core import CHANNEL_CELL, Core, PerCoreMetrics, holds_stretches, reach
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import NEVER, CacheConfig, MemorySystem
@@ -225,6 +240,9 @@ class Chip:
         self.span_pool = SpanPool(config.p)
         # whether a core may check for a quiet stretch (see core.py)
         self.holds_stretches = holds_stretches(program.instructions)
+        # per pc, the fetches before an instruction that acts outside a core
+        # (see sim._stop)
+        self.reach = reach(program.instructions)
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
@@ -372,17 +390,27 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
 def _stop(chip: Chip, cycle: int) -> int:
     """The one stop rule: the cycle the chip runs to from cycle before it
     looks again (see the module docstring). Returning cycle + 1 makes the
-    loop lockstep. A quiet core is skipped: every instruction it has in
-    flight is quiet, and no quiet instruction acts outside its core."""
+    loop lockstep. A quiet core's latches are skipped: every instruction it
+    has in flight is quiet, and no quiet instruction acts outside its core.
+    Its queued threads are walked instead, each pc's reach bounding how
+    soon the thread can fetch an instruction that does."""
     awake = chip.awake
     span = NEVER    # a lone core has no window
     if len(awake) > 1:
-        # the smallest horizon of the awake cores, at most the
-        # fetch-to-execute depth, and shorter than an I-fill
-        span = 4
+        # the smallest horizon of the awake cores, shorter than an I-fill:
+        # at most the fetch-to-execute depth for a core that is not quiet,
+        # and from the least reach of its queued threads' pcs for one that is
+        reach = chip.reach
+        least = NEVER
         for core in awake:
             if core.quiet:
+                for ctx in core.queue:
+                    x = reach[ctx.pc]
+                    if x < least:
+                        least = x
                 continue
+            if span > 4:
+                span = 4
             x = core.e
             if x and x[1].acts_outside:
                 return cycle + 1
@@ -402,7 +430,12 @@ def _stop(chip: Chip, cycle: int) -> int:
                 x = core.f
                 if x and x[1].acts_outside:
                     span = 3
-        span = min(span, chip.config.cache.i_miss_latency)
+        # max(4, 3 + least), folded in without builtin calls, which cost
+        # more than the comparisons here
+        if 3 + least < span:
+            span = 3 + least if least > 1 else 4
+        if span > chip.config.cache.i_miss_latency:
+            span = chip.config.cache.i_miss_latency
     elif not awake:
         # the phases of cycle may have completed the run's last family,
         # with a fill still pending that changes no result

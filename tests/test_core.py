@@ -843,8 +843,8 @@ def test_lone_step_call_probes_again_after_a_phase_fills_a_line():
 
 
 def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():
-    # a step call remembers the line it fetched from last only until it
-    # returns: a fill between two calls can evict that line
+    # the step forgets the line it fetched from last once a fill into its
+    # core has emptied the memo: a fill between two calls can evict that line
     chip = make_chip(STRAIGHT, cache=CacheConfig(i_lines=1, i_miss_latency=1))
     core, memory = chip.cores[0], chip.memory
     spawn(chip, 1)
@@ -856,6 +856,42 @@ def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():
     assert list(memory._itags[0]) == [100]
     assert fetch_stage(core, 3) is None         # pc 1 misses
     assert (0, 0) in memory._i_pending
+
+
+def test_fetch_keeps_the_line_it_fetched_last_until_a_fill_into_its_core(
+        monkeypatch):
+    # the line fetch last found resident stays resident and most recently
+    # used until an I-fill into the core, which empties the memo: later
+    # calls fetch from it with no memo lookup, probe or touch, through a
+    # fill into another core, and probe again once a fill into this core
+    chip = make_chip(STRAIGHT, p=2)
+    core, memory = chip.cores[0], chip.memory
+    spawn(chip, 1)
+    probe, probes, touches = MemorySystem.icache_probe, [], []
+    probe(memory, 0, 0, 0)          # lines 0 to 3, due at 10
+    memory.step(10)
+    probe(memory, 1, 400, 3)        # a fill into core 1, due at 13
+    probe(memory, 0, 400, 8)        # a fill into core 0, due at 18
+
+    def record_probe(memory, cid, pc, cycle):
+        probes.append((cycle, pc))
+        return probe(memory, cid, pc, cycle)
+
+    def record_touch(line):
+        touches.append(line)
+        memory.i_touch[0](line)
+
+    monkeypatch.setattr(MemorySystem, "icache_probe", record_probe)
+    core._touch = record_touch      # read when the resident step starts
+    for cycle in range(11, 27):     # pcs 0 to 15, one call each
+        if cycle in memory.fills:
+            memory.step(cycle)
+        fetch_stage(core, cycle)
+        assert core.f[2] == cycle - 11
+        assert next(reversed(memory._itags[0])) == (cycle - 11) // 4
+    # line 4, which the probe at 15 fetched ahead, is a fill into core 0 too
+    assert probes == [(11, 0), (15, 4), (18, 7), (19, 8), (23, 12), (25, 14)]
+    assert touches == []
 
 
 def test_pending_cap_is_structural():

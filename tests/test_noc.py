@@ -107,6 +107,18 @@ def test_hop_log_only_adjacent_pairs():
 
 
 @pytest.mark.parametrize("kind", ["ring", "line"])
+@pytest.mark.parametrize("p", range(1, 13))
+def test_hop_log_lists_the_adjacent_pairs_in_pair_order(kind, p):
+    # the links, listed directly, are the adjacent pairs among all pairs, in
+    # the same order: the order is part of Metrics' repr, which result_hash
+    # hashes
+    topo = Topology(kind, p)
+    old = {(a, b): 0 for a in range(p) for b in range(a + 1, p)
+           if topo.adjacent(a, b)}
+    assert list(Noc(topo).hop_log().items()) == list(old.items())
+
+
+@pytest.mark.parametrize("kind", ["ring", "line"])
 def test_routes_match_topology_paths_when_reused(kind):
     topo = Topology(kind, 6, hop_latency=3)
     noc = Noc(topo)

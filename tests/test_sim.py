@@ -10,13 +10,13 @@ from typing import Callable, NamedTuple
 import pytest
 
 from hmtsim import sim
-from hmtsim.core import Core
+from hmtsim.core import Core, reach
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, Program, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import OracleDeadlock, sequential_oracle
-from hmtsim.memory import CacheConfig
+from hmtsim.memory import NEVER, CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
 
@@ -1702,6 +1702,112 @@ def test_stop_window_capped_by_starvation_check_and_watchdog():
         == 1001
 
 
+# -- a quiet core's horizon: the reach of its queued threads' pcs --------------
+
+@pytest.mark.parametrize("src, expected", [
+    # straight-line code
+    (".body main\n  addi r1, r1, 1\n  addi r1, r1, 1\n  st r1, 0(r0)\n"
+     "  halt", [2, 1, 0, 0]),
+    # a quiet loop with an exit: the branch's fall-through is nearest
+    (".body main\n  addi r2, r0, 3\nloop:\n  addi r1, r1, 1\n"
+     "  addi r2, r2, -1\n  bne r2, r0, loop\n  halt", [4, 3, 2, 1, 0]),
+    # a jmp has its target as its one successor, not the store after it
+    (".body main\n  jmp far\n  st r0, 0(r0)\nfar:\n  addi r1, r1, 1\n"
+     "  addi r1, r1, 1\n  halt", [3, 0, 2, 1, 0]),
+    # a branch to a label in another body, which is nearer than the
+    # fall-through; a plain getsh stays in the core, a tail read does not
+    (".body main\n  beq r1, r0, near\n  addi r1, r1, 1\n  getsh r3\n"
+     "  getsh r4, r1\n  halt\n.body w\nnear:\n  addi r2, r2, 1\n  halt",
+     [2, 2, 1, 0, 0, 1, 0]),
+    # a quiet loop with no exit never reaches an acting instruction
+    (".body main\n  addi r1, r1, 1\nspin:\n  addi r1, r1, 1\n  jmp spin\n"
+     ".body w\n  halt", [NEVER, NEVER, NEVER, 0]),
+])
+def test_reach_counts_the_fetches_before_an_acting_instruction(src, expected):
+    assert reach(assemble(src).instructions) == expected
+
+
+# twelve quiet instructions, then a TMU request: reach[pc] is 12 - pc
+TWELVE_THEN_PUTSH = ".body main\n" + "  addi r1, r1, 1\n" * 12 + \
+    "  putsh r1\n  halt"
+
+
+def quiet_chip(*pcs, src=TWELVE_THEN_PUTSH, latency=100, **cfg):
+    """A chip with one core per entry of pcs, all of them awake and quiet
+    with empty latches, and a queued thread at each pc of a core's entry;
+    I-fills take latency cycles."""
+    chip = Chip(ChipConfig(p=len(pcs), cache=CacheConfig(
+        i_miss_latency=latency), **cfg), assemble(src))
+    for core, at in zip(chip.cores, pcs):
+        for pc in at:
+            core.start_context(core.take_free_slot(), fid=1, position=0,
+                               logical_index=0, pc=pc)
+        core.quiet = True
+    chip.awake = list(chip.cores)
+    return chip
+
+
+@pytest.mark.parametrize("pcs, least", [
+    (([0], [0]), 12), (([5], [0]), 7), (([0, 3], [7, 0]), 5),
+    (([10], [2]), 2), (([0], [11]), 1), (([12, 1], [3]), 0),
+    (([0], [0], [0, 9, 4]), 3)])
+def test_stop_window_of_quiet_cores_is_the_least_reach_plus_three(pcs, least):
+    # a queued thread fetches no acting instruction for reach[pc] cycles,
+    # and one fetched then acts no sooner than four cycles on
+    assert sim._stop(quiet_chip(*pcs), 1000) == 1000 + max(4, 3 + least)
+
+
+def test_stop_window_of_quiet_cores_capped_by_i_fill_and_starvation_check():
+    assert sim._stop(quiet_chip([0], [0], latency=10), 1000) == 1010
+    assert sim._stop(quiet_chip([0], [0], latency=7), 1000) == 1007
+    assert sim._stop(quiet_chip([0], [0]), 1020) == 1024
+    assert sim._stop(quiet_chip([0], [0], starvation_check=9), 1000) == 1008
+    assert sim._stop(quiet_chip([0], [0], watchdog_cycles=1006), 1000) == 1006
+    # quiet cores with no queued thread: only the caps are left
+    assert sim._stop(quiet_chip([], []), 1000) == 1024
+    assert sim._stop(quiet_chip([], [], latency=10), 1000) == 1010
+
+
+@pytest.mark.parametrize("latch", ["f", "d", "r", "e"])
+def test_stop_window_of_a_quiet_core_whose_branch_is_in_flight(latch):
+    # a thread fetch-blocked on its branch sits at the branch's pc, whose
+    # reach counts the branch itself; the branch, taken as late as from
+    # execute, sends it to a TMU request that acts four cycles on. The
+    # window ends right before that
+    src = ".body main\n  bne r1, r0, out\n" + "  addi r1, r1, 1\n" * 12 + \
+        "  halt\n.body w\nout:\n  putsh r1\n  halt"
+    chip = quiet_chip([], [5], src=src)
+    core = chip.cores[0]
+    # every line of the 16-instruction program resident in core 0
+    chip.memory._itags[0].update(dict.fromkeys(range(4), True))
+    ctx = core.start_context(core.take_free_slot(), fid=1, position=0,
+                             logical_index=0, pc=0)
+    ctx.value[1] = 1
+    ctx.fetch_blocked = True
+    setattr(core, latch, (ctx, chip.program.instructions[0], 0))
+    assert chip.reach[0] == 1
+    end = sim._stop(chip, 1000)
+    assert end == 1004
+    chip.awake = [core]
+    assert core.step(1000, end) == end and not chip.requests
+    if latch == "e":
+        # from execute the request acts in the cycle right after the window
+        assert core.step(end, end + 1) == end + 1 and chip.requests
+
+
+@pytest.mark.parametrize("acting, span", [((), 4), (("f",), 3), (("d",), 2),
+                                          (("r",), 1)])
+def test_stop_window_with_a_core_that_is_not_quiet(acting, span):
+    # a core that is not quiet keeps the window to its latch rule, however
+    # far the quiet core's threads are from an acting instruction
+    chip = quiet_chip([0], [0], [0])
+    core = chip.cores[1]
+    core.quiet = False
+    for latch in "fdremw":
+        setattr(core, latch, (None, ACTING if latch in acting else QUIET, 0))
+    assert sim._stop(chip, 1000) == 1000 + span
+
+
 # -- the fast chip loop against lockstep ----------------------------------------
 
 def lockstep(chip, cycle):
@@ -1808,3 +1914,24 @@ def test_untraced_runs_equal_traced_runs(matrix_runs, monkeypatch):
         traced.trace = None
         untraced = run(pin.config(trace=False), program)
         assert untraced.result_hash() == traced.result_hash(), pin.label
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_untraced_windows_of_quiet_cores_run_past_the_pipe_depth(
+        matrix_runs, monkeypatch, p):
+    # a traced run never takes a quiet stretch, so the traced cells above
+    # keep every shared window at 4 cycles or less; untraced, most shared
+    # windows of the heterogeneous cell run longer, from the reach of the
+    # quiet cores' threads, and the run still gives its traced result
+    cell = matrix_runs[f"heterogeneous-p{p}-hints_on-eager"]
+    step, windows = Core.step, []
+
+    def record_step(core, cycle, limit):
+        if len(core.chip.awake) > 1:
+            windows.append(limit - cycle)
+        return step(core, cycle, limit)
+
+    monkeypatch.setattr(Core, "step", record_step)
+    untraced = run(replace(cell.config, trace=False), cell.spec.program)
+    assert untraced.result_hash() == cell.result.result_hash()
+    assert sum(span > 4 for span in windows) > len(windows) / 2
