@@ -29,8 +29,10 @@ a total, then the spin-p1 and chain-p8 kernels at the given sizes:
 
 `--kernels`, `--cores` and `--coherency` take comma lists that select matrix
 cells; a size of 0 leaves out that single run. Tracing runs Python's
-per-opcode hook: the default runs take about 20 s on a 2-vCPU x86_64 VM
-with CPython 3.11.
+per-opcode hook: the default runs take about 13 s on a 2-vCPU x86_64 VM
+with CPython 3.11, and read about 111 bytecodes per commit for spin-p1,
+353 for chain-p8 and 156 for the corpus total, since quiet stretches
+execute at fetch (they read 133.5, 355.1 and 176.9 before).
 """
 
 import argparse

@@ -45,18 +45,28 @@ tests cannot drift. In their order:
 New pinned runs are appended, so earlier lines keep their place. One pass
 takes 20-40 s on a 2-vCPU x86_64 VM with CPython 3.11 (about 22 s on a
 2-vCPU Intel Xeon VM, a little longer in lockstep).
+
+`quiet_sweep()` lists 750 more configurations, drawn with a fixed seed, for
+untraced runs to be checked against traced ones (CI's stress-grid job does,
+under the fast and the lockstep loop; `main` does not run them): a traced
+run never takes a quiet stretch (`src/hmtsim/core.py`), so only untraced
+runs exercise the stretch and the long windows of quiet cores. Its I-fills
+of 1 to 1,000 cycles and I-caches of 1 to 32 lines of 4 to 64 bytes let
+windows run past 10 cycles and stretches probe and miss.
 """
 
 import importlib.util
 import itertools
 import pathlib
+import random
 import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hmtsim.kernels import corpus
+from hmtsim.kernels import (corpus, kernel_chain, kernel_heterogeneous,
+                            kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.memory import CacheConfig
 from hmtsim.sim import ChipConfig, run
 
@@ -83,6 +93,43 @@ def pinned():
     loader.loader.exec_module(src)
     for pin in src.pinned_runs():
         yield pin.label, pin.config(), pin.make()
+
+
+def quiet_sweep(n=750, seed=27):
+    """(label, config, program) for n untraced configurations: the five
+    corpus kernels at small sizes and two heterogeneous spins, each run
+    with an i_miss_latency of 1, 10, 37, 300 or 1000 cycles, 1 to 32
+    I-lines of 4 to 64 bytes, p in {1, 2, 3, 5, 8}, 2, 7 or 64 thread slots
+    and a hop latency of 0 or 3, each factor drawn from
+    random.Random(seed)."""
+    fixed = {
+        "regular n=24": kernel_regular(n=24).program,
+        "heterogeneous n=16 scale=4":
+            kernel_heterogeneous(16, 4).program,
+        "chain n=16": kernel_chain(n=16).program,
+        "loaduse iters=3": kernel_loaduse(iters=3).program,
+        "heterogeneous n=24 scale=5": kernel_heterogeneous(24, 5).program,
+        "heterogeneous n=9 scale=40": kernel_heterogeneous(9, 40).program,
+    }
+    names = [*fixed, "starvation"]
+    rng = random.Random(seed)
+    for _ in range(n):
+        name = rng.choice(names)
+        latency = rng.choice((1, 10, 37, 300, 1000))
+        lines = rng.randint(1, 32)
+        line_bytes = rng.choice((4, 8, 16, 32, 64))
+        p = rng.choice((1, 2, 3, 5, 8))
+        slots = rng.choice((2, 7, 64))
+        hop = rng.choice((0, 3))
+        program = fixed[name] if name in fixed else \
+            kernel_starvation(p, satisfiable=True).program
+        cfg = ChipConfig(p=p, thread_slots=slots, hop_latency=hop,
+                         cache=CacheConfig(i_miss_latency=latency,
+                                           i_lines=lines,
+                                           line_bytes=line_bytes))
+        label = (f"{name} p={p} slots={slots} hop={hop} i_miss={latency} "
+                 f"i_lines={lines} line_bytes={line_bytes}")
+        yield label, cfg, program
 
 
 def main():

@@ -27,7 +27,8 @@ younger ones: `parked` holds `(cell, inf)` from the park until the writeback
 of that cell wakes it, and is None while the thread is not suspended.
 
 An instruction in flight is a plain tuple, `(ctx, instr, pc)`, from fetch to
-retirement; a thread's `parked` and `resume` hold the same tuple. No
+retirement, with `DONE` as instr for one that a quiet stretch has executed
+(see below); a thread's `parked` and `resume` hold the same tuple. No
 stage carries operand values: each consumer reads the cells it needs from
 `ctx.value` when it runs. The execute stage reads its sources there, in
 `step`'s own frame or in an execute-table entry called with `(core, ctx,
@@ -98,20 +99,49 @@ is a no-op:
 - fetch finds no resume, so it takes each thread's next instruction from
   its pc.
 
-So a stretch cycle counts the commit, runs the ALU operation or branch,
-advances the latches and fetches. Its execute code is the generic loop's,
-kept textually parallel, `_set_reg`'s FULL guard included; its fetch is the
-generic fetch without the resume branch and the rotation. Nothing inside the
-stretch breaks the invariant: only a non-quiet instruction's execute marks a
-cell PENDING, and a fresh thread (`start_context`) has neither a pending
-cell nor a resume. A thread that holds either joins the queue only when
-`writeback` wakes it, and that clears `Core.quiet`: the step reads `quiet`
-again at every call's start and after the phases that a lone core runs at a
-stop, the only places where a writeback reaches a core between its cycles,
-so the stretch ends before the woken thread's next fetch. Otherwise it ends
-at the fetch of an instruction that is not quiet; that fetch does a hinted
-instruction's rotation bookkeeping, and the generic loop runs from the next
-cycle.
+Only a thread's own quiet instructions then read or write its registers,
+in the order it fetched them, and no instruction acts outside the core. So
+the stretch executes each quiet instruction at its fetch, four cycles before
+execute would, and leaves `DONE` (`add r0, r0, r0`, which every stage
+passes untouched) in flight for it. Its execute code is the generic loop's,
+node for node, `_set_reg`'s FULL guard included
+(`test_quiet_execute_copies_match`); its fetch is the generic fetch without
+the resume branch and the rotation. A branch resolves there too, so
+`ThreadContext.fetch_blocked` is a cycle, the first one at which the thread
+may fetch: its fetch cycle plus four after a branch that a stretch ran, as
+when execute resolves it; NEVER after the generic fetch of a block ender,
+until the generic execute or decode resolves it and sets 0. The generic
+fetch tests the block before it compares it with the cycle, so a thread
+with none costs one test.
+
+A stretch cycle thus only fetches, and the latches only shift. The stretch
+keeps them in a ring, a `deque(maxlen=6)` of the last six fetches, oldest
+first: each cycle appends what fetch put in f (DONE's tuple, the
+instruction that ends the stretch, or None), and the six latches are
+rebuilt from it wherever the stretch stops. The ring lasts from one stop or
+call to the next while the core stays quiet. Writeback commits the latch
+that each cycle pushes out of the ring unless it is empty, so the commits
+are counted from the cycles run, the failed fetches and the empty latches
+at the ring's two ends.
+
+A stretch that starts first executes the quiet instructions in e, r, d and
+f that have not executed, oldest first, each as in its own execute cycle
+(`_execute_in_flight`): a branch among them unblocks its thread from that
+cycle. A resident step that starts on a quiet core does the same. After
+that every queued thread of a quiet core sits at its next fetch, which
+`sim._stop` reads as the core's horizon.
+
+Nothing inside the stretch breaks the invariant: only a non-quiet
+instruction's execute marks a cell PENDING, and a fresh thread
+(`start_context`) has neither a pending cell nor a resume. A thread that
+holds either joins the queue only when `writeback` wakes it, and that clears
+`Core.quiet`: a quiet step tests `quiet` again at every call's start and
+after the phases that a lone core runs at a stop, the only places where a
+writeback reaches a core between its cycles, so the stretch ends before the
+woken thread's next fetch. Otherwise it ends at the fetch of an instruction
+that is not quiet; that fetch does a hinted instruction's rotation
+bookkeeping, and the generic loop runs from the next cycle, on latches that
+hold DONE for what the stretch executed.
 
 A stretch starts only at a call's start or after a stop. The check there
 scans f, d, r and e, then the queue. The m and w latches hold what executed
@@ -139,8 +169,9 @@ publishes what other code reads: the six latch attributes (read by
 `sim._stop` and the tests) and the call's commit and bubble counts, added to
 `Core.metrics`; `Core.quiet` is kept current as a stretch starts and ends.
 It starts when first called, and again after `restart`, reading the latches,
-`quiet` and `_check_at` from the core; a `SimFault` publishes the same,
-restarts it and re-raises. A generic cycle starts with one test, `cycle <
+`quiet` and `_check_at` from the core; a `SimFault` publishes the same (the
+latches rebuilt from the ring if a stretch raised it), restarts it and
+re-raises. A generic cycle starts with one test, `cycle <
 stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
 first cycle with work outside the core (a call starts below it): it starts
 at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
@@ -175,7 +206,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 
 from .errors import SimFault
-from .isa import CHANNEL_CELL, Opcode, s32
+from .isa import CHANNEL_CELL, Instruction, Opcode, s32
 from .memory import NEVER
 from .tmu import Tmu
 
@@ -190,6 +221,10 @@ _ADD, _SUB, _MUL, _ADDI, _LD, _ST, _BEQ, _BNE = map(int, (
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI, Opcode.LD, Opcode.ST,
     Opcode.BEQ, Opcode.BNE))
 
+
+# what a quiet stretch leaves in flight for an instruction it executed at
+# fetch: add r0, r0, r0, which every stage passes untouched
+DONE = Instruction(Opcode.ADD, dst=0, src1=0, src2=0)
 
 # the pipeline's stages, each a latch: fetch, decode, read, execute, memory,
 # writeback
@@ -275,7 +310,10 @@ class ThreadContext:
         # register -> family its PENDING cell waits on (sync, getsh of a
         # tail) or None, set as it turns PENDING; read by deadlock diagnosis
         self.waits_on = {}
-        self.fetch_blocked = False
+        # the first cycle the thread may fetch: 0, a branch's execute cycle
+        # once a quiet stretch has run it, or NEVER behind a block ender
+        # that has yet to resolve
+        self.fetch_blocked = 0
         self.resume = None
         self.pending_cells = 0
         self.last_denial = -1
@@ -301,7 +339,7 @@ class Core:
         # (see MemorySystem.icache_probe)
         self._probed = chip.memory.i_probed[cid]
         self._touch = chip.memory.i_touch[cid]
-        self._line_bytes = chip.memory.config.line_bytes
+        self._line_of = chip.line_of
         self.traced = chip.config.trace     # retire every commit, not just halts
         self.contexts: dict[int, ThreadContext] = {}
         # free slots, smallest first: released ones on a heap, then the
@@ -441,7 +479,7 @@ class Core:
         # a fetch block imposed by a younger, now-flushed control transfer
         # must not outlive it; a suspended branch keeps its own block
         if not instr.is_branch:
-            ctx.fetch_blocked = False
+            ctx.fetch_blocked = 0
 
     def flush_younger(self, ctx, restart_pc: int) -> int:
         """Drop this thread's younger instructions from fetch/decode and point
@@ -534,7 +572,7 @@ class Core:
         chip = self.chip
         memory, noc = chip.memory, chip.noc
         cid, queue, contexts = self.cid, self.queue, self.contexts
-        probed, touch, line_bytes = self._probed, self._touch, self._line_bytes
+        probed, touch, line_of = self._probed, self._touch, self._line_of
         instructions, traced, metrics = self.instructions, self.traced, \
             self.metrics
         f, d, r, e, m, w = self.f, self.d, self.r, self.e, self.m, self.w
@@ -548,7 +586,17 @@ class Core:
         checks = check_at < NEVER
         # the line that fetch last found resident and fetched from
         fetched_line = -1
+        # the latches while the core is quiet, kept from one stop or call to
+        # the next: the last six fetches, oldest first (see the stretch
+        # below). The locals hold them too wherever a stretch stops
+        ring = None
+        # in a quiet stretch: self.quiet, which only a wake clears from
+        # outside the step
+        quiet = self.quiet
         try:
+            if quiet:
+                # a stretch resumed on latches read from the core
+                e, r, d, f = self._execute_in_flight((e, r, d, f), cycle)
             while True:
                 commits = bubbles = 0
                 while True:
@@ -565,10 +613,14 @@ class Core:
                     # the core, which empties the memo, may have evicted it
                     if not probed:
                         fetched_line = -1
-                    quiet = self.quiet      # a wake in the phases clears it
+                    if quiet and not self.quiet:
+                        # a wake, in the phases or before the call, ended
+                        # the stretch
+                        quiet = False
+                        ring = None
                     # a quiet stretch starts if every instruction in flight
                     # is quiet and no queued thread has a pending cell or a
-                    # resume
+                    # resume; it first executes those in flight
                     if not quiet and checks:
                         if cycle >= check_at:
                             if (f is None or f[1].quiet) \
@@ -582,63 +634,32 @@ class Core:
                                         break
                                 else:
                                     quiet = self.quiet = True
+                                    e, r, d, f = self._execute_in_flight(
+                                        (e, r, d, f), cycle)
                             else:
                                 check_at = cycle + 3
                     if quiet:
-                        # the quiet stretch: writeback only counts, the
-                        # memory, read and decode stages have nothing to do,
-                        # no rotation is pending and no queued thread has a
-                        # resume. The execute code is the generic loop's
-                        # below, kept textually parallel
+                        # the quiet stretch: fetch executes each quiet
+                        # instruction and leaves DONE in flight for it, so no
+                        # stage has work and the latches only shift. ring
+                        # holds them, the last six fetches, oldest first.
+                        # Each cycle commits the latch that its fetch pushes
+                        # out of the ring, unless that one is empty, so the
+                        # commits are the cycles run less the empty latches
+                        # pushed out: ran is the first cycle plus the ring's
+                        # empty latches then and the failed fetches, and the
+                        # empty latches left at the end are added back
+                        if ring is None:
+                            ring = deque((w, m, e, r, d, f), _DEPTH)
+                        ran = cycle + ring.count(None)
                         while True:
-                            if w is not None:
-                                commits += 1
-                            if e is not None:
-                                ctx, instr, pc = e
-                                op = instr.op
-                                if op < _LD:
-                                    value = ctx.value
-                                    if op == _ADDI:
-                                        result = value[instr.src1] + instr.imm
-                                    elif op == _ADD:
-                                        result = value[instr.src1] + \
-                                            value[instr.src2]
-                                    elif op == _SUB:
-                                        result = value[instr.src1] - \
-                                            value[instr.src2]
-                                    else:
-                                        result = value[instr.src1] * \
-                                            value[instr.src2]
-                                    dst = instr.dst
-                                    if dst:
-                                        if ctx.state[dst] != FULL:
-                                            self._set_reg(ctx, dst, result)
-                                        value[dst] = s32(result) if \
-                                            (result + 0x80000000) >> 32 \
-                                            else result
-                                elif op == _BNE:
-                                    value = ctx.value
-                                    ctx.pc = instr.imm if value[instr.src1] \
-                                        != value[instr.src2] else pc + 1
-                                    ctx.fetch_blocked = False
-                                else:
-                                    value = ctx.value
-                                    ctx.pc = instr.imm if value[instr.src1] \
-                                        == value[instr.src2] else pc + 1
-                                    ctx.fetch_blocked = False
-
-                            w, m, e, r, d = m, e, r, d, f
-
-                            # fetch, as the generic loop's with no resume;
-                            # the stretch ends behind an instruction that is
-                            # not quiet
                             k = 0
                             for ctx in queue:
-                                if ctx.fetch_blocked:
+                                if ctx.fetch_blocked > cycle:
                                     k += 1
                                     continue
                                 pc = ctx.pc
-                                line = pc * 4 // line_bytes
+                                line = line_of[pc]
                                 if line != fetched_line:
                                     resident = probed.get(line)
                                     if resident is None:
@@ -652,27 +673,70 @@ class Core:
                                         k += 1
                                         continue
                                     fetched_line = line
-                                instr = instructions[pc]
-                                f = (ctx, instr, pc)
-                                if instr.ends_block:
-                                    ctx.fetch_blocked = True
-                                else:
-                                    ctx.pc = pc + 1
                                 if k:
                                     queue.rotate(-k)
-                                if not instr.quiet:
+                                instr = instructions[pc]
+                                if instr.quiet:
+                                    # execute at fetch, as execute would four
+                                    # cycles on: a branch's thread fetches
+                                    # again from then
+                                    op = instr.op
+                                    if op < _LD:
+                                        ctx.pc = pc + 1
+                                        value = ctx.value
+                                        if op == _ADDI:
+                                            result = value[instr.src1] + \
+                                                instr.imm
+                                        elif op == _ADD:
+                                            result = value[instr.src1] + \
+                                                value[instr.src2]
+                                        elif op == _SUB:
+                                            result = value[instr.src1] - \
+                                                value[instr.src2]
+                                        else:
+                                            result = value[instr.src1] * \
+                                                value[instr.src2]
+                                        dst = instr.dst
+                                        if dst:
+                                            if ctx.state[dst] != FULL:
+                                                # faults
+                                                self._set_reg(ctx, dst, result)
+                                            # nonzero exactly outside
+                                            # -2**31 .. 2**31-1
+                                            value[dst] = s32(result) if \
+                                                (result + 0x80000000) >> 32 \
+                                                else result
+                                    elif op == _BNE:
+                                        value = ctx.value
+                                        ctx.pc = instr.imm \
+                                            if value[instr.src1] \
+                                            != value[instr.src2] else pc + 1
+                                        ctx.fetch_blocked = cycle + 4
+                                    else:
+                                        value = ctx.value
+                                        ctx.pc = instr.imm \
+                                            if value[instr.src1] \
+                                            == value[instr.src2] else pc + 1
+                                        ctx.fetch_blocked = cycle + 4
+                                    ring.append((ctx, DONE, pc))
+                                else:
+                                    # the stretch ends behind it
+                                    ring.append((ctx, instr, pc))
+                                    if instr.ends_block:
+                                        ctx.fetch_blocked = NEVER
+                                    else:
+                                        ctx.pc = pc + 1
                                     quiet = self.quiet = False
                                     if instr.switch_hint:
                                         self._rotate_pending = ctx
                                         metrics.switch_events += 1
                                 break
                             else:
-                                f = None
+                                ring.append(None)
+                                ran += 1
                                 if contexts:
                                     bubbles += 1
-                                if not queue and d is None and r is None \
-                                        and e is None and m is None \
-                                        and w is None:
+                                if not queue and not any(ring):
                                     self._leave_awake(cycle)
                                     cycle += 1
                                     stop = limit = cycle    # yield it
@@ -681,6 +745,12 @@ class Core:
                             cycle += 1
                             if cycle >= stop or not quiet:
                                 break
+                        commits += cycle + ring.count(None) - ran
+                        # counted: a fault in the phases of a stop adds none
+                        ran = cycle + ring.count(None)
+                        w, m, e, r, d, f = ring
+                        if not quiet:
+                            ring = None
 
                     # the generic loop, until the next stop
                     while cycle < stop:
@@ -732,12 +802,12 @@ class Core:
                                 value = ctx.value
                                 ctx.pc = instr.imm if value[instr.src1] \
                                     != value[instr.src2] else pc + 1
-                                ctx.fetch_blocked = False
+                                ctx.fetch_blocked = 0
                             elif op == _BEQ:
                                 value = ctx.value
                                 ctx.pc = instr.imm if value[instr.src1] \
                                     == value[instr.src2] else pc + 1
-                                ctx.fetch_blocked = False
+                                ctx.fetch_blocked = 0
                             else:
                                 # no quiet stretch while it is in m or w
                                 check_at = cycle + 3
@@ -775,15 +845,16 @@ class Core:
                             if instr.is_jump:
                                 ctx = d[0]
                                 ctx.pc = instr.imm
-                                ctx.fetch_blocked = False
+                                ctx.fetch_blocked = 0
 
                         # advance the latches one stage
                         w, m, e, r, d = m, e, r, d, f
 
                         # fetch: after any pending switch-hint rotation (it
                         # names a queued context), the first thread in queue
-                        # order that is resumable, or not fetch-blocked with
-                        # its I-line resident, is rotated to the front. The
+                        # order that is resumable, or not fetch-blocked (0,
+                        # or a cycle not after this one) with its I-line
+                        # resident, is rotated to the front. The
                         # line fetch last found resident is still resident
                         # and most recently used; the memo answers
                         # for a line probed since the last I-fill into this
@@ -798,11 +869,12 @@ class Core:
                         for ctx in queue:
                             f = ctx.resume
                             if f is None:
-                                if ctx.fetch_blocked:
+                                if ctx.fetch_blocked \
+                                        and ctx.fetch_blocked > cycle:
                                     k += 1
                                     continue
                                 pc = ctx.pc
-                                line = pc * 4 // line_bytes
+                                line = line_of[pc]
                                 if line != fetched_line:
                                     resident = probed.get(line)
                                     if resident is None:
@@ -819,7 +891,7 @@ class Core:
                                 instr = instructions[pc]
                                 f = (ctx, instr, pc)
                                 if instr.ends_block:
-                                    ctx.fetch_blocked = True
+                                    ctx.fetch_blocked = NEVER
                                 else:
                                     ctx.pc = pc + 1
                             else:
@@ -856,12 +928,68 @@ class Core:
                 metrics.bubbles += bubbles
                 cycle, limit = yield cycle
         except SimFault:
+            if ring is not None:
+                # raised at a stretch's fetch, the latches are the cycle's
+                # before it shifts, and the cycles before it commit;
+                # raised in a stop's phases, all have been counted
+                commits += cycle + ring.count(None) - ran
+                w, m, e, r, d, f = ring
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
             metrics.commits += commits
             metrics.bubbles += bubbles
             chip.cycle = cycle      # sim.run reads the fault's cycle here
             self.restart()
             raise
+
+    def _execute_in_flight(self, latches, cycle):
+        """Start a quiet stretch: execute the quiet instructions in
+        latches, (e, r, d, f), that have not executed, oldest first, each as
+        in its own execute cycle, cycle for e's and one later for each
+        stage before it; returns the latches with DONE in their place. A
+        branch's thread may fetch from its execute cycle on. The copies of
+        the execute code are the generic loop's, node for node
+        (`test_quiet_execute_copies_match`)."""
+        out = []
+        for inf in latches:
+            if inf is not None and inf[1] is not DONE:
+                ctx, instr, pc = inf
+                op = instr.op
+                if op < _LD:
+                    value = ctx.value
+                    if op == _ADDI:
+                        result = value[instr.src1] + instr.imm
+                    elif op == _ADD:
+                        result = value[instr.src1] + \
+                            value[instr.src2]
+                    elif op == _SUB:
+                        result = value[instr.src1] - \
+                            value[instr.src2]
+                    else:
+                        result = value[instr.src1] * \
+                            value[instr.src2]
+                    dst = instr.dst
+                    if dst:
+                        if ctx.state[dst] != FULL:
+                            # faults
+                            self._set_reg(ctx, dst, result)
+                        # nonzero exactly outside -2**31 .. 2**31-1
+                        value[dst] = s32(result) if \
+                            (result + 0x80000000) >> 32 \
+                            else result
+                elif op == _BNE:
+                    value = ctx.value
+                    ctx.pc = instr.imm if value[instr.src1] \
+                        != value[instr.src2] else pc + 1
+                    ctx.fetch_blocked = cycle
+                else:
+                    value = ctx.value
+                    ctx.pc = instr.imm if value[instr.src1] \
+                        == value[instr.src2] else pc + 1
+                    ctx.fetch_blocked = cycle
+                inf = (ctx, DONE, pc)
+            out.append(inf)
+            cycle += 1
+        return out
 
     def _leave_awake(self, cycle: int):
         """Leave the chip's awake list at the end of an idle cycle: a new

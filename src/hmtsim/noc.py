@@ -6,7 +6,8 @@ core messaging itself). There is no contention or buffering model.
 
 A message is a `(dst, handler, payload)` tuple: the receiving core, the Tmu
 method it calls and that method's arguments. Traffic is counted per
-`(src, dst)` route, and `hop_log()` expands the routes into links.
+`(src, dst)` route, and `hop_log()` spreads each route's count over the links
+of its arc.
 """
 
 from __future__ import annotations
@@ -49,8 +50,19 @@ class Topology:
             out.append(c)
         return out
 
+    def arc(self, src: int, dst: int) -> tuple[int, int]:
+        """The links `path(src, dst)` crosses, as (first, count): link c
+        joins cores c and (c + 1) % p, and the route crosses links first,
+        first + 1, ..., mod p, whichever way it runs."""
+        if self.kind == "line":
+            return (src, dst - src) if dst >= src else (dst, src - dst)
+        fwd = (dst - src) % self.p
+        bwd = (src - dst) % self.p
+        # ties go clockwise, as in path
+        return (src, fwd) if fwd <= bwd else (dst, bwd)
+
     def hops(self, src: int, dst: int) -> int:
-        return len(self.path(src, dst)) - 1
+        return self.arc(src, dst)[1]
 
 
 class Noc:
@@ -100,14 +112,29 @@ class Noc:
         ascending order of the pair: `Metrics.hop_log` is part of the
         `result_hash`. The links are listed directly, not found among all
         pairs: (a, a + 1), and a ring of more than two cores also closes
-        with (0, p - 1), right after (0, 1)."""
+        with (0, p - 1), right after (0, 1). Each route adds its count once
+        at the start of its arc and takes it off past the end, so one
+        running sum over the links gives their counts."""
         topo = self.topology
         p = topo.p
-        out = dict.fromkeys(((a, a + 1) for a in range(p - 1)), 0)
-        if topo.kind == "ring" and p > 2:
-            out = {(0, 1): 0, (0, p - 1): 0, **out}
+        diff = [0] * (p + 1)
         for (src, dst), n in self._sent.items():
-            path = topo.path(src, dst)
-            for a, b in zip(path, path[1:]):
-                out[(a, b) if a < b else (b, a)] += n
+            first, hops = topo.arc(src, dst)
+            end = first + hops
+            diff[first] += n
+            if end > p:                 # the arc wraps past link p - 1
+                diff[0] += n
+                end -= p
+            diff[end] -= n
+        counts = []
+        total = 0
+        for x in diff[:p]:
+            total += x
+            counts.append(total)
+        out = {(a, a + 1): counts[a] for a in range(p - 1)}
+        if topo.kind == "ring":
+            if p > 2:
+                out = {(0, 1): counts[0], (0, p - 1): counts[p - 1], **out}
+            elif p == 2:                # both links join cores 0 and 1
+                out[(0, 1)] += counts[1]
         return out

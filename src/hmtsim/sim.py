@@ -71,17 +71,16 @@ that every traced `result_hash` is the same either way. The stop is:
     flight, the fetch-to-execute depth (4), since an instruction fetched in
     the window's first cycle executes four cycles on.
   - A core in a quiet stretch (`Core.quiet`, see `core.py`): the least
-    `max(4, 3 + reach[ctx.pc])` over its queued threads, where `Chip.reach`
+    `4 + reach[ctx.pc]` over its queued threads, where `Chip.reach`
     (`core.reach`, built once per run) gives for each pc the fewest
     instructions that any path from it fetches before an acting one. Its
-    latches are not walked: every instruction in flight is quiet, and no
-    queued thread holds a resume or a pending cell, so each queued
-    thread's pc is its next fetch, and the core fetches at most one
+    latches are not walked: the stretch has executed every instruction in
+    flight, branches included, and no queued thread holds a resume or a
+    pending cell, so each queued thread's pc is its next fetch (one behind
+    a branch fetches from the branch's execute cycle on,
+    `ThreadContext.fetch_blocked`), and the core fetches at most one
     instruction a cycle. An acting instruction is then fetched no sooner
-    than reach cycles on, and executes four cycles after. The 3 covers a
-    thread whose branch is still in flight: it waits at the branch's pc,
-    whose reach counts the branch itself, and a branch that resolves in
-    the window's first cycle lets it fetch its target that cycle
+    than reach cycles on, and executes four cycles after its fetch
     (`test_stop_window_of_a_quiet_core_whose_branch_is_in_flight`). A
     quiet core with no queued thread has no horizon.
   A window's cycles touch only each core's own threads, latches and I-tags,
@@ -243,6 +242,10 @@ class Chip:
         # per pc, the fetches before an instruction that acts outside a core
         # (see sim._stop)
         self.reach = reach(program.instructions)
+        # per pc, the I-line that holds it, read by fetch
+        line_bytes = config.cache.line_bytes
+        self.line_of = [pc * 4 // line_bytes
+                        for pc in range(len(program.instructions))]
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
@@ -390,10 +393,11 @@ def _check_starvation(chip: Chip, cycle: int) -> str | None:
 def _stop(chip: Chip, cycle: int) -> int:
     """The one stop rule: the cycle the chip runs to from cycle before it
     looks again (see the module docstring). Returning cycle + 1 makes the
-    loop lockstep. A quiet core's latches are skipped: every instruction it
-    has in flight is quiet, and no quiet instruction acts outside its core.
-    Its queued threads are walked instead, each pc's reach bounding how
-    soon the thread can fetch an instruction that does."""
+    loop lockstep. A quiet core's latches are skipped: its stretch has
+    executed every instruction it has in flight, and none of them acts
+    outside the core. Its queued threads are walked instead: each sits at
+    its next fetch, whose reach bounds how soon the thread can fetch an
+    instruction that does, and that one acts four cycles after its fetch."""
     awake = chip.awake
     span = NEVER    # a lone core has no window
     if len(awake) > 1:
@@ -430,10 +434,10 @@ def _stop(chip: Chip, cycle: int) -> int:
                 x = core.f
                 if x and x[1].acts_outside:
                     span = 3
-        # max(4, 3 + least), folded in without builtin calls, which cost
-        # more than the comparisons here
-        if 3 + least < span:
-            span = 3 + least if least > 1 else 4
+        # a quiet core's thread fetches an acting instruction no sooner
+        # than least cycles on, and it acts four cycles after its fetch
+        if 4 + least < span:
+            span = 4 + least
         if span > chip.config.cache.i_miss_latency:
             span = chip.config.cache.i_miss_latency
     elif not awake:

@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from hmtsim.core import CHANNEL_CELL, EMPTY, FULL
+from hmtsim.core import CHANNEL_CELL, DONE, EMPTY, FULL
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
-from hmtsim.memory import CacheConfig, MemorySystem
+from hmtsim.memory import NEVER, CacheConfig, MemorySystem
 from hmtsim.sim import Chip, ChipConfig, run
 
 
@@ -90,7 +90,7 @@ def test_fetch_skips_missing_line_and_requests_fill():
         chip.memory.step(c)
     # B holds the front until its own switch event; once it blocks, A runs
     assert fetch_stage(core, 25) == b.slot
-    b.fetch_blocked = True
+    b.fetch_blocked = NEVER
     assert fetch_stage(core, 26) == a.slot
 
 
@@ -361,7 +361,7 @@ def test_no_quiet_stretch_while_a_queued_thread_waits(wait):
     chip = make_chip(STRAIGHT)
     core = chip.cores[0]
     a, b = spawn(chip, 2)
-    b.fetch_blocked = True
+    b.fetch_blocked = NEVER
     if wait == "pending":
         core._mark_pending(b, 4)
     else:
@@ -410,6 +410,31 @@ def test_wake_in_a_lone_cores_phases_ends_its_stretch():
     ends, _, _ = step_core0(chip, 41, 400, False)
     assert ends == [400]
     assert b.parked is None and b.resume is None and b.value[8] == 42
+
+
+def test_fault_at_a_stretch_fetch_publishes_the_latches_of_its_ring():
+    # a stretch executes each quiet instruction at its fetch, so an addi
+    # whose destination is not FULL (set by hand: a stretch's threads hold
+    # no pending cell) faults there, in cycle 21, its eleventh. The step
+    # publishes the latches rebuilt from the ring as they stood before that
+    # cycle's fetch, the last six instructions fetched, and the commits of
+    # the four that had left the ring
+    src = ".body main\n" + "  addi r1, r1, 1\n" * 10 + "  addi r2, r2, 1\n" \
+        "  halt"
+    chip = make_chip(src)
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    for pc in (0, 4, 8):
+        chip.memory.icache_probe(0, pc, 0)
+    for c in range(11):
+        chip.memory.step(c)
+    ctx.state[2] = EMPTY
+    with pytest.raises(SimFault, match="non-full cell r2"):
+        core.step(11, 40)
+    assert core.quiet and chip.cycle == 21
+    assert [core.w, core.m, core.e, core.r, core.d, core.f] == \
+        [(ctx, DONE, pc) for pc in range(4, 10)]
+    assert core.metrics.commits == 4 and ctx.value[1] == 10
 
 
 # (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, each
@@ -468,12 +493,13 @@ def test_step_resolves_branches_and_unblocks_fetch(op, a, b, taken):
 def resolves_branch(op, a, b, taken, stretch):
     # the branch at pc 7 resolves in execute: the thread's pc becomes the
     # target or the next pc, and fetch may go on; the cold I-cache keeps the
-    # same cycle's fetch from moving the pc on
-    chip = make_chip()
+    # same cycle's fetch from moving the pc on. Both pcs lie in the program,
+    # as fetch's per-pc line table needs
+    chip = make_chip(STRAIGHT)
     core = chip.cores[0]
     ctx, = spawn(chip, 1)
     ctx.value[1], ctx.value[2] = a, b
-    ctx.pc, ctx.fetch_blocked = 8, True
+    ctx.pc, ctx.fetch_blocked = 8, NEVER
     core.e = (ctx, Instruction(op, src1=1, src2=2, imm=40), 7)
     allow_stretch(core, stretch)
     core.step(0, 1)
@@ -516,7 +542,7 @@ def test_step_fetches_past_blocked_front_thread_as_fetch_select_does():
     chip.memory.icache_probe(0, 0, 0)       # warm the shared line
     for cycle in range(11):
         chip.memory.step(cycle)
-    a.fetch_blocked = True
+    a.fetch_blocked = NEVER
     assert fetch_stage(core, 11) == b.slot
     assert [t.slot for t in core.queue] == [b.slot, c.slot, a.slot]
 

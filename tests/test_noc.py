@@ -118,6 +118,46 @@ def test_hop_log_lists_the_adjacent_pairs_in_pair_order(kind, p):
     assert list(Noc(topo).hop_log().items()) == list(old.items())
 
 
+def expanded_hop_log(noc):
+    """The hop log found hop by hop: each route's count added to every link
+    of its path, over the adjacent pairs in ascending pair order."""
+    topo = noc.topology
+    log = {(a, b): 0 for a in range(topo.p) for b in range(a + 1, topo.p)
+           if topo.adjacent(a, b)}
+    for (src, dst), n in noc._sent.items():
+        path = topo.path(src, dst)
+        for a, b in zip(path, path[1:]):
+            log[(a, b) if a < b else (b, a)] += n
+    return log
+
+
+@given(st.sampled_from(["ring", "line"]), st.integers(1, 64),
+       st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63),
+                          st.integers(1, 5)), max_size=40))
+def test_hop_log_equals_the_hop_by_hop_expansion(kind, p, sends):
+    # each route's count spread over its arc at once gives what expanding
+    # every route hop by hop gives, link for link and in the same order
+    noc = Noc(Topology(kind, p))
+    for src, dst, n in sends:
+        for _ in range(n):
+            noc.send(handler, src % p, dst % p, (), cycle=0)
+    assert list(noc.hop_log().items()) == \
+        list(expanded_hop_log(noc).items())
+
+
+@given(st.sampled_from(["ring", "line"]), st.integers(1, 64),
+       st.integers(0, 63), st.integers(0, 63))
+def test_arc_covers_the_links_of_the_path(kind, p, src, dst):
+    src, dst = src % p, dst % p
+    topo = Topology(kind, p)
+    first, hops = topo.arc(src, dst)
+    path = topo.path(src, dst)
+    assert hops == len(path) - 1 == topo.hops(src, dst)
+    links = {(first + i) % p for i in range(hops)}
+    assert links == {a if (a + 1) % p == b else b
+                     for a, b in zip(path, path[1:])}
+
+
 @pytest.mark.parametrize("kind", ["ring", "line"])
 def test_routes_match_topology_paths_when_reused(kind):
     topo = Topology(kind, 6, hop_latency=3)

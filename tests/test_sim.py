@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from hmtsim import sim
-from hmtsim.core import Core, reach
+from hmtsim.core import DONE, Core, reach
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, Program, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
@@ -1751,10 +1751,11 @@ def quiet_chip(*pcs, src=TWELVE_THEN_PUTSH, latency=100, **cfg):
     (([0], [0]), 12), (([5], [0]), 7), (([0, 3], [7, 0]), 5),
     (([10], [2]), 2), (([0], [11]), 1), (([12, 1], [3]), 0),
     (([0], [0], [0, 9, 4]), 3)])
-def test_stop_window_of_quiet_cores_is_the_least_reach_plus_three(pcs, least):
-    # a queued thread fetches no acting instruction for reach[pc] cycles,
-    # and one fetched then acts no sooner than four cycles on
-    assert sim._stop(quiet_chip(*pcs), 1000) == 1000 + max(4, 3 + least)
+def test_stop_window_of_quiet_cores_is_the_least_reach_plus_four(pcs, least):
+    # a queued thread of a quiet core sits at its next fetch, so it fetches
+    # no acting instruction for reach[pc] cycles, and one fetched then acts
+    # four cycles on
+    assert sim._stop(quiet_chip(*pcs), 1000) == 1000 + 4 + least
 
 
 def test_stop_window_of_quiet_cores_capped_by_i_fill_and_starvation_check():
@@ -1770,29 +1771,42 @@ def test_stop_window_of_quiet_cores_capped_by_i_fill_and_starvation_check():
 
 @pytest.mark.parametrize("latch", ["f", "d", "r", "e"])
 def test_stop_window_of_a_quiet_core_whose_branch_is_in_flight(latch):
-    # a thread fetch-blocked on its branch sits at the branch's pc, whose
-    # reach counts the branch itself; the branch, taken as late as from
-    # execute, sends it to a TMU request that acts four cycles on. The
-    # window ends right before that
+    # a branch in flight when core 0's stretch starts executes then, as in
+    # its own execute cycle: its thread sits at the target, blocked until
+    # that cycle, and DONE takes the branch's place. From the target, one
+    # quiet instruction and a TMU request follow, which executes five
+    # cycles after the branch did. The window from the next cycle runs four
+    # cycles past the thread's reach, so it ends right before the request
+    # where the thread may fetch in its first cycle (from e and r)
     src = ".body main\n  bne r1, r0, out\n" + "  addi r1, r1, 1\n" * 12 + \
-        "  halt\n.body w\nout:\n  putsh r1\n  halt"
+        "  halt\n.body w\nout:\n  addi r1, r1, 1\n  putsh r1\n  halt"
     chip = quiet_chip([], [5], src=src)
     core = chip.cores[0]
-    # every line of the 16-instruction program resident in core 0
-    chip.memory._itags[0].update(dict.fromkeys(range(4), True))
+    core.quiet = False
+    # every line of the 18-instruction program resident in core 0
+    chip.memory._itags[0].update(dict.fromkeys(range(5), True))
     ctx = core.start_context(core.take_free_slot(), fid=1, position=0,
                              logical_index=0, pc=0)
     ctx.value[1] = 1
-    ctx.fetch_blocked = True
+    ctx.fetch_blocked = NEVER
     setattr(core, latch, (ctx, chip.program.instructions[0], 0))
-    assert chip.reach[0] == 1
+    out = chip.program.labels["out"]
+    executes = 999 + "erdf".index(latch)
+    assert core.step(999, 1000) == 1000 and core.quiet
+    assert ctx.fetch_blocked == executes
+    assert ctx.pc == (out + 1 if latch == "e" else out)
+    assert core.f is None or core.f[1] is DONE
+    assert {x[1] for x in (core.d, core.r, core.e, core.m) if x} == {DONE}
     end = sim._stop(chip, 1000)
-    assert end == 1004
+    assert end == 1000 + 4 + chip.reach[ctx.pc]
+    assert end == min(executes, 1000) + 5
     chip.awake = [core]
     assert core.step(1000, end) == end and not chip.requests
-    if latch == "e":
-        # from execute the request acts in the cycle right after the window
-        assert core.step(end, end + 1) == end + 1 and chip.requests
+    cycle = end
+    while not chip.requests and cycle < end + 8:
+        cycle = core.step(cycle, cycle + 1)
+    # the request came from the execute cycle before the call's return
+    assert cycle - 1 == executes + 5
 
 
 @pytest.mark.parametrize("acting, span", [((), 4), (("f",), 3), (("d",), 2),
