@@ -144,15 +144,11 @@ bookkeeping, and the generic loop runs from the next cycle, on latches that
 hold DONE for what the stretch executed.
 
 A stretch starts only at a call's start or after a stop. The check there
-scans f, d, r and e, then the queue. The m and w latches hold what executed
-in the two cycles before, so a mark covers them: when an instruction that is
-neither an ALU operation nor a branch executes, the generic loop sets the
-first cycle a check may run (`check_at`) three cycles ahead, when that
-instruction has left w. A failed check sets the same mark, so a core checks
-at most every third cycle. A core never checks in a traced run, or on a
-program that cannot hold a stretch (`holds_stretches`: one with neither a
-loop of quiet instructions nor a run of them longer than the pipeline);
-its `Core._check_at` starts at NEVER.
+tests that all six latches hold only quiet instructions (or none), then
+that no queued thread has a pending cell or a resume. A core never checks
+in a traced run, or on a program that cannot hold a stretch
+(`holds_stretches`: one with neither a loop of quiet instructions nor a run
+of them longer than the pipeline); its `Core._checks` is then false.
 
 A core is stepped only while it is on the chip's awake list (see `sim.py`):
 it joins the list in `_enlist` and leaves it itself when its step ends idle.
@@ -161,15 +157,14 @@ remembers the cycle it went idle and adds those bubbles at once when it
 wakes or the run ends.
 
 `step(cycle, limit)` resumes the core's resident step, a generator
-(`_steps`) that keeps the latches, the per-core constants, the marks `m_at`
-and `check_at` and the remembered I-line as locals from one call to the
-next, runs cycle after cycle, and returns the next cycle to run from its
-one yield point. There it
-publishes what other code reads: the six latch attributes (read by
+(`_steps`) that keeps the latches, the per-core constants, the mark `m_at`
+and the remembered I-line as locals from one call to the next, runs cycle
+after cycle, and returns the next cycle to run from its one yield point.
+There it publishes what other code reads: the six latch attributes (read by
 `sim._stop` and the tests) and the call's commit and bubble counts, added to
 `Core.metrics`; `Core.quiet` is kept current as a stretch starts and ends.
 It starts when first called, and again after `restart`, reading the latches,
-`quiet` and `_check_at` from the core; a `SimFault` publishes the same (the
+`quiet` and `_checks` from the core; a `SimFault` publishes the same (the
 latches rebuilt from the ring if a stretch raised it), restarts it and
 re-raises. A generic cycle starts with one test, `cycle <
 stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
@@ -353,12 +348,11 @@ class Core:
         # latches: fetch, decode, read, execute, memory, writeback
         self.f = self.d = self.r = self.e = self.m = self.w = None
         self.awake = False          # on the chip's awake list
-        # in a quiet stretch (see the module docstring), and the first cycle
-        # at which step may check for one: NEVER for a core that never
-        # checks, in a traced run or on a program that cannot hold a stretch
+        # in a quiet stretch (see the module docstring), and whether step
+        # checks for one: never in a traced run or on a program that cannot
+        # hold a stretch
         self.quiet = False
-        self._check_at = 0 if not self.traced and chip.holds_stretches \
-            else NEVER
+        self._checks = not self.traced and chip.holds_stretches
         self.idle_since = None      # first unsettled bubble cycle while idle
         self._send = self._start    # resumes the resident step
 
@@ -558,7 +552,7 @@ class Core:
 
     def restart(self):
         """Drop the resident step: the next `step` call starts a new one,
-        which reads the latches, `quiet` and `_check_at` from the core."""
+        which reads the latches, `quiet` and `_checks` from the core."""
         self._send = self._start
 
     def _start(self, args):
@@ -580,10 +574,8 @@ class Core:
         # memory stage need not test what every instruction is
         m_at = cycle if m is not None and (m[1].is_load or m[1].is_store) \
             else -1
-        # the first cycle a check for a quiet stretch may start one; a core
-        # that never checks starts at NEVER
-        check_at = self._check_at
-        checks = check_at < NEVER
+        # whether the core checks for a quiet stretch
+        checks = self._checks
         # the line that fetch last found resident and fetched from
         fetched_line = -1
         # the latches while the core is quiet, kept from one stop or call to
@@ -620,24 +612,21 @@ class Core:
                         ring = None
                     # a quiet stretch starts if every instruction in flight
                     # is quiet and no queued thread has a pending cell or a
-                    # resume; it first executes those in flight
-                    if not quiet and checks:
-                        if cycle >= check_at:
-                            if (f is None or f[1].quiet) \
-                                    and (d is None or d[1].quiet) \
-                                    and (r is None or r[1].quiet) \
-                                    and (e is None or e[1].quiet):
-                                for ctx in queue:
-                                    if ctx.pending_cells \
-                                            or ctx.resume is not None:
-                                        check_at = cycle + 3
-                                        break
-                                else:
-                                    quiet = self.quiet = True
-                                    e, r, d, f = self._execute_in_flight(
-                                        (e, r, d, f), cycle)
-                            else:
-                                check_at = cycle + 3
+                    # resume; it first executes those in f, d, r and e
+                    if not quiet and checks \
+                            and (f is None or f[1].quiet) \
+                            and (d is None or d[1].quiet) \
+                            and (r is None or r[1].quiet) \
+                            and (e is None or e[1].quiet) \
+                            and (m is None or m[1].quiet) \
+                            and (w is None or w[1].quiet):
+                        for ctx in queue:
+                            if ctx.pending_cells or ctx.resume is not None:
+                                break
+                        else:
+                            quiet = self.quiet = True
+                            e, r, d, f = self._execute_in_flight(
+                                (e, r, d, f), cycle)
                     if quiet:
                         # the quiet stretch: fetch executes each quiet
                         # instruction and leaves DONE in flight for it, so no
@@ -809,8 +798,6 @@ class Core:
                                     == value[instr.src2] else pc + 1
                                 ctx.fetch_blocked = 0
                             else:
-                                # no quiet stretch while it is in m or w
-                                check_at = cycle + 3
                                 if op <= _ST:       # ld, st: memory stage next
                                     m_at = cycle + 1
                                 entry = EXECUTE[op]     # None: st, jmp, halt

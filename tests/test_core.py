@@ -279,7 +279,7 @@ def allow_stretch(core, stretch):
     """Let step start a quiet stretch at cycle 0, or keep it in the generic
     loop: step runs an ALU operation or a branch in execute with either
     loop's copy of the execute code, so a test that plants one runs both."""
-    core._check_at = 0 if stretch else 1
+    core._checks = stretch
 
 
 def test_step_one_cycle_write_to_pending_cell_faults():

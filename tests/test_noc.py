@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hmtsim.noc import Noc, Topology
 
@@ -147,6 +147,7 @@ def test_hop_log_equals_the_hop_by_hop_expansion(kind, p, sends):
 
 @given(st.sampled_from(["ring", "line"]), st.integers(1, 64),
        st.integers(0, 63), st.integers(0, 63))
+@example("line", 2, 1, 0)
 def test_arc_covers_the_links_of_the_path(kind, p, src, dst):
     src, dst = src % p, dst % p
     topo = Topology(kind, p)
@@ -154,8 +155,9 @@ def test_arc_covers_the_links_of_the_path(kind, p, src, dst):
     path = topo.path(src, dst)
     assert hops == len(path) - 1 == topo.hops(src, dst)
     links = {(first + i) % p for i in range(hops)}
-    assert links == {a if (a + 1) % p == b else b
-                     for a, b in zip(path, path[1:])}
+    # link c joins cores c and (c + 1) % p; a line has no wrap-around link
+    assert links == {min(a, b) if kind == "line" else a if (a + 1) % p == b
+                     else b for a, b in zip(path, path[1:])}
 
 
 @pytest.mark.parametrize("kind", ["ring", "line"])

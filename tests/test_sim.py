@@ -9,13 +9,14 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from differential import check, lockstep
 from hmtsim import sim
 from hmtsim.core import DONE, Core, reach
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, Program, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
-from hmtsim.oracle import OracleDeadlock, sequential_oracle
+from hmtsim.oracle import sequential_oracle
 from hmtsim.memory import NEVER, CacheConfig
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
@@ -333,11 +334,8 @@ def test_slot_multiplexing_runs_all_logical_threads():
       st r1, 0(r4)
       halt
     """
-    program = assemble(src)
-    oracle = sequential_oracle(program)
-    res = run(ChipConfig(p=2, thread_slots=8), program)
+    res = check(ChipConfig(p=2, thread_slots=8), assemble(src))
     assert res.outcome is Outcome.COMPLETED
-    assert res.final_memory == oracle.final_memory
 
 
 def test_pending_cells_capped_at_31():
@@ -390,12 +388,9 @@ def test_family_with_stride_and_negative_step():
       st r1, 0(r4)
       halt
     """
-    program = assemble(src)
-    oracle = sequential_oracle(program)
     for p in (1, 3):
-        res = run(ChipConfig(p=p), program)
+        res = check(ChipConfig(p=p), assemble(src))
         assert res.outcome is Outcome.COMPLETED
-        assert res.final_memory == oracle.final_memory
     got = [int.from_bytes(res.final_memory[0x3000 + 4 * i:0x3004 + 4 * i],
                           "little") for i in (2, 4, 6, 8, 10)]
     assert got == [2, 4, 6, 8, 10]
@@ -519,10 +514,8 @@ def test_contiguous_index_partition_under_multiplexing():
       st r1, 0(r4)
       halt
     """
-    program = assemble(src)
-    res = run(ChipConfig(p=2, thread_slots=8, trace=True), program)
+    res = check(ChipConfig(p=2, thread_slots=8), assemble(src))
     assert res.outcome is Outcome.COMPLETED
-    assert res.final_memory == sequential_oracle(program).final_memory
     core_of = {}
     start_cycle = {}
     for cycle, core, slot, fam, idx, pc, op in res.trace:
@@ -1170,11 +1163,9 @@ HEAD_FED = """
 class Pinned(NamedTuple):
     """One pinned run: a label, a program factory, the config fields of its
     traced run, and what that run gives: outcome, cycles, commits, per-core
-    bubbles, diagnostic and result_hash. The outcome decides its second
-    route: a completed run's memory equals the sequential oracle's image,
-    unless oracle_deadlock matches the OracleDeadlock that the oracle raises
-    instead, and a run that does not complete has no image. Every run also
-    equals its lockstep run and, trace dropped, its untraced run."""
+    bubbles, diagnostic and result_hash. test_pinned_run sends it through
+    `differential.check`, with oracle_deadlock for a run whose oracle
+    raises an OracleDeadlock instead of giving an image."""
     label: str
     make: Callable[[], Program]
     cfg: dict
@@ -1437,7 +1428,7 @@ PINNED_RUNS = [
            Outcome.COMPLETED, 4097, 4039, [40, 4031, 0], None,
            "13e574af86aa51423e66c87ac6dc46a6197c8ac12f8239142717bc15df8586a7"),
     # the oracle runs a family at its creation point, before main's putsh to
-    # its head, so lockstep is these runs' only second route
+    # its head, so lockstep and untraced are these runs' only second routes
     Pinned("head-fed-p1", partial(assemble, HEAD_FED), dict(p=1),
            Outcome.COMPLETED, 105, 40, [41], None,
            "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3",
@@ -1538,8 +1529,7 @@ PINNED_RUNS = [
 
 
 def pinned_runs() -> list[Pinned]:
-    """Every pinned run, in a fixed order: test_pinned_run checks each, the
-    lockstep and untraced tests below run them all, and
+    """Every pinned run, in a fixed order: test_pinned_run checks each, and
     scripts/stress_grid.py prints them after its grid. New runs go at the
     end, so that the grid's earlier lines keep their place."""
     return PINNED_RUNS
@@ -1552,21 +1542,14 @@ def pinned_with(prefix: str) -> list[Pinned]:
 @pytest.mark.parametrize("pin", PINNED_RUNS,
                          ids=[pin.label for pin in PINNED_RUNS])
 def test_pinned_run(pin):
-    program = pin.make()
-    res = run(pin.config(), program)
+    # every second route (differential.check), then the pinned figures
+    res = check(pin.config(), pin.make(), pin.oracle_deadlock)
     assert res.outcome is pin.outcome
     assert res.diagnostic == pin.diagnostic
     assert res.metrics.cycles == pin.cycles
     assert res.metrics.commits == pin.commits
     assert [c.bubbles for c in res.metrics.per_core] == pin.bubbles
     assert res.result_hash() == pin.digest
-    if pin.outcome is not Outcome.COMPLETED:
-        assert res.final_memory is None
-    elif pin.oracle_deadlock:
-        with pytest.raises(OracleDeadlock, match=pin.oracle_deadlock):
-            sequential_oracle(program)
-    else:
-        assert res.final_memory == sequential_oracle(program).final_memory
 
 
 STORED_WORDS = [("unsynced", 0x400, 7), ("remote-tail", 0x400, 6),
@@ -1824,13 +1807,6 @@ def test_stop_window_with_a_core_that_is_not_quiet(acting, span):
 
 # -- the fast chip loop against lockstep ----------------------------------------
 
-def lockstep(chip, cycle):
-    # sim._stop's stand-in for the lockstep loop: every core phase runs one
-    # cycle, so each awake core steps one cycle per call and the clock never
-    # jumps
-    return cycle + 1
-
-
 def lockstep_cells():
     """Traced (config, program) cells: the corpus kernels (heterogeneous at
     n=16, to keep the test short; the stress grid runs it at full size) at
@@ -1861,23 +1837,29 @@ def lockstep_cells():
     return cells
 
 
+def record_steps(monkeypatch):
+    """Patch Core.step to record each call as (shared, span, quiet): whether
+    another core was awake as it began, the cycles it ran (the window's
+    length for a shared call) and whether its core was quiet as it ended."""
+    calls, step = [], Core.step
+
+    def record(core, cycle, limit):
+        shared = len(core.chip.awake) > 1
+        end = step(core, cycle, limit)
+        calls.append((shared, (limit if shared else end) - cycle, core.quiet))
+        return end
+
+    monkeypatch.setattr(Core, "step", record)
+    return calls
+
+
 def test_fast_chip_loop_equals_lockstep(monkeypatch):
     # the chip loop's three fast paths (a lone core's run-ahead, windows
     # shared by two or more awake cores, the idle clock jump) against
-    # lockstep, on every traced cell above and every pinned run, which is
-    # compared with its pinned digest
+    # lockstep, on every traced cell above (test_pinned_run checks the
+    # pinned runs against lockstep)
     cells = lockstep_cells()
-    lone, windows, jumps = [], [], []
-    step, stop = Core.step, sim._stop
-
-    def record_step(core, cycle, limit):
-        shared = len(core.chip.awake) > 1
-        end = step(core, cycle, limit)
-        if shared:
-            windows.append(limit - cycle)
-        else:
-            lone.append(end - cycle)
-        return end
+    calls, jumps, stop = record_steps(monkeypatch), [], sim._stop
 
     def record_stop(chip, cycle):
         end = stop(chip, cycle)
@@ -1885,9 +1867,10 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
             jumps.append(end - cycle)
         return end
 
-    monkeypatch.setattr(Core, "step", record_step)
     monkeypatch.setattr(sim, "_stop", record_stop)
     fast = [run(cfg, program).result_hash() for cfg, program in cells]
+    windows = [span for shared, span, _ in calls if shared]
+    lone = [span for shared, span, _ in calls if not shared]
     # each fast path ran, and ran far, so that one that silently fell back
     # to lockstep fails here: windows of 2, 3 and 4 cycles, lone calls that
     # reach the starvation check and average over 50 cycles, and idle jumps
@@ -1897,37 +1880,22 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
     assert max(lone) == ChipConfig().starvation_check
     assert sum(lone) > 50 * len(lone)
     assert max(jumps) >= CacheConfig().i_miss_latency
-    monkeypatch.setattr(Core, "step", step)
+    monkeypatch.undo()
     monkeypatch.setattr(sim, "_stop", lockstep)
     assert [run(cfg, program).result_hash() for cfg, program in cells] == fast
-    for pin in PINNED_RUNS:
-        assert run(pin.config(), pin.make()).result_hash() == pin.digest, \
-            pin.label
 
 
 def test_untraced_runs_equal_traced_runs(matrix_runs, monkeypatch):
     # a traced run retires every commit, so it never takes a quiet stretch
-    # (core.py): every matrix cell and every pinned run, run untraced, must
-    # give its traced result with the trace dropped
-    step, quiet_calls = Core.step, []
-
-    def record_step(core, cycle, limit):
-        end = step(core, cycle, limit)
-        quiet_calls.append(core.quiet)
-        return end
-
-    monkeypatch.setattr(Core, "step", record_step)
+    # (core.py): every matrix cell, run untraced, must give its traced
+    # result with the trace dropped (test_pinned_run checks the pinned runs
+    # untraced)
+    calls = record_steps(monkeypatch)
     for key, cell in matrix_runs.items():
         untraced = run(replace(cell.config, trace=False), cell.spec.program)
         assert untraced.result_hash() == cell.result.result_hash(), key
     # the untraced runs did take quiet stretches
-    assert sum(quiet_calls) > len(quiet_calls) / 10
-    for pin in PINNED_RUNS:
-        program = pin.make()
-        traced = run(pin.config(), program)
-        traced.trace = None
-        untraced = run(pin.config(trace=False), program)
-        assert untraced.result_hash() == traced.result_hash(), pin.label
+    assert sum(quiet for *_, quiet in calls) > len(calls) / 10
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -1938,14 +1906,8 @@ def test_untraced_windows_of_quiet_cores_run_past_the_pipe_depth(
     # windows of the heterogeneous cell run longer, from the reach of the
     # quiet cores' threads, and the run still gives its traced result
     cell = matrix_runs[f"heterogeneous-p{p}-hints_on-eager"]
-    step, windows = Core.step, []
-
-    def record_step(core, cycle, limit):
-        if len(core.chip.awake) > 1:
-            windows.append(limit - cycle)
-        return step(core, cycle, limit)
-
-    monkeypatch.setattr(Core, "step", record_step)
+    calls = record_steps(monkeypatch)
     untraced = run(replace(cell.config, trace=False), cell.spec.program)
     assert untraced.result_hash() == cell.result.result_hash()
+    windows = [span for shared, span, _ in calls if shared]
     assert sum(span > 4 for span in windows) > len(windows) / 2
