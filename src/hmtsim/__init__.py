@@ -12,7 +12,7 @@ from .kernels import (
     kernel_regular,
     kernel_starvation,
 )
-from .memory import CacheConfig, MemorySystem
+from .memory import MemorySystem
 from .noc import Noc, Topology
 from .oracle import OracleDeadlock, OracleResult, sequential_oracle
 from .sim import ChipConfig, Metrics, Outcome, RunResult, detect_deadlock, format_trace, run
@@ -22,7 +22,7 @@ __all__ = [
     "AsmError", "Instruction", "Opcode", "Program", "annotate_hints",
     "assemble", "validate", "KernelSpec", "corpus", "kernel_chain",
     "kernel_heterogeneous", "kernel_loaduse", "kernel_regular",
-    "kernel_starvation", "CacheConfig", "MemorySystem", "Noc", "Topology",
+    "kernel_starvation", "MemorySystem", "Noc", "Topology",
     "OracleDeadlock", "OracleResult", "sequential_oracle", "ChipConfig",
     "Metrics", "Outcome", "RunResult", "detect_deadlock", "format_trace",
     "run", "Family", "SpanPool", "distribute",

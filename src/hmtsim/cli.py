@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import inspect
 import io
 import itertools
 import json
-import operator
 import os
 import re
 import sys
@@ -24,9 +22,9 @@ import sys
 from .errors import ConfigError, SimFault
 from .isa import AsmError, assemble, validate
 from .kernels import GENERATORS, corpus, kernel_starvation
-from .memory import CacheConfig, dump_image_binary, dump_image_text, load_image_binary, load_image_text
+from .memory import dump_image_binary, dump_image_text, load_image_binary, load_image_text
 from .oracle import OracleDeadlock, sequential_oracle
-from .sim import MEM_BYTES_MAX, ChipConfig, Outcome, RunResult, format_trace, run
+from .sim import ChipConfig, Outcome, RunResult, format_trace, run
 
 SCHEMA_VERSION = 1
 
@@ -85,16 +83,16 @@ MACHINE_FLAGS = [
      "NoC topology: ring or line"),
     ("--thread-slots", "thread_slots", _decimal, ChipConfig.thread_slots,
      "hardware thread slots per core"),
-    ("--line-bytes", "line_bytes", _decimal, CacheConfig.line_bytes,
+    ("--line-bytes", "line_bytes", _decimal, ChipConfig.line_bytes,
      "cache line size in bytes"),
-    ("--d-lines", "d_lines", _decimal, CacheConfig.d_lines,
+    ("--d-lines", "d_lines", _decimal, ChipConfig.d_lines,
      "D-cache lines per core"),
-    ("--i-lines", "i_lines", _decimal, CacheConfig.i_lines,
+    ("--i-lines", "i_lines", _decimal, ChipConfig.i_lines,
      "I-cache lines per core"),
     ("--d-miss-latency", "d_miss_latency", _decimal,
-     CacheConfig.d_miss_latency, "D-cache miss cycles"),
+     ChipConfig.d_miss_latency, "D-cache miss cycles"),
     ("--i-miss-latency", "i_miss_latency", _decimal,
-     CacheConfig.i_miss_latency, "I-cache miss cycles"),
+     ChipConfig.i_miss_latency, "I-cache miss cycles"),
     ("--hop-latency", "hop_latency", _decimal, ChipConfig.hop_latency,
      "cycles per NoC hop"),
     ("--watchdog", "watchdog_cycles", _decimal, ChipConfig.watchdog_cycles,
@@ -105,30 +103,29 @@ MACHINE_FLAGS = [
 _DESTS = [flag[2:].replace("-", "_") for flag, *_ in MACHINE_FLAGS]
 _FIELDS = [field for _, field, *_ in MACHINE_FLAGS]
 _FLAG_OF_FIELD = dict(zip(_FIELDS, (flag for flag, *_ in MACHINE_FLAGS)))
-_CACHE_FIELDS = [f.name for f in dataclasses.fields(CacheConfig)]
-_CHIP_FIELDS = [f for f in _FIELDS if f not in _CACHE_FIELDS]
-# a cell's values in CacheConfig's field order, and in _CHIP_FIELDS order
-_CACHE_VALUES = operator.itemgetter(*map(_FIELDS.index, _CACHE_FIELDS))
-_CHIP_VALUES = operator.itemgetter(*map(_FIELDS.index, _CHIP_FIELDS))
 
 
-def _config(values, trace: bool) -> ChipConfig:
-    """One cell's config, from one value per MACHINE_FLAGS entry in its
-    order. A value the config refuses is a usage error that names its flag."""
-    fields = dict(zip(_CHIP_FIELDS, _CHIP_VALUES(values)))
-    fields["hints"] = fields["hints"] == "on"
+def _checked(**fields) -> ChipConfig:
+    """ChipConfig(**fields); a value it refuses is a usage error that
+    names its flag."""
     try:
-        return ChipConfig(cache=CacheConfig(*_CACHE_VALUES(values)),
-                          trace=trace, **fields)
+        return ChipConfig(**fields)
     except ConfigError as exc:
         raise UsageError(f"{_FLAG_OF_FIELD[exc.field]} {exc.rule}, "
                          f"got {exc.value!r}") from None
 
 
+def _config(values, trace: bool) -> ChipConfig:
+    """One cell's config, from one value per MACHINE_FLAGS entry in its
+    order."""
+    fields = dict(zip(_FIELDS, values))
+    fields["hints"] = fields["hints"] == "on"
+    return _checked(**fields, trace=trace)
+
+
 def _record(kernel: str, params: str, config: ChipConfig,
             result: RunResult) -> dict:
     m = result.metrics
-    cache = config.cache
     return {
         "schema_version": SCHEMA_VERSION,
         "kernel": kernel,
@@ -138,11 +135,11 @@ def _record(kernel: str, params: str, config: ChipConfig,
         "hints": "on" if config.hints else "off",
         "coherency": config.coherency,
         "thread_slots": config.thread_slots,
-        "line_bytes": cache.line_bytes,
-        "d_lines": cache.d_lines,
-        "i_lines": cache.i_lines,
-        "d_miss_latency": cache.d_miss_latency,
-        "i_miss_latency": cache.i_miss_latency,
+        "line_bytes": config.line_bytes,
+        "d_lines": config.d_lines,
+        "i_lines": config.i_lines,
+        "d_miss_latency": config.d_miss_latency,
+        "i_miss_latency": config.i_miss_latency,
         "hop_latency": config.hop_latency,
         "watchdog_cycles": config.watchdog_cycles,
         "outcome": result.outcome.value,
@@ -337,11 +334,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # the bound ChipConfig sets for run and sweep, checked before the oracle
-    # allocates its image
-    if not 4 <= args.mem_bytes <= MEM_BYTES_MAX:
-        raise UsageError(f"--mem-bytes must be 4 to {MEM_BYTES_MAX}, "
-                         f"got {args.mem_bytes}")
+    # ChipConfig's bound on run's and sweep's memory, checked before the
+    # oracle allocates its image
+    _checked(mem_bytes=args.mem_bytes)
     program = _load_program(args.program)
     init = (None if args.init_mem is None
             else _load_init_mem(args.init_mem, args.mem_bytes))

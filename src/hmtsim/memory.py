@@ -15,24 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from sys import maxsize as NEVER   # no event pending: a cycle no run reaches
 
-from .errors import ConfigError, SimFault
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    line_bytes: int = 16
-    d_lines: int = 64
-    i_lines: int = 32
-    d_miss_latency: int = 20
-    i_miss_latency: int = 10
-
-    def __post_init__(self):
-        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
-            raise ConfigError("line_bytes", "must be a power of two",
-                              self.line_bytes)
-        for name in ("d_lines", "i_lines", "d_miss_latency", "i_miss_latency"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1", getattr(self, name))
+from .errors import SimFault
 
 
 @dataclass
@@ -54,16 +37,18 @@ class _Fill:
 
 
 class MemorySystem:
-    def __init__(self, n_cores: int, config: CacheConfig, mem_bytes: int = 1 << 20,
-                 bulk: bool = False):
+    def __init__(self, config):
+        """config is the chip's `ChipConfig`: the core count p, the cache
+        geometry and miss latencies, mem_bytes and the coherency policy are
+        read from it."""
         self.config = config
-        self.bulk = bulk
-        self.mem = bytearray(mem_bytes)
+        self.bulk = config.coherency == "bulk"
+        self.mem = bytearray(config.mem_bytes)
+        self._n_cores = n_cores = config.p
         self.stats = MemoryStats()
         # tag-only caches: line index -> True, LRU order
         self._dtags = [OrderedDict() for _ in range(n_cores)]
         self._itags = [OrderedDict() for _ in range(n_cores)]
-        self._n_cores = n_cores
         # epoch -> core -> {addr: value}, populated only under BULK
         self._write_sets: dict[int, dict[int, dict[int, int]]] = {}
         # completion cycle -> (I-fill (core, line) keys, D-fills), each list

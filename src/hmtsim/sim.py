@@ -15,9 +15,13 @@ a waiting thread costs nothing until its cell is written:
 - the NoC on the cycle `Noc.next_arrival`, its first arrival;
 - the TMUs on the cycle after a core queued requests: a core appends each
   request to the chip's request list as `(core id, Tmu method, args)`, and
-  the TMU phase takes the list whole, sorts it by core id (stable, so each
-  core's requests keep their issue order) and calls each method on that
-  core's Tmu;
+  the TMU phase takes the list whole and calls each method on that core's
+  Tmu in list order. The list is always in ascending core id, each core's
+  requests in issue order, with no sort: only cores queue requests, cores
+  step in ascending core id, a shared window's requests all fall in its
+  last cycle (the window ends where an instruction can first act outside
+  its core), and a lone core is alone
+  (`test_tmus_run_the_cycle_after_their_requests_in_core_order`);
 - a core while it is on the chip's awake list (ascending core id): while a
   thread is queued or a latch is occupied. It joins when a thread starts on
   it or a cell write wakes one of its threads, and leaves itself when one of
@@ -37,8 +41,10 @@ looks again; `sim.run` runs the phases of `cycle`, then either jumps the idle
 clock to the stop or steps every awake core, in ascending core id, with
 `Core.step(cycle, stop)`, which resumes the core's resident step where its
 last call left it (see `core.py`). With `_stop` returning `cycle + 1` the
-loop is plain lockstep, and `test_fast_chip_loop_equals_lockstep` checks
-that every traced `result_hash` is the same either way. The stop is:
+loop is plain lockstep, and `check` in `tests/differential.py` runs each
+pinned run and, through `scripts/stress_grid.py`, each grid and sweep
+configuration, traced and untraced, both ways and compares the results.
+The stop is:
 
 - no core awake: the next fill or arrival, capped by the watchdog. It is
   `cycle + 1` when neither is pending, so that a quiescent verdict keeps
@@ -105,17 +111,15 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import CHANNEL_CELL, Core, PerCoreMetrics, holds_stretches, reach
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
-from .memory import NEVER, CacheConfig, MemorySystem
+from .memory import NEVER, MemorySystem
 from .noc import Noc, Topology
 from .tmu import Family, SpanPool, Tmu
-
-_CID = itemgetter(0)            # a request's core id
 
 # memory bytes past 2**31 are out of reach of every s32 address
 MEM_BYTES_MAX = 1 << 31
@@ -126,7 +130,11 @@ class ChipConfig:
     p: int = 1
     topology: str = "ring"              # ring | line
     thread_slots: int = 64
-    cache: CacheConfig = field(default_factory=CacheConfig)
+    line_bytes: int = 16
+    d_lines: int = 64
+    i_lines: int = 32
+    d_miss_latency: int = 20
+    i_miss_latency: int = 10
     hints: bool = True
     coherency: str = "eager"            # eager | bulk
     hop_latency: int = 2
@@ -137,6 +145,12 @@ class ChipConfig:
     trace: bool = False
 
     def __post_init__(self):
+        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
+            raise ConfigError("line_bytes", "must be a power of two",
+                              self.line_bytes)
+        for name in ("d_lines", "i_lines", "d_miss_latency", "i_miss_latency"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1", getattr(self, name))
         if self.p < 1:
             raise ConfigError("p", "must be >= 1", self.p, "core count")
         if self.thread_slots < 1:
@@ -229,8 +243,7 @@ class Chip:
         self.config = config
         self.program = program
         self.noc = Noc(Topology(config.topology, config.p, config.hop_latency))
-        self.memory = MemorySystem(config.p, config.cache, config.mem_bytes,
-                                   bulk=config.coherency == "bulk")
+        self.memory = MemorySystem(config)
         if init_mem:
             if len(init_mem) > config.mem_bytes:
                 raise ValueError(f"memory image of {len(init_mem)} bytes exceeds "
@@ -243,7 +256,7 @@ class Chip:
         # (see sim._stop)
         self.reach = reach(program.instructions)
         # per pc, the I-line that holds it, read by fetch
-        line_bytes = config.cache.line_bytes
+        line_bytes = config.line_bytes
         self.line_of = [pc * 4 // line_bytes
                         for pc in range(len(program.instructions))]
         self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
@@ -301,8 +314,6 @@ class Chip:
         if requests:
             # a new list: a lone core's step re-reads it after the phases
             self.requests = []
-            if len(requests) > 1:
-                requests.sort(key=_CID)     # stable: keeps issue order
             tmus = self.tmus
             for cid, method, args in requests:
                 method(tmus[cid], *args, cycle)
@@ -438,8 +449,8 @@ def _stop(chip: Chip, cycle: int) -> int:
         # than least cycles on, and it acts four cycles after its fetch
         if 4 + least < span:
             span = 4 + least
-        if span > chip.config.cache.i_miss_latency:
-            span = chip.config.cache.i_miss_latency
+        if span > chip.config.i_miss_latency:
+            span = chip.config.i_miss_latency
     elif not awake:
         # the phases of cycle may have completed the run's last family,
         # with a fill still pending that changes no result

@@ -19,7 +19,6 @@ from hmtsim.kernels import (
     kernel_regular,
     kernel_starvation,
 )
-from hmtsim.memory import CacheConfig
 from hmtsim.noc import Topology
 from hmtsim.sim import ChipConfig, Outcome, run
 from hmtsim.tmu import distribute
@@ -246,7 +245,7 @@ def test_criterion_10_latency_tolerance():
 
     def utilization(slots, d_miss_latency):
         config = ChipConfig(p=1, thread_slots=slots, watchdog_cycles=WATCHDOG,
-                            cache=CacheConfig(d_miss_latency=d_miss_latency))
+                            d_miss_latency=d_miss_latency)
         result = run(config, spec.program)
         assert result.outcome is Outcome.COMPLETED
         assert result.final_memory == spec.expected_image()

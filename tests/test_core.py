@@ -7,7 +7,7 @@ import pytest
 from hmtsim.core import CHANNEL_CELL, DONE, EMPTY, FULL
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
-from hmtsim.memory import NEVER, CacheConfig, MemorySystem
+from hmtsim.memory import NEVER, MemorySystem
 from hmtsim.sim import Chip, ChipConfig, run
 
 
@@ -398,7 +398,7 @@ def test_wake_in_a_lone_cores_phases_ends_its_stretch():
     # itself; its writeback queues b on the quiet core, which ends the
     # stretch, so b's parked add runs in that same call. A stretch, which
     # fetches no resume, would skip the add and leave r8 at 0
-    chip = make_chip(LOAD_AND_SPIN, cache=CacheConfig(d_miss_latency=200))
+    chip = make_chip(LOAD_AND_SPIN, d_miss_latency=200)
     chip.memory.mem[256:260] = (21).to_bytes(4, "little")
     core = chip.cores[0]
     b, a = spawn(chip, 2)
@@ -525,7 +525,7 @@ def test_step_fetches_front_thread_once_its_pending_line_is_installed(
     chip = make_chip()
     core, memory = chip.cores[0], chip.memory
     spawn(chip, 1)
-    due = chip.config.cache.i_miss_latency
+    due = chip.config.i_miss_latency
     for cycle in range(due + 1):
         if cycle in memory.fills:
             memory.step(cycle)
@@ -682,8 +682,7 @@ def test_one_step_call_equals_single_cycle_steps():
     # line each I-fill evicts depends on the recency of every fetch; one call
     # over many cycles must leave what as many one-cycle calls leave
     def setup():
-        chip = make_chip(THREE_LINE_LOOPS, cache=CacheConfig(
-            i_lines=2, i_miss_latency=100))
+        chip = make_chip(THREE_LINE_LOOPS, i_lines=2, i_miss_latency=100)
         memory = chip.memory
         for ctx, pc in zip(spawn(chip, 3), (0, 4, 8)):
             ctx.pc = pc
@@ -732,7 +731,7 @@ def share_the_chip(chip):
 
 
 def stop_point_chip(pc, **cache):
-    chip = make_chip(STOP_POINTS, p=2, cache=CacheConfig(**cache))
+    chip = make_chip(STOP_POINTS, p=2, **cache)
     for ctx, start in zip(spawn(chip, 2), (pc, 8)):
         ctx.pc = start
     share_the_chip(chip)
@@ -763,7 +762,7 @@ def test_step_call_returns_at_the_i_fill_its_own_probe_created(latency):
     # for a line further ahead, due latency cycles on
     def setup():
         chip = make_chip(STRAIGHT, p=2,
-                         cache=CacheConfig(i_miss_latency=latency))
+                         i_miss_latency=latency)
         spawn(chip, 1)
         share_the_chip(chip)
         return chip
@@ -850,8 +849,7 @@ def test_lone_step_call_probes_again_after_a_phase_fills_a_line():
     # a fill completing in a phase the step runs can evict the line the call
     # last fetched from, so the call must probe that line again
     def setup():
-        chip = make_chip(STRAIGHT, cache=CacheConfig(i_lines=1,
-                                                     i_miss_latency=1))
+        chip = make_chip(STRAIGHT, i_lines=1, i_miss_latency=1)
         spawn(chip, 1)
         chip.memory.icache_probe(0, 0, 0)
         chip.memory.step(1)
@@ -871,7 +869,7 @@ def test_lone_step_call_probes_again_after_a_phase_fills_a_line():
 def test_fetch_probes_the_line_it_fetched_last_again_in_the_next_call():
     # the step forgets the line it fetched from last once a fill into its
     # core has emptied the memo: a fill between two calls can evict that line
-    chip = make_chip(STRAIGHT, cache=CacheConfig(i_lines=1, i_miss_latency=1))
+    chip = make_chip(STRAIGHT, i_lines=1, i_miss_latency=1)
     core, memory = chip.cores[0], chip.memory
     spawn(chip, 1)
     memory.icache_probe(0, 0, 0)

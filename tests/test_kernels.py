@@ -11,7 +11,6 @@ from hmtsim.kernels import (
     kernel_regular,
     kernel_starvation,
 )
-from hmtsim.memory import CacheConfig
 from hmtsim.oracle import sequential_oracle
 from hmtsim.sim import ChipConfig, Outcome, run
 
@@ -152,8 +151,7 @@ def test_corpus_completes_with_a_tiny_icache(lines):
     # fetch-ahead is capped at i_lines - 1, so its fills never evict the
     # demand line they arrive with
     for spec in corpus():
-        res = run(ChipConfig(p=2, cache=CacheConfig(i_lines=lines,
-                                                    d_lines=lines),
+        res = run(ChipConfig(p=2, i_lines=lines, d_lines=lines,
                              watchdog_cycles=200_000), spec.program)
         assert res.outcome is Outcome.COMPLETED, (spec.name, lines)
         assert res.final_memory == spec.expected_image(), (spec.name, lines)
@@ -164,8 +162,7 @@ def test_corpus_completes_with_a_tiny_icache(lines):
 def test_one_line_icache_run_pinned(lines, cycles, i_misses):
     # with two or three I-lines the LRU victim of each install decides what
     # misses next, so these pin the recency order of the I-tags as well
-    res = run(ChipConfig(p=2, cache=CacheConfig(i_lines=lines,
-                                                d_lines=lines)),
+    res = run(ChipConfig(p=2, i_lines=lines, d_lines=lines),
               kernel_regular().program)
     assert res.outcome is Outcome.COMPLETED
     assert (res.metrics.cycles, res.metrics.i_misses) == (cycles, i_misses)

@@ -5,17 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from hmtsim.errors import SimFault
 from hmtsim.memory import (
-    CacheConfig,
     MemorySystem,
     dump_image_binary,
     dump_image_text,
     load_image_binary,
     load_image_text,
 )
+from hmtsim.sim import ChipConfig
 
 
 def make(bulk=False, cores=2, **kw):
-    return MemorySystem(cores, CacheConfig(**kw), mem_bytes=4096, bulk=bulk)
+    return MemorySystem(ChipConfig(p=cores, mem_bytes=4096,
+                                   coherency="bulk" if bulk else "eager", **kw))
 
 
 def collect(sink):

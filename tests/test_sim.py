@@ -17,7 +17,7 @@ from hmtsim.isa import Instruction, Opcode, Program, assemble
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import sequential_oracle
-from hmtsim.memory import NEVER, CacheConfig
+from hmtsim.memory import NEVER
 from hmtsim.sim import Chip, ChipConfig, Outcome, format_trace, run
 from hmtsim.tmu import Tmu
 
@@ -343,7 +343,7 @@ def test_pending_cells_capped_at_31():
     loads = "\n".join(f"  ld r{i}, {i * 64}(r31)" for i in range(1, 31))
     uses = "\n".join(f"  add r0, r{i}, r0" for i in range(1, 31))
     src = f".body main\n  addi r31, r0, 0x8000\n{loads}\n{uses}\n  halt"
-    cfg = ChipConfig(p=1, cache=CacheConfig(d_miss_latency=64))
+    cfg = ChipConfig(p=1, d_miss_latency=64)
     res = run(cfg, assemble(src))
     assert res.outcome is Outcome.COMPLETED
     assert 30 <= res.metrics.max_pending_cells <= 31
@@ -578,7 +578,7 @@ def test_quiescent_false_while_request_queued_or_fill_due():
         filling = chip()
         start_fill(filling.memory)
         assert not filling.quiescent()
-        for c in range(filling.config.cache.d_miss_latency + 1):
+        for c in range(filling.config.d_miss_latency + 1):
             for cb, value in filling.memory.step(c):
                 cb(value)
         assert filling.quiescent()
@@ -748,7 +748,7 @@ wait:
 
 
 def _miss_latency(n):
-    return dict(p=1, cache=CacheConfig(d_miss_latency=n, i_miss_latency=n))
+    return dict(p=1, d_miss_latency=n, i_miss_latency=n)
 
 # -- runs whose deciding event falls while two or more cores are awake --------
 
@@ -833,7 +833,7 @@ wait:
 
 
 def _cold_icache(n):
-    return dict(p=4, cache=CacheConfig(i_miss_latency=n))
+    return dict(p=4, i_miss_latency=n)
 
 # -- runs whose cycles are mostly spent with no core awake --------------------
 
@@ -851,7 +851,7 @@ LOAD_THEN_DEADLOCK = """
 
 
 def _latency_slots2(n, **cfg):
-    return dict(p=1, thread_slots=2, cache=CacheConfig(d_miss_latency=n),
+    return dict(p=1, thread_slots=2, d_miss_latency=n,
                 **cfg)
 
 # -- runs whose memory, NoC or TMU phase acts while one core is awake ---------
@@ -1390,12 +1390,12 @@ PINNED_RUNS = [
              "68285a7c71906a6aee45ab9887d736c0b816b51a90443727125e7c345a33c408")
       for check in (7, 997)],
     Pinned("idle-load-then-deadlock-p1", partial(assemble, LOAD_THEN_DEADLOCK),
-           dict(p=1, cache=CacheConfig(d_miss_latency=5_000)),
+           dict(p=1, d_miss_latency=5_000),
            Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015],
            UNSATISFIABLE.format(1),
            "264dd1c47f65ad1ea37c6959c81794715d664e0bff2734ad64cb64fd06e373f0"),
     Pinned("idle-load-then-deadlock-p2", partial(assemble, LOAD_THEN_DEADLOCK),
-           dict(p=2, cache=CacheConfig(d_miss_latency=5_000)),
+           dict(p=2, d_miss_latency=5_000),
            Outcome.DEADLOCK_DATAFLOW, 5_023, 3, [5_015, 0],
            UNSATISFIABLE.format(1),
            "b10285b326eb7d71f45ac5a38ae0d318f7991ea98219a21266c2bdb693779c21"),
@@ -1668,7 +1668,7 @@ def test_stop_window_takes_the_smallest_horizon(acting, span):
 def test_stop_window_shorter_than_an_i_fill(latency):
     for acting, span in (((), 4), (((1, "f"),), 3), (((0, "d"),), 2),
                          (((0, "r"),), 1)):
-        chip = window_chip(*acting, cache=CacheConfig(i_miss_latency=latency))
+        chip = window_chip(*acting, i_miss_latency=latency)
         assert sim._stop(chip, 1000) == 1000 + min(span, latency)
 
 
@@ -1719,8 +1719,8 @@ def quiet_chip(*pcs, src=TWELVE_THEN_PUTSH, latency=100, **cfg):
     """A chip with one core per entry of pcs, all of them awake and quiet
     with empty latches, and a queued thread at each pc of a core's entry;
     I-fills take latency cycles."""
-    chip = Chip(ChipConfig(p=len(pcs), cache=CacheConfig(
-        i_miss_latency=latency), **cfg), assemble(src))
+    chip = Chip(ChipConfig(p=len(pcs), i_miss_latency=latency, **cfg),
+                assemble(src))
     for core, at in zip(chip.cores, pcs):
         for pc in at:
             core.start_context(core.take_free_slot(), fid=1, position=0,
@@ -1823,15 +1823,14 @@ def lockstep_cells():
               program(kernel, p))
              for kernel in GENERATORS for p in (1, 2, 3, 4, 8)
              for coherency in ("eager", "bulk")]
-    cells += [(ChipConfig(p=4, cache=CacheConfig(i_miss_latency=n),
+    cells += [(ChipConfig(p=4, i_miss_latency=n,
                           trace=True), program("heterogeneous", 4))
               for n in (1, 2, 3, 4)]
     for kernel, p, slots, lines, hop, hints in [
             ("chain", 3, 1, 1, 5, True), ("regular", 3, 3, 2, 0, False),
             ("loaduse", 8, 1, 2, 5, True), ("starvation", 8, 3, 1, 0, True)]:
         cells.append((ChipConfig(p=p, thread_slots=slots,
-                                 cache=CacheConfig(i_lines=lines,
-                                                   d_lines=lines),
+                                 i_lines=lines, d_lines=lines,
                                  hop_latency=hop, hints=hints, trace=True),
                       program(kernel, p)))
     return cells
@@ -1879,7 +1878,7 @@ def test_fast_chip_loop_equals_lockstep(monkeypatch):
     assert sum(span > 1 for span in windows) > len(windows) / 4
     assert max(lone) == ChipConfig().starvation_check
     assert sum(lone) > 50 * len(lone)
-    assert max(jumps) >= CacheConfig().i_miss_latency
+    assert max(jumps) >= ChipConfig().i_miss_latency
     monkeypatch.undo()
     monkeypatch.setattr(sim, "_stop", lockstep)
     assert [run(cfg, program).result_hash() for cfg, program in cells] == fast
