@@ -34,9 +34,13 @@ a total, then the spin-p1 and chain-p8 kernels at the given sizes:
         --spin-scale 0 --chain-n 0
 
 `--kernels`, `--cores` and `--coherency` take comma lists that select matrix
-cells; a size of 0 leaves out that single run. Tracing runs Python's
-per-opcode hook: the default runs take about 13 s on a 2-vCPU x86_64 VM
-with CPython 3.11, and read about 111 bytecodes per commit for spin-p1,
+cells, and an empty list selects none, so that a single run is counted
+alone; a size of 0 leaves out that single run:
+
+    python3 scripts/opcount.py --kernels '' --spin-scale 16 --chain-n 0
+
+Tracing runs Python's per-opcode hook: the default runs take about 13 s
+on a 2-vCPU x86_64 VM with CPython 3.11, and read about 111 bytecodes per commit for spin-p1,
 353 for chain-p8 and 156 for the corpus total, since quiet stretches
 execute at fetch (they read 133.5, 355.1 and 176.9 before).
 """
@@ -98,8 +102,9 @@ def main(argv=None):
                     help="chain-p8: kernel_chain(n) at p=8, bulk (0 leaves "
                          "it out)")
     args = ap.parse_args(argv)
-    chosen = args.kernels.split(",")
-    policies = args.coherency.split(",")
+    chosen, policies, cores = (text.split(",") if text else []
+                               for text in (args.kernels, args.coherency,
+                                            args.cores))
     for name in chosen:
         if name not in KERNELS:
             ap.error(f"--kernels: unknown kernel {name!r}")
@@ -107,7 +112,7 @@ def main(argv=None):
         if policy not in COHERENCY:
             ap.error(f"--coherency: must be eager or bulk, got {policy!r}")
     try:
-        cores = [int(p) for p in args.cores.split(",")]
+        cores = [int(p) for p in cores]
     except ValueError:
         ap.error(f"--cores: not a comma list of integers: {args.cores!r}")
 

@@ -172,6 +172,67 @@ def test_malformed_assembly_exit_64(tmp_path, capsys, command, line,
     assert err == f"error: {path}: line 3: {message}\n"
 
 
+# user-reachable errors, each (command, program source or None, exit code,
+# its one line): a model fault's line is its record's diagnostic, any other
+# is the command's one stderr line, {path} standing for the program file
+REACHABLE_ERRORS = {
+    "allocate-negative-size": (
+        "run", ".body main\n  allocate r1, -1\n  halt\n", EXIT_FAULT,
+        "allocate with negative size -1"),
+    "allocate-hint-not-a-core": (
+        "run", ".body main\n  addi r2, r0, 5\n  allocate r1, 1, r2\n"
+        "  halt\n", EXIT_FAULT, "allocate hint 5 is not a core id"),
+    "sync-unknown-family": (
+        "run", ".body main\n  addi r2, r0, 99\n  sync r1, r2\n  halt\n",
+        EXIT_FAULT, "sync on unknown family 99"),
+    "tail-getsh-unknown-family": (
+        "run", ".body main\n  addi r2, r0, 99\n  getsh r1, r2\n  halt\n",
+        EXIT_FAULT, "getsh on unknown family 99"),
+    "head-putsh-unknown-family": (
+        "run", ".body main\n  addi r2, r0, 99\n  putsh r0, r2\n  halt\n",
+        EXIT_FAULT, "putsh to unknown family 99"),
+    "malformed-body": (
+        "run", ".body main w\n  halt\n", EXIT_USAGE,
+        "error: {path}: line 1: malformed .body directive"),
+    "instruction-before-body": (
+        "oracle", "  halt\n.body main\n  halt\n", EXIT_USAGE,
+        "error: {path}: line 1: instruction before any .body directive"),
+    "label-past-the-end": (
+        "run", ".body main\n  jmp end\n  halt\nend:\n", EXIT_USAGE,
+        "error: {path}: line 2: label 'end' addresses no instruction"),
+    "sweep-unknown-kernel": (
+        "sweep", None, EXIT_USAGE,
+        "error: unknown kernel 'nosuch' (choose from chain, heterogeneous, "
+        "loaduse, regular, starvation)"),
+    "oracle-deadlock": (
+        "oracle", ".body main\n  getsh r1\n  halt\n", EXIT_DEADLOCK,
+        "oracle deadlock: thread 0 of family 1 reads its input channel "
+        "before any producer wrote it"),
+}
+
+
+@pytest.mark.parametrize("command, source, code, line",
+                         list(REACHABLE_ERRORS.values()),
+                         ids=list(REACHABLE_ERRORS))
+def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, command,
+                                                 source, code, line):
+    path = tmp_path / "p.masm"
+    if source is None:
+        argv = [command, "--kernels", "nosuch"]
+    else:
+        path.write_text(source)
+        argv = [command, "--program", str(path)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == EXIT_FAULT:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["outcome"], r["diagnostic"]) for r in rows] == \
+            [("fault", line)]
+        assert err == ""
+    else:
+        assert (out, err) == ("", line.format(path=path) + "\n")
+
+
 @pytest.mark.parametrize("argv", [["run", "--program", "x"], ["sweep"]],
                          ids=["run", "sweep"])
 def test_machine_flag_defaults_are_the_config_defaults(capsys, argv):

@@ -918,6 +918,36 @@ def test_fetch_keeps_the_line_it_fetched_last_until_a_fill_into_its_core(
     assert touches == []
 
 
+def test_quiet_stretch_leaves_the_awake_list_once_its_latches_drain():
+    # the core's only thread parks at read on its pending r4, behind three
+    # quiet addi in e, m and w. The next call starts a stretch with an empty
+    # queue, whose fetches find no thread; once the addi have shifted out,
+    # the core leaves the awake list, with the commits, bubbles and state of
+    # one-cycle steps that take no stretch
+    def setup(stretch):
+        chip = make_chip()
+        core = chip.cores[0]
+        ctx, = spawn(chip, 1)
+        core._mark_pending(ctx, 4)
+        addi = Instruction(Opcode.ADDI, dst=1, src1=1, imm=1)
+        plant(core, w=(ctx, addi, 0), m=(ctx, addi, 1), e=(ctx, addi, 2),
+              r=(ctx, Instruction(Opcode.ADD, dst=2, src1=4, src2=4), 3))
+        allow_stretch(core, stretch)
+        return chip
+
+    whole, single = setup(True), setup(False)
+    core = whole.cores[0]
+    assert core.step(0, 1) == 1
+    assert not core.quiet and not core.queue
+    ends, _, _ = step_core0(whole, 1, 40, False)
+    single_ends, _, _ = step_core0(single, 0, 40, True)
+    assert core.quiet and not single.cores[0].quiet
+    assert ends == [single_ends[-1]] == [3]
+    assert not core.awake and whole.awake == []
+    assert (core.metrics.commits, core.metrics.bubbles) == (3, 3)
+    assert core_state(whole) == core_state(single)
+
+
 def test_pending_cap_is_structural():
     chip = make_chip()
     core = chip.cores[0]
