@@ -39,10 +39,11 @@ alone; a size of 0 leaves out that single run:
 
     python3 scripts/opcount.py --kernels '' --spin-scale 16 --chain-n 0
 
-Tracing runs Python's per-opcode hook: the default runs take about 13 s
-on a 2-vCPU x86_64 VM with CPython 3.11, and read about 111 bytecodes per commit for spin-p1,
-353 for chain-p8 and 156 for the corpus total, since quiet stretches
-execute at fetch (they read 133.5, 355.1 and 176.9 before).
+Tracing runs Python's per-opcode hook: the default runs take about 9 s
+on a 2-vCPU x86_64 VM with CPython 3.11, and read 101.1 bytecodes per
+commit for spin-p1, 349.5 for chain-p8 and 148.2 for the corpus total,
+since a quiet stretch keeps no latches and records only its failed fetches
+(they read 110.9, 349.5 and 155.7 before).
 """
 
 import argparse

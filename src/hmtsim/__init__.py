@@ -14,7 +14,8 @@ from .kernels import (
 )
 from .memory import MemorySystem
 from .noc import Noc, Topology
-from .oracle import OracleDeadlock, OracleResult, sequential_oracle
+from .oracle import (OracleDeadlock, OracleFault, OracleResult,
+                     sequential_oracle)
 from .sim import ChipConfig, Metrics, Outcome, RunResult, detect_deadlock, format_trace, run
 from .tmu import Family, SpanPool, distribute
 
@@ -23,7 +24,7 @@ __all__ = [
     "assemble", "validate", "KernelSpec", "corpus", "kernel_chain",
     "kernel_heterogeneous", "kernel_loaduse", "kernel_regular",
     "kernel_starvation", "MemorySystem", "Noc", "Topology",
-    "OracleDeadlock", "OracleResult", "sequential_oracle", "ChipConfig",
-    "Metrics", "Outcome", "RunResult", "detect_deadlock", "format_trace",
-    "run", "Family", "SpanPool", "distribute",
+    "OracleDeadlock", "OracleFault", "OracleResult", "sequential_oracle",
+    "ChipConfig", "Metrics", "Outcome", "RunResult", "detect_deadlock",
+    "format_trace", "run", "Family", "SpanPool", "distribute",
 ]

@@ -23,7 +23,7 @@ from .errors import ConfigError, SimFault
 from .isa import AsmError, assemble, validate
 from .kernels import GENERATORS, corpus, kernel_starvation
 from .memory import dump_image_binary, dump_image_text, load_image_binary, load_image_text
-from .oracle import OracleDeadlock, sequential_oracle
+from .oracle import OracleDeadlock, OracleFault, sequential_oracle
 from .sim import ChipConfig, Outcome, RunResult, format_trace, run
 
 SCHEMA_VERSION = 1
@@ -345,6 +345,9 @@ def cmd_oracle(args) -> int:
     except OracleDeadlock as exc:
         print(f"oracle deadlock: {exc}", file=sys.stderr)
         return EXIT_DEADLOCK
+    except OracleFault as exc:
+        print(f"oracle fault: {exc}", file=sys.stderr)
+        return EXIT_FAULT
     if args.dump_mem is not None:
         _dump_mem(args.dump_mem, result.final_memory)
     else:

@@ -27,8 +27,9 @@ younger ones: `parked` holds `(cell, inf)` from the park until the writeback
 of that cell wakes it, and is None while the thread is not suspended.
 
 An instruction in flight is a plain tuple, `(ctx, instr, pc)`, from fetch to
-retirement, with `DONE` as instr for one that a quiet stretch has executed
-(see below); a thread's `parked` and `resume` hold the same tuple. No
+retirement, except that each one a quiet stretch has executed is one shared
+entry, `DONE_ENTRY` (see below); a thread's `parked` and `resume` hold the
+same tuple. No
 stage carries operand values: each consumer reads the cells it needs from
 `ctx.value` when it runs. The execute stage reads its sources there, in
 `step`'s own frame or in an execute-table entry called with `(core, ctx,
@@ -102,11 +103,29 @@ is a no-op:
 Only a thread's own quiet instructions then read or write its registers,
 in the order it fetched them, and no instruction acts outside the core. So
 the stretch executes each quiet instruction at its fetch, four cycles before
-execute would, and leaves `DONE` (`add r0, r0, r0`, which every stage
-passes untouched) in flight for it. Its execute code is the generic loop's,
-node for node, `_set_reg`'s FULL guard included
-(`test_quiet_execute_copies_match`); its fetch is the generic fetch without
-the resume branch and the rotation. A branch resolves there too, so
+execute would, and leaves `DONE_ENTRY`, `(NOBODY, DONE, -1)`, in flight for
+it: `DONE` is `add r0, r0, r0`, and `NOBODY` a context of no thread, with
+slot -1 and no pending cell. One entry stands in exactly for every such
+instruction, because no stage reads its thread or pc:
+
+- writeback: it is not a halt, and a traced run never takes a stretch;
+- memory: `m_at` is never set for it;
+- execute: it runs `add r0, r0, r0` on `NOBODY`'s r0;
+- read: `NOBODY` has no pending cell, and r0 is always FULL;
+- decode: it is not a jump;
+- `sim._stop`: its `acts_outside` is False.
+
+`flush_younger` matches entries by thread, but it never needs to drop a
+`DONE_ENTRY`: a stretch starts only with quiet instructions in flight, and
+it ends at its first fetch that is not quiet or before a woken thread's
+resume fetch, so no `DONE_ENTRY` is younger than an instruction of its own
+thread that can suspend.
+
+The stretch's execute code is the generic loop's, node for node,
+`_set_reg`'s FULL guard included (`test_quiet_execute_copies_match`); its
+fetch is the generic fetch without the resume branch and the rotation, and
+its walk of the queue is the generic one's (`test_fetch_walks_match`). A
+branch resolves there too, so
 `ThreadContext.fetch_blocked` is a cycle, the first one at which the thread
 may fetch: its fetch cycle plus four after a branch that a stretch ran, as
 when execute resolves it; NEVER after the generic fetch of a block ender,
@@ -114,15 +133,18 @@ until the generic execute or decode resolves it and sets 0. The generic
 fetch tests the block before it compares it with the cycle, so a thread
 with none costs one test.
 
-A stretch cycle thus only fetches, and the latches only shift. The stretch
-keeps them in a ring, a `deque(maxlen=6)` of the last six fetches, oldest
-first: each cycle appends what fetch put in f (DONE's tuple, the
-instruction that ends the stretch, or None), and the six latches are
-rebuilt from it wherever the stretch stops. The ring lasts from one stop or
-call to the next while the core stays quiet. Writeback commits the latch
-that each cycle pushes out of the ring unless it is empty, so the commits
-are counted from the cycles run, the failed fetches and the empty latches
-at the ring's two ends.
+A stretch cycle thus only fetches, and the latches only shift. With every
+executed entry the same object, the six latches depend only on which
+fetches failed, so the stretch keeps the latches it began from and records
+the cycles whose fetch failed, the last six of them. Wherever it stops (a
+call's end, a stop's phases, a `SimFault`, going idle), it rebuilds the six
+latches: all `DONE_ENTRY` once it has run six cycles or more and none of the
+last six fetches failed, else the latches it began from that are still in
+flight, then None or `DONE_ENTRY` for each cycle it ran; and the
+instruction that ended it in f. After a stop it begins again from those.
+Writeback commits the latch that each cycle pushes out unless it is empty,
+so the commits are the cycles run, less the empty latches it began from and
+the failed fetches, plus the empty latches left at the end.
 
 A stretch that starts first executes the quiet instructions in e, r, d and
 f that have not executed, oldest first, each as in its own execute cycle
@@ -141,7 +163,7 @@ writeback reaches a core between its cycles, so the stretch ends before the
 woken thread's next fetch. Otherwise it ends at the fetch of an instruction
 that is not quiet; that fetch does a hinted instruction's rotation
 bookkeeping, and the generic loop runs from the next cycle, on latches that
-hold DONE for what the stretch executed.
+hold `DONE_ENTRY` for what the stretch executed.
 
 A stretch starts only at a call's start or after a stop. The check there
 tests that all six latches hold only quiet instructions (or none), then
@@ -165,8 +187,8 @@ There it publishes what other code reads: the six latch attributes (read by
 `Core.metrics`; `Core.quiet` is kept current as a stretch starts and ends.
 It starts when first called, and again after `restart`, reading the latches,
 `quiet` and `_checks` from the core; a `SimFault` publishes the same (the
-latches rebuilt from the ring if a stretch raised it), restarts it and
-re-raises. A generic cycle starts with one test, `cycle <
+latches rebuilt from the failed fetches if a stretch raised it), restarts
+it and re-raises. A generic cycle starts with one test, `cycle <
 stop`, and a stretch cycle ends with `cycle >= stop`, where `stop` is the
 first cycle with work outside the core (a call starts below it): it starts
 at `limit`, lowered to `MemorySystem.next_due` and `Noc.next_arrival`, and
@@ -217,8 +239,8 @@ _ADD, _SUB, _MUL, _ADDI, _LD, _ST, _BEQ, _BNE = map(int, (
     Opcode.BEQ, Opcode.BNE))
 
 
-# what a quiet stretch leaves in flight for an instruction it executed at
-# fetch: add r0, r0, r0, which every stage passes untouched
+# the instruction of DONE_ENTRY: add r0, r0, r0, which every stage passes
+# untouched
 DONE = Instruction(Opcode.ADD, dst=0, src1=0, src2=0)
 
 # the pipeline's stages, each a latch: fetch, decode, read, execute, memory,
@@ -312,6 +334,22 @@ class ThreadContext:
         self.resume = None
         self.pending_cells = 0
         self.last_denial = -1
+
+
+# what a quiet stretch leaves in flight for an instruction it executed at
+# fetch, one entry for all of them: DONE on NOBODY, a thread that holds no
+# slot and no pending cell (see the module docstring)
+NOBODY = ThreadContext(-1, -1, -1, -1, -1)
+DONE_ENTRY = (NOBODY, DONE, -1)
+
+
+def _shifted(latches, n, failed, cycle):
+    """The six latches, oldest first, after a quiet stretch ran the n cycles
+    before cycle from latches: those still in flight, then for each of the
+    last six cycles it ran, None if the cycle is in failed (the cycles whose
+    fetch failed) and DONE_ENTRY if not."""
+    return latches[n:] + [None if c in failed else DONE_ENTRY
+                          for c in range(cycle - min(n, _DEPTH), cycle)]
 
 
 @dataclass(slots=True)
@@ -578,10 +616,15 @@ class Core:
         checks = self._checks
         # the line that fetch last found resident and fetched from
         fetched_line = -1
-        # the latches while the core is quiet, kept from one stop or call to
-        # the next: the last six fetches, oldest first (see the stretch
-        # below). The locals hold them too wherever a stretch stops
-        ring = None
+        # in a quiet stretch: the cycle it began at from the latches in the
+        # locals, -1 where they are current; the last six cycles whose fetch
+        # failed (those of an earlier stretch lie before begun, since the
+        # cycles only grow); and the instruction that ended it (see the
+        # stretch below)
+        begun = -1
+        failed = deque((), _DEPTH)
+        fail = failed.append
+        ender = None
         # in a quiet stretch: self.quiet, which only a wake clears from
         # outside the step
         quiet = self.quiet
@@ -609,7 +652,6 @@ class Core:
                         # a wake, in the phases or before the call, ended
                         # the stretch
                         quiet = False
-                        ring = None
                     # a quiet stretch starts if every instruction in flight
                     # is quiet and no queued thread has a pending cell or a
                     # resume; it first executes those in f, d, r and e
@@ -629,18 +671,19 @@ class Core:
                                 (e, r, d, f), cycle)
                     if quiet:
                         # the quiet stretch: fetch executes each quiet
-                        # instruction and leaves DONE in flight for it, so no
-                        # stage has work and the latches only shift. ring
-                        # holds them, the last six fetches, oldest first.
-                        # Each cycle commits the latch that its fetch pushes
-                        # out of the ring, unless that one is empty, so the
-                        # commits are the cycles run less the empty latches
-                        # pushed out: ran is the first cycle plus the ring's
-                        # empty latches then and the failed fetches, and the
-                        # empty latches left at the end are added back
-                        if ring is None:
-                            ring = deque((w, m, e, r, d, f), _DEPTH)
-                        ran = cycle + ring.count(None)
+                        # instruction and leaves DONE_ENTRY in flight for it,
+                        # so no stage has work and the latches only shift.
+                        # The locals keep the latches it began from, at
+                        # begun, and failed records the cycles whose fetch
+                        # failed, from which the latches are rebuilt where
+                        # it stops. Each cycle commits the latch it pushes
+                        # out unless that one is empty, so the commits are
+                        # the cycles run less the empty latches pushed out:
+                        # ran is the first cycle plus its empty latches and
+                        # the failed fetches, and the empty latches left at
+                        # the end are added back
+                        begun = cycle
+                        ran = cycle + (w, m, e, r, d, f).count(None)
                         while True:
                             k = 0
                             for ctx in queue:
@@ -671,7 +714,6 @@ class Core:
                                     # again from then
                                     op = instr.op
                                     if op < _LD:
-                                        ctx.pc = pc + 1
                                         value = ctx.value
                                         if op == _ADDI:
                                             result = value[instr.src1] + \
@@ -695,6 +737,9 @@ class Core:
                                             value[dst] = s32(result) if \
                                                 (result + 0x80000000) >> 32 \
                                                 else result
+                                        # after a fault, the thread is
+                                        # still at the instruction
+                                        ctx.pc = pc + 1
                                     elif op == _BNE:
                                         value = ctx.value
                                         ctx.pc = instr.imm \
@@ -707,10 +752,9 @@ class Core:
                                             if value[instr.src1] \
                                             == value[instr.src2] else pc + 1
                                         ctx.fetch_blocked = cycle + 4
-                                    ring.append((ctx, DONE, pc))
                                 else:
                                     # the stretch ends behind it
-                                    ring.append((ctx, instr, pc))
+                                    ender = (ctx, instr, pc)
                                     if instr.ends_block:
                                         ctx.fetch_blocked = NEVER
                                     else:
@@ -721,11 +765,15 @@ class Core:
                                         metrics.switch_events += 1
                                 break
                             else:
-                                ring.append(None)
+                                fail(cycle)
                                 ran += 1
                                 if contexts:
                                     bubbles += 1
-                                if not queue and not any(ring):
+                                # with no queued thread, every fetch since
+                                # begun failed: idle once the latches it
+                                # began from have shifted out
+                                if not queue and not any(
+                                        (w, m, e, r, d, f)[cycle + 1 - begun:]):
                                     self._leave_awake(cycle)
                                     cycle += 1
                                     stop = limit = cycle    # yield it
@@ -734,12 +782,27 @@ class Core:
                             cycle += 1
                             if cycle >= stop or not quiet:
                                 break
-                        commits += cycle + ring.count(None) - ran
-                        # counted: a fault in the phases of a stop adds none
-                        ran = cycle + ring.count(None)
-                        w, m, e, r, d, f = ring
+                        # the six latches, rebuilt: a fetch of the last six
+                        # cycles failed, or none did and every latch is
+                        # DONE_ENTRY, or none did in the k cycles run, fewer
+                        # than six
+                        k = cycle - begun
+                        if failed and failed[-1] >= begun \
+                                and failed[-1] >= cycle - _DEPTH:
+                            w, m, e, r, d, f = latches = _shifted(
+                                [w, m, e, r, d, f], k, failed, cycle)
+                            commits += cycle + latches.count(None) - ran
+                        elif k >= _DEPTH:
+                            commits += cycle - ran
+                            w = m = e = r = d = f = DONE_ENTRY
+                        else:
+                            w, m, e, r, d, f = latches = \
+                                [w, m, e, r, d, f][k:] + [DONE_ENTRY] * k
+                            commits += cycle + latches.count(None) - ran
+                        # rebuilt: a fault in the phases of a stop adds none
+                        begun = -1
                         if not quiet:
-                            ring = None
+                            f = ender
 
                     # the generic loop, until the next stop
                     while cycle < stop:
@@ -915,12 +978,13 @@ class Core:
                 metrics.bubbles += bubbles
                 cycle, limit = yield cycle
         except SimFault:
-            if ring is not None:
+            if begun >= 0:
                 # raised at a stretch's fetch, the latches are the cycle's
                 # before it shifts, and the cycles before it commit;
                 # raised in a stop's phases, all have been counted
-                commits += cycle + ring.count(None) - ran
-                w, m, e, r, d, f = ring
+                w, m, e, r, d, f = latches = _shifted(
+                    [w, m, e, r, d, f], cycle - begun, failed, cycle)
+                commits += cycle + latches.count(None) - ran
             self.f, self.d, self.r, self.e, self.m, self.w = f, d, r, e, m, w
             metrics.commits += commits
             metrics.bubbles += bubbles
@@ -932,13 +996,13 @@ class Core:
         """Start a quiet stretch: execute the quiet instructions in
         latches, (e, r, d, f), that have not executed, oldest first, each as
         in its own execute cycle, cycle for e's and one later for each
-        stage before it; returns the latches with DONE in their place. A
-        branch's thread may fetch from its execute cycle on. The copies of
-        the execute code are the generic loop's, node for node
+        stage before it; returns the latches with DONE_ENTRY in their
+        place. A branch's thread may fetch from its execute cycle on. The
+        copies of the execute code are the generic loop's, node for node
         (`test_quiet_execute_copies_match`)."""
         out = []
         for inf in latches:
-            if inf is not None and inf[1] is not DONE:
+            if inf is not None and inf is not DONE_ENTRY:
                 ctx, instr, pc = inf
                 op = instr.op
                 if op < _LD:
@@ -973,7 +1037,7 @@ class Core:
                     ctx.pc = instr.imm if value[instr.src1] \
                         == value[instr.src2] else pc + 1
                     ctx.fetch_blocked = cycle
-                inf = (ctx, DONE, pc)
+                inf = DONE_ENTRY
             out.append(inf)
             cycle += 1
         return out

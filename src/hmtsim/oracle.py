@@ -11,6 +11,13 @@ last of its families has completed. A thread may sync, or read the tail of,
 any family that has run, whichever thread created it. The simulator's final
 memory must match this interpreter's bit for bit on every completed run.
 
+A program that makes a model fault under this schedule raises
+`OracleFault` with the simulator's wording, where a run faults with that
+diagnostic: an unaligned or out-of-range access, `sync`, a tail `getsh` or a
+head `putsh` on a family that was never created, and `allocate` with a
+negative size. An `allocate` hint outside 0..p-1 faults a run but not the
+oracle, which has no core count, so that difference stays.
+
 Kept deliberately free of any simulator machinery; this is the independent
 half of the dual-route check.
 """
@@ -25,6 +32,11 @@ from .isa import Opcode, Program, s32
 class OracleDeadlock(Exception):
     """The program has no sequential schedule (a channel is read before any
     producer in program order could have written it)."""
+
+
+class OracleFault(Exception):
+    """The program makes a model fault under the sequential schedule; the
+    message is the simulator's diagnostic for it."""
 
 
 @dataclass
@@ -57,20 +69,27 @@ class _FamilyCtx:
     tail: int | None = None
 
 
-def _read_word(state, addr):
+def _check(state, addr):
     if addr % 4 != 0:
-        raise ValueError(f"unaligned access at 0x{addr:x}")
+        raise OracleFault(f"memory fault: unaligned access at 0x{addr:x}")
     if not 0 <= addr <= len(state.mem) - 4:
-        raise ValueError(f"address 0x{addr:x} out of bounds")
+        raise OracleFault(f"memory fault: address 0x{addr:x} out of bounds")
+
+
+def _read_word(state, addr):
+    _check(state, addr)
     return int.from_bytes(state.mem[addr:addr + 4], "little", signed=True)
 
 
 def _write_word(state, addr, value):
-    if addr % 4 != 0:
-        raise ValueError(f"unaligned access at 0x{addr:x}")
-    if not 0 <= addr <= len(state.mem) - 4:
-        raise ValueError(f"address 0x{addr:x} out of bounds")
+    _check(state, addr)
     state.mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def _created(state, fid):
+    """Whether family fid has been created: it has run to its end, or it is
+    still running, around the thread that asks."""
+    return 0 < fid < state.next_fid
 
 
 def _run_family(state: _State, entry: str, start: int, limit: int, step: int,
@@ -147,6 +166,8 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
             # thread that never writes breaks the chain
             return out_value, out_written
         elif op is Opcode.ALLOCATE:
+            if ins.imm < 0:
+                raise OracleFault(f"allocate with negative size {ins.imm}")
             # the sequential schedule never contends for cores
             state.next_aid += 1
             if ins.dst:
@@ -158,8 +179,12 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
             if ins.dst:
                 regs[ins.dst] = child.fid
         elif op is Opcode.SYNC:
-            if regs[ins.src1] not in families:
-                raise ValueError(f"sync on unknown family {regs[ins.src1]}")
+            fid = regs[ins.src1]
+            if fid not in families:
+                if not _created(state, fid):
+                    raise OracleFault(f"sync on unknown family {fid}")
+                raise OracleDeadlock(f"sync on family {fid}, which is still "
+                                     f"running the syncing thread")
             if ins.dst:
                 regs[ins.dst] = 1
         elif op is Opcode.RELEASE:
@@ -176,7 +201,10 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
                 if ins.dst:
                     regs[ins.dst] = chan_in
             else:
-                child = families.get(regs[ins.src1])
+                fid = regs[ins.src1]
+                if not _created(state, fid):
+                    raise OracleFault(f"getsh on unknown family {fid}")
+                child = families.get(fid)
                 if child is None or child.tail is None:
                     raise OracleDeadlock(
                         f"tail of family {regs[ins.src1]} read but never "
@@ -188,6 +216,9 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
                 out_value = regs[ins.src1]
                 out_written = True
             else:
+                if not _created(state, regs[ins.src2]):
+                    raise OracleFault(
+                        f"putsh to unknown family {regs[ins.src2]}")
                 # the child family already ran at its creation point; a head
                 # written now can never be read in the sequential schedule
                 raise OracleDeadlock(

@@ -191,6 +191,12 @@ REACHABLE_ERRORS = {
     "head-putsh-unknown-family": (
         "run", ".body main\n  addi r2, r0, 99\n  putsh r0, r2\n  halt\n",
         EXIT_FAULT, "putsh to unknown family 99"),
+    "load-unaligned": (
+        "run", ".body main\n  addi r1, r0, 2\n  ld r2, 0(r1)\n  halt\n",
+        EXIT_FAULT, "memory fault: unaligned access at 0x2"),
+    "store-out-of-range": (
+        "run", ".body main\n  addi r1, r0, 0x100000\n  st r0, 0(r1)\n"
+        "  halt\n", EXIT_FAULT, "memory fault: address 0x100000 out of bounds"),
     "malformed-body": (
         "run", ".body main w\n  halt\n", EXIT_USAGE,
         "error: {path}: line 1: malformed .body directive"),
@@ -211,11 +217,9 @@ REACHABLE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("command, source, code, line",
-                         list(REACHABLE_ERRORS.values()),
-                         ids=list(REACHABLE_ERRORS))
-def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, command,
-                                                 source, code, line):
+@pytest.mark.parametrize("case", list(REACHABLE_ERRORS))
+def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, case):
+    command, source, code, line = REACHABLE_ERRORS[case]
     path = tmp_path / "p.masm"
     if source is None:
         argv = [command, "--kernels", "nosuch"]
@@ -231,6 +235,18 @@ def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, command,
         assert err == ""
     else:
         assert (out, err) == ("", line.format(path=path) + "\n")
+    if source is None or command == "oracle":
+        return
+    # the sequential oracle on the same program: the same exit code and
+    # line, a model fault's diagnostic after "oracle fault: ", except for
+    # the hint, which the oracle cannot check without a core count
+    got, out, err = run_cli(capsys, "oracle", "--program", str(path))
+    if case == "allocate-hint-not-a-core":
+        assert (got, err) == (EXIT_OK, "")
+    elif code == EXIT_FAULT:
+        assert (got, out, err) == (code, "", f"oracle fault: {line}\n")
+    else:
+        assert (got, out, err) == (code, "", line.format(path=path) + "\n")
 
 
 @pytest.mark.parametrize("argv", [["run", "--program", "x"], ["sweep"]],

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hmtsim.core import CHANNEL_CELL, DONE, EMPTY, FULL
+from hmtsim.core import CHANNEL_CELL, DONE_ENTRY, EMPTY, FULL
 from hmtsim.errors import SimFault
 from hmtsim.isa import Instruction, Opcode, assemble
 from hmtsim.memory import NEVER, MemorySystem
@@ -53,11 +53,28 @@ def read_stage(core, inf, cycle=0):
 STRAIGHT = ".body main\n" + "  addi r1, r1, 1\n" * 1001 + "  halt"
 
 
+def fetched(core, cycle):
+    """Step core through one cycle: the thread it fetched and the pc it
+    fetched from, or None if it fetched nothing. They are f's unless f is
+    DONE_ENTRY: a quiet stretch executes at fetch, so then they are the one
+    thread whose pc or fetch block the call moved, and its pc before it."""
+    before = {ctx: (ctx.pc, ctx.fetch_blocked)
+              for ctx in core.contexts.values()}
+    core.step(cycle, cycle + 1)
+    if core.f is None:
+        return None
+    if core.f is not DONE_ENTRY:
+        return core.f[0], core.f[2]
+    (ctx, pc), = [(ctx, pc) for ctx, (pc, blocked) in before.items()
+                  if (ctx.pc, ctx.fetch_blocked) != (pc, blocked)]
+    return ctx, pc
+
+
 def fetch_stage(core, cycle):
     """Step core through one cycle: the slot of the thread it fetched, or
     None if it fetched nothing."""
-    core.step(cycle, cycle + 1)
-    return core.f[0].slot if core.f is not None else None
+    out = fetched(core, cycle)
+    return None if out is None else out[0].slot
 
 
 HINTED_ADD = Instruction(Opcode.ADD, dst=1, src1=1, src2=1, switch_hint=True)
@@ -344,8 +361,8 @@ def test_quiet_stretch_ends_at_a_thread_with_a_pending_cell():
     chip.memory.icache_probe(0, 0, 0)       # warm the line of pc 0..3
     for c in range(11):
         chip.memory.step(c)
-    core.step(11, 12)
-    assert core.quiet and core.f[0] is a
+    assert fetched(core, 11) == (a, 3)
+    assert core.quiet and core.f is DONE_ENTRY
     core.writeback(b, 5, 0)
     core.step(12, 13)
     assert not core.quiet and core.f is b_add
@@ -412,13 +429,18 @@ def test_wake_in_a_lone_cores_phases_ends_its_stretch():
     assert b.parked is None and b.resume is None and b.value[8] == 42
 
 
-def test_fault_at_a_stretch_fetch_publishes_the_latches_of_its_ring():
+def latches(core):
+    """Core's latches, oldest first."""
+    return [core.w, core.m, core.e, core.r, core.d, core.f]
+
+
+def test_fault_at_a_stretch_fetch_publishes_its_rebuilt_latches():
     # a stretch executes each quiet instruction at its fetch, so an addi
     # whose destination is not FULL (set by hand: a stretch's threads hold
     # no pending cell) faults there, in cycle 21, its eleventh. The step
-    # publishes the latches rebuilt from the ring as they stood before that
-    # cycle's fetch, the last six instructions fetched, and the commits of
-    # the four that had left the ring
+    # publishes the latches rebuilt as they stood before that cycle's
+    # fetch, DONE_ENTRY for each of the last six instructions fetched, and
+    # the commits of the four that had shifted out
     src = ".body main\n" + "  addi r1, r1, 1\n" * 10 + "  addi r2, r2, 1\n" \
         "  halt"
     chip = make_chip(src)
@@ -432,9 +454,86 @@ def test_fault_at_a_stretch_fetch_publishes_the_latches_of_its_ring():
     with pytest.raises(SimFault, match="non-full cell r2"):
         core.step(11, 40)
     assert core.quiet and chip.cycle == 21
-    assert [core.w, core.m, core.e, core.r, core.d, core.f] == \
-        [(ctx, DONE, pc) for pc in range(4, 10)]
+    assert latches(core) == [DONE_ENTRY] * 6
     assert core.metrics.commits == 4 and ctx.value[1] == 10
+    assert ctx.pc == 10
+
+
+def bne_loop_chip(addis, stretch=True):
+    """One thread in a loop of addis addi and a bne back, on one I-line:
+    each bne blocks its fetch for three cycles, so from its first fetch, at
+    cycle 11, its fetches fail in 3 of every addis + 4 cycles."""
+    chip = make_chip(".body main\ntop:\n" + "  addi r1, r1, 1\n" * addis
+                     + "  bne r1, r0, top\n")
+    spawn(chip, 1)
+    allow_stretch(chip.cores[0], stretch)
+    chip.memory.icache_probe(0, 0, 0)       # the loop's line, due at 10
+    for c in range(11):
+        chip.memory.step(c)
+    return chip
+
+
+# (addi per loop, cycles the first call runs): one addi, so that 3 fetches
+# in 5 fail, and five, so that six fetches succeed after a failed one
+BNE_LOOP_STOPS = [(1, run_in) for run_in in range(5)] + \
+    [(5, run_in) for run_in in range(9)]
+
+
+@pytest.mark.parametrize("addis, run_in", BNE_LOOP_STOPS)
+def test_stretch_rebuilds_its_latches_from_the_failed_fetches(addis, run_in):
+    # a first call runs the bne loop's stretch for run_in cycles from cycle
+    # 11, and a second one stops it 1 to 8 cycles on, or 49: each stop falls
+    # at another offset into the loop, with the latches the second call began
+    # from still in flight or shifted out. The published latches are None
+    # at the failed fetches (and before cycle 11) and DONE_ENTRY elsewhere,
+    # and commits, bubbles and the rest of the core and chip are what
+    # one-cycle calls leave; the generic loop fails the same fetches
+    def failed(cycle):
+        return (cycle - 11) % (addis + 4) > addis
+
+    for k in (*range(1, 9), 49):
+        whole, single, plain = bne_loop_chip(addis), bne_loop_chip(addis), \
+            bne_loop_chip(addis, stretch=False)
+        end = 11 + run_in + k
+        step_core0(whole, 11, 11 + run_in, False)
+        step_core0(whole, 11 + run_in, end, False)
+        step_core0(single, 11, end, True)
+        step_core0(plain, 11, end, True)
+        core = whole.cores[0]
+        assert core.quiet
+        assert latches(core) == [None if c < 11 or failed(c) else DONE_ENTRY
+                                 for c in range(end - 6, end)]
+        assert [x is None for x in latches(plain.cores[0])] == \
+            [x is None for x in latches(core)]
+        m = core.metrics
+        assert m.commits == sum(not failed(c) for c in range(11, end - 6))
+        assert m.bubbles == sum(map(failed, range(11, end)))
+        assert (m.commits, m.bubbles) == (plain.cores[0].metrics.commits,
+                                          plain.cores[0].metrics.bubbles)
+        assert core_state(whole) == core_state(single)
+
+
+def test_fault_at_a_stretch_fetch_right_after_failed_fetches():
+    # the loop runs twice (r1 reaches r3's 2), then the addi after it faults
+    # at its fetch in cycle 21, behind the three fetches that failed while
+    # the second bne blocked the thread: the latches are those of cycles 15
+    # to 20, and the two instructions fetched at 11 and 12 have committed
+    src = ".body main\ntop:\n  addi r1, r1, 1\n  bne r1, r3, top\n" \
+        "  addi r2, r2, 1\n"
+    chip = make_chip(src)
+    core = chip.cores[0]
+    ctx, = spawn(chip, 1)
+    ctx.value[3] = 2
+    chip.memory.icache_probe(0, 0, 0)
+    for c in range(11):
+        chip.memory.step(c)
+    ctx.state[2] = EMPTY
+    with pytest.raises(SimFault, match="non-full cell r2"):
+        core.step(11, 40)
+    assert core.quiet and chip.cycle == 21
+    assert latches(core) == [None, DONE_ENTRY, DONE_ENTRY, None, None, None]
+    assert (core.metrics.commits, core.metrics.bubbles) == (2, 6)
+    assert (ctx.pc, ctx.value[1], ctx.value[2]) == (2, 2, 0)
 
 
 # (opcode, r1, r2 or addi's immediate, wrapped result): a plain result, each
@@ -589,8 +688,7 @@ def test_fetch_probes_each_line_once_between_fills_into_its_core(
         for cycle in cycles:
             if cycle in memory.fills:
                 memory.step(cycle)
-            fetch_stage(core, cycle)
-            lines.append(core.f[2] // 4)
+            lines.append(fetched(core, cycle)[1] // 4)
             # a memo hit still marks the fetched line most recently used
             assert next(reversed(memory._itags[0])) == lines[-1]
 
@@ -661,7 +759,8 @@ def core_state(chip):
                 ctx.parked and (ctx.parked[0], ctx.parked[1][2]),
                 ctx.pending_cells)
                for slot, ctx in core.contexts.items()]
-    latches = [None if x is None else (x[0].slot, x[2])
+    latches = [x if x is None else "done" if x is DONE_ENTRY
+               else (x[0].slot, x[2])
                for x in (core.f, core.d, core.r, core.e, core.m, core.w)]
     m = core.metrics
     families = [(f.fid, f.outstanding, f.completed, f.tail_value)
@@ -910,8 +1009,7 @@ def test_fetch_keeps_the_line_it_fetched_last_until_a_fill_into_its_core(
     for cycle in range(11, 27):     # pcs 0 to 15, one call each
         if cycle in memory.fills:
             memory.step(cycle)
-        fetch_stage(core, cycle)
-        assert core.f[2] == cycle - 11
+        assert fetched(core, cycle)[1] == cycle - 11
         assert next(reversed(memory._itags[0])) == (cycle - 11) // 4
     # line 4, which the probe at 15 fetched ahead, is a fill into core 0 too
     assert probes == [(11, 0), (15, 4), (18, 7), (19, 8), (23, 12), (25, 14)]

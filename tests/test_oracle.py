@@ -1,8 +1,8 @@
 import pytest
 
 from hmtsim.isa import assemble
-from hmtsim.oracle import OracleDeadlock, sequential_oracle
-from hmtsim.sim import ChipConfig, run
+from hmtsim.oracle import OracleDeadlock, OracleFault, sequential_oracle
+from hmtsim.sim import ChipConfig, Outcome, run
 
 
 def word(mem, addr):
@@ -180,3 +180,34 @@ def test_rejects_image_larger_than_memory_as_run_does():
         run(ChipConfig(p=1, mem_bytes=16), program, bytes(32))
     assert len(sequential_oracle(program, mem_bytes=16,
                                  init_mem=bytes(16)).final_memory) == 16
+
+
+@pytest.mark.parametrize("body, diagnostic", [
+    ("addi r1, r0, 2\n  ld r2, 0(r1)", "memory fault: unaligned access at 0x2"),
+    ("addi r1, r0, -8\n  st r0, 0(r1)",
+     "memory fault: address 0x-8 out of bounds"),
+    ("addi r1, r0, 0xFFFFE\n  ld r2, 2(r1)",
+     "memory fault: address 0x100000 out of bounds"),
+    ("allocate r1, -1", "allocate with negative size -1"),
+    ("addi r2, r0, 99\n  sync r1, r2", "sync on unknown family 99"),
+    ("addi r2, r0, 2\n  getsh r1, r2", "getsh on unknown family 2"),
+    ("putsh r0, r0", "putsh to unknown family 0")],
+    ids=["unaligned", "negative-address", "past-the-end", "negative-size",
+         "sync", "tail-getsh", "head-putsh"])
+def test_model_faults_give_the_simulators_diagnostic(body, diagnostic):
+    program = assemble(f".body main\n  {body}\n  halt\n")
+    with pytest.raises(OracleFault) as fault:
+        sequential_oracle(program)
+    assert str(fault.value) == diagnostic
+    res = run(ChipConfig(p=1), program)
+    assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
+
+
+def test_sync_on_the_family_still_running_the_thread_deadlocks():
+    # family 1 is main's own: it has been created, so it is no unknown
+    # family, but it completes only after the thread that syncs it
+    program = assemble(".body main\n  addi r2, r0, 1\n  sync r1, r2\n"
+                       "  halt\n")
+    with pytest.raises(OracleDeadlock, match="sync on family 1, which is "
+                       "still running the syncing thread"):
+        sequential_oracle(program)

@@ -1,5 +1,6 @@
 """The quiet stretch (core.py) against the generic pipeline: random quiet
-code run both ways, and the copies of quiet execute compared node for node.
+code run both ways, and the copies of quiet execute and the two fetch walks
+compared node for node.
 """
 
 import ast
@@ -171,3 +172,56 @@ def test_quiet_execute_copies_match():
     # the start of a stretch at each instruction's own execute cycle
     assert sorted(blocks for *_, blocks in copies) == [
         ["0", "0"], ["cycle", "cycle"], ["cycle + 4", "cycle + 4"]]
+
+
+# -- the two fetch walks ------------------------------------------------------
+
+def fetch_walks():
+    """Each fetch's walk of the schedule queue in core.py, from `for ctx in
+    queue:` through its I-line residency test, as `ast.dump` strings, by
+    kind: the generic fetch's with its resume branch unwrapped and its block
+    test (`ctx.fetch_blocked and ctx.fetch_blocked > cycle`) cut to its
+    comparison, which the stretch's fetch makes alone."""
+    tree = ast.parse(inspect.getsource(core))
+    walks = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.For)
+                and ast.unparse(node.target) == "ctx"
+                and ast.unparse(node.iter) == "queue"
+                and "line = line_of[pc]" in ast.unparse(node)):
+            continue
+        body = node.body
+        kind = "stretch"
+        if ast.unparse(body[0]) == "f = ctx.resume":
+            kind = "generic"
+            # the generic fetch: a resume, else the walk
+            resumes, = body[1:2]
+            assert ast.unparse(resumes.test) == "f is None"
+            body = resumes.body
+            blocked = body[0].test
+            assert ast.unparse(blocked) == \
+                "ctx.fetch_blocked and ctx.fetch_blocked > cycle"
+            body = [ast.If(blocked.values[1], body[0].body, body[0].orelse),
+                    *body[1:]]
+        out = [node.target, node.iter]
+        for stmt in body:
+            out.append(stmt)
+            if isinstance(stmt, ast.If) \
+                    and ast.unparse(stmt.test) == "line != fetched_line":
+                break
+        else:
+            raise AssertionError("no I-line residency test in a fetch walk")
+        assert kind not in walks
+        walks[kind] = [ast.dump(x) for x in out]
+    return walks
+
+
+def test_fetch_walks_match():
+    # the generic fetch and the stretch's fetch pick a thread alike: the
+    # same skip of a fetch-blocked thread, the same I-line probe, memo
+    # read and recency touch, and the same skip of a thread whose line is
+    # not resident, node for node
+    walks = fetch_walks()
+    assert sorted(walks) == ["generic", "stretch"]
+    assert walks["generic"] == walks["stretch"]
+    assert any("icache_probe" in stmt for stmt in walks["generic"])
