@@ -41,9 +41,10 @@ alone; a size of 0 leaves out that single run:
 
 Tracing runs Python's per-opcode hook: the default runs take about 9 s
 on a 2-vCPU x86_64 VM with CPython 3.11, and read 101.1 bytecodes per
-commit for spin-p1, 349.5 for chain-p8 and 148.2 for the corpus total,
-since a quiet stretch keeps no latches and records only its failed fetches
-(they read 110.9, 349.5 and 155.7 before).
+commit for spin-p1, 356.1 for chain-p8 and 148.9 for the corpus total,
+since every untraced core checks for a quiet stretch at a call's start and
+after a stop's phases (they read 101.1, 349.5 and 148.2 while a static
+check kept cores on programs that cannot hold a stretch from checking).
 """
 
 import argparse

@@ -13,7 +13,7 @@ from .kernels import (
     kernel_starvation,
 )
 from .memory import MemorySystem
-from .noc import Noc, Topology
+from .noc import Noc
 from .oracle import (OracleDeadlock, OracleFault, OracleResult,
                      sequential_oracle)
 from .sim import ChipConfig, Metrics, Outcome, RunResult, detect_deadlock, format_trace, run
@@ -23,7 +23,7 @@ __all__ = [
     "AsmError", "Instruction", "Opcode", "Program", "annotate_hints",
     "assemble", "validate", "KernelSpec", "corpus", "kernel_chain",
     "kernel_heterogeneous", "kernel_loaduse", "kernel_regular",
-    "kernel_starvation", "MemorySystem", "Noc", "Topology",
+    "kernel_starvation", "MemorySystem", "Noc",
     "OracleDeadlock", "OracleFault", "OracleResult", "sequential_oracle",
     "ChipConfig", "Metrics", "Outcome", "RunResult", "detect_deadlock",
     "format_trace", "run", "Family", "SpanPool", "distribute",

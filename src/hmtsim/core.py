@@ -167,10 +167,8 @@ hold `DONE_ENTRY` for what the stretch executed.
 
 A stretch starts only at a call's start or after a stop. The check there
 tests that all six latches hold only quiet instructions (or none), then
-that no queued thread has a pending cell or a resume. A core never checks
-in a traced run, or on a program that cannot hold a stretch
-(`holds_stretches`: one with neither a loop of quiet instructions nor a run
-of them longer than the pipeline); its `Core._checks` is then false.
+that no queued thread has a pending cell or a resume. Every untraced core
+checks there (`Core._checks`); a core in a traced run never does.
 
 A core is stepped only while it is on the chip's awake list (see `sim.py`):
 it joins the list in `_enlist` and leaves it itself when its step ends idle.
@@ -246,30 +244,6 @@ DONE = Instruction(Opcode.ADD, dst=0, src1=0, src2=0)
 # the pipeline's stages, each a latch: fetch, decode, read, execute, memory,
 # writeback
 _DEPTH = 6
-
-
-def holds_stretches(instructions) -> bool:
-    """Whether a quiet stretch can last on this program: whether it has a
-    loop of quiet instructions (a quiet branch back to a target from which
-    every instruction up to the branch is quiet), or a run of more quiet
-    instructions than the pipeline has stages that no branch ends. Without
-    either, a stretch starts only while bubbles stand in for quiet
-    instructions, and ends within a few cycles at the next instruction that
-    is not quiet, so a core that runs the program never checks for one."""
-    run = 0
-    for pc, instr in enumerate(instructions):
-        if not instr.quiet:
-            run = 0
-        elif instr.is_branch:
-            if instr.imm <= pc and all(
-                    x.quiet for x in instructions[instr.imm:pc]):
-                return True
-            run = 0
-        else:
-            run += 1
-            if run > _DEPTH:
-                return True
-    return False
 
 
 def reach(instructions) -> list[int]:
@@ -364,7 +338,7 @@ class PerCoreMetrics:
 
 
 class Core:
-    def __init__(self, cid: int, chip, thread_slots: int):
+    def __init__(self, cid: int, chip):
         self.cid = cid
         self.chip = chip
         self.instructions = chip.program.instructions
@@ -379,7 +353,7 @@ class Core:
         # never-used ones from _fresh up to thread_slots
         self._released: list[int] = []
         self._fresh = 0
-        self._slots = thread_slots
+        self._slots = chip.config.thread_slots
         self.queue: deque[ThreadContext] = deque()
         self.metrics = PerCoreMetrics()
         self._rotate_pending = None
@@ -387,10 +361,9 @@ class Core:
         self.f = self.d = self.r = self.e = self.m = self.w = None
         self.awake = False          # on the chip's awake list
         # in a quiet stretch (see the module docstring), and whether step
-        # checks for one: never in a traced run or on a program that cannot
-        # hold a stretch
+        # checks for one: never in a traced run
         self.quiet = False
-        self._checks = not self.traced and chip.holds_stretches
+        self._checks = not self.traced
         self.idle_since = None      # first unsettled bubble cycle while idle
         self._send = self._start    # resumes the resident step
 

@@ -77,9 +77,9 @@ class MemorySystem:
 
     def _check(self, addr: int):
         if addr % 4 != 0:
-            raise SimFault(f"memory fault: unaligned access at 0x{addr:x}")
+            raise SimFault(f"memory fault: unaligned access at {addr:#x}")
         if not 0 <= addr <= len(self.mem) - 4:
-            raise SimFault(f"memory fault: address 0x{addr:x} out of bounds")
+            raise SimFault(f"memory fault: address {addr:#x} out of bounds")
 
     def _read_word(self, addr: int) -> int:
         return int.from_bytes(self.mem[addr:addr + 4], "little", signed=True)

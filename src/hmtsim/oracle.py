@@ -71,9 +71,9 @@ class _FamilyCtx:
 
 def _check(state, addr):
     if addr % 4 != 0:
-        raise OracleFault(f"memory fault: unaligned access at 0x{addr:x}")
+        raise OracleFault(f"memory fault: unaligned access at {addr:#x}")
     if not 0 <= addr <= len(state.mem) - 4:
-        raise OracleFault(f"memory fault: address 0x{addr:x} out of bounds")
+        raise OracleFault(f"memory fault: address {addr:#x} out of bounds")
 
 
 def _read_word(state, addr):

@@ -114,11 +114,11 @@ import hashlib
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import CHANNEL_CELL, Core, PerCoreMetrics, holds_stretches, reach
+from .core import CHANNEL_CELL, Core, PerCoreMetrics, reach
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
 from .memory import NEVER, MemorySystem
-from .noc import Noc, Topology
+from .noc import Noc
 from .tmu import Family, SpanPool, Tmu
 
 # memory bytes past 2**31 are out of reach of every s32 address
@@ -242,7 +242,7 @@ class Chip:
                  init_mem: bytes | None = None):
         self.config = config
         self.program = program
-        self.noc = Noc(Topology(config.topology, config.p, config.hop_latency))
+        self.noc = Noc(config)
         self.memory = MemorySystem(config)
         if init_mem:
             if len(init_mem) > config.mem_bytes:
@@ -250,8 +250,6 @@ class Chip:
                                  f"the {config.mem_bytes}-byte memory")
             self.memory.mem[:len(init_mem)] = init_mem
         self.span_pool = SpanPool(config.p)
-        # whether a core may check for a quiet stretch (see core.py)
-        self.holds_stretches = holds_stretches(program.instructions)
         # per pc, the fetches before an instruction that acts outside a core
         # (see sim._stop)
         self.reach = reach(program.instructions)
@@ -259,7 +257,7 @@ class Chip:
         line_bytes = config.line_bytes
         self.line_of = [pc * 4 // line_bytes
                         for pc in range(len(program.instructions))]
-        self.cores = [Core(c, self, config.thread_slots) for c in range(config.p)]
+        self.cores = [Core(c, self) for c in range(config.p)]
         self.awake: list[Core] = []     # cores with work, ascending core id
         self.tmus = [Tmu(c, self) for c in range(config.p)]
         # (core id, Tmu method, args) requests queued by the core phase

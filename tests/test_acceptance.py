@@ -19,9 +19,9 @@ from hmtsim.kernels import (
     kernel_regular,
     kernel_starvation,
 )
-from hmtsim.noc import Topology
 from hmtsim.sim import ChipConfig, Outcome, run
 from hmtsim.tmu import distribute
+from test_noc import adjacent, path
 
 P_VALUES = (1, 2, 4, 8)
 WATCHDOG = 2_000_000
@@ -123,16 +123,14 @@ def test_criterion_5_distribution_and_imbalance(matrix):
 
 
 def _bfs_links(p, topology, src, dst):
-    topo = Topology(topology, p)
-    path = topo.path(src, dst)
-    return {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+    route = path(topology, p, src, dst)
+    return {(min(a, b), max(a, b)) for a, b in zip(route, route[1:])}
 
 
 def test_criterion_6_adjacency(matrix):
     for (name, p, hints, coh), (_, result) in matrix.items():
-        topo = Topology("ring", p)
         for (a, b), count in result.metrics.hop_log.items():
-            assert topo.adjacent(a, b), (name, p, a, b)
+            assert adjacent("ring", p, a, b), (name, p, a, b)
     # a family on a remote sub-span: traffic only inside span + owner path
     sub = """
     .body main

@@ -41,6 +41,7 @@ def read_stage(core, inf, cycle=0):
     there instead."""
     plant(core, r=inf)
     core.quiet = False      # a planted latch may break a quiet stretch
+    core._checks = False    # and a stretch would execute a quiet inf first
     core.step(cycle, cycle + 1)
     if core.e is not inf:
         return None

@@ -185,7 +185,7 @@ def test_rejects_image_larger_than_memory_as_run_does():
 @pytest.mark.parametrize("body, diagnostic", [
     ("addi r1, r0, 2\n  ld r2, 0(r1)", "memory fault: unaligned access at 0x2"),
     ("addi r1, r0, -8\n  st r0, 0(r1)",
-     "memory fault: address 0x-8 out of bounds"),
+     "memory fault: address -0x8 out of bounds"),
     ("addi r1, r0, 0xFFFFE\n  ld r2, 2(r1)",
      "memory fault: address 0x100000 out of bounds"),
     ("allocate r1, -1", "allocate with negative size -1"),
