@@ -14,9 +14,10 @@ memory must match this interpreter's bit for bit on every completed run.
 A program that makes a model fault under this schedule raises
 `OracleFault` with the simulator's wording, where a run faults with that
 diagnostic: an unaligned or out-of-range access, `sync`, a tail `getsh` or a
-head `putsh` on a family that was never created, and `allocate` with a
-negative size. An `allocate` hint outside 0..p-1 faults a run but not the
-oracle, which has no core count, so that difference stays.
+head `putsh` on a family that was never created, `sync` on the syncing
+thread's own family or an ancestor's, and `allocate` with a negative size.
+An `allocate` hint outside 0..p-1 faults a run but not the oracle, which has
+no core count, so that difference stays.
 
 Kept deliberately free of any simulator machinery; this is the independent
 half of the dual-route check.
@@ -183,8 +184,10 @@ def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
             if fid not in families:
                 if not _created(state, fid):
                     raise OracleFault(f"sync on unknown family {fid}")
-                raise OracleDeadlock(f"sync on family {fid}, which is still "
-                                     f"running the syncing thread")
+                # created and not yet run to its end: the syncing thread's
+                # own family or an ancestor's
+                raise OracleFault(f"sync on family {fid}, which is still "
+                                  f"running the syncing thread")
             if ins.dst:
                 regs[ins.dst] = 1
         elif op is Opcode.RELEASE:

@@ -117,7 +117,7 @@ from operator import itemgetter
 from .core import CHANNEL_CELL, Core, PerCoreMetrics, reach
 from .errors import ConfigError, SimFault
 from .isa import Program, annotate_hints, validate
-from .memory import NEVER, MemorySystem
+from .memory import NEVER, MemorySystem, image_digest
 from .noc import Noc
 from .tmu import Family, SpanPool, Tmu
 
@@ -224,7 +224,7 @@ class RunResult:
     def memory_hash(self) -> str:
         if self.final_memory is None:
             return ""
-        return hashlib.sha256(self.final_memory).hexdigest()
+        return image_digest(self.final_memory)
 
     def result_hash(self) -> str:
         h = hashlib.sha256()

@@ -181,9 +181,18 @@ class Tmu:
         self.core.writeback(ctx, dst, fam.fid)
 
     def sync(self, ctx, dst: int, fid: int, cycle: int):
-        fam = self.chip.families.get(fid)
+        families = self.chip.families
+        fam = families.get(fid)
         if fam is None:
             raise SimFault(f"sync on unknown family {fid}")
+        # the syncing thread's own family and its ancestors complete only
+        # after the thread has halted
+        running = ctx
+        while running is not None:
+            if running.fid == fid:
+                raise SimFault(f"sync on family {fid}, which is still running "
+                               f"the syncing thread")
+            running = families[running.fid].creator
         if fam.sync_target is not None:
             raise SimFault(f"double sync on family {fid}")
         fam.sync_target = (self.cid, ctx, dst)

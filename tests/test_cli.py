@@ -185,6 +185,15 @@ REACHABLE_ERRORS = {
     "sync-unknown-family": (
         "run", ".body main\n  addi r2, r0, 99\n  sync r1, r2\n  halt\n",
         EXIT_FAULT, "sync on unknown family 99"),
+    "sync-own-family": (
+        "run", ".body main\n  addi r2, r0, 1\n  sync r1, r2\n  halt\n",
+        EXIT_FAULT,
+        "sync on family 1, which is still running the syncing thread"),
+    "sync-ancestor-family": (
+        "run", ".body main\n  allocate r1, 1\n  create r2, r1, w, 0, 1, 1\n"
+        "  sync r3, r2\n  add r0, r3, r0\n  release r1\n  halt\n"
+        ".body w\n  addi r2, r0, 1\n  sync r1, r2\n  halt\n", EXIT_FAULT,
+        "sync on family 1, which is still running the syncing thread"),
     "tail-getsh-unknown-family": (
         "run", ".body main\n  addi r2, r0, 99\n  getsh r1, r2\n  halt\n",
         EXIT_FAULT, "getsh on unknown family 99"),

@@ -1,8 +1,10 @@
+import hashlib
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hmtsim import memory
 from hmtsim.errors import SimFault
 from hmtsim.memory import (
     MemorySystem,
@@ -11,7 +13,7 @@ from hmtsim.memory import (
     load_image_binary,
     load_image_text,
 )
-from hmtsim.sim import ChipConfig
+from hmtsim.sim import ChipConfig, Outcome, RunResult
 
 
 def make(bulk=False, cores=2, **kw):
@@ -323,3 +325,81 @@ def test_image_binary_rejects_oversize_blob():
     assert len(load_image_binary(bytes(64), 64)) == 64
     with pytest.raises(ValueError, match="65 bytes exceeds"):
         load_image_binary(bytes(65), 64)
+
+
+# -- the one-image digest memo ------------------------------------------------
+
+CHUNK = memory._CHUNK
+
+
+def memory_hash(image) -> str:
+    """A completed run's memory_hash over image, checked against a fresh
+    SHA-256 of the image."""
+    got = RunResult(Outcome.COMPLETED, None, image).memory_hash()
+    assert got == hashlib.sha256(image).hexdigest()
+    return got
+
+
+def sparse(size, writes):
+    mem = bytearray(size)
+    for addr, byte in writes.items():
+        mem[addr] = byte
+    return mem
+
+
+def test_memory_hash_reuses_the_last_images_digest_only_when_equal():
+    first = sparse(1 << 20, {0x4000: 7, 0x4001: 1, 0x9FFFC: 3})
+    digest = memory_hash(first)
+    memo = memory._last_image
+    # the same image twice, in a new bytearray: a hit, the memo unchanged
+    assert memory_hash(bytearray(first)) == digest
+    assert memory._last_image is memo
+    # one byte changed inside a nonzero chunk
+    changed = bytearray(first)
+    changed[0x4002] = 9
+    assert memory_hash(changed) != digest
+    # a nonzero byte in a chunk that was zero in the previous image
+    grown = bytearray(changed)
+    grown[3 * CHUNK + 5] = 1
+    assert memory_hash(grown) != memory_hash(changed)
+    # all-zero images of two sizes, then equal nonzero content under two sizes
+    assert memory_hash(bytearray(1 << 20)) != memory_hash(bytearray(1 << 16))
+    small = sparse(1 << 16, {0x40: 5})
+    assert memory_hash(small) != memory_hash(sparse(1 << 20, {0x40: 5}))
+    assert memory_hash(bytearray(small)) == memory_hash(small)
+
+
+def test_memory_hash_sees_an_image_changed_after_it_was_hashed():
+    mem = sparse(1 << 20, {0x4000: 7})
+    result = RunResult(Outcome.COMPLETED, None, mem)
+    before = memory_hash(mem)
+    mem[0x4000] = 8             # inside the one nonzero chunk
+    inside = result.memory_hash()
+    assert inside == hashlib.sha256(mem).hexdigest() != before
+    mem[0x4000] = 7
+    mem[5 * CHUNK] = 1          # in a chunk that was zero
+    assert result.memory_hash() == hashlib.sha256(mem).hexdigest()
+    assert result.memory_hash() not in (before, inside)
+
+
+SIZES = [4, 1000, CHUNK - 4, CHUNK, CHUNK + 4, 3 * CHUNK + 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["fresh", "copy", "in place"]), st.sampled_from(SIZES),
+    st.dictionaries(st.integers(0, 3 * CHUNK + 7), st.integers(0, 255),
+                    max_size=3)), min_size=1, max_size=8))
+def test_memory_hash_equals_sha256_over_any_run_of_sparse_images(steps):
+    # each step hashes a fresh image, a copy of the last one or the last one
+    # itself, after up to three byte writes: with none, a copy or the last
+    # image is the same image again, and the memo's digest is reused
+    mem = bytearray(4)
+    for kind, size, writes in steps:
+        if kind == "fresh":
+            mem = bytearray(size)
+        elif kind == "copy":
+            mem = bytearray(mem)
+        for addr, byte in writes.items():
+            mem[addr % len(mem)] = byte
+        memory_hash(mem)

@@ -203,11 +203,28 @@ def test_model_faults_give_the_simulators_diagnostic(body, diagnostic):
     assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
 
 
-def test_sync_on_the_family_still_running_the_thread_deadlocks():
+def test_sync_on_a_family_still_running_the_thread_faults_on_both_routes():
     # family 1 is main's own: it has been created, so it is no unknown
-    # family, but it completes only after the thread that syncs it
-    program = assemble(".body main\n  addi r2, r0, 1\n  sync r1, r2\n"
-                       "  halt\n")
-    with pytest.raises(OracleDeadlock, match="sync on family 1, which is "
-                       "still running the syncing thread"):
-        sequential_oracle(program)
+    # family, but it completes only after the thread that syncs it; so does
+    # each ancestor of a worker's family. Here main syncs it, then two
+    # workers of family 2, then a worker of family 3, which family 2 created
+    # on core 1
+    diagnostic = "sync on family 1, which is still running the syncing thread"
+    sync_1 = "  addi r2, r0, 1\n  sync r1, r2\n  halt\n"
+    workers = ("  allocate r1, 1{hint}\n  create r2, r1, {body}, 0, {n}, 1\n"
+               "  sync r3, r2\n  add r0, r3, r0\n  release r1\n  halt\n")
+    own = ".body main\n" + sync_1
+    parent = (".body main\n" + workers.format(hint="", body="w", n=2)
+              + ".body w\n" + sync_1)
+    grandparent = (".body main\n" + workers.format(hint="", body="w", n=1)
+                   + ".body w\n  addi r4, r0, 1\n"
+                   + workers.format(hint=", r4", body="v", n=1)
+                   + ".body v\n" + sync_1)
+    for src in (own, parent, grandparent):
+        program = assemble(src)
+        with pytest.raises(OracleFault) as fault:
+            sequential_oracle(program)
+        assert str(fault.value) == diagnostic
+        for p in (1, 2) if src != grandparent else (2,):
+            res = run(ChipConfig(p=p), program)
+            assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
