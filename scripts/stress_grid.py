@@ -5,11 +5,11 @@ second route.
 Sends each configuration through `check` (`tests/differential.py`), which
 runs it traced and untraced, each on the fast chip loop and under the
 lockstep loop (which steps every awake core one cycle per call and never
-jumps the idle clock), and compares the four results and a completed run's
-image with the sequential oracle's. Prints one line per configuration: the
-configuration, the outcome, the cycle count and the traced `result_hash`
-(which covers the outcome, the diagnostic, every metric, the final memory
-and the commit trace). On the first disagreement it exits nonzero with the
+jumps the idle clock), and compares the four results and every completed
+run's image with the sequential oracle's. Prints one line per
+configuration: the configuration, the outcome, the cycle count and the
+traced `result_hash` (which covers the outcome, the diagnostic, every
+metric, the final memory and the commit trace). On the first disagreement it exits nonzero with the
 configuration and the route that disagreed. Two trees that print the same
 lines simulate these runs identically, so a change meant to keep simulated
 results can be checked against its parent with
@@ -75,8 +75,7 @@ from hmtsim.sim import ChipConfig
 
 
 def grid():
-    """(label, config, program, None) for the 480 grid cells, in a fixed
-    order."""
+    """(label, config, program) for the 480 grid cells, in a fixed order."""
     for spec, p, slots, lines, hop, coherency, hints in itertools.product(
             corpus(), (1, 3, 8), (1, 3), (1, 2), (0, 5), ("eager", "bulk"),
             (True, False)):
@@ -86,11 +85,11 @@ def grid():
                          watchdog_cycles=300_000)
         label = (f"{spec.name} p={p} slots={slots} lines={lines} hop={hop} "
                  f"{coherency} hints={'on' if hints else 'off'}")
-        yield label, cfg, spec.program, None
+        yield label, cfg, spec.program
 
 
 def quiet_sweep(n=750, seed=27):
-    """(label, config, program, None) for n configurations: the five
+    """(label, config, program) for n configurations: the five
     corpus kernels at small sizes and two heterogeneous spins, each run
     with an i_miss_latency of 1, 10, 37, 300 or 1000 cycles, 1 to 32
     I-lines of 4 to 64 bytes, 1, 2 or 64 D-lines, p in {1, 2, 3, 5, 8}, 1,
@@ -123,16 +122,14 @@ def quiet_sweep(n=750, seed=27):
                          line_bytes=line_bytes, d_lines=d_lines)
         label = (f"{name} p={p} slots={slots} hop={hop} i_miss={latency} "
                  f"i_lines={lines} line_bytes={line_bytes} d_lines={d_lines}")
-        yield label, cfg, program, None
+        yield label, cfg, program
 
 
 def main():
-    pinned = ((pin.label, pin.config(), pin.make(), pin.oracle_deadlock)
-              for pin in pinned_runs())
-    configs = itertools.chain(grid(), pinned, quiet_sweep())
-    for label, cfg, program, oracle_deadlock in configs:
+    pinned = ((pin.label, pin.config(), pin.make()) for pin in pinned_runs())
+    for label, cfg, program in itertools.chain(grid(), pinned, quiet_sweep()):
         try:
-            res = check(cfg, program, oracle_deadlock)
+            res = check(cfg, program)
         except AssertionError as exc:
             sys.exit(f"{label}: {exc}")
         print(f"{label} {res.outcome.value} {res.metrics.cycles} "

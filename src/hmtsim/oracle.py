@@ -5,19 +5,40 @@ creation the logical threads execute to completion in ascending index order,
 depth-first into sub-families at their creation points. Under that schedule a
 channel read always finds its producer already run, so no scheduling, caches
 or timing enter the semantics. A run completes only when every family created
-in it has completed, whether or not any thread syncs it: here each family runs
-to its end at its creation point, and the simulator ends a run only once the
-last of its families has completed. A thread may sync, or read the tail of,
-any family that has run, whichever thread created it. The simulator's final
-memory must match this interpreter's bit for bit on every completed run.
+in it has completed, whether or not any thread syncs it, and the simulator
+ends a run only once the last of its families has completed. A thread may
+sync, or read the tail of, any family that has run, whichever thread created
+it. The simulator's final memory must match this interpreter's bit for bit
+on every completed run.
 
-A program that makes a model fault under this schedule raises
-`OracleFault` with the simulator's wording, where a run faults with that
-diagnostic: an unaligned or out-of-range access, `sync`, a tail `getsh` or a
-head `putsh` on a family that was never created, `sync` on the syncing
+The interpreter is one loop over an explicit stack of thread frames, so no
+nesting depth reaches Python's recursion limit. `create` pushes the new
+family's thread 0 above its creator; `halt` pops the thread and pushes the
+family's next index, or records the family's tail (its last thread's
+output, or for an empty family its seed) in the map of families that have
+run, and the thread below runs on. Three rules follow what the simulator
+does with a family fed through its head (`putsh rS, rA`):
+
+- thread 0 of an unseeded family that reads its unwritten input channel is
+  set aside, and its creator runs on;
+- a head `putsh` from any thread resumes a family set aside, right there,
+  with the value as thread 0's input. The creator's accesses between
+  `create` and that `putsh` run first, which is exact for race-free
+  programs: only `create` and `sync` order memory;
+- a head `putsh` to an empty unseeded family writes its tail, as the
+  simulator's channel forwarding does past a family's last position.
+
+A `sync` or tail read of a family still set aside, or a family still set
+aside when the run ends, raises `OracleDeadlock`: thread 0 of that family
+reads its input channel before any producer wrote it.
+
+A program that makes a model fault under this schedule raises `OracleFault`
+with the simulator's wording, where a run faults with that diagnostic: an
+unaligned or out-of-range access, `sync`, a tail `getsh` or a head `putsh`
+on a family that was never created, `sync` or a tail `getsh` on the
 thread's own family or an ancestor's, and `allocate` with a negative size.
-An `allocate` hint outside 0..p-1 faults a run but not the oracle, which has
-no core count, so that difference stays.
+An `allocate` hint outside 0..p-1 faults a run but not the oracle, which
+has no core count, so that difference stays.
 
 Kept deliberately free of any simulator machinery; this is the independent
 half of the dual-route check.
@@ -25,7 +46,7 @@ half of the dual-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isa import Opcode, Program, s32
 
@@ -48,188 +69,44 @@ class OracleResult:
     stores: int = 0
 
 
-@dataclass
-class _State:
-    program: Program
-    mem: bytearray
-    max_steps: int = 50_000_000
-    traces: dict = field(default_factory=dict)
-    # every family that has run to its end, by id: any thread that holds
-    # the id may sync the family or read its tail, whichever thread created it
-    families: dict = field(default_factory=dict)
-    loads: int = 0
-    stores: int = 0
-    next_fid: int = 1
-    next_aid: int = 0
-    steps: int = 0
+class _Family:
+    """A created family: the pc of its thread body, its index range, its
+    creator (None for main's), the channel value its next thread reads
+    (None while unwritten) and the position of that thread."""
+    __slots__ = ("fid", "pc", "start", "step", "n", "creator", "chan", "pos")
+
+    def __init__(self, fid, pc, start, limit, step, chan, creator):
+        if step == 0:
+            raise ValueError("family with zero index step")
+        self.n = len(range(start, limit, step))
+        self.fid, self.pc, self.start, self.step = fid, pc, start, step
+        self.chan, self.creator, self.pos = chan, creator, 0
 
 
-@dataclass
-class _FamilyCtx:
-    fid: int
-    tail: int | None = None
+class _Frame:
+    """The thread of fam at fam.pos: its logical index, its input and output
+    channel values (None while unwritten), registers, pc and trace."""
+    __slots__ = ("fam", "index", "chan", "out", "regs", "pc", "trace")
+
+    def __init__(self, fam, traces):
+        self.fam, self.chan, self.out = fam, fam.chan, None
+        self.index = fam.start + fam.pos * fam.step
+        self.regs, self.pc = [0] * 32, fam.pc
+        self.trace = traces.setdefault((fam.fid, self.index), [])
 
 
-def _check(state, addr):
+def _check(mem, addr):
     if addr % 4 != 0:
         raise OracleFault(f"memory fault: unaligned access at {addr:#x}")
-    if not 0 <= addr <= len(state.mem) - 4:
+    if not 0 <= addr <= len(mem) - 4:
         raise OracleFault(f"memory fault: address {addr:#x} out of bounds")
+    return addr
 
 
-def _read_word(state, addr):
-    _check(state, addr)
-    return int.from_bytes(state.mem[addr:addr + 4], "little", signed=True)
-
-
-def _write_word(state, addr, value):
-    _check(state, addr)
-    state.mem[addr:addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-
-
-def _created(state, fid):
-    """Whether family fid has been created: it has run to its end, or it is
-    still running, around the thread that asks."""
-    return 0 < fid < state.next_fid
-
-
-def _run_family(state: _State, entry: str, start: int, limit: int, step: int,
-                seed: int | None) -> _FamilyCtx:
-    if step == 0:
-        raise ValueError("family with zero index step")
-    if step > 0:
-        n = max(0, -(-(limit - start) // step))
-    else:
-        n = max(0, -(-(start - limit) // -step))
-    fam = _FamilyCtx(fid=state.next_fid)
-    state.next_fid += 1
-    chan = seed
-    chan_written = seed is not None
-    for pos in range(n):
-        chan, chan_written = _run_thread(
-            state, fam, entry, start + pos * step, chan, chan_written)
-    if n == 0 and seed is not None:
-        fam.tail = seed      # an empty family forwards its head to its tail
-    elif n > 0 and chan_written:
-        fam.tail = chan
-    state.families[fam.fid] = fam
-    return fam
-
-
-def _run_thread(state: _State, fam: _FamilyCtx, entry: str, index: int,
-                chan_in: int | None, chan_in_written: bool):
-    program = state.program
-    regs = [0] * 32
-    pc = program.entries[entry]
-    trace = state.traces.setdefault((fam.fid, index), [])
-    out_value = chan_in
-    out_written = False
-    families = state.families
-
-    while True:
-        state.steps += 1
-        if state.steps > state.max_steps:
-            raise OracleDeadlock("oracle step budget exhausted (runaway loop)")
-        ins = program.instructions[pc]
-        trace.append(pc)
-        op = ins.opcode
-        nxt = pc + 1
-        if op is Opcode.ADD:
-            if ins.dst:
-                regs[ins.dst] = s32(regs[ins.src1] + regs[ins.src2])
-        elif op is Opcode.SUB:
-            if ins.dst:
-                regs[ins.dst] = s32(regs[ins.src1] - regs[ins.src2])
-        elif op is Opcode.MUL:
-            if ins.dst:
-                regs[ins.dst] = s32(regs[ins.src1] * regs[ins.src2])
-        elif op is Opcode.ADDI:
-            if ins.dst:
-                regs[ins.dst] = s32(regs[ins.src1] + ins.imm)
-        elif op is Opcode.LD:
-            state.loads += 1
-            value = _read_word(state, s32(regs[ins.src1] + ins.imm))
-            if ins.dst:
-                regs[ins.dst] = value
-        elif op is Opcode.ST:
-            state.stores += 1
-            _write_word(state, s32(regs[ins.src2] + ins.imm), regs[ins.src1])
-        elif op is Opcode.BEQ:
-            if regs[ins.src1] == regs[ins.src2]:
-                nxt = ins.imm
-        elif op is Opcode.BNE:
-            if regs[ins.src1] != regs[ins.src2]:
-                nxt = ins.imm
-        elif op is Opcode.JMP:
-            nxt = ins.imm
-        elif op is Opcode.HALT:
-            # the next thread's input is exactly this thread's output; a
-            # thread that never writes breaks the chain
-            return out_value, out_written
-        elif op is Opcode.ALLOCATE:
-            if ins.imm < 0:
-                raise OracleFault(f"allocate with negative size {ins.imm}")
-            # the sequential schedule never contends for cores
-            state.next_aid += 1
-            if ins.dst:
-                regs[ins.dst] = state.next_aid
-        elif op is Opcode.CREATE:
-            seed = regs[ins.src2] if ins.src2 is not None else None
-            start, limit, stp = ins.create_range
-            child = _run_family(state, ins.entry, start, limit, stp, seed)
-            if ins.dst:
-                regs[ins.dst] = child.fid
-        elif op is Opcode.SYNC:
-            fid = regs[ins.src1]
-            if fid not in families:
-                if not _created(state, fid):
-                    raise OracleFault(f"sync on unknown family {fid}")
-                # created and not yet run to its end: the syncing thread's
-                # own family or an ancestor's
-                raise OracleFault(f"sync on family {fid}, which is still "
-                                  f"running the syncing thread")
-            if ins.dst:
-                regs[ins.dst] = 1
-        elif op is Opcode.RELEASE:
-            pass
-        elif op is Opcode.GETIDX:
-            if ins.dst:
-                regs[ins.dst] = index
-        elif op is Opcode.GETSH:
-            if ins.src1 is None:
-                if not chan_in_written:
-                    raise OracleDeadlock(
-                        f"thread {index} of family {fam.fid} reads its input "
-                        f"channel before any producer wrote it")
-                if ins.dst:
-                    regs[ins.dst] = chan_in
-            else:
-                fid = regs[ins.src1]
-                if not _created(state, fid):
-                    raise OracleFault(f"getsh on unknown family {fid}")
-                child = families.get(fid)
-                if child is None or child.tail is None:
-                    raise OracleDeadlock(
-                        f"tail of family {regs[ins.src1]} read but never "
-                        f"written")
-                if ins.dst:
-                    regs[ins.dst] = child.tail
-        elif op is Opcode.PUTSH:
-            if ins.src2 is None:
-                out_value = regs[ins.src1]
-                out_written = True
-            else:
-                if not _created(state, regs[ins.src2]):
-                    raise OracleFault(
-                        f"putsh to unknown family {regs[ins.src2]}")
-                # the child family already ran at its creation point; a head
-                # written now can never be read in the sequential schedule
-                raise OracleDeadlock(
-                    f"head of family {regs[ins.src2]} written after the "
-                    f"family ran")
-        else:
-            raise AssertionError(f"unhandled opcode {op}")
-        pc = nxt
+def _unfed(frame):
+    return OracleDeadlock(f"thread {frame.index} of family {frame.fam.fid} "
+                          f"reads its input channel before any producer "
+                          f"wrote it")
 
 
 def sequential_oracle(program: Program, mem_bytes: int = 1 << 20,
@@ -244,7 +121,152 @@ def sequential_oracle(program: Program, mem_bytes: int = 1 << 20,
             raise ValueError(f"memory image of {len(init_mem)} bytes exceeds "
                              f"the {mem_bytes}-byte memory")
         mem[:len(init_mem)] = init_mem
-    state = _State(program, mem, max_steps=max_steps)
-    _run_family(state, "main", 0, 1, 1, seed=None)
-    return OracleResult(bytes(state.mem), state.traces, state.loads,
-                        state.stores)
+    instructions, entries = program.instructions, program.entries
+    traces = {}
+    families = {1: _Family(1, entries["main"], 0, 1, 1, None, None)}
+    tails = {}      # fid -> the tail of each family that has run, or None
+    aside = {}      # fid -> the thread 0 of each family set aside
+    stack = [_Frame(families[1], traces)]   # the running thread on top
+    loads = stores = steps = aid = 0
+
+    def unfinished(frame, fid, op, role):
+        """Why the thread of frame cannot wait on family fid, which has not
+        run to its end: the simulator's fault, or a deadlock."""
+        if fid not in families:
+            return OracleFault(f"{op} on unknown family {fid}")
+        while frame is not None:
+            if frame.fam.fid == fid:
+                return OracleFault(f"{op} on family {fid}, which is still "
+                                   f"running the {role} thread")
+            frame = frame.fam.creator
+        if fid in aside:
+            return _unfed(aside[fid])
+        # a thread of fid fed the head of a family that now waits on fid
+        return OracleDeadlock(f"family {fid} is below a family waiting on it")
+
+    while stack:
+        frame = stack[-1]
+        regs, trace, pc = frame.regs, frame.trace, frame.pc
+        while True:
+            steps += 1
+            if steps > max_steps:
+                raise OracleDeadlock("oracle step budget exhausted (runaway "
+                                     "loop)")
+            ins = instructions[pc]
+            trace.append(pc)
+            op = ins.opcode
+            nxt = pc + 1
+            if op is Opcode.ADD:
+                if ins.dst:
+                    regs[ins.dst] = s32(regs[ins.src1] + regs[ins.src2])
+            elif op is Opcode.SUB:
+                if ins.dst:
+                    regs[ins.dst] = s32(regs[ins.src1] - regs[ins.src2])
+            elif op is Opcode.MUL:
+                if ins.dst:
+                    regs[ins.dst] = s32(regs[ins.src1] * regs[ins.src2])
+            elif op is Opcode.ADDI:
+                if ins.dst:
+                    regs[ins.dst] = s32(regs[ins.src1] + ins.imm)
+            elif op is Opcode.LD:
+                loads += 1
+                addr = _check(mem, s32(regs[ins.src1] + ins.imm))
+                if ins.dst:
+                    regs[ins.dst] = int.from_bytes(mem[addr:addr + 4],
+                                                   "little", signed=True)
+            elif op is Opcode.ST:
+                stores += 1
+                addr = _check(mem, s32(regs[ins.src2] + ins.imm))
+                mem[addr:addr + 4] = (regs[ins.src1] & 0xFFFFFFFF).to_bytes(
+                    4, "little")
+            elif op is Opcode.BEQ:
+                if regs[ins.src1] == regs[ins.src2]:
+                    nxt = ins.imm
+            elif op is Opcode.BNE:
+                if regs[ins.src1] != regs[ins.src2]:
+                    nxt = ins.imm
+            elif op is Opcode.JMP:
+                nxt = ins.imm
+            elif op is Opcode.HALT:
+                # the next thread's input is exactly this thread's output; a
+                # thread that never writes breaks the chain
+                fam = frame.fam
+                fam.chan, fam.pos = frame.out, fam.pos + 1
+                if fam.pos < fam.n:
+                    stack[-1] = _Frame(fam, traces)
+                else:
+                    tails[fam.fid] = stack.pop().out
+                break
+            elif op is Opcode.ALLOCATE:
+                if ins.imm < 0:
+                    raise OracleFault(f"allocate with negative size {ins.imm}")
+                # the sequential schedule never contends for cores
+                aid += 1
+                if ins.dst:
+                    regs[ins.dst] = aid
+            elif op is Opcode.CREATE:
+                fid = len(families) + 1
+                fam = families[fid] = _Family(
+                    fid, entries[ins.entry], *ins.create_range,
+                    regs[ins.src2] if ins.src2 is not None else None, frame)
+                if ins.dst:
+                    regs[ins.dst] = fid
+                if not fam.n:
+                    tails[fid] = fam.chan   # its head is its tail
+                else:
+                    stack.append(_Frame(fam, traces))
+                    break
+            elif op is Opcode.SYNC:
+                fid = regs[ins.src1]
+                if fid not in tails:
+                    raise unfinished(frame, fid, "sync", "syncing")
+                if ins.dst:
+                    regs[ins.dst] = 1
+            elif op is Opcode.GETIDX:
+                if ins.dst:
+                    regs[ins.dst] = frame.index
+            elif op is Opcode.GETSH:
+                if ins.src1 is None:
+                    if frame.chan is None:
+                        if frame.fam.pos:
+                            raise _unfed(frame)
+                        # thread 0 waits for a head putsh, to read again (and
+                        # be traced once); the thread below, its creator,
+                        # runs on
+                        nxt = trace.pop()
+                        aside[frame.fam.fid] = stack.pop()
+                        break
+                    if ins.dst:
+                        regs[ins.dst] = frame.chan
+                else:
+                    fid = regs[ins.src1]
+                    if fid not in tails:
+                        raise unfinished(frame, fid, "getsh", "reading")
+                    if tails[fid] is None:
+                        raise OracleDeadlock(f"tail of family {fid} read but "
+                                             f"never written")
+                    if ins.dst:
+                        regs[ins.dst] = tails[fid]
+            elif op is Opcode.PUTSH:
+                if ins.src2 is None:
+                    frame.out = regs[ins.src1]
+                else:
+                    fid = regs[ins.src2]
+                    if fid not in families:
+                        raise OracleFault(f"putsh to unknown family {fid}")
+                    if fid in aside:
+                        # the family set aside runs on from its read, fed
+                        aside[fid].chan = regs[ins.src1]
+                        stack.append(aside.pop(fid))
+                        break
+                    if families[fid].n or tails[fid] is not None:
+                        raise OracleDeadlock(f"head of family {fid} written "
+                                             f"after the family ran")
+                    tails[fid] = regs[ins.src1]     # an empty family's tail
+            elif op is not Opcode.RELEASE:
+                raise AssertionError(f"unhandled opcode {op}")
+            pc = nxt
+        frame.pc = nxt      # where the thread goes on once it runs again
+    if aside:
+        raise _unfed(next(iter(aside.values())))
+    return OracleResult(bytes(mem), traces, loads, stores)

@@ -181,18 +181,7 @@ class Tmu:
         self.core.writeback(ctx, dst, fam.fid)
 
     def sync(self, ctx, dst: int, fid: int, cycle: int):
-        families = self.chip.families
-        fam = families.get(fid)
-        if fam is None:
-            raise SimFault(f"sync on unknown family {fid}")
-        # the syncing thread's own family and its ancestors complete only
-        # after the thread has halted
-        running = ctx
-        while running is not None:
-            if running.fid == fid:
-                raise SimFault(f"sync on family {fid}, which is still running "
-                               f"the syncing thread")
-            running = families[running.fid].creator
+        fam = self._awaited(ctx, fid, "sync", "syncing")
         if fam.sync_target is not None:
             raise SimFault(f"double sync on family {fid}")
         fam.sync_target = (self.cid, ctx, dst)
@@ -227,9 +216,7 @@ class Tmu:
         self._forward_channel(fam, 0, value, cycle)
 
     def getsh_tail(self, ctx, dst: int, fid: int, cycle: int):
-        fam = self.chip.families.get(fid)
-        if fam is None:
-            raise SimFault(f"getsh on unknown family {fid}")
+        fam = self._awaited(ctx, fid, "getsh", "reading")
         if fam.tail_value is not None:
             self.core.writeback(ctx, dst, fam.tail_value)
         else:
@@ -249,6 +236,22 @@ class Tmu:
         else:
             self.core.release_slot(slot)
             self._feed_starved_family(cycle)
+
+    def _awaited(self, ctx, fid: int, op: str, role: str) -> Family:
+        """Family fid, which ctx's thread syncs or reads the tail of (op):
+        a fault if it was never created, or if it is the thread's own family
+        or an ancestor's, which complete only after the thread has halted."""
+        families = self.chip.families
+        fam = families.get(fid)
+        if fam is None:
+            raise SimFault(f"{op} on unknown family {fid}")
+        running = ctx
+        while running is not None:
+            if running.fid == fid:
+                raise SimFault(f"{op} on family {fid}, which is still running "
+                               f"the {role} thread")
+            running = families[running.fid].creator
+        return fam
 
     def _forward_channel(self, fam: Family, pos: int, value: int, cycle: int):
         if pos >= fam.n:

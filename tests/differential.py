@@ -1,8 +1,9 @@
 """The differential check: one run checked against every second route.
 
 `check(config, program)` runs the program traced and untraced, each on the
-fast chip loop and under lockstep, and compares the four results; a
-completed run's image is compared with the sequential oracle's too.
+fast chip loop and under lockstep, and compares the four results; every
+completed run's image is compared with the sequential oracle's too, with
+no exemption (the oracle also runs a family fed through its head).
 `scripts/stress_grid.py` sends its grid, the pinned runs and its quiet sweep
 through it, and the tier-1 tests call it for the pinned runs, for generated
 quiet code and for a few hand-written programs, so that both check the same
@@ -17,11 +18,11 @@ from dataclasses import replace
 from unittest import mock
 
 from hmtsim import sim
-from hmtsim.oracle import OracleDeadlock, sequential_oracle
+from hmtsim.oracle import OracleDeadlock, OracleFault, sequential_oracle
 
 # (instructions, entries) -> the sha256 of the oracle's image of that
-# program, or "OracleDeadlock: " and the message of the one the oracle
-# raised: one oracle run per program
+# program, or the name and message of the exception the oracle raised
+# ("OracleDeadlock: ..."): one oracle run per program
 _oracle = {}
 
 
@@ -39,7 +40,7 @@ def covered(res):
                 diagnostic=res.diagnostic, metrics=repr(res.metrics))
 
 
-def check(config, program, oracle_deadlock=None):
+def check(config, program):
     """Run program on config (its trace setting aside) traced and untraced,
     each on the fast chip loop and under lockstep, and return the traced
     fast-loop result. Raises AssertionError, naming the route and what
@@ -48,9 +49,7 @@ def check(config, program, oracle_deadlock=None):
     - unless the other three runs give the traced one's `result_hash`, the
       untraced ones with its trace dropped. They are compared by what the
       hash covers, which is faster than hashing each run's 1 MB image;
-    - unless a completed run's image equals the sequential oracle's, or,
-      where oracle_deadlock is given, the oracle raises an OracleDeadlock
-      whose message contains it;
+    - unless a completed run's image equals the sequential oracle's;
     - if a run that does not complete has an image.
     """
     traced = sim.run(replace(config, trace=True), program)
@@ -72,10 +71,9 @@ def check(config, program, oracle_deadlock=None):
         try:
             _oracle[key] = hashlib.sha256(
                 sequential_oracle(program).final_memory).hexdigest()
-        except OracleDeadlock as exc:
-            _oracle[key] = f"OracleDeadlock: {exc}"
-    # a digest is in an equal digest only, a message in an OracleDeadlock's
-    want = oracle_deadlock or traced.memory_hash()
-    if want not in _oracle[key]:
+        except (OracleDeadlock, OracleFault) as exc:
+            _oracle[key] = f"{type(exc).__name__}: {exc}"
+    want = traced.memory_hash()
+    if _oracle[key] != want:
         raise AssertionError(f"oracle: gives {_oracle[key]}, expected {want}")
     return traced

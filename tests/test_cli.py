@@ -194,6 +194,15 @@ REACHABLE_ERRORS = {
         "  sync r3, r2\n  add r0, r3, r0\n  release r1\n  halt\n"
         ".body w\n  addi r2, r0, 1\n  sync r1, r2\n  halt\n", EXIT_FAULT,
         "sync on family 1, which is still running the syncing thread"),
+    "getsh-own-family": (
+        "run", ".body main\n  addi r2, r0, 1\n  getsh r1, r2\n  halt\n",
+        EXIT_FAULT,
+        "getsh on family 1, which is still running the reading thread"),
+    "getsh-ancestor-family": (
+        "run", ".body main\n  allocate r1, 1\n  create r2, r1, w, 0, 1, 1\n"
+        "  sync r3, r2\n  add r0, r3, r0\n  release r1\n  halt\n"
+        ".body w\n  addi r2, r0, 1\n  getsh r1, r2\n  halt\n", EXIT_FAULT,
+        "getsh on family 1, which is still running the reading thread"),
     "tail-getsh-unknown-family": (
         "run", ".body main\n  addi r2, r0, 99\n  getsh r1, r2\n  halt\n",
         EXIT_FAULT, "getsh on unknown family 99"),
@@ -222,6 +231,11 @@ REACHABLE_ERRORS = {
     "oracle-deadlock": (
         "oracle", ".body main\n  getsh r1\n  halt\n", EXIT_DEADLOCK,
         "oracle deadlock: thread 0 of family 1 reads its input channel "
+        "before any producer wrote it"),
+    # the oracle's frame stack reaches the leaf below 1,200 nested families
+    "oracle-deep-nest": (
+        "oracle", DEEP_NEST.format(depth=1200), EXIT_DEADLOCK,
+        "oracle deadlock: thread 0 of family 1203 reads its input channel "
         "before any producer wrote it"),
 }
 

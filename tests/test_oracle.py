@@ -4,6 +4,9 @@ from hmtsim.isa import assemble
 from hmtsim.oracle import OracleDeadlock, OracleFault, sequential_oracle
 from hmtsim.sim import ChipConfig, Outcome, run
 
+from differential import check
+from test_sim import DEEP_NEST
+
 
 def word(mem, addr):
     return int.from_bytes(mem[addr:addr + 4], "little", signed=True)
@@ -89,6 +92,12 @@ def test_unseeded_channel_deadlocks():
     """
     with pytest.raises(OracleDeadlock, match="before any producer"):
         sequential_oracle(assemble(src))
+    # one frame stack, however deep the families nest: the unseeded leaf of
+    # DEEP_NEST is set aside, and the last level's sync of it deadlocks
+    for depth in (1200, 5000):
+        with pytest.raises(OracleDeadlock, match=f"thread 0 of family "
+                           f"{depth + 3} reads its input channel"):
+            sequential_oracle(assemble(DEEP_NEST.format(depth=depth)))
 
 
 def test_unwritten_tail_deadlocks():
@@ -182,6 +191,18 @@ def test_rejects_image_larger_than_memory_as_run_does():
                                  init_mem=bytes(16)).final_memory) == 16
 
 
+def faults_alike(src, diagnostic, ps):
+    """The oracle raises an OracleFault with diagnostic on src, and a run of
+    it at each p in ps faults with it."""
+    program = assemble(src)
+    with pytest.raises(OracleFault) as fault:
+        sequential_oracle(program)
+    assert str(fault.value) == diagnostic
+    for p in ps:
+        res = run(ChipConfig(p=p), program)
+        assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
+
+
 @pytest.mark.parametrize("body, diagnostic", [
     ("addi r1, r0, 2\n  ld r2, 0(r1)", "memory fault: unaligned access at 0x2"),
     ("addi r1, r0, -8\n  st r0, 0(r1)",
@@ -195,36 +216,47 @@ def test_rejects_image_larger_than_memory_as_run_does():
     ids=["unaligned", "negative-address", "past-the-end", "negative-size",
          "sync", "tail-getsh", "head-putsh"])
 def test_model_faults_give_the_simulators_diagnostic(body, diagnostic):
-    program = assemble(f".body main\n  {body}\n  halt\n")
-    with pytest.raises(OracleFault) as fault:
-        sequential_oracle(program)
-    assert str(fault.value) == diagnostic
-    res = run(ChipConfig(p=1), program)
-    assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
+    faults_alike(f".body main\n  {body}\n  halt\n", diagnostic, (1,))
 
 
 def test_sync_on_a_family_still_running_the_thread_faults_on_both_routes():
     # family 1 is main's own: it has been created, so it is no unknown
-    # family, but it completes only after the thread that syncs it; so does
-    # each ancestor of a worker's family. Here main syncs it, then two
-    # workers of family 2, then a worker of family 3, which family 2 created
-    # on core 1
-    diagnostic = "sync on family 1, which is still running the syncing thread"
-    sync_1 = "  addi r2, r0, 1\n  sync r1, r2\n  halt\n"
+    # family, but it completes only after the thread that syncs it or reads
+    # its tail; so does each ancestor of a worker's family. Here main syncs
+    # it or reads its tail, then two workers of family 2, then a worker of
+    # family 3, which family 2 created on core 1
     workers = ("  allocate r1, 1{hint}\n  create r2, r1, {body}, 0, {n}, 1\n"
                "  sync r3, r2\n  add r0, r3, r0\n  release r1\n  halt\n")
-    own = ".body main\n" + sync_1
-    parent = (".body main\n" + workers.format(hint="", body="w", n=2)
-              + ".body w\n" + sync_1)
-    grandparent = (".body main\n" + workers.format(hint="", body="w", n=1)
-                   + ".body w\n  addi r4, r0, 1\n"
-                   + workers.format(hint=", r4", body="v", n=1)
-                   + ".body v\n" + sync_1)
-    for src in (own, parent, grandparent):
-        program = assemble(src)
-        with pytest.raises(OracleFault) as fault:
-            sequential_oracle(program)
-        assert str(fault.value) == diagnostic
-        for p in (1, 2) if src != grandparent else (2,):
-            res = run(ChipConfig(p=p), program)
-            assert (res.outcome, res.diagnostic) == (Outcome.FAULT, diagnostic)
+    for op, role in (("sync", "syncing"), ("getsh", "reading")):
+        on_1 = f"  addi r2, r0, 1\n  {op} r1, r2\n  halt\n"
+        line = f"{op} on family 1, which is still running the {role} thread"
+        faults_alike(".body main\n" + on_1, line, (1, 2))
+        faults_alike(".body main\n" + workers.format(hint="", body="w", n=2)
+                     + ".body w\n" + on_1, line, (1, 2))
+        faults_alike(".body main\n" + workers.format(hint="", body="w", n=1)
+                     + ".body w\n  addi r4, r0, 1\n"
+                     + workers.format(hint=", r4", body="v", n=1)
+                     + ".body v\n" + on_1, line, (2,))
+
+
+def test_empty_family_fed_through_its_head():
+    # main's head putsh writes the tail of an unseeded family of no threads,
+    # as the simulator forwards a value past a family's last position
+    program = assemble(
+        ".body main\n  allocate r1, 0\n  create r2, r1, w, 0, 0, 1\n"
+        "  addi r3, r0, 100\n  putsh r3, r2\n  sync r4, r2\n  getsh r5, r2\n"
+        "  addi r6, r0, 0x4000\n  st r5, 0(r6)\n  halt\n.body w\n  halt\n")
+    for p in (1, 2):
+        assert word(check(ChipConfig(p=p), program).final_memory, 0x4000) \
+            == 100
+
+
+def test_deep_nest_that_completes_gives_the_simulators_image():
+    # the leaf, seeded with the allocation id 1, stores it at 0x4000
+    program = assemble(DEEP_NEST.format(depth=1200).replace(
+        "leaf, 0, 1, 1\n", "leaf, 0, 1, 1, r1\n").replace(
+        "getsh r5\n", "getsh r5\n  addi r6, r0, 0x4000\n  st r5, 0(r6)\n"))
+    image = sequential_oracle(program).final_memory
+    assert word(image, 0x4000) == 1
+    assert run(ChipConfig(p=1, thread_slots=1210), program).final_memory \
+        == image

@@ -95,6 +95,28 @@ SYNC_DEADLOCK = """
   halt
 """
 
+# main creates a family over the range start, limit, step on allocation 0 and
+# syncs it; each thread stores its index at base + 4 * index
+INDEX_STORE = """
+.body main
+  allocate r1, 0
+  addi r10, r0, 0
+  addi r11, r0, 0
+  create r2, r1, w, {range}
+  sync r3, r2
+  add r0, r3, r0
+  release r1
+  halt
+.body w
+  getidx r1
+  addi r2, r0, 4
+  mul r3, r1, r2
+  addi r4, r0, {base}
+  add r4, r4, r3
+  st r1, 0(r4)
+  halt
+"""
+
 # main seeds a depth into a one-thread rec family on allocation 1; each level
 # creates the next on that allocation and syncs it, and the last level
 # creates an unseeded leaf that reads its channel, so that the last level and
@@ -297,44 +319,14 @@ def test_simulated_memory_image_equals_oracle_with_init():
 
 
 def test_n_zero_family_syncs_immediately():
-    src = """
-    .body main
-      allocate r1, 0
-      addi r10, r0, 0
-      addi r11, r0, 0
-      create r2, r1, w, 4, 4, 1
-      sync r3, r2
-      add r0, r3, r0
-      release r1
-      halt
-    .body w
-      halt
-    """
-    res = run(ChipConfig(p=4), assemble(src))
+    res = run(ChipConfig(p=4),
+              assemble(INDEX_STORE.format(range="4, 4, 1", base=0x1000)))
     assert res.outcome is Outcome.COMPLETED
 
 
 def test_slot_multiplexing_runs_all_logical_threads():
-    src = """
-    .body main
-      allocate r1, 0
-      addi r10, r0, 0
-      addi r11, r0, 0
-      create r2, r1, w, 0, 40, 1
-      sync r3, r2
-      add r0, r3, r0
-      release r1
-      halt
-    .body w
-      getidx r1
-      addi r2, r0, 4
-      mul r3, r1, r2
-      addi r4, r0, 0x1000
-      add r4, r4, r3
-      st r1, 0(r4)
-      halt
-    """
-    res = check(ChipConfig(p=2, thread_slots=8), assemble(src))
+    res = check(ChipConfig(p=2, thread_slots=8),
+                assemble(INDEX_STORE.format(range="0, 40, 1", base=0x1000)))
     assert res.outcome is Outcome.COMPLETED
 
 
@@ -369,27 +361,9 @@ def test_no_lost_wakeups_waiter_ledger_empty_at_completion():
 
 
 def test_family_with_stride_and_negative_step():
-    src = """
-    .body main
-      allocate r1, 0
-      addi r10, r0, 0
-      addi r11, r0, 0
-      create r2, r1, w, 10, 0, -2
-      sync r3, r2
-      add r0, r3, r0
-      release r1
-      halt
-    .body w
-      getidx r1
-      addi r2, r0, 4
-      mul r3, r1, r2
-      addi r4, r0, 0x3000
-      add r4, r4, r3
-      st r1, 0(r4)
-      halt
-    """
     for p in (1, 3):
-        res = check(ChipConfig(p=p), assemble(src))
+        res = check(ChipConfig(p=p), assemble(
+            INDEX_STORE.format(range="10, 0, -2", base=0x3000)))
         assert res.outcome is Outcome.COMPLETED
     got = [int.from_bytes(res.final_memory[0x3000 + 4 * i:0x3004 + 4 * i],
                           "little") for i in (2, 4, 6, 8, 10)]
@@ -495,26 +469,8 @@ def test_family_ids_follow_creation_order():
 def test_contiguous_index_partition_under_multiplexing():
     # 100 logical threads on 2 cores with 8 slots each: each core runs its
     # contiguous 50-index share, multiplexed over the slots in index order
-    src = """
-    .body main
-      allocate r1, 0
-      addi r10, r0, 0
-      addi r11, r0, 0
-      create r2, r1, w, 0, 100, 1
-      sync r3, r2
-      add r0, r3, r0
-      release r1
-      halt
-    .body w
-      getidx r1
-      addi r2, r0, 4
-      mul r3, r1, r2
-      addi r4, r0, 0x4000
-      add r4, r4, r3
-      st r1, 0(r4)
-      halt
-    """
-    res = check(ChipConfig(p=2, thread_slots=8), assemble(src))
+    res = check(ChipConfig(p=2, thread_slots=8),
+                assemble(INDEX_STORE.format(range="0, 100, 1", base=0x4000)))
     assert res.outcome is Outcome.COMPLETED
     core_of = {}
     start_cycle = {}
@@ -1164,8 +1120,8 @@ class Pinned(NamedTuple):
     """One pinned run: a label, a program factory, the config fields of its
     traced run, and what that run gives: outcome, cycles, commits, per-core
     bubbles, diagnostic and result_hash. test_pinned_run sends it through
-    `differential.check`, with oracle_deadlock for a run whose oracle
-    raises an OracleDeadlock instead of giving an image."""
+    `differential.check`, which compares a completed run's image with the
+    oracle's."""
     label: str
     make: Callable[[], Program]
     cfg: dict
@@ -1175,7 +1131,6 @@ class Pinned(NamedTuple):
     bubbles: list[int]
     diagnostic: str | None
     digest: str
-    oracle_deadlock: str | None = None
 
     def config(self, **fields) -> ChipConfig:
         return ChipConfig(**{"trace": True, **self.cfg, **fields})
@@ -1427,20 +1382,17 @@ PINNED_RUNS = [
     Pinned("remote-tail-p3", partial(assemble, REMOTE_TAIL), dict(p=3),
            Outcome.COMPLETED, 4097, 4039, [40, 4031, 0], None,
            "13e574af86aa51423e66c87ac6dc46a6197c8ac12f8239142717bc15df8586a7"),
-    # the oracle runs a family at its creation point, before main's putsh to
-    # its head, so lockstep and untraced are these runs' only second routes
+    # the oracle sets the family aside at thread 0's channel read and runs
+    # it at main's putsh to its head
     Pinned("head-fed-p1", partial(assemble, HEAD_FED), dict(p=1),
            Outcome.COMPLETED, 105, 40, [41], None,
-           "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3",
-           oracle_deadlock="reads its input channel"),
+           "d85ee5a2fba8201a458309facc3cd2c9f945988c257dad7bd7001cbc216c96e3"),
     Pinned("head-fed-p2", partial(assemble, HEAD_FED), dict(p=2),
            Outcome.COMPLETED, 99, 40, [59, 34], None,
-           "e843e89ebe79d8545b143e2b6ffd2d4d215ce5e401fb0b13f44ca6dc862d3300",
-           oracle_deadlock="reads its input channel"),
+           "e843e89ebe79d8545b143e2b6ffd2d4d215ce5e401fb0b13f44ca6dc862d3300"),
     Pinned("head-fed-p4", partial(assemble, HEAD_FED), dict(p=4),
            Outcome.COMPLETED, 100, 40, [68, 23, 39, 51], None,
-           "50bcf65529d8f7d741685447b11b11ac0b9be4084164e7b315d415415c4db7f5",
-           oracle_deadlock="reads its input channel"),
+           "50bcf65529d8f7d741685447b11b11ac0b9be4084164e7b315d415415c4db7f5"),
     # the waits-for search follows the chain of syncs as deep as the
     # families nest, past the interpreter's recursion limit, to the cycle at
     # its end
@@ -1543,7 +1495,7 @@ def pinned_with(prefix: str) -> list[Pinned]:
                          ids=[pin.label for pin in PINNED_RUNS])
 def test_pinned_run(pin):
     # every second route (differential.check), then the pinned figures
-    res = check(pin.config(), pin.make(), pin.oracle_deadlock)
+    res = check(pin.config(), pin.make())
     assert res.outcome is pin.outcome
     assert res.diagnostic == pin.diagnostic
     assert res.metrics.cycles == pin.cycles
