@@ -13,7 +13,7 @@ kernels/<name>.masm and regenerated or diffed by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .isa import Program, assemble
@@ -28,7 +28,6 @@ class KernelSpec:
     name: str
     source: str
     params: dict
-    claims: list[str] = field(default_factory=list)
     # filled by expected_image(); oracle output, bit-for-bit
     expected: bytes | None = None
 
@@ -122,9 +121,7 @@ def kernel_regular(n: int = 256, a: int = 2, b: int = 1, x_scale: int = 7,
         "regular", _create_sync_main(
             worker, "regwork", n,
             setup=_init_array_loop(n, x_scale, x_offset)),
-        {"n": n, "a": a, "b": b, "x_scale": x_scale, "x_offset": x_offset},
-        claims=["oracle-equivalence", "binary-compatibility", "bulk-traffic",
-                "latency-tolerance"])
+        {"n": n, "a": a, "b": b, "x_scale": x_scale, "x_offset": x_offset})
 
 
 def kernel_heterogeneous(n: int = 64, scale: int = 16) -> KernelSpec:
@@ -151,8 +148,7 @@ spun:
   halt"""
     return KernelSpec(
         "heterogeneous", _create_sync_main(worker, "hetwork", n),
-        {"n": n, "scale": scale},
-        claims=["oracle-equivalence", "binary-compatibility", "imbalance"])
+        {"n": n, "scale": scale})
 
 
 def kernel_chain(n: int = 100) -> KernelSpec:
@@ -186,10 +182,7 @@ def kernel_chain(n: int = 100) -> KernelSpec:
   add r6, r6, r5
   st r3, 0(r6)
   halt"""
-    return KernelSpec(
-        "chain", _main_wrapper(main, worker), {"n": n},
-        claims=["oracle-equivalence", "binary-compatibility",
-                "performance-non-portability"])
+    return KernelSpec("chain", _main_wrapper(main, worker), {"n": n})
 
 
 def kernel_loaduse(threads: int = 4, iters: int = 8, fillers: int = 13) -> KernelSpec:
@@ -243,8 +236,7 @@ luloop:
         "loaduse", _create_sync_main(
             worker, "luwork", threads,
             setup=_init_array_loop(threads * iters * (stride // 4), 3, 5)),
-        {"threads": threads, "iters": iters, "fillers": fillers},
-        claims=["oracle-equivalence", "switch-hints"])
+        {"threads": threads, "iters": iters, "fillers": fillers})
 
 
 def kernel_starvation(p: int = 2, satisfiable: bool = False) -> KernelSpec:
@@ -259,14 +251,13 @@ def kernel_starvation(p: int = 2, satisfiable: bool = False) -> KernelSpec:
     if p < 1:
         raise ValueError(f"starvation: core count must be >= 1, got {p}")
     name = "starvation_ok" if satisfiable else "starvation"
+    params = {"p": p, "satisfiable": satisfiable}
     if p == 1:
         main = f"""  addi r1, r0, {OUT_BASE}
   addi r2, r0, 1
   st r2, 0(r1)
   halt"""
-        return KernelSpec(name, f".body main\n{main}",
-                          {"p": p, "satisfiable": satisfiable},
-                          claims=["starvation"])
+        return KernelSpec(name, f".body main\n{main}", params)
     half = (p + 1) // 2
     if satisfiable:
         grabber = f""".body grabber
@@ -284,8 +275,7 @@ retry:
   st r10, 0(r9)
   halt"""
         return KernelSpec(name, _create_sync_main(grabber, "grabber", 2, 1),
-                          {"p": p, "satisfiable": satisfiable},
-                          claims=["starvation", "oracle-equivalence"])
+                          params)
     main = f"""  allocate r1, {half}
 {_MAIN_PAD_A}
   addi r5, r0, {half}
@@ -310,9 +300,7 @@ retry:
   beq r8, r0, retry
   release r8
   halt"""
-    return KernelSpec(name, _main_wrapper(main, grabber),
-                      {"p": p, "satisfiable": satisfiable},
-                      claims=["starvation"])
+    return KernelSpec(name, _main_wrapper(main, grabber), params)
 
 
 def corpus(p_for_starvation: int = 2) -> list[KernelSpec]:

@@ -36,7 +36,9 @@ A program that makes a model fault under this schedule raises `OracleFault`
 with the simulator's wording, where a run faults with that diagnostic: an
 unaligned or out-of-range access, `sync`, a tail `getsh` or a head `putsh`
 on a family that was never created, `sync` or a tail `getsh` on the
-thread's own family or an ancestor's, and `allocate` with a negative size.
+thread's own family or an ancestor's, a head `putsh` to an empty family
+whose tail is already written (by its seed or an earlier `putsh`), and
+`allocate` with a negative size.
 An `allocate` hint outside 0..p-1 faults a run but not the oracle, which
 has no core count, so that difference stays.
 
@@ -259,9 +261,11 @@ def sequential_oracle(program: Program, mem_bytes: int = 1 << 20,
                         aside[fid].chan = regs[ins.src1]
                         stack.append(aside.pop(fid))
                         break
-                    if families[fid].n or tails[fid] is not None:
+                    if families[fid].n:
                         raise OracleDeadlock(f"head of family {fid} written "
                                              f"after the family ran")
+                    if tails[fid] is not None:
+                        raise OracleFault(f"double write to tail of family {fid}")
                     tails[fid] = regs[ins.src1]     # an empty family's tail
             elif op is not Opcode.RELEASE:
                 raise AssertionError(f"unhandled opcode {op}")

@@ -1,4 +1,5 @@
-"""The 80-cell acceptance matrix, simulated once per test session.
+"""The 80-cell acceptance matrix and the claims sweeps, each simulated once
+per test session.
 
 Each cell runs with tracing on, so one run serves both the golden gate
 (`result_hash` covers the per-commit trace) and the acceptance criteria
@@ -6,8 +7,13 @@ Each cell runs with tracing on, so one run serves both the golden gate
 is dropped as soon as it is hashed and equal final images are shared, so the
 kept results stay small. The trace-off path is pinned by the default-sweep
 CSV hash in `test_golden.py`, whose cells use the same configs.
+
+The claims sweeps are `SWEEPS` of `scripts/claims.py`, read from the script
+so that the tests and the checked-in `results/claims` files cannot drift.
 """
 
+import pathlib
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -20,6 +26,9 @@ from hmtsim.kernels import (
     kernel_starvation,
 )
 from hmtsim.sim import ChipConfig, run
+
+sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "scripts"))
+from claims import SWEEPS, claim_csv
 
 P_VALUES = (1, 2, 4, 8)
 WATCHDOG = 2_000_000
@@ -60,3 +69,9 @@ def matrix_runs():
                                                     result.final_memory)
         runs[key] = Cell(spec, config, digest, result)
     return runs
+
+
+@pytest.fixture(scope="session")
+def claims():
+    """claim -> the CSV text of its sweeps, as scripts/claims.py writes it."""
+    return {claim: claim_csv(sweeps) for claim, sweeps in SWEEPS.items()}

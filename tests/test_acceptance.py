@@ -3,13 +3,21 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines. The
 oracle-equivalence matrix (criterion 1) is executed once per session, shared
 with the golden gate (`conftest.py`), and its results are reused by the
-criteria that quantify over "every corpus run".
+criteria that quantify over "every corpus run". The claims sweeps of
+`scripts/claims.py` also run once per session; their records must equal the
+checked-in `results/claims` files byte for byte, and criteria 2, 3 and 10
+read them.
 """
 
+import csv
+import hashlib
+import io
 import random
 
 import pytest
 
+from claims import OUT_DIR as CLAIMS_DIR
+from conftest import P_VALUES, WATCHDOG
 from hmtsim.isa import assemble
 from hmtsim.cli import main as cli_main
 from hmtsim.kernels import (
@@ -23,20 +31,26 @@ from hmtsim.sim import ChipConfig, Outcome, run
 from hmtsim.tmu import distribute
 from test_noc import adjacent, path
 
-P_VALUES = (1, 2, 4, 8)
-WATCHDOG = 2_000_000
-
-
-def _portable_kernels():
-    return [kernel_regular(), kernel_heterogeneous(), kernel_chain(),
-            kernel_loaduse()]
-
 
 @pytest.fixture(scope="module")
 def matrix(matrix_runs):
     """All matrix cells: (kernel, p, hints, coherency) -> (spec, result)."""
     return {(c.spec.name, c.config.p, c.config.hints, c.config.coherency):
             (c.spec, c.result) for c in matrix_runs.values()}
+
+
+def records(text):
+    """The records of a sweep's CSV, each a dict of strings."""
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_claims_files_are_the_sweeps_records(claims):
+    assert sorted(p.name for p in CLAIMS_DIR.iterdir()) == \
+        sorted(f"{claim}.csv" for claim in claims)
+    for claim, text in claims.items():
+        assert (CLAIMS_DIR / f"{claim}.csv").read_bytes() == text.encode(), \
+            f"results/claims/{claim}.csv is stale: run scripts/claims.py"
+        assert {r["outcome"] for r in records(text)} == {"completed"}, claim
 
 
 def test_criterion_1_oracle_equivalence(matrix):
@@ -49,32 +63,37 @@ def test_criterion_1_oracle_equivalence(matrix):
           f"to the sequential schedule")
 
 
-def test_criterion_2_binary_compatibility(matrix):
-    for spec in _portable_kernels():
+def test_criterion_2_binary_compatibility(matrix, claims):
+    for spec in (kernel_regular(), kernel_heterogeneous(), kernel_chain(),
+                 kernel_loaduse()):
         hashes = {matrix[(spec.name, p, True, "eager")][1].memory_hash()
                   for p in P_VALUES}
         assert len(hashes) == 1, spec.name
     chain_cycles = [matrix[("chain", p, True, "eager")][1].metrics.cycles
                     for p in P_VALUES]
     assert len(set(chain_cycles)) > 1
+    # the portability sweep: chain over p, slots, topology and hop latency
+    sweep = records(claims["portability"])
+    assert len({r["memory_hash"] for r in sweep}) == 1
+    sweep_cycles = sorted({int(r["cycles"]) for r in sweep})
+    assert len(sweep_cycles) > 1
     print(f"PASS [2] binary compatibility: memory constant across P; chain "
-          f"cycles vary {chain_cycles}")
+          f"cycles vary {chain_cycles}, and {sweep_cycles[0]} to "
+          f"{sweep_cycles[-1]} over {len(sweep)} configs at one memory hash")
 
 
-def test_criterion_3_switch_hint_utilization():
-    spec = kernel_loaduse(threads=4)
-    on = run(ChipConfig(p=1, hints=True, watchdog_cycles=WATCHDOG), spec.program)
-    off = run(ChipConfig(p=1, hints=False, watchdog_cycles=WATCHDOG), spec.program)
-    assert on.metrics.flushes == 0
-    assert off.metrics.flushes > 0
-    assert on.metrics.utilization > off.metrics.utilization
-    single = run(ChipConfig(p=1, hints=True, watchdog_cycles=WATCHDOG),
-                 kernel_loaduse(threads=1).program)
-    assert single.metrics.flushes > 0
-    print(f"PASS [3] switch hints: 4 threads flushes {on.metrics.flushes} (on) "
-          f"< {off.metrics.flushes} (off), utilization "
-          f"{on.metrics.utilization:.4f} > {off.metrics.utilization:.4f}; "
-          f"1 thread flushes {single.metrics.flushes} > 0")
+def test_criterion_3_switch_hint_utilization(claims):
+    probe = {(r["params"], r["hints"]): r for r in records(claims["hints"])}
+    on, off, single = (probe[f"threads={n};iters=8;fillers=13", hints]
+                       for n, hints in ((4, "on"), (4, "off"), (1, "on")))
+    assert int(on["flushes"]) == 0
+    assert int(off["flushes"]) > 0
+    assert float(on["utilization"]) > float(off["utilization"])
+    assert int(single["flushes"]) > 0
+    print(f"PASS [3] switch hints: 4 threads flushes {on['flushes']} (on) "
+          f"< {off['flushes']} (off), utilization "
+          f"{float(on['utilization']):.4f} > {float(off['utilization']):.4f}; "
+          f"1 thread flushes {single['flushes']} > 0")
 
 
 def test_criterion_4_bulk_coherency_traffic(matrix):
@@ -234,23 +253,20 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
           f"({len(a_traces)} trace files compared)")
 
 
-def test_criterion_10_latency_tolerance():
+def test_criterion_10_latency_tolerance(claims):
     # with enough thread slots, dataflow scheduling hides a long D-miss
     # latency: kernel_regular(n=256) on one core keeps its utilization
-    # with 64 slots and loses it with 2
+    # with 64 slots and loses it with 2 (the latency sweep at 16-byte lines)
     latency = 320
-    spec = kernel_regular(n=256)
-
-    def utilization(slots, d_miss_latency):
-        config = ChipConfig(p=1, thread_slots=slots, watchdog_cycles=WATCHDOG,
-                            d_miss_latency=d_miss_latency)
-        result = run(config, spec.program)
-        assert result.outcome is Outcome.COMPLETED
-        assert result.final_memory == spec.expected_image()
-        return result.metrics.utilization
-
-    few, many = utilization(2, latency), utilization(64, latency)
-    short = utilization(64, 5)
+    sweep = records(claims["latency"])
+    image = hashlib.sha256(kernel_regular(n=256).expected_image()).hexdigest()
+    assert {(r["kernel"], r["outcome"], r["memory_hash"]) for r in sweep} == \
+        {("regular", "completed", image)}
+    utilization = {(int(r["thread_slots"]), int(r["d_miss_latency"])):
+                   float(r["utilization"])
+                   for r in sweep if r["line_bytes"] == "16"}
+    few, many = utilization[2, latency], utilization[64, latency]
+    short = utilization[64, 5]
     assert many >= 4 * few
     assert many >= 0.95 * short
     print(f"PASS [10] latency tolerance: at d_miss_latency {latency}, "

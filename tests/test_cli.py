@@ -209,6 +209,11 @@ REACHABLE_ERRORS = {
     "head-putsh-unknown-family": (
         "run", ".body main\n  addi r2, r0, 99\n  putsh r0, r2\n  halt\n",
         EXIT_FAULT, "putsh to unknown family 99"),
+    "head-putsh-seeded-empty-family": (
+        "run", ".body main\n  allocate r1, 0\n  addi r7, r0, 5\n"
+        "  create r2, r1, w, 0, 0, 1, r7\n  putsh r3, r2\n  sync r4, r2\n"
+        "  halt\n.body w\n  halt\n", EXIT_FAULT,
+        "double write to tail of family 2"),
     "load-unaligned": (
         "run", ".body main\n  addi r1, r0, 2\n  ld r2, 0(r1)\n  halt\n",
         EXIT_FAULT, "memory fault: unaligned access at 0x2"),
@@ -439,43 +444,6 @@ def test_sweep_records_carry_machine_flags(capsys):
 
 def records(out: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(out)))
-
-
-def test_sweep_latency_by_slots_table_is_one_command(capsys):
-    # the regular kernel at p=1: utilization by D-miss latency (rows) and
-    # thread slots (columns), as the ROADMAP's latency-tolerance table
-    # gives it
-    table = {5: [0.644, 0.856, 0.856, 0.856, 0.856, 0.856],
-             20: [0.575, 0.797, 0.843, 0.843, 0.845, 0.844],
-             80: [0.402, 0.512, 0.783, 0.830, 0.831, 0.831],
-             320: [0.183, 0.202, 0.361, 0.600, 0.802, 0.830],
-             1000: [0.072, 0.075, 0.143, 0.264, 0.452, 0.668]}
-    code, out, err = run_cli(
-        capsys, "sweep", "--kernels", "regular", "--cores", "1", "--hints",
-        "on", "--coherency", "eager", "--thread-slots", "2,4,8,16,32,64",
-        "--d-miss-latency", "5,20,80,320,1000")
-    assert (code, err) == (EXIT_OK, "")
-    rows = records(out)
-    assert len(rows) == 30
-    # --thread-slots comes before --d-miss-latency in the flag table, so
-    # latency varies fastest
-    assert [(r["thread_slots"], r["d_miss_latency"]) for r in rows[:6]] == \
-        [("2", "5"), ("2", "20"), ("2", "80"), ("2", "320"), ("2", "1000"),
-         ("4", "5")]
-    got = {}
-    for r in rows:
-        got.setdefault(int(r["d_miss_latency"]), []).append(
-            round(float(r["utilization"]), 3))
-    assert got == table
-    # the even N/P split's imbalance, makespan over ideal: cycles x cores /
-    # commits on the heterogeneous kernel
-    code, out, err = run_cli(capsys, "sweep", "--kernels", "heterogeneous",
-                             "--cores", "2,4,8", "--hints", "on",
-                             "--coherency", "eager")
-    assert (code, err) == (EXIT_OK, "")
-    assert {int(r["cores"]): round(int(r["cycles"]) * int(r["cores"])
-                                   / int(r["commits"]), 3)
-            for r in records(out)} == {2: 1.506, 4: 1.761, 8: 1.894}
 
 
 def test_multi_axis_sweep_equals_its_cells_run_one_by_one(tmp_path, capsys):

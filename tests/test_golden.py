@@ -11,27 +11,21 @@ behaviour, recorded in CHANGES.md.
 Regenerate with `PYTHONPATH=src python tests/test_golden.py --write`.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import matrix_cells
-from hmtsim.cli import main as cli_main
+from conftest import claim_csv, matrix_cells
 from hmtsim.sim import run
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
 def sweep_csv_sha256() -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli_main(["sweep"]) == 0
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return hashlib.sha256(claim_csv([[]]).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -191,6 +191,13 @@ def test_rejects_image_larger_than_memory_as_run_does():
                                  init_mem=bytes(16)).final_memory) == 16
 
 
+# main's body up to its halt, then an empty body w: main creates an empty
+# family of w, seeded or not, and feeds its head
+EMPTY_FAMILY = ("allocate r1, 0\n  addi r7, r0, 5\n"
+                "  create r2, r1, w, 0, 0, 1{seed}\n  {feeds}\n"
+                "  sync r4, r2\n  halt\n.body w")
+
+
 def faults_alike(src, diagnostic, ps):
     """The oracle raises an OracleFault with diagnostic on src, and a run of
     it at each p in ps faults with it."""
@@ -212,11 +219,18 @@ def faults_alike(src, diagnostic, ps):
     ("allocate r1, -1", "allocate with negative size -1"),
     ("addi r2, r0, 99\n  sync r1, r2", "sync on unknown family 99"),
     ("addi r2, r0, 2\n  getsh r1, r2", "getsh on unknown family 2"),
-    ("putsh r0, r0", "putsh to unknown family 0")],
+    ("putsh r0, r0", "putsh to unknown family 0"),
+    # a head putsh to an empty family writes its tail, which its seed or an
+    # earlier putsh has written already
+    (EMPTY_FAMILY.format(seed=", r7", feeds="putsh r3, r2"),
+     "double write to tail of family 2"),
+    (EMPTY_FAMILY.format(seed="", feeds="putsh r3, r2\n  putsh r3, r2"),
+     "double write to tail of family 2")],
     ids=["unaligned", "negative-address", "past-the-end", "negative-size",
-         "sync", "tail-getsh", "head-putsh"])
+         "sync", "tail-getsh", "head-putsh", "seeded-empty-family-fed",
+         "empty-family-fed-twice"])
 def test_model_faults_give_the_simulators_diagnostic(body, diagnostic):
-    faults_alike(f".body main\n  {body}\n  halt\n", diagnostic, (1,))
+    faults_alike(f".body main\n  {body}\n  halt\n", diagnostic, (1, 2))
 
 
 def test_sync_on_a_family_still_running_the_thread_faults_on_both_routes():
