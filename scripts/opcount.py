@@ -9,8 +9,11 @@ counts the traced run only: a `gc.collect()` before the trace starts
 finalises what earlier runs left, such as their cores' resident `_steps`
 generators, which a collection inside the traced run would otherwise
 finalise and count: without it, spin-p1 at scale 16 read 1,855,476
-bytecodes after the corpus cells and 1,855,444 alone. So a run's count is
-the same whatever ran before it in the process.
+bytecodes after the corpus cells and 1,855,444 alone. Nor does it count the
+program's static analyses, which `sim.run` computes on a program's first
+run and reads from it on every later one (`Program.diagnostics`, `hinted`
+and `reach`): they are computed before the trace starts. So a run's count is
+the simulation alone, the same whatever ran before it in the process.
 
 It counts Python bytecodes only. Work done in C does not show: a builtin
 such as `min(map(...))` is a few bytecodes however many items it walks, and
@@ -39,12 +42,14 @@ alone; a size of 0 leaves out that single run:
 
     python3 scripts/opcount.py --kernels '' --spin-scale 16 --chain-n 0
 
-Tracing runs Python's per-opcode hook: the default runs take about 9 s
-on a 2-vCPU x86_64 VM with CPython 3.11, and read 101.1 bytecodes per
-commit for spin-p1, 356.1 for chain-p8 and 148.9 for the corpus total,
-since every untraced core checks for a quiet stretch at a call's start and
-after a stop's phases (they read 101.1, 349.5 and 148.2 while a static
-check kept cores on programs that cannot hold a stretch from checking).
+Tracing runs Python's per-opcode hook: the default runs take 9 to 17 s
+on a 2-vCPU x86_64 VM with CPython 3.11, and read 101.0 bytecodes per
+commit for spin-p1, 355.9 for chain-p8 and 148.3 for the corpus total.
+They read 101.1, 356.1 and 148.9 while every run validated and
+hint-annotated its program and built its reach table anew. Before that,
+they read 101.1, 349.5 and 148.2 while a static check kept cores on
+programs that cannot hold a quiet stretch from checking for one; every
+untraced core now checks at a call's start and after a stop's phases.
 """
 
 import argparse
@@ -77,6 +82,9 @@ def bytecodes(config, program):
         frame.f_trace_opcodes = True
         return opcodes
 
+    # the analyses that sim.run reads from the program, computed here once
+    program.diagnostics
+    (program.hinted if config.hints else program).reach
     gc.collect()
     sys.settrace(calls)
     try:

@@ -20,7 +20,7 @@ import re
 import sys
 
 from .errors import ConfigError, SimFault
-from .isa import AsmError, assemble, validate
+from .isa import AsmError, assemble
 from .kernels import GENERATORS, corpus, kernel_starvation
 from .memory import dump_image_binary, dump_image_text, load_image_binary, load_image_text
 from .oracle import OracleDeadlock, OracleFault, sequential_oracle
@@ -194,9 +194,8 @@ def _load_program(path: str):
         program = assemble(source, name=path.rsplit("/", 1)[-1].removesuffix(".masm"))
     except AsmError as exc:
         raise UsageError(f"{path}: {exc}")
-    diags = validate(program)
-    if diags:
-        raise UsageError(f"{path}: " + "; ".join(diags))
+    if program.diagnostics:
+        raise UsageError(f"{path}: " + "; ".join(program.diagnostics))
     return program
 
 

@@ -246,35 +246,6 @@ DONE = Instruction(Opcode.ADD, dst=0, src1=0, src2=0)
 _DEPTH = 6
 
 
-def reach(instructions) -> list[int]:
-    """For each pc, the fewest instructions that any path from it fetches
-    before one that acts outside the core (`Instruction.acts_outside`), or
-    NEVER where no path reaches one. A pc's successors are its fall-through
-    and a branch's target, or a jmp's target alone; a halt acts outside.
-    `sim._stop` reads it as a quiet core's horizon (see `sim.py`)."""
-    n = len(instructions)
-    out = [NEVER] * n
-    before = [[] for _ in range(n)]     # pc -> the pcs it succeeds
-    found = []                          # breadth first, against the edges
-    for pc, instr in enumerate(instructions):
-        if instr.acts_outside:
-            out[pc] = 0
-            found.append(pc)
-        elif instr.is_jump:
-            before[instr.imm].append(pc)
-        else:
-            if instr.is_branch:
-                before[instr.imm].append(pc)
-            if pc + 1 < n:
-                before[pc + 1].append(pc)
-    for pc in found:
-        for prev in before[pc]:
-            if out[prev] == NEVER:
-                out[prev] = out[pc] + 1
-                found.append(prev)
-    return out
-
-
 # a fresh thread's register window: r0..r31 FULL 0, then an EMPTY channel
 _STATE = (FULL,) * 32 + (EMPTY,)
 _VALUE = (0,) * 33

@@ -32,6 +32,17 @@ digits; a decimal that starts with 0 must be all zeros, as in Python. So
 r0-r31, also in ASCII; names are ASCII identifiers. ``OPERANDS`` below is the
 one table of operand forms. Register 0 reads as zero and discards writes. All
 arithmetic wraps at 32 bits, signed.
+
+A program is analysed once, not once per run. `assemble` keeps the Programs
+of the last ASSEMBLED_KEPT (32) distinct (source, name) pairs it assembled
+and returns the kept object for the same pair again; an AsmError is not
+kept. A Program computes its `validate` diagnostics, its `annotate_hints`
+twin and its `reach` table on first use and keeps them (`diagnostics`,
+`hinted`, `reach`), so every run of it, and every holder of the same
+object, reads the same results. A Program is therefore never changed after
+it is built: nothing writes to its `labels`, `entries` or `body_spans`
+dicts or to its `reach` list, and a variant is a new Program
+(`dataclasses.replace`), which starts with no analyses of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from sys import maxsize as NEVER   # no acting instruction on any path
 
 
 def s32(v: int) -> int:
@@ -89,6 +102,9 @@ QUIET = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.ADDI,
                    Opcode.BEQ, Opcode.BNE})
 
 CHANNEL_CELL = 32       # the thread's input channel sits after r0..r31
+
+# assemble's memo: the most recently used distinct (source, name) pairs kept
+ASSEMBLED_KEPT = 32
 
 
 @dataclass(frozen=True)
@@ -161,6 +177,23 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
+    # Each static analysis that a run reads, computed on first use and kept;
+    # a copy made with dataclasses.replace starts with none of them.
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        """`validate`'s diagnostics; empty means runnable."""
+        return tuple(validate(self))
+
+    @cached_property
+    def hinted(self) -> Program:
+        """The program with `annotate_hints`' switch hints."""
+        return annotate_hints(self)
+
+    @cached_property
+    def reach(self) -> list[int]:
+        """`reach` of the instructions, read by `sim._stop`."""
+        return reach(self.instructions)
+
 
 class AsmError(ValueError):
     def __init__(self, message: str, line: int):
@@ -226,8 +259,15 @@ def assemble(source: str, name: str = "program") -> Program:
     """Assemble the text dialect above into a Program.
 
     Branch targets must resolve; unknown create entry names are left to
-    validate() so a partially written corpus can still be assembled.
+    validate() so a partially written corpus can still be assembled. The
+    same source and name give the same Program object while it is among the
+    last ASSEMBLED_KEPT assembled; an AsmError is raised anew on each call.
     """
+    return _assemble(source, name)
+
+
+@lru_cache(maxsize=ASSEMBLED_KEPT)
+def _assemble(source: str, name: str) -> Program:
     instrs: list[Instruction] = []
     labels: dict[str, int] = {}
     entries: dict[str, int] = {}
@@ -355,3 +395,32 @@ def validate(program: Program) -> list[str]:
                 not in (Opcode.HALT, Opcode.JMP)):
             diags.append(f"thread body '{bname}' does not terminate")
     return diags
+
+
+def reach(instructions) -> list[int]:
+    """For each pc, the fewest instructions that any path from it fetches
+    before one that acts outside the core (`Instruction.acts_outside`), or
+    NEVER where no path reaches one. A pc's successors are its fall-through
+    and a branch's target, or a jmp's target alone; a halt acts outside.
+    `sim._stop` reads it as a quiet core's horizon (see `sim.py`)."""
+    n = len(instructions)
+    out = [NEVER] * n
+    before = [[] for _ in range(n)]     # pc -> the pcs it succeeds
+    found = []                          # breadth first, against the edges
+    for pc, instr in enumerate(instructions):
+        if instr.acts_outside:
+            out[pc] = 0
+            found.append(pc)
+        elif instr.is_jump:
+            before[instr.imm].append(pc)
+        else:
+            if instr.is_branch:
+                before[instr.imm].append(pc)
+            if pc + 1 < n:
+                before[pc + 1].append(pc)
+    for pc in found:
+        for prev in before[pc]:
+            if out[prev] == NEVER:
+                out[prev] = out[pc] + 1
+                found.append(prev)
+    return out

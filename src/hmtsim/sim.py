@@ -77,15 +77,15 @@ The stop is:
     flight, the fetch-to-execute depth (4), since an instruction fetched in
     the window's first cycle executes four cycles on.
   - A core in a quiet stretch (`Core.quiet`, see `core.py`): the least
-    `4 + reach[ctx.pc]` over its queued threads, where `Chip.reach`
-    (`core.reach`, built once per run) gives for each pc the fewest
-    instructions that any path from it fetches before an acting one. Its
-    latches are not walked: the stretch has executed every instruction in
-    flight, branches included, and no queued thread holds a resume or a
-    pending cell, so each queued thread's pc is its next fetch (one behind
-    a branch fetches from the branch's execute cycle on,
-    `ThreadContext.fetch_blocked`), and the core fetches at most one
-    instruction a cycle. An acting instruction is then fetched no sooner
+    `4 + reach[ctx.pc]` over its queued threads, where `Chip.reach` (the
+    program's `Program.reach`, built once per program by `isa.reach`) gives
+    for each pc the fewest instructions that any path from it fetches
+    before an acting one. Its latches are not walked: the stretch has
+    executed every instruction in flight, branches included, and no queued
+    thread holds a resume or a pending cell, so each queued thread's pc is
+    its next fetch (one behind a branch fetches from the branch's execute
+    cycle on, `ThreadContext.fetch_blocked`), and the core fetches at most
+    one instruction a cycle. An acting instruction is then fetched no sooner
     than reach cycles on, and executes four cycles after its fetch
     (`test_stop_window_of_a_quiet_core_whose_branch_is_in_flight`). A
     quiet core with no queued thread has no horizon.
@@ -114,15 +114,19 @@ import hashlib
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import CHANNEL_CELL, Core, PerCoreMetrics, reach
+from .core import CHANNEL_CELL, Core, PerCoreMetrics
 from .errors import ConfigError, SimFault
-from .isa import Program, annotate_hints, validate
+from .isa import Program
 from .memory import NEVER, MemorySystem, image_digest
 from .noc import Noc
 from .tmu import Family, SpanPool, Tmu
 
 # memory bytes past 2**31 are out of reach of every s32 address
 MEM_BYTES_MAX = 1 << 31
+# the largest core count: a chip allocates every core's state, its TMU and
+# its caches up front, so a larger one would fail only by running out of
+# memory; eight times p = 128, the largest chip the scaling runs measure
+P_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,8 @@ class ChipConfig:
                 raise ConfigError(name, "must be >= 1", getattr(self, name))
         if self.p < 1:
             raise ConfigError("p", "must be >= 1", self.p, "core count")
+        if self.p > P_MAX:
+            raise ConfigError("p", f"must be <= {P_MAX}", self.p, "core count")
         if self.thread_slots < 1:
             raise ConfigError("thread_slots", "must be >= 1", self.thread_slots)
         if self.hop_latency < 0:
@@ -251,8 +257,8 @@ class Chip:
             self.memory.mem[:len(init_mem)] = init_mem
         self.span_pool = SpanPool(config.p)
         # per pc, the fetches before an instruction that acts outside a core
-        # (see sim._stop)
-        self.reach = reach(program.instructions)
+        # (see sim._stop); the program's own table, shared by its runs
+        self.reach = program.reach
         # per pc, the I-line that holds it, read by fetch
         line_bytes = config.line_bytes
         self.line_of = [pc * 4 // line_bytes
@@ -469,14 +475,19 @@ def _bootstrap_root(chip: Chip):
 
 def run(config: ChipConfig, program: Program,
         init_mem: bytes | None = None) -> RunResult:
-    """Execute a program to completion, deadlock, fault or watchdog expiry."""
-    diags = validate(program)
-    if diags:
-        raise ValueError("program failed validation: " + "; ".join(diags))
+    """Execute a program to completion, deadlock, fault or watchdog expiry.
+
+    The run's per-program work is done once per Program, not once per run:
+    its validation, its hint-annotated twin and its reach table are the
+    program's cached `diagnostics`, `hinted` and `reach` (see `isa.py`).
+    """
+    if program.diagnostics:
+        raise ValueError("program failed validation: "
+                         + "; ".join(program.diagnostics))
     if "main" not in program.entries:
         raise ValueError("program has no 'main' thread body")
     if config.hints:
-        program = annotate_hints(program)
+        program = program.hinted
 
     chip = Chip(config, program, init_mem)
     _bootstrap_root(chip)

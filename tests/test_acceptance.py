@@ -242,6 +242,12 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+    # the records in the cross-product order: kernel, cores, hints,
+    # coherency (their count, 16, is checked against the trace files below)
+    key = [(r["kernel"], r["cores"], r["hints"], r["coherency"])
+           for r in records(outs[0])]
+    assert key == sorted(key, key=lambda k: (k[0] != "regular", int(k[1]),
+                                             k[2] != "on", k[3] != "eager"))
     a_traces = sorted((tmp_path / "a").iterdir())
     b_traces = sorted((tmp_path / "b").iterdir())
     assert [t.name for t in a_traces] == [t.name for t in b_traces]

@@ -14,11 +14,12 @@ import hmtsim.cli as cli
 from hmtsim.cli import (EXIT_DEADLOCK, EXIT_FAULT, EXIT_OK, EXIT_USAGE,
                         MACHINE_FLAGS, RECORD_FIELDS, _DESTS, _config,
                         build_parser, main)
+from hmtsim.errors import ConfigError
 from hmtsim.isa import assemble, validate
 from hmtsim.kernels import kernel_loaduse, kernel_regular, kernel_starvation
 from hmtsim.memory import dump_image_text
 from hmtsim.oracle import sequential_oracle
-from hmtsim.sim import ChipConfig
+from hmtsim.sim import P_MAX, ChipConfig
 
 from test_sim import DEEP_NEST
 
@@ -47,6 +48,21 @@ def test_run_completed_exit_zero_csv(regular_masm, capsys):
     assert row["cores"] == "2"
     assert float(row["utilization"]) > 0
     assert list(rows[0].keys()) == RECORD_FIELDS
+
+
+def test_run_twice_analyses_the_program_once(tmp_path, capsys, monkeypatch):
+    # a source no other test assembles (the comment names this test's
+    # directory), so that assemble keeps no Program of it yet
+    path = tmp_path / "regular.masm"
+    path.write_text(kernel_regular(n=16).source + f"\n; {tmp_path}\n")
+    calls = []
+    for name in ("validate", "annotate_hints"):
+        fn = getattr(hmtsim.isa, name)
+        monkeypatch.setattr(hmtsim.isa, name, lambda program, fn=fn, name=name:
+                            calls.append(name) or fn(program))
+    for _ in range(2):
+        assert run_cli(capsys, "run", "--program", str(path))[0] == EXIT_OK
+    assert calls == ["validate", "annotate_hints"]
 
 
 def test_run_starvation_exit_two(tmp_path, capsys):
@@ -172,9 +188,10 @@ def test_malformed_assembly_exit_64(tmp_path, capsys, command, line,
     assert err == f"error: {path}: line 3: {message}\n"
 
 
-# user-reachable errors, each (command, program source or None, exit code,
-# its one line): a model fault's line is its record's diagnostic, any other
-# is the command's one stderr line, {path} standing for the program file
+# user-reachable errors, each (command and flags, program source or None,
+# exit code, its one line): a model fault's line is its record's diagnostic,
+# any other is the command's one stderr line, {path} standing for the
+# program file
 REACHABLE_ERRORS = {
     "allocate-negative-size": (
         "run", ".body main\n  allocate r1, -1\n  halt\n", EXIT_FAULT,
@@ -230,9 +247,16 @@ REACHABLE_ERRORS = {
         "run", ".body main\n  jmp end\n  halt\nend:\n", EXIT_USAGE,
         "error: {path}: line 2: label 'end' addresses no instruction"),
     "sweep-unknown-kernel": (
-        "sweep", None, EXIT_USAGE,
+        "sweep --kernels nosuch", None, EXIT_USAGE,
         "error: unknown kernel 'nosuch' (choose from chain, heterogeneous, "
         "loaduse, regular, starvation)"),
+    # one above sim.P_MAX: the chip would allocate every core's state
+    "run-cores-above-bound": (
+        "run --cores 1025", ".body main\n  halt\n", EXIT_USAGE,
+        "error: --cores must be <= 1024, got 1025"),
+    "sweep-cores-above-bound": (
+        "sweep --cores 1,1025", None, EXIT_USAGE,
+        "error: --cores must be <= 1024, got 1025"),
     "oracle-deadlock": (
         "oracle", ".body main\n  getsh r1\n  halt\n", EXIT_DEADLOCK,
         "oracle deadlock: thread 0 of family 1 reads its input channel "
@@ -246,14 +270,21 @@ REACHABLE_ERRORS = {
 
 
 @pytest.mark.parametrize("case", list(REACHABLE_ERRORS))
-def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, case):
+def test_user_reachable_error_exit_code_and_line(tmp_path, capsys,
+                                                 monkeypatch, case):
     command, source, code, line = REACHABLE_ERRORS[case]
     path = tmp_path / "p.masm"
-    if source is None:
-        argv = [command, "--kernels", "nosuch"]
-    else:
+    argv = command.split()
+    if source is not None:
         path.write_text(source)
-        argv = [command, "--program", str(path)]
+        argv += ["--program", str(path)]
+
+    def run(*args):
+        # a usage error is found before any simulation runs
+        assert code != EXIT_USAGE, "a simulation ran"
+        return hmtsim.sim.run(*args)
+
+    monkeypatch.setattr(cli, "run", run)
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     if code == EXIT_FAULT:
@@ -263,7 +294,7 @@ def test_user_reachable_error_exit_code_and_line(tmp_path, capsys, case):
         assert err == ""
     else:
         assert (out, err) == ("", line.format(path=path) + "\n")
-    if source is None or command == "oracle":
+    if command != "run":
         return
     # the sequential oracle on the same program: the same exit code and
     # line, a model fault's diagnostic after "oracle fault: ", except for
@@ -360,21 +391,6 @@ def test_run_trace_and_dump(regular_masm, tmp_path, capsys):
     assert "=" in mem.read_text()
 
 
-def test_sweep_row_count_and_determinism(capsys):
-    args = ["sweep", "--kernels", "regular,chain", "--cores", "1,4",
-            "--hints", "on,off", "--coherency", "eager,bulk"]
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2                     # byte-identical record streams
-    rows = list(csv.DictReader(io.StringIO(out1)))
-    assert len(rows) == 2 * 2 * 2 * 2
-    # deterministic cross-product order: kernel, cores, hints, coherency
-    key = [(r["kernel"], r["cores"], r["hints"], r["coherency"]) for r in rows]
-    assert key == sorted(key, key=lambda k: (k[0] != "regular", int(k[1]),
-                                             k[2] != "on", k[3] != "eager"))
-
-
 def test_sweep_memory_hash_constant_across_cores(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--kernels", "chain",
                            "--cores", "1,2,4,8", "--hints", "on",
@@ -430,6 +446,14 @@ def test_sweep_cores_below_one_name_the_flag(capsys, cores, count):
                              "--cores", cores)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: --cores must be >= 1, got {count}\n"
+
+
+def test_core_count_bound_is_p_max():
+    # the config alone: no chip of P_MAX cores is built
+    assert ChipConfig(p=P_MAX).p == P_MAX == 1024
+    with pytest.raises(ConfigError, match="core count must be <= 1024, "
+                       "got 1025"):
+        ChipConfig(p=P_MAX + 1)
 
 
 def test_sweep_records_carry_machine_flags(capsys):

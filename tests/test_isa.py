@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hmtsim import isa
 from hmtsim.isa import (
+    ASSEMBLED_KEPT,
     LONG_LATENCY_PRODUCERS,
     AsmError,
     Opcode,
     annotate_hints,
     assemble,
+    reach,
     validate,
 )
+from hmtsim.kernels import GENERATORS, kernel_starvation
 
 
 def asm(body):
@@ -346,3 +352,52 @@ def test_annotate_never_reorders(program):
     for a, b in zip(annotated.instructions, program.instructions):
         assert (a.opcode, a.dst, a.src1, a.src2, a.imm) == (
             b.opcode, b.dst, b.src1, b.src2, b.imm)
+
+
+def test_assemble_returns_the_kept_program_for_the_same_arguments():
+    source = ".body main\n  addi r1, r0, 7\n  halt\n"
+    program = assemble(source, "kept")
+    assert assemble(source, "kept") is program
+    assert assemble(source, name="kept") is program
+    other = assemble(source, "other")
+    assert other is not program and other.name == "other"
+    assert other.instructions == program.instructions
+
+
+def test_assemble_error_is_raised_on_every_call():
+    source = ".body main\n  jmp nowhere\n"
+    misses = isa._assemble.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(AsmError, match="undefined label 'nowhere'"):
+            assemble(source)
+    # both calls ran the assembler: the error was not kept
+    assert isa._assemble.cache_info().misses == misses + 2
+
+
+def test_assemble_memo_is_bounded():
+    source = ".body main\n  halt\n"
+    first = assemble(source, "first")
+    for i in range(ASSEMBLED_KEPT):
+        assemble(f".body main\n  addi r1, r0, {i}\n  halt\n", "filler")
+    assert isa._assemble.cache_info().maxsize == ASSEMBLED_KEPT
+    assert isa._assemble.cache_info().currsize == ASSEMBLED_KEPT
+    # the least recently used program was let go, and is built anew
+    again = assemble(source, "first")
+    assert again is not first and again == first
+
+
+CORPUS_SPECS = [gen() for gen in GENERATORS.values()] + \
+    [kernel_starvation(2, satisfiable=True)]
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS, ids=lambda s: s.name)
+def test_program_analyses_equal_the_functions(spec):
+    program = spec.program
+    copy = replace(program)        # a new Program: no analyses kept yet
+    assert program.diagnostics == tuple(validate(copy))
+    assert program.hinted == annotate_hints(copy)
+    assert program.reach == reach(copy.instructions)
+    assert program.hinted.reach == reach(annotate_hints(copy).instructions)
+    # computed once: the same objects on every later read
+    assert program.hinted is program.hinted
+    assert program.reach is program.reach

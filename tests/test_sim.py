@@ -10,10 +10,10 @@ from typing import Callable, NamedTuple
 import pytest
 
 from differential import check, lockstep
-from hmtsim import sim
-from hmtsim.core import DONE, Core, reach
+from hmtsim import core, isa, sim
+from hmtsim.core import DONE, Core
 from hmtsim.errors import SimFault
-from hmtsim.isa import Instruction, Opcode, Program, assemble
+from hmtsim.isa import Instruction, Opcode, Program, assemble, reach
 from hmtsim.kernels import (GENERATORS, kernel_chain, kernel_heterogeneous,
                             kernel_loaduse, kernel_regular, kernel_starvation)
 from hmtsim.oracle import sequential_oracle
@@ -1660,6 +1660,45 @@ def test_stop_window_capped_by_starvation_check_and_watchdog():
 ])
 def test_reach_counts_the_fetches_before_an_acting_instruction(src, expected):
     assert reach(assemble(src).instructions) == expected
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("hints", [True, False])
+@pytest.mark.parametrize("trace", [False, True])
+def test_run_of_an_analysed_program_equals_one_of_a_fresh_copy(p, hints,
+                                                                 trace):
+    program = kernel_loaduse().program
+    config = ChipConfig(p=p, hints=hints, trace=trace)
+    run(config, program)        # the program now holds its analyses
+    kept = run(config, program)
+    assert kept.outcome is Outcome.COMPLETED
+    # a copy made with replace holds none, and computes them in its run
+    assert kept.result_hash() == run(config, replace(program)).result_hash()
+
+
+def test_second_run_of_a_program_repeats_no_analysis(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(isa, name)
+
+        def counting(*args):
+            calls.append(name)
+            return fn(*args)
+        return counting
+
+    # in every module of a run, so that a run calling one by name is seen
+    for name in ("validate", "annotate_hints", "reach"):
+        for module in (isa, core, sim):
+            monkeypatch.setattr(module, name, counted(name), raising=False)
+    program = replace(kernel_chain(n=4).program)     # no analyses yet
+    for hints, first in ((True, ["validate", "annotate_hints", "reach"]),
+                         (False, ["reach"])):
+        config = ChipConfig(p=2, hints=hints)
+        for expected in (first, []):
+            calls.clear()
+            assert run(config, program).outcome is Outcome.COMPLETED
+            assert calls == expected
 
 
 # twelve quiet instructions, then a TMU request: reach[pc] is 12 - pc
